@@ -337,10 +337,6 @@ def _first_n(predicate, start: int, limit: int) -> Optional[int]:
     return None
 
 
-def _sv_total_growth(sv: SlowlyVarying, start: int) -> float:
-    return sv.growth_exponent_bound(start)
-
-
 def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
     """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
     bound = distmodel.support_bound(d)
@@ -376,7 +372,7 @@ def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int)
         wf = w.family
         if a.family.exponent < 0.5:
             return None
-        delta = _sv_total_growth(wf.sv, 3)
+        delta = wf.sv.growth_exponent_bound(3)
         need = 2.0 + wf.exponent + delta
 
         def ok(n: int) -> bool:
@@ -574,14 +570,12 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             "the cutoff counterexample distribution cannot be sampled")
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
-    with_exact = d.kind in ("rademacher", "atomic_sym", "atomic")
     reports = {}
     csvs = {}
     for eps in cfg.eps:
         rep = mcengine.empirical_series(
             d, cfg.weights, cfg.norms, eps, grid, cfg.replicates, cfg.seed,
-            workers=cfg.workers,
-            with_exact=with_exact and max(grid) <= mcengine.MAX_RADEMACHER_N)
+            workers=cfg.workers)
         reports[eps] = rep
         csvs[f"simulate_eps{eps:g}.csv"] = rep.to_csv()
         if cfg.maximal:

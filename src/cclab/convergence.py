@@ -372,30 +372,16 @@ def power_comparison_polynomial(r: int, x: float, y: float) -> float:
                for j in range(1, r + 1))
 
 
-def power_comparison_constant(r: int, grid: int = 1000) -> float:
-    """max of p_r over the unit square, by grid search plus local refinement."""
-    best, bx, by = -math.inf, 0.0, 0.0
-    for i in range(grid + 1):
-        x = i / grid
-        for j in range(grid + 1):
-            y = j / grid
-            v = power_comparison_polynomial(r, x, y)
-            if v > best:
-                best, bx, by = v, x, y
-    h = 1.0 / grid
-    for _ in range(40):
-        h *= 0.5
-        for dx in (-h, 0.0, h):
-            for dy in (-h, 0.0, h):
-                x = min(1.0, max(0.0, bx + dx))
-                y = min(1.0, max(0.0, by + dy))
-                v = power_comparison_polynomial(r, x, y)
-                if v > best:
-                    best, bx, by = v, x, y
-    return best
+def power_comparison_constant(r: int) -> float:
+    """max of p_r over the unit square, which is exactly r.
 
-
-POWER_COMPARISON_C2 = 2.0  # closed form for r = 2: max of 2x - y on the unit square
+    By the mean value theorem x^r - (x - y)^r = r * y * xi^(r-1) for some xi
+    between x - y and x, and |xi| <= 1 on the unit square, so p_r <= r.  The
+    bound is attained at (1, 0), where p_r(1, 0) = r.
+    """
+    if r < 1:
+        raise ValueError("r must be a positive integer")
+    return float(r)
 
 
 @dataclass(frozen=True)
@@ -417,7 +403,7 @@ def check_power_comparison(alpha: Sequence[float], beta: Sequence[float],
         if any(not 0.0 <= v <= 1.0 for v in s[:horizon]):
             raise ValueError("sequences must live in [0, 1]")
     if c_r is None:
-        c_r = POWER_COMPARISON_C2 if r == 2 else power_comparison_constant(r)
+        c_r = power_comparison_constant(r)
     tau = [w(n) for n in range(1, horizon + 1)]
     lhs = kahan_sum(tau[n] * alpha[n] ** r for n in range(horizon))
     rhs = (kahan_sum(tau[n] * abs(alpha[n] - beta[n]) ** r for n in range(horizon))

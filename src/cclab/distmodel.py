@@ -105,6 +105,8 @@ def _merge_atoms(atoms) -> tuple:
     table: dict[float, float] = {}
     for v, p in atoms:
         v, p = float(v), float(p)
+        if not math.isfinite(v):
+            raise ValueError("atom values must be finite")
         if p <= 0:
             raise ValueError("atom weights must be positive")
         table[v] = table.get(v, 0.0) + p
@@ -192,14 +194,6 @@ def tail(d: Dist, lam: float) -> float:
         s = _logsumexp(lw for lv, lw in atoms if lv >= lt)
         return math.exp(s) if s > -math.inf else 0.0
     raise ValueError(f"unknown distribution kind {d.kind!r}")
-
-
-def log_tail(d: Dist, log_lam: float) -> float:
-    """log P(|X| >= exp(log_lam)) for the log-atomic kind."""
-    if d.kind != "log_atomic_sym":
-        raise ValueError("log_tail only supports the log-atomic kind")
-    (atoms,) = d.params
-    return _logsumexp(lw for lv, lw in atoms if lv >= log_lam)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +367,32 @@ def second_moment_bound(d: Dist) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
+def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """One-step law as (values, probs) arrays, or None for kinds without atoms.
+
+    Atoms come in their stored order (+-v pairs for ``atomic_sym``), followed
+    by the implied atom at 0 with the remaining mass, which may be 0.
+    """
+    if d.kind == "rademacher":
+        values, probs = [-1.0, 1.0], [0.5, 0.5]
+    elif d.kind == "atomic_sym":
+        (atoms,) = d.params
+        values, probs = [], []
+        for v, p in atoms:
+            values.extend([-v, v])
+            probs.extend([0.5 * p, 0.5 * p])
+    elif d.kind == "atomic":
+        (atoms,) = d.params
+        values = [v for v, _ in atoms]
+        probs = [p for _, p in atoms]
+    else:
+        return None
+    rest = 1.0 - sum(probs)
+    values.append(0.0)
+    probs.append(max(rest, 0.0))
+    return np.asarray(values, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+
+
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
     """count i.i.d. draws; deterministic given the generator's stream."""
     if count < 0:
@@ -392,22 +412,11 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         sign = 2.0 * rng.integers(0, 2, size=count, dtype=np.int8) - 1.0
         return mag * sign
     if d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        if d.kind == "atomic_sym":
-            values, probs = [], []
-            for v, p in atoms:
-                values.extend([-v, v])
-                probs.extend([0.5 * p, 0.5 * p])
-        else:
-            values = [v for v, _ in atoms]
-            probs = [p for _, p in atoms]
-        rest = 1.0 - sum(probs)
-        values.append(0.0)
-        probs.append(max(rest, 0.0))
-        cum = np.cumsum(np.asarray(probs))
+        values, probs = atom_table(d)
+        cum = np.cumsum(probs)
         cum[-1] = max(cum[-1], 1.0)
         idx = np.searchsorted(cum, rng.random(count), side="right")
-        return np.asarray(values, dtype=np.float64)[idx]
+        return values[idx]
     if d.kind == "log_atomic_sym":
         raise SamplingUnavailable(
             "log_atomic_sym: atom probabilities are below the representable floating range")

@@ -6,10 +6,13 @@ fixed-size batches, batch b draws from the counter-based stream
 same (config, seed) therefore produces bit-identical output for any worker
 count.
 
-Oracles compute the full distribution of the n-step sum by convolution
-(Rademacher up to n = 4096 on the integer lattice, small atomic walks via a
-support-capped table) and the running-maximum tail by an absorbing-threshold
-dynamic program for n <= 64.
+Oracles read each atom as the shortest decimal that rounds to it (the number
+the user wrote) and scale by the lcm of the denominators, so every walk lives
+on one integer lattice.  The law of S_n is built by repeated squaring with
+direct convolution, and the running-maximum tail for n <= 64 by a banded
+absorbing walk on the same lattice.  Kinds without atoms, atoms with no short
+decimal, and lattices wider than MAX_ORACLE_SUPPORT points raise
+OracleUnavailable.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from . import distmodel, seeding
 from .reports import UNDETERMINED, SeriesReport, SeriesRow
@@ -32,9 +34,9 @@ MIN_REPLICATES = 1_000
 DEFAULT_BATCH = 65_536
 _CHUNK_ELEMENTS = 1 << 22
 
-MAX_RADEMACHER_N = 4096
 MAX_ORACLE_SUPPORT = 1_000_000
 MAX_MAXIMAL_N = 64
+_EXACT_INT = 2 ** 53  # lattice coordinates up to here convert to float exactly
 
 
 class OracleUnavailable(RuntimeError):
@@ -151,69 +153,48 @@ class WalkOracle:
             raise ValueError("oracle probabilities do not sum to 1")
 
 
-def _step_atoms(d: distmodel.Dist) -> list[tuple[float, float]]:
-    """One-step atom table (value, prob) including the mass at 0."""
-    if d.kind == "rademacher":
-        return [(-1.0, 0.5), (1.0, 0.5)]
-    if d.kind == "atomic_sym":
-        (atoms,) = d.params
-        out = []
-        for v, p in atoms:
-            out.extend([(-v, 0.5 * p), (v, 0.5 * p)])
-        rest = 1.0 - sum(p for _, p in atoms)
-        if rest > 0.0:
-            out.append((0.0, rest))
-        return sorted(out)
-    if d.kind == "atomic":
-        (atoms,) = d.params
-        out = list(atoms)
-        rest = 1.0 - sum(p for _, p in atoms)
-        if rest > 0.0:
-            out.append((0.0, rest))
-        return sorted(out)
-    raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
+def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
+    """The step law as (kernel, lo, den) with P(X = (lo + i)/den) = kernel[i].
 
-
-def _mirror_symmetrize(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    # The true table is symmetric; copy the lower half so it holds bitwise.
-    out = probs.copy()
-    m = len(out)
-    for i in range(m // 2):
-        out[m - 1 - i] = out[i]
-    return out
+    Each atom is read as the shortest decimal that rounds to it and scaled by
+    the lcm of the denominators.  The lattice n steps span is checked with
+    Python ints before any array is allocated.
+    """
+    table = distmodel.atom_table(d)
+    if table is None:
+        raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
+    values, probs = table
+    keep = probs > 0.0
+    atoms = [Fraction(repr(v)) for v in values[keep].tolist()]
+    den = math.lcm(*(a.denominator for a in atoms))
+    steps = [int(a * den) for a in atoms]
+    lo, hi = min(steps), max(steps)
+    if n * (hi - lo) + 1 > MAX_ORACLE_SUPPORT:
+        raise OracleUnavailable(
+            f"walk lattice exceeds {MAX_ORACLE_SUPPORT} points at this depth")
+    if max(den, n * abs(lo), n * abs(hi)) > _EXACT_INT:
+        raise OracleUnavailable("walk lattice exceeds the exact float range")
+    kernel = np.zeros(hi - lo + 1, dtype=np.float64)
+    kernel[np.asarray(steps) - lo] = probs[keep]
+    return kernel, lo, den
 
 
 def exact_walk_oracle(d: distmodel.Dist, n: int) -> WalkOracle:
-    """Exact table for S_n; Rademacher up to 4096, atomic walks capped at 10^6 points."""
+    """Exact table for S_n by repeated squaring on the atoms' decimal lattice."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if d.kind == "rademacher":
-        if n > MAX_RADEMACHER_N:
-            raise OracleUnavailable(f"Rademacher oracle capped at n = {MAX_RADEMACHER_N}")
-        probs = np.array([1.0], dtype=np.float64)
-        half = np.array([0.5, 0.5], dtype=np.float64)
-        for _ in range(n):
-            probs = np.convolve(probs, half)
-        values = np.arange(-n, n + 1, 2, dtype=np.float64)
-        probs = _mirror_symmetrize(values, probs)
-        return WalkOracle(n=n, values=values, probs=probs)
-    steps = _step_atoms(d)
-    table: dict[float, float] = {0.0: 1.0}
-    for _ in range(n):
-        new: dict[float, float] = {}
-        for s, ps in sorted(table.items()):
-            for v, pv in steps:
-                key = s + v
-                new[key] = new.get(key, 0.0) + ps * pv
-        if len(new) > MAX_ORACLE_SUPPORT:
-            raise OracleUnavailable(
-                f"walk support exceeds {MAX_ORACLE_SUPPORT} points at this depth")
-        table = new
-    values = np.array(sorted(table), dtype=np.float64)
-    probs = np.array([table[v] for v in values], dtype=np.float64)
-    if d.symmetric:
-        probs = _mirror_symmetrize(values, probs)
-    return WalkOracle(n=n, values=values, probs=probs)
+    kernel, lo, den = _lattice(d, n)
+    # Direct convolution keeps unreachable lattice points exactly 0.
+    law, power, m = None, kernel, n
+    while True:
+        if m & 1:
+            law = power if law is None else np.convolve(law, power)
+        m >>= 1
+        if not m:
+            break
+        power = np.convolve(power, power)
+    (idx,) = np.nonzero(law > 0.0)
+    return WalkOracle(n=n, values=(n * lo + idx) / den, probs=law[idx])
 
 
 def exact_tail(oracle: WalkOracle, threshold: float) -> float:
@@ -227,10 +208,12 @@ def exact_tail(oracle: WalkOracle, threshold: float) -> float:
 
 
 def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndarray:
-    """P(max_{k<=j} |S_k| >= threshold) for j = 1..n_max via an absorbing DP.
+    """P(max_{k<=j} |S_k| >= threshold) for j = 1..n_max by an absorbing walk.
 
-    The running maximum is absorbed the moment |S_k| crosses the threshold,
-    which is valid for arbitrary atomic steps (no reflection argument).
+    The walk lives on the band of lattice points k with |fl(k/den)| below the
+    threshold, clipped to the range n_max steps can reach; each step is one
+    convolution, and the mass that lands outside the band is absorbed.  No
+    reflection argument is used, so any atomic step law is valid.
     """
     if n_max < 1 or n_max > MAX_MAXIMAL_N:
         raise ValueError(f"running-maximum DP supports 1 <= n <= {MAX_MAXIMAL_N}")
@@ -238,24 +221,32 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
         raise ValueError("threshold must not be NaN")
     if threshold <= 0:
         return np.ones(n_max, dtype=np.float64)
-    steps = _step_atoms(d)
-    alive: dict[float, float] = {0.0: 1.0}
+    kernel, step_lo, den = _lattice(d, n_max)
+    step_hi = step_lo + len(kernel) - 1
+    # The step law is padded to cover 0, so the band sits inside every
+    # convolution at a fixed offset.
+    lo, hi = min(step_lo, 0), max(step_hi, 0)
+    # The band [band_lo, band_hi] holds the lattice points k that n_max steps
+    # can reach with fl(|k|/den) < threshold.
+    k = n_max * max(-lo, hi)
+    if not math.isinf(threshold):
+        k = min(k, math.ceil(Fraction(threshold) * den) - 1)
+    while k / den >= threshold:
+        k -= 1
+    band_lo, band_hi = max(-k, n_max * lo), min(k, n_max * hi)
+    width = band_hi - band_lo + 1
+    if max(width, hi - lo + 1) > MAX_ORACLE_SUPPORT:
+        raise OracleUnavailable(
+            f"walk lattice exceeds {MAX_ORACLE_SUPPORT} points at this depth")
+    kernel = np.pad(kernel, (step_lo - lo, hi - step_hi))
+    alive = np.zeros(width, dtype=np.float64)
+    alive[-band_lo] = 1.0
     absorbed = 0.0
     out = np.empty(n_max, dtype=np.float64)
     for j in range(n_max):
-        new: dict[float, float] = {}
-        for s, ps in sorted(alive.items()):
-            for v, pv in steps:
-                key = s + v
-                mass = ps * pv
-                if abs(key) >= threshold:
-                    absorbed += mass
-                else:
-                    new[key] = new.get(key, 0.0) + mass
-        if len(new) > MAX_ORACLE_SUPPORT:
-            raise OracleUnavailable(
-                f"walk support exceeds {MAX_ORACLE_SUPPORT} points at this depth")
-        alive = new
+        full = np.convolve(alive, kernel)  # full[i] sits at band_lo + lo + i
+        absorbed += float(full[:-lo].sum()) + float(full[width - lo:].sum())
+        alive = full[-lo:width - lo]
         out[j] = absorbed
     return out
 
@@ -266,79 +257,18 @@ def exact_max_tail(d: distmodel.Dist, n: int, threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Medians
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MedianEstimate:
-    value: float
-    lo: float
-    hi: float
-    replicates: int
-    seed_stream: str
-
-
-def median_of_sum(d: distmodel.Dist, n: int, replicates: int, seed: int,
-                  scenario: int = 0, batch_size: int = DEFAULT_BATCH) -> MedianEstimate:
-    """Sample median of S_n with a distribution-free 99% order-statistic interval."""
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} replicates")
-    plan = _batch_plan(replicates, batch_size)
-    parts = []
-    for b, rows in enumerate(plan):
-        rng = seeding.stream(seed, scenario, n, b)
-        parts.append(_batch_sums(d, n, rows, rng))
-    sums = np.sort(np.concatenate(parts))
-    r = len(sums)
-    med = 0.5 * (sums[(r - 1) // 2] + sums[r // 2])
-    lo_idx = int(stats.binom.ppf(0.005, r, 0.5))
-    hi_idx = min(int(stats.binom.ppf(0.995, r, 0.5)), r - 1)
-    return MedianEstimate(value=float(med), lo=float(sums[lo_idx]),
-                          hi=float(sums[hi_idx]), replicates=r,
-                          seed_stream=seeding.stream_id(seed, scenario, n))
-
-
-def median_condition_report(d: distmodel.Dist, w: WeightSeq, a: NormSeq,
-                            eps: float, n_grid, replicates: int, seed: int,
-                            scenario: int = 0) -> dict:
-    """Per-n check of |median(S_n)| against eps*a(n).
-
-    Verdicts are issued only when the order-statistic interval excludes the
-    threshold; the weight sum over the estimated exceptional set is reported
-    without any convergence claim.
-    """
-    rows = []
-    exceptional = KahanAccumulator()
-    for n in n_grid:
-        est = median_of_sum(d, n, replicates, seed, scenario=scenario)
-        bar = eps * a(n)
-        if max(abs(est.lo), abs(est.hi)) < bar:
-            verdict = "within"
-        elif est.lo > bar or est.hi < -bar:
-            verdict = "exceeds"
-            exceptional.add(w(n))
-        else:
-            verdict = "inconclusive"
-        rows.append({"n": int(n), "median": est.value, "lo": est.lo, "hi": est.hi,
-                     "threshold": bar, "verdict": verdict})
-    return {"rows": rows, "exceptional_weight_sum": exceptional.total,
-            "eps": eps, "replicates": replicates}
-
-
-# ---------------------------------------------------------------------------
 # Empirical series
 # ---------------------------------------------------------------------------
 
 
 def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps: float,
                      n_grid, replicates: int, seed: int, workers: int = 1,
-                     scenario: int = 0, with_exact: bool = False,
-                     series_id: str = "weighted-sum-tail") -> SeriesReport:
+                     scenario: int = 0, series_id: str = "weighted-sum-tail") -> SeriesReport:
     """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial sums.
 
     Monte Carlo cannot certify an infinite series, so the verdict is always
-    Undetermined; certificates come from the analytic layer.
+    Undetermined; certificates come from the analytic layer.  Each row's
+    ``exact`` is the walk oracle's tail where one exists, else None.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -352,12 +282,10 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps: float,
         est = estimate_tail(d, n, threshold, replicates, seed,
                             scenario=scenario, workers=workers)
         tau = w(n)
-        exact = None
-        if with_exact:
-            try:
-                exact = exact_tail(exact_walk_oracle(d, n), threshold)
-            except OracleUnavailable:
-                exact = None
+        try:
+            exact = exact_tail(exact_walk_oracle(d, n), threshold)
+        except OracleUnavailable:
+            exact = None
         rows.append(SeriesRow(n=n, term=tau * est.p_hat,
                               partial_sum=acc.add(tau * est.p_hat),
                               ci_lo=lo_acc.add(tau * est.lo),

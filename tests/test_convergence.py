@@ -326,9 +326,14 @@ def test_power_comparison_polynomial_shape():
 
 
 def test_power_comparison_constants():
-    assert cv.power_comparison_constant(2, grid=400) == pytest.approx(2.0, abs=1e-9)
-    assert cv.power_comparison_constant(3, grid=400) == pytest.approx(3.0, abs=1e-6)
-    assert cv.power_comparison_constant(4, grid=400) == pytest.approx(4.0, abs=1e-6)
+    for r in range(1, 9):
+        assert cv.power_comparison_constant(r) == float(r)
+    # the closed form against a coarse grid: never exceeded, attained at (1, 0)
+    grid = [i / 40 for i in range(41)]
+    for r in range(1, 6):
+        best = max(cv.power_comparison_polynomial(r, x, y) for x in grid for y in grid)
+        assert best <= r * (1.0 + 1e-12)
+        assert cv.power_comparison_polynomial(r, 1.0, 0.0) == float(r)
 
 
 def test_power_comparison_alpha_equals_beta():

@@ -226,6 +226,25 @@ def test_atomic_sym_rejects_nonpositive_values():
         dm.atomic_sym([(1.0, 0.0)])
 
 
+def test_atoms_must_be_finite():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dm.atomic_sym([(bad, 0.5)])
+        with pytest.raises(ValueError):
+            dm.atomic([(bad, 0.5)])
+
+
+def test_atom_table_order_and_implied_zero():
+    values, probs = dm.atom_table(dm.atomic_sym([(3.0, 0.25), (1.0, 0.5)]))
+    assert values.tolist() == [-1.0, 1.0, -3.0, 3.0, 0.0]
+    assert probs.tolist() == [0.25, 0.25, 0.125, 0.125, 0.25]
+    values, probs = dm.atom_table(dm.atomic([(1.0, 0.5), (2.5, 0.5)]))
+    assert values.tolist() == [1.0, 2.5, 0.0]
+    assert probs.tolist() == [0.5, 0.5, 0.0]
+    assert dm.atom_table(dm.rademacher())[1].tolist() == [0.5, 0.5, 0.0]
+    assert dm.atom_table(dm.normal_std()) is None
+
+
 def test_mass_overflow_rejected():
     with pytest.raises(ValueError):
         dm.atomic_sym([(1.0, 0.7), (2.0, 0.5)])
