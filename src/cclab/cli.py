@@ -8,8 +8,14 @@ data inside the reports; exit codes only signal operational failures:
     0  ran to completion
     1  a divergence certificate failed (counterexample subcommand)
     2  config parse/validation error
-    3  unsupported distribution or sequence family
+    3  unsupported distribution or sequence family; also ``simulate
+       --maximal`` on a law without an exact oracle (no atoms, atoms off
+       any short decimal lattice, or a lattice too wide), since the
+       running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution
+
+``counterexample --schedule FILE`` replays the schedule in FILE and needs
+no preset, sequences or distribution.
 """
 
 from __future__ import annotations
@@ -237,7 +243,8 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
 
 
 def load_config(path: Optional[str], overrides: dict,
-                require_sequences: bool = True) -> ScenarioConfig:
+                require_sequences: bool = True,
+                require_distribution: bool = True) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(path)
@@ -308,7 +315,7 @@ def load_config(path: Optional[str], overrides: dict,
     dist = None
     if parser.has_section("distribution"):
         dist = _parse_distribution(parser["distribution"])
-    if dist is None and preset != "ms_counterexample":
+    if dist is None and preset != "ms_counterexample" and require_distribution:
         raise ConfigError("a [distribution] section is required for this preset")
 
     out_dir = overrides.get("out") or (
@@ -331,9 +338,15 @@ def load_config(path: Optional[str], overrides: dict,
 
 
 def _first_n(predicate, start: int, limit: int) -> Optional[int]:
-    for n in range(start, limit + 1):
-        if predicate(n):
-            return n
+    """Least n in [start, limit] where ``predicate`` (on an array of n) holds,
+    searched in growing blocks."""
+    size = 64
+    while start <= limit:
+        n = np.arange(start, min(start + size, limit + 1))
+        hit = np.flatnonzero(predicate(n))
+        if hit.size:
+            return int(n[hit[0]])
+        start, size = start + size, min(2 * size, 1 << 16)
     return None
 
 
@@ -341,14 +354,14 @@ def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int)
     """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
     bound = distmodel.support_bound(d)
     if bound is not None and a.tends_to_infinity():
-        n0 = _first_n(lambda n: eps * a(n) > bound, 1, 1 << 40)
+        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, 1 << 40)
         return VanishingEnvelope(from_n=n0,
                                  description=f"bounded support {bound:g}: the tail is 0 once "
                                              f"eps*a(n) > {bound:g}")
     if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
         alpha, scale = d.params
         wf, af = w.family, a.family
-        n0 = _first_n(lambda n: eps * a(n) >= scale, 2, horizon)
+        n0 = _first_n(lambda n: eps * a.values(n) >= scale, 2, horizon)
         if n0 is None:
             return None
         coef = wf.coef * (scale / eps) ** alpha * af.coef ** (-alpha)
@@ -373,13 +386,18 @@ def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int)
         if a.family.exponent < 0.5:
             return None
         delta = wf.sv.growth_exponent_bound(3)
-        need = 2.0 + wf.exponent + delta
+        # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
+        # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
+        # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
+        # costs one power beyond the weight's own exponent e.
+        need = 3.0 + wf.exponent + delta
 
-        def ok(n: int) -> bool:
-            return eps * eps * a(n) ** 2 / 2.0 >= need * math.log(n)
+        def ok(n: np.ndarray) -> np.ndarray:
+            x2 = eps * eps * seqkit.libm(pow, a.values(n), 2.0)
+            return x2 / 2.0 >= need * seqkit.libm(math.log, n)
 
         n0 = _first_n(ok, 3, horizon)
-        if n0 is None or not all(ok(n) for n in (horizon // 2, horizon)):
+        if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
             return None
         coef = wf.coef * wf.sv.value(n0) * float(n0) ** (-delta)
         return PowerEnvelope(coef=coef, exponent=2.0, from_n=n0,
@@ -427,38 +445,36 @@ def _envelope_exp_term(d, w: WeightSeq, a: NormSeq, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def _thin(n: int) -> bool:
-    return n <= 8 or (n & (n - 1)) == 0
+def _thinned(n: np.ndarray, last: int) -> np.ndarray:
+    """The rows a report shows: n <= 8, the powers of two, and the last n."""
+    return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
 
 
-def _thin_rows(report, horizon: int):
-    import dataclasses
-    rows = tuple(r for r in report.rows if _thin(r.n) or r.n == horizon)
-    return dataclasses.replace(report, rows=rows)
-
-
-def _series_with_envelope(series_id, terms, params, envelope, evidence=()):
-    if envelope is None:
-        return convergence.summarize_series(series_id, terms, params=params,
-                                            evidence=evidence)
+def _series_with_envelope(series_id, n, terms, params, envelope, evidence=()):
+    certificate = {}
     if isinstance(envelope, (PowerLowerBound, RecurringBlocks)):
-        return convergence.summarize_series(series_id, terms, params=params,
-                                            divergence=envelope, evidence=evidence)
-    return convergence.summarize_series(series_id, terms, params=params,
-                                        envelope=envelope, evidence=evidence)
+        certificate["divergence"] = envelope
+    elif envelope is not None:
+        certificate["envelope"] = envelope
+    return convergence.summarize_series(series_id, n, terms, params=params,
+                                        evidence=evidence, emit=_thinned(n, int(n[-1])),
+                                        **certificate)
 
 
 def run_check_conditions(cfg: ScenarioConfig) -> dict:
     w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
-    a.check_increasing(min(horizon, 4096))
+    n = np.arange(1, horizon + 1)
+    values = seqkit.sequence_values(w, a, horizon)
+    tau, av = values.w, values.a
+    seqkit.require_nondecreasing(av[:4096])
     regularity = [
         seqkit.check_dyadic_regularity(w, horizon=horizon),
         seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=3.0,
-                                     horizon=horizon),
+                                     horizon=horizon, values=values),
         seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=2.0,
-                                     horizon=horizon),
-        seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon),
-        seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon),
+                                     horizon=horizon, values=values),
+        seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon, values=values),
+        seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon, values=values),
     ]
     series = []
     moments = []
@@ -480,22 +496,21 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             blocks=tuple(c.m for c in report.certificates),
             description="each cutoff block of the adaptive-exponent series "
                         "is certified >= 1 in the log domain")
-        grid = min(horizon, 512)
-        terms = [(n, convergence.adaptive_exponent_term(d, 1.0, n))
-                 for n in range(2, grid + 1)]
+        grid = np.arange(2, min(horizon, 512) + 1)
+        terms = convergence.adaptive_exponent_terms(d, 1.0, grid)
         if report.divergence_certified:
             series.append(_series_with_envelope(
-                "adaptive-exponent", terms, {"eps": 1.0}, blocks,
+                "adaptive-exponent", grid, terms, {"eps": 1.0}, blocks,
                 evidence=("terms vanish on any double-range horizon; divergence "
                           "lives at the cutoff scales recorded in the certificates",)))
         else:
-            series.append(convergence.summarize_series(
-                "adaptive-exponent", terms, params={"eps": 1.0},
+            series.append(_series_with_envelope(
+                "adaptive-exponent", grid, terms, {"eps": 1.0}, None,
                 evidence=("block certificates incomplete",)))
         out = {
             "provenance": cfg.provenance(),
             "regularity": [r.to_json_dict() for r in regularity],
-            "series": [_thin_rows(s, grid).to_json_dict() for s in series],
+            "series": [s.to_json_dict() for s in series],
             "moments": moments,
             "counterexample": report.to_json_dict(),
             "schedule": schedule.to_json_list(),
@@ -514,23 +529,17 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                         "reason": mom2.reason})
 
     for eps in cfg.eps:
-        terms_ii = [(n, convergence.single_tail_term(d, w, a, eps, n))
-                    for n in range(1, horizon + 1)]
-        env_ii = _envelope_single_tail(d, w, a, eps, horizon)
-        series.append(_thin_rows(_series_with_envelope(
-            "single-tail", terms_ii, {"eps": eps}, env_ii), horizon))
-
-        terms_iii = [(n, convergence.exp_term(d, w, a, eps, n))
-                     for n in range(1, horizon + 1)]
+        series.append(_series_with_envelope(
+            "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
+            {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
         env_iii = _envelope_exp_term(d, w, a, eps)
-        series.append(_thin_rows(_series_with_envelope(
-            "exponential", terms_iii, {"eps": eps}, env_iii), horizon))
-
+        series.append(_series_with_envelope(
+            "exponential", n, convergence.exp_terms(d, tau, av, eps, n),
+            {"eps": eps}, env_iii))
         if cfg.preset in ("spataru", "spataru_weak"):
-            terms_c = [(n, convergence.adaptive_exponent_term(d, eps, n))
-                       for n in range(2, horizon + 1)]
-            series.append(_thin_rows(_series_with_envelope(
-                "adaptive-exponent", terms_c, {"eps": eps}, env_iii), horizon))
+            series.append(_series_with_envelope(
+                "adaptive-exponent", n[1:],
+                convergence.adaptive_exponent_terms(d, eps, n[1:]), {"eps": eps}, env_iii))
 
     return {
         "provenance": cfg.provenance(),
@@ -573,20 +582,23 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     reports = {}
     csvs = {}
     for eps in cfg.eps:
+        if cfg.maximal:
+            # Exact or absent: a law without an oracle stops here, before
+            # any Monte Carlo runs.
+            max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
+            terms = [wn * mcengine.exact_max_tail(d, n, eps * an) for n, wn, an in
+                     zip(max_grid, cfg.weights.values(max_grid).tolist(),
+                         cfg.norms.values(max_grid).tolist())]
+            max_rep = convergence.summarize_series(
+                "running-maximum", max_grid, terms, params={"eps": eps},
+                evidence=("exact absorbing-threshold dynamic program",))
+            reports[f"max:{eps}"] = max_rep
+            csvs[f"simulate_max_eps{eps:g}.csv"] = max_rep.to_csv()
         rep = mcengine.empirical_series(
             d, cfg.weights, cfg.norms, eps, grid, cfg.replicates, cfg.seed,
             workers=cfg.workers)
         reports[eps] = rep
         csvs[f"simulate_eps{eps:g}.csv"] = rep.to_csv()
-        if cfg.maximal:
-            max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
-            terms = [(n, cfg.weights(n) * mcengine.exact_max_tail(d, n, eps * cfg.norms(n)))
-                     for n in max_grid]
-            max_rep = convergence.summarize_series(
-                "running-maximum", terms, params={"eps": eps},
-                evidence=("exact absorbing-threshold dynamic program",))
-            reports[f"max:{eps}"] = max_rep
-            csvs[f"simulate_max_eps{eps:g}.csv"] = max_rep.to_csv()
     payload = {
         "provenance": cfg.provenance(),
         "series": {str(k): v.to_json_dict() for k, v in reports.items()},
@@ -674,8 +686,12 @@ def main(argv=None) -> int:
             print(text)
             return EXIT_OK
 
+        # A replayed schedule is the whole scenario, so it needs neither
+        # sequences nor a distribution.
+        replay = args.command == "counterexample" and args.schedule is not None
         cfg = load_config(args.config, _overrides_from_args(args),
-                          require_sequences=args.command != "estimate")
+                          require_sequences=args.command != "estimate" and not replay,
+                          require_distribution=not replay)
         if args.command == "check-conditions":
             payload = run_check_conditions(cfg)
             _emit(payload, cfg.out_dir, "check_conditions.json")
@@ -709,6 +725,9 @@ def main(argv=None) -> int:
     except distmodel.SamplingUnavailable as exc:
         print(f"sampling unavailable: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
+    except mcengine.OracleUnavailable as exc:
+        print(f"unsupported distribution: {exc}", file=sys.stderr)
+        return EXIT_FAMILY
 
 
 def entry() -> None:

@@ -10,7 +10,9 @@ The three term families:
 plus weighted plug-in terms w(n) * p for an externally estimated or exact
 probability p.  With w(n) = 1/n and a(n) = (n log n)^{1/2} the exponential
 and adaptive-exponent terms are identical, and the harnesses assert that
-numerically.
+numerically.  Each family is computed on arrays of n (``single_tail_terms``,
+``exp_terms``, ``adaptive_exponent_terms``); the one-term functions are
+their one-point forms.
 
 Verdicts are certificates: a report converges only against a verified
 analytic envelope and diverges only against a recurring block floor.
@@ -22,11 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import distmodel, mcengine
 from .distmodel import Dist, truncated_moment
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, ConvergenceBound,
-                      DivergenceBound, SeriesReport, SeriesRow)
-from .seqkit import KahanAccumulator, NormSeq, WeightSeq, kahan_sum
+                      DivergenceBound, SeriesReport, SeriesRow, check_partial_sums)
+from .seqkit import (NormSeq, WeightSeq, kahan_partials, kahan_sum, libm,
+                     require_nondecreasing)
 
 _SQRT2 = math.sqrt(2.0)
 _ENVELOPE_SLACK = 1e-9  # relative tolerance when checking computed terms against envelopes
@@ -56,35 +61,59 @@ def std_normal_tail(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
-    """n * w(n) * P(|X| >= eps * a(n))."""
+def _arrays(*xs) -> tuple:
+    return tuple(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs)
+
+
+def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
+    """n * w(n) * P(|X| >= eps * a(n)), where ``w`` and ``a`` hold w(n) and a(n)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return n * w(n) * distmodel.tail(d, eps * a(n))
+    w, a, n = _arrays(w, a, n)
+    return n * w * distmodel.tails(d, eps * a)
+
+
+def exp_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
+    """w(n) * exp(-eps^2 a(n)^2 / (n * T)), zero where T vanishes; ``w`` and ``a``
+    hold w(n) and a(n)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    w, a, n = _arrays(w, a, n)
+    t = distmodel.truncated_moments(d, 2.0, eps * a)
+    out = np.zeros(t.shape)
+    on = t != 0.0
+    an = a[on]
+    out[on] = w[on] * libm(math.exp, -(eps * eps * an * an) / (n[on] * t[on]))
+    return out
+
+
+def adaptive_exponent_terms(d: Dist, eps: float, n) -> np.ndarray:
+    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}; zero where T = 0."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    (n,) = _arrays(n)
+    if (n < 2).any():
+        raise ValueError("adaptive-exponent terms start at n = 2")
+    t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
+    out = np.zeros(t.shape)
+    on = t != 0.0
+    out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
+    return out
+
+
+def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
+    """n * w(n) * P(|X| >= eps * a(n)), one point of ``single_tail_terms``."""
+    return float(single_tail_terms(d, w(n), a(n), eps, n)[0])
 
 
 def exp_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
-    """w(n) * exp(-eps^2 a(n)^2 / (n * T)); zero when T vanishes."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    an = a(n)
-    t = truncated_moment(d, 2.0, eps * an).value
-    if t == 0.0:
-        return 0.0
-    return w(n) * math.exp(-(eps * eps * an * an) / (n * t))
+    """w(n) * exp(-eps^2 a(n)^2 / (n * T)), one point of ``exp_terms``."""
+    return float(exp_terms(d, w(n), a(n), eps, n)[0])
 
 
 def adaptive_exponent_term(d: Dist, eps: float, n: int) -> float:
-    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}; zero when T = 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("adaptive-exponent terms start at n = 2")
-    cutoff = eps * math.sqrt(n * math.log(n))
-    t = truncated_moment(d, 2.0, cutoff).value
-    if t == 0.0:
-        return 0.0
-    return float(n) ** (-1.0 - eps * eps / t)
+    """n^(-1 - eps^2/T), one point of ``adaptive_exponent_terms``."""
+    return float(adaptive_exponent_terms(d, eps, n)[0])
 
 
 def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
@@ -97,6 +126,15 @@ def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
 # ---------------------------------------------------------------------------
 # Envelopes and verdicts
 # ---------------------------------------------------------------------------
+
+
+def _from(n, from_n: int, before: float, bound) -> np.ndarray:
+    """bound(n) for the n >= from_n, ``before`` for the n below."""
+    n = np.asarray(n)
+    out = np.full(n.shape, before)
+    on = n >= from_n
+    out[on] = bound(n[on])
+    return out
 
 
 @dataclass(frozen=True)
@@ -114,10 +152,8 @@ class PowerEnvelope:
         if self.coef < 0.0:
             raise ValueError("envelope coefficient must be nonnegative")
 
-    def value_at(self, n: int) -> float:
-        if n < self.from_n:
-            return math.inf
-        return self.coef * float(n) ** (-self.exponent)
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, k, -self.exponent))
 
     def tail_beyond(self, last_n: int) -> float:
         start = max(last_n + 1, self.from_n)
@@ -148,10 +184,8 @@ class GeometricEnvelope:
         if self.coef < 0.0:
             raise ValueError("envelope coefficient must be nonnegative")
 
-    def value_at(self, n: int) -> float:
-        if n < self.from_n:
-            return math.inf
-        return self.coef * self.ratio ** n
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, self.ratio, k))
 
     def tail_beyond(self, last_n: int) -> float:
         start = max(last_n + 1, self.from_n)
@@ -173,8 +207,8 @@ class VanishingEnvelope:
     from_n: int
     description: str = ""
 
-    def value_at(self, n: int) -> float:
-        return 0.0 if n >= self.from_n else math.inf
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        return _from(n, self.from_n, math.inf, np.zeros_like)
 
     def tail_beyond(self, last_n: int) -> float:
         return 0.0
@@ -205,10 +239,8 @@ class PowerLowerBound:
         if self.coef <= 0.0:
             raise ValueError("floor coefficient must be positive")
 
-    def floor_at(self, n: int) -> float:
-        if n < self.from_n:
-            return 0.0
-        return self.coef * float(n) ** (-self.exponent)
+    def floors_at(self, n: np.ndarray) -> np.ndarray:
+        return _from(n, self.from_n, 0.0, lambda k: self.coef * libm(pow, k, -self.exponent))
 
     @property
     def block_floor(self) -> float:
@@ -238,31 +270,44 @@ class RecurringBlocks:
                                block_floor=self.floor, description=self.description)
 
 
-def summarize_series(series_id: str, terms: Sequence[tuple[int, float]],
-                     params: Optional[dict] = None, envelope=None,
-                     divergence=None, evidence: tuple[str, ...] = ()) -> SeriesReport:
-    """Assemble a report, checking any certificate against the computed terms.
+def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
+                     envelope=None, divergence=None, evidence: tuple[str, ...] = (),
+                     emit=None) -> SeriesReport:
+    """Assemble a report from the columns ``n`` and ``term``, checking any
+    certificate against every term.
 
     All terms must be nonnegative.  Partial sums are compensated and summed
-    left to right, so reports are bit-reproducible.
+    left to right, so reports are bit-reproducible.  ``emit`` (a boolean mask
+    or index array over the terms) picks the rows the report carries; every
+    term is still checked and summed.
     """
-    acc = KahanAccumulator()
-    rows = []
-    for n, term in terms:
-        if term < 0.0 or math.isnan(term):
-            raise ValueError(f"series terms must be nonnegative, got {term!r} at n={n}")
-        if envelope is not None and term > envelope.value_at(n) * (1.0 + _ENVELOPE_SLACK):
-            raise ValueError(
-                f"registered envelope violated at n={n}: term {term!r} "
-                f"exceeds {envelope.value_at(n)!r}")
-        if isinstance(divergence, PowerLowerBound) and n >= divergence.from_n:
-            if term < divergence.floor_at(n) * (1.0 - _ENVELOPE_SLACK):
-                raise ValueError(
-                    f"registered divergence floor violated at n={n}: term {term!r} "
-                    f"below {divergence.floor_at(n)!r}")
-        rows.append(SeriesRow(n=int(n), term=float(term), partial_sum=acc.add(float(term))))
-    rows = tuple(rows)
-    last_n = rows[-1].n if rows else 0
+    n = np.asarray(n, dtype=np.int64)
+    term = np.asarray(term, dtype=np.float64)
+    negative = ~(term >= 0.0)
+    over = under = np.zeros(term.shape, dtype=bool)
+    if envelope is not None:
+        bound = envelope.values_at(n)
+        over = term > bound * (1.0 + _ENVELOPE_SLACK)
+    if isinstance(divergence, PowerLowerBound):
+        floor = divergence.floors_at(n)
+        under = (n >= divergence.from_n) & (term < floor * (1.0 - _ENVELOPE_SLACK))
+    bad = np.flatnonzero(negative | over | under)
+    if bad.size:
+        i = bad[0]
+        k, t = int(n[i]), float(term[i])
+        if negative[i]:
+            raise ValueError(f"series terms must be nonnegative, got {t!r} at n={k}")
+        if over[i]:
+            raise ValueError(f"registered envelope violated at n={k}: term {t!r} "
+                             f"exceeds {float(bound[i])!r}")
+        raise ValueError(f"registered divergence floor violated at n={k}: term {t!r} "
+                         f"below {float(floor[i])!r}")
+    partial = kahan_partials(term)
+    check_partial_sums(n, term, partial)
+    keep = slice(None) if emit is None else emit
+    rows = tuple(SeriesRow(n=k, term=t, partial_sum=ps) for k, t, ps in
+                 zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
+    last_n = int(n[-1]) if n.size else 0
     if envelope is not None and divergence is not None:
         raise ValueError("a series cannot carry both certificates")
     if envelope is not None:
@@ -326,38 +371,34 @@ def check_truncated_moment_domination(d: Dist, w: WeightSeq, rho: dict,
         raise ValueError("rho has support beyond the horizon")
     if any(v < 0 for v in rho.values()):
         raise ValueError("rho must be nonnegative")
-    b.check_increasing(horizon)
+    ns = np.arange(1, horizon + 1)
+    bv = b.values(ns)
+    require_nondecreasing(bv)
+    wv = w.values(ns)
+    rv = np.array([rho.get(n, 0.0) for n in range(1, horizon + 1)], dtype=np.float64)
 
-    suffix = {}
-    acc = KahanAccumulator()
-    for n in range(horizon, 0, -1):
-        suffix[n] = acc.add(rho.get(n, 0.0))
-    prefix = [0.0]
-    pacc = KahanAccumulator()
-    for k in range(1, horizon + 1):
-        prefix.append(pacc.add(k * w(k)))
-
+    suffix = kahan_partials(rv[::-1])[::-1]
+    prefix = kahan_partials(ns * wv)
     c_min, argmax = 0.0, 0
     for n in range(2, horizon + 1):
-        num = b(n) ** t * suffix[n]
+        num = float(bv[n - 1]) ** t * float(suffix[n - 1])
         if num == 0.0:
             continue
-        if prefix[n - 1] <= 0.0:
+        if prefix[n - 2] <= 0.0:
             c_min, argmax = math.inf, n
             break
-        ratio = num / prefix[n - 1]
+        ratio = num / float(prefix[n - 2])
         if ratio > c_min:
             c_min, argmax = ratio, n
 
     # Both moments come from the same formula over the same nonnegative terms
     # in the same order, so the difference is exactly 0, never negative, when
     # no mass lies in [b(1), b(n)).
-    below_first = truncated_moment(d, t, b(1)).value
-    lhs = kahan_sum(rho.get(n, 0.0) * (truncated_moment(d, t, b(n)).value - below_first)
-                    for n in range(1, horizon + 1))
-    bottom = below_first * kahan_sum(rho.values())
-    rhs_sum = kahan_sum(n * w(n) * distmodel.tail(d, b(n))
-                        for n in range(1, horizon + 1))
+    moments = distmodel.truncated_moments(d, t, bv)
+    below_first = float(moments[0])
+    lhs = kahan_sum(rv * (moments - below_first))
+    bottom = below_first * kahan_sum(list(rho.values()))
+    rhs_sum = kahan_sum(ns * wv * distmodel.tails(d, bv))
     rhs = c_min * rhs_sum
     passed = lhs <= rhs * (1.0 + 1e-12) or lhs == rhs == 0.0
     return DominationReport(lhs=lhs, rhs=rhs, bottom=bottom, constant=c_min,
@@ -404,7 +445,7 @@ def check_power_comparison(alpha: Sequence[float], beta: Sequence[float],
             raise ValueError("sequences must live in [0, 1]")
     if c_r is None:
         c_r = power_comparison_constant(r)
-    tau = [w(n) for n in range(1, horizon + 1)]
+    tau = w.values(np.arange(1, horizon + 1)).tolist()
     lhs = kahan_sum(tau[n] * alpha[n] ** r for n in range(horizon))
     rhs = (kahan_sum(tau[n] * abs(alpha[n] - beta[n]) ** r for n in range(horizon))
            + c_r * kahan_sum(tau[n] * beta[n] for n in range(horizon)))
@@ -426,19 +467,19 @@ def truncated_moment_series(d: Dist, w: WeightSeq, b: NormSeq, nu: float,
     infimum-growth hypotheses certify and the single-variable tail series is
     itself summable on the horizon; otherwise the flag stays None.
     """
-    from .seqkit import check_inf_growth, check_tail_domination
-    dom = check_tail_domination(w, b, theta=theta, moment_power=nu, horizon=horizon)
-    grow = check_inf_growth(w, b, power=nu, horizon=horizon)
+    from .seqkit import check_inf_growth, check_tail_domination, sequence_values
+    values = sequence_values(w, b, horizon)
+    wv, bv = values.w, values.a
+    dom = check_tail_domination(w, b, theta=theta, moment_power=nu, horizon=horizon,
+                                values=values)
+    grow = check_inf_growth(w, b, power=nu, horizon=horizon, values=values)
 
-    def term(n: int) -> float:
-        bn = b(n)
-        m = truncated_moment(d, nu, bn).value
-        return w(n) * (n * m / bn ** nu) ** theta
-
-    rows = [(n, term(n)) for n in range(1, horizon + 1)]
+    ns = np.arange(1, horizon + 1)
+    m = distmodel.truncated_moments(d, nu, bv)
+    terms = wv * libm(pow, ns * m / libm(pow, bv, nu), theta)
     report = summarize_series(
         "truncated-moment-series",
-        rows,
+        ns, terms,
         params={"nu": nu, "theta": theta, "weights": w.name, "normalizer": b.name},
         evidence=(f"tail domination: {dom.verdict.value}",
                   f"infimum growth: {grow.verdict.value}"))
@@ -446,7 +487,7 @@ def truncated_moment_series(d: Dist, w: WeightSeq, b: NormSeq, nu: float,
                  and grow.verdict.value == "CertifiedPass")
     if not certified:
         return TruncatedMomentSeries(report=report, expected_finite=None)
-    crit = kahan_sum(n * w(n) * distmodel.tail(d, b(n)) for n in range(1, horizon + 1))
+    crit = kahan_sum(ns * wv * distmodel.tails(d, bv))
     return TruncatedMomentSeries(report=report, expected_finite=math.isfinite(crit))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import distmodel
-from .seqkit import KahanAccumulator
+from .seqkit import kahan_sum
 
 _LN2 = math.log(2.0)
 _LNLN2 = math.log(_LN2)
@@ -576,7 +576,7 @@ def truncated_second_moment_log(schedule: CutoffSchedule,
         else:
             break
     exact = True
-    acc = KahanAccumulator()
+    payloads = []
     best: Optional[LogReal] = None
     for m in range(1, blocks + 1):
         lam = schedule.log_cutoff(m)
@@ -584,11 +584,11 @@ def truncated_second_moment_log(schedule: CutoffSchedule,
         if term.level != 0:
             exact = False
         else:
-            acc.add(term.payload)
+            payloads.append(term.payload)
         if best is None or best < term:
             best = term
     if exact:
-        return TruncatedSecondMomentLB(value=LogReal.from_value(acc.total),
+        return TruncatedSecondMomentLB(value=LogReal.from_value(kahan_sum(payloads)),
                                        exact=True, blocks=blocks)
     return TruncatedSecondMomentLB(value=best, exact=False, blocks=blocks)
 

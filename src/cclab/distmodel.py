@@ -2,7 +2,9 @@
 
 All built-in kinds are symmetric about 0.  Tails and truncated moments are
 closed form wherever a closed form exists; the standard normal falls back to
-adaptive quadrature at 1e-12 absolute tolerance.  The log-atomic kind keeps
+adaptive quadrature at 1e-12 absolute tolerance.  ``tails`` and
+``truncated_moments`` take arrays of cutoffs; ``tail`` and
+``truncated_moment`` are their one-point forms.  The log-atomic kind keeps
 atom positions and weights in the log domain so that masses far below the
 smallest subnormal double remain usable; it cannot be sampled.
 """
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
-from .seqkit import NormSeq
+from .seqkit import NormSeq, libm
 
 
 class SamplingUnavailable(RuntimeError):
@@ -164,36 +165,64 @@ def log_atomic_sym(log_atoms) -> Dist:
 # ---------------------------------------------------------------------------
 
 
-def tail(d: Dist, lam: float) -> float:
-    """Exact P(|X| >= lam); nonincreasing and right-continuous in lam."""
-    if lam < 0 or math.isnan(lam):
+def _by_level(mags: list, cut: np.ndarray, total, below: bool) -> np.ndarray:
+    """total(keep) for every cutoff c, where keep flags the atoms with mag < c
+    (``below``) or mag >= c, in stored order.
+
+    The flags change only where c crosses an atom's magnitude, so ``total``
+    runs once per distinct magnitude, over the atoms in their stored order:
+    the same sum, in the same order, as the one-cutoff formula.
+    """
+    levels = sorted(set(mags))
+    flags = [[(m < lv) if below else (m >= lv) for m in mags] for lv in levels]
+    flags.append([below] * len(mags))
+    sums = np.array([total(keep) for keep in flags], dtype=np.float64)
+    return sums[np.searchsorted(levels, cut, side="left")]
+
+
+def _exp_or_zero(s: float) -> float:
+    return math.exp(s) if s > -math.inf else 0.0
+
+
+def tails(d: Dist, lam) -> np.ndarray:
+    """Exact P(|X| >= lam) for an array of thresholds; nonincreasing and
+    right-continuous in lam."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    if not (lam >= 0.0).all():
         raise ValueError("threshold must be a nonnegative real")
-    if lam == 0.0:
-        return 1.0
+    pos = lam > 0.0
+    out = np.ones(lam.shape)
     if d.kind == "rademacher":
-        return 1.0 if lam <= 1.0 else 0.0
-    if d.kind == "uniform_sym":
+        out[lam > 1.0] = 0.0
+    elif d.kind == "uniform_sym":
         (h,) = d.params
-        return max(0.0, 1.0 - lam / h)
-    if d.kind == "normal_std":
-        return math.erfc(lam / _SQRT2)
-    if d.kind == "pareto_sym":
+        out = np.maximum(0.0, 1.0 - lam / h)
+    elif d.kind == "normal_std":
+        out = libm(math.erfc, lam / _SQRT2)
+    elif d.kind == "pareto_sym":
         alpha, scale = d.params
-        if lam <= scale:
-            return 1.0
-        return (scale / lam) ** alpha
-    if d.kind == "atomic_sym":
+        far = lam > scale
+        out[far] = libm(pow, scale / lam[far], alpha)
+    elif d.kind in ("atomic_sym", "atomic"):
         (atoms,) = d.params
-        return sum(p for v, p in atoms if v >= lam)
-    if d.kind == "atomic":
+        out[pos] = _by_level([abs(v) for v, _ in atoms], lam[pos],
+                             lambda keep: sum(p for (_, p), k in zip(atoms, keep) if k),
+                             below=False)
+    elif d.kind == "log_atomic_sym":
         (atoms,) = d.params
-        return sum(p for v, p in atoms if abs(v) >= lam)
-    if d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        lt = math.log(lam)
-        s = _logsumexp(lw for lv, lw in atoms if lv >= lt)
-        return math.exp(s) if s > -math.inf else 0.0
-    raise ValueError(f"unknown distribution kind {d.kind!r}")
+        out[pos] = _by_level([lv for lv, _ in atoms], libm(math.log, lam[pos]),
+                             lambda keep: _exp_or_zero(_logsumexp(
+                                 lw for (_, lw), k in zip(atoms, keep) if k)),
+                             below=False)
+    else:
+        raise ValueError(f"unknown distribution kind {d.kind!r}")
+    out[~pos] = 1.0
+    return out
+
+
+def tail(d: Dist, lam: float) -> float:
+    """Exact P(|X| >= lam), the one-point form of ``tails``."""
+    return float(tails(d, lam)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,48 +230,54 @@ def tail(d: Dist, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def truncated_moment(d: Dist, nu: float, b: float) -> TruncatedMoment:
-    """E[|X|^nu 1{|X| < b}], strict inequality at the cutoff."""
+def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
+    """E[|X|^nu 1{|X| < b}] for an array of cutoffs, strict at the cutoff."""
     if nu < 0:
         raise ValueError("moment order must be >= 0")
-    if b <= 0:
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    if not (b > 0.0).all():
         raise ValueError("cutoff must be positive")
     if d.kind == "rademacher":
-        value = 1.0 if b > 1.0 else 0.0
-    elif d.kind == "uniform_sym":
+        return np.where(b > 1.0, 1.0, 0.0)
+    if d.kind == "uniform_sym":
         (h,) = d.params
-        c = min(b, h)
-        value = c ** (nu + 1.0) / (h * (nu + 1.0))
-    elif d.kind == "normal_std":
+        return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
+    if d.kind == "normal_std":
         if nu == 2.0:
-            value = (2.0 * _std_normal_cdf(b) - 1.0) - 2.0 * b * _std_normal_pdf(b)
-        elif nu == 0.0:
-            value = 2.0 * _std_normal_cdf(b) - 1.0
-        else:
-            value, _ = integrate.quad(lambda x: 2.0 * x ** nu * _std_normal_pdf(x),
-                                      0.0, b, epsabs=1e-12, limit=200)
-    elif d.kind == "pareto_sym":
+            return (2.0 * libm(_std_normal_cdf, b) - 1.0) - 2.0 * b * libm(_std_normal_pdf, b)
+        if nu == 0.0:
+            return 2.0 * libm(_std_normal_cdf, b) - 1.0
+        from scipy import integrate
+        return np.array([integrate.quad(lambda x: 2.0 * x ** nu * _std_normal_pdf(x),
+                                        0.0, c, epsabs=1e-12, limit=200)[0]
+                         for c in b.tolist()])
+    if d.kind == "pareto_sym":
         alpha, scale = d.params
-        if b <= scale:
-            value = 0.0
-        elif nu == alpha:
-            value = alpha * scale ** alpha * math.log(b / scale)
+        out = np.zeros(b.shape)
+        far = b > scale
+        k = alpha * scale ** alpha
+        if nu == alpha:
+            out[far] = k * libm(math.log, b[far] / scale)
         else:
-            value = alpha * scale ** alpha * (b ** (nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
-    elif d.kind == "atomic_sym":
+            out[far] = k * (libm(pow, b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
+        return out
+    if d.kind in ("atomic_sym", "atomic"):
         (atoms,) = d.params
-        value = sum(p * v ** nu for v, p in atoms if v < b)
-    elif d.kind == "atomic":
+        terms = [p * abs(v) ** nu for v, p in atoms]
+        return _by_level([abs(v) for v, _ in atoms], b,
+                         lambda keep: sum(t for t, k in zip(terms, keep) if k), below=True)
+    if d.kind == "log_atomic_sym":
         (atoms,) = d.params
-        value = sum(p * abs(v) ** nu for v, p in atoms if abs(v) < b)
-    elif d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        lb = math.log(b)
-        s = _logsumexp(lw + nu * lv for lv, lw in atoms if lv < lb)
-        value = math.exp(s) if s > -math.inf else 0.0
-    else:
-        raise ValueError(f"unknown distribution kind {d.kind!r}")
-    return TruncatedMoment(order=nu, cutoff=b, value=value)
+        return _by_level([lv for lv, _ in atoms], libm(math.log, b),
+                         lambda keep: _exp_or_zero(_logsumexp(
+                             lw + nu * lv for (lv, lw), k in zip(atoms, keep) if k)),
+                         below=True)
+    raise ValueError(f"unknown distribution kind {d.kind!r}")
+
+
+def truncated_moment(d: Dist, nu: float, b: float) -> TruncatedMoment:
+    """E[|X|^nu 1{|X| < b}], the one-point form of ``truncated_moments``."""
+    return TruncatedMoment(order=nu, cutoff=b, value=float(truncated_moments(d, nu, b)[0]))
 
 
 def truncated_second_moment(d: Dist, eps: float, norms: NormSeq, n: int) -> float:
@@ -277,12 +312,25 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
     wf = _moment_weight(form, delta)
     if d.kind == "rademacher":
         return MomentValue(True, wf(1.0))
-    if d.kind == "atomic_sym":
-        (atoms,) = d.params
-        return MomentValue(True, sum(p * wf(v) for v, p in atoms))
-    if d.kind == "atomic":
+    if d.kind in ("atomic_sym", "atomic"):
         (atoms,) = d.params
         return MomentValue(True, sum(p * wf(abs(v)) for v, p in atoms))
+    if d.kind == "log_atomic_sym":
+        (atoms,) = d.params
+        terms = []
+        for lv, lw in atoms:
+            if lv > 50.0:
+                log_lp = math.log(lv)  # log(2+v) = lv within 2e^-lv
+            else:
+                log_lp = math.log(log_plus(math.exp(lv)))
+            t = lw + 2.0 * lv - log_lp
+            if form == "loglog_delta":
+                lp = lv if lv > 50.0 else log_plus(math.exp(lv))
+                t += (1.0 + delta) * math.log(log_plus(lp))
+            terms.append(t)
+        s = _logsumexp(terms)
+        return MomentValue(True, _exp_or_zero(s))
+    from scipy import integrate
     if d.kind == "uniform_sym":
         (h,) = d.params
         val, _ = integrate.quad(wf, 0.0, h, epsabs=1e-10, limit=200)
@@ -302,21 +350,6 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
         val, _ = integrate.quad(lambda x: wf(x) * alpha * scale ** alpha * x ** (-alpha - 1.0),
                                 scale, np.inf, epsabs=1e-10, limit=200)
         return MomentValue(True, val)
-    if d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        terms = []
-        for lv, lw in atoms:
-            if lv > 50.0:
-                log_lp = math.log(lv)  # log(2+v) = lv within 2e^-lv
-            else:
-                log_lp = math.log(log_plus(math.exp(lv)))
-            t = lw + 2.0 * lv - log_lp
-            if form == "loglog_delta":
-                lp = lv if lv > 50.0 else log_plus(math.exp(lv))
-                t += (1.0 + delta) * math.log(log_plus(lp))
-            terms.append(t)
-        s = _logsumexp(terms)
-        return MomentValue(True, math.exp(s) if s > -math.inf else 0.0)
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
 
@@ -331,10 +364,7 @@ def support_bound(d: Dist) -> Optional[float]:
         return 1.0
     if d.kind == "uniform_sym":
         return d.params[0]
-    if d.kind == "atomic_sym":
-        (atoms,) = d.params
-        return max((v for v, _ in atoms), default=0.0)
-    if d.kind == "atomic":
+    if d.kind in ("atomic_sym", "atomic"):
         (atoms,) = d.params
         return max((abs(v) for v, _ in atoms), default=0.0)
     return None
@@ -348,10 +378,7 @@ def second_moment_bound(d: Dist) -> Optional[float]:
         return 1.0
     if d.kind == "uniform_sym":
         return d.params[0] ** 2 / 3.0
-    if d.kind == "atomic_sym":
-        (atoms,) = d.params
-        return sum(p * v * v for v, p in atoms)
-    if d.kind == "atomic":
+    if d.kind in ("atomic_sym", "atomic"):
         (atoms,) = d.params
         return sum(p * v * v for v, p in atoms)
     if d.kind == "pareto_sym":

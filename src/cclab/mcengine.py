@@ -26,7 +26,7 @@ import numpy as np
 
 from . import distmodel, seeding
 from .reports import UNDETERMINED, SeriesReport, SeriesRow
-from .seqkit import KahanAccumulator, NormSeq, WeightSeq
+from .seqkit import NormSeq, WeightSeq, kahan_partials
 
 WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
 
@@ -272,25 +272,23 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps: float,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    rows = []
-    acc = KahanAccumulator()
-    lo_acc = KahanAccumulator()
-    hi_acc = KahanAccumulator()
-    for n in n_grid:
-        n = int(n)
-        threshold = eps * a(n)
+    ns = [int(n) for n in n_grid]
+    terms, los, his, exacts = [], [], [], []
+    for n, tau, an in zip(ns, w.values(ns).tolist(), a.values(ns).tolist()):
+        threshold = eps * an
         est = estimate_tail(d, n, threshold, replicates, seed,
                             scenario=scenario, workers=workers)
-        tau = w(n)
         try:
-            exact = exact_tail(exact_walk_oracle(d, n), threshold)
+            exacts.append(exact_tail(exact_walk_oracle(d, n), threshold))
         except OracleUnavailable:
-            exact = None
-        rows.append(SeriesRow(n=n, term=tau * est.p_hat,
-                              partial_sum=acc.add(tau * est.p_hat),
-                              ci_lo=lo_acc.add(tau * est.lo),
-                              ci_hi=hi_acc.add(tau * est.hi),
-                              exact=exact))
+            exacts.append(None)
+        terms.append(tau * est.p_hat)
+        los.append(tau * est.lo)
+        his.append(tau * est.hi)
+    rows = [SeriesRow(n=n, term=t, partial_sum=s, ci_lo=lo, ci_hi=hi, exact=x)
+            for n, t, s, lo, hi, x in zip(ns, terms, kahan_partials(terms).tolist(),
+                                          kahan_partials(los).tolist(),
+                                          kahan_partials(his).tolist(), exacts)]
     return SeriesReport(
         series_id=series_id,
         params={"eps": eps, "replicates": replicates,

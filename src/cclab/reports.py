@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 CONVERGES = "ConvergesCertified"
 DIVERGES = "DivergesCertified"
@@ -19,6 +21,20 @@ UNDETERMINED = "Undetermined"
 _VERDICTS = (CONVERGES, DIVERGES, UNDETERMINED)
 
 CSV_COLUMNS = ("n", "term", "partial_sum", "ci_lo", "ci_hi", "exact")
+
+
+def check_partial_sums(n, term, partial_sum) -> None:
+    """Raise at the first negative term, or the first partial sum that steps
+    back by more than a compensated sum's rounding."""
+    partial_sum = np.asarray(partial_sum, dtype=np.float64)
+    prev = np.concatenate(([-0.0], partial_sum[:-1]))
+    negative = np.asarray(term, dtype=np.float64) < 0.0
+    back = partial_sum < prev - 1e-15 * np.fmax(1.0, np.abs(prev))
+    bad = np.flatnonzero(negative | back)
+    if bad.size:
+        i = bad[0]
+        what = "negative term" if negative[i] else "partial sums decrease"
+        raise ValueError(f"{what} at n={np.asarray(n).tolist()[i]}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +119,8 @@ class SeriesReport:
             raise ValueError("a convergence verdict requires an analytic tail bound")
         if self.verdict == DIVERGES and self.divergence is None:
             raise ValueError("a divergence verdict requires a block-bound certificate")
-        prev = -0.0
-        for r in self.rows:
-            if r.term < 0.0:
-                raise ValueError(f"negative term at n={r.n}")
-            if r.partial_sum < prev - 1e-15 * max(1.0, abs(prev)):
-                raise ValueError(f"partial sums decrease at n={r.n}")
-            prev = r.partial_sum
+        check_partial_sums([r.n for r in self.rows], [r.term for r in self.rows],
+                           [r.partial_sum for r in self.rows])
 
     @property
     def total(self) -> float:

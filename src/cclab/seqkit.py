@@ -20,9 +20,13 @@ never as a false certificate.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 DEFAULT_HORIZON = 10_000
 
@@ -72,32 +76,56 @@ class RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# Compensated summation
+# Array arithmetic that reproduces the scalar formulas bit for bit
 # ---------------------------------------------------------------------------
 
 
-class KahanAccumulator:
-    """Running compensated sum with a fixed left-to-right reduction order."""
+def libm(fn, *args) -> np.ndarray:
+    """fn(*args) elementwise over Python floats; scalar arguments broadcast.
 
-    __slots__ = ("total", "_c")
+    Arithmetic (+ - * /, sqrt) is correctly rounded, so NumPy gives the same
+    bits as Python.  Powers, logs, exponentials and erfc are not: NumPy's
+    vectorised versions differ from the math library in the last ulp on up
+    to a few per cent of points, and at a tail's discontinuity one ulp flips
+    a term.  Every transcendental behind a report therefore goes through
+    here, computing exactly what the one-point formula computes.
+    """
+    cols, size = [], 0
+    for a in args:
+        if np.ndim(a) == 0:
+            cols.append(repeat(float(a)))
+        else:
+            a = np.asarray(a, dtype=np.float64)
+            size = a.size
+            cols.append(memoryview(a))  # yields Python floats without a list
+    return np.fromiter(map(fn, *cols), np.float64, count=size)
 
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
 
-    def add(self, v: float) -> float:
-        y = v - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-        return self.total
+def kahan_partials(values) -> np.ndarray:
+    """Compensated running sums of ``values``, reduced left to right.
+
+    The one compensated loop of the package: every partial sum a report
+    shows comes from here, so its reduction order, and so its bytes, is fixed.
+    ``values`` is an array or a sequence; the loop reads and writes doubles
+    in place, so it holds no list of Python floats.
+    """
+    total = comp = 0.0
+    out = array("d")
+    append = out.append
+    for v in memoryview(np.asarray(values, dtype=np.float64)):
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        append(t)
+    return np.frombuffer(out, dtype=np.float64)
 
 
 def kahan_sum(values) -> float:
-    acc = KahanAccumulator()
-    for v in values:
-        acc.add(v)
-    return acc.total
+    if not isinstance(values, (np.ndarray, list)):
+        values = np.fromiter(values, np.float64)
+    sums = kahan_partials(values)
+    return float(sums[-1]) if sums.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +145,21 @@ class SlowlyVarying:
     loglog: float = 0.0
     logn: float = 0.0
 
-    def value(self, n: float) -> float:
-        out = 1.0
+    def values(self, n: np.ndarray) -> np.ndarray:
+        n = np.asarray(n, dtype=np.float64)
+        out = np.ones(n.shape)
         if self.log2p:
-            out *= math.log(2.0 + n) ** self.log2p
+            out *= libm(lambda x: math.log(2.0 + x) ** self.log2p, n)
         if self.loglog:
-            out *= math.log(math.log(_E2 + n)) ** self.loglog
+            out *= libm(lambda x: math.log(math.log(_E2 + x)) ** self.loglog, n)
         if self.logn:
-            if n < 2:
+            if (n < 2).any():
                 raise ValueError("plain-log slowly varying factor needs n >= 2")
-            out *= math.log(n) ** self.logn
+            out *= libm(lambda x: math.log(x) ** self.logn, n)
         return out
+
+    def value(self, n: float) -> float:
+        return float(self.values(np.array([n]))[0])
 
     def is_trivial(self) -> bool:
         return self.log2p == 0.0 and self.loglog == 0.0 and self.logn == 0.0
@@ -188,8 +220,29 @@ class PowerLawFamily:
     coef: float = 1.0
     sv: SlowlyVarying = field(default_factory=SlowlyVarying)
 
+    def values(self, n: np.ndarray) -> np.ndarray:
+        return self.coef * libm(pow, n, self.exponent) * self.sv.values(n)
+
     def value(self, n: int) -> float:
-        return self.coef * float(n) ** self.exponent * self.sv.value(n)
+        return float(self.values(np.array([n]))[0])
+
+
+def _evaluate(seq, n, what: str, ok, bad: str) -> np.ndarray:
+    """seq.fn over the indices ``n``, validated once: in closed form when fn is
+    the family's own formula, otherwise one call per index.  The first value
+    failing ``ok`` raises ``bad`` formatted with its n and value."""
+    n = np.asarray(n)
+    if n.size and n.min() < 1:
+        raise ValueError(f"{what} index must be >= 1")
+    if seq.family is not None and seq.fn == seq.family.value:
+        v = seq.family.values(n)
+    else:
+        v = np.fromiter((float(seq.fn(k)) for k in memoryview(n)), np.float64, count=n.size)
+    fails = np.flatnonzero(~(np.isfinite(v) & ok(v)))
+    if fails.size:
+        i = fails[0]
+        raise ValueError(bad.format(n=n.tolist()[i], v=float(v[i])))
+    return v
 
 
 @dataclass(frozen=True)
@@ -205,13 +258,13 @@ class WeightSeq:
     family: Optional[PowerLawFamily] = None
     tail_bound: Optional[Callable[[int, Callable[[int], float]], float]] = None
 
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """w over an array of indices."""
+        return _evaluate(self, n, "weight", lambda v: v >= 0.0,
+                         "weight w({n}) = {v!r} is not a finite nonnegative real")
+
     def __call__(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("weight index must be >= 1")
-        v = float(self.fn(n))
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"weight w({n}) = {v!r} is not a finite nonnegative real")
-        return v
+        return float(self.values(np.array([n]))[0])
 
 
 @dataclass(frozen=True)
@@ -222,21 +275,16 @@ class NormSeq:
     name: str = "custom"
     family: Optional[PowerLawFamily] = None
 
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """a over an array of indices."""
+        return _evaluate(self, n, "normalizer", lambda v: v > 0.0,
+                         "normalizer a({n}) = {v!r} is not a finite positive real")
+
     def __call__(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("normalizer index must be >= 1")
-        v = float(self.fn(n))
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"normalizer a({n}) = {v!r} is not a finite positive real")
-        return v
+        return float(self.values(np.array([n]))[0])
 
     def check_increasing(self, up_to: int) -> None:
-        prev = self(1)
-        for n in range(2, up_to + 1):
-            cur = self(n)
-            if cur < prev:
-                raise ValueError(f"normalizer decreases at n={n}: {prev} -> {cur}")
-            prev = cur
+        require_nondecreasing(self.values(np.arange(1, up_to + 1)))
 
     def tends_to_infinity(self) -> Optional[bool]:
         """True when certified by the family (positive exponent); None if unknown."""
@@ -247,6 +295,31 @@ class NormSeq:
         if self.family.exponent < 0:
             return False
         return None
+
+
+def require_nondecreasing(a: np.ndarray) -> None:
+    """Raise at the first n with a(n) < a(n-1); ``a`` holds a(1), a(2), ..."""
+    down = np.flatnonzero(a[1:] < a[:-1])
+    if down.size:
+        k = int(down[0])
+        raise ValueError(f"normalizer decreases at n={k + 2}: "
+                         f"{float(a[k])} -> {float(a[k + 1])}")
+
+
+class SequenceValues(NamedTuple):
+    """w(n), a(n) and T_n = sum_{k<=n} k w(k) for n = 1..horizon."""
+
+    w: np.ndarray
+    a: np.ndarray
+    t: np.ndarray
+
+
+def sequence_values(w: WeightSeq, a: NormSeq, horizon: int) -> SequenceValues:
+    """The arrays every check over 1..horizon reads, evaluated once."""
+    n = np.arange(1, horizon + 1)
+    av = a.values(n)
+    wv = w.values(n)
+    return SequenceValues(wv, av, kahan_partials(n * wv))
 
 
 def power_law_weights(exponent: float, coef: float = 1.0,
@@ -281,16 +354,8 @@ def partial_weight_sum(w: WeightSeq, k: int) -> float:
     """T_k = sum_{j=1}^{k} j * w(j), compensated."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return kahan_sum(j * w(j) for j in range(1, k + 1))
-
-
-def _prefix_weight_sums(tau: list[float], horizon: int) -> list[float]:
-    """T[k] for k=0..horizon with T[0]=0, compensated left-to-right."""
-    acc = KahanAccumulator()
-    out = [0.0]
-    for k in range(1, horizon + 1):
-        out.append(acc.add(k * tau[k]))
-    return out
+    n = np.arange(1, k + 1)
+    return kahan_sum(n * w.values(n))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +503,7 @@ def check_dyadic_regularity(w: WeightSeq, horizon: int = DEFAULT_HORIZON) -> Reg
                                 ("both sufficient criteria fail analytically; "
                                  "the closure property itself is undecided",))
     # empirical route
-    tau = [0.0] + [w(k) for k in range(1, horizon + 1)]
+    tau = [0.0] + w.values(np.arange(1, horizon + 1)).tolist()
     half = horizon // 2
     liminf_tau = min(tau[half:horizon + 1])
     liminf_ntau = min(k * tau[k] for k in range(half, horizon + 1))
@@ -464,13 +529,16 @@ def check_dyadic_regularity(w: WeightSeq, horizon: int = DEFAULT_HORIZON) -> Reg
 
 def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
                           moment_power: float = 3.0,
-                          horizon: int = DEFAULT_HORIZON) -> RegularityReport:
+                          horizon: int = DEFAULT_HORIZON,
+                          values: Optional[SequenceValues] = None
+                          ) -> RegularityReport:
     """Smallest C with a(n)^{p}/n^{theta-1} * sum_{k>=n} k^theta w(k)/a(k)^p <= C*T_{n-1}.
 
     p = moment_power * theta; the canonical selectors are moment_power 3 and 2.
     The infinite tail is the finite sum to the horizon plus a certified
     analytic remainder when family metadata (or a custom tail_bound) provides
-    one; only then is the verdict Certified.
+    one; only then is the verdict Certified.  ``values``, when given, is
+    ``sequence_values(w, a, horizon)``.
     """
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
@@ -481,11 +549,8 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
     cid = f"tail-domination-p{moment_power:g}-theta{theta:g}"
     p = moment_power * theta
 
-    tau = [0.0] + [w(k) for k in range(1, horizon + 1)]
-    av = [0.0] + [a(k) for k in range(1, horizon + 1)]
-    for k in range(2, horizon + 1):
-        if av[k] < av[k - 1]:
-            raise ValueError(f"normalizer decreases at n={k}")
+    tau, av, t = values if values is not None else sequence_values(w, a, horizon)
+    require_nondecreasing(av)
 
     shape = _combined_tail_shape(w, a, theta, moment_power)
     if shape is not None:
@@ -503,33 +568,27 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
                                 horizon, ("tail sum diverges: " + assessment.reason,))
 
     remainder = assessment.bound if assessment.kind == "finite" else 0.0
-    terms = [0.0] * (horizon + 2)
-    for k in range(1, horizon + 1):
-        terms[k] = float(k) ** theta * tau[k] / av[k] ** p
-    suffix = [0.0] * (horizon + 2)
-    acc = KahanAccumulator()
-    for k in range(horizon, 0, -1):
-        suffix[k] = acc.add(terms[k])
-    prefix = _prefix_weight_sums(tau, horizon)
+    n = np.arange(1, horizon + 1)
+    a_p = libm(pow, av, p)
+    suffix = kahan_partials((libm(pow, n, theta) * tau / a_p)[::-1])[::-1]
+    t_prev = t[:-1]  # T_(n-1) for n = 2..horizon
+    lhs = a_p[1:] / libm(pow, n[1:], theta - 1.0) * (suffix[1:] + remainder)
 
-    best_c = 0.0
-    argmax = 0
-    skipped: list[int] = []
-    for n in range(2, horizon + 1):
-        lhs = av[n] ** p / float(n) ** (theta - 1.0) * (suffix[n] + remainder)
-        t_prev = prefix[n - 1]
-        if t_prev <= 0.0:
-            if lhs > 0.0:
-                skipped.append(n)
-            continue
-        ratio = lhs / t_prev
-        if ratio > best_c:
-            best_c, argmax = ratio, n
+    # C is the largest ratio lhs/T_(n-1) over the n with T_(n-1) > 0, and
+    # argmax_n the first n reaching it; NaN ratios never count.
+    counted = t_prev > 0.0
+    ratio = np.divide(lhs, t_prev, out=np.zeros_like(lhs), where=counted)
+    best = np.flatnonzero(ratio > 0.0)
+    best_c, argmax = 0.0, 0
+    if best.size:
+        k = int(best[np.argmax(ratio[best])])
+        best_c, argmax = float(ratio[k]), k + 2
+    skipped = int(np.count_nonzero(~counted & (lhs > 0.0)))
     constants = {"C": best_c, "theta": theta, "moment_power": moment_power,
                  "argmax_n": float(argmax), "tail_remainder": remainder}
     notes: list[str] = []
     if skipped:
-        notes.append(f"{len(skipped)} initial indices skipped where T_(n-1) = 0")
+        notes.append(f"{skipped} initial indices skipped where T_(n-1) = 0")
     if assessment.kind == "finite":
         notes.append("remainder certified: " + assessment.reason)
         return RegularityReport(cid, Verdict.CERTIFIED_PASS, constants, horizon, tuple(notes))
@@ -553,13 +612,15 @@ def _norm_growth_direction(family: PowerLawFamily, power: float) -> str:
 
 
 def check_inf_growth(w: WeightSeq, a: NormSeq, power: float = 3.0,
-                     horizon: int = DEFAULT_HORIZON) -> RegularityReport:
+                     horizon: int = DEFAULT_HORIZON,
+                     values: Optional[SequenceValues] = None
+                     ) -> RegularityReport:
     """Floor on liminf_n inf_{k>=n} a(k)^power/(k*a(n)^power) * T_{n-1}.
 
     Certified when the family shows a(k)^power/k eventually monotone, in
     which case the infimum sits at k=n and the liminf reduces to that of
     T_{n-1}/n; measured over the horizon otherwise (running infimum over the
-    last half).
+    last half).  ``values``, when given, is ``sequence_values(w, a, horizon)``.
     """
     if horizon < 4:
         raise ValueError("horizon must be >= 4")
@@ -567,18 +628,11 @@ def check_inf_growth(w: WeightSeq, a: NormSeq, power: float = 3.0,
         raise ValueError("power must be positive")
     cid = f"inf-growth-p{power:g}"
 
-    tau = [0.0] + [w(k) for k in range(1, horizon + 1)]
-    av = [0.0] + [a(k) for k in range(1, horizon + 1)]
-    prefix = _prefix_weight_sums(tau, horizon)
-
-    g = [0.0] * (horizon + 2)
-    for k in range(1, horizon + 1):
-        g[k] = av[k] ** power / float(k)
-    sufmin = [math.inf] * (horizon + 2)
-    for k in range(horizon, 0, -1):
-        sufmin[k] = min(g[k], sufmin[k + 1])
-    f = {n: sufmin[n] * prefix[n - 1] / av[n] ** power for n in range(2, horizon + 1)}
-    liminf_est = min(f[n] for n in range(max(2, horizon // 2), horizon + 1))
+    _, av, t = values if values is not None else sequence_values(w, a, horizon)
+    a_pow = libm(pow, av, power)
+    sufmin = np.minimum.accumulate((a_pow / np.arange(1, horizon + 1))[::-1])[::-1]
+    f = sufmin[1:] * t[:-1] / a_pow[1:]  # n = 2..horizon
+    liminf_est = min(memoryview(f[max(2, horizon // 2) - 2:]))
     constants = {"liminf_estimate": liminf_est, "power": power}
 
     if w.family is not None and a.family is not None:

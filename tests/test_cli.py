@@ -1,0 +1,148 @@
+"""The CLI paths of the README, run in-process through ``cli.main``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cclab
+from cclab import cli
+from cclab import convergence as cv
+from cclab import mcengine
+from cclab.convergence import PowerLowerBound, RecurringBlocks
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# ---------------------------------------------------------------------------
+# check-conditions: report bytes pinned by fixtures written before the
+# analytic layer moved to arrays (horizon 5000)
+# ---------------------------------------------------------------------------
+
+GOLDEN_CASES = {
+    "bk_rad": ["--preset", "baum_katz(2,1)", "--set", "distribution.kind=rademacher"],
+    "sp_uni": ["--preset", "spataru", "--set", "distribution.kind=uniform_sym"],
+    "sp_par": ["--preset", "spataru", "--set", "distribution.kind=pareto_sym",
+               "--set", "distribution.alpha=3"],
+    "spw_atom": ["--preset", "spataru_weak(0.5)", "--set", "distribution.kind=atomic_sym",
+                 "--set", "distribution.atoms=1:0.5,3:0.25"],
+    "ms9": ["--preset", "ms_counterexample(9)"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_CASES))
+def test_check_conditions_bytes_match_golden(capsys, label):
+    code, out, _ = run(capsys, "check-conditions", "--horizon", "5000", *GOLDEN_CASES[label])
+    assert code == cli.EXIT_OK
+    want = (GOLDEN / f"check_conditions_{label}.json").read_text()
+    got = json.loads(out)
+    # Library versions are the one part of a report that may differ by install.
+    got["provenance"]["versions"] = json.loads(want)["provenance"]["versions"]
+    assert json.dumps(got, sort_keys=True, indent=2) + "\n" == want
+
+
+def test_readme_normal_example_certifies_single_tail(capsys):
+    code, out, _ = run(capsys, "check-conditions", "--preset", "spataru",
+                       "--set", "distribution.kind=normal_std")
+    assert code == cli.EXIT_OK
+    single = [s for s in json.loads(out)["series"] if s["series_id"] == "single-tail"]
+    assert len(single) == 2
+    for s in single:
+        assert s["verdict"] == "ConvergesCertified"
+        assert s["tail_bound"]["params"]["exponent"] == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Every registered certificate, checked against the terms out to 10x the
+# horizon it was built at
+# ---------------------------------------------------------------------------
+
+CERTIFIED_PAIRS = [
+    ("baum_katz(2,1)", {"kind": "rademacher"}),
+    ("baum_katz(2,1)", {"kind": "normal_std"}),
+    ("spataru", {"kind": "normal_std"}),
+    ("spataru", {"kind": "uniform_sym"}),
+    ("spataru", {"kind": "pareto_sym", "alpha": "3"}),
+    ("spataru", {"kind": "atomic_sym", "atoms": "1:0.5, 3:0.25"}),
+    ("spataru_weak(0.5)", {"kind": "atomic_sym", "atoms": "1:0.5,3:0.25"}),
+]
+
+
+@pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
+def test_certificates_hold_past_the_horizon(preset, dist):
+    horizon = 10_000
+    cfg = cli.load_config(None, {"preset": preset, "horizon": horizon,
+                                 "sets": [("distribution", k, v) for k, v in dist.items()]})
+    d, w, a = cfg.dist, cfg.weights, cfg.norms
+    n = np.arange(1, 10 * horizon + 1)
+    wv, av = w.values(n), a.values(n)
+    checked = 0
+    for eps in cfg.eps:
+        exp_cert = cli._envelope_exp_term(d, w, a, eps)
+        families = [
+            (n, cv.single_tail_terms(d, wv, av, eps, n),
+             cli._envelope_single_tail(d, w, a, eps, horizon)),
+            (n, cv.exp_terms(d, wv, av, eps, n), exp_cert),
+        ]
+        if cfg.preset in ("spataru", "spataru_weak"):
+            families.append((n[1:], cv.adaptive_exponent_terms(d, eps, n[1:]), exp_cert))
+        for ns, terms, cert in families:
+            if cert is None or isinstance(cert, RecurringBlocks):
+                continue
+            key = "divergence" if isinstance(cert, PowerLowerBound) else "envelope"
+            # raises at the first term the certificate does not cover
+            cv.summarize_series("past-horizon", ns, terms, emit=ns == ns[-1], **{key: cert})
+            checked += 1
+    assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# counterexample and simulate paths
+# ---------------------------------------------------------------------------
+
+
+def test_readme_replay_needs_no_preset(capsys, tmp_path):
+    code, _, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(9)",
+                     "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    schedule = str(tmp_path / "counterexample.json")
+    code, out, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(9)",
+                       "--schedule", schedule)
+    assert code == cli.EXIT_OK
+    with_preset = json.loads(out)
+    code, out, err = run(capsys, "counterexample", "--schedule", schedule)
+    assert code == cli.EXIT_OK, err
+    readme_form = json.loads(out)
+    assert readme_form["schedule"] == with_preset["schedule"]
+    assert readme_form["report"] == with_preset["report"]
+
+
+def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the oracle was found missing")
+
+    monkeypatch.setattr(mcengine, "estimate_tail", no_monte_carlo)
+    code, out, err = run(capsys, "simulate", "--preset", "spataru", "--maximal",
+                         "--horizon", "8", "--replicates", "1000",
+                         "--set", "distribution.kind=uniform_sym")
+    assert code == cli.EXIT_FAMILY
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("unsupported distribution:")
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(cclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cclab.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

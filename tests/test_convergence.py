@@ -145,9 +145,9 @@ def test_single_tail_scale_consistency():
 
 
 def test_summarize_power_envelope():
-    terms = [(n, float(n) ** -2.0) for n in range(1, 101)]
+    n = list(range(1, 101))
     env = cv.PowerEnvelope(coef=1.0, exponent=2.0)
-    rep = cv.summarize_series("inverse-square", terms, envelope=env)
+    rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n], envelope=env)
     assert rep.verdict == CONVERGES
     # integral bound: tail beyond N is at most about 1/N
     assert rep.tail_bound.tail_bound <= 1.0 / 100.0 * 1.2
@@ -156,7 +156,7 @@ def test_summarize_power_envelope():
 
 
 def test_summarize_zero_terms():
-    rep = cv.summarize_series("zero", [(n, 0.0) for n in range(1, 50)],
+    rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49,
                               envelope=cv.VanishingEnvelope(from_n=1))
     assert rep.verdict == CONVERGES
     assert rep.total == 0.0
@@ -164,28 +164,28 @@ def test_summarize_zero_terms():
 
 
 def test_summarize_undetermined_without_certificate():
-    rep = cv.summarize_series("plain", [(n, 1.0 / n) for n in range(1, 20)])
+    rep = cv.summarize_series("plain", range(1, 20), [1.0 / n for n in range(1, 20)])
     assert rep.verdict == UNDETERMINED
 
 
 def test_summarize_divergence_floor():
-    terms = [(n, float(n) ** -0.5) for n in range(1, 200)]
-    rep = cv.summarize_series("rootn", terms,
+    n = list(range(1, 200))
+    rep = cv.summarize_series("rootn", n, [float(k) ** -0.5 for k in n],
                               divergence=cv.PowerLowerBound(coef=1.0, exponent=0.5))
     assert rep.verdict == DIVERGES
     assert rep.divergence.block_floor == pytest.approx(2.0 ** -0.5)
 
 
 def test_summarize_rejects_violated_envelope():
-    terms = [(n, float(n) ** -1.5) for n in range(1, 50)]
+    n = list(range(1, 50))
     env = cv.PowerEnvelope(coef=0.5, exponent=1.5)
     with pytest.raises(ValueError):
-        cv.summarize_series("broken", terms, envelope=env)
+        cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], envelope=env)
 
 
 def test_summarize_rejects_negative_terms():
     with pytest.raises(ValueError):
-        cv.summarize_series("neg", [(1, -0.5)])
+        cv.summarize_series("neg", [1], [-0.5])
 
 
 def test_certified_reports_require_certificates():

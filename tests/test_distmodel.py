@@ -350,3 +350,84 @@ def test_support_and_variance_bounds():
     assert dm.second_moment_bound(dm.uniform_sym(3.0)) == pytest.approx(3.0)
     assert dm.second_moment_bound(dm.pareto_sym(3.0, 1.0)) == pytest.approx(3.0)
     assert dm.second_moment_bound(dm.pareto_sym(1.5, 1.0)) is None
+
+
+# ---------------------------------------------------------------------------
+# array forms against the one-point formulas they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_tail(d, lam):
+    if lam == 0.0:
+        return 1.0
+    if d.kind == "rademacher":
+        return 1.0 if lam <= 1.0 else 0.0
+    if d.kind == "uniform_sym":
+        return max(0.0, 1.0 - lam / d.params[0])
+    if d.kind == "normal_std":
+        return math.erfc(lam / math.sqrt(2.0))
+    if d.kind == "pareto_sym":
+        alpha, scale = d.params
+        return 1.0 if lam <= scale else (scale / lam) ** alpha
+    (atoms,) = d.params
+    if d.kind == "log_atomic_sym":
+        lt = math.log(lam)
+        s = dm._logsumexp(lw for lv, lw in atoms if lv >= lt)
+        return math.exp(s) if s > -math.inf else 0.0
+    return sum(p for v, p in atoms if abs(v) >= lam)
+
+
+def _reference_moment(d, nu, b):
+    if d.kind == "rademacher":
+        return 1.0 if b > 1.0 else 0.0
+    if d.kind == "uniform_sym":
+        (h,) = d.params
+        return min(b, h) ** (nu + 1.0) / (h * (nu + 1.0))
+    if d.kind == "normal_std":
+        cdf = 0.5 * math.erfc(-b / math.sqrt(2.0))
+        pdf = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * b * b)
+        return (2.0 * cdf - 1.0) - 2.0 * b * pdf
+    if d.kind == "pareto_sym":
+        alpha, scale = d.params
+        if b <= scale:
+            return 0.0
+        return alpha * scale ** alpha * (b ** (nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
+    (atoms,) = d.params
+    if d.kind == "log_atomic_sym":
+        lb = math.log(b)
+        s = dm._logsumexp(lw + nu * lv for lv, lw in atoms if lv < lb)
+        return math.exp(s) if s > -math.inf else 0.0
+    return sum(p * abs(v) ** nu for v, p in atoms if abs(v) < b)
+
+
+ARRAY_KINDS = ALL_CLOSED + [
+    dm.pareto_sym(3.0, 1.5),
+    dm.atomic([(-2.0, 0.125), (0.5, 0.25), (2.0, 0.25), (3.5, 0.1)]),
+    dm.atomic_sym([(0.1, 0.3), (0.3, 0.2), (0.7, 0.1), (2.2, 0.05)]),
+    dm.log_atomic_sym([(0.0, -1.0), (math.log(3.0), -2.5), (2.0, -4.0)]),
+]
+
+
+@pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
+def test_array_tails_and_moments_match_one_point_formulas(d):
+    rng = np.random.default_rng(7)
+    # random cutoffs plus every discontinuity: atoms, the support edge, the scale
+    marks = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5, math.e ** 2]
+    cuts = np.concatenate([rng.uniform(0.0, 8.0, 400), marks, np.nextafter(marks, 0.0)])
+    got = dm.tails(d, np.concatenate([[0.0], cuts]))
+    want = [_reference_tail(d, c) for c in [0.0] + cuts.tolist()]
+    assert got.tolist() == want
+    assert dm.tail(d, 2.0) == _reference_tail(d, 2.0)
+    assert dm.truncated_moments(d, 2.0, cuts).tolist() == [
+        _reference_moment(d, 2.0, c) for c in cuts.tolist()]
+    assert dm.truncated_moment(d, 2.0, 2.2).value == _reference_moment(d, 2.0, 2.2)
+
+
+def test_array_forms_validate_like_one_point_forms():
+    d = dm.uniform_sym(1.0)
+    with pytest.raises(ValueError, match="threshold must be a nonnegative real"):
+        dm.tails(d, np.array([0.5, -1.0]))
+    with pytest.raises(ValueError, match="threshold must be a nonnegative real"):
+        dm.tail(d, math.nan)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        dm.truncated_moments(d, 2.0, np.array([0.5, 0.0]))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,3 +262,82 @@ def test_sv_growth_envelope_property(g1, g2, start):
     base = sv.value(start)
     for k in (start, start + 3, 2 * start, 17 * start):
         assert sv.value(k) <= base * (k / start) ** delta * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sequences and checks on arrays, against the one-point loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def test_family_values_match_one_point_formula():
+    sv = SlowlyVarying(log2p=0.7, loglog=-1.3, logn=0.5)
+    w = sk.power_law_weights(-1.25, coef=2.5, sv=sv)
+    n = np.arange(2, 3000)
+    want = [2.5 * float(k) ** -1.25 * (math.log(2.0 + k) ** 0.7
+                                       * math.log(math.log(math.e ** 2 + k)) ** -1.3
+                                       * math.log(k) ** 0.5) for k in n.tolist()]
+    assert w.values(n).tolist() == want
+    assert w(17) == want[15]
+    a = spataru_norms()
+    assert a.values(np.arange(1, 3000)).tolist() == [a.fn(k) for k in range(1, 3000)]
+
+
+def test_values_reject_the_first_bad_index_like_a_call():
+    w = sk.custom_weights(lambda n: -1.0 if n in (3, 5) else 1.0)
+    with pytest.raises(ValueError,
+                       match=r"^weight w\(3\) = -1.0 is not a finite nonnegative real$"):
+        w.values(np.arange(1, 9))
+    a = sk.custom_norms(lambda n: math.inf if n == 4 else 1.0)
+    with pytest.raises(ValueError,
+                       match=r"^normalizer a\(4\) = inf is not a finite positive real$"):
+        a.values(np.arange(1, 9))
+    with pytest.raises(ValueError, match="weight index must be >= 1"):
+        w.values(np.arange(0, 3))
+
+
+def _running_kahan(values):
+    total = c = 0.0
+    out = []
+    for v in values:
+        y = v - c
+        t = total + y
+        c = (t - total) - y
+        total = t
+        out.append(t)
+    return out
+
+
+def _reference_tail_domination_c(w, a, theta, p, horizon, remainder):
+    tau = [0.0] + [w(k) for k in range(1, horizon + 1)]
+    av = [0.0] + [a(k) for k in range(1, horizon + 1)]
+    terms = [0.0] * (horizon + 2)
+    for k in range(1, horizon + 1):
+        terms[k] = float(k) ** theta * tau[k] / av[k] ** p
+    suffix = [0.0] * (horizon + 2)
+    suffix_sums = _running_kahan(terms[horizon:0:-1])
+    for k in range(horizon, 0, -1):
+        suffix[k] = suffix_sums[horizon - k]
+    prefix = [0.0] + _running_kahan([k * tau[k] for k in range(1, horizon + 1)])
+    best_c, argmax = 0.0, 0
+    for n in range(2, horizon + 1):
+        lhs = av[n] ** p / float(n) ** (theta - 1.0) * (suffix[n] + remainder)
+        if prefix[n - 1] <= 0.0:
+            continue
+        ratio = lhs / prefix[n - 1]
+        if ratio > best_c:
+            best_c, argmax = ratio, n
+    f = {n: min(av[k] ** p / k for k in range(n, horizon + 1)) * prefix[n - 1] / av[n] ** p
+         for n in range(2, horizon + 1)}
+    return best_c, float(argmax), min(f[n] for n in range(max(2, horizon // 2), horizon + 1))
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.5])
+def test_checks_on_arrays_match_the_loops(theta):
+    w = sk.custom_weights(lambda n: (1.0 + 0.3 * math.sin(n)) / n)
+    a = sk.custom_norms(lambda n: math.sqrt(n) * (1.0 + math.log(n)))
+    horizon = 300
+    dom = sk.check_tail_domination(w, a, theta=theta, moment_power=3.0, horizon=horizon)
+    grow = sk.check_inf_growth(w, a, power=3.0 * theta, horizon=horizon)
+    c, argmax, liminf = _reference_tail_domination_c(w, a, theta, 3.0 * theta, horizon, 0.0)
+    assert (dom.constants["C"], dom.constants["argmax_n"]) == (c, argmax)
+    assert grow.constants["liminf_estimate"] == liminf
