@@ -13,6 +13,8 @@ data inside the reports; exit codes only signal operational failures:
        any short decimal lattice, or a lattice too wide), since the
        running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution
+    5  internal error: a check inside the program failed (for example a
+       registered envelope violated); one line on stderr, no traceback
 
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset, sequences or distribution.
@@ -44,6 +46,7 @@ EXIT_CERT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_FAMILY = 3
 EXIT_SAMPLING = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(Exception):
@@ -247,7 +250,10 @@ def load_config(path: Optional[str], overrides: dict,
                 require_distribution: bool = True) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
     for section, key, value in overrides.get("sets", ()):
@@ -262,11 +268,12 @@ def load_config(path: Optional[str], overrides: dict,
             if key not in _ALLOWED_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
+    given = {k: v for k, v in overrides.items() if v is not None}  # a flag of 0 counts
     scen = parser["scenario"] if parser.has_section("scenario") else {}
-    preset_text = overrides.get("preset") or scen.get("preset", "custom")
+    preset_text = given.get("preset", scen.get("preset", "custom"))
     preset, args = _parse_preset(preset_text)
 
-    eps_text = overrides.get("eps") or scen.get("eps", "0.5,1.0")
+    eps_text = given.get("eps", scen.get("eps", "0.5,1.0"))
     try:
         eps = tuple(float(x) for x in str(eps_text).split(",") if x.strip())
     except ValueError as exc:
@@ -276,7 +283,7 @@ def load_config(path: Optional[str], overrides: dict,
 
     try:
         theta = float(scen.get("theta", 1.0))
-        horizon = int(overrides.get("horizon") or scen.get("horizon", 10_000))
+        horizon = int(given.get("horizon", scen.get("horizon", 10_000)))
     except ValueError as exc:
         raise ConfigError("theta/horizon must be numeric") from exc
     if theta < 1.0:
@@ -286,13 +293,15 @@ def load_config(path: Optional[str], overrides: dict,
 
     mc = parser["mc"] if parser.has_section("mc") else {}
     try:
-        replicates = int(overrides.get("replicates") or mc.get("replicates", 10_000))
-        seed = int(overrides.get("seed") or mc.get("seed", 20_240_801))
-        workers = int(overrides.get("workers") or mc.get("workers", 1))
+        replicates = int(given.get("replicates", mc.get("replicates", 10_000)))
+        seed = int(given.get("seed", mc.get("seed", 20_240_801)))
+        workers = int(given.get("workers", mc.get("workers", 1)))
     except ValueError as exc:
         raise ConfigError("mc keys must be integers") from exc
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if replicates < mcengine.MIN_REPLICATES:
+        raise ConfigError(f"replicates must be >= {mcengine.MIN_REPLICATES}")
 
     counter_depth: Optional[int] = None
     if preset == "baum_katz":
@@ -679,8 +688,11 @@ def main(argv=None) -> int:
         if args.command == "report-merge":
             merged = {"reports": []}
             for path in args.inputs:
-                with open(path) as fh:
-                    merged["reports"].append({"path": path, "report": json.load(fh)})
+                try:
+                    with open(path) as fh:
+                        merged["reports"].append({"path": path, "report": json.load(fh)})
+                except (OSError, json.JSONDecodeError) as exc:
+                    raise ConfigError(f"cannot read report {path}: {exc}") from exc
             text = json.dumps(merged, sort_keys=True, indent=2)
             Path(args.out).write_text(text + "\n")
             print(text)
@@ -705,6 +717,10 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out_dir, "simulate.json", extra_files=csvs)
             return EXIT_OK
         if args.command == "estimate":
+            if args.n < 1:
+                raise ConfigError("--n must be >= 1")
+            if not math.isfinite(args.threshold):
+                raise ConfigError("--threshold must be finite")
             if cfg.dist is None:
                 raise distmodel.SamplingUnavailable(
                     "no samplable distribution configured")
@@ -728,6 +744,9 @@ def main(argv=None) -> int:
     except mcengine.OracleUnavailable as exc:
         print(f"unsupported distribution: {exc}", file=sys.stderr)
         return EXIT_FAMILY
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

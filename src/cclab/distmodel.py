@@ -1,8 +1,10 @@
 """Random-variable models: exact tails, truncated moments, and samplers.
 
-All built-in kinds are symmetric about 0.  Tails and truncated moments are
-closed form wherever a closed form exists; the standard normal falls back to
-adaptive quadrature at 1e-12 absolute tolerance.  ``tails`` and
+Tails and truncated moments are closed form wherever a closed form exists;
+the standard normal falls back to adaptive quadrature at 1e-12 absolute
+tolerance.  Every finite atom law (``rademacher``, ``atomic_sym``,
+``atomic``) is one signed (value, mass) table, with the remaining mass at 0,
+and runs through one code path.  ``tails`` and
 ``truncated_moments`` take arrays of cutoffs; ``tail`` and
 ``truncated_moment`` are their one-point forms.  The log-atomic kind keeps
 atom positions and weights in the log domain so that masses far below the
@@ -76,73 +78,78 @@ class Dist:
     kind: str
     params: tuple
     symmetric: bool
-    doc: str = ""
 
 
 def rademacher() -> Dist:
-    return Dist("rademacher", (), True, "P(X = +-1) = 1/2")
+    return _atom_law("rademacher", [(-1.0, 0.5), (1.0, 0.5)])
 
 
 def uniform_sym(half_width: float) -> Dist:
     if half_width <= 0:
         raise ValueError("half_width must be positive")
-    return Dist("uniform_sym", (float(half_width),), True,
-                f"uniform on [-{half_width:g}, {half_width:g}]")
+    return Dist("uniform_sym", (float(half_width),), True)
 
 
 def normal_std() -> Dist:
-    return Dist("normal_std", (), True, "standard normal")
+    return Dist("normal_std", (), True)
 
 
 def pareto_sym(alpha: float, scale: float = 1.0) -> Dist:
     """Symmetric power tail: P(|X| >= t) = min(1, (scale/t)^alpha)."""
     if alpha <= 0 or scale <= 0:
         raise ValueError("alpha and scale must be positive")
-    return Dist("pareto_sym", (float(alpha), float(scale)), True,
-                f"symmetric Pareto, tail index {alpha:g}, scale {scale:g}")
+    return Dist("pareto_sym", (float(alpha), float(scale)), True)
 
 
-def _merge_atoms(atoms) -> tuple:
+# The kinds whose params are one signed (value, mass) table.
+_ATOM_KINDS = ("rademacher", "atomic_sym", "atomic")
+
+
+def _atom_law(kind: str, pairs) -> Dist:
+    """The one finite atom law: a signed (value, mass) table in the order of
+    ``pairs``, equal values merged where they first occur; the remaining mass
+    is the implied atom at 0.  Symmetric when every atom's mirror image
+    carries the same mass."""
     table: dict[float, float] = {}
-    for v, p in atoms:
-        v, p = float(v), float(p)
+    for v, p in pairs:
         if not math.isfinite(v):
             raise ValueError("atom values must be finite")
-        if p <= 0:
+        if not p > 0:
             raise ValueError("atom weights must be positive")
+        if v == 0:
+            raise ValueError("list only nonzero atoms; mass at 0 is implied")
         table[v] = table.get(v, 0.0) + p
-    return tuple(sorted(table.items()))
+    total = sum(table.values())
+    if total > 1.0 + _MASS_TOL:
+        raise ValueError(f"atom mass {total} exceeds 1")
+    sym = all(abs(table.get(-v, 0.0) - p) <= _MASS_TOL for v, p in table.items())
+    return Dist(kind, (tuple(table.items()),), sym)
+
+
+def _by_value(atoms) -> list:
+    return sorted(((float(v), float(p)) for v, p in atoms), key=lambda a: a[0])
 
 
 def atomic_sym(atoms) -> Dist:
     """Atoms at +-v with P(|X| = v) = w; remaining mass sits at 0.
 
     ``atoms`` is an iterable of (value, weight) with value > 0; the weight is
-    the total mass of the +-value pair.
+    the total mass of the +-value pair.  The table holds the pairs -v, +v
+    with mass w/2 each, in ascending v.
     """
-    merged = _merge_atoms(atoms)
-    if any(v <= 0 for v, _ in merged):
+    pairs = _by_value(atoms)
+    if any(v <= 0 for v, _ in pairs):
         raise ValueError("atomic_sym values must be strictly positive")
-    total = sum(p for _, p in merged)
-    if total > 1.0 + _MASS_TOL:
-        raise ValueError(f"atom mass {total} exceeds 1")
-    return Dist("atomic_sym", (merged,), True, f"{len(merged)} symmetric atom pairs")
+    return _atom_law("atomic_sym", [(s * v, 0.5 * w) for v, w in pairs for s in (-1.0, 1.0)])
 
 
 def atomic(atoms) -> Dist:
     """General finite atomic distribution; remaining mass sits at 0.
 
-    ``atoms`` is an iterable of (value, probability) with value != 0.
+    ``atoms`` is an iterable of (value, probability) with value != 0; the
+    table holds them in ascending value.
     """
-    merged = _merge_atoms(atoms)
-    if any(v == 0 for v, _ in merged):
-        raise ValueError("list only nonzero atoms; mass at 0 is implied")
-    total = sum(p for _, p in merged)
-    if total > 1.0 + _MASS_TOL:
-        raise ValueError(f"atom mass {total} exceeds 1")
-    table = dict(merged)
-    sym = all(abs(table.get(-v, 0.0) - p) <= _MASS_TOL for v, p in merged)
-    return Dist("atomic", (merged,), sym, f"{len(merged)} atoms")
+    return _atom_law("atomic", _by_value(atoms))
 
 
 def log_atomic_sym(log_atoms) -> Dist:
@@ -157,7 +164,7 @@ def log_atomic_sym(log_atoms) -> Dist:
     total_log = _logsumexp(lw for _, lw in cleaned)
     if total_log > 0.0 + _MASS_TOL:
         raise ValueError(f"log-atom mass exp({total_log}) exceeds 1")
-    return Dist("log_atomic_sym", (cleaned,), True, f"{len(cleaned)} log-domain atom pairs")
+    return Dist("log_atomic_sym", (cleaned,), True)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +172,39 @@ def log_atomic_sym(log_atoms) -> Dist:
 # ---------------------------------------------------------------------------
 
 
-def _by_level(mags: list, cut: np.ndarray, total, below: bool) -> np.ndarray:
-    """total(keep) for every cutoff c, where keep flags the atoms with mag < c
-    (``below``) or mag >= c, in stored order.
+def _rest(table) -> float:
+    """Mass of the implied atom at 0."""
+    return max(1.0 - sum(p for _, p in table), 0.0)
 
-    The flags change only where c crosses an atom's magnitude, so ``total``
-    runs once per distinct magnitude, over the atoms in their stored order:
-    the same sum, in the same order, as the one-cutoff formula.
+
+def _abs_law(d: Dist) -> tuple[list, list]:
+    """Law of |X| for a finite atom law: ascending magnitudes from 0, each
+    with the mass at -v plus the mass at +v, added in table order."""
+    (table,) = d.params
+    mass = {0.0: _rest(table)}
+    for v, p in table:
+        mass[abs(v)] = mass.get(abs(v), 0.0) + p
+    mags = sorted(mass)
+    return mags, [mass[m] for m in mags]
+
+
+def _by_level(keys: list, cut: np.ndarray, terms: list, below: bool,
+              total=sum) -> np.ndarray:
+    """total(terms) over the atoms with key < c (``below``) or key >= c, for
+    every cutoff c; ``keys`` ascending, in the order of ``terms``.
+
+    The kept atoms are a prefix or a suffix, so ``total`` runs once per
+    split point, over the terms in ascending order: the same sum, in the
+    same order, as the one-cutoff formula.
     """
-    levels = sorted(set(mags))
-    flags = [[(m < lv) if below else (m >= lv) for m in mags] for lv in levels]
-    flags.append([below] * len(mags))
-    sums = np.array([total(keep) for keep in flags], dtype=np.float64)
-    return sums[np.searchsorted(levels, cut, side="left")]
+    sums = np.array([total(terms[:i] if below else terms[i:]) for i in range(len(keys) + 1)],
+                    dtype=np.float64)
+    return sums[np.searchsorted(keys, cut, side="left")]
 
 
-def _exp_or_zero(s: float) -> float:
+def _log_total(log_terms) -> float:
+    """exp(logsumexp(log_terms)), exactly 0 for no terms."""
+    s = _logsumexp(log_terms)
     return math.exp(s) if s > -math.inf else 0.0
 
 
@@ -192,8 +216,9 @@ def tails(d: Dist, lam) -> np.ndarray:
         raise ValueError("threshold must be a nonnegative real")
     pos = lam > 0.0
     out = np.ones(lam.shape)
-    if d.kind == "rademacher":
-        out[lam > 1.0] = 0.0
+    if d.kind in _ATOM_KINDS:
+        mags, masses = _abs_law(d)
+        out[pos] = _by_level(mags, lam[pos], masses, below=False)
     elif d.kind == "uniform_sym":
         (h,) = d.params
         out = np.maximum(0.0, 1.0 - lam / h)
@@ -203,17 +228,10 @@ def tails(d: Dist, lam) -> np.ndarray:
         alpha, scale = d.params
         far = lam > scale
         out[far] = libm(pow, scale / lam[far], alpha)
-    elif d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        out[pos] = _by_level([abs(v) for v, _ in atoms], lam[pos],
-                             lambda keep: sum(p for (_, p), k in zip(atoms, keep) if k),
-                             below=False)
     elif d.kind == "log_atomic_sym":
         (atoms,) = d.params
         out[pos] = _by_level([lv for lv, _ in atoms], libm(math.log, lam[pos]),
-                             lambda keep: _exp_or_zero(_logsumexp(
-                                 lw for (_, lw), k in zip(atoms, keep) if k)),
-                             below=False)
+                             [lw for _, lw in atoms], below=False, total=_log_total)
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     out[~pos] = 1.0
@@ -237,8 +255,9 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if not (b > 0.0).all():
         raise ValueError("cutoff must be positive")
-    if d.kind == "rademacher":
-        return np.where(b > 1.0, 1.0, 0.0)
+    if d.kind in _ATOM_KINDS:
+        mags, masses = _abs_law(d)
+        return _by_level(mags, b, [q * m ** nu for m, q in zip(mags, masses)], below=True)
     if d.kind == "uniform_sym":
         (h,) = d.params
         return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
@@ -261,17 +280,13 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         else:
             out[far] = k * (libm(pow, b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
         return out
-    if d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        terms = [p * abs(v) ** nu for v, p in atoms]
-        return _by_level([abs(v) for v, _ in atoms], b,
-                         lambda keep: sum(t for t, k in zip(terms, keep) if k), below=True)
     if d.kind == "log_atomic_sym":
         (atoms,) = d.params
-        return _by_level([lv for lv, _ in atoms], libm(math.log, b),
-                         lambda keep: _exp_or_zero(_logsumexp(
-                             lw + nu * lv for (lv, lw), k in zip(atoms, keep) if k)),
-                         below=True)
+        out = _by_level([lv for lv, _ in atoms], libm(math.log, b),
+                        [lw + nu * lv for lv, lw in atoms], below=True, total=_log_total)
+        if nu == 0.0:  # |X|^0 = 1 at the implied atom at 0 too
+            out = max(1.0 - _log_total([lw for _, lw in atoms]), 0.0) + out
+        return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
 
@@ -310,26 +325,19 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
     too heavy instead of a sentinel float.
     """
     wf = _moment_weight(form, delta)
-    if d.kind == "rademacher":
-        return MomentValue(True, wf(1.0))
-    if d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        return MomentValue(True, sum(p * wf(abs(v)) for v, p in atoms))
+    if d.kind in _ATOM_KINDS:
+        mags, masses = _abs_law(d)
+        return MomentValue(True, sum(q * wf(m) for m, q in zip(mags, masses)))
     if d.kind == "log_atomic_sym":
         (atoms,) = d.params
         terms = []
         for lv, lw in atoms:
-            if lv > 50.0:
-                log_lp = math.log(lv)  # log(2+v) = lv within 2e^-lv
-            else:
-                log_lp = math.log(log_plus(math.exp(lv)))
-            t = lw + 2.0 * lv - log_lp
+            lp = lv if lv > 50.0 else log_plus(math.exp(lv))  # log(2+v) = lv within 2e^-lv
+            t = lw + 2.0 * lv - math.log(lp)
             if form == "loglog_delta":
-                lp = lv if lv > 50.0 else log_plus(math.exp(lv))
                 t += (1.0 + delta) * math.log(log_plus(lp))
             terms.append(t)
-        s = _logsumexp(terms)
-        return MomentValue(True, _exp_or_zero(s))
+        return MomentValue(True, _log_total(terms))
     from scipy import integrate
     if d.kind == "uniform_sym":
         (h,) = d.params
@@ -360,27 +368,22 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
 
 def support_bound(d: Dist) -> Optional[float]:
     """Least B with P(|X| <= B) = 1, when finite and known."""
-    if d.kind == "rademacher":
-        return 1.0
+    if d.kind in _ATOM_KINDS:
+        return _abs_law(d)[0][-1]
     if d.kind == "uniform_sym":
         return d.params[0]
-    if d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        return max((abs(v) for v, _ in atoms), default=0.0)
     return None
 
 
 def second_moment_bound(d: Dist) -> Optional[float]:
     """Upper bound on E[X^2], when finite and known in closed form."""
-    if d.kind == "rademacher":
-        return 1.0
+    if d.kind in _ATOM_KINDS:
+        mags, masses = _abs_law(d)
+        return sum(q * m * m for m, q in zip(mags, masses))
     if d.kind == "normal_std":
         return 1.0
     if d.kind == "uniform_sym":
         return d.params[0] ** 2 / 3.0
-    if d.kind in ("atomic_sym", "atomic"):
-        (atoms,) = d.params
-        return sum(p * v * v for v, p in atoms)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
         if alpha > 2.0:
@@ -397,27 +400,13 @@ def second_moment_bound(d: Dist) -> Optional[float]:
 def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """One-step law as (values, probs) arrays, or None for kinds without atoms.
 
-    Atoms come in their stored order (+-v pairs for ``atomic_sym``), followed
-    by the implied atom at 0 with the remaining mass, which may be 0.
+    Atoms come in table order (+-v pairs for ``atomic_sym``), followed by the
+    implied atom at 0 with the remaining mass, which may be 0.
     """
-    if d.kind == "rademacher":
-        values, probs = [-1.0, 1.0], [0.5, 0.5]
-    elif d.kind == "atomic_sym":
-        (atoms,) = d.params
-        values, probs = [], []
-        for v, p in atoms:
-            values.extend([-v, v])
-            probs.extend([0.5 * p, 0.5 * p])
-    elif d.kind == "atomic":
-        (atoms,) = d.params
-        values = [v for v, _ in atoms]
-        probs = [p for _, p in atoms]
-    else:
+    if d.kind not in _ATOM_KINDS:
         return None
-    rest = 1.0 - sum(probs)
-    values.append(0.0)
-    probs.append(max(rest, 0.0))
-    return np.asarray(values, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+    (table,) = d.params
+    return np.array([v for v, _ in table] + [0.0]), np.array([p for _, p in table] + [_rest(table)])
 
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -426,8 +415,16 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         raise ValueError("count must be >= 0")
     if count == 0:
         return np.empty(0, dtype=np.float64)
-    if d.kind == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=count, dtype=np.int8) - 1.0).astype(np.float64)
+    if d.kind in _ATOM_KINDS:
+        (table,) = d.params
+        if len(table) == 2 and table[0] == (-table[1][0], 0.5) and table[1][1] == 0.5:
+            # A fair pair: a sign flip is several times faster than the inverse cdf.
+            return table[1][0] * (2 * rng.integers(0, 2, size=count, dtype=np.int8) - 1)
+        values, probs = atom_table(d)
+        cum = np.cumsum(probs)
+        cum[-1] = max(cum[-1], 1.0)
+        idx = np.searchsorted(cum, rng.random(count), side="right")
+        return values[idx]
     if d.kind == "uniform_sym":
         (h,) = d.params
         return rng.uniform(-h, h, size=count)
@@ -438,12 +435,6 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         mag = scale * rng.random(count) ** (-1.0 / alpha)
         sign = 2.0 * rng.integers(0, 2, size=count, dtype=np.int8) - 1.0
         return mag * sign
-    if d.kind in ("atomic_sym", "atomic"):
-        values, probs = atom_table(d)
-        cum = np.cumsum(probs)
-        cum[-1] = max(cum[-1], 1.0)
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        return values[idx]
     if d.kind == "log_atomic_sym":
         raise SamplingUnavailable(
             "log_atomic_sym: atom probabilities are below the representable floating range")

@@ -11,7 +11,8 @@ the user wrote) and scale by the lcm of the denominators, so every walk lives
 on one integer lattice.  The law of S_n is built by repeated squaring with
 direct convolution, and the running-maximum tail for n <= 64 by a banded
 absorbing walk on the same lattice.  Kinds without atoms, atoms with no short
-decimal, and lattices wider than MAX_ORACLE_SUPPORT points raise
+decimal, lattices wider than MAX_ORACLE_SUPPORT points, and walks whose
+convolutions would take more than MAX_CONVOLUTION_WORK multiply-adds raise
 OracleUnavailable.
 """
 
@@ -35,6 +36,10 @@ DEFAULT_BATCH = 65_536
 _CHUNK_ELEMENTS = 1 << 22
 
 MAX_ORACLE_SUPPORT = 1_000_000
+# Direct convolution is quadratic in the lattice width, so the support cap
+# bounds memory but not time.  np.convolve ran 3e8 to 4e9 multiply-adds a
+# second on one core of a 2-vCPU x86 host.
+MAX_CONVOLUTION_WORK = 1_000_000_000
 MAX_MAXIMAL_N = 64
 _EXACT_INT = 2 ** 53  # lattice coordinates up to here convert to float exactly
 
@@ -153,6 +158,15 @@ class WalkOracle:
             raise ValueError("oracle probabilities do not sum to 1")
 
 
+def _check_cost(points: int = 0, work: int = 0) -> None:
+    """OracleUnavailable past the lattice cap or the convolution work cap."""
+    if points > MAX_ORACLE_SUPPORT:
+        raise OracleUnavailable(f"walk lattice exceeds {MAX_ORACLE_SUPPORT} points at this depth")
+    if work > MAX_CONVOLUTION_WORK:
+        raise OracleUnavailable(
+            f"walk convolutions exceed {MAX_CONVOLUTION_WORK} multiply-adds at this depth")
+
+
 def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
     """The step law as (kernel, lo, den) with P(X = (lo + i)/den) = kernel[i].
 
@@ -169,9 +183,7 @@ def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
     den = math.lcm(*(a.denominator for a in atoms))
     steps = [int(a * den) for a in atoms]
     lo, hi = min(steps), max(steps)
-    if n * (hi - lo) + 1 > MAX_ORACLE_SUPPORT:
-        raise OracleUnavailable(
-            f"walk lattice exceeds {MAX_ORACLE_SUPPORT} points at this depth")
+    _check_cost(n * (hi - lo) + 1)
     if max(den, n * abs(lo), n * abs(hi)) > _EXACT_INT:
         raise OracleUnavailable("walk lattice exceeds the exact float range")
     kernel = np.zeros(hi - lo + 1, dtype=np.float64)
@@ -184,6 +196,8 @@ def exact_walk_oracle(d: distmodel.Dist, n: int) -> WalkOracle:
     if n < 1:
         raise ValueError("n must be >= 1")
     kernel, lo, den = _lattice(d, n)
+    # The squarings and products cost at most the final width squared.
+    _check_cost(work=(n * (len(kernel) - 1) + 1) ** 2)
     # Direct convolution keeps unreachable lattice points exactly 0.
     law, power, m = None, kernel, n
     while True:
@@ -235,9 +249,7 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
         k -= 1
     band_lo, band_hi = max(-k, n_max * lo), min(k, n_max * hi)
     width = band_hi - band_lo + 1
-    if max(width, hi - lo + 1) > MAX_ORACLE_SUPPORT:
-        raise OracleUnavailable(
-            f"walk lattice exceeds {MAX_ORACLE_SUPPORT} points at this depth")
+    _check_cost(max(width, hi - lo + 1), n_max * width * (hi - lo + 1))
     kernel = np.pad(kernel, (step_lo - lo, hi - step_hi))
     alive = np.zeros(width, dtype=np.float64)
     alive[-band_lo] = 1.0

@@ -40,15 +40,46 @@ GOLDEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(GOLDEN_CASES))
-def test_check_conditions_bytes_match_golden(capsys, label):
-    code, out, _ = run(capsys, "check-conditions", "--horizon", "5000", *GOLDEN_CASES[label])
-    assert code == cli.EXIT_OK
-    want = (GOLDEN / f"check_conditions_{label}.json").read_text()
+def assert_golden(out: str, name: str) -> None:
+    want = (GOLDEN / name).read_text()
     got = json.loads(out)
     # Library versions are the one part of a report that may differ by install.
     got["provenance"]["versions"] = json.loads(want)["provenance"]["versions"]
     assert json.dumps(got, sort_keys=True, indent=2) + "\n" == want
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_CASES))
+def test_check_conditions_bytes_match_golden(capsys, label):
+    code, out, _ = run(capsys, "check-conditions", "--horizon", "5000", *GOLDEN_CASES[label])
+    assert code == cli.EXIT_OK
+    assert_golden(out, f"check_conditions_{label}.json")
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo bytes: fixtures written before the atom laws shared one table.
+# 70000 replicates are two batches, so the worker count changes the schedule.
+# ---------------------------------------------------------------------------
+
+MC_CASES = {
+    "estimate_rad": ["estimate", "--n", "16", "--threshold", "4",
+                     "--set", "distribution.kind=rademacher"],
+    "estimate_atom": ["estimate", "--n", "16", "--threshold", "4",
+                      "--set", "distribution.kind=atomic_sym",
+                      "--set", "distribution.atoms=1:0.5,3:0.25"],
+    "simulate_bk_rad": ["simulate", "--preset", "baum_katz(2,1)", "--maximal",
+                        "--horizon", "16", "--set", "distribution.kind=rademacher"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(MC_CASES))
+def test_monte_carlo_bytes_match_golden_for_any_worker_count(capsys, label):
+    argv = [*MC_CASES[label], "--replicates", "70000", "--seed", "7"]
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert_golden(out, f"{label}.json")
+    code, out2, _ = run(capsys, *argv, "--workers", "2")
+    assert code == cli.EXIT_OK
+    assert out2 == out
 
 
 def test_readme_normal_example_certifies_single_tail(capsys):
@@ -146,3 +177,63 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, cclab.cli; sys.exit('scipy.integrate' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# flags and exit codes
+# ---------------------------------------------------------------------------
+
+def estimate_argv(**flags):
+    flags = {"n": "4", "threshold": "2", "replicates": "1000", **flags}
+    return ["estimate", "--set", "distribution.kind=rademacher",
+            *[x for key, value in flags.items() for x in (f"--{key}", value)]]
+
+
+def test_seed_zero_is_not_replaced_by_the_default(capsys):
+    code, out, _ = run(capsys, *estimate_argv(seed="0"))
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)
+    assert payload["provenance"]["seed"] == 0
+    assert payload["estimate"]["seed_stream"] == "philox:0/0/4"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("horizon", "0"), ("replicates", "0"), ("replicates", "999"), ("workers", "0"),
+    ("n", "0"), ("threshold", "nan"), ("threshold", "inf")])
+def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
+    # the config file holds valid values, which a falsy flag must not fall back to
+    config = tmp_path / "scenario.ini"
+    config.write_text("[scenario]\nhorizon = 100\n[mc]\nreplicates = 2000\nworkers = 2\n")
+    code, out, err = run(capsys, *estimate_argv(config=str(config), **{flag: value}))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("registered envelope violated at n=8")
+
+    monkeypatch.setattr(cli, "run_check_conditions", broken)
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru",
+                         "--set", "distribution.kind=rademacher")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "internal error: registered envelope violated at n=8\n"
+
+
+def test_config_file_without_section_header_is_a_config_error(capsys, tmp_path):
+    config = tmp_path / "scenario.ini"
+    config.write_text("horizon = 100\n")
+    code, out, err = run(capsys, "check-conditions", "--config", str(config))
+    assert code == cli.EXIT_CONFIG
+    assert out == "" and err.startswith("config error: malformed config file")
+
+
+def test_report_merge_unreadable_input_is_a_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (bad, tmp_path / "missing.json"):
+        code, _, err = run(capsys, "report-merge", str(path), "--out", str(tmp_path / "m.json"))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: cannot read report")

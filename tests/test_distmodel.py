@@ -130,7 +130,7 @@ def test_truncated_plus_complement_equals_full_moment():
                     lambda x: x ** 2 * alpha * s ** alpha * x ** (-alpha - 1), max(b, s), np.inf)
             else:
                 (atoms,) = d.params
-                comp = sum(p * v ** 2 for v, p in atoms if v >= b)
+                comp = sum(p * v ** 2 for v, p in atoms if abs(v) >= b)
             assert trunc + comp == pytest.approx(full, abs=1e-10)
 
 
@@ -285,6 +285,13 @@ def test_sample_deterministic_per_stream():
     assert not np.array_equal(a, c)
 
 
+def test_fair_pair_samples_by_sign_flip_whatever_the_kind():
+    # the sampler is chosen from the table: two atoms +-v of mass 1/2 each
+    signs = dm.sample(dm.rademacher(), seeding.stream(3, 1), 1000)
+    for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
+        assert np.array_equal(dm.sample(d, seeding.stream(3, 1), 1000), 2.5 * signs)
+
+
 def test_rademacher_clt_mean_bound():
     x = dm.sample(dm.rademacher(), seeding.stream(7, 0), 10 ** 6)
     assert abs(x.mean()) <= 4e-3
@@ -357,6 +364,14 @@ def test_support_and_variance_bounds():
 # ---------------------------------------------------------------------------
 
 
+def _magnitudes(table):
+    """P(|X| = m) in ascending m, from a signed (value, mass) table."""
+    mass = {}
+    for v, p in table:
+        mass[abs(v)] = mass.get(abs(v), 0.0) + p
+    return sorted(mass.items())
+
+
 def _reference_tail(d, lam):
     if lam == 0.0:
         return 1.0
@@ -374,7 +389,7 @@ def _reference_tail(d, lam):
         lt = math.log(lam)
         s = dm._logsumexp(lw for lv, lw in atoms if lv >= lt)
         return math.exp(s) if s > -math.inf else 0.0
-    return sum(p for v, p in atoms if abs(v) >= lam)
+    return sum(p for m, p in _magnitudes(atoms) if m >= lam)
 
 
 def _reference_moment(d, nu, b):
@@ -397,7 +412,7 @@ def _reference_moment(d, nu, b):
         lb = math.log(b)
         s = dm._logsumexp(lw + nu * lv for lv, lw in atoms if lv < lb)
         return math.exp(s) if s > -math.inf else 0.0
-    return sum(p * abs(v) ** nu for v, p in atoms if abs(v) < b)
+    return sum(p * m ** nu for m, p in _magnitudes(atoms) if m < b)
 
 
 ARRAY_KINDS = ALL_CLOSED + [
@@ -408,12 +423,14 @@ ARRAY_KINDS = ALL_CLOSED + [
 ]
 
 
+# every discontinuity of ARRAY_KINDS: atoms, the support edge, the scale
+MARKS = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5, math.e ** 2]
+
+
 @pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
 def test_array_tails_and_moments_match_one_point_formulas(d):
     rng = np.random.default_rng(7)
-    # random cutoffs plus every discontinuity: atoms, the support edge, the scale
-    marks = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5, math.e ** 2]
-    cuts = np.concatenate([rng.uniform(0.0, 8.0, 400), marks, np.nextafter(marks, 0.0)])
+    cuts = np.concatenate([rng.uniform(0.0, 8.0, 400), MARKS, np.nextafter(MARKS, 0.0)])
     got = dm.tails(d, np.concatenate([[0.0], cuts]))
     want = [_reference_tail(d, c) for c in [0.0] + cuts.tolist()]
     assert got.tolist() == want
@@ -421,6 +438,15 @@ def test_array_tails_and_moments_match_one_point_formulas(d):
     assert dm.truncated_moments(d, 2.0, cuts).tolist() == [
         _reference_moment(d, 2.0, c) for c in cuts.tolist()]
     assert dm.truncated_moment(d, 2.0, 2.2).value == _reference_moment(d, 2.0, 2.2)
+
+
+@pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
+def test_mass_below_plus_tail_is_one(d):
+    # E[1{|X| < b}] + P(|X| >= b) = 1: the implied atom at 0 counts below b
+    rng = np.random.default_rng(11)
+    cuts = np.concatenate([rng.uniform(0.01, 8.0, 200), MARKS, np.nextafter(MARKS, 0.0)])
+    total = dm.truncated_moments(d, 0.0, cuts) + dm.tails(d, cuts)
+    assert total.tolist() == pytest.approx([1.0] * cuts.size, abs=1e-12)
 
 
 def test_array_forms_validate_like_one_point_forms():

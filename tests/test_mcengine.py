@@ -1,6 +1,7 @@
 """Exact walk oracles against Fraction enumeration and closed forms."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,18 @@ def test_oracle_unavailable_beyond_support_cap():
     assert mc.exact_walk_oracle(far, 4).values.tolist() == [4e12]
     with pytest.raises(mc.OracleUnavailable):
         mc.max_tail_profile(far, 4, 1.0)
+
+
+def test_oracle_unavailable_beyond_work_cap():
+    # 2001 lattice points a step: within the support cap at n = 400, but the
+    # squarings would cost about 1e11 multiply-adds
+    d = dm.atomic_sym([(0.001, 0.5), (1.0, 0.25)])
+    start = time.perf_counter()
+    with pytest.raises(mc.OracleUnavailable, match="multiply-adds"):
+        mc.exact_walk_oracle(d, 400)
+    with pytest.raises(mc.OracleUnavailable, match="multiply-adds"):
+        mc.max_tail_profile(d, mc.MAX_MAXIMAL_N, 30.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_rademacher_large_n_matches_binomial():
