@@ -590,22 +590,23 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
     reports = {}
     csvs = {}
-    for eps in cfg.eps:
-        if cfg.maximal:
-            # Exact or absent: a law without an oracle stops here, before
-            # any Monte Carlo runs.
-            max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
-            terms = [wn * mcengine.exact_max_tail(d, n, eps * an) for n, wn, an in
-                     zip(max_grid, cfg.weights.values(max_grid).tolist(),
-                         cfg.norms.values(max_grid).tolist())]
+    if cfg.maximal:
+        # Exact or absent: a law without an oracle stops here, before any
+        # Monte Carlo runs.
+        max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
+        wv, av = cfg.weights.values(max_grid).tolist(), cfg.norms.values(max_grid).tolist()
+        for eps in cfg.eps:
+            terms = [wn * mcengine.exact_max_tail(d, n, eps * an)
+                     for n, wn, an in zip(max_grid, wv, av)]
             max_rep = convergence.summarize_series(
                 "running-maximum", max_grid, terms, params={"eps": eps},
                 evidence=("exact absorbing-threshold dynamic program",))
             reports[f"max:{eps}"] = max_rep
             csvs[f"simulate_max_eps{eps:g}.csv"] = max_rep.to_csv()
-        rep = mcengine.empirical_series(
-            d, cfg.weights, cfg.norms, eps, grid, cfg.replicates, cfg.seed,
-            workers=cfg.workers)
+    empirical = mcengine.empirical_series(
+        d, cfg.weights, cfg.norms, list(cfg.eps), grid, cfg.replicates, cfg.seed,
+        workers=cfg.workers)
+    for eps, rep in zip(cfg.eps, empirical):
         reports[eps] = rep
         csvs[f"simulate_eps{eps:g}.csv"] = rep.to_csv()
     payload = {

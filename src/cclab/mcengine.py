@@ -110,34 +110,41 @@ def _batch_plan(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def estimate_tail(d: distmodel.Dist, n: int, threshold: float, replicates: int,
+def estimate_tail(d: distmodel.Dist, n: int, threshold, replicates: int,
                   seed: int, scenario: int = 0, workers: int = 1,
-                  batch_size: int = DEFAULT_BATCH) -> Estimate:
-    """Monte Carlo estimate of P(|S_n| >= threshold) with a 99% Wilson interval."""
+                  batch_size: int = DEFAULT_BATCH):
+    """Monte Carlo estimate of P(|S_n| >= threshold) with a 99% Wilson interval.
+
+    ``threshold`` may also be a sequence: every threshold is then counted on
+    the same draws, and the result is a list of one Estimate per threshold.
+    """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if math.isnan(threshold):
+    many = np.ndim(threshold) > 0
+    thresholds = [float(t) for t in threshold] if many else [float(threshold)]
+    if any(math.isnan(t) for t in thresholds):
         raise ValueError("threshold must not be NaN")
     plan = _batch_plan(replicates, batch_size)
 
-    def run_batch(b: int) -> int:
+    def run_batch(b: int) -> list[int]:
         rng = seeding.stream(seed, scenario, n, b)
-        sums = _batch_sums(d, n, plan[b], rng)
-        return int(np.count_nonzero(np.abs(sums) >= threshold))
+        sums = np.abs(_batch_sums(d, n, plan[b], rng))
+        return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(run_batch, range(len(plan))))
     else:
         counts = [run_batch(b) for b in range(len(plan))]
-    hits = sum(counts)  # integer merge in fixed batch order
-    p_hat = hits / replicates
-    lo, hi = wilson_interval(hits, replicates)
-    return Estimate(p_hat=p_hat, replicates=replicates, lo=lo, hi=hi,
-                    seed_stream=seeding.stream_id(seed, scenario, n), n=n,
-                    threshold=threshold)
+    out = []
+    for t, hits in zip(thresholds, map(sum, zip(*counts))):  # integer merge in batch order
+        lo, hi = wilson_interval(hits, replicates)
+        out.append(Estimate(p_hat=hits / replicates, replicates=replicates, lo=lo, hi=hi,
+                            seed_stream=seeding.stream_id(seed, scenario, n), n=n,
+                            threshold=t))
+    return out if many else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +154,16 @@ def estimate_tail(d: distmodel.Dist, n: int, threshold: float, replicates: int,
 
 @dataclass(frozen=True)
 class WalkOracle:
-    """Full distribution of S_n as an exact (values, probs) table."""
+    """Full distribution of S_n as an exact (values, probs) table.
+
+    ``law`` is the same law on the whole lattice span, zeros included, from
+    which the oracle of 2n steps is one squaring away.
+    """
 
     n: int
     values: np.ndarray
     probs: np.ndarray
+    law: np.ndarray
 
     def __post_init__(self) -> None:
         if abs(float(self.probs.sum()) - 1.0) > 1e-12:
@@ -191,24 +203,35 @@ def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
     return kernel, lo, den
 
 
-def exact_walk_oracle(d: distmodel.Dist, n: int) -> WalkOracle:
-    """Exact table for S_n by repeated squaring on the atoms' decimal lattice."""
+def exact_walk_oracle(d: distmodel.Dist, n: int,
+                      half: WalkOracle | None = None) -> WalkOracle:
+    """Exact table for S_n by repeated squaring on the atoms' decimal lattice.
+
+    ``half``, the oracle of the same law at n/2 steps, is squared once instead
+    of rebuilding the law.  Along the grid n = 2^j that is the same sequence
+    of convolutions as a rebuild, so the bytes agree.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     kernel, lo, den = _lattice(d, n)
     # The squarings and products cost at most the final width squared.
     _check_cost(work=(n * (len(kernel) - 1) + 1) ** 2)
-    # Direct convolution keeps unreachable lattice points exactly 0.
-    law, power, m = None, kernel, n
-    while True:
-        if m & 1:
-            law = power if law is None else np.convolve(law, power)
-        m >>= 1
-        if not m:
-            break
-        power = np.convolve(power, power)
+    if half is not None:
+        if 2 * half.n != n:
+            raise ValueError("half must be the oracle at n/2 steps")
+        law = np.convolve(half.law, half.law)
+    else:
+        # Direct convolution keeps unreachable lattice points exactly 0.
+        law, power, m = None, kernel, n
+        while True:
+            if m & 1:
+                law = power if law is None else np.convolve(law, power)
+            m >>= 1
+            if not m:
+                break
+            power = np.convolve(power, power)
     (idx,) = np.nonzero(law > 0.0)
-    return WalkOracle(n=n, values=(n * lo + idx) / den, probs=law[idx])
+    return WalkOracle(n=n, values=(n * lo + idx) / den, probs=law[idx], law=law)
 
 
 def exact_tail(oracle: WalkOracle, threshold: float) -> float:
@@ -273,39 +296,53 @@ def exact_max_tail(d: distmodel.Dist, n: int, threshold: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps: float,
+def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps,
                      n_grid, replicates: int, seed: int, workers: int = 1,
-                     scenario: int = 0, series_id: str = "weighted-sum-tail") -> SeriesReport:
+                     scenario: int = 0, series_id: str = "weighted-sum-tail"):
     """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial sums.
 
     Monte Carlo cannot certify an infinite series, so the verdict is always
     Undetermined; certificates come from the analytic layer.  Each row's
     ``exact`` is the walk oracle's tail where one exists, else None.
+
+    ``eps`` may also be a sequence, giving a list of one report per eps.  Each
+    batch (seed, scenario, n, b) is drawn once and counted against every eps,
+    the walk oracle is built once per n, and where n doubles along the grid it
+    is the previous oracle squared.
     """
-    if eps <= 0:
+    many = np.ndim(eps) > 0
+    eps_list = list(eps) if many else [eps]
+    if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     ns = [int(n) for n in n_grid]
-    terms, los, his, exacts = [], [], [], []
+    cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
+    oracle = None
     for n, tau, an in zip(ns, w.values(ns).tolist(), a.values(ns).tolist()):
-        threshold = eps * an
-        est = estimate_tail(d, n, threshold, replicates, seed,
-                            scenario=scenario, workers=workers)
+        thresholds = [e * an for e in eps_list]
+        ests = estimate_tail(d, n, thresholds, replicates, seed,
+                             scenario=scenario, workers=workers)
         try:
-            exacts.append(exact_tail(exact_walk_oracle(d, n), threshold))
+            half = oracle if oracle is not None and 2 * oracle.n == n else None
+            oracle = exact_walk_oracle(d, n, half=half)
         except OracleUnavailable:
-            exacts.append(None)
-        terms.append(tau * est.p_hat)
-        los.append(tau * est.lo)
-        his.append(tau * est.hi)
-    rows = [SeriesRow(n=n, term=t, partial_sum=s, ci_lo=lo, ci_hi=hi, exact=x)
-            for n, t, s, lo, hi, x in zip(ns, terms, kahan_partials(terms).tolist(),
-                                          kahan_partials(los).tolist(),
-                                          kahan_partials(his).tolist(), exacts)]
-    return SeriesReport(
-        series_id=series_id,
-        params={"eps": eps, "replicates": replicates,
-                "seed_stream": seeding.stream_id(seed, scenario),
-                "weights": w.name, "normalizer": a.name},
-        rows=tuple(rows), verdict=UNDETERMINED,
-        evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "
-                  "accumulated into partial-sum bounds",))
+            oracle = None
+        for (terms, los, his, exacts), est, t in zip(cols, ests, thresholds):
+            exacts.append(None if oracle is None else exact_tail(oracle, t))
+            terms.append(tau * est.p_hat)
+            los.append(tau * est.lo)
+            his.append(tau * est.hi)
+    reports = []
+    for e, (terms, los, his, exacts) in zip(eps_list, cols):
+        rows = [SeriesRow(n=n, term=t, partial_sum=s, ci_lo=lo, ci_hi=hi, exact=x)
+                for n, t, s, lo, hi, x in zip(ns, terms, kahan_partials(terms).tolist(),
+                                              kahan_partials(los).tolist(),
+                                              kahan_partials(his).tolist(), exacts)]
+        reports.append(SeriesReport(
+            series_id=series_id,
+            params={"eps": e, "replicates": replicates,
+                    "seed_stream": seeding.stream_id(seed, scenario),
+                    "weights": w.name, "normalizer": a.name},
+            rows=tuple(rows), verdict=UNDETERMINED,
+            evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "
+                      "accumulated into partial-sum bounds",)))
+    return reports if many else reports[0]
