@@ -604,7 +604,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             reports[f"max:{eps}"] = max_rep
             csvs[f"simulate_max_eps{eps:g}.csv"] = max_rep.to_csv()
     empirical = mcengine.empirical_series(
-        d, cfg.weights, cfg.norms, list(cfg.eps), grid, cfg.replicates, cfg.seed,
+        d, cfg.weights, cfg.norms, cfg.eps, grid, cfg.replicates, cfg.seed,
         workers=cfg.workers)
     for eps, rep in zip(cfg.eps, empirical):
         reports[eps] = rep

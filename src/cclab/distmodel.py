@@ -432,9 +432,16 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.standard_normal(count)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
-        mag = scale * rng.random(count) ** (-1.0 / alpha)
-        sign = 2.0 * rng.integers(0, 2, size=count, dtype=np.int8) - 1.0
-        return mag * sign
+        # scale * u ** (-1/alpha) * (2b - 1) computed in place, with the same
+        # roundings, so a batch holds one float array instead of three.
+        mag = rng.random(count)
+        mag **= -1.0 / alpha
+        mag *= scale
+        sign = rng.integers(0, 2, size=count, dtype=np.int8)
+        sign *= 2
+        sign -= 1
+        mag *= sign
+        return mag
     if d.kind == "log_atomic_sym":
         raise SamplingUnavailable(
             "log_atomic_sym: atom probabilities are below the representable floating range")

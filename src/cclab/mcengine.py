@@ -4,7 +4,11 @@ Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from the counter-based stream
 (seed, scenario, n, b), and batch results are merged in index order.  The
 same (config, seed) therefore produces bit-identical output for any worker
-count.
+count.  A replicate draws S_n itself where its law allows: atom tables as
+multinomial atom counts summed on the oracles' decimal lattice, so a hit is
+|k|/den >= t exactly as in exact_tail, and the normal law as sqrt(n) Z.
+Other laws sum n single-step draws.  These draws are stream version
+``philox-v2`` (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
 the user wrote) and scale by the lcm of the denominators, so every walk lives
@@ -19,6 +23,7 @@ OracleUnavailable.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +59,11 @@ class OracleUnavailable(RuntimeError):
 
 
 def wilson_interval(hits: int, total: int, z: float = WILSON_Z99) -> tuple[float, float]:
-    """Wilson score interval; preferred over Wald because p sits near 0."""
+    """Wilson score interval; preferred over Wald because p sits near 0.
+
+    At hits == 0 and hits == total the end at the estimate is exactly 0 or 1,
+    which the rounding of center -+ half would otherwise miss.
+    """
     if total <= 0:
         raise ValueError("total must be positive")
     p = hits / total
@@ -62,7 +71,9 @@ def wilson_interval(hits: int, total: int, z: float = WILSON_Z99) -> tuple[float
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == total else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -84,25 +95,36 @@ class Estimate:
                 "lo": self.lo, "hi": self.hi, "seed_stream": self.seed_stream,
                 "n": self.n, "threshold": self.threshold}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Estimate":
-        return Estimate(p_hat=float(d["p_hat"]), replicates=int(d["replicates"]),
-                        lo=float(d["lo"]), hi=float(d["hi"]),
-                        seed_stream=d["seed_stream"], n=int(d["n"]),
-                        threshold=float(d["threshold"]))
 
+def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """The draw of one batch of S_n: a function (rows, rng) -> rows sums.
 
-def _batch_sums(d: distmodel.Dist, n: int, rows: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Row sums of an (rows, n) sample matrix, drawn in fixed column chunks."""
-    total = np.zeros(rows, dtype=np.float64)
-    done = 0
-    while done < n:
-        cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
-        x = distmodel.sample(d, rng, rows * cols)
-        total += x.reshape(rows, cols).sum(axis=1)
-        done += cols
-    return total
+    An atom table on a decimal lattice within 2^53 draws how often each atom
+    occurs, rng.multinomial(n, probs), and sums the counts times the integer
+    steps; the int64 coordinate k comes back as the correctly rounded k/den,
+    so |S_n| >= t is exact_tail's rule at every lattice point.  The normal law
+    draws sqrt(n) Z.  Other laws sum n single-step draws in fixed column chunks.
+    """
+    lattice = _lattice_steps(d)
+    if lattice is not None and _exact_range(n, lattice[0], lattice[2]):
+        steps, probs, den = lattice
+        k = np.asarray(steps, dtype=np.int64)
+        return lambda rows, rng: (rng.multinomial(n, probs, size=rows) @ k) / den
+    if d.kind == "normal_std":
+        root = math.sqrt(n)
+        return lambda rows, rng: root * rng.standard_normal(rows)
+
+    def chunked(rows: int, rng: np.random.Generator) -> np.ndarray:
+        total = np.zeros(rows, dtype=np.float64)
+        done = 0
+        while done < n:
+            cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
+            x = distmodel.sample(d, rng, rows * cols)
+            total += x.reshape(rows, cols).sum(axis=1)
+            done += cols
+        return total
+
+    return chunked
 
 
 def _batch_plan(replicates: int, batch_size: int) -> list[int]:
@@ -127,10 +149,10 @@ def estimate_tail(d: distmodel.Dist, n: int, threshold, replicates: int,
     if any(math.isnan(t) for t in thresholds):
         raise ValueError("threshold must not be NaN")
     plan = _batch_plan(replicates, batch_size)
+    draw = _batch_sums(d, n)
 
     def run_batch(b: int) -> list[int]:
-        rng = seeding.stream(seed, scenario, n, b)
-        sums = np.abs(_batch_sums(d, n, plan[b], rng))
+        sums = np.abs(draw(plan[b], seeding.stream(seed, scenario, n, b)))
         return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
     if workers > 1:
@@ -179,27 +201,43 @@ def _check_cost(points: int = 0, work: int = 0) -> None:
             f"walk convolutions exceed {MAX_CONVOLUTION_WORK} multiply-adds at this depth")
 
 
-def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
-    """The step law as (kernel, lo, den) with P(X = (lo + i)/den) = kernel[i].
+def _lattice_steps(d: distmodel.Dist) -> tuple[list[int], np.ndarray, int] | None:
+    """The atoms of positive mass as (steps, probs, den), P(X = steps[i]/den) = probs[i].
 
     Each atom is read as the shortest decimal that rounds to it and scaled by
-    the lcm of the denominators.  The lattice n steps span is checked with
-    Python ints before any array is allocated.
+    the lcm of the denominators.  None for kinds without atoms.
     """
     table = distmodel.atom_table(d)
     if table is None:
-        raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
+        return None
     values, probs = table
     keep = probs > 0.0
     atoms = [Fraction(repr(v)) for v in values[keep].tolist()]
     den = math.lcm(*(a.denominator for a in atoms))
-    steps = [int(a * den) for a in atoms]
+    return [int(a * den) for a in atoms], probs[keep], den
+
+
+def _exact_range(n: int, steps: list[int], den: int) -> bool:
+    """Whether every sum of n steps, and den, converts to float exactly."""
+    return max(den, n * max(map(abs, steps))) <= _EXACT_INT
+
+
+def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
+    """The step law as (kernel, lo, den) with P(X = (lo + i)/den) = kernel[i].
+
+    The lattice n steps span is checked with Python ints before any array is
+    allocated.
+    """
+    lattice = _lattice_steps(d)
+    if lattice is None:
+        raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
+    steps, probs, den = lattice
     lo, hi = min(steps), max(steps)
     _check_cost(n * (hi - lo) + 1)
-    if max(den, n * abs(lo), n * abs(hi)) > _EXACT_INT:
+    if not _exact_range(n, steps, den):
         raise OracleUnavailable("walk lattice exceeds the exact float range")
     kernel = np.zeros(hi - lo + 1, dtype=np.float64)
-    kernel[np.asarray(steps) - lo] = probs[keep]
+    kernel[np.asarray(steps) - lo] = probs
     return kernel, lo, den
 
 

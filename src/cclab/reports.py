@@ -56,13 +56,6 @@ class SeriesRow:
             out["exact"] = self.exact
         return out
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "SeriesRow":
-        return SeriesRow(n=int(d["n"]), term=float(d["term"]),
-                         partial_sum=float(d["partial_sum"]),
-                         ci_lo=d.get("ci_lo"), ci_hi=d.get("ci_hi"),
-                         exact=d.get("exact"))
-
 
 @dataclass(frozen=True)
 class ConvergenceBound:
@@ -77,11 +70,6 @@ class ConvergenceBound:
         return {"kind": self.kind, "params": dict(self.params),
                 "tail_bound": self.tail_bound, "description": self.description}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ConvergenceBound":
-        return ConvergenceBound(d["kind"], dict(d["params"]), float(d["tail_bound"]),
-                                d["description"])
-
 
 @dataclass(frozen=True)
 class DivergenceBound:
@@ -95,11 +83,6 @@ class DivergenceBound:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params),
                 "block_floor": self.block_floor, "description": self.description}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "DivergenceBound":
-        return DivergenceBound(d["kind"], dict(d["params"]), float(d["block_floor"]),
-                               d["description"])
 
 
 @dataclass(frozen=True)
@@ -139,20 +122,6 @@ class SeriesReport:
         if self.divergence is not None:
             out["divergence"] = self.divergence.to_json_dict()
         return out
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "SeriesReport":
-        return SeriesReport(
-            series_id=d["series_id"],
-            params=dict(d["params"]),
-            rows=tuple(SeriesRow.from_json_dict(r) for r in d["rows"]),
-            verdict=d["verdict"],
-            tail_bound=(ConvergenceBound.from_json_dict(d["tail_bound"])
-                        if "tail_bound" in d else None),
-            divergence=(DivergenceBound.from_json_dict(d["divergence"])
-                        if "divergence" in d else None),
-            evidence=tuple(d["evidence"]),
-        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()

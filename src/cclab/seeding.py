@@ -40,4 +40,6 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 
 def stream_id(seed: int, *path: int) -> str:
-    return "philox:" + "/".join(str(int(x)) for x in (seed, *path))
+    """Label of a stream address; the version tag changes whenever the draws
+    made from a stream change (v2: direct sums of S_n in ``mcengine``)."""
+    return "philox-v2:" + "/".join(str(int(x)) for x in (seed, *path))

@@ -56,8 +56,9 @@ def test_check_conditions_bytes_match_golden(capsys, label):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo bytes: fixtures written before the atom laws shared one table.
-# 70000 replicates are two batches, so the worker count changes the schedule.
+# Monte Carlo bytes: fixtures written when S_n became a direct draw (stream
+# philox-v2).  70000 replicates are two batches, so the worker count changes
+# the schedule.
 # ---------------------------------------------------------------------------
 
 MC_CASES = {
@@ -194,7 +195,14 @@ def test_seed_zero_is_not_replaced_by_the_default(capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["provenance"]["seed"] == 0
-    assert payload["estimate"]["seed_stream"] == "philox:0/0/4"
+    assert payload["estimate"]["seed_stream"] == "philox-v2:0/0/4"
+
+
+def test_estimate_with_every_replicate_a_hit(capsys):
+    code, out, err = run(capsys, *estimate_argv(threshold="0"))
+    assert code == cli.EXIT_OK, err
+    est = json.loads(out)["estimate"]
+    assert est["p_hat"] == est["hi"] == 1.0
 
 
 @pytest.mark.parametrize("flag,value", [

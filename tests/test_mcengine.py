@@ -9,6 +9,7 @@ import pytest
 
 from cclab import distmodel as dm
 from cclab import mcengine as mc
+from cclab import seeding
 from cclab import seqkit as sk
 
 N_MAX = 8
@@ -171,3 +172,120 @@ def test_empirical_series_exact_column():
     for row in rep.rows:
         want = mc.exact_tail(mc.exact_walk_oracle(d, row.n), 0.5 * a(row.n))
         assert row.exact == want
+
+
+# ---------------------------------------------------------------------------
+# Direct draws of S_n against the oracles
+# ---------------------------------------------------------------------------
+
+
+def chi_square_p(observed, expected) -> float:
+    """Upper p-value of Pearson's statistic, adjacent cells merged until each expects >= 5."""
+    from scipy.stats import chi2
+
+    obs_cells, exp_cells, o_run, e_run = [], [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        o_run, e_run = o_run + o, e_run + e
+        if e_run >= 5.0:
+            obs_cells.append(o_run)
+            exp_cells.append(e_run)
+            o_run = e_run = 0.0
+    obs_cells[-1] += o_run
+    exp_cells[-1] += e_run
+    obs, exp = np.array(obs_cells), np.array(exp_cells)
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), len(obs) - 1))
+
+
+SUM_LAWS = ["rademacher", "atoms 1,3", "atoms 0.1,0.3"]
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("name", SUM_LAWS)
+def test_direct_sums_follow_the_oracle_law(name, n):
+    d = LAWS[name][0]
+    rows = 200_000
+    sums = mc._batch_sums(d, n)(rows, seeding.stream(2026, n))
+    oracle = mc.exact_walk_oracle(d, n)
+    idx = np.searchsorted(oracle.values, sums)
+    # every draw is a lattice point of the oracle, bit for bit
+    assert np.array_equal(oracle.values[np.minimum(idx, len(oracle.values) - 1)], sums)
+    observed = np.bincount(idx, minlength=len(oracle.values))
+    assert chi_square_p(observed, rows * oracle.probs) > 1e-4
+
+
+@pytest.mark.parametrize("n", [16, 1024])
+def test_direct_normal_sums_follow_erfc(n):
+    rows = 200_000
+    sums = mc._batch_sums(dm.normal_std(), n)(rows, seeding.stream(2026, n))
+    edges = [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
+    upper = [0.5 * math.erfc(e / math.sqrt(2.0)) for e in edges]  # P(Z >= e)
+    probs = -np.diff([1.0, *upper, 0.0])
+    observed = np.bincount(np.searchsorted(np.sqrt(n) * np.array(edges), sums, side="right"),
+                           minlength=len(edges) + 1)
+    assert probs.sum() == pytest.approx(1.0)
+    assert chi_square_p(observed, rows * probs) > 1e-4
+
+
+def binomial_miss_limit(trials: int, miss_p: float = 0.01, alpha: float = 1e-6) -> int:
+    """Largest miss count a correct 99% interval exceeds with probability below alpha."""
+    tail, m = 1.0, -1
+    while tail >= alpha:
+        m += 1
+        tail -= math.comb(trials, m) * miss_p ** m * (1.0 - miss_p) ** (trials - m)
+    return m
+
+
+@pytest.mark.parametrize("name,n,t", [("rademacher", 16, 4.0), ("atoms 1,3", 16, 6.0),
+                                      ("atoms 0.1,0.3", 16, 0.6), ("normal_std", 64, 8.0)])
+def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
+    if name == "normal_std":
+        d, exact = dm.normal_std(), math.erfc(t / math.sqrt(2.0 * n))
+    else:
+        d = LAWS[name][0]
+        exact = mc.exact_tail(mc.exact_walk_oracle(d, n), t)
+    trials = 400
+    misses = 0
+    for seed in range(trials):
+        est = mc.estimate_tail(d, n, t, 1000, seed)
+        misses += not est.lo <= exact <= est.hi
+    assert misses <= binomial_miss_limit(trials)
+
+
+def test_lattice_hit_rule_matches_exact_tail():
+    # 42 float additions of 0.1 give 4.199999999999999 < 4.2; the lattice sum is 42/10
+    d = dm.atomic([(0.1, 1.0)])
+    est = mc.estimate_tail(d, 42, 4.2, 1000, seed=5)
+    assert est.p_hat == 1.0 == mc.exact_tail(mc.exact_walk_oracle(d, 42), 4.2)
+    assert est.hi == 1.0
+
+
+def test_wilson_interval_ends_are_exact_at_zero_and_all_hits():
+    assert mc.wilson_interval(1000, 1000)[1] == 1.0
+    assert mc.wilson_interval(0, 1000)[0] == 0.0
+
+
+def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
+    def no_steps(*args, **kwargs):
+        raise AssertionError("single steps drawn")
+
+    monkeypatch.setattr(dm, "sample", no_steps)
+    # 2001 lattice points a step: past the oracle's support cap at n = 1000
+    wide = dm.atomic_sym([(0.001, 0.5), (1.0, 0.25)])
+    with pytest.raises(mc.OracleUnavailable):
+        mc.exact_walk_oracle(wide, 1000)
+    for d in (wide, dm.rademacher(), dm.normal_std()):
+        assert 0.0 < mc.estimate_tail(d, 1000, 10.0, 1000, seed=1).p_hat < 1.0
+    # no decimal lattice within 2^53: the single-step path
+    with pytest.raises(AssertionError, match="single steps"):
+        mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, 1.0, 1000, seed=1)
+
+
+@pytest.mark.parametrize("d", [dm.normal_std(), dm.uniform_sym(1.0),
+                               dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)])],
+                         ids=["normal_std", "uniform_sym", "atoms 0.1,0.3"])
+def test_two_batches_are_identical_for_any_worker_count(d):
+    # 70000 replicates are two batches of DEFAULT_BATCH
+    one = mc.estimate_tail(d, 16, 1.0, 70_000, seed=7, workers=1)
+    two = mc.estimate_tail(d, 16, 1.0, 70_000, seed=7, workers=2)
+    assert one.to_json_dict() == two.to_json_dict()
+    assert one.seed_stream.startswith("philox-v2:")
