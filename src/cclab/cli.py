@@ -12,7 +12,9 @@ data inside the reports; exit codes only signal operational failures:
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
        running-maximum series is exact or absent
-    4  sampling unavailable for the configured distribution
+    4  sampling unavailable for the configured distribution; also a Monte
+       Carlo sum whose steps overflow to both +inf and -inf (pareto_sym with
+       a small alpha), since |S_n| then has no float value
     5  internal error: a check inside the program failed (for example a
        registered envelope violated); one line on stderr, no traceback
 
@@ -491,7 +493,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
     if cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(cfg.counter_depth)
         report = counterexample.verify_counterexample(schedule)
-        dist = counterexample.counterexample_distribution(schedule)
+        dist = counterexample.CounterexampleDistribution(schedule)
         d = dist.to_dist()
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
         moments.append({"form": "inv_logplus", "finite": mom.finite,

@@ -17,15 +17,13 @@ the log of the log.  Every certified comparison adds a directed slack of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import distmodel
-from .seqkit import kahan_sum
 
 _LN2 = math.log(2.0)
 _LNLN2 = math.log(_LN2)
-_PSI_AT_2 = math.sqrt(2.0 * _LN2)
 
 SLACK = 1e-9            # directed-rounding slack on the required side of every check
 _BUILD_MARGIN = 1e-6    # extra log-domain headroom so replay at SLACK always passes
@@ -69,27 +67,6 @@ class LogReal:
     def from_log(lx: float) -> "LogReal":
         return LogReal(1, float(lx))
 
-    @staticmethod
-    def from_loglog(llx: float) -> "LogReal":
-        return LogReal(2, float(llx))
-
-    def value(self) -> float:
-        """The represented value; inf when it overflows a double."""
-        if self.level == 0:
-            return self.payload
-        if self.level == 1:
-            try:
-                return math.exp(self.payload)
-            except OverflowError:
-                return math.inf
-        lv = self.log_value()
-        if math.isinf(lv):
-            return math.inf
-        try:
-            return math.exp(lv)
-        except OverflowError:
-            return math.inf
-
     def log_value(self) -> float:
         """ln of the represented value; -inf at 0, +inf when it overflows."""
         if self.level == 0:
@@ -106,23 +83,6 @@ class LogReal:
             return self.payload
         lv = self.log_value()
         return math.log(lv) if lv > 0.0 else -math.inf
-
-    def promoted(self) -> "LogReal":
-        if self.level == 2:
-            raise ValueError("no level above 2")
-        if self.level == 0:
-            if self.payload <= 0.0:
-                raise ValueError("cannot promote 0 into the log layer")
-            return LogReal(1, math.log(self.payload))
-        if self.payload <= 0.0:
-            raise ValueError("cannot promote a value <= 1 to level 2")
-        return LogReal(2, math.log(self.payload))
-
-    def demoted(self) -> "LogReal":
-        if self.level == 0:
-            raise ValueError("no level below 0")
-        v = math.exp(self.payload)  # raises OverflowError when unrepresentable
-        return LogReal(self.level - 1, v)
 
     def scaled(self, c: float) -> "LogReal":
         """The value multiplied by c > 0."""
@@ -174,13 +134,6 @@ class LogReal:
     def __le__(self, other: "LogReal") -> bool:
         return self.compare(other) <= 0
 
-    def to_json_dict(self) -> dict:
-        return {"level": self.level, "payload": self.payload}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "LogReal":
-        return LogReal(int(d["level"]), float(d["payload"]))
-
 
 def _exp_neg_upper(log_cutoff: LogReal) -> float:
     """Certified upper bound on e^(-lambda) = 1/K."""
@@ -194,38 +147,6 @@ def _lambda_lower_float(log_cutoff: LogReal) -> float:
     if log_cutoff.level == 0:
         return log_cutoff.payload
     return _LEVEL0_CAP
-
-
-# ---------------------------------------------------------------------------
-# The normalizing function and its inverse
-# ---------------------------------------------------------------------------
-
-
-def sqrt_xlogx(t: float) -> float:
-    """sqrt(t log t) for t >= 2, extended linearly to [0, 2] with value 0 at 0."""
-    if t < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if t >= 2.0:
-        return math.sqrt(t * math.log(t))
-    return t * (_PSI_AT_2 / 2.0)
-
-
-def inv_sqrt_xlogx(y: float) -> float:
-    """Inverse of sqrt_xlogx, by Newton refinement above the linear piece."""
-    if y < 0.0:
-        raise ValueError("argument must be nonnegative")
-    if y <= _PSI_AT_2:
-        return 2.0 * y / _PSI_AT_2
-    z = y * y
-    t = max(2.0, z / math.log(max(z, math.e)))
-    for _ in range(80):
-        f = t * math.log(t) - z
-        step = f / (math.log(t) + 1.0)
-        t_new = max(2.0, t - step)
-        if abs(t_new - t) <= 1e-14 * t:
-            return t_new
-        t = t_new
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +414,6 @@ class CounterexampleDistribution:
             return -m * _LN2 - lam.payload
         return -math.inf
 
-    def total_atom_mass_log(self) -> float:
-        return distmodel._logsumexp(self.atom_log_weight(m)
-                                    for m in range(1, self.schedule.m_max + 1))
-
-    def tail_log(self, log_threshold: float) -> float:
-        """ln P(|X| >= exp(log_threshold))."""
-        terms = []
-        for m in range(1, self.schedule.m_max + 1):
-            lam = self.schedule.log_cutoff(m)
-            if lam.level != 0:
-                continue  # weight underflows -inf anyway
-            if self.atom_log_value(m) >= log_threshold:
-                terms.append(self.atom_log_weight(m))
-        return distmodel._logsumexp(terms)
-
     def to_dist(self) -> distmodel.Dist:
         """Log-atomic view; requires every cutoff to sit in the double log range."""
         atoms = []
@@ -517,10 +423,6 @@ class CounterexampleDistribution:
                 raise ValueError("schedule too deep for a log-atomic view")
             atoms.append((self.atom_log_value(m), self.atom_log_weight(m)))
         return distmodel.log_atomic_sym(atoms)
-
-
-def counterexample_distribution(schedule: CutoffSchedule) -> CounterexampleDistribution:
-    return CounterexampleDistribution(schedule=schedule)
 
 
 @dataclass(frozen=True)
@@ -549,48 +451,6 @@ def inverse_growth_moment(dist: CounterexampleDistribution,
     for m in range(1, terms + 1):
         total += 2.0 ** (-m)
     return InverseGrowthMoment(value=total, deficit=2.0 ** (-terms), terms=terms)
-
-
-@dataclass(frozen=True)
-class TruncatedSecondMomentLB:
-    value: LogReal
-    exact: bool
-    blocks: int
-
-
-def truncated_second_moment_log(schedule: CutoffSchedule,
-                                log_n: LogReal) -> TruncatedSecondMomentLB:
-    """T_n = sum_{m <= M(n)} 2^(-m) lambda_m with M(n) = #{m : K_m < n}.
-
-    Exact as a double while every summand fits level 0; beyond that a
-    certified lower bound (the dominant term) is returned, which is the
-    direction the divergence chain consumes.
-    """
-    lam1 = schedule.log_cutoff(1)
-    if not lam1 < log_n:
-        raise ValueError("ln n must exceed the first cutoff's log")
-    blocks = 0
-    for m in range(1, schedule.m_max + 1):
-        if schedule.log_cutoff(m) < log_n:
-            blocks = m
-        else:
-            break
-    exact = True
-    payloads = []
-    best: Optional[LogReal] = None
-    for m in range(1, blocks + 1):
-        lam = schedule.log_cutoff(m)
-        term = lam.scaled(2.0 ** (-m))
-        if term.level != 0:
-            exact = False
-        else:
-            payloads.append(term.payload)
-        if best is None or best < term:
-            best = term
-    if exact:
-        return TruncatedSecondMomentLB(value=LogReal.from_value(kahan_sum(payloads)),
-                                       exact=True, blocks=blocks)
-    return TruncatedSecondMomentLB(value=best, exact=False, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +559,7 @@ class CounterexampleReport:
 
 def verify_counterexample(schedule: CutoffSchedule) -> CounterexampleReport:
     """Certify both halves of the counterexample on a built schedule."""
-    dist = counterexample_distribution(schedule)
+    dist = CounterexampleDistribution(schedule)
     moment = inverse_growth_moment(dist)
     certs = tuple(certify_block(schedule, m) for m in range(1, schedule.m_max))
     diverges = bool(certs) and all(c.ok for c in certs)

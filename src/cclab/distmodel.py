@@ -39,11 +39,11 @@ def log_plus(x: float) -> float:
     return math.log(2.0 + x)
 
 
-def _std_normal_pdf(x: float) -> float:
+def _normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _std_normal_cdf(x: float) -> float:
+def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
@@ -263,11 +263,11 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
     if d.kind == "normal_std":
         if nu == 2.0:
-            return (2.0 * libm(_std_normal_cdf, b) - 1.0) - 2.0 * b * libm(_std_normal_pdf, b)
+            return (2.0 * libm(_normal_cdf, b) - 1.0) - 2.0 * b * libm(_normal_pdf, b)
         if nu == 0.0:
-            return 2.0 * libm(_std_normal_cdf, b) - 1.0
+            return 2.0 * libm(_normal_cdf, b) - 1.0
         from scipy import integrate
-        return np.array([integrate.quad(lambda x: 2.0 * x ** nu * _std_normal_pdf(x),
+        return np.array([integrate.quad(lambda x: 2.0 * x ** nu * _normal_pdf(x),
                                         0.0, c, epsabs=1e-12, limit=200)[0]
                          for c in b.tolist()])
     if d.kind == "pareto_sym":
@@ -344,7 +344,7 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
         val, _ = integrate.quad(wf, 0.0, h, epsabs=1e-10, limit=200)
         return MomentValue(True, val / h)
     if d.kind == "normal_std":
-        val, _ = integrate.quad(lambda x: 2.0 * wf(x) * _std_normal_pdf(x),
+        val, _ = integrate.quad(lambda x: 2.0 * wf(x) * _normal_pdf(x),
                                 0.0, np.inf, epsabs=1e-10, limit=200)
         return MomentValue(True, val)
     if d.kind == "pareto_sym":

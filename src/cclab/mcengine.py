@@ -117,11 +117,17 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     def chunked(rows: int, rng: np.random.Generator) -> np.ndarray:
         total = np.zeros(rows, dtype=np.float64)
         done = 0
-        while done < n:
-            cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
-            x = distmodel.sample(d, rng, rows * cols)
-            total += x.reshape(rows, cols).sum(axis=1)
-            done += cols
+        # A step may overflow to +-inf (pareto_sym with small alpha): a sum at
+        # inf is a hit, and a sum holding both signs is NaN, checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while done < n:
+                cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
+                x = distmodel.sample(d, rng, rows * cols)
+                total += x.reshape(rows, cols).sum(axis=1)
+                done += cols
+        if np.isnan(total).any():
+            raise distmodel.SamplingUnavailable(
+                f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
         return total
 
     return chunked

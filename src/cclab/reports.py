@@ -105,10 +105,6 @@ class SeriesReport:
         check_partial_sums([r.n for r in self.rows], [r.term for r in self.rows],
                            [r.partial_sum for r in self.rows])
 
-    @property
-    def total(self) -> float:
-        return self.rows[-1].partial_sum if self.rows else 0.0
-
     def to_json_dict(self) -> dict:
         out = {
             "series_id": self.series_id,

@@ -64,16 +64,6 @@ class RegularityReport:
             "notes": list(self.notes),
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "RegularityReport":
-        return RegularityReport(
-            condition_id=d["condition_id"],
-            verdict=Verdict(d["verdict"]),
-            constants=dict(d["constants"]),
-            horizon=int(d["horizon"]),
-            notes=tuple(d["notes"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Array arithmetic that reproduces the scalar formulas bit for bit
@@ -119,13 +109,6 @@ def kahan_partials(values) -> np.ndarray:
         total = t
         append(t)
     return np.frombuffer(out, dtype=np.float64)
-
-
-def kahan_sum(values) -> float:
-    if not isinstance(values, (np.ndarray, list)):
-        values = np.fromiter(values, np.float64)
-    sums = kahan_partials(values)
-    return float(sums[-1]) if sums.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +266,6 @@ class NormSeq:
     def __call__(self, n: int) -> float:
         return float(self.values(np.array([n]))[0])
 
-    def check_increasing(self, up_to: int) -> None:
-        require_nondecreasing(self.values(np.arange(1, up_to + 1)))
-
     def tends_to_infinity(self) -> Optional[bool]:
         """True when certified by the family (positive exponent); None if unknown."""
         if self.family is None:
@@ -343,19 +323,6 @@ def custom_weights(fn: Callable[[int], float], name: str = "custom",
 
 def custom_norms(fn: Callable[[int], float], name: str = "custom") -> NormSeq:
     return NormSeq(fn=fn, name=name, family=None)
-
-
-# ---------------------------------------------------------------------------
-# Basic sums
-# ---------------------------------------------------------------------------
-
-
-def partial_weight_sum(w: WeightSeq, k: int) -> float:
-    """T_k = sum_{j=1}^{k} j * w(j), compensated."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = np.arange(1, k + 1)
-    return kahan_sum(n * w.values(n))
 
 
 # ---------------------------------------------------------------------------

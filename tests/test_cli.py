@@ -173,11 +173,29 @@ def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
     assert err.startswith("unsupported distribution:")
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def run_process(code: str, *argv) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` with this checkout's cclab on the path."""
     src = str(Path(cclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
     code = "import sys, cclab.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert run_process(code).returncode == 0
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # The tracer looks each name up with owner.__dict__[attr], so a renamed or
+    # deleted entry point raises KeyError here.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracer
+        with tracer.installed(tracer.Tracer()):
+            pass
+    finally:
+        sys.path.pop(0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +234,18 @@ def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_estimate_with_overflowing_steps_exits_4_with_one_line():
+    # In a process of its own, so that any numpy warning would reach stderr.
+    proc = run_process("import sys, cclab.cli; sys.exit(cclab.cli.main(sys.argv[1:]))",
+                       "estimate", "--set", "distribution.kind=pareto_sym",
+                       "--set", "distribution.alpha=0.01", "--n", "1024",
+                       "--threshold", "400", "--replicates", "1000", "--seed", "1")
+    assert proc.returncode == cli.EXIT_SAMPLING == 4
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("sampling unavailable: pareto_sym:")
 
 
 def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):

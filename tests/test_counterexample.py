@@ -23,37 +23,18 @@ def test_logreal_levels_and_values():
     x = LogReal.from_value(100.0)
     assert x.log_value() == pytest.approx(math.log(100.0))
     y = LogReal.from_log(1000.0)  # e^1000, far beyond doubles
-    assert y.value() == math.inf
     assert y.log_value() == 1000.0
-    z = LogReal.from_loglog(800.0)  # e^{e^800}
+    assert y.loglog_value() == pytest.approx(math.log(1000.0))
+    z = LogReal(2, 800.0)  # e^{e^800}
     assert z.log_value() == math.inf
     assert z.loglog_value() == 800.0
-
-
-def test_logreal_round_trips():
-    x = LogReal.from_value(3.7)
-    up = x.promoted()
-    assert up.level == 1
-    assert up.demoted().payload == pytest.approx(3.7, rel=1e-12)
-    big = LogReal.from_log(512.0)
-    assert big.promoted().demoted().payload == pytest.approx(512.0, rel=1e-12)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=1e200))
-def test_logreal_round_trip_log_domain(v):
-    x = LogReal.from_value(v)
-    back = x.promoted().demoted()
-    if v > 1.0:
-        assert back.promoted().payload == pytest.approx(x.promoted().payload, rel=1e-12)
-    assert back.payload == pytest.approx(v, rel=1e-12)
 
 
 def test_logreal_comparisons_across_levels():
     small = LogReal.from_value(5.0)
     mid = LogReal.from_log(400.0)        # e^400 ~ 1e173
     mid2 = LogReal.from_value(1e250)
-    huge = LogReal.from_loglog(100.0)    # e^{e^100}
+    huge = LogReal(2, 100.0)    # e^{e^100}
     assert small < mid < mid2 < huge
     assert not huge < small
     assert LogReal.from_value(7.0).compare(LogReal.from_value(7.0)) == 0
@@ -67,7 +48,7 @@ def test_logreal_scaling():
     assert y.payload == pytest.approx(math.log(1e250) + math.log(1e100), rel=1e-14)
     z = LogReal.from_log(2000.0).scaled(2.0)
     assert z.payload == pytest.approx(2000.0 + LN2, rel=1e-14)
-    w = LogReal.from_loglog(300.0).scaled(5.0)
+    w = LogReal(2, 300.0).scaled(5.0)
     assert w.loglog_value() == pytest.approx(300.0)
 
 
@@ -84,37 +65,6 @@ def test_logreal_validation():
         LogReal(0, -1.0)
     with pytest.raises(ValueError):
         LogReal(0, math.inf)
-
-
-# ---------------------------------------------------------------------------
-# the normalizing function and its inverse
-# ---------------------------------------------------------------------------
-
-
-def test_sqrt_xlogx_anchor_values():
-    assert ce.sqrt_xlogx(0.0) == 0.0
-    assert ce.sqrt_xlogx(2.0) == pytest.approx(1.1774100225154747, rel=1e-12)
-    assert ce.sqrt_xlogx(math.e ** 2) == pytest.approx(math.e * math.sqrt(2.0), rel=1e-12)
-
-
-def test_sqrt_xlogx_strictly_increasing_through_junction():
-    grid = [0.0, 0.5, 1.0, 1.5, 1.999, 2.0, 2.001, 3.0, 10.0, 1e6]
-    vals = [ce.sqrt_xlogx(t) for t in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_inverse_identity():
-    for k in (2.0, 10.0, 1e6):
-        assert ce.inv_sqrt_xlogx(ce.sqrt_xlogx(k)) == pytest.approx(k, rel=1e-10)
-    assert ce.inv_sqrt_xlogx(0.0) == 0.0
-    # linear piece
-    assert ce.inv_sqrt_xlogx(math.sqrt(2.0 * LN2) / 2.0) == pytest.approx(1.0, rel=1e-14)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e6))
-def test_inverse_round_trip_grid(t):
-    assert ce.inv_sqrt_xlogx(ce.sqrt_xlogx(t)) == pytest.approx(t, rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +95,8 @@ def test_block_end_unit_exponent_regime():
     end, cert = ce.required_block_end(lam, 1)
     assert cert.ok and cert.mode == "integral" and cert.doublings == 0
     want = 2.0 * (1.0 + LN2) + math.exp(-2.0)
-    assert end.value() == pytest.approx(want, rel=1e-12)
-    block_end = math.exp(end.value())
+    assert end.level == 0 and end.payload == pytest.approx(want, rel=1e-12)
+    block_end = math.exp(end.payload)
     assert block_end == pytest.approx(4.0 * (math.exp(2.0) + 1.0), rel=0.02)
     assert block_end >= 4.0 * (math.exp(2.0) + 1.0)
 
@@ -157,7 +107,8 @@ def test_block_end_enumerated_fallback():
     assert cert.ok and cert.mode == "enumerated"
     # the enumerated certificate is a true half-tail statement
     s = math.exp(cert.log_s)
-    L = int(round(math.exp(end.value())))
+    assert end.level == 0
+    L = int(round(math.exp(end.payload)))
     assert L >= 3
     finite = sum(n ** (-1.0 - s) for n in range(3, L + 1))
     full = finite + sum(n ** (-1.0 - s) for n in range(L + 1, 200000))
@@ -259,35 +210,40 @@ def test_certificates_monotone_under_inflation():
 
 
 def test_total_atom_mass_small():
-    dist = ce.counterexample_distribution(ce.build_schedule(9))
-    total_log = dist.total_atom_mass_log()
+    dist = ce.CounterexampleDistribution(ce.build_schedule(9))
+    # every atom sits far above 1e-300, so this tail is the whole atom mass
+    total_log = math.log(dm.tails(dist.to_dist(), 1e-300)[0])
     assert total_log < 0.0
     # dominated by the first pair: 2^-1 e^-lambda_1
     lead = -LN2 - dist.schedule.log_cutoffs[0].payload
     assert total_log == pytest.approx(lead, abs=1e-6)
 
 
-def test_tail_log_values():
-    s = ce.build_schedule(4)
-    dist = ce.counterexample_distribution(s)
-    at_first = dist.tail_log(dist.atom_log_value(1))
-    assert at_first == pytest.approx(dist.total_atom_mass_log(), rel=1e-12)
-    assert dist.tail_log(dist.atom_log_value(4) + 1.0) == -math.inf
+def test_tail_at_the_atoms():
+    # only the first two atoms of a schedule sit at positions below 1e308
+    dist = ce.CounterexampleDistribution(ce.build_schedule(2))
+    d = dist.to_dist()
+    lv = [dist.atom_log_value(m) for m in (1, 2)]
+    lw = [dist.atom_log_weight(m) for m in (1, 2)]
+    at_first = dm.tails(d, math.exp(lv[0]))[0]
+    assert at_first == pytest.approx(math.exp(lw[0]) + math.exp(lw[1]), rel=1e-12)
+    assert dm.tails(d, math.exp(lv[0] + 1.0))[0] == pytest.approx(math.exp(lw[1]), rel=1e-12)
+    assert dm.tails(d, math.exp(lv[1] + 1.0))[0] == 0.0
 
 
 def test_to_dist_round_trip_mass():
     s = ce.build_schedule(6)
-    d = ce.counterexample_distribution(s).to_dist()
+    d = ce.CounterexampleDistribution(s).to_dist()
     assert d.kind == "log_atomic_sym"
     with pytest.raises(dm.SamplingUnavailable):
         dm.sample(d, __import__("cclab.seeding", fromlist=["stream"]).stream(0), 5)
 
 
 def test_inverse_growth_moment_values():
-    s1 = ce.counterexample_distribution(ce.build_schedule(1))
+    s1 = ce.CounterexampleDistribution(ce.build_schedule(1))
     got = ce.inverse_growth_moment(s1)
     assert got.value == 0.5 and got.deficit == 0.5
-    s9 = ce.counterexample_distribution(ce.build_schedule(9))
+    s9 = ce.CounterexampleDistribution(ce.build_schedule(9))
     m = ce.inverse_growth_moment(s9)
     assert m.value + m.deficit == 1.0  # exact dyadic identity
     m48 = ce.inverse_growth_moment(s9, terms=48)
@@ -297,40 +253,24 @@ def test_inverse_growth_moment_values():
 
 def test_inverse_growth_moment_per_term_symbolic():
     # the per-term value is exactly 2^-m no matter the cutoffs
-    a = ce.inverse_growth_moment(ce.counterexample_distribution(ce.build_schedule(3)), terms=3)
-    b = ce.inverse_growth_moment(ce.counterexample_distribution(ce.build_schedule(5)), terms=3)
+    a = ce.inverse_growth_moment(ce.CounterexampleDistribution(ce.build_schedule(3)), terms=3)
+    b = ce.inverse_growth_moment(ce.CounterexampleDistribution(ce.build_schedule(5)), terms=3)
     assert a.value == b.value == 0.875
 
 
-def test_truncated_second_moment_log():
+def test_truncated_second_moment_at_the_atoms():
+    # T just above the first m atoms is sum_{j <= m} 2^-j lambda_j; only the
+    # first two atoms sit at positions below 1e308
     s = ce.build_schedule(5)
-    just_above = LogReal.from_value(s.log_cutoffs[0].payload + 1e-6)
-    got = ce.truncated_second_moment_log(s, just_above)
-    assert got.blocks == 1 and got.exact
-    assert got.value.payload == pytest.approx(0.5 * s.log_cutoffs[0].payload, rel=1e-12)
-    # monotone in the argument, and lower-bounded by the dominant term
-    deeper = ce.truncated_second_moment_log(s, LogReal.from_value(s.log_cutoffs[2].payload + 1.0))
-    assert deeper.blocks == 3
-    assert deeper.value.payload >= got.value.payload
-    floor = s.log_cutoffs[2].payload * 2.0 ** -3
-    assert deeper.value.payload >= floor
-
-
-def test_truncated_second_moment_log_rejects_small_n():
-    s = ce.build_schedule(3)
-    with pytest.raises(ValueError):
-        ce.truncated_second_moment_log(s, LogReal.from_value(1.0))
-
-
-def test_truncated_second_moment_deep_lower_bound():
-    s = ce.build_schedule(12)
-    ln_n = LogReal.from_log(s.log_cutoffs[10].log_value() + 1.0)
-    got = ce.truncated_second_moment_log(s, ln_n)
-    assert not got.exact
-    assert got.blocks == 11
-    # the certified lower bound is the dominant term 2^-11 lambda_11
-    want = s.log_cutoffs[10].scaled(2.0 ** -11)
-    assert got.value.compare(want) == 0
+    dist = ce.CounterexampleDistribution(s)
+    lam = [x.payload for x in s.log_cutoffs]
+    cut = [math.exp(dist.atom_log_value(m)) * (1.0 + 1e-9) for m in (1, 2)]
+    got = dm.truncated_moments(dist.to_dist(), 2.0, cut)
+    assert got[0] == pytest.approx(0.5 * lam[0], rel=1e-12)
+    assert got[1] == pytest.approx(0.5 * lam[0] + 0.25 * lam[1], rel=1e-12)
+    # monotone in the cutoff, and bounded below by the dominant term
+    assert got[1] >= got[0]
+    assert got[1] >= lam[1] * 2.0 ** -2
 
 
 # ---------------------------------------------------------------------------

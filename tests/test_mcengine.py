@@ -289,3 +289,11 @@ def test_two_batches_are_identical_for_any_worker_count(d):
     two = mc.estimate_tail(d, 16, 1.0, 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
     assert one.seed_stream.startswith("philox-v2:")
+
+
+def test_sums_overflowing_to_both_signs_are_unavailable():
+    # A step of pareto_sym(0.01) overflows to +-inf for u below 8e-4; 119 of these
+    # 1000 sums hold both signs, and counting them as misses gave p_hat 0.881
+    # where a single step alone exceeds 400 with probability 0.94.
+    with pytest.raises(dm.SamplingUnavailable, match="both"):
+        mc.estimate_tail(dm.pareto_sym(0.01), 1024, 400.0, 1000, 1)

@@ -18,30 +18,32 @@ def spataru_norms():
 
 
 # ---------------------------------------------------------------------------
-# partial_weight_sum
+# T_k = sum_{j<=k} j w(j), as sequence_values computes it
 # ---------------------------------------------------------------------------
 
 
+def partial_sums(w, k):
+    """T_1, ..., T_k of the weights ``w``."""
+    return sk.sequence_values(w, sk.power_law_norms(1.0), k).t
+
+
 def test_partial_sum_constant_weights():
-    w = sk.power_law_weights(0.0)
-    assert sk.partial_weight_sum(w, 4) == 10.0
+    assert partial_sums(sk.power_law_weights(0.0), 4)[-1] == 10.0
 
 
 def test_partial_sum_harmonic_weights():
-    w = sk.power_law_weights(-1.0)
-    assert sk.partial_weight_sum(w, 5) == 5.0
+    assert partial_sums(sk.power_law_weights(-1.0), 5)[-1] == 5.0
 
 
 def test_partial_sum_inverse_square():
-    w = sk.power_law_weights(-2.0)
     # oracle: exact rational arithmetic
-    exact = float(sum(Fraction(1, j) for j in range(1, 4)))
-    assert sk.partial_weight_sum(w, 3) == pytest.approx(exact, rel=1e-15)
+    exact = [float(sum(Fraction(1, j) for j in range(1, k + 1))) for k in (1, 2, 3)]
+    assert partial_sums(sk.power_law_weights(-2.0), 3) == pytest.approx(exact, rel=1e-15)
 
 
 def test_partial_sum_rejects_bad_index():
     with pytest.raises(ValueError):
-        sk.partial_weight_sum(sk.power_law_weights(0.0), 0)
+        sk.power_law_weights(0.0).values(np.arange(0, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,10 +51,9 @@ def test_partial_sum_rejects_bad_index():
 def test_partial_sum_additive_over_splits(j, extra):
     k = j + extra
     w = sk.custom_weights(lambda n: 1.0 / math.sqrt(n) + 0.25 / n, name="mix")
-    whole = sk.partial_weight_sum(w, k)
-    split = sk.partial_weight_sum(w, j) + sk.kahan_sum(
-        i * w(i) for i in range(j + 1, k + 1))
-    assert whole == pytest.approx(split, rel=1e-14)
+    t = partial_sums(w, k)
+    split = t[j - 1] + math.fsum(i * w(i) for i in range(j + 1, k + 1))
+    assert t[-1] == pytest.approx(split, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +238,14 @@ def test_norm_rejects_zero():
 
 def test_norm_increasing_check():
     a = sk.custom_norms(lambda n: 10.0 - n)
-    with pytest.raises(ValueError):
-        a.check_increasing(5)
+    with pytest.raises(ValueError, match="decreases at n=2"):
+        sk.require_nondecreasing(a.values(np.arange(1, 6)))
+    sk.require_nondecreasing(sk.power_law_norms(0.5).values(np.arange(1, 6)))
 
 
 def test_norm_infinity_certificate():
     assert sk.power_law_norms(0.5).tends_to_infinity() is True
     assert sk.custom_norms(lambda n: float(n)).tends_to_infinity() is None
-
-
-def test_report_json_round_trip():
-    rep = sk.check_dyadic_regularity(sk.power_law_weights(-1.0))
-    again = sk.RegularityReport.from_json_dict(rep.to_json_dict())
-    assert again == rep
 
 
 @settings(max_examples=40, deadline=None)
