@@ -274,25 +274,9 @@ def _block_weight_margin(log_cutoff: LogReal, m: int) -> float:
 
 
 def _min_loglam_for_block_weight(m: int) -> float:
-    """Monotone bisection for the least ln(lambda) clearing the block-weight
-    condition with the global corr cap."""
-    target = (m + 1) * _LN2 + 2.0 ** m * (1.0 + _CORR_CAP)
-
-    def g(x: float) -> float:
-        return x - target
-
-    lo, hi = _LNLN2, 8.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
+    """The least ln(lambda) clearing the block-weight condition with the
+    global corr cap; the condition is linear in ln(lambda), so this is its root."""
+    return (m + 1) * _LN2 + 2.0 ** m * (1.0 + _CORR_CAP)
 
 
 @dataclass(frozen=True)
@@ -347,7 +331,7 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     """Inductively choose cutoffs satisfying both inductive conditions.
 
     lambda_m is the largest of: the minimal solution of the block-weight
-    condition (bisection), the certified block end of the previous cutoff,
+    condition (closed form), the certified block end of the previous cutoff,
     and the previous lambda plus one; a 1e-6 log-domain margin is added so
     that replay under the 1e-9 slack always passes.  Entries are promoted to
     the second log level once lambda crosses 1e300.

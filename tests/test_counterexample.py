@@ -125,10 +125,14 @@ def test_block_end_rejects_tiny_cutoff():
 # ---------------------------------------------------------------------------
 
 
-def test_first_cutoff_log_matches_bisection_root():
+def test_first_cutoff_log_is_the_closed_form_root():
+    # lambda * 2^-2 * e^(-2 (1 + corr)) = 1 is linear in ln lambda, with root
+    # 2 ln 2 + 2 (1 + corr) at the corr cap e^-29/29; the schedule adds the
+    # 1e-6 build margin, and lambda_1 lands near 4e^2 ~ 29.556
+    root = 2.0 * LN2 + 2.0 * (1.0 + math.exp(-29.0) / 29.0)
+    assert ce._min_loglam_for_block_weight(1) == root
     s = ce.build_schedule(2)
-    # root of lambda * 2^-2 * e^-2 = 1 is 4e^2 ~ 29.556, plus the build margin
-    assert 29.5 <= s.log_cutoffs[0].payload <= 29.7
+    assert s.log_cutoffs[0].payload == math.exp(root + 1e-6)
     assert s.log_cutoffs[0].payload == pytest.approx(4.0 * math.e ** 2, rel=1e-4)
 
 
