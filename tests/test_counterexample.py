@@ -4,8 +4,6 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cclab import counterexample as ce
 from cclab import distmodel as dm
@@ -34,7 +32,7 @@ def test_logreal_comparisons_across_levels():
     small = LogReal.from_value(5.0)
     mid = LogReal.from_log(400.0)        # e^400 ~ 1e173
     mid2 = LogReal.from_value(1e250)
-    huge = LogReal(2, 100.0)    # e^{e^100}
+    huge = LogReal(2, 100.0)             # e^{e^100}
     assert small < mid < mid2 < huge
     assert not huge < small
     assert LogReal.from_value(7.0).compare(LogReal.from_value(7.0)) == 0
