@@ -9,6 +9,7 @@ import pytest
 
 from cclab import convergence as cv
 from cclab import distmodel as dm
+from cclab import mcengine as mc
 from cclab import seqkit as sk
 from cclab.cli import spataru_norms, spataru_weights
 from cclab.reports import CONVERGES, DIVERGES, UNDETERMINED
@@ -204,3 +205,40 @@ def test_certified_reports_require_certificates():
         rp.SeriesReport("x", {}, (), rp.CONVERGES)
     with pytest.raises(ValueError):
         rp.SeriesReport("x", {}, (), rp.DIVERGES)
+
+
+# ---------------------------------------------------------------------------
+# normal-approximation gap of the exact walk oracle
+# ---------------------------------------------------------------------------
+
+
+def walk_tail(n: int, threshold: float) -> float:
+    """P(|S_n| >= threshold) for the +-1 walk from the exact walk oracle."""
+    return mc.exact_tail(mc.exact_walk_oracle(dm.rademacher(), n), threshold)
+
+
+def test_normal_gap_rademacher_square_threshold():
+    n = 64
+    p = walk_tail(n, math.sqrt(n))
+    assert p == pytest.approx(binom_two_sided_tail(n, math.sqrt(n)), rel=1e-13)
+    gap = abs(p - float(normal_tails(1.0)[0]))
+    want = abs(binom_two_sided_tail(n, math.sqrt(n)) - float(mpmath.erfc(1 / mpmath.sqrt(2))))
+    assert gap == pytest.approx(want, rel=1e-11)
+    assert gap < n ** -0.5
+
+
+def test_normal_gap_shrinks_along_squares():
+    gaps = [abs(walk_tail(n, math.sqrt(n)) - float(normal_tails(1.0)[0]))
+            for n in (16, 64, 256, 1024)]
+    assert all(b < a_ for a_, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 2.0 / math.sqrt(1024)
+
+
+def test_normal_gap_degenerate_truncation():
+    # cutoff below every atom: T = 0, so the adaptive term vanishes instead of
+    # dividing by zero, while the single tail keeps all of the atom mass
+    d = dm.atomic_sym([(5.0, 0.5)])
+    a = sk.power_law_norms(1.0)
+    assert dm.truncated_second_moment(d, 0.5, a, 1) == 0.0
+    assert dm.tail(d, 0.5) == 0.5
+    assert cv.adaptive_exponent_term(d, 0.5, 2) == 0.0

@@ -3,10 +3,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab import counterexample as ce
 from cclab import distmodel as dm
+from cclab import seqkit as sk
+from cclab.cli import spataru_norms
 from cclab.counterexample import LogReal
 
 LN2 = math.log(2.0)
@@ -26,6 +31,34 @@ def test_logreal_levels_and_values():
     z = LogReal(2, 800.0)  # e^{e^800}
     assert z.log_value() == math.inf
     assert z.loglog_value() == 800.0
+
+
+def test_logreal_round_trips():
+    x = LogReal.from_value(3.7)
+    up = LogReal.from_log(x.log_value())
+    assert up.level == 1 and up.compare(x) == 0
+    assert math.exp(up.log_value()) == pytest.approx(3.7, rel=1e-12)
+    big = LogReal.from_log(512.0)
+    assert LogReal(2, big.loglog_value()).log_value() == pytest.approx(512.0, rel=1e-12)
+    # a replayed schedule carries every level through its JSON list unchanged
+    items = ce.build_schedule(12).to_json_list()
+    assert {d["level"] for d in items} == {0, 1}
+    items.append({"m": 13, "level": 2, "payload": 800.0,
+                  "cond_A_margin_log": 0.0, "cond_B_margin_log": None})
+    again = ce.CutoffSchedule.from_json_list(items)
+    assert again.log_cutoff(13) == LogReal(2, 800.0)
+    assert again.to_json_list() == items
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1e200))
+def test_logreal_round_trip_log_domain(v):
+    x = LogReal.from_value(v)
+    back = LogReal.from_log(x.log_value())
+    assert back.compare(x) == 0
+    if v > 1.0:
+        assert LogReal(2, back.loglog_value()).log_value() == pytest.approx(back.payload, rel=1e-12)
+    assert math.exp(back.log_value()) == pytest.approx(v, rel=1e-12)
 
 
 def test_logreal_comparisons_across_levels():
@@ -63,6 +96,36 @@ def test_logreal_validation():
         LogReal(0, -1.0)
     with pytest.raises(ValueError):
         LogReal(0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the normalizing function sqrt(x log x): the norms a(n) and the atom positions
+# ---------------------------------------------------------------------------
+
+
+def test_sqrt_xlogx_anchor_values():
+    a = spataru_norms()
+    assert a(1) == 1.0
+    assert a(2) == pytest.approx(1.1774100225154747, rel=1e-12)
+    assert a(8) == pytest.approx(math.sqrt(8.0 * math.log(8.0)), rel=1e-14)
+    # the atom of block m sits at sqrt(K_m ln K_m) with ln K_m = lambda_m
+    s = ce.build_schedule(2)
+    dist = ce.CounterexampleDistribution(s)
+    for m in (1, 2):
+        lam = s.log_cutoff(m).payload
+        assert dist.atom_log_value(m) == pytest.approx(0.5 * (lam + math.log(lam)), rel=1e-15)
+    lam = s.log_cutoff(1).payload
+    assert math.exp(dist.atom_log_value(1)) == pytest.approx(
+        math.sqrt(math.exp(lam) * lam), rel=1e-12)
+
+
+def test_sqrt_xlogx_strictly_increasing_through_junction():
+    # n = 1 takes the value 1, where n log n would vanish; from n = 2 on the formula
+    vals = spataru_norms().values(np.arange(1, 11))
+    assert (np.diff(vals) > 0.0).all()
+    sk.require_nondecreasing(vals)
+    dist = ce.CounterexampleDistribution(ce.build_schedule(2))
+    assert dist.atom_log_value(1) < dist.atom_log_value(2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +186,7 @@ def test_block_end_rejects_tiny_cutoff():
 # ---------------------------------------------------------------------------
 
 
-def test_first_cutoff_log_is_the_closed_form_root():
+def test_first_cutoff_log_matches_bisection_root():
     # lambda * 2^-2 * e^(-2 (1 + corr)) = 1 is linear in ln lambda, with root
     # 2 ln 2 + 2 (1 + corr) at the corr cap e^-29/29; the schedule adds the
     # 1e-6 build margin, and lambda_1 lands near 4e^2 ~ 29.556
@@ -221,15 +284,15 @@ def test_total_atom_mass_small():
     assert total_log == pytest.approx(lead, abs=1e-6)
 
 
-def test_tail_at_the_atoms():
+def test_tail_log_values():
     # only the first two atoms of a schedule sit at positions below 1e308
     dist = ce.CounterexampleDistribution(ce.build_schedule(2))
     d = dist.to_dist()
     lv = [dist.atom_log_value(m) for m in (1, 2)]
     lw = [dist.atom_log_weight(m) for m in (1, 2)]
-    at_first = dm.tails(d, math.exp(lv[0]))[0]
-    assert at_first == pytest.approx(math.exp(lw[0]) + math.exp(lw[1]), rel=1e-12)
-    assert dm.tails(d, math.exp(lv[0] + 1.0))[0] == pytest.approx(math.exp(lw[1]), rel=1e-12)
+    at_first = math.log(dm.tails(d, math.exp(lv[0]))[0])
+    assert at_first == pytest.approx(float(np.logaddexp(lw[0], lw[1])), rel=1e-12)
+    assert math.log(dm.tails(d, math.exp(lv[0] + 1.0))[0]) == pytest.approx(lw[1], rel=1e-12)
     assert dm.tails(d, math.exp(lv[1] + 1.0))[0] == 0.0
 
 
@@ -260,7 +323,7 @@ def test_inverse_growth_moment_per_term_symbolic():
     assert a.value == b.value == 0.875
 
 
-def test_truncated_second_moment_at_the_atoms():
+def test_truncated_second_moment_log():
     # T just above the first m atoms is sum_{j <= m} 2^-j lambda_j; only the
     # first two atoms sit at positions below 1e308
     s = ce.build_schedule(5)
@@ -273,6 +336,27 @@ def test_truncated_second_moment_at_the_atoms():
     # monotone in the cutoff, and bounded below by the dominant term
     assert got[1] >= got[0]
     assert got[1] >= lam[1] * 2.0 ** -2
+
+
+def test_truncated_second_moment_log_rejects_small_n():
+    d = ce.CounterexampleDistribution(ce.build_schedule(3)).to_dist()
+    with pytest.raises(ValueError):
+        dm.truncated_second_moment(d, 1.0, spataru_norms(), 0)
+    # at n = 1 the cutoff a(1) = 1 lies below every atom
+    assert dm.truncated_second_moment(d, 1.0, spataru_norms(), 1) == 0.0
+
+
+def test_truncated_second_moment_deep_lower_bound():
+    s = ce.build_schedule(12)
+    # the atoms of block 11 lie beyond doubles, so T has no log-atomic view here
+    assert s.log_cutoff(11).level == 1
+    with pytest.raises(ValueError):
+        ce.CounterexampleDistribution(s).to_dist()
+    # the block certificate's exponent floor is the dominant term 2^-11 lambda_11
+    name, ok, details = ce.certify_block(s, 11).steps[0]
+    assert name == "exponent-floor" and ok
+    want = s.log_cutoff(11).scaled(2.0 ** -11)
+    assert LogReal.from_log(details["floor_log"]).compare(want) == 0
 
 
 # ---------------------------------------------------------------------------

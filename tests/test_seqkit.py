@@ -1,5 +1,6 @@
 """Sequence regularity checks against independently computed values."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -246,6 +247,16 @@ def test_norm_increasing_check():
 def test_norm_infinity_certificate():
     assert sk.power_law_norms(0.5).tends_to_infinity() is True
     assert sk.custom_norms(lambda n: float(n)).tends_to_infinity() is None
+
+
+def test_report_json_round_trip():
+    rep = sk.check_dyadic_regularity(sk.power_law_weights(-1.0))
+    d = rep.to_json_dict()
+    again = json.loads(json.dumps(d, allow_nan=False))
+    assert again == d
+    rebuilt = sk.RegularityReport(again["condition_id"], Verdict(again["verdict"]),
+                                  again["constants"], again["horizon"], tuple(again["notes"]))
+    assert rebuilt == rep
 
 
 @settings(max_examples=40, deadline=None)
