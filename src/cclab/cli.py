@@ -496,10 +496,14 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         dist = counterexample.CounterexampleDistribution(schedule)
         d = dist.to_dist()
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
+        note = f"finite inverse-growth moment {report.moment.value!r} certifies this"
+        m0 = len(d.params[0]) + 1  # the first block the view drops
+        if m0 <= schedule.m_max:
+            # block m adds 2^-m lambda_m / log(2 + x_m) < 2^(1-m)
+            note += (f"; blocks {m0}..{schedule.m_max} lie beyond doubles, outside "
+                     f"this value, and add less than 2^{2 - m0} = {2.0 ** (2 - m0)!r}")
         moments.append({"form": "inv_logplus", "finite": mom.finite,
-                        "value": mom.value, "reason": mom.reason,
-                        "note": "finite inverse-growth moment "
-                                f"{report.moment.value!r} certifies this"})
+                        "value": mom.value, "reason": mom.reason, "note": note})
         floor = min(c.block_lower_bound for c in report.certificates) if \
             report.certificates else 0.0
         blocks = RecurringBlocks(

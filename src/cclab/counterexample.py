@@ -188,13 +188,34 @@ def _integral_margin(u: float, ln_s: float, delta_ub: float, e_neg: float) -> tu
     return lhs_log, rhs_log, lhs_log - rhs_log - SLACK
 
 
+def _plus_ln2(x: float, j: int) -> float:
+    """x with ln 2 added j times in double arithmetic, one rounding per step.
+
+    Below -2 every step inside a binade adds the same rounded increment, so
+    a whole binade but its last step is taken at once; the rest go one by one.
+    """
+    while j > 0:
+        if x < -2.0:
+            edge = -math.ldexp(1.0, math.frexp(x)[1] - 1)
+            d = (x + _LN2) - x
+            k = min(j, int((edge - x) // d) - 1)
+            if k > 0:
+                x += k * d
+                j -= k
+                continue
+        x += _LN2
+        j -= 1
+    return x
+
+
 def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCertificate]:
     """Smallest certified block end L for cutoff K = e^lambda and index m.
 
-    Integral route: L = F*(K+1)*2^(1/s) with F doubled (in the log domain)
-    until the half-tail inequality certifies.  When the integral bounds can
-    never certify, K is provably small enough to enumerate the series
-    directly, and the certificate records the enumerated bounds instead.
+    Integral route: L = F*(K+1)*2^(1/s) with the slack factor F doubled (in
+    the log domain) the least number of times that certifies the half-tail
+    inequality.  When the integral bounds can never certify, K is provably
+    small enough to enumerate the series directly, and the certificate
+    records the enumerated bounds instead.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -205,22 +226,29 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
     e_neg = _exp_neg_upper(log_cutoff)
     delta_ub = e_neg  # ln(1 + 1/K) <= 1/K
 
-    # Feasibility of the integral route as the slack factor grows without bound.
+    # The right side does not depend on the slack u, so the integral route is
+    # feasible exactly when it certifies as u grows without bound.
     s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
-    rhs_inf = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
-    if math.log(rhs_inf) <= -SLACK:
+    rhs = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
+    if math.log(rhs) <= -SLACK:
+        # The margin grows with u and clears 0 at u* = -ln(2 - 2 rhs e^SLACK)
+        # (u* = 40 where that rounds to 0: the left side is then 1).  Start two
+        # doublings below u* and step up to the least j at which the doubled
+        # u = s ln2 2^j, formed as ln u += ln 2 per doubling, certifies.
         ln_u = ln_s + _LNLN2
-        doublings = 0
+        if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
+            raise RuntimeError("slack doubling failed to terminate")
+        gap = 2.0 - 2.0 * rhs * math.exp(SLACK)
+        u_star = -math.log(gap) if gap > 0.0 else 40.0
+        doublings = max(0, math.ceil((math.log(u_star) - ln_u) / _LN2) - 2)
+        ln_u = _plus_ln2(ln_u, doublings)
         while True:
-            u = math.exp(ln_u) if ln_u > -700.0 else 0.0
-            if u > 0.0:
-                lhs_log, rhs_log, margin = _integral_margin(u, ln_s, delta_ub, e_neg)
-                if margin >= 0.0:
-                    break
+            u = math.exp(ln_u)
+            lhs_log, rhs_log, margin = _integral_margin(u, ln_s, delta_ub, e_neg)
+            if margin >= 0.0:
+                break
             ln_u += _LN2
             doublings += 1
-            if doublings > 1_000_000:
-                raise RuntimeError("slack doubling failed to terminate")
         w = _LN2 + u
         end = log_cutoff.scaled(1.0 + w / 2.0 ** m).plus_scalar(delta_ub)
         cert = HalfTailCertificate(m=m, log_s=ln_s, mode="integral",
@@ -265,12 +293,16 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
 # ---------------------------------------------------------------------------
 
 
+def _block_weight_need(log_cutoff: LogReal, m: int) -> tuple[float, float]:
+    """(corr_ub, need): the block weight 2^(-m-1) * lambda * exp(-2^m (1 + corr))
+    is ln(lambda) - need in the log domain, with corr <= corr_ub."""
+    corr_ub = _exp_neg_upper(log_cutoff) / max(_lambda_lower_float(log_cutoff), 1.0)
+    return corr_ub, (m + 1) * _LN2 + 2.0 ** m * (1.0 + corr_ub)
+
+
 def _block_weight_margin(log_cutoff: LogReal, m: int) -> float:
     """Log-domain margin of 2^(-m-1) * lambda * exp(-2^m (1 + corr)) >= 1."""
-    lam_lb = _lambda_lower_float(log_cutoff)
-    corr_ub = _exp_neg_upper(log_cutoff) / max(lam_lb, 1.0)
-    required = (m + 1) * _LN2 + 2.0 ** m * (1.0 + corr_ub) + SLACK
-    return log_cutoff.log_value() - required
+    return log_cutoff.log_value() - (_block_weight_need(log_cutoff, m)[1] + SLACK)
 
 
 def _min_loglam_for_block_weight(m: int) -> float:
@@ -339,11 +371,12 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     if not 1 <= m_max <= MAX_DEPTH:
         raise ValueError(f"m_max must lie in 1..{MAX_DEPTH}")
     cutoffs: list[LogReal] = []
+    ends: list[tuple[LogReal, HalfTailCertificate]] = []  # block m's end, at index m - 1
     for m in range(1, m_max + 1):
         candidates = [_min_loglam_for_block_weight(m)]
         if m > 1:
-            end, _ = required_block_end(cutoffs[-1], m - 1)
-            candidates.append(end.log_value() + SLACK)
+            ends.append(required_block_end(cutoffs[-1], m - 1))
+            candidates.append(ends[-1][0].log_value() + SLACK)
             candidates.append(cutoffs[-1].plus_scalar(1.0).log_value())
         lnlam = max(candidates) + _BUILD_MARGIN
         if lnlam <= math.log(_LEVEL0_CAP):
@@ -359,7 +392,7 @@ def build_schedule(m_max: int) -> CutoffSchedule:
             raise CertificationError(f"block-weight condition failed on replay at m={m}")
         a_margins.append(margin_a)
         if m < m_max:
-            end, cert = required_block_end(cutoffs[m - 1], m)
+            end, cert = ends[m - 1]
             if not cert.ok:
                 raise CertificationError(f"half-tail certificate failed at m={m}")
             margin_b = cutoffs[m].log_value() - end.log_value() - SLACK
@@ -384,29 +417,37 @@ class CounterexampleDistribution:
 
     schedule: CutoffSchedule
 
+    def _lambda(self, m: int) -> float:
+        """lambda_m as a double; inf beyond the double range."""
+        lam = self.schedule.log_cutoff(m)
+        if lam.level == 0:
+            return lam.payload
+        lv = lam.log_value()
+        return math.exp(lv) if lv < 709.0 else math.inf
+
     def atom_log_value(self, m: int) -> float:
         """ln of the atom position: (lambda_m + ln lambda_m)/2."""
-        lam = self.schedule.log_cutoff(m)
-        if lam.level != 0:
+        lam = self._lambda(m)
+        if lam == math.inf:
             raise ValueError("atom position exceeds the double log range")
-        return 0.5 * (lam.payload + math.log(lam.payload))
+        return 0.5 * (lam + math.log(lam))
 
     def atom_log_weight(self, m: int) -> float:
         """ln P(|X| = atom_m) = -m ln 2 - lambda_m; -inf when it underflows."""
-        lam = self.schedule.log_cutoff(m)
-        if lam.level == 0:
-            return -m * _LN2 - lam.payload
-        return -math.inf
+        return -m * _LN2 - self._lambda(m)
 
     def to_dist(self) -> distmodel.Dist:
-        """Log-atomic view; requires every cutoff to sit in the double log range."""
-        atoms = []
-        for m in range(1, self.schedule.m_max + 1):
-            lam = self.schedule.log_cutoff(m)
-            if lam.level != 0:
-                raise ValueError("schedule too deep for a log-atomic view")
-            atoms.append((self.atom_log_value(m), self.atom_log_weight(m)))
-        return distmodel.log_atomic_sym(atoms)
+        """Log-atomic view of the atoms whose lambda_m is below 1e300.
+
+        Cutoffs grow, so the dropped atoms are the last blocks, and each sits
+        at sqrt(K_m ln K_m) >= e^(5e299), beyond the largest double.  The view
+        is therefore exact for every truncated moment of positive order at any
+        double cutoff.  The dropped mass, sum_m 2^-m e^(-lambda_m), is below
+        e^(-1e300); only tails and order-0 moments miss it.
+        """
+        kept = [m for m in range(1, self.schedule.m_max + 1) if self._lambda(m) < _LEVEL0_CAP]
+        return distmodel.log_atomic_sym(
+            (self.atom_log_value(m), self.atom_log_weight(m)) for m in kept)
 
 
 @dataclass(frozen=True)
@@ -423,18 +464,16 @@ def inverse_growth_moment(dist: CounterexampleDistribution,
     """Sum of 2 * (2^(-m-1)/K_m) * phi(psi(K_m)) over m = 1..terms.
 
     phi(psi(K_m)) = K_m cancels symbolically in the log domain, so each term
-    equals 2^-m regardless of the cutoffs, and the truncated sum is exactly
-    1 - 2^-terms in dyadic arithmetic.  ``terms`` may exceed the built depth
-    because the construction is an arbitrarily extendable prefix.
+    equals 2^-m regardless of the cutoffs, and the truncated sum is
+    1 - 2^-terms, rounded once (a running sum of the terms rounds to the same
+    double).  ``terms`` may exceed the built depth because the construction
+    is an arbitrarily extendable prefix.
     """
     if terms is None:
         terms = dist.schedule.m_max
     if not 1 <= terms <= 1070:
         raise ValueError("terms must lie in 1..1070")
-    total = 0.0
-    for m in range(1, terms + 1):
-        total += 2.0 ** (-m)
-    return InverseGrowthMoment(value=total, deficit=2.0 ** (-terms), terms=terms)
+    return InverseGrowthMoment(value=1.0 - 2.0 ** -terms, deficit=2.0 ** -terms, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +544,7 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
     record("half-tail", half.ok and half.margin >= 0.0, half.to_json_dict())
 
     # 4. integral tail floor equals twice the block-weight quantity (algebraic)
-    corr_ub = _exp_neg_upper(lam) / max(_lambda_lower_float(lam), 1.0)
+    corr_ub, need = _block_weight_need(lam, m)
     record("tail-floor-identity", True,
            {"corr_upper_bound": corr_ub,
             "note": "s^-1 (K+1)^-s = 2 * 2^(-m-1) lambda e^(-2^m (1+corr)) exactly"})
@@ -514,9 +553,8 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
     margin_a = _block_weight_margin(lam, m)
     record("block-weight-floor", margin_a >= 0.0, {"margin": margin_a})
 
-    floor_log = lam.log_value() - ((m + 1) * _LN2 + 2.0 ** m * (1.0 + corr_ub))
     return BlockCertificate(m=m, ok=failed is None, failed_step=failed,
-                            steps=tuple(steps), block_lower_bound_log=floor_log)
+                            steps=tuple(steps), block_lower_bound_log=lam.log_value() - need)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The CLI paths of the README, run in-process through ``cli.main``."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,27 @@ def test_readme_replay_needs_no_preset(capsys, tmp_path):
     readme_form = json.loads(out)
     assert readme_form["schedule"] == with_preset["schedule"]
     assert readme_form["report"] == with_preset["report"]
+
+
+def test_check_conditions_certifies_deep_counterexamples(capsys):
+    reports = {}
+    for depth in (9, 10, 16):
+        code, out, err = run(capsys, "check-conditions", "--preset",
+                             f"ms_counterexample({depth})", "--horizon", "5000")
+        assert code == cli.EXIT_OK, err
+        reports[depth] = json.loads(out)
+    for depth in (10, 16):
+        (series,) = reports[depth]["series"]
+        assert series["verdict"] == "DivergesCertified"
+        floors = [math.exp(c["block_lower_bound_log"])
+                  for c in reports[depth]["counterexample"]["certificates"]]
+        assert series["divergence"]["block_floor"] == min(floors)
+    # blocks 10..16 lie beyond doubles: the shared terms and the moment agree
+    deep, shallow = reports[16], reports[9]
+    assert deep["series"][0]["rows"] == shallow["series"][0]["rows"]
+    assert deep["moments"][0]["value"] == shallow["moments"][0]["value"]
+    assert "blocks 10..16 lie beyond doubles" in deep["moments"][0]["note"]
+    assert "beyond doubles" not in shallow["moments"][0]["note"]
 
 
 def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import cli
 from cclab import counterexample as ce
 from cclab import distmodel as dm
 from cclab import seqkit as sk
@@ -181,6 +183,56 @@ def test_block_end_rejects_tiny_cutoff():
         ce.required_block_end(LogReal.from_value(0.5), 1)
 
 
+def _doubling_loop_block_end(log_cutoff, m):
+    """The integral route as a search: double u from s ln 2 until the margin
+    clears 0.  The reference the closed form must reproduce bit for bit."""
+    ln_s = m * LN2 - log_cutoff.log_value()
+    e_neg = ce._exp_neg_upper(log_cutoff)
+    ln_u = ln_s + ce._LNLN2
+    doublings = 0
+    while True:
+        u = math.exp(ln_u) if ln_u > -700.0 else 0.0
+        if u > 0.0:
+            lhs_log, rhs_log, margin = ce._integral_margin(u, ln_s, e_neg, e_neg)
+            if margin >= 0.0:
+                break
+        ln_u += LN2
+        doublings += 1
+    end = log_cutoff.scaled(1.0 + (LN2 + u) / 2.0 ** m).plus_scalar(e_neg)
+    return end, ce.HalfTailCertificate(m=m, log_s=ln_s, mode="integral",
+                                       doublings=doublings, lhs_log=lhs_log,
+                                       rhs_log=rhs_log, margin=margin, ok=True)
+
+
+def test_block_end_closed_form_matches_doubling_loop():
+    cases = list(enumerate(ce.build_schedule(16).log_cutoffs[:-1], 1))
+    rng = random.Random(8)
+    for _ in range(150):
+        cases.append((rng.randint(1, 16), LogReal.from_value(math.exp(rng.uniform(3.4, 690.0)))))
+        cases.append((rng.randint(1, 16), LogReal.from_log(rng.uniform(691.0, 40000.0))))
+    for m, lam in cases:
+        assert ce.required_block_end(lam, m) == _doubling_loop_block_end(lam, m), (m, lam)
+    # the depth-16 schedule doubles up to tens of thousands of times
+    assert max(ce.required_block_end(lam, m)[1].doublings for m, lam in cases[:15]) > 40_000
+
+
+def test_block_end_slack_stalls_beyond_double_precision():
+    # ln u cannot grow once ln 2 is below half an ulp of it
+    with pytest.raises(RuntimeError):
+        ce.required_block_end(LogReal.from_log(1e16), 1)
+
+
+def test_counterexample_bytes_match_the_doubling_loop(capsys, monkeypatch):
+    for depth in range(1, 17):
+        argv = ["counterexample", "--preset", f"ms_counterexample({depth})"]
+        assert cli.main(argv) == cli.EXIT_OK
+        closed = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(ce, "required_block_end", _doubling_loop_block_end)
+            assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == closed, depth
+
+
 # ---------------------------------------------------------------------------
 # schedule construction
 # ---------------------------------------------------------------------------
@@ -314,6 +366,11 @@ def test_inverse_growth_moment_values():
     m48 = ce.inverse_growth_moment(s9, terms=48)
     assert m48.value == 1.0 - 2.0 ** -48
     assert m48.deficit == 2.0 ** -48
+    # the closed form equals the running sum of the terms at every length
+    total = 0.0
+    for terms in range(1, 1071):
+        total += 2.0 ** -terms
+        assert ce.inverse_growth_moment(s9, terms=terms).value == total
 
 
 def test_inverse_growth_moment_per_term_symbolic():
@@ -348,10 +405,14 @@ def test_truncated_second_moment_log_rejects_small_n():
 
 def test_truncated_second_moment_deep_lower_bound():
     s = ce.build_schedule(12)
-    # the atoms of block 11 lie beyond doubles, so T has no log-atomic view here
-    assert s.log_cutoff(11).level == 1
+    # lambda_10 is past 1e300, so the view keeps the atoms of blocks 1..9
+    assert s.log_cutoff(9).level == 0 and s.log_cutoff(10).level == 1
+    dist = ce.CounterexampleDistribution(s)
+    kept = tuple(sorted((dist.atom_log_value(m), dist.atom_log_weight(m)) for m in range(1, 10)))
+    assert dist.to_dist().params == (kept,)
+    assert dist.to_dist() == ce.CounterexampleDistribution(ce.build_schedule(9)).to_dist()
     with pytest.raises(ValueError):
-        ce.CounterexampleDistribution(s).to_dist()
+        dist.atom_log_value(12)
     # the block certificate's exponent floor is the dominant term 2^-11 lambda_11
     name, ok, details = ce.certify_block(s, 11).steps[0]
     assert name == "exponent-floor" and ok
