@@ -81,12 +81,10 @@ def spataru_weights() -> WeightSeq:
 
 
 def spataru_norms() -> NormSeq:
+    """(n log n)^(1/2), with a(1) = 1."""
     fam = PowerLawFamily(exponent=0.5, sv=SlowlyVarying(logn=0.5))
-
-    def fn(n: int) -> float:
-        return 1.0 if n == 1 else math.sqrt(n * math.log(n))
-
-    return NormSeq(fn=fn, name="(n log n)^(1/2)", family=fam)
+    return NormSeq(fn=lambda n: np.where(n == 1, 1.0, np.sqrt(n * seqkit.libm(math.log, n))),
+                   name="(n log n)^(1/2)", family=fam)
 
 
 def baum_katz_weights(r: float) -> WeightSeq:

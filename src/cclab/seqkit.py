@@ -206,21 +206,14 @@ class PowerLawFamily:
     def values(self, n: np.ndarray) -> np.ndarray:
         return self.coef * libm(pow, n, self.exponent) * self.sv.values(n)
 
-    def value(self, n: int) -> float:
-        return float(self.values(np.array([n]))[0])
-
 
 def _evaluate(seq, n, what: str, ok, bad: str) -> np.ndarray:
-    """seq.fn over the indices ``n``, validated once: in closed form when fn is
-    the family's own formula, otherwise one call per index.  The first value
+    """seq.fn over the indices ``n``, validated once.  The first value
     failing ``ok`` raises ``bad`` formatted with its n and value."""
     n = np.asarray(n)
     if n.size and n.min() < 1:
         raise ValueError(f"{what} index must be >= 1")
-    if seq.family is not None and seq.fn == seq.family.value:
-        v = seq.family.values(n)
-    else:
-        v = np.fromiter((float(seq.fn(k)) for k in memoryview(n)), np.float64, count=n.size)
+    v = np.asarray(seq.fn(n), dtype=np.float64)
     fails = np.flatnonzero(~(np.isfinite(v) & ok(v)))
     if fails.size:
         i = fails[0]
@@ -232,14 +225,16 @@ def _evaluate(seq, n, what: str, ok, bad: str) -> np.ndarray:
 class WeightSeq:
     """Nonnegative weights w(n); family metadata enables certified verdicts.
 
+    ``fn`` maps an array of indices to the array of weights.
     ``tail_bound(start, g)``, when provided on a custom sequence, must return
-    a certified upper bound on sum_{k>=start} g(k) * w(k).
+    a certified upper bound on sum_{k>=start} g(k) * w(k); ``g`` maps an
+    array of indices to an array of values.
     """
 
-    fn: Callable[[int], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     family: Optional[PowerLawFamily] = None
-    tail_bound: Optional[Callable[[int, Callable[[int], float]], float]] = None
+    tail_bound: Optional[Callable[[int, Callable[[np.ndarray], np.ndarray]], float]] = None
 
     def values(self, n: np.ndarray) -> np.ndarray:
         """w over an array of indices."""
@@ -252,9 +247,12 @@ class WeightSeq:
 
 @dataclass(frozen=True)
 class NormSeq:
-    """Strictly positive normalizer a(n); increasing on every queried range."""
+    """Strictly positive normalizer a(n); increasing on every queried range.
 
-    fn: Callable[[int], float]
+    ``fn`` maps an array of indices to the array of values.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     family: Optional[PowerLawFamily] = None
 
@@ -306,23 +304,31 @@ def power_law_weights(exponent: float, coef: float = 1.0,
                       sv: SlowlyVarying = SlowlyVarying(),
                       name: Optional[str] = None) -> WeightSeq:
     fam = PowerLawFamily(exponent=exponent, coef=coef, sv=sv)
-    return WeightSeq(fn=fam.value, name=name or f"n^{exponent:g}", family=fam)
+    return WeightSeq(fn=fam.values, name=name or f"n^{exponent:g}", family=fam)
 
 
 def power_law_norms(exponent: float, coef: float = 1.0,
                     sv: SlowlyVarying = SlowlyVarying(),
                     name: Optional[str] = None) -> NormSeq:
     fam = PowerLawFamily(exponent=exponent, coef=coef, sv=sv)
-    return NormSeq(fn=fam.value, name=name or f"n^{exponent:g}", family=fam)
+    return NormSeq(fn=fam.values, name=name or f"n^{exponent:g}", family=fam)
+
+
+def _per_index(fn: Callable[[int], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The array function of a one-point callable: one call per index."""
+    return lambda n: np.fromiter((float(fn(k)) for k in memoryview(n)), np.float64,
+                                 count=n.size)
 
 
 def custom_weights(fn: Callable[[int], float], name: str = "custom",
                    tail_bound=None) -> WeightSeq:
-    return WeightSeq(fn=fn, name=name, family=None, tail_bound=tail_bound)
+    """Weights from a one-point callable w(n)."""
+    return WeightSeq(fn=_per_index(fn), name=name, family=None, tail_bound=tail_bound)
 
 
 def custom_norms(fn: Callable[[int], float], name: str = "custom") -> NormSeq:
-    return NormSeq(fn=fn, name=name, family=None)
+    """A normalizer from a one-point callable a(n)."""
+    return NormSeq(fn=_per_index(fn), name=name, family=None)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +529,7 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
     if shape is not None:
         assessment = certified_power_tail(shape[0], shape[1], shape[2], horizon + 1)
     elif w.tail_bound is not None:
-        g = lambda k: float(k) ** theta / a(k) ** p
+        g = lambda k: libm(pow, k, theta) / libm(pow, a.values(k), p)
         assessment = TailAssessment("finite", float(w.tail_bound(horizon + 1, g)),
                                     "caller-supplied certified tail bound")
     else:
