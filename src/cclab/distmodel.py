@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,6 +79,27 @@ class Dist:
     kind: str
     params: tuple
     symmetric: bool
+
+    @cached_property
+    def _abs_law(self) -> tuple[list, list, np.ndarray]:
+        """Law of |X| for an atom law, built on first use: ascending keys,
+        their terms, and the tail sum over keys[i:] for every split point i.
+
+        Finite atom laws key by magnitude from 0, each with the mass at -v plus
+        the mass at +v, added in table order; ``log_atomic_sym`` keys by log
+        magnitude, with log masses.
+        """
+        if self.kind == "log_atomic_sym":
+            (atoms,) = self.params
+            keys, terms = [lv for lv, _ in atoms], [lw for _, lw in atoms]
+            return keys, terms, _split_sums(terms, below=False, total=_log_total)
+        (table,) = self.params
+        mass = {0.0: _rest(table)}
+        for v, p in table:
+            mass[abs(v)] = mass.get(abs(v), 0.0) + p
+        keys = sorted(mass)
+        terms = [mass[m] for m in keys]
+        return keys, terms, _split_sums(terms, below=False)
 
 
 def rademacher() -> Dist:
@@ -177,29 +199,17 @@ def _rest(table) -> float:
     return max(1.0 - sum(p for _, p in table), 0.0)
 
 
-def _abs_law(d: Dist) -> tuple[list, list]:
-    """Law of |X| for a finite atom law: ascending magnitudes from 0, each
-    with the mass at -v plus the mass at +v, added in table order."""
-    (table,) = d.params
-    mass = {0.0: _rest(table)}
-    for v, p in table:
-        mass[abs(v)] = mass.get(abs(v), 0.0) + p
-    mags = sorted(mass)
-    return mags, [mass[m] for m in mags]
+def _split_sums(terms: list, below: bool, total=sum) -> np.ndarray:
+    """total(terms[:i]) (``below``) or total(terms[i:]) for every split point
+    i = 0..len(terms).
 
-
-def _by_level(keys: list, cut: np.ndarray, terms: list, below: bool,
-              total=sum) -> np.ndarray:
-    """total(terms) over the atoms with key < c (``below``) or key >= c, for
-    every cutoff c; ``keys`` ascending, in the order of ``terms``.
-
-    The kept atoms are a prefix or a suffix, so ``total`` runs once per
-    split point, over the terms in ascending order: the same sum, in the
-    same order, as the one-cutoff formula.
+    With ascending keys, the atoms below or at and above a cutoff are a
+    prefix or a suffix, so each split point's sum runs over the terms in
+    ascending order: the same sum, in the same order, as the one-cutoff
+    formula.  Index the result with ``searchsorted(keys, cut, side="left")``.
     """
-    sums = np.array([total(terms[:i] if below else terms[i:]) for i in range(len(keys) + 1)],
+    return np.array([total(terms[:i] if below else terms[i:]) for i in range(len(terms) + 1)],
                     dtype=np.float64)
-    return sums[np.searchsorted(keys, cut, side="left")]
 
 
 def _log_total(log_terms) -> float:
@@ -216,9 +226,10 @@ def tails(d: Dist, lam) -> np.ndarray:
         raise ValueError("threshold must be a nonnegative real")
     pos = lam > 0.0
     out = np.ones(lam.shape)
-    if d.kind in _ATOM_KINDS:
-        mags, masses = _abs_law(d)
-        out[pos] = _by_level(mags, lam[pos], masses, below=False)
+    if d.kind in _ATOM_KINDS or d.kind == "log_atomic_sym":
+        keys, _, above = d._abs_law
+        cut = lam[pos] if d.kind in _ATOM_KINDS else libm(math.log, lam[pos])
+        out[pos] = above[np.searchsorted(keys, cut, side="left")]
     elif d.kind == "uniform_sym":
         (h,) = d.params
         out = np.maximum(0.0, 1.0 - lam / h)
@@ -228,10 +239,6 @@ def tails(d: Dist, lam) -> np.ndarray:
         alpha, scale = d.params
         far = lam > scale
         out[far] = libm(pow, scale / lam[far], alpha)
-    elif d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        out[pos] = _by_level([lv for lv, _ in atoms], libm(math.log, lam[pos]),
-                             [lw for _, lw in atoms], below=False, total=_log_total)
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     out[~pos] = 1.0
@@ -256,8 +263,9 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
     if not (b > 0.0).all():
         raise ValueError("cutoff must be positive")
     if d.kind in _ATOM_KINDS:
-        mags, masses = _abs_law(d)
-        return _by_level(mags, b, [q * m ** nu for m, q in zip(mags, masses)], below=True)
+        mags, masses, _ = d._abs_law
+        below = _split_sums([q * m ** nu for m, q in zip(mags, masses)], below=True)
+        return below[np.searchsorted(mags, b, side="left")]
     if d.kind == "uniform_sym":
         (h,) = d.params
         return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
@@ -281,11 +289,12 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
             out[far] = k * (libm(pow, b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
         return out
     if d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        out = _by_level([lv for lv, _ in atoms], libm(math.log, b),
-                        [lw + nu * lv for lv, lw in atoms], below=True, total=_log_total)
+        keys, log_masses, above = d._abs_law
+        below = _split_sums([lw + nu * lv for lv, lw in zip(keys, log_masses)], below=True,
+                            total=_log_total)
+        out = below[np.searchsorted(keys, libm(math.log, b), side="left")]
         if nu == 0.0:  # |X|^0 = 1 at the implied atom at 0 too
-            out = max(1.0 - _log_total([lw for _, lw in atoms]), 0.0) + out
+            out = max(1.0 - above[0], 0.0) + out
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
@@ -326,7 +335,7 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
     """
     wf = _moment_weight(form, delta)
     if d.kind in _ATOM_KINDS:
-        mags, masses = _abs_law(d)
+        mags, masses, _ = d._abs_law
         return MomentValue(True, sum(q * wf(m) for m, q in zip(mags, masses)))
     if d.kind == "log_atomic_sym":
         (atoms,) = d.params
@@ -369,7 +378,7 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
 def support_bound(d: Dist) -> Optional[float]:
     """Least B with P(|X| <= B) = 1, when finite and known."""
     if d.kind in _ATOM_KINDS:
-        return _abs_law(d)[0][-1]
+        return d._abs_law[0][-1]
     if d.kind == "uniform_sym":
         return d.params[0]
     return None
@@ -378,7 +387,7 @@ def support_bound(d: Dist) -> Optional[float]:
 def second_moment_bound(d: Dist) -> Optional[float]:
     """Upper bound on E[X^2], when finite and known in closed form."""
     if d.kind in _ATOM_KINDS:
-        mags, masses = _abs_law(d)
+        mags, masses, _ = d._abs_law
         return sum(q * m * m for m, q in zip(mags, masses))
     if d.kind == "normal_std":
         return 1.0
