@@ -68,6 +68,14 @@ _ALLOWED_KEYS = {
     "output": {"dir"},
 }
 
+# The config key each flag sets.  Flags are applied after the --set entries,
+# so they win, and the hash sees every key however it was given.
+_FLAG_KEYS = {
+    "preset": ("scenario", "preset"), "eps": ("scenario", "eps"),
+    "horizon": ("scenario", "horizon"), "replicates": ("mc", "replicates"),
+    "seed": ("mc", "seed"), "workers": ("mc", "workers"), "out": ("output", "dir"),
+}
+
 _PRESET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 
 
@@ -248,6 +256,8 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
 def load_config(path: Optional[str], overrides: dict,
                 require_sequences: bool = True,
                 require_distribution: bool = True) -> ScenarioConfig:
+    """The scenario in the config file at ``path`` (if any), with
+    ``overrides["sets"]``, a list of (section, key, value), applied in order."""
     parser = configparser.ConfigParser()
     if path is not None:
         try:
@@ -268,12 +278,10 @@ def load_config(path: Optional[str], overrides: dict,
             if key not in _ALLOWED_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    given = {k: v for k, v in overrides.items() if v is not None}  # a flag of 0 counts
     scen = parser["scenario"] if parser.has_section("scenario") else {}
-    preset_text = given.get("preset", scen.get("preset", "custom"))
-    preset, args = _parse_preset(preset_text)
+    preset, args = _parse_preset(scen.get("preset", "custom"))
 
-    eps_text = given.get("eps", scen.get("eps", "0.5,1.0"))
+    eps_text = scen.get("eps", "0.5,1.0")
     try:
         eps = tuple(float(x) for x in str(eps_text).split(",") if x.strip())
     except ValueError as exc:
@@ -283,7 +291,7 @@ def load_config(path: Optional[str], overrides: dict,
 
     try:
         theta = float(scen.get("theta", 1.0))
-        horizon = int(given.get("horizon", scen.get("horizon", 10_000)))
+        horizon = int(scen.get("horizon", 10_000))
     except ValueError as exc:
         raise ConfigError("theta/horizon must be numeric") from exc
     if theta < 1.0:
@@ -293,9 +301,9 @@ def load_config(path: Optional[str], overrides: dict,
 
     mc = parser["mc"] if parser.has_section("mc") else {}
     try:
-        replicates = int(given.get("replicates", mc.get("replicates", 10_000)))
-        seed = int(given.get("seed", mc.get("seed", 20_240_801)))
-        workers = int(given.get("workers", mc.get("workers", 1)))
+        replicates = int(mc.get("replicates", 10_000))
+        seed = int(mc.get("seed", 20_240_801))
+        workers = int(mc.get("workers", 1))
     except ValueError as exc:
         raise ConfigError("mc keys must be integers") from exc
     if workers < 1:
@@ -327,11 +335,8 @@ def load_config(path: Optional[str], overrides: dict,
     if dist is None and preset != "ms_counterexample" and require_distribution:
         raise ConfigError("a [distribution] section is required for this preset")
 
-    out_dir = overrides.get("out") or (
-        parser["output"].get("dir") if parser.has_section("output") else None)
-
-    digest_src = _canonical_text(parser) + f"\npreset={preset_text}\neps={eps_text}"
-    sha = hashlib.sha256(digest_src.encode()).hexdigest()
+    out_dir = parser["output"].get("dir") if parser.has_section("output") else None
+    sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
     return ScenarioConfig(preset=preset, preset_args=args, dist=dist,
                           counter_depth=counter_depth, weights=w, norms=a,
                           eps=eps, theta=theta, horizon=horizon,
@@ -679,12 +684,11 @@ def _overrides_from_args(args) -> dict:
         except ValueError as exc:
             raise ConfigError(f"malformed --set {item!r}") from exc
         sets.append((section, key, value))
-    return {
-        "preset": args.preset, "eps": args.eps, "horizon": args.horizon,
-        "replicates": args.replicates, "seed": args.seed,
-        "workers": args.workers, "maximal": args.maximal, "out": args.out,
-        "sets": sets,
-    }
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:  # a flag of 0 counts
+            sets.append((section, key, str(value)))
+    return {"sets": sets, "maximal": args.maximal}
 
 
 def main(argv=None) -> int:

@@ -79,9 +79,10 @@ def test_monte_carlo_bytes_match_golden_for_any_worker_count(capsys, label):
     code, out, _ = run(capsys, *argv)
     assert code == cli.EXIT_OK
     assert_golden(out, f"{label}.json")
-    code, out2, _ = run(capsys, *argv, "--workers", "2")
-    assert code == cli.EXIT_OK
-    assert out2 == out
+    for workers in ("1", "2"):
+        code, out2, _ = run(capsys, *argv, "--workers", workers)
+        assert code == cli.EXIT_OK
+        assert out2 == out
 
 
 def test_readme_normal_example_certifies_single_tail(capsys):
@@ -114,8 +115,8 @@ CERTIFIED_PAIRS = [
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
 def test_certificates_hold_past_the_horizon(preset, dist):
     horizon = 10_000
-    cfg = cli.load_config(None, {"preset": preset, "horizon": horizon,
-                                 "sets": [("distribution", k, v) for k, v in dist.items()]})
+    sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
+    cfg = cli.load_config(None, {"sets": sets + [("distribution", k, v) for k, v in dist.items()]})
     d, w, a = cfg.dist, cfg.weights, cfg.norms
     n = np.arange(1, 10 * horizon + 1)
     wv, av = w.values(n), a.values(n)
@@ -236,6 +237,28 @@ def test_seed_zero_is_not_replaced_by_the_default(capsys):
     payload = json.loads(out)
     assert payload["provenance"]["seed"] == 0
     assert payload["estimate"]["seed_stream"] == "philox-v2:0/0/4"
+
+
+def config_sha256(capsys, *argv) -> str:
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_OK, err
+    return json.loads(out)["provenance"]["config_sha256"]
+
+
+def test_config_hash_covers_flags_like_set_entries(capsys):
+    check = ["check-conditions", "--preset", "baum_katz(2,1)",
+             "--set", "distribution.kind=rademacher"]
+    short = config_sha256(capsys, *check, "--horizon", "100")
+    assert short != config_sha256(capsys, *check, "--horizon", "200")
+    assert short == config_sha256(capsys, *check, "--set", "scenario.horizon=100")
+    # a flag wins over the --set entry for the same key
+    assert short == config_sha256(capsys, *check, "--set", "scenario.horizon=200",
+                                  "--horizon", "100")
+    seeded = config_sha256(capsys, *estimate_argv(seed="5"))
+    assert seeded != config_sha256(capsys, *estimate_argv(seed="6"))
+    assert seeded == config_sha256(capsys, *estimate_argv(replicates="1000"),
+                                   "--set", "mc.seed=5")
+    assert seeded != config_sha256(capsys, *estimate_argv(seed="5", replicates="2000"))
 
 
 def test_estimate_with_every_replicate_a_hit(capsys):
