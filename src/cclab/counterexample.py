@@ -174,17 +174,14 @@ class HalfTailCertificate:
                 "rhs_log": self.rhs_log, "margin": self.margin, "ok": self.ok}
 
 
-def _integral_margin(u: float, ln_s: float, delta_ub: float, e_neg: float) -> tuple[float, float, float]:
+def _integral_margin(u: float, rhs: float) -> tuple[float, float, float]:
     """(lhs_log, rhs_log, margin) of the dimensionless half-tail inequality.
 
     After multiplying through by s*(K+1)^s, the condition reads
     1 - e^(-(ln2 + u)) >= 0.5*[(1+1/K)^s + s/(K+1)], and the right side is
-    upper bounded by 0.5*[e^(s*delta) + s*e^(-lambda)].
+    upper bounded by rhs = 0.5*[e^(s*delta) + s*e^(-lambda)].
     """
-    s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
-    lhs = -math.expm1(-(_LN2 + u))
-    rhs = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
-    lhs_log, rhs_log = math.log(lhs), math.log(rhs)
+    lhs_log, rhs_log = math.log(-math.expm1(-(_LN2 + u))), math.log(rhs)
     return lhs_log, rhs_log, lhs_log - rhs_log - SLACK
 
 
@@ -226,15 +223,14 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
     e_neg = _exp_neg_upper(log_cutoff)
     delta_ub = e_neg  # ln(1 + 1/K) <= 1/K
 
-    # The right side does not depend on the slack u, so the integral route is
-    # feasible exactly when it certifies as u grows without bound.
+    # The right side does not depend on the slack u, and the margin grows with
+    # u to clear 0 at u* = -ln(2 - 2 rhs e^SLACK), so the route is feasible
+    # exactly when it certifies as u grows without bound.  j doublings of
+    # u = s ln2 (ln u += ln 2 each) start two below u* and step up to the
+    # least that certifies; where u* rounds to inf, the left side is 1 at 40.
     s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
     rhs = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
     if math.log(rhs) <= -SLACK:
-        # The margin grows with u and clears 0 at u* = -ln(2 - 2 rhs e^SLACK)
-        # (u* = 40 where that rounds to 0: the left side is then 1).  Start two
-        # doublings below u* and step up to the least j at which the doubled
-        # u = s ln2 2^j, formed as ln u += ln 2 per doubling, certifies.
         ln_u = ln_s + _LNLN2
         if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
             raise RuntimeError("slack doubling failed to terminate")
@@ -244,7 +240,7 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
         ln_u = _plus_ln2(ln_u, doublings)
         while True:
             u = math.exp(ln_u)
-            lhs_log, rhs_log, margin = _integral_margin(u, ln_s, delta_ub, e_neg)
+            lhs_log, rhs_log, margin = _integral_margin(u, rhs)
             if margin >= 0.0:
                 break
             ln_u += _LN2
@@ -293,16 +289,13 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
 # ---------------------------------------------------------------------------
 
 
-def _block_weight_need(log_cutoff: LogReal, m: int) -> tuple[float, float]:
-    """(corr_ub, need): the block weight 2^(-m-1) * lambda * exp(-2^m (1 + corr))
-    is ln(lambda) - need in the log domain, with corr <= corr_ub."""
+def _block_weight(log_cutoff: LogReal, m: int) -> tuple[float, float, float]:
+    """(corr_ub, floor_log, margin): ln of the block weight
+    2^(-m-1) * lambda * exp(-2^m (1 + corr)) with corr <= corr_ub, and the
+    log-domain margin of that weight being >= 1."""
     corr_ub = _exp_neg_upper(log_cutoff) / max(_lambda_lower_float(log_cutoff), 1.0)
-    return corr_ub, (m + 1) * _LN2 + 2.0 ** m * (1.0 + corr_ub)
-
-
-def _block_weight_margin(log_cutoff: LogReal, m: int) -> float:
-    """Log-domain margin of 2^(-m-1) * lambda * exp(-2^m (1 + corr)) >= 1."""
-    return log_cutoff.log_value() - (_block_weight_need(log_cutoff, m)[1] + SLACK)
+    need, lv = (m + 1) * _LN2 + 2.0 ** m * (1.0 + corr_ub), log_cutoff.log_value()
+    return corr_ub, lv - need, lv - (need + SLACK)
 
 
 def _min_loglam_for_block_weight(m: int) -> float:
@@ -387,7 +380,7 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     a_margins = []
     b_margins: list[Optional[float]] = []
     for m in range(1, m_max + 1):
-        margin_a = _block_weight_margin(cutoffs[m - 1], m)
+        margin_a = _block_weight(cutoffs[m - 1], m)[2]
         if margin_a < 0.0:
             raise CertificationError(f"block-weight condition failed on replay at m={m}")
         a_margins.append(margin_a)
@@ -417,37 +410,33 @@ class CounterexampleDistribution:
 
     schedule: CutoffSchedule
 
-    def _lambda(self, m: int) -> float:
-        """lambda_m as a double; inf beyond the double range."""
-        lam = self.schedule.log_cutoff(m)
-        if lam.level == 0:
-            return lam.payload
-        lv = lam.log_value()
-        return math.exp(lv) if lv < 709.0 else math.inf
-
     def atom_log_value(self, m: int) -> float:
         """ln of the atom position: (lambda_m + ln lambda_m)/2."""
-        lam = self._lambda(m)
-        if lam == math.inf:
+        lam = self.schedule.log_cutoff(m)
+        if lam.level != 0:
             raise ValueError("atom position exceeds the double log range")
-        return 0.5 * (lam + math.log(lam))
+        return 0.5 * (lam.payload + math.log(lam.payload))
 
     def atom_log_weight(self, m: int) -> float:
         """ln P(|X| = atom_m) = -m ln 2 - lambda_m; -inf when it underflows."""
-        return -m * _LN2 - self._lambda(m)
+        lam = self.schedule.log_cutoff(m)
+        if lam.level == 0:
+            return -m * _LN2 - lam.payload
+        return -math.inf
 
     def to_dist(self) -> distmodel.Dist:
-        """Log-atomic view of the atoms whose lambda_m is below 1e300.
+        """Log-atomic view of the atoms whose lambda_m is below 1e300, the
+        ones a built schedule stores at level 0.
 
         Cutoffs grow, so the dropped atoms are the last blocks, and each sits
         at sqrt(K_m ln K_m) >= e^(5e299), beyond the largest double.  The view
         is therefore exact for every truncated moment of positive order at any
         double cutoff.  The dropped mass, sum_m 2^-m e^(-lambda_m), is below
-        e^(-1e300); only tails and order-0 moments miss it.
+        e^(-1e300); tails and order-0 moments are off by at most that.
         """
-        kept = [m for m in range(1, self.schedule.m_max + 1) if self._lambda(m) < _LEVEL0_CAP]
         return distmodel.log_atomic_sym(
-            (self.atom_log_value(m), self.atom_log_weight(m)) for m in kept)
+            (self.atom_log_value(m), self.atom_log_weight(m))
+            for m in range(1, self.schedule.m_max + 1) if self.schedule.log_cutoff(m).level == 0)
 
 
 @dataclass(frozen=True)
@@ -544,17 +533,16 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
     record("half-tail", half.ok and half.margin >= 0.0, half.to_json_dict())
 
     # 4. integral tail floor equals twice the block-weight quantity (algebraic)
-    corr_ub, need = _block_weight_need(lam, m)
+    corr_ub, floor_log, margin_a = _block_weight(lam, m)
     record("tail-floor-identity", True,
            {"corr_upper_bound": corr_ub,
             "note": "s^-1 (K+1)^-s = 2 * 2^(-m-1) lambda e^(-2^m (1+corr)) exactly"})
 
     # 5. block-weight floor >= 1
-    margin_a = _block_weight_margin(lam, m)
     record("block-weight-floor", margin_a >= 0.0, {"margin": margin_a})
 
     return BlockCertificate(m=m, ok=failed is None, failed_step=failed,
-                            steps=tuple(steps), block_lower_bound_log=lam.log_value() - need)
+                            steps=tuple(steps), block_lower_bound_log=floor_log)
 
 
 @dataclass(frozen=True)

@@ -188,12 +188,14 @@ def _doubling_loop_block_end(log_cutoff, m):
     clears 0.  The reference the closed form must reproduce bit for bit."""
     ln_s = m * LN2 - log_cutoff.log_value()
     e_neg = ce._exp_neg_upper(log_cutoff)
+    s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
+    rhs = 0.5 * (math.exp(min(s_val * e_neg, 50.0)) + s_val * e_neg)
     ln_u = ln_s + ce._LNLN2
     doublings = 0
     while True:
         u = math.exp(ln_u) if ln_u > -700.0 else 0.0
         if u > 0.0:
-            lhs_log, rhs_log, margin = ce._integral_margin(u, ln_s, e_neg, e_neg)
+            lhs_log, rhs_log, margin = ce._integral_margin(u, rhs)
             if margin >= 0.0:
                 break
         ln_u += LN2
