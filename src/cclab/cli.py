@@ -490,9 +490,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon, values=values),
         seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon, values=values),
     ]
-    series = []
-    moments = []
-
+    series, moments, extra = [], [], {}
     if cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(cfg.counter_depth)
         report = counterexample.verify_counterexample(schedule)
@@ -501,8 +499,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
         note = f"finite inverse-growth moment {report.moment.value!r} certifies this"
         m0 = len(d.params[0]) + 1  # the first block the view drops
-        if m0 <= schedule.m_max:
-            # block m adds 2^-m lambda_m / log(2 + x_m) < 2^(1-m)
+        if m0 <= schedule.m_max:  # block m adds 2^-m lambda_m / log(2 + x_m) < 2^(1-m)
             note += (f"; blocks {m0}..{schedule.m_max} lie beyond doubles, outside "
                      f"this value, and add less than 2^{2 - m0} = {2.0 ** (2 - m0)!r}")
         moments.append({"form": "inv_logplus", "finite": mom.finite,
@@ -515,55 +512,45 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             description="each cutoff block of the adaptive-exponent series "
                         "is certified >= 1 in the log domain")
         grid = np.arange(2, min(horizon, 512) + 1)
-        terms = convergence.adaptive_exponent_terms(d, 1.0, grid)
-        if report.divergence_certified:
-            series.append(_series_with_envelope(
-                "adaptive-exponent", grid, terms, {"eps": 1.0}, blocks,
-                evidence=("terms vanish on any double-range horizon; divergence "
-                          "lives at the cutoff scales recorded in the certificates",)))
-        else:
-            series.append(_series_with_envelope(
-                "adaptive-exponent", grid, terms, {"eps": 1.0}, None,
-                evidence=("block certificates incomplete",)))
-        out = {
-            "provenance": cfg.provenance(),
-            "regularity": [r.to_json_dict() for r in regularity],
-            "series": [s.to_json_dict() for s in series],
-            "moments": moments,
-            "counterexample": report.to_json_dict(),
-            "schedule": schedule.to_json_list(),
-        }
-        return out
-
-    d = cfg.dist
-    mom = distmodel.weighted_second_moment(d, "inv_logplus")
-    moments.append({"form": "inv_logplus", "finite": mom.finite,
-                    "value": mom.value, "reason": mom.reason})
-    if cfg.preset == "spataru_weak":
-        delta = cfg.preset_args[0]
-        mom2 = distmodel.weighted_second_moment(d, "loglog_delta", delta=delta)
-        moments.append({"form": "loglog_delta", "delta": delta,
-                        "finite": mom2.finite, "value": mom2.value,
-                        "reason": mom2.reason})
-
-    for eps in cfg.eps:
+        certified = report.divergence_certified
         series.append(_series_with_envelope(
-            "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
-            {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
-        env_iii = _envelope_exp_term(d, w, a, eps)
-        series.append(_series_with_envelope(
-            "exponential", n, convergence.exp_terms(d, tau, av, eps, n),
-            {"eps": eps}, env_iii))
-        if cfg.preset in ("spataru", "spataru_weak"):
+            "adaptive-exponent", grid, convergence.adaptive_exponent_terms(d, 1.0, grid),
+            {"eps": 1.0}, blocks if certified else None,
+            evidence=("terms vanish on any double-range horizon; divergence lives at "
+                      "the cutoff scales recorded in the certificates" if certified
+                      else "block certificates incomplete",)))
+        extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
+    else:
+        d = cfg.dist
+        mom = distmodel.weighted_second_moment(d, "inv_logplus")
+        moments.append({"form": "inv_logplus", "finite": mom.finite,
+                        "value": mom.value, "reason": mom.reason})
+        if cfg.preset == "spataru_weak":
+            delta = cfg.preset_args[0]
+            mom2 = distmodel.weighted_second_moment(d, "loglog_delta", delta=delta)
+            moments.append({"form": "loglog_delta", "delta": delta,
+                            "finite": mom2.finite, "value": mom2.value,
+                            "reason": mom2.reason})
+
+        for eps in cfg.eps:
             series.append(_series_with_envelope(
-                "adaptive-exponent", n[1:],
-                convergence.adaptive_exponent_terms(d, eps, n[1:]), {"eps": eps}, env_iii))
+                "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
+                {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
+            env_iii = _envelope_exp_term(d, w, a, eps)
+            series.append(_series_with_envelope(
+                "exponential", n, convergence.exp_terms(d, tau, av, eps, n),
+                {"eps": eps}, env_iii))
+            if cfg.preset in ("spataru", "spataru_weak"):
+                series.append(_series_with_envelope(
+                    "adaptive-exponent", n[1:],
+                    convergence.adaptive_exponent_terms(d, eps, n[1:]), {"eps": eps}, env_iii))
 
     return {
         "provenance": cfg.provenance(),
         "regularity": [r.to_json_dict() for r in regularity],
         "series": [s.to_json_dict() for s in series],
         "moments": moments,
+        **extra,
     }
 
 
@@ -686,8 +673,8 @@ def _overrides_from_args(args) -> dict:
         sets.append((section, key, value))
     for flag, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, flag)
-        if value is not None:  # a flag of 0 counts
-            sets.append((section, key, str(value)))
+        if value is not None:  # a flag of 0 counts; a % is literal, not interpolation
+            sets.append((section, key, str(value).replace("%", "%%")))
     return {"sets": sets, "maximal": args.maximal}
 
 

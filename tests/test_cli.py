@@ -245,10 +245,14 @@ def config_sha256(capsys, *argv) -> str:
     return json.loads(out)["provenance"]["config_sha256"]
 
 
-def test_config_hash_covers_flags_like_set_entries(capsys):
+def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     check = ["check-conditions", "--preset", "baum_katz(2,1)",
              "--set", "distribution.kind=rademacher"]
     short = config_sha256(capsys, *check, "--horizon", "100")
+    # the output directory stays out of the hash, and a flag value is literal text
+    assert short == config_sha256(capsys, *check, "--horizon", "100",
+                                  "--out", str(tmp_path / "100%"))
+    assert (tmp_path / "100%" / "check_conditions.json").exists()
     assert short != config_sha256(capsys, *check, "--horizon", "200")
     assert short == config_sha256(capsys, *check, "--set", "scenario.horizon=100")
     # a flag wins over the --set entry for the same key
