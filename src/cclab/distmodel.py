@@ -82,12 +82,10 @@ class Dist:
 
     @cached_property
     def _abs_law(self) -> tuple[list, list, np.ndarray]:
-        """Law of |X| for an atom law, built on first use: ascending keys,
-        their terms, and the tail sum over keys[i:] for every split point i.
-
-        Finite atom laws key by magnitude from 0, each with the mass at -v plus
-        the mass at +v, added in table order; ``log_atomic_sym`` keys by log
-        magnitude, with log masses.
+        """Law of |X| for an atom law, built on first use: ascending keys
+        (magnitudes from 0, or log magnitudes for ``log_atomic_sym``), their
+        masses (log masses), and the tail sum over keys[i:] for every i.  A
+        magnitude's mass is the mass at -v plus the mass at +v, in table order.
         """
         if self.kind == "log_atomic_sym":
             (atoms,) = self.params
@@ -200,13 +198,11 @@ def _rest(table) -> float:
 
 
 def _split_sums(terms: list, below: bool, total=sum) -> np.ndarray:
-    """total(terms[:i]) (``below``) or total(terms[i:]) for every split point
-    i = 0..len(terms).
+    """total(terms[:i]) (``below``) or total(terms[i:]) for i = 0..len(terms).
 
-    With ascending keys, the atoms below or at and above a cutoff are a
-    prefix or a suffix, so each split point's sum runs over the terms in
-    ascending order: the same sum, in the same order, as the one-cutoff
-    formula.  Index the result with ``searchsorted(keys, cut, side="left")``.
+    Indexed by ``searchsorted(keys, cut, side="left")`` with ascending keys,
+    this is the sum over the atoms below (or at and above) each cutoff, in
+    ascending order: the same sum, in the same order, as the one-cutoff formula.
     """
     return np.array([total(terms[:i] if below else terms[i:]) for i in range(len(terms) + 1)],
                     dtype=np.float64)
