@@ -437,15 +437,19 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.standard_normal(count)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
-        # scale * u ** (-1/alpha) * (2b - 1) computed in place, with the same
-        # roundings, so a batch holds one float array instead of three.
-        mag = rng.random(count)
+        # One Philox word a step: its top 53 bits are the uniform u that
+        # Generator.random() makes of it, bit 0 the sign.  scale * u ** (-1/alpha)
+        # is computed in place; it is positive or +inf, so setting its sign bit
+        # where bit 0 is clear negates it exactly.
+        words = rng.bit_generator.random_raw(count)
+        mag = (words >> np.uint64(11)).astype(np.float64)
+        mag *= 2.0 ** -53
         mag **= -1.0 / alpha
         mag *= scale
-        sign = rng.integers(0, 2, size=count, dtype=np.int8)
-        sign *= 2
-        sign -= 1
-        mag *= sign
+        words <<= np.uint64(63)
+        words ^= np.uint64(1 << 63)
+        bits = mag.view(np.uint64)
+        bits |= words
         return mag
     if d.kind == "log_atomic_sym":
         raise SamplingUnavailable(

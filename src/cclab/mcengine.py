@@ -4,11 +4,18 @@ Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from the counter-based stream
 (seed, scenario, n, b), and batch results are merged in index order.  The
 same (config, seed) therefore produces bit-identical output for any worker
-count.  A replicate draws S_n itself where its law allows: atom tables as
-multinomial atom counts summed on the oracles' decimal lattice, so a hit is
-|k|/den >= t exactly as in exact_tail, and the normal law as sqrt(n) Z.
-Other laws sum n single-step draws.  These draws are stream version
-``philox-v2`` (``seeding.stream_id``).
+count.  A replicate draws S_n itself where its law allows:
+
+- an atom table on a decimal lattice within 2^53 as multinomial atom counts
+  summed on the oracles' lattice, so a hit is |k|/den >= t exactly as in
+  exact_tail; any other atom table as the same counts times the float atoms;
+- the normal law as sqrt(n) Z;
+- ``uniform_sym`` at 512 <= n < 2^36 as 53 binomial bit planes, since
+  Generator.random() is m 2^-53 with 53 fair bits in m.
+
+``pareto_sym``, and ``uniform_sym`` below n = 512, sum n single steps of one
+Philox word each.  These draws are stream version ``philox-v3``
+(``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
 the user wrote) and scale by the lcm of the denominators, so every walk lives
@@ -39,6 +46,15 @@ WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
 MIN_REPLICATES = 1_000
 DEFAULT_BATCH = 65_536
 _CHUNK_ELEMENTS = 1 << 22
+# Single steps are drawn and summed this many at a time, so a chunk's steps
+# stay in cache; each step takes one Philox word, so the draws do not depend on it.
+_BLOCK_ELEMENTS = 1 << 15
+# uniform_sym draws its 53 bit planes from here on; below, n single steps
+# cost less than 53 binomials (crossover near n = 300-400, 2-vCPU x86 host).
+_PLANE_MIN_N = 512
+_PLANE_MAX_N = 1 << 36  # each half of the plane sum stays below 2^63
+_LOW_PLANES = 26  # bits 0-25 of the 53 form the low half, bits 26-52 the high
+_PLANE_WEIGHTS = 1 << np.arange(53 - _LOW_PLANES, dtype=np.int64)  # 2^j within a half
 
 MAX_ORACLE_SUPPORT = 1_000_000
 # Direct convolution is quadratic in the lattice width, so the support cap
@@ -96,38 +112,92 @@ class Estimate:
                 "n": self.n, "threshold": self.threshold}
 
 
+def _plane_sums(counts: np.ndarray, n: int) -> np.ndarray:
+    """Correctly rounded sum_i (2 m_i - 2^53) over n integers m_i in [0, 2^53)
+    whose bit k is set in counts[:, k] of them, one sum per row.
+
+    sum_i m_i = sum_k 2^k C_k, so the sum is sum_k 2^k (2 C_k - n) - n.  Planes
+    0-25 and 26-52 are summed exactly in int64 (n < 2^36); both halves are
+    doubles below 2^53, so adding them rounds once.  A row with a larger half,
+    hundreds of standard deviations out, is added in Python integers.
+    """
+    # Each half's sum_j 2^j (2 C_j - n) is 2 P - n (2^width - 1), P = sum_j 2^j C_j;
+    # the low half also takes the final -n.
+    w = _PLANE_WEIGHTS
+    low = 2 * (counts[:, :_LOW_PLANES] @ w[:_LOW_PLANES]) - (n << _LOW_PLANES)
+    high = counts[:, _LOW_PLANES:] @ w
+    high -= (n << len(w)) - n - high  # 2 P - n (2^27 - 1) without passing 2^63
+    out = np.ldexp(high.astype(np.float64), _LOW_PLANES)
+    out += low
+    for i in np.flatnonzero((np.abs(high) >= _EXACT_INT) | (np.abs(low) >= _EXACT_INT)):
+        out[i] = float((int(high[i]) << _LOW_PLANES) + int(low[i]))
+    return out
+
+
+def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """rows draws of S_n for uniform_sym(h): bit k of the 53-bit integers m_i
+    behind Generator.uniform(-h, h) is set in C_k ~ Bin(n, 1/2) of the n steps,
+    independently over k, and S_n = h 2^-53 sum_i (2 m_i - 2^53).  The law the
+    single steps draw, rounded twice instead of n times.  The counts are drawn
+    in row blocks of about _BLOCK_ELEMENTS, in the order one call would draw them."""
+    out = np.empty(rows, dtype=np.float64)
+    block = max(1, _BLOCK_ELEMENTS // 53)
+    for r in range(0, rows, block):
+        part = out[r:r + block]
+        part[:] = _plane_sums(rng.binomial(n, 0.5, size=(len(part), 53)), n)
+    out *= 2.0 ** -53
+    out *= h
+    return out
+
+
 def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
     """The draw of one batch of S_n: a function (rows, rng) -> rows sums.
 
-    An atom table on a decimal lattice within 2^53 draws how often each atom
-    occurs, rng.multinomial(n, probs), and sums the counts times the integer
+    An atom table draws how often each atom occurs, rng.multinomial(n, probs).
+    On a decimal lattice within 2^53 it sums the counts times the integer
     steps; the int64 coordinate k comes back as the correctly rounded k/den,
-    so |S_n| >= t is exact_tail's rule at every lattice point.  The normal law
-    draws sqrt(n) Z.  Other laws sum n single-step draws in fixed column chunks.
+    so |S_n| >= t is exact_tail's rule at every lattice point.  Off the
+    lattice (a float 1/3, or 1e17) it sums the counts times the float atoms,
+    and the hit rule is a float comparison.  The normal law draws sqrt(n) Z,
+    and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes.  Other
+    laws sum n single-step draws in fixed column chunks, each drawn and summed
+    in row blocks of about _BLOCK_ELEMENTS steps.
     """
     lattice = _lattice_steps(d)
-    if lattice is not None and _exact_range(n, lattice[0], lattice[2]):
+    if lattice is not None:
         steps, probs, den = lattice
-        k = np.asarray(steps, dtype=np.int64)
-        return lambda rows, rng: (rng.multinomial(n, probs, size=rows) @ k) / den
+        if _exact_range(n, steps, den):
+            k = np.asarray(steps, dtype=np.int64)
+            return lambda rows, rng: (rng.multinomial(n, probs, size=rows) @ k) / den
+        values, all_probs = distmodel.atom_table(d)
+        values = values[all_probs > 0.0]
+
+        def float_atoms(rows: int, rng: np.random.Generator) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in chunked below
+                return (rng.multinomial(n, probs, size=rows) * values).sum(axis=1)
+
+        return float_atoms
     if d.kind == "normal_std":
         root = math.sqrt(n)
         return lambda rows, rng: root * rng.standard_normal(rows)
+    if d.kind == "uniform_sym" and _PLANE_MIN_N <= n < _PLANE_MAX_N:
+        (h,) = d.params
+        return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng)
 
     def chunked(rows: int, rng: np.random.Generator) -> np.ndarray:
         total = np.zeros(rows, dtype=np.float64)
         done = 0
         # A step may overflow to +-inf (pareto_sym with small alpha): a sum at
-        # inf is a hit, and a sum holding both signs is NaN, checked below.
+        # inf is a hit; a sum holding both signs is NaN, and estimate_tail raises.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < n:
                 cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
-                x = distmodel.sample(d, rng, rows * cols)
-                total += x.reshape(rows, cols).sum(axis=1)
+                block = max(1, _BLOCK_ELEMENTS // cols)
+                for r in range(0, rows, block):
+                    part = total[r:r + block]
+                    x = distmodel.sample(d, rng, len(part) * cols)
+                    part += x.reshape(len(part), cols).sum(axis=1)
                 done += cols
-        if np.isnan(total).any():
-            raise distmodel.SamplingUnavailable(
-                f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
         return total
 
     return chunked
@@ -159,6 +229,9 @@ def estimate_tail(d: distmodel.Dist, n: int, threshold, replicates: int,
 
     def run_batch(b: int) -> list[int]:
         sums = np.abs(draw(plan[b], seeding.stream(seed, scenario, n, b)))
+        if np.isnan(sums).any():
+            raise distmodel.SamplingUnavailable(
+                f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
         return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
     if workers > 1:

@@ -41,5 +41,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
 
 def stream_id(seed: int, *path: int) -> str:
     """Label of a stream address; the version tag changes whenever the draws
-    made from a stream change (v2: direct sums of S_n in ``mcengine``)."""
-    return "philox-v2:" + "/".join(str(int(x)) for x in (seed, *path))
+    made from a stream change (v2: direct sums of S_n in ``mcengine``; v3:
+    ``uniform_sym`` bit planes at n >= 512, off-lattice atom counts, and one
+    word per ``pareto_sym`` step)."""
+    return "philox-v3:" + "/".join(str(int(x)) for x in (seed, *path))

@@ -57,9 +57,9 @@ def test_check_conditions_bytes_match_golden(capsys, label):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo bytes: fixtures written when S_n became a direct draw (stream
-# philox-v2).  70000 replicates are two batches, so the worker count changes
-# the schedule.
+# Monte Carlo bytes: fixtures written when S_n became a direct draw; only
+# their stream label changed since (philox-v3).  70000 replicates are two
+# batches, so the worker count changes the schedule.
 # ---------------------------------------------------------------------------
 
 MC_CASES = {
@@ -236,7 +236,7 @@ def test_seed_zero_is_not_replaced_by_the_default(capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["provenance"]["seed"] == 0
-    assert payload["estimate"]["seed_stream"] == "philox-v2:0/0/4"
+    assert payload["estimate"]["seed_stream"] == "philox-v3:0/0/4"
 
 
 def config_sha256(capsys, *argv) -> str:

@@ -1,8 +1,11 @@
 """Exact walk oracles against Fraction enumeration and closed forms."""
 
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +229,110 @@ def test_direct_normal_sums_follow_erfc(n):
     assert chi_square_p(observed, rows * probs) > 1e-4
 
 
+def test_off_lattice_sums_follow_the_law_of_the_float_atoms():
+    # 1/3 and sqrt 2 have no decimal lattice within 2^53, so S_n is the atom
+    # counts times the float atoms; the law is enumerated over the exact
+    # binary values of those floats
+    third, root2 = 1.0 / 3.0, math.sqrt(2.0)
+    d = dm.atomic_sym([(third, 0.5), (root2, 0.25)])
+    step = {Fraction(v): Fraction(p) for v, p in zip(*dm.atom_table(d))}
+    n, rows = 8, 200_000
+    law = walk_laws(step, n)[-1]
+    support = np.array([float(s) for s in sorted(law)])
+    sums = mc._batch_sums(d, n)(rows, seeding.stream(2026, 8))
+    # every draw lies within rounding of one point of the law
+    idx = np.clip(np.searchsorted(support, sums), 1, len(support) - 1)
+    idx -= np.abs(sums - support[idx - 1]) < np.abs(sums - support[idx])
+    assert np.abs(sums - support[idx]).max() <= 1e-14
+    assert np.diff(support).min() > 1e-3
+    observed = np.bincount(idx, minlength=len(support))
+    assert chi_square_p(observed, rows * np.array([float(law[s]) for s in sorted(law)])) > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# uniform_sym: 53 binomial bit planes against the exact Irwin-Hall law
+# ---------------------------------------------------------------------------
+
+
+def irwin_hall_cdf(n: int, x: Fraction) -> Fraction:
+    """P(U_1 + ... + U_n <= x) for n independent U(0, 1), exactly."""
+    return sum((Fraction((-1) ** k * math.comb(n, k)) * (x - k) ** n
+                for k in range(min(n, math.floor(x)) + 1)), Fraction(0)) / math.factorial(n)
+
+
+def uniform_sum_tail(n: int, t: Fraction) -> Fraction:
+    """P(|S_n| >= t) for uniform_sym(1): S_n = 2 (U_1 + ... + U_n) - n."""
+    return 2 * (1 - irwin_hall_cdf(n, (n + t) / 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_plane_sums_follow_irwin_hall(n):
+    h, rows = 1.5, 50_000
+    sums = mc._uniform_plane_sums(n, h, rows, seeding.stream(2026, 3, n))
+    assert np.abs(sums).max() <= n * h
+    cuts = [Fraction(n * j, 20) for j in range(1, 20)]  # cuts of U_1 + ... + U_n
+    cdf = [Fraction(0), *(irwin_hall_cdf(n, x) for x in cuts), Fraction(1)]
+    probs = np.array([float(b - a) for a, b in zip(cdf, cdf[1:])])
+    edges = np.array([h * (2 * float(x) - n) for x in cuts])
+    observed = np.bincount(np.searchsorted(edges, sums), minlength=len(probs))
+    assert chi_square_p(observed, rows * probs) > 1e-4
+
+
+@pytest.mark.parametrize("n,t", [(512, 30), (1024, 40)])
+def test_uniform_estimate_matches_the_exact_tail(n, t):
+    exact = float(uniform_sum_tail(n, Fraction(t)))
+    assert 0.01 < exact < 0.05
+    replicates = 20_000
+    est = mc.estimate_tail(dm.uniform_sym(1.0), n, float(t), replicates, seed=11)
+    assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
+
+
+def test_plane_assembly_is_exact():
+    rng = np.random.default_rng(5)
+    # explicit 53-bit integers: C_k counts the m_i with bit k set
+    for n in (1, 2, 3, 7, 512):
+        ms = [[int(x) for x in rng.integers(0, 2 ** 53, size=n, dtype=np.uint64)]
+              for _ in range(20)]
+        ms += [[0] * n, [2 ** 53 - 1] * n, [2 ** 52] * n]
+        counts = np.array([[sum(m >> k & 1 for m in row) for k in range(53)] for row in ms])
+        want = [float(sum(2 * m - 2 ** 53 for m in row)) for row in ms]
+        assert mc._plane_sums(counts, n).tolist() == want
+    # n identical integers set each plane in 0 or n of them; near n = 2^36 the
+    # halves pass 2^53 and are added in Python integers (for the last two m,
+    # rounding the high half first gives a different double)
+    n = 2 ** 36 - 1
+    ms = [0, 2 ** 53 - 1, 2 ** 53 - 2 ** 26, 2 ** 26 - 1, 2 ** 52, 0x15555555555555,
+          0xff8dc94cab8ce, 0x10072bdbc84e78]
+    counts = np.array([[n * (m >> k & 1) for k in range(53)] for m in ms])
+    assert mc._plane_sums(counts, n).tolist() == [float(n * (2 * m - 2 ** 53)) for m in ms]
+
+
+def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
+    # sums of uniform_sym(1.5) written by the single-step path before row
+    # blocks and bit planes existed
+    fixture = json.loads((Path(__file__).parent / "golden" / "uniform_sym_small_n.json").read_text())
+    d = dm.uniform_sym(fixture["half_width"])
+    for case in fixture["cases"]:
+        n = case["n"]
+        assert n < mc._PLANE_MIN_N
+        sums = mc._batch_sums(d, n)(case["rows"], seeding.stream(*fixture["stream"], n))
+        assert [float(x).hex() for x in sums[:3]] == case["head"]
+        assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == case["sha256"]
+
+
+@pytest.mark.parametrize("d,n", [(dm.pareto_sym(1.5), 300), (dm.uniform_sym(1.0), 300),
+                                 (dm.uniform_sym(1.0), 1024)],
+                         ids=["pareto_sym", "uniform_sym", "uniform_sym planes"])
+def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n):
+    # 15000 rows of 300 steps are two column chunks of 279 and 21 steps
+    rows = 15_000
+    sums = []
+    for block in (1 << 10, 1 << 15):
+        monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
+        sums.append(mc._batch_sums(d, n)(rows, seeding.stream(2026, 4)).tobytes())
+    assert sums[0] == sums[1]
+
+
 def binomial_miss_limit(trials: int, miss_p: float = 0.01, alpha: float = 1e-6) -> int:
     """Largest miss count a correct 99% interval exceeds with probability below alpha."""
     tail, m = 1.0, -1
@@ -236,14 +343,18 @@ def binomial_miss_limit(trials: int, miss_p: float = 0.01, alpha: float = 1e-6) 
 
 
 @pytest.mark.parametrize("name,n,t", [("rademacher", 16, 4.0), ("atoms 1,3", 16, 6.0),
-                                      ("atoms 0.1,0.3", 16, 0.6), ("normal_std", 64, 8.0)])
+                                      ("atoms 0.1,0.3", 16, 0.6), ("normal_std", 64, 8.0),
+                                      ("uniform_sym", 1024, 40.0)])
 def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
+    trials = 400
     if name == "normal_std":
         d, exact = dm.normal_std(), math.erfc(t / math.sqrt(2.0 * n))
+    elif name == "uniform_sym":
+        d, exact = dm.uniform_sym(1.0), float(uniform_sum_tail(n, Fraction(t)))
+        trials = 200  # 2e5 replicates of 53 binomials each
     else:
         d = LAWS[name][0]
         exact = mc.exact_tail(mc.exact_walk_oracle(d, n), t)
-    trials = 400
     misses = 0
     for seed in range(trials):
         est = mc.estimate_tail(d, n, t, 1000, seed)
@@ -275,20 +386,24 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
         mc.exact_walk_oracle(wide, 1000)
     for d in (wide, dm.rademacher(), dm.normal_std()):
         assert 0.0 < mc.estimate_tail(d, 1000, 10.0, 1000, seed=1).p_hat < 1.0
-    # no decimal lattice within 2^53: the single-step path
-    with pytest.raises(AssertionError, match="single steps"):
-        mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, 1.0, 1000, seed=1)
+    # uniform_sym from n = 512 on draws its bit planes, and atoms with no
+    # decimal lattice within 2^53 their counts
+    assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, 10.0, 1000, seed=1).p_hat < 1.0
+    assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, 1.0, 1000,
+                                  seed=1).p_hat < 1.0
 
 
-@pytest.mark.parametrize("d", [dm.normal_std(), dm.uniform_sym(1.0),
-                               dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)])],
-                         ids=["normal_std", "uniform_sym", "atoms 0.1,0.3"])
-def test_two_batches_are_identical_for_any_worker_count(d):
+@pytest.mark.parametrize("d,n", [(dm.normal_std(), 16), (dm.uniform_sym(1.0), 16),
+                                 (dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)]), 16),
+                                 (dm.pareto_sym(1.5), 16), (dm.uniform_sym(1.0), 512)],
+                         ids=["normal_std", "uniform_sym", "atoms 0.1,0.3", "pareto_sym",
+                              "uniform_sym planes"])
+def test_two_batches_are_identical_for_any_worker_count(d, n):
     # 70000 replicates are two batches of DEFAULT_BATCH
-    one = mc.estimate_tail(d, 16, 1.0, 70_000, seed=7, workers=1)
-    two = mc.estimate_tail(d, 16, 1.0, 70_000, seed=7, workers=2)
+    one = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=1)
+    two = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
-    assert one.seed_stream.startswith("philox-v2:")
+    assert one.seed_stream.startswith("philox-v3:")
 
 
 def test_sums_overflowing_to_both_signs_are_unavailable():
