@@ -7,7 +7,9 @@ data inside the reports; exit codes only signal operational failures:
 
     0  ran to completion
     1  a divergence certificate failed (counterexample subcommand)
-    2  config parse/validation error
+    2  config parse/validation error; also a ``counterexample --schedule``
+       file that cannot be read, is not JSON or is not a schedule, or whose
+       cutoffs lie past the range where a block end can be certified
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -258,7 +260,7 @@ def load_config(path: Optional[str], overrides: dict,
                 require_distribution: bool = True) -> ScenarioConfig:
     """The scenario in the config file at ``path`` (if any), with
     ``overrides["sets"]``, a list of (section, key, value), applied in order."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
             read = parser.read(path)
@@ -554,17 +556,34 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
     }
 
 
+def _read_schedule(path: str) -> counterexample.CutoffSchedule:
+    """The schedule in a counterexample report, or a bare schedule list, at ``path``."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read schedule {path}: {exc}") from exc
+    try:
+        items = payload["schedule"] if isinstance(payload, dict) else payload
+        return counterexample.CutoffSchedule.from_json_list(items)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed schedule {path}: {type(exc).__name__} {exc}") from exc
+
+
 def run_counterexample(cfg: ScenarioConfig,
                        schedule_path: Optional[str] = None) -> tuple[int, dict]:
     if schedule_path is not None:
-        with open(schedule_path) as fh:
-            payload = json.load(fh)
-        items = payload["schedule"] if isinstance(payload, dict) else payload
-        schedule = counterexample.CutoffSchedule.from_json_list(items)
+        schedule = _read_schedule(schedule_path)
     else:
         depth = cfg.counter_depth or 9
         schedule = counterexample.build_schedule(depth)
-    report = counterexample.verify_counterexample(schedule)
+    try:
+        report = counterexample.verify_counterexample(schedule)
+    except counterexample.BlockEndUnavailable as exc:
+        if schedule_path is None:
+            raise
+        raise ConfigError(f"cutoff past the block-end route's range in schedule "
+                          f"{schedule_path}: {exc}") from exc
     failures = [c for c in report.certificates if not c.ok]
     out = {
         "provenance": cfg.provenance(),
@@ -673,8 +692,8 @@ def _overrides_from_args(args) -> dict:
         sets.append((section, key, value))
     for flag, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, flag)
-        if value is not None:  # a flag of 0 counts; a % is literal, not interpolation
-            sets.append((section, key, str(value).replace("%", "%%")))
+        if value is not None:  # a flag of 0 counts
+            sets.append((section, key, str(value)))
     return {"sets": sets, "maximal": args.maximal}
 
 

@@ -38,6 +38,12 @@ class CertificationError(RuntimeError):
     """A certified inequality failed; the message names the broken step."""
 
 
+class BlockEndUnavailable(RuntimeError):
+    """A cutoff lies outside the range where ``required_block_end`` can
+    certify a block end: ln u cannot grow in doubles, or the enumerated
+    route is reached with a cutoff it cannot enumerate."""
+
+
 # ---------------------------------------------------------------------------
 # Layered nonnegative reals
 # ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
     if math.log(rhs) <= -SLACK:
         ln_u = ln_s + _LNLN2
         if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
-            raise RuntimeError("slack doubling failed to terminate")
+            raise BlockEndUnavailable("slack doubling failed to terminate")
         gap = 2.0 - 2.0 * rhs * math.exp(SLACK)
         u_star = -math.log(gap) if gap > 0.0 else 40.0
         doublings = max(0, math.ceil((math.log(u_star) - ln_u) / _LN2) - 2)
@@ -254,11 +260,11 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
 
     # Enumerated route: only reachable when s/K >= ~0.44, which pins K small.
     if log_cutoff.level != 0 or log_cutoff.payload > 20.0:
-        raise RuntimeError("enumeration fallback reached with a large cutoff")
+        raise BlockEndUnavailable("enumeration fallback reached with a large cutoff")
     lam = log_cutoff.payload
     k_val = math.exp(lam)
     if k_val > 2e6:
-        raise RuntimeError("enumeration fallback reached with oversized support")
+        raise BlockEndUnavailable("enumeration fallback reached with oversized support")
     s = math.exp(ln_s)
     n0 = int(math.floor(k_val + 1e-9)) + 1     # start no earlier than the true block
     # when the fuzz crossed an integer, the tail bound may have lost one term
@@ -268,6 +274,8 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
     while True:
         finite = math.fsum(n ** (-1.0 - s) for n in range(n0, end_n + 1))
         finite_lb = finite * (1.0 - 1e-12)
+        if finite_lb == 0.0:
+            raise BlockEndUnavailable("enumerated half-tail sum underflows")
         tail_ub = finite * (1.0 + 1e-12) + end_n ** (-s) / s + extra_ub
         lhs_log = math.log(finite_lb)
         rhs_log = math.log(0.5 * tail_ub)
@@ -277,7 +285,7 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
         end_n *= 2
         doublings += 1
         if doublings > 80:
-            raise RuntimeError("enumerated half-tail search failed to terminate")
+            raise BlockEndUnavailable("enumerated half-tail search failed to terminate")
     cert = HalfTailCertificate(m=m, log_s=ln_s, mode="enumerated",
                                doublings=doublings, lhs_log=lhs_log,
                                rhs_log=rhs_log, margin=margin, ok=True)
@@ -314,6 +322,8 @@ class CutoffSchedule:
     cond_b_margins: tuple[Optional[float], ...]
 
     def __post_init__(self) -> None:
+        if self.m_max < 1:
+            raise ValueError("a schedule needs at least one cutoff")
         if len(self.log_cutoffs) != self.m_max:
             raise ValueError("schedule length mismatch")
         if self.log_cutoffs and self.log_cutoffs[0].log_value() < _LNLN2:

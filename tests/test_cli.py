@@ -161,6 +161,33 @@ def test_readme_replay_needs_no_preset(capsys, tmp_path):
     assert readme_form["report"] == with_preset["report"]
 
 
+def schedule_rows(level: int, payloads) -> str:
+    return json.dumps([{"m": m, "level": level, "payload": p, "cond_A_margin_log": 0.0,
+                        "cond_B_margin_log": None} for m, p in enumerate(payloads, start=1)])
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read schedule"),
+    ("{not json", "cannot read schedule"),
+    ('{"x": 1}', "malformed schedule"),
+    ("[]", "malformed schedule"),
+    # ln lambda of 1e16 is past where ln u can grow in doubles
+    (schedule_rows(1, [1e16, 2e16]), "cutoff past the block-end route's range"),
+    # block 33 at lambda 20.83 reaches the enumerated route, which cannot
+    # enumerate a cutoff of e^20.83
+    (schedule_rows(0, [20.5 + 0.01 * m for m in range(1, 41)]),
+     "cutoff past the block-end route's range"),
+], ids=["missing", "not json", "no schedule key", "empty", "slack", "enumerated"])
+def test_unusable_schedule_is_a_config_error(capsys, tmp_path, text, message):
+    path = tmp_path / "schedule.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "counterexample", "--schedule", str(path))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
+
+
 def test_check_conditions_certifies_deep_counterexamples(capsys):
     reports = {}
     for depth in (9, 10, 16):
@@ -263,6 +290,17 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     assert seeded == config_sha256(capsys, *estimate_argv(replicates="1000"),
                                    "--set", "mc.seed=5")
     assert seeded != config_sha256(capsys, *estimate_argv(seed="5", replicates="2000"))
+
+
+def test_percent_in_set_entries_and_config_files_is_literal(capsys, tmp_path):
+    code, _, err = run(capsys, *estimate_argv(), "--set", f"output.dir={tmp_path / 'a%b'}")
+    assert code == cli.EXIT_OK, err
+    assert (tmp_path / "a%b" / "estimate.json").exists()
+    config = tmp_path / "scenario.ini"
+    config.write_text(f"[output]\ndir = {tmp_path / '100%(x)s'}\n")
+    code, _, err = run(capsys, *estimate_argv(config=str(config)))
+    assert code == cli.EXIT_OK, err
+    assert (tmp_path / "100%(x)s" / "estimate.json").exists()
 
 
 def test_estimate_with_every_replicate_a_hit(capsys):
