@@ -8,8 +8,9 @@ data inside the reports; exit codes only signal operational failures:
     0  ran to completion
     1  a divergence certificate failed (counterexample subcommand)
     2  config parse/validation error; also a ``counterexample --schedule``
-       file that cannot be read, is not JSON or is not a schedule, or whose
-       cutoffs lie past the range where a block end can be certified
+       file that cannot be read, is not JSON or is not a schedule of 1 to
+       MAX_DEPTH cutoffs, or whose cutoffs lie past the range where a block
+       end can be certified, and ``check-conditions`` sequences that overflow
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -150,21 +151,21 @@ def _parse_preset(text: str) -> tuple[str, tuple]:
         r, p = args
         if r < 1.0 or not 0.0 < p < 2.0:
             raise ConfigError("baum_katz requires r >= 1 and 0 < p < 2")
-    elif name == "spataru":
+    elif name in ("spataru", "custom"):
         if args:
-            raise ConfigError("spataru takes no arguments")
+            raise ConfigError(f"{name} takes no arguments")
     elif name == "spataru_weak":
         if len(args) != 1 or args[0] <= 0.0:
             raise ConfigError("spataru_weak needs (delta) with delta > 0")
     elif name == "ms_counterexample":
         if len(args) != 1 or args[0] != int(args[0]) or not 1 <= args[0] <= 16:
             raise ConfigError("ms_counterexample needs an integer depth in 1..16")
-    elif name == "custom":
-        if args:
-            raise ConfigError("custom takes no arguments")
     else:
         raise ConfigError(f"unknown preset {name!r}")
     return name, args
+
+
+_SV_FACTORS = {"log_power": "log2p", "loglog_power": "loglog", "plainlog_power": "logn"}
 
 
 def _parse_sv(text: str) -> SlowlyVarying:
@@ -178,14 +179,9 @@ def _parse_sv(text: str) -> SlowlyVarying:
             val = float(val)
         except ValueError as exc:
             raise ConfigError(f"malformed slowly_varying entry {part!r}") from exc
-        if key == "log_power":
-            kw["log2p"] = val
-        elif key == "loglog_power":
-            kw["loglog"] = val
-        elif key == "plainlog_power":
-            kw["logn"] = val
-        else:
+        if key not in _SV_FACTORS:
             raise UnsupportedFamily(f"unknown slowly varying factor {key!r}")
+        kw[_SV_FACTORS[key]] = val
     return SlowlyVarying(**kw)
 
 
@@ -247,9 +243,7 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
     lines = []
     for section in sorted(parser.sections()):
         for key in sorted(parser[section]):
-            if section == "mc" and key == "workers":
-                continue
-            if section == "output":
+            if section == "output" or (section, key) == ("mc", "workers"):
                 continue
             lines.append(f"{section}.{key}={parser[section][key]}")
     return "\n".join(lines)
@@ -466,8 +460,8 @@ def _thinned(n: np.ndarray, last: int) -> np.ndarray:
     return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
 
 
-def _series_with_envelope(series_id, n, terms, params, envelope, evidence=()):
-    certificate = {}
+def _series_with_envelope(series_id, n, terms, params, envelope, evidence=(), bound=None):
+    certificate = {"bound": bound}
     if isinstance(envelope, (PowerLowerBound, RecurringBlocks)):
         certificate["divergence"] = envelope
     elif envelope is not None:
@@ -480,18 +474,29 @@ def _series_with_envelope(series_id, n, terms, params, envelope, evidence=()):
 def run_check_conditions(cfg: ScenarioConfig) -> dict:
     w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
     n = np.arange(1, horizon + 1)
-    values = seqkit.sequence_values(w, a, horizon)
-    tau, av = values.w, values.a
-    seqkit.require_nondecreasing(av[:4096])
-    regularity = [
-        seqkit.check_dyadic_regularity(w, horizon=horizon),
-        seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=3.0,
-                                     horizon=horizon, values=values),
-        seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=2.0,
-                                     horizon=horizon, values=values),
-        seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon, values=values),
-        seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon, values=values),
-    ]
+    try:  # past the double range, numpy gives inf silently and Python raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = seqkit.sequence_values(w, a, horizon)
+            tau, av = values.w, values.a
+            seqkit.require_nondecreasing(av[:4096])
+            regularity = [
+                seqkit.check_dyadic_regularity(w, horizon=horizon),
+                seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=3.0,
+                                             horizon=horizon, values=values),
+                seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=2.0,
+                                             horizon=horizon, values=values),
+                seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon, values=values),
+                seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon, values=values),
+            ]
+    except OverflowError as exc:
+        raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
+    if not math.isfinite(values.t[-1]):
+        k = int(np.argmin(np.isfinite(values.t))) + 1
+        raise ConfigError(f"T_n = sum k w(k) overflows doubles at n={k}")
+    for r in regularity:
+        for key, v in r.constants.items():
+            if not math.isfinite(v):
+                raise ConfigError(f"{r.condition_id} constant {key} = {v!r} is not finite")
     series, moments, extra = [], [], {}
     if cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(cfg.counter_depth)
@@ -506,8 +511,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                      f"this value, and add less than 2^{2 - m0} = {2.0 ** (2 - m0)!r}")
         moments.append({"form": "inv_logplus", "finite": mom.finite,
                         "value": mom.value, "reason": mom.reason, "note": note})
-        floor = min(c.block_lower_bound for c in report.certificates) if \
-            report.certificates else 0.0
+        floor = min((c.block_lower_bound for c in report.certificates), default=0.0)
         blocks = RecurringBlocks(
             floor=floor,
             blocks=tuple(c.m for c in report.certificates),
@@ -538,14 +542,19 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             series.append(_series_with_envelope(
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
                 {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
+            # The exp and adaptive series share the envelope and, at equal cuts, T.
             env_iii = _envelope_exp_term(d, w, a, eps)
+            bound = None if env_iii is None else env_iii.values_at(n)
+            cut = eps * av
+            t = distmodel.truncated_moments(d, 2.0, cut)
             series.append(_series_with_envelope(
-                "exponential", n, convergence.exp_terms(d, tau, av, eps, n),
-                {"eps": eps}, env_iii))
+                "exponential", n, convergence.exp_terms(d, tau, av, eps, n, t=t),
+                {"eps": eps}, env_iii, bound=bound))
             if cfg.preset in ("spataru", "spataru_weak"):
                 series.append(_series_with_envelope(
                     "adaptive-exponent", n[1:],
-                    convergence.adaptive_exponent_terms(d, eps, n[1:]), {"eps": eps}, env_iii))
+                    convergence.adaptive_exponent_terms(d, eps, n[1:], known=(cut[1:], t[1:])),
+                    {"eps": eps}, env_iii, bound=None if bound is None else bound[1:]))
 
     return {
         "provenance": cfg.provenance(),
@@ -766,3 +775,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -32,7 +32,7 @@ from .distmodel import Dist
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, ConvergenceBound,
                       DivergenceBound, SeriesReport, SeriesRow, check_partial_sums)
-from .seqkit import NormSeq, WeightSeq, kahan_partials, libm
+from .seqkit import NormSeq, WeightSeq, libm, prefix_sums
 
 _ENVELOPE_SLACK = 1e-9  # relative tolerance when checking computed terms against envelopes
 
@@ -54,13 +54,13 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     return n * w * distmodel.tails(d, eps * a)
 
 
-def exp_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
+def exp_terms(d: Dist, w, a, eps: float, n, t=None) -> np.ndarray:
     """w(n) * exp(-eps^2 a(n)^2 / (n * T)), zero where T vanishes; ``w`` and ``a``
-    hold w(n) and a(n)."""
+    hold w(n) and a(n), and ``t``, when given, holds T."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     w, a, n = _arrays(w, a, n)
-    t = distmodel.truncated_moments(d, 2.0, eps * a)
+    t = distmodel.truncated_moments(d, 2.0, eps * a) if t is None else t
     out = np.zeros(t.shape)
     on = t != 0.0
     an = a[on]
@@ -68,14 +68,20 @@ def exp_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     return out
 
 
-def adaptive_exponent_terms(d: Dist, eps: float, n) -> np.ndarray:
-    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}; zero where T = 0."""
+def adaptive_exponent_terms(d: Dist, eps: float, n, known=None) -> np.ndarray:
+    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}; zero where T = 0.
+
+    ``known``, when given, is (cuts, T at those cuts); it stands in for T
+    when the cuts equal this series' cuts bit for bit.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     (n,) = _arrays(n)
     if (n < 2).any():
         raise ValueError("adaptive-exponent terms start at n = 2")
-    t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
+    cut = eps * np.sqrt(n * libm(math.log, n))
+    reuse = known is not None and np.array_equal(known[0], cut)
+    t = known[1] if reuse else distmodel.truncated_moments(d, 2.0, cut)
     out = np.zeros(t.shape)
     on = t != 0.0
     out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
@@ -253,21 +259,23 @@ class RecurringBlocks:
 
 def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
                      envelope=None, divergence=None, evidence: tuple[str, ...] = (),
-                     emit=None) -> SeriesReport:
+                     emit=None, bound=None) -> SeriesReport:
     """Assemble a report from the columns ``n`` and ``term``, checking any
     certificate against every term.
 
-    All terms must be nonnegative.  Partial sums are compensated and summed
-    left to right, so reports are bit-reproducible.  ``emit`` (a boolean mask
-    or index array over the terms) picks the rows the report carries; every
-    term is still checked and summed.
+    All terms must be nonnegative.  The partial sums are ``prefix_sums`` of
+    the terms: each is within u|S| + gamma_(n-1)^2 sum|x| of the exact sum
+    S (u = 2^-53), a deterministic function of the terms, so reports are
+    bit-reproducible.  ``emit`` (a boolean mask or index array over the
+    terms) picks the rows the report carries; every term is still checked
+    and summed.  ``bound``, when given, is ``envelope.values_at(n)``.
     """
     n = np.asarray(n, dtype=np.int64)
     term = np.asarray(term, dtype=np.float64)
     negative = ~(term >= 0.0)
     over = under = np.zeros(term.shape, dtype=bool)
     if envelope is not None:
-        bound = envelope.values_at(n)
+        bound = envelope.values_at(n) if bound is None else bound
         over = term > bound * (1.0 + _ENVELOPE_SLACK)
     if isinstance(divergence, PowerLowerBound):
         floor = divergence.floors_at(n)
@@ -283,7 +291,7 @@ def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
                              f"exceeds {float(bound[i])!r}")
         raise ValueError(f"registered divergence floor violated at n={k}: term {t!r} "
                          f"below {float(floor[i])!r}")
-    partial = kahan_partials(term)
+    partial = prefix_sums(term)
     check_partial_sums(n, term, partial)
     keep = slice(None) if emit is None else emit
     rows = tuple(SeriesRow(n=k, term=t, partial_sum=ps) for k, t, ps in

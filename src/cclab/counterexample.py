@@ -322,8 +322,8 @@ class CutoffSchedule:
     cond_b_margins: tuple[Optional[float], ...]
 
     def __post_init__(self) -> None:
-        if self.m_max < 1:
-            raise ValueError("a schedule needs at least one cutoff")
+        if not 1 <= self.m_max <= MAX_DEPTH:
+            raise ValueError(f"a schedule holds 1..{MAX_DEPTH} cutoffs, not {self.m_max}")
         if len(self.log_cutoffs) != self.m_max:
             raise ValueError("schedule length mismatch")
         if self.log_cutoffs and self.log_cutoffs[0].log_value() < _LNLN2:

@@ -44,10 +44,6 @@ def _normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def _logsumexp(values) -> float:
     vals = [v for v in values if v != -math.inf]
     if not vals:
@@ -266,10 +262,13 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         (h,) = d.params
         return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
     if d.kind == "normal_std":
-        if nu == 2.0:
-            return (2.0 * libm(_normal_cdf, b) - 1.0) - 2.0 * b * libm(_normal_pdf, b)
-        if nu == 0.0:
-            return 2.0 * libm(_normal_cdf, b) - 1.0
+        if nu in (0.0, 2.0):
+            # 2 Phi(b) - 1 with Phi(b) = erfc(-b/sqrt2)/2 in [1/2, 1]: the
+            # halving and doubling are exact; less 2 b phi(b) for nu = 2.
+            mass = libm(math.erfc, -b / _SQRT2) - 1.0
+            if nu == 0.0:
+                return mass
+            return mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
         from scipy import integrate
         return np.array([integrate.quad(lambda x: 2.0 * x ** nu * _normal_pdf(x),
                                         0.0, c, epsabs=1e-12, limit=200)[0]
@@ -354,12 +353,10 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
         return MomentValue(True, val)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
-        if form == "inv_logplus" and alpha <= 2.0:
-            return MomentValue(False, None,
-                               f"tail index {alpha:g} <= 2: x^(1-alpha)/log(2+x) is not integrable")
-        if form == "loglog_delta" and alpha <= 2.0:
-            return MomentValue(False, None,
-                               f"tail index {alpha:g} <= 2: iterated-log weight cannot rescue the integral")
+        if alpha <= 2.0:
+            why = ("x^(1-alpha)/log(2+x) is not integrable" if form == "inv_logplus"
+                   else "iterated-log weight cannot rescue the integral")
+            return MomentValue(False, None, f"tail index {alpha:g} <= 2: {why}")
         val, _ = integrate.quad(lambda x: wf(x) * alpha * scale ** alpha * x ** (-alpha - 1.0),
                                 scale, np.inf, epsabs=1e-10, limit=200)
         return MomentValue(True, val)
@@ -393,7 +390,6 @@ def second_moment_bound(d: Dist) -> Optional[float]:
         alpha, scale = d.params
         if alpha > 2.0:
             return alpha * scale ** 2 / (alpha - 2.0)
-        return None
     return None
 
 

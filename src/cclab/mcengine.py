@@ -39,7 +39,7 @@ import numpy as np
 
 from . import distmodel, seeding
 from .reports import UNDETERMINED, SeriesReport, SeriesRow
-from .seqkit import NormSeq, WeightSeq, kahan_partials
+from .seqkit import NormSeq, WeightSeq, prefix_sums
 
 WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
 
@@ -451,9 +451,9 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps,
     reports = []
     for e, (terms, los, his, exacts) in zip(eps_list, cols):
         rows = [SeriesRow(n=n, term=t, partial_sum=s, ci_lo=lo, ci_hi=hi, exact=x)
-                for n, t, s, lo, hi, x in zip(ns, terms, kahan_partials(terms).tolist(),
-                                              kahan_partials(los).tolist(),
-                                              kahan_partials(his).tolist(), exacts)]
+                for n, t, s, lo, hi, x in zip(ns, terms, prefix_sums(terms).tolist(),
+                                              prefix_sums(los).tolist(),
+                                              prefix_sums(his).tolist(), exacts)]
         reports.append(SeriesReport(
             series_id=series_id,
             params={"eps": e, "replicates": replicates,

@@ -173,11 +173,15 @@ def schedule_rows(level: int, payloads) -> str:
     ("[]", "malformed schedule"),
     # ln lambda of 1e16 is past where ln u can grow in doubles
     (schedule_rows(1, [1e16, 2e16]), "cutoff past the block-end route's range"),
-    # block 33 at lambda 20.83 reaches the enumerated route, which cannot
-    # enumerate a cutoff of e^20.83
-    (schedule_rows(0, [20.5 + 0.01 * m for m in range(1, 41)]),
+    # block 10 at lambda 0.8 reaches the enumerated route, whose half-tail
+    # sum of n^(-1 - 2^10/0.8) underflows
+    (schedule_rows(0, [0.7 + 0.01 * m for m in range(1, 17)]),
      "cutoff past the block-end route's range"),
-], ids=["missing", "not json", "no schedule key", "empty", "slack", "enumerated"])
+    # deeper than MAX_DEPTH; from block 1024 on, 2^m overflows
+    (schedule_rows(0, [30.0 + m for m in range(1, 18)]), "malformed schedule"),
+    (schedule_rows(1, [4.0 + 0.01 * m for m in range(1, 1031)]), "malformed schedule"),
+], ids=["missing", "not json", "no schedule key", "empty", "slack", "enumerated",
+        "17 cutoffs", "1030 cutoffs"])
 def test_unusable_schedule_is_a_config_error(capsys, tmp_path, text, message):
     path = tmp_path / "schedule.json"
     if text is not None:
@@ -223,17 +227,31 @@ def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
     assert err.startswith("unsupported distribution:")
 
 
-def run_process(code: str, *argv) -> subprocess.CompletedProcess:
-    """``python -c code argv...`` with this checkout's cclab on the path."""
+def run_process(*args) -> subprocess.CompletedProcess:
+    """``python args...`` with this checkout's cclab on the path."""
     src = str(Path(cclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120,
+    return subprocess.run([sys.executable, *args], env=env, timeout=120,
                           capture_output=True, text=True)
+
+
+# ``cclab.cli.main`` in a process of its own, so that any numpy warning
+# would reach stderr.
+MAIN = ("-c", "import sys, cclab.cli; sys.exit(cclab.cli.main(sys.argv[1:]))")
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     code = "import sys, cclab.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert run_process(code).returncode == 0
+    assert run_process("-c", code).returncode == 0
+
+
+def test_python_m_cclab_cli_runs_the_command(tmp_path):
+    proc = run_process("-m", "cclab.cli", "counterexample",
+                       "--schedule", str(tmp_path / "missing.json"))
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    # runpy warns first that the package imported cclab.cli before running it
+    assert proc.stderr.splitlines()[-1].startswith("config error: cannot read schedule")
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -324,15 +342,29 @@ def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
 
 
 def test_estimate_with_overflowing_steps_exits_4_with_one_line():
-    # In a process of its own, so that any numpy warning would reach stderr.
-    proc = run_process("import sys, cclab.cli; sys.exit(cclab.cli.main(sys.argv[1:]))",
-                       "estimate", "--set", "distribution.kind=pareto_sym",
+    proc = run_process(*MAIN, "estimate", "--set", "distribution.kind=pareto_sym",
                        "--set", "distribution.alpha=0.01", "--n", "1024",
                        "--threshold", "400", "--replicates", "1000", "--seed", "1")
     assert proc.returncode == cli.EXIT_SAMPLING == 4
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("sampling unavailable: pareto_sym:")
+
+
+@pytest.mark.parametrize("weights,message", [
+    ("coef = 1e305\nexponent = -1", "tail-domination-p3-theta1 constant C = inf"),
+    ("coef = 1e305\nexponent = 0", "T_n = sum k w(k) overflows doubles at n=60"),
+    ("exponent = 200", "the weights or normalizer overflow doubles"),
+], ids=["constant", "T_n", "weight"])
+def test_overflowing_weights_are_a_config_error(tmp_path, weights, message):
+    config = tmp_path / "scenario.ini"
+    config.write_text(f"[weights]\n{weights}\n[normalizer]\nexponent = 0.5\n"
+                      "[distribution]\nkind = rademacher\n")
+    proc = run_process(*MAIN, "check-conditions", "--config", str(config), "--horizon", "1000")
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("config error: " + message)
 
 
 def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):

@@ -140,6 +140,19 @@ def test_exp_and_adaptive_terms_agree_on_spataru_shape():
                     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+def test_adaptive_terms_take_known_moments_only_at_equal_cuts():
+    d, eps, n = dm.uniform_sym(1.0), 0.5, np.arange(2, 3000)
+    cut = eps * spataru_norms().values(n)  # (n log n)^(1/2) for n >= 2, bit for bit
+    plain = cv.adaptive_exponent_terms(d, eps, n)
+    t = dm.truncated_moments(d, 2.0, cut)
+    assert cv.adaptive_exponent_terms(d, eps, n, known=(cut, t)).tolist() == plain.tolist()
+    fake = np.full(n.shape, 1.0)  # shows whether the known column was used
+    used = cv.adaptive_exponent_terms(d, eps, n, known=(cut, fake))
+    assert used.tolist() == [float(k) ** (-1.0 - eps * eps) for k in n.tolist()]
+    moved = np.nextafter(cut, np.inf)
+    assert cv.adaptive_exponent_terms(d, eps, n, known=(moved, fake)).tolist() == plain.tolist()
+
+
 def test_single_tail_scale_consistency():
     # scaling the distribution by s equals shrinking eps by s
     w, a = sk.power_law_weights(0.0), sk.power_law_norms(1.0)

@@ -23,6 +23,11 @@ def spataru_norms():
 # ---------------------------------------------------------------------------
 
 
+def _running_fsum(values):
+    """Correctly rounded prefix sums: an independent reference for ``prefix_sums``."""
+    return [math.fsum(values[:i]) for i in range(1, len(values) + 1)]
+
+
 def partial_sums(w, k):
     """T_1, ..., T_k of the weights ``w``."""
     return sk.sequence_values(w, sk.power_law_norms(1.0), k).t
@@ -55,6 +60,66 @@ def test_partial_sum_additive_over_splits(j, extra):
     t = partial_sums(w, k)
     split = t[j - 1] + math.fsum(i * w(i) for i in range(j + 1, k + 1))
     assert t[-1] == pytest.approx(split, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# prefix_sums: Sum2 prefix sums against math.fsum and exact rationals
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_sums_within_an_ulp_of_fsum(seed):
+    rng = np.random.default_rng(seed)
+    for x in (rng.random(500) * 10.0 ** rng.integers(-8, 8, 500),
+              rng.standard_normal(500) * 10.0 ** rng.integers(-3, 3, 500),
+              np.exp(30.0 * rng.standard_normal(500))):
+        got = sk.prefix_sums(x).tolist()
+        for g, want in zip(got, _running_fsum(x.tolist())):
+            assert abs(g - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prefix_sums_equal_fsum_across_1e_minus200_to_1e200(seed):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.choice([-1.0, 1.0], 400) * rng.random(400) * 10.0 ** rng.integers(-200, 201, 400)
+    assert sk.prefix_sums(x).tolist() == _running_fsum(x.tolist())
+
+
+@pytest.mark.parametrize("x", [
+    [1.0, 1e100, 1.0, -1e100],  # a running Kahan sum ends at 0.0, not 2.0
+    [(-1.0) ** k / k for k in range(1, 2000)],
+    [1.0 / k ** 2 for k in range(1, 3000)],
+    [0.1 * k for k in range(1000)],
+], ids=["cancellation", "alternating harmonic", "inverse squares", "tenths"])
+def test_prefix_sums_match_exact_rationals(x):
+    exact, want = Fraction(0), []
+    for v in x:
+        exact += Fraction(v)
+        want.append(float(exact))
+    assert sk.prefix_sums(x).tolist() == want
+
+
+def test_prefix_sums_of_nothing_is_empty():
+    out = sk.prefix_sums([])
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+def test_prefix_sums_of_nonnegative_terms_pass_the_partial_sum_check():
+    from cclab.reports import check_partial_sums
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.random(2000) * 10.0 ** rng.integers(-20, 20, 2000)
+        p = sk.prefix_sums(x)
+        check_partial_sums(np.arange(1, x.size + 1), x, p)
+        assert (p[1:] >= p[:-1] - 1e-15 * np.fmax(1.0, np.abs(p[:-1]))).all()
+
+
+def test_prefix_sums_past_the_double_range_are_the_running_sum():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sk.prefix_sums([1e308, 1e308, 1.0, -math.inf])
+    assert out[0] == 1e308 and out[1] == out[2] == math.inf and math.isnan(out[3])
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +367,6 @@ def test_values_reject_the_first_bad_index_like_a_call():
         w.values(np.arange(0, 3))
 
 
-def _running_kahan(values):
-    total = c = 0.0
-    out = []
-    for v in values:
-        y = v - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-        out.append(t)
-    return out
-
-
 def _reference_tail_domination_c(w, a, theta, p, horizon, remainder):
     tau = [0.0] + [w(k) for k in range(1, horizon + 1)]
     av = [0.0] + [a(k) for k in range(1, horizon + 1)]
@@ -321,10 +374,10 @@ def _reference_tail_domination_c(w, a, theta, p, horizon, remainder):
     for k in range(1, horizon + 1):
         terms[k] = float(k) ** theta * tau[k] / av[k] ** p
     suffix = [0.0] * (horizon + 2)
-    suffix_sums = _running_kahan(terms[horizon:0:-1])
+    suffix_sums = _running_fsum(terms[horizon:0:-1])
     for k in range(horizon, 0, -1):
         suffix[k] = suffix_sums[horizon - k]
-    prefix = [0.0] + _running_kahan([k * tau[k] for k in range(1, horizon + 1)])
+    prefix = [0.0] + _running_fsum([k * tau[k] for k in range(1, horizon + 1)])
     best_c, argmax = 0.0, 0
     for n in range(2, horizon + 1):
         lhs = av[n] ** p / float(n) ** (theta - 1.0) * (suffix[n] + remainder)
