@@ -497,6 +497,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         for key, v in r.constants.items():
             if not math.isfinite(v):
                 raise ConfigError(f"{r.condition_id} constant {key} = {v!r} is not finite")
+    del values  # frees the power columns the checks shared before the series run
     series, moments, extra = [], [], {}
     if cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(cfg.counter_depth)
@@ -544,17 +545,17 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                 {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
             # The exp and adaptive series share the envelope and, at equal cuts, T.
             env_iii = _envelope_exp_term(d, w, a, eps)
+            t = distmodel.truncated_moments(d, 2.0, eps * av)
+            terms = convergence.exp_terms(d, tau, av, eps, n, t=t)
             bound = None if env_iii is None else env_iii.values_at(n)
-            cut = eps * av
-            t = distmodel.truncated_moments(d, 2.0, cut)
-            series.append(_series_with_envelope(
-                "exponential", n, convergence.exp_terms(d, tau, av, eps, n, t=t),
-                {"eps": eps}, env_iii, bound=bound))
+            series.append(_series_with_envelope("exponential", n, terms, {"eps": eps},
+                                                env_iii, bound=bound))
             if cfg.preset in ("spataru", "spataru_weak"):
+                terms = convergence.adaptive_exponent_terms(d, eps, n[1:],
+                                                            known=(eps * av[1:], t[1:]))
                 series.append(_series_with_envelope(
-                    "adaptive-exponent", n[1:],
-                    convergence.adaptive_exponent_terms(d, eps, n[1:], known=(cut[1:], t[1:])),
-                    {"eps": eps}, env_iii, bound=None if bound is None else bound[1:]))
+                    "adaptive-exponent", n[1:], terms, {"eps": eps}, env_iii,
+                    bound=None if bound is None else bound[1:]))
 
     return {
         "provenance": cfg.provenance(),

@@ -263,8 +263,7 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
     if d.kind == "normal_std":
         if nu in (0.0, 2.0):
-            # 2 Phi(b) - 1 with Phi(b) = erfc(-b/sqrt2)/2 in [1/2, 1]: the
-            # halving and doubling are exact; less 2 b phi(b) for nu = 2.
+            # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
             mass = libm(math.erfc, -b / _SQRT2) - 1.0
             if nu == 0.0:
                 return mass

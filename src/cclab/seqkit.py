@@ -98,15 +98,17 @@ def prefix_sums(values) -> np.ndarray:
     plus the running sum of each step's exact rounding error (TwoSum).  Prefix
     i is within u|S_i| + gamma_(i-1)^2 sum_(j<=i) |x_j| of the exact sum S_i
     (u = 2^-53, gamma_k = k u / (1 - k u)).  Where s overflows it is the
-    result (+-inf, or NaN once infinities of both signs meet), with no warning.
-    """
+    result (+-inf, or NaN once infinities of both signs meet), with no warning."""
     x = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.add.accumulate(x)
-        prev = np.concatenate(([0.0], s[:-1]))
-        step = s - prev
-        e = (prev - (s - step)) + (x - step)
-        return np.where(np.isfinite(s), s + np.add.accumulate(e), s)
+        e = np.concatenate(([0.0], s))[:-1]  # s_(i-1), then the error of step i
+        step = s - e
+        e -= s - step
+        e += np.subtract(x, step, out=step)
+        np.add(s, np.add.accumulate(e, out=e), out=e)
+        np.copyto(e, s, where=~np.isfinite(s))
+        return e
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,7 @@ class SequenceValues(NamedTuple):
     powers: dict
 
     def power(self, base: str, p: float) -> np.ndarray:
-        """n^p (``base`` "n") or a(n)^p (``base`` "a") over 1..horizon,
-        computed on first use."""
+        """n^p (``base`` "n") or a(n)^p (``base`` "a") over 1..horizon, computed once."""
         if (base, p) not in self.powers:
             x = self.a if base == "a" else np.arange(1, self.a.size + 1)
             self.powers[base, p] = libm(pow, x, p)
@@ -516,8 +517,7 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
     p = moment_power * theta
 
     values = values if values is not None else sequence_values(w, a, horizon)
-    tau, av, t = values.w, values.a, values.t
-    require_nondecreasing(av)
+    require_nondecreasing(values.a)
 
     shape = _combined_tail_shape(w, a, theta, moment_power)
     if shape is not None:
@@ -536,8 +536,8 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
 
     remainder = assessment.bound if assessment.kind == "finite" else 0.0
     a_p = values.power("a", p)
-    suffix = prefix_sums((values.power("n", theta) * tau / a_p)[::-1])[::-1]
-    t_prev = t[:-1]  # T_(n-1) for n = 2..horizon
+    suffix = prefix_sums((values.power("n", theta) * values.w / a_p)[::-1])[::-1]
+    t_prev = values.t[:-1]  # T_(n-1) for n = 2..horizon
     lhs = a_p[1:] / values.power("n", theta - 1.0)[1:] * (suffix[1:] + remainder)
 
     # C is the largest ratio lhs/T_(n-1) over the n with T_(n-1) > 0, and
