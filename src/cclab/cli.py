@@ -543,19 +543,19 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             series.append(_series_with_envelope(
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
                 {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
-            # The exp and adaptive series share the envelope and, at equal cuts, T.
+            # The exp and adaptive series share T (where their cuts agree) and the
+            # envelope, evaluated after the terms so that fewer columns are live.
             env_iii = _envelope_exp_term(d, w, a, eps)
             t = distmodel.truncated_moments(d, 2.0, eps * av)
-            terms = convergence.exp_terms(d, tau, av, eps, n, t=t)
-            bound = None if env_iii is None else env_iii.values_at(n)
-            series.append(_series_with_envelope("exponential", n, terms, {"eps": eps},
-                                                env_iii, bound=bound))
+            series.append(_series_with_envelope(
+                "exponential", n, convergence.exp_terms(d, tau, av, eps, n, t=t), {"eps": eps},
+                env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
             if cfg.preset in ("spataru", "spataru_weak"):
-                terms = convergence.adaptive_exponent_terms(d, eps, n[1:],
-                                                            known=(eps * av[1:], t[1:]))
                 series.append(_series_with_envelope(
-                    "adaptive-exponent", n[1:], terms, {"eps": eps}, env_iii,
-                    bound=None if bound is None else bound[1:]))
+                    "adaptive-exponent", n[1:],
+                    convergence.adaptive_exponent_terms(d, eps, n[1:], known=(eps * av[1:], t[1:])),
+                    {"eps": eps}, env_iii, bound=None if bound is None else bound[1:]))
+            del t, bound  # before the next eps allocates its columns
 
     return {
         "provenance": cfg.provenance(),
