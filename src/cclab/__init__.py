@@ -10,8 +10,17 @@ certified to diverge while its log-weighted second moment stays finite.
 
 __version__ = "0.1.0"
 
-from . import (cli, convergence, counterexample, distmodel, mcengine, reports,
-               seeding, seqkit)
+from . import convergence, counterexample, distmodel, mcengine, reports, seeding, seqkit
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use, so ``python -m cclab.cli`` runs the module
+    # once, as __main__, and ``import cclab`` does not pay for argparse.
+    if name == "cli":
+        import importlib
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -7,10 +7,12 @@ data inside the reports; exit codes only signal operational failures:
 
     0  ran to completion
     1  a divergence certificate failed (counterexample subcommand)
-    2  config parse/validation error; also a ``counterexample --schedule``
-       file that cannot be read, is not JSON or is not a schedule of 1 to
-       MAX_DEPTH cutoffs, or whose cutoffs lie past the range where a block
-       end can be certified, and ``check-conditions`` sequences that overflow
+    2  config parse/validation error, non-finite numbers included; also a
+       ``counterexample --schedule`` file that cannot be read, is not JSON or
+       is not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1, or
+       holds a cutoff for which the integral bound certifies no block end;
+       weights or a normalizer that are negative, non-finite, decreasing or
+       overflow doubles; and configured magnitudes whose powers overflow
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -149,16 +151,16 @@ def _parse_preset(text: str) -> tuple[str, tuple]:
         if len(args) != 2:
             raise ConfigError("baum_katz needs (r, p)")
         r, p = args
-        if r < 1.0 or not 0.0 < p < 2.0:
-            raise ConfigError("baum_katz requires r >= 1 and 0 < p < 2")
+        if not (1.0 <= r < math.inf and 0.0 < p < 2.0):
+            raise ConfigError("baum_katz requires finite r >= 1 and 0 < p < 2")
     elif name in ("spataru", "custom"):
         if args:
             raise ConfigError(f"{name} takes no arguments")
     elif name == "spataru_weak":
-        if len(args) != 1 or args[0] <= 0.0:
-            raise ConfigError("spataru_weak needs (delta) with delta > 0")
+        if len(args) != 1 or not 0.0 < args[0] < math.inf:
+            raise ConfigError("spataru_weak needs (delta) with finite delta > 0")
     elif name == "ms_counterexample":
-        if len(args) != 1 or args[0] != int(args[0]) or not 1 <= args[0] <= 16:
+        if len(args) != 1 or args[0] not in range(1, 17):
             raise ConfigError("ms_counterexample needs an integer depth in 1..16")
     else:
         raise ConfigError(f"unknown preset {name!r}")
@@ -282,16 +284,16 @@ def load_config(path: Optional[str], overrides: dict,
         eps = tuple(float(x) for x in str(eps_text).split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"malformed eps list {eps_text!r}") from exc
-    if not eps or any(e <= 0.0 for e in eps):
-        raise ConfigError("eps values must be positive")
+    if not eps or not all(0.0 < e < math.inf for e in eps):
+        raise ConfigError("eps values must be finite and positive")
 
     try:
         theta = float(scen.get("theta", 1.0))
         horizon = int(scen.get("horizon", 10_000))
     except ValueError as exc:
         raise ConfigError("theta/horizon must be numeric") from exc
-    if theta < 1.0:
-        raise ConfigError("theta must be >= 1")
+    if not 1.0 <= theta < math.inf:
+        raise ConfigError("theta must be finite and >= 1")
     if horizon < 4:
         raise ConfigError("horizon must be >= 4")
 
@@ -364,7 +366,9 @@ def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int)
     """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
     bound = distmodel.support_bound(d)
     if bound is not None and a.tends_to_infinity():
-        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, 1 << 40)
+        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
+        if n0 is None:
+            return None
         return VanishingEnvelope(from_n=n0,
                                  description=f"bounded support {bound:g}: the tail is 0 once "
                                              f"eps*a(n) > {bound:g}")
@@ -478,7 +482,6 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             values = seqkit.sequence_values(w, a, horizon)
             tau, av = values.w, values.a
-            seqkit.require_nondecreasing(av[:4096])
             regularity = [
                 seqkit.check_dyadic_regularity(w, horizon=horizon),
                 seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=3.0,
@@ -757,7 +760,7 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out_dir, "estimate.json")
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, seqkit.SequenceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnsupportedFamily as exc:
@@ -769,6 +772,9 @@ def main(argv=None) -> int:
     except mcengine.OracleUnavailable as exc:
         print(f"unsupported distribution: {exc}", file=sys.stderr)
         return EXIT_FAMILY
+    except OverflowError as exc:  # a configured magnitude whose powers leave doubles
+        print(f"config error: a value past the double range: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

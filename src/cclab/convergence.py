@@ -124,6 +124,15 @@ def _from(n, from_n: int, before: float, bound) -> np.ndarray:
     return out
 
 
+def _tail_start(from_n: int, last_n: int) -> int:
+    """The first n past ``last_n``; an envelope from ``from_n`` bounds the
+    tail from there only if it leaves no term between them unbounded."""
+    if from_n > last_n + 1:
+        raise ValueError(f"an envelope from n={from_n} leaves the terms "
+                         f"{last_n + 1}..{from_n - 1} unbounded")
+    return last_n + 1
+
+
 @dataclass(frozen=True)
 class PowerEnvelope:
     """terms(n) <= coef * n^(-exponent) for n >= from_n, with exponent > 1."""
@@ -143,7 +152,7 @@ class PowerEnvelope:
         return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, k, -self.exponent))
 
     def tail_beyond(self, last_n: int) -> float:
-        start = max(last_n + 1, self.from_n)
+        start = _tail_start(self.from_n, last_n)
         q = self.exponent
         return self.coef * (float(start) ** -q + float(start) ** (1.0 - q) / (q - 1.0))
 
@@ -175,7 +184,7 @@ class GeometricEnvelope:
         return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, self.ratio, k))
 
     def tail_beyond(self, last_n: int) -> float:
-        start = max(last_n + 1, self.from_n)
+        start = _tail_start(self.from_n, last_n)
         return self.coef * self.ratio ** start / (1.0 - self.ratio)
 
     def as_bound(self, last_n: int) -> ConvergenceBound:
@@ -198,11 +207,12 @@ class VanishingEnvelope:
         return _from(n, self.from_n, math.inf, np.zeros_like)
 
     def tail_beyond(self, last_n: int) -> float:
+        _tail_start(self.from_n, last_n)
         return 0.0
 
     def as_bound(self, last_n: int) -> ConvergenceBound:
         return ConvergenceBound(kind="vanishing", params={"from_n": self.from_n},
-                                tail_bound=0.0,
+                                tail_bound=self.tail_beyond(last_n),
                                 description=self.description or
                                 f"terms vanish for every n >= {self.from_n}")
 

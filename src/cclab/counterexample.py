@@ -9,9 +9,9 @@ contributes at least 1.
 
 Everything is certified in the log domain.  The cutoffs themselves overflow
 doubles immediately (ln K_1 is ~29.6, ln K_10 ~ 1e448), so values live in a
-layered representation: level 0 stores the value, level 1 its log, level 2
-the log of the log.  Every certified comparison adds a directed slack of
-1e-9 to the required side, so certificates only err conservatively.
+layered representation: level 0 stores the value, level 1 its log.  Every
+certified comparison adds a directed slack of 1e-9 to the required side, so
+certificates only err conservatively.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class CertificationError(RuntimeError):
 
 class BlockEndUnavailable(RuntimeError):
     """A cutoff lies outside the range where ``required_block_end`` can
-    certify a block end: ln u cannot grow in doubles, or the enumerated
-    route is reached with a cutoff it cannot enumerate."""
+    certify a block end: the integral bound cannot certify at any slack, or
+    ln u cannot grow in doubles."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +51,15 @@ class BlockEndUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class LogReal:
-    """Nonnegative extended real: payload is the value (level 0), its log
-    (level 1), or its log-log (level 2)."""
+    """Nonnegative extended real: payload is the value (level 0) or its log
+    (level 1)."""
 
     level: int
     payload: float
 
     def __post_init__(self) -> None:
-        if self.level not in (0, 1, 2):
-            raise ValueError("level must be 0, 1 or 2")
+        if self.level not in (0, 1):
+            raise ValueError("level must be 0 or 1")
         if not math.isfinite(self.payload):
             raise ValueError("payload must be finite")
         if self.level == 0 and self.payload < 0.0:
@@ -74,43 +74,27 @@ class LogReal:
         return LogReal(1, float(lx))
 
     def log_value(self) -> float:
-        """ln of the represented value; -inf at 0, +inf when it overflows."""
+        """ln of the represented value; -inf at 0."""
         if self.level == 0:
             return math.log(self.payload) if self.payload > 0.0 else -math.inf
-        if self.level == 1:
-            return self.payload
-        try:
-            return math.exp(self.payload)
-        except OverflowError:
-            return math.inf
-
-    def loglog_value(self) -> float:
-        if self.level == 2:
-            return self.payload
-        lv = self.log_value()
-        return math.log(lv) if lv > 0.0 else -math.inf
+        return self.payload
 
     def scaled(self, c: float) -> "LogReal":
         """The value multiplied by c > 0."""
         if c <= 0.0 or not math.isfinite(c):
             raise ValueError("scale factor must be a positive finite real")
-        if self.level == 0:
-            if self.payload == 0.0:
-                return self
-            y = self.payload * c
-            if y < _LEVEL0_CAP:
-                return LogReal(0, y)
-            return LogReal(1, math.log(self.payload) + math.log(c))
         if self.level == 1:
             return LogReal(1, self.payload + math.log(c))
-        lnc = math.log(c)
-        if self.payload > 50.0:
-            return LogReal(2, self.payload + math.log1p(lnc * math.exp(-self.payload)))
-        return LogReal(2, math.log(math.exp(self.payload) + lnc))
+        if self.payload == 0.0:
+            return self
+        y = self.payload * c
+        if y < _LEVEL0_CAP:
+            return LogReal(0, y)
+        return LogReal(1, math.log(self.payload) + math.log(c))
 
     def plus_scalar(self, x: float) -> "LogReal":
-        """The value plus x >= 0; beyond level 0 the result may round down,
-        so callers must treat it as a lower bound."""
+        """The value plus x >= 0; at level 1 the result may round down, so
+        callers must treat it as a lower bound."""
         if x < 0.0:
             raise ValueError("addend must be nonnegative")
         if x == 0.0:
@@ -120,18 +104,13 @@ class LogReal:
             if y < _LEVEL0_CAP:
                 return LogReal(0, y)
             return LogReal.from_log(math.log(y))
-        if self.level == 1:
-            ratio = x * math.exp(min(-self.payload, 700.0)) if self.payload > -700.0 else math.inf
-            if math.isinf(ratio):
-                return LogReal(1, math.log(x))
-            return LogReal(1, self.payload + math.log1p(ratio))
-        return self
+        ratio = x * math.exp(min(-self.payload, 700.0)) if self.payload > -700.0 else math.inf
+        if math.isinf(ratio):
+            return LogReal(1, math.log(x))
+        return LogReal(1, self.payload + math.log1p(ratio))
 
     def compare(self, other: "LogReal") -> int:
         la, lb = self.log_value(), other.log_value()
-        if math.isinf(la) and math.isinf(lb) and la > 0 and lb > 0:
-            lla, llb = self.loglog_value(), other.loglog_value()
-            return (lla > llb) - (lla < llb)
         return (la > lb) - (la < lb)
 
     def __lt__(self, other: "LogReal") -> bool:
@@ -141,18 +120,19 @@ class LogReal:
         return self.compare(other) <= 0
 
 
-def _exp_neg_upper(log_cutoff: LogReal) -> float:
-    """Certified upper bound on e^(-lambda) = 1/K."""
-    if log_cutoff.level == 0 and log_cutoff.payload <= 700.0:
-        return math.exp(-log_cutoff.payload)
-    return 1e-304
-
-
 def _lambda_lower_float(log_cutoff: LogReal) -> float:
-    """A float lower bound on lambda itself."""
+    """A float lower bound on lambda itself: the payload at level 0, and at
+    level 1 e^payload (capped at e^709) one ulp down, below libm's error."""
     if log_cutoff.level == 0:
         return log_cutoff.payload
-    return _LEVEL0_CAP
+    return math.nextafter(math.exp(min(log_cutoff.payload, 709.0)), 0.0)
+
+
+def _exp_neg_upper(log_cutoff: LogReal) -> float:
+    """Certified upper bound on e^(-lambda) = 1/K; past lambda = 700 it is
+    1e-304, above e^-700."""
+    lam_lo = _lambda_lower_float(log_cutoff)
+    return math.exp(-lam_lo) if lam_lo <= 700.0 else 1e-304
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +143,10 @@ def _lambda_lower_float(log_cutoff: LogReal) -> float:
 @dataclass(frozen=True)
 class HalfTailCertificate:
     """Evidence that the sum over (K, L] reaches half of the full tail of
-    n^(-1-s), s = 2^m/ln K, entirely from integral (or enumerated) bounds."""
+    n^(-1-s), s = 2^m/ln K, entirely from integral bounds."""
 
     m: int
     log_s: float
-    mode: str
     doublings: int
     lhs_log: float
     rhs_log: float
@@ -175,7 +154,7 @@ class HalfTailCertificate:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "log_s": self.log_s, "mode": self.mode,
+        return {"m": self.m, "log_s": self.log_s, "mode": "integral",
                 "doublings": self.doublings, "lhs_log": self.lhs_log,
                 "rhs_log": self.rhs_log, "margin": self.margin, "ok": self.ok}
 
@@ -214,11 +193,12 @@ def _plus_ln2(x: float, j: int) -> float:
 def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCertificate]:
     """Smallest certified block end L for cutoff K = e^lambda and index m.
 
-    Integral route: L = F*(K+1)*2^(1/s) with the slack factor F doubled (in
-    the log domain) the least number of times that certifies the half-tail
-    inequality.  When the integral bounds can never certify, K is provably
-    small enough to enumerate the series directly, and the certificate
-    records the enumerated bounds instead.
+    L = F*(K+1)*2^(1/s) with the slack factor F doubled (in the log domain)
+    the least number of times that certifies the half-tail inequality.
+    At or above the block-weight floor lambda = 2^(m+1) e^(2^m (1+corr)),
+    s <= e^(-2^m)/2 keeps the right side of that inequality near 1/2, so
+    some F certifies; a cutoff for which none can fails the floor anyway
+    and has no block end.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -230,66 +210,32 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
     delta_ub = e_neg  # ln(1 + 1/K) <= 1/K
 
     # The right side does not depend on the slack u, and the margin grows with
-    # u to clear 0 at u* = -ln(2 - 2 rhs e^SLACK), so the route is feasible
-    # exactly when it certifies as u grows without bound.  j doublings of
-    # u = s ln2 (ln u += ln 2 each) start two below u* and step up to the
+    # u to clear 0 at u* = -ln(2 - 2 rhs e^SLACK), so a block end exists
+    # exactly when the margin clears 0 as u grows without bound.  j doublings
+    # of u = s ln2 (ln u += ln 2 each) start two below u* and step up to the
     # least that certifies; where u* rounds to inf, the left side is 1 at 40.
     s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
     rhs = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
-    if math.log(rhs) <= -SLACK:
-        ln_u = ln_s + _LNLN2
-        if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
-            raise BlockEndUnavailable("slack doubling failed to terminate")
-        gap = 2.0 - 2.0 * rhs * math.exp(SLACK)
-        u_star = -math.log(gap) if gap > 0.0 else 40.0
-        doublings = max(0, math.ceil((math.log(u_star) - ln_u) / _LN2) - 2)
-        ln_u = _plus_ln2(ln_u, doublings)
-        while True:
-            u = math.exp(ln_u)
-            lhs_log, rhs_log, margin = _integral_margin(u, rhs)
-            if margin >= 0.0:
-                break
-            ln_u += _LN2
-            doublings += 1
-        w = _LN2 + u
-        end = log_cutoff.scaled(1.0 + w / 2.0 ** m).plus_scalar(delta_ub)
-        cert = HalfTailCertificate(m=m, log_s=ln_s, mode="integral",
-                                   doublings=doublings, lhs_log=lhs_log,
-                                   rhs_log=rhs_log, margin=margin, ok=True)
-        return end, cert
-
-    # Enumerated route: only reachable when s/K >= ~0.44, which pins K small.
-    if log_cutoff.level != 0 or log_cutoff.payload > 20.0:
-        raise BlockEndUnavailable("enumeration fallback reached with a large cutoff")
-    lam = log_cutoff.payload
-    k_val = math.exp(lam)
-    if k_val > 2e6:
-        raise BlockEndUnavailable("enumeration fallback reached with oversized support")
-    s = math.exp(ln_s)
-    n0 = int(math.floor(k_val + 1e-9)) + 1     # start no earlier than the true block
-    # when the fuzz crossed an integer, the tail bound may have lost one term
-    extra_ub = float(n0 - 1) ** (-1.0 - s) if math.floor(k_val + 1e-9) != math.floor(k_val) else 0.0
-    end_n = int(math.ceil(2.0 * (k_val + 1.0) * 2.0 ** (1.0 / s)))
-    doublings = 0
+    if math.log(rhs) > -SLACK:
+        raise BlockEndUnavailable("the integral bound cannot certify a block end "
+                                  f"for ln lambda = {lam_ln!r} at m = {m}")
+    ln_u = ln_s + _LNLN2
+    if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
+        raise BlockEndUnavailable("slack doubling failed to terminate")
+    gap = 2.0 - 2.0 * rhs * math.exp(SLACK)
+    u_star = -math.log(gap) if gap > 0.0 else 40.0
+    doublings = max(0, math.ceil((math.log(u_star) - ln_u) / _LN2) - 2)
+    ln_u = _plus_ln2(ln_u, doublings)
     while True:
-        finite = math.fsum(n ** (-1.0 - s) for n in range(n0, end_n + 1))
-        finite_lb = finite * (1.0 - 1e-12)
-        if finite_lb == 0.0:
-            raise BlockEndUnavailable("enumerated half-tail sum underflows")
-        tail_ub = finite * (1.0 + 1e-12) + end_n ** (-s) / s + extra_ub
-        lhs_log = math.log(finite_lb)
-        rhs_log = math.log(0.5 * tail_ub)
-        margin = lhs_log - rhs_log - SLACK
+        u = math.exp(ln_u)
+        lhs_log, rhs_log, margin = _integral_margin(u, rhs)
         if margin >= 0.0:
             break
-        end_n *= 2
+        ln_u += _LN2
         doublings += 1
-        if doublings > 80:
-            raise BlockEndUnavailable("enumerated half-tail search failed to terminate")
-    cert = HalfTailCertificate(m=m, log_s=ln_s, mode="enumerated",
-                               doublings=doublings, lhs_log=lhs_log,
-                               rhs_log=rhs_log, margin=margin, ok=True)
-    return LogReal.from_value(math.log(end_n)), cert
+    end = log_cutoff.scaled(1.0 + (_LN2 + u) / 2.0 ** m).plus_scalar(delta_ub)
+    return end, HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings, lhs_log=lhs_log,
+                                    rhs_log=rhs_log, margin=margin, ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +315,7 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     condition (closed form), the certified block end of the previous cutoff,
     and the previous lambda plus one; a 1e-6 log-domain margin is added so
     that replay under the 1e-9 slack always passes.  Entries are promoted to
-    the second log level once lambda crosses 1e300.
+    level 1 (the log) once lambda crosses 1e300.
     """
     if not 1 <= m_max <= MAX_DEPTH:
         raise ValueError(f"m_max must lie in 1..{MAX_DEPTH}")

@@ -101,8 +101,8 @@ def rademacher() -> Dist:
 
 
 def uniform_sym(half_width: float) -> Dist:
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
+    if not 0.0 < half_width < math.inf:
+        raise ValueError("half_width must be finite and positive")
     return Dist("uniform_sym", (float(half_width),), True)
 
 
@@ -112,8 +112,8 @@ def normal_std() -> Dist:
 
 def pareto_sym(alpha: float, scale: float = 1.0) -> Dist:
     """Symmetric power tail: P(|X| >= t) = min(1, (scale/t)^alpha)."""
-    if alpha <= 0 or scale <= 0:
-        raise ValueError("alpha and scale must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < scale < math.inf):
+        raise ValueError("alpha and scale must be finite and positive")
     return Dist("pareto_sym", (float(alpha), float(scale)), True)
 
 

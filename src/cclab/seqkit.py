@@ -202,6 +202,11 @@ class PowerLawFamily:
         return self.coef * libm(pow, n, self.exponent) * self.sv.values(n)
 
 
+class SequenceError(ValueError):
+    """A weight or normalizer value is invalid: not finite, of the wrong
+    sign, or a normalizer that decreases."""
+
+
 def _evaluate(seq, n, what: str, ok, bad: str) -> np.ndarray:
     """seq.fn over the indices ``n``, validated once.  The first value
     failing ``ok`` raises ``bad`` formatted with its n and value."""
@@ -212,7 +217,7 @@ def _evaluate(seq, n, what: str, ok, bad: str) -> np.ndarray:
     fails = np.flatnonzero(~(np.isfinite(v) & ok(v)))
     if fails.size:
         i = fails[0]
-        raise ValueError(bad.format(n=n.tolist()[i], v=float(v[i])))
+        raise SequenceError(bad.format(n=n.tolist()[i], v=float(v[i])))
     return v
 
 
@@ -275,7 +280,7 @@ def require_nondecreasing(a: np.ndarray) -> None:
     down = np.flatnonzero(a[1:] < a[:-1])
     if down.size:
         k = int(down[0])
-        raise ValueError(f"normalizer decreases at n={k + 2}: "
+        raise SequenceError(f"normalizer decreases at n={k + 2}: "
                          f"{float(a[k])} -> {float(a[k + 1])}")
 
 

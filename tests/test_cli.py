@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -173,15 +174,16 @@ def schedule_rows(level: int, payloads) -> str:
     ("[]", "malformed schedule"),
     # ln lambda of 1e16 is past where ln u can grow in doubles
     (schedule_rows(1, [1e16, 2e16]), "cutoff past the block-end route's range"),
-    # block 10 at lambda 0.8 reaches the enumerated route, whose half-tail
-    # sum of n^(-1 - 2^10/0.8) underflows
+    # at lambda below 1 the integral bound certifies no block end
     (schedule_rows(0, [0.7 + 0.01 * m for m in range(1, 17)]),
      "cutoff past the block-end route's range"),
+    # cutoffs are stored as a value or its log, never at a deeper level
+    (schedule_rows(2, [1.0, 2.0]), "malformed schedule"),
     # deeper than MAX_DEPTH; from block 1024 on, 2^m overflows
     (schedule_rows(0, [30.0 + m for m in range(1, 18)]), "malformed schedule"),
     (schedule_rows(1, [4.0 + 0.01 * m for m in range(1, 1031)]), "malformed schedule"),
 ], ids=["missing", "not json", "no schedule key", "empty", "slack", "enumerated",
-        "17 cutoffs", "1030 cutoffs"])
+        "level 2", "17 cutoffs", "1030 cutoffs"])
 def test_unusable_schedule_is_a_config_error(capsys, tmp_path, text, message):
     path = tmp_path / "schedule.json"
     if text is not None:
@@ -227,11 +229,11 @@ def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
     assert err.startswith("unsupported distribution:")
 
 
-def run_process(*args) -> subprocess.CompletedProcess:
+def run_process(*args, timeout: float = 120) -> subprocess.CompletedProcess:
     """``python args...`` with this checkout's cclab on the path."""
     src = str(Path(cclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env, timeout=120,
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
                           capture_output=True, text=True)
 
 
@@ -250,8 +252,23 @@ def test_python_m_cclab_cli_runs_the_command(tmp_path):
                        "--schedule", str(tmp_path / "missing.json"))
     assert proc.returncode == cli.EXIT_CONFIG
     assert proc.stdout == ""
-    # runpy warns first that the package imported cclab.cli before running it
-    assert proc.stderr.splitlines()[-1].startswith("config error: cannot read schedule")
+    assert proc.stderr.startswith("config error: cannot read schedule")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_python_m_cclab_cli_writes_nothing_to_stderr_on_success():
+    # the package loads cli lazily, so runpy finds no copy of it to warn about
+    proc = run_process("-m", "cclab.cli", "estimate", "--set", "distribution.kind=rademacher",
+                       "--n", "4", "--threshold", "2", "--replicates", "1000")
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["estimate"]["n"] == 4
+
+
+def test_import_cclab_leaves_cli_unloaded_until_used():
+    proc = run_process("-c", "import sys, cclab; assert 'cclab.cli' not in sys.modules; "
+                             "assert cclab.cli.main is sys.modules['cclab.cli'].main")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -394,3 +411,91 @@ def test_report_merge_unreadable_input_is_a_config_error(capsys, tmp_path):
         code, _, err = run(capsys, "report-merge", str(path), "--out", str(tmp_path / "m.json"))
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: cannot read report")
+
+
+NONFINITE_CASES = {
+    "eps nan": ("check-conditions", "--preset", "spataru", "--eps", "nan",
+                "--set", "distribution.kind=rademacher"),
+    "eps inf": ("check-conditions", "--preset", "spataru", "--eps", "0.5,inf",
+                "--set", "distribution.kind=rademacher"),
+    "simulate eps nan": ("simulate", "--preset", "spataru", "--eps", "nan",
+                         "--set", "distribution.kind=rademacher"),
+    "spataru_weak nan": ("check-conditions", "--preset", "spataru_weak(nan)",
+                         "--set", "distribution.kind=rademacher"),
+    "spataru_weak inf": ("check-conditions", "--preset", "spataru_weak(inf)",
+                         "--set", "distribution.kind=rademacher"),
+    "baum_katz nan": ("check-conditions", "--preset", "baum_katz(nan,1)",
+                      "--set", "distribution.kind=rademacher"),
+    "ms_counterexample inf": ("check-conditions", "--preset", "ms_counterexample(inf)"),
+    "theta nan": ("check-conditions", "--preset", "spataru", "--set", "scenario.theta=nan",
+                  "--set", "distribution.kind=rademacher"),
+    "pareto alpha nan": ("check-conditions", "--preset", "spataru",
+                         "--set", "distribution.kind=pareto_sym",
+                         "--set", "distribution.alpha=nan"),
+    "pareto alpha inf": ("check-conditions", "--preset", "spataru",
+                         "--set", "distribution.kind=pareto_sym",
+                         "--set", "distribution.alpha=inf"),
+    "uniform inf": ("estimate", "--set", "distribution.kind=uniform_sym",
+                    "--set", "distribution.half_width=inf", "--n", "4", "--threshold", "1"),
+    "uniform nan": ("estimate", "--set", "distribution.kind=uniform_sym",
+                    "--set", "distribution.half_width=nan", "--n", "4", "--threshold", "1"),
+}
+
+
+@pytest.mark.parametrize("argv", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
+def test_nonfinite_inputs_are_config_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a quadrature warning would be a second line
+        code, out, err = run(capsys, *argv, "--horizon", "100", "--replicates", "1000")
+    assert code == cli.EXIT_CONFIG, err
+    assert out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,entry,message", [
+    (command, entry, message) for command in ("check-conditions", "simulate")
+    for entry, message in [("weights.coef=-1", "weight w("),
+                           ("normalizer.coef=-1", "normalizer a("),
+                           ("weights.exponent=nan", "weight w(2) = nan")]
+] + [("check-conditions", "normalizer.exponent=-1", "normalizer decreases at n=2")])
+def test_invalid_sequence_values_are_config_errors(capsys, command, entry, message):
+    code, out, err = run(capsys, command, "--set", "weights.exponent=-1",
+                         "--set", "normalizer.exponent=1", "--set", entry,
+                         "--set", "distribution.kind=rademacher",
+                         "--horizon", "100", "--replicates", "1000")
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
+
+
+def test_bounded_support_past_the_horizon_certifies_nothing(capsys):
+    # eps a(n) first passes the atom 1000 at n = 315879, far past the horizon,
+    # and every term up to there is 0.5: no vanishing tail can be claimed
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru",
+                         "--set", "distribution.kind=atomic_sym",
+                         "--set", "distribution.atoms=1000:0.5",
+                         "--horizon", "100", "--eps", "0.5")
+    assert code == cli.EXIT_OK, err
+    single = json.loads(out)["series"][0]
+    assert single["series_id"] == "single-tail"
+    assert single["verdict"] == "Undetermined"
+    assert "tail_bound" not in single
+
+
+@pytest.mark.parametrize("dist,code", [
+    (("atomic_sym", "atoms=1e100:0.5"), cli.EXIT_OK),
+    (("atomic_sym", "atoms=1e308:0.5"), cli.EXIT_CONFIG),
+    (("uniform_sym", "half_width=1e100"), cli.EXIT_OK),
+    (("uniform_sym", "half_width=inf"), cli.EXIT_CONFIG),
+], ids=["atom 1e100", "atom 1e308", "uniform 1e100", "uniform inf"])
+def test_huge_support_finishes_within_the_horizon(dist, code):
+    # the vanishing-envelope search stops at the horizon, not at n = 2^40
+    kind, param = dist
+    proc = run_process(*MAIN, "check-conditions", "--preset", "spataru",
+                       "--set", f"distribution.kind={kind}", "--set", f"distribution.{param}",
+                       "--horizon", "100", "--eps", "0.5", timeout=20)
+    assert proc.returncode == code, proc.stderr
+    if code == cli.EXIT_OK:
+        assert all(s["verdict"] == "Undetermined" for s in json.loads(proc.stdout)["series"])
+    else:
+        assert proc.stderr.startswith("config error:") and len(proc.stderr.splitlines()) == 1

@@ -187,6 +187,17 @@ def test_summarize_zero_terms():
     assert rep.tail_bound.tail_bound == 0.0
 
 
+@pytest.mark.parametrize("env", [cv.VanishingEnvelope(from_n=60),
+                                 cv.PowerEnvelope(coef=1.0, exponent=2.0, from_n=60),
+                                 cv.GeometricEnvelope(coef=1.0, ratio=0.5, from_n=60)],
+                         ids=["vanishing", "power", "geometric"])
+def test_envelopes_refuse_a_tail_with_unbounded_terms_before_them(env):
+    # from n = 60 the envelope says nothing about the terms 50..59
+    assert env.tail_beyond(59) >= 0.0
+    with pytest.raises(ValueError, match="50..59 unbounded"):
+        env.tail_beyond(49)
+
+
 def test_summarize_undetermined_without_certificate():
     rep = cv.summarize_series("plain", range(1, 20), [1.0 / n for n in range(1, 20)])
     assert rep.verdict == UNDETERMINED

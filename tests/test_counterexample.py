@@ -29,10 +29,7 @@ def test_logreal_levels_and_values():
     assert x.log_value() == pytest.approx(math.log(100.0))
     y = LogReal.from_log(1000.0)  # e^1000, far beyond doubles
     assert y.log_value() == 1000.0
-    assert y.loglog_value() == pytest.approx(math.log(1000.0))
-    z = LogReal(2, 800.0)  # e^{e^800}
-    assert z.log_value() == math.inf
-    assert z.loglog_value() == 800.0
+    assert LogReal.from_value(0.0).log_value() == -math.inf
 
 
 def test_logreal_round_trips():
@@ -40,15 +37,10 @@ def test_logreal_round_trips():
     up = LogReal.from_log(x.log_value())
     assert up.level == 1 and up.compare(x) == 0
     assert math.exp(up.log_value()) == pytest.approx(3.7, rel=1e-12)
-    big = LogReal.from_log(512.0)
-    assert LogReal(2, big.loglog_value()).log_value() == pytest.approx(512.0, rel=1e-12)
-    # a replayed schedule carries every level through its JSON list unchanged
+    # a replayed schedule carries both levels through its JSON list unchanged
     items = ce.build_schedule(12).to_json_list()
     assert {d["level"] for d in items} == {0, 1}
-    items.append({"m": 13, "level": 2, "payload": 800.0,
-                  "cond_A_margin_log": 0.0, "cond_B_margin_log": None})
     again = ce.CutoffSchedule.from_json_list(items)
-    assert again.log_cutoff(13) == LogReal(2, 800.0)
     assert again.to_json_list() == items
 
 
@@ -58,8 +50,6 @@ def test_logreal_round_trip_log_domain(v):
     x = LogReal.from_value(v)
     back = LogReal.from_log(x.log_value())
     assert back.compare(x) == 0
-    if v > 1.0:
-        assert LogReal(2, back.loglog_value()).log_value() == pytest.approx(back.payload, rel=1e-12)
     assert math.exp(back.log_value()) == pytest.approx(v, rel=1e-12)
 
 
@@ -67,7 +57,7 @@ def test_logreal_comparisons_across_levels():
     small = LogReal.from_value(5.0)
     mid = LogReal.from_log(400.0)        # e^400 ~ 1e173
     mid2 = LogReal.from_value(1e250)
-    huge = LogReal(2, 100.0)             # e^{e^100}
+    huge = LogReal.from_log(1e100)       # e^{1e100}
     assert small < mid < mid2 < huge
     assert not huge < small
     assert LogReal.from_value(7.0).compare(LogReal.from_value(7.0)) == 0
@@ -81,8 +71,6 @@ def test_logreal_scaling():
     assert y.payload == pytest.approx(math.log(1e250) + math.log(1e100), rel=1e-14)
     z = LogReal.from_log(2000.0).scaled(2.0)
     assert z.payload == pytest.approx(2000.0 + LN2, rel=1e-14)
-    w = LogReal(2, 300.0).scaled(5.0)
-    assert w.loglog_value() == pytest.approx(300.0)
 
 
 def test_logreal_plus_scalar():
@@ -93,7 +81,7 @@ def test_logreal_plus_scalar():
 
 def test_logreal_validation():
     with pytest.raises(ValueError):
-        LogReal(3, 1.0)
+        LogReal(2, 1.0)
     with pytest.raises(ValueError):
         LogReal(0, -1.0)
     with pytest.raises(ValueError):
@@ -156,7 +144,7 @@ def test_block_end_unit_exponent_regime():
     # by lambda + e^-lambda, so the computed end sits just above that
     lam = LogReal.from_value(2.0)
     end, cert = ce.required_block_end(lam, 1)
-    assert cert.ok and cert.mode == "integral" and cert.doublings == 0
+    assert cert.ok and cert.to_json_dict()["mode"] == "integral" and cert.doublings == 0
     want = 2.0 * (1.0 + LN2) + math.exp(-2.0)
     assert end.level == 0 and end.payload == pytest.approx(want, rel=1e-12)
     block_end = math.exp(end.payload)
@@ -164,18 +152,50 @@ def test_block_end_unit_exponent_regime():
     assert block_end >= 4.0 * (math.exp(2.0) + 1.0)
 
 
-def test_block_end_enumerated_fallback():
-    # lambda = ln 2 (K = 2) with m >= 1 defeats the integral bounds
-    end, cert = ce.required_block_end(LogReal.from_value(LN2), 2)
-    assert cert.ok and cert.mode == "enumerated"
-    # the enumerated certificate is a true half-tail statement
-    s = math.exp(cert.log_s)
-    assert end.level == 0
-    L = int(round(math.exp(end.payload)))
-    assert L >= 3
-    finite = sum(n ** (-1.0 - s) for n in range(3, L + 1))
-    full = finite + sum(n ** (-1.0 - s) for n in range(L + 1, 200000))
-    assert finite >= 0.5 * full
+def test_block_end_unavailable_where_the_integral_bound_fails():
+    # lambda = ln 2 (K = 2) at m = 2 defeats the integral bound at every slack
+    with pytest.raises(ce.BlockEndUnavailable):
+        ce.required_block_end(LogReal.from_value(LN2), 2)
+
+
+def _at_block_weight_floor(m):
+    """The least lambda the block-weight floor admits at m, stored as a
+    built schedule would store it."""
+    lnlam = ce._min_loglam_for_block_weight(m)
+    if lnlam <= math.log(ce._LEVEL0_CAP):
+        return LogReal.from_value(math.exp(lnlam))
+    return LogReal.from_log(lnlam)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_block_end_integral_route_certifies_at_the_block_weight_floor(m):
+    # every cutoff a certificate can accept has a block end, so the integral
+    # bound is the one route needed
+    lam = _at_block_weight_floor(m)
+    end, cert = ce.required_block_end(lam, m)
+    assert cert.ok and cert.margin >= 0.0 and lam < end
+
+
+@pytest.mark.parametrize("lam_log", [1.2, math.log(29.6)], ids=["e^1.2", "29.6"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_end_agrees_across_storage_levels(lam_log, m):
+    # a cutoff gets the same bounds on lambda and e^-lambda at either level
+    lam = math.exp(lam_log)
+    low, _ = ce.required_block_end(LogReal.from_value(lam), m)
+    high, _ = ce.required_block_end(LogReal.from_log(lam_log), m)
+    assert high.level == 1
+    assert abs(high.log_value() - low.log_value()) <= math.ulp(low.log_value())
+    assert high.log_value() >= low.log_value()
+    assert ce._lambda_lower_float(LogReal.from_log(lam_log)) <= lam
+    assert ce._exp_neg_upper(LogReal.from_log(lam_log)) >= math.exp(-lam)
+
+
+def test_level_one_bounds_of_built_schedules_are_unchanged():
+    # a built schedule stores lambda >= 1e300 at level 1, where e^-lambda is
+    # bounded by 1e-304 and the block-weight correction rounds to 0
+    for lam in ce.build_schedule(16).log_cutoffs[9:]:
+        assert ce._exp_neg_upper(lam) == 1e-304
+        assert ce._block_weight(lam, 10)[0] == 0.0
 
 
 def test_block_end_rejects_tiny_cutoff():
@@ -201,9 +221,9 @@ def _doubling_loop_block_end(log_cutoff, m):
         ln_u += LN2
         doublings += 1
     end = log_cutoff.scaled(1.0 + (LN2 + u) / 2.0 ** m).plus_scalar(e_neg)
-    return end, ce.HalfTailCertificate(m=m, log_s=ln_s, mode="integral",
-                                       doublings=doublings, lhs_log=lhs_log,
-                                       rhs_log=rhs_log, margin=margin, ok=True)
+    return end, ce.HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings,
+                                       lhs_log=lhs_log, rhs_log=rhs_log,
+                                       margin=margin, ok=True)
 
 
 def test_block_end_closed_form_matches_doubling_loop():
