@@ -44,8 +44,7 @@ import numpy as np
 import scipy
 
 from . import __version__, convergence, counterexample, distmodel, mcengine, seqkit
-from .convergence import (GeometricEnvelope, PowerEnvelope, PowerLowerBound,
-                          RecurringBlocks, VanishingEnvelope)
+from .convergence import RecurringBlocks
 from .seqkit import NormSeq, PowerLawFamily, SlowlyVarying, WeightSeq
 
 EXIT_OK = 0
@@ -345,116 +344,6 @@ def load_config(path: Optional[str], overrides: dict,
 
 
 # ---------------------------------------------------------------------------
-# Certified envelopes for the structural cases the presets exercise
-# ---------------------------------------------------------------------------
-
-
-def _first_n(predicate, start: int, limit: int) -> Optional[int]:
-    """Least n in [start, limit] where ``predicate`` (on an array of n) holds,
-    searched in growing blocks."""
-    size = 64
-    while start <= limit:
-        n = np.arange(start, min(start + size, limit + 1))
-        hit = np.flatnonzero(predicate(n))
-        if hit.size:
-            return int(n[hit[0]])
-        start, size = start + size, min(2 * size, 1 << 16)
-    return None
-
-
-def _envelope_single_tail(d, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
-    """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
-    bound = distmodel.support_bound(d)
-    if bound is not None and a.tends_to_infinity():
-        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
-        if n0 is None:
-            return None
-        return VanishingEnvelope(from_n=n0,
-                                 description=f"bounded support {bound:g}: the tail is 0 once "
-                                             f"eps*a(n) > {bound:g}")
-    if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
-        alpha, scale = d.params
-        wf, af = w.family, a.family
-        n0 = _first_n(lambda n: eps * a.values(n) >= scale, 2, horizon)
-        if n0 is None:
-            return None
-        coef = wf.coef * (scale / eps) ** alpha * af.coef ** (-alpha)
-        q = alpha * af.exponent - 1.0 - wf.exponent
-        sv = wf.sv.combine(af.sv, -alpha)
-        if q > 1.0:
-            delta = sv.growth_exponent_bound(n0)
-            if q - delta > 1.0:
-                return PowerEnvelope(coef=coef * sv.value(n0) * float(n0) ** delta,
-                                     exponent=q - delta, from_n=n0,
-                                     description="exact symmetric-Pareto tail term")
-            return None
-        delta = sv.decay_exponent_bound(n0)
-        if q + delta <= 1.0:
-            return PowerLowerBound(coef=coef * sv.value(n0) * float(n0) ** delta,
-                                   exponent=q + delta, from_n=n0,
-                                   description="exact symmetric-Pareto tail term stays "
-                                               "above a divergent power")
-        return None
-    if d.kind == "normal_std" and w.family is not None and a.family is not None:
-        wf = w.family
-        if a.family.exponent < 0.5:
-            return None
-        delta = wf.sv.growth_exponent_bound(3)
-        # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
-        # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
-        # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
-        # costs one power beyond the weight's own exponent e.
-        need = 3.0 + wf.exponent + delta
-
-        def ok(n: np.ndarray) -> np.ndarray:
-            x2 = eps * eps * seqkit.libm(pow, a.values(n), 2.0)
-            return x2 / 2.0 >= need * seqkit.libm(math.log, n)
-
-        n0 = _first_n(ok, 3, horizon)
-        if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
-            return None
-        coef = wf.coef * wf.sv.value(n0) * float(n0) ** (-delta)
-        return PowerEnvelope(coef=coef, exponent=2.0, from_n=n0,
-                             description="Gaussian tail bound exp(-x^2/2) past the "
-                                         f"crossover n={n0}")
-    return None
-
-
-def _spataru_shaped(a: NormSeq) -> bool:
-    return (a.family is not None and a.family.exponent == 0.5
-            and a.family.sv == SlowlyVarying(logn=0.5))
-
-
-def _envelope_exp_term(d, w: WeightSeq, a: NormSeq, eps: float):
-    """Certificate for the exponential/adaptive-exponent series."""
-    vb = distmodel.second_moment_bound(d)
-    if vb is None or w.family is None or a.family is None:
-        return None
-    wf, af = w.family, a.family
-    if _spataru_shaped(a):
-        q = eps * eps * af.coef ** 2 / vb - wf.exponent
-        if q > 1.0 and wf.sv.is_trivial():
-            return PowerEnvelope(coef=wf.coef, exponent=q, from_n=2,
-                                 description=f"second moment <= {vb:g} caps the "
-                                             "exponent at a summable power")
-        return None
-    if af.exponent >= 1.0 and af.sv.is_trivial() and wf.sv.is_trivial():
-        kappa = 2.0 * af.exponent - 1.0
-        c_exp = eps * eps * af.coef ** 2 / vb
-        n0 = 4
-        d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
-        ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
-        if ratio >= 1.0:
-            return None
-        coef = (wf.coef * float(n0) ** wf.exponent
-                * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)
-        return GeometricEnvelope(coef=coef, ratio=ratio, from_n=n0,
-                                 description=f"second moment <= {vb:g} gives a "
-                                             "geometric decay bound")
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
 
@@ -462,17 +351,6 @@ def _envelope_exp_term(d, w: WeightSeq, a: NormSeq, eps: float):
 def _thinned(n: np.ndarray, last: int) -> np.ndarray:
     """The rows a report shows: n <= 8, the powers of two, and the last n."""
     return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
-
-
-def _series_with_envelope(series_id, n, terms, params, envelope, evidence=(), bound=None):
-    certificate = {"bound": bound}
-    if isinstance(envelope, (PowerLowerBound, RecurringBlocks)):
-        certificate["divergence"] = envelope
-    elif envelope is not None:
-        certificate["envelope"] = envelope
-    return convergence.summarize_series(series_id, n, terms, params=params,
-                                        evidence=evidence, emit=_thinned(n, int(n[-1])),
-                                        **certificate)
 
 
 def run_check_conditions(cfg: ScenarioConfig) -> dict:
@@ -523,12 +401,13 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                         "is certified >= 1 in the log domain")
         grid = np.arange(2, min(horizon, 512) + 1)
         certified = report.divergence_certified
-        series.append(_series_with_envelope(
+        series.append(convergence.summarize_series(
             "adaptive-exponent", grid, convergence.adaptive_exponent_terms(d, 1.0, grid),
             {"eps": 1.0}, blocks if certified else None,
             evidence=("terms vanish on any double-range horizon; divergence lives at "
                       "the cutoff scales recorded in the certificates" if certified
-                      else "block certificates incomplete",)))
+                      else "block certificates incomplete",),
+            emit=_thinned(grid, int(grid[-1]))))
         extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
     else:
         d = cfg.dist
@@ -542,22 +421,27 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                             "finite": mom2.finite, "value": mom2.value,
                             "reason": mom2.reason})
 
+        shown = _thinned(n, horizon)
         for eps in cfg.eps:
-            series.append(_series_with_envelope(
+            series.append(convergence.summarize_series(
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
-                {"eps": eps}, _envelope_single_tail(d, w, a, eps, horizon)))
-            # The exp and adaptive series share T (where their cuts agree) and the
-            # envelope, evaluated after the terms so that fewer columns are live.
-            env_iii = _envelope_exp_term(d, w, a, eps)
+                {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon),
+                emit=shown))
+            # The exp and adaptive series share T and the envelope, evaluated
+            # after the terms so that fewer columns are live.  The adaptive cut
+            # eps (n log n)^(1/2) is eps * a(n) bit for bit on these presets.
+            env_iii = convergence.exp_certificate(d, w, a, eps)
             t = distmodel.truncated_moments(d, 2.0, eps * av)
-            series.append(_series_with_envelope(
+            series.append(convergence.summarize_series(
                 "exponential", n, convergence.exp_terms(d, tau, av, eps, n, t=t), {"eps": eps},
-                env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
+                env_iii, emit=shown,
+                bound=(bound := None if env_iii is None else env_iii.values_at(n))))
             if cfg.preset in ("spataru", "spataru_weak"):
-                series.append(_series_with_envelope(
+                series.append(convergence.summarize_series(
                     "adaptive-exponent", n[1:],
-                    convergence.adaptive_exponent_terms(d, eps, n[1:], known=(eps * av[1:], t[1:])),
-                    {"eps": eps}, env_iii, bound=None if bound is None else bound[1:]))
+                    convergence.adaptive_exponent_terms(d, eps, n[1:], t=t[1:]),
+                    {"eps": eps}, env_iii, emit=shown[1:],
+                    bound=None if bound is None else bound[1:]))
             del t, bound  # before the next eps allocates its columns
 
     return {
@@ -616,6 +500,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             "the cutoff counterexample distribution cannot be sampled")
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
+    seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
     reports = {}
     csvs = {}
     if cfg.maximal:

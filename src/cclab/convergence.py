@@ -14,8 +14,10 @@ numerically.  Each family is computed on arrays of n (``single_tail_terms``,
 ``exp_terms``, ``adaptive_exponent_terms``); the one-term functions are
 their one-point forms.
 
-Verdicts are certificates: a report converges only against a verified
-analytic envelope and diverges only against a recurring block floor.
+Verdicts are certificates, built, checked and rendered here.  Each
+certificate class names its ``verdict`` and renders itself with
+``to_json_dict(last_n)``; a converging one bounds every term from above
+(``values_at``), a diverging one from below (``floors_at``).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from . import distmodel
 from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
-from .reports import (CONVERGES, DIVERGES, UNDETERMINED, ConvergenceBound,
-                      DivergenceBound, SeriesReport, SeriesRow, check_partial_sums)
-from .seqkit import NormSeq, WeightSeq, libm, prefix_sums
+from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
+                      check_partial_sums)
+from .seqkit import NormSeq, SlowlyVarying, WeightSeq, libm, prefix_sums
 
 _ENVELOPE_SLACK = 1e-9  # relative tolerance when checking computed terms against envelopes
 
@@ -68,20 +70,16 @@ def exp_terms(d: Dist, w, a, eps: float, n, t=None) -> np.ndarray:
     return out
 
 
-def adaptive_exponent_terms(d: Dist, eps: float, n, known=None) -> np.ndarray:
-    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}; zero where T = 0.
-
-    ``known``, when given, is (cuts, T at those cuts); it stands in for T
-    when the cuts equal this series' cuts bit for bit.
-    """
+def adaptive_exponent_terms(d: Dist, eps: float, n, t=None) -> np.ndarray:
+    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}, zero where T
+    vanishes; ``t``, when given, holds T."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     (n,) = _arrays(n)
     if (n < 2).any():
         raise ValueError("adaptive-exponent terms start at n = 2")
-    cut = eps * np.sqrt(n * libm(math.log, n))
-    reuse = known is not None and np.array_equal(known[0], cut)
-    t = known[1] if reuse else distmodel.truncated_moments(d, 2.0, cut)
+    if t is None:
+        t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
     out = np.zeros(t.shape)
     on = t != 0.0
     out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
@@ -111,7 +109,7 @@ def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Envelopes and verdicts
+# Certificates
 # ---------------------------------------------------------------------------
 
 
@@ -141,6 +139,7 @@ class PowerEnvelope:
     exponent: float
     from_n: int = 1
     description: str = ""
+    verdict = CONVERGES
 
     def __post_init__(self) -> None:
         if self.exponent <= 1.0:
@@ -156,13 +155,12 @@ class PowerEnvelope:
         q = self.exponent
         return self.coef * (float(start) ** -q + float(start) ** (1.0 - q) / (q - 1.0))
 
-    def as_bound(self, last_n: int) -> ConvergenceBound:
-        return ConvergenceBound(
-            kind="power", params={"coef": self.coef, "exponent": self.exponent,
-                                  "from_n": self.from_n},
-            tail_bound=self.tail_beyond(last_n),
-            description=self.description or
-            f"terms <= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}")
+    def to_json_dict(self, last_n: int) -> dict:
+        return {"kind": "power",
+                "params": {"coef": self.coef, "exponent": self.exponent, "from_n": self.from_n},
+                "tail_bound": self.tail_beyond(last_n),
+                "description": self.description or
+                f"terms <= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}"}
 
 
 @dataclass(frozen=True)
@@ -173,6 +171,7 @@ class GeometricEnvelope:
     ratio: float
     from_n: int = 1
     description: str = ""
+    verdict = CONVERGES
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
@@ -187,13 +186,12 @@ class GeometricEnvelope:
         start = _tail_start(self.from_n, last_n)
         return self.coef * self.ratio ** start / (1.0 - self.ratio)
 
-    def as_bound(self, last_n: int) -> ConvergenceBound:
-        return ConvergenceBound(
-            kind="geometric", params={"coef": self.coef, "ratio": self.ratio,
-                                      "from_n": self.from_n},
-            tail_bound=self.tail_beyond(last_n),
-            description=self.description or
-            f"terms <= {self.coef:g} * {self.ratio:g}^n beyond n={self.from_n}")
+    def to_json_dict(self, last_n: int) -> dict:
+        return {"kind": "geometric",
+                "params": {"coef": self.coef, "ratio": self.ratio, "from_n": self.from_n},
+                "tail_bound": self.tail_beyond(last_n),
+                "description": self.description or
+                f"terms <= {self.coef:g} * {self.ratio:g}^n beyond n={self.from_n}"}
 
 
 @dataclass(frozen=True)
@@ -202,6 +200,7 @@ class VanishingEnvelope:
 
     from_n: int
     description: str = ""
+    verdict = CONVERGES
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
         return _from(n, self.from_n, math.inf, np.zeros_like)
@@ -210,11 +209,11 @@ class VanishingEnvelope:
         _tail_start(self.from_n, last_n)
         return 0.0
 
-    def as_bound(self, last_n: int) -> ConvergenceBound:
-        return ConvergenceBound(kind="vanishing", params={"from_n": self.from_n},
-                                tail_bound=self.tail_beyond(last_n),
-                                description=self.description or
-                                f"terms vanish for every n >= {self.from_n}")
+    def to_json_dict(self, last_n: int) -> dict:
+        return {"kind": "vanishing", "params": {"from_n": self.from_n},
+                "tail_bound": self.tail_beyond(last_n),
+                "description": self.description or
+                f"terms vanish for every n >= {self.from_n}"}
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,7 @@ class PowerLowerBound:
     exponent: float
     from_n: int = 1
     description: str = ""
+    verdict = DIVERGES
 
     def __post_init__(self) -> None:
         if self.exponent > 1.0:
@@ -239,18 +239,13 @@ class PowerLowerBound:
     def floors_at(self, n: np.ndarray) -> np.ndarray:
         return _from(n, self.from_n, 0.0, lambda k: self.coef * libm(pow, k, -self.exponent))
 
-    @property
-    def block_floor(self) -> float:
-        return self.coef * 2.0 ** (-self.exponent)
-
-    def as_bound(self) -> DivergenceBound:
-        return DivergenceBound(
-            kind="power-floor", params={"coef": self.coef, "exponent": self.exponent,
-                                        "from_n": self.from_n},
-            block_floor=self.block_floor,
-            description=self.description or
-            f"terms >= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}; "
-            "every dyadic block clears a fixed floor")
+    def to_json_dict(self, last_n: int) -> dict:
+        return {"kind": "power-floor",
+                "params": {"coef": self.coef, "exponent": self.exponent, "from_n": self.from_n},
+                "block_floor": self.coef * 2.0 ** (-self.exponent),
+                "description": self.description or
+                f"terms >= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}; "
+                "every dyadic block clears a fixed floor"}
 
 
 @dataclass(frozen=True)
@@ -260,36 +255,157 @@ class RecurringBlocks:
     floor: float
     blocks: tuple
     description: str
+    verdict = DIVERGES
 
-    def as_bound(self) -> DivergenceBound:
-        return DivergenceBound(kind="recurring-blocks",
-                               params={"count": len(self.blocks)},
-                               block_floor=self.floor, description=self.description)
+    def floors_at(self, n: np.ndarray) -> np.ndarray:
+        """0 for every term: the floor belongs to the blocks, not to single terms."""
+        return np.zeros(np.shape(n))
+
+    def to_json_dict(self, last_n: int) -> dict:
+        return {"kind": "recurring-blocks", "params": {"count": len(self.blocks)},
+                "block_floor": self.floor, "description": self.description}
+
+
+# ---------------------------------------------------------------------------
+# Certificate builders for the structural cases the presets exercise
+# ---------------------------------------------------------------------------
+
+
+def _first_n(predicate, start: int, limit: int) -> Optional[int]:
+    """Least n in [start, limit] where ``predicate`` (on an array of n) holds,
+    searched in growing blocks."""
+    size = 64
+    while start <= limit:
+        n = np.arange(start, min(start + size, limit + 1))
+        hit = np.flatnonzero(predicate(n))
+        if hit.size:
+            return int(n[hit[0]])
+        start, size = start + size, min(2 * size, 1 << 16)
+    return None
+
+
+def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
+    """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
+    bound = distmodel.support_bound(d)
+    if bound is not None and a.tends_to_infinity():
+        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
+        if n0 is None:
+            return None
+        return VanishingEnvelope(from_n=n0,
+                                 description=f"bounded support {bound:g}: the tail is 0 once "
+                                             f"eps*a(n) > {bound:g}")
+    if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
+        alpha, scale = d.params
+        wf, af = w.family, a.family
+        n0 = _first_n(lambda n: eps * a.values(n) >= scale, 2, horizon)
+        if n0 is None:
+            return None
+        coef = wf.coef * (scale / eps) ** alpha * af.coef ** (-alpha)
+        q = alpha * af.exponent - 1.0 - wf.exponent
+        sv = wf.sv.combine(af.sv, -alpha)
+        if q > 1.0:
+            delta = sv.growth_exponent_bound(n0)
+            if q - delta > 1.0:
+                return PowerEnvelope(coef=coef * sv.value(n0) * float(n0) ** delta,
+                                     exponent=q - delta, from_n=n0,
+                                     description="exact symmetric-Pareto tail term")
+            return None
+        delta = sv.decay_exponent_bound(n0)
+        if q + delta <= 1.0:
+            return PowerLowerBound(coef=coef * sv.value(n0) * float(n0) ** delta,
+                                   exponent=q + delta, from_n=n0,
+                                   description="exact symmetric-Pareto tail term stays "
+                                               "above a divergent power")
+        return None
+    if d.kind == "normal_std" and w.family is not None and a.family is not None:
+        wf = w.family
+        if a.family.exponent < 0.5:
+            return None
+        delta = wf.sv.growth_exponent_bound(3)
+        # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
+        # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
+        # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
+        # costs one power beyond the weight's own exponent e.
+        need = 3.0 + wf.exponent + delta
+
+        def ok(n: np.ndarray) -> np.ndarray:
+            x2 = eps * eps * libm(pow, a.values(n), 2.0)
+            return x2 / 2.0 >= need * libm(math.log, n)
+
+        n0 = _first_n(ok, 3, horizon)
+        if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
+            return None
+        coef = wf.coef * wf.sv.value(n0) * float(n0) ** (-delta)
+        return PowerEnvelope(coef=coef, exponent=2.0, from_n=n0,
+                             description="Gaussian tail bound exp(-x^2/2) past the "
+                                         f"crossover n={n0}")
+    return None
+
+
+def _spataru_shaped(a: NormSeq) -> bool:
+    return (a.family is not None and a.family.exponent == 0.5
+            and a.family.sv == SlowlyVarying(logn=0.5))
+
+
+def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
+    """Certificate for the exponential/adaptive-exponent series."""
+    vb = distmodel.second_moment_bound(d)
+    if vb is None or w.family is None or a.family is None:
+        return None
+    wf, af = w.family, a.family
+    if _spataru_shaped(a):
+        q = eps * eps * af.coef ** 2 / vb - wf.exponent
+        if q > 1.0 and wf.sv.is_trivial():
+            return PowerEnvelope(coef=wf.coef, exponent=q, from_n=2,
+                                 description=f"second moment <= {vb:g} caps the "
+                                             "exponent at a summable power")
+        return None
+    if af.exponent >= 1.0 and af.sv.is_trivial() and wf.sv.is_trivial():
+        kappa = 2.0 * af.exponent - 1.0
+        c_exp = eps * eps * af.coef ** 2 / vb
+        n0 = 4
+        d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
+        ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
+        if ratio >= 1.0:
+            return None
+        coef = (wf.coef * float(n0) ** wf.exponent
+                * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)
+        return GeometricEnvelope(coef=coef, ratio=ratio, from_n=n0,
+                                 description=f"second moment <= {vb:g} gives a "
+                                             "geometric decay bound")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Reports
+# ---------------------------------------------------------------------------
 
 
 def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
-                     envelope=None, divergence=None, evidence: tuple[str, ...] = (),
+                     certificate=None, evidence: tuple[str, ...] = (),
                      emit=None, bound=None) -> SeriesReport:
-    """Assemble a report from the columns ``n`` and ``term``, checking any
-    certificate against every term.
+    """Assemble a report from the columns ``n`` and ``term``, checking the
+    certificate, if any, against every term; the report takes its verdict
+    and its ``to_json_dict`` at the last n.
 
     All terms must be nonnegative.  The partial sums are ``prefix_sums`` of
     the terms: each is within u|S| + gamma_(n-1)^2 sum|x| of the exact sum
     S (u = 2^-53), a deterministic function of the terms, so reports are
     bit-reproducible.  ``emit`` (a boolean mask or index array over the
     terms) picks the rows the report carries; every term is still checked
-    and summed.  ``bound``, when given, is ``envelope.values_at(n)``.
+    and summed.  ``bound``, when given, is ``certificate.values_at(n)``.
     """
     n = np.asarray(n, dtype=np.int64)
     term = np.asarray(term, dtype=np.float64)
     negative = ~(term >= 0.0)
     over = under = np.zeros(term.shape, dtype=bool)
-    if envelope is not None:
-        bound = envelope.values_at(n) if bound is None else bound
+    verdict = UNDETERMINED if certificate is None else certificate.verdict
+    if verdict == CONVERGES:
+        bound = certificate.values_at(n) if bound is None else bound
         over = term > bound * (1.0 + _ENVELOPE_SLACK)
-    if isinstance(divergence, PowerLowerBound):
-        floor = divergence.floors_at(n)
-        under = (n >= divergence.from_n) & (term < floor * (1.0 - _ENVELOPE_SLACK))
+    elif verdict == DIVERGES:
+        floor = certificate.floors_at(n)
+        under = term < floor * (1.0 - _ENVELOPE_SLACK)
     bad = np.flatnonzero(negative | over | under)
     if bad.size:
         i = bad[0]
@@ -307,13 +423,6 @@ def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
     rows = tuple(SeriesRow(n=k, term=t, partial_sum=ps) for k, t, ps in
                  zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
     last_n = int(n[-1]) if n.size else 0
-    if envelope is not None and divergence is not None:
-        raise ValueError("a series cannot carry both certificates")
-    if envelope is not None:
-        return SeriesReport(series_id, dict(params or {}), rows, CONVERGES,
-                            tail_bound=envelope.as_bound(last_n), evidence=evidence)
-    if divergence is not None:
-        return SeriesReport(series_id, dict(params or {}), rows, DIVERGES,
-                            divergence=divergence.as_bound(), evidence=evidence)
-    return SeriesReport(series_id, dict(params or {}), rows, UNDETERMINED,
+    rendered = None if certificate is None else certificate.to_json_dict(last_n)
+    return SeriesReport(series_id, dict(params or {}), rows, verdict, certificate=rendered,
                         evidence=evidence)

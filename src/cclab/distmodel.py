@@ -416,10 +416,6 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
     if count == 0:
         return np.empty(0, dtype=np.float64)
     if d.kind in _ATOM_KINDS:
-        (table,) = d.params
-        if len(table) == 2 and table[0] == (-table[1][0], 0.5) and table[1][1] == 0.5:
-            # A fair pair: a sign flip is several times faster than the inverse cdf.
-            return table[1][0] * (2 * rng.integers(0, 2, size=count, dtype=np.int8) - 1)
         values, probs = atom_table(d)
         cum = np.cumsum(probs)
         cum[-1] = max(cum[-1], 1.0)

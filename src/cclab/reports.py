@@ -1,8 +1,10 @@
 """Series reports: rows, verdicts, and the certificates that back them.
 
-A verdict is data, never an exit code.  Certified verdicts must carry the
-certificate object that justifies them; constructing a certified report
-without one raises.
+A verdict is data, never an exit code.  A certified verdict must carry the
+rendered certificate (a dict, see ``convergence``) that justifies it, and
+an ``Undetermined`` one must carry none; any other pairing raises.  The
+certificate goes under ``tail_bound`` for a convergence verdict and under
+``divergence`` for a divergence verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ DIVERGES = "DivergesCertified"
 UNDETERMINED = "Undetermined"
 
 _VERDICTS = (CONVERGES, DIVERGES, UNDETERMINED)
+# The report key a certified verdict's certificate goes under.
+_CERTIFICATE_KEY = {CONVERGES: "tail_bound", DIVERGES: "divergence"}
 
 CSV_COLUMNS = ("n", "term", "partial_sum", "ci_lo", "ci_hi", "exact")
 
@@ -57,50 +61,21 @@ class SeriesRow:
 
 
 @dataclass(frozen=True)
-class ConvergenceBound:
-    """Analytic envelope certificate: sum of all terms beyond the grid <= tail_bound."""
-
-    kind: str
-    params: dict
-    tail_bound: float
-    description: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "tail_bound": self.tail_bound, "description": self.description}
-
-
-@dataclass(frozen=True)
-class DivergenceBound:
-    """Certificate that blocks with sum >= block_floor > 0 recur forever."""
-
-    kind: str
-    params: dict
-    block_floor: float
-    description: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params),
-                "block_floor": self.block_floor, "description": self.description}
-
-
-@dataclass(frozen=True)
 class SeriesReport:
     series_id: str
     params: dict
     rows: tuple[SeriesRow, ...]
     verdict: str
-    tail_bound: Optional[ConvergenceBound] = None
-    divergence: Optional[DivergenceBound] = None
+    certificate: Optional[dict] = None
     evidence: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == CONVERGES and self.tail_bound is None:
-            raise ValueError("a convergence verdict requires an analytic tail bound")
-        if self.verdict == DIVERGES and self.divergence is None:
-            raise ValueError("a divergence verdict requires a block-bound certificate")
+        if self.verdict != UNDETERMINED and self.certificate is None:
+            raise ValueError(f"a {self.verdict} verdict requires a certificate")
+        if self.verdict == UNDETERMINED and self.certificate is not None:
+            raise ValueError("an Undetermined verdict carries no certificate")
         check_partial_sums([r.n for r in self.rows], [r.term for r in self.rows],
                            [r.partial_sum for r in self.rows])
 
@@ -112,10 +87,8 @@ class SeriesReport:
             "verdict": self.verdict,
             "evidence": list(self.evidence),
         }
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound.to_json_dict()
-        if self.divergence is not None:
-            out["divergence"] = self.divergence.to_json_dict()
+        if self.certificate is not None:
+            out[_CERTIFICATE_KEY[self.verdict]] = dict(self.certificate)
         return out
 
     def to_csv(self) -> str:

@@ -15,7 +15,6 @@ import cclab
 from cclab import cli
 from cclab import convergence as cv
 from cclab import mcengine
-from cclab.convergence import PowerLowerBound, RecurringBlocks
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,6 +32,8 @@ def run(capsys, *argv):
 
 GOLDEN_CASES = {
     "bk_rad": ["--preset", "baum_katz(2,1)", "--set", "distribution.kind=rademacher"],
+    "bk_par15": ["--preset", "baum_katz(2,1)", "--set", "distribution.kind=pareto_sym",
+                 "--set", "distribution.alpha=1.5"],
     "sp_uni": ["--preset", "spataru", "--set", "distribution.kind=uniform_sym"],
     "sp_par": ["--preset", "spataru", "--set", "distribution.kind=pareto_sym",
                "--set", "distribution.alpha=3"],
@@ -110,6 +111,7 @@ CERTIFIED_PAIRS = [
     ("spataru", {"kind": "pareto_sym", "alpha": "3"}),
     ("spataru", {"kind": "atomic_sym", "atoms": "1:0.5, 3:0.25"}),
     ("spataru_weak(0.5)", {"kind": "atomic_sym", "atoms": "1:0.5,3:0.25"}),
+    ("baum_katz(2,1)", {"kind": "pareto_sym", "alpha": "1.5"}),  # two power floors
 ]
 
 
@@ -123,20 +125,19 @@ def test_certificates_hold_past_the_horizon(preset, dist):
     wv, av = w.values(n), a.values(n)
     checked = 0
     for eps in cfg.eps:
-        exp_cert = cli._envelope_exp_term(d, w, a, eps)
+        exp_cert = cv.exp_certificate(d, w, a, eps)
         families = [
             (n, cv.single_tail_terms(d, wv, av, eps, n),
-             cli._envelope_single_tail(d, w, a, eps, horizon)),
+             cv.single_tail_certificate(d, w, a, eps, horizon)),
             (n, cv.exp_terms(d, wv, av, eps, n), exp_cert),
         ]
         if cfg.preset in ("spataru", "spataru_weak"):
             families.append((n[1:], cv.adaptive_exponent_terms(d, eps, n[1:]), exp_cert))
         for ns, terms, cert in families:
-            if cert is None or isinstance(cert, RecurringBlocks):
+            if cert is None:
                 continue
-            key = "divergence" if isinstance(cert, PowerLowerBound) else "envelope"
             # raises at the first term the certificate does not cover
-            cv.summarize_series("past-horizon", ns, terms, emit=ns == ns[-1], **{key: cert})
+            cv.summarize_series("past-horizon", ns, terms, emit=ns == ns[-1], certificate=cert)
             checked += 1
     assert checked > 0
 
@@ -456,8 +457,9 @@ def test_nonfinite_inputs_are_config_errors(capsys, argv):
     (command, entry, message) for command in ("check-conditions", "simulate")
     for entry, message in [("weights.coef=-1", "weight w("),
                            ("normalizer.coef=-1", "normalizer a("),
-                           ("weights.exponent=nan", "weight w(2) = nan")]
-] + [("check-conditions", "normalizer.exponent=-1", "normalizer decreases at n=2")])
+                           ("weights.exponent=nan", "weight w(2) = nan"),
+                           ("normalizer.exponent=-1", "normalizer decreases at n=2")]
+])
 def test_invalid_sequence_values_are_config_errors(capsys, command, entry, message):
     code, out, err = run(capsys, command, "--set", "weights.exponent=-1",
                          "--set", "normalizer.exponent=1", "--set", entry,

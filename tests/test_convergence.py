@@ -140,17 +140,18 @@ def test_exp_and_adaptive_terms_agree_on_spataru_shape():
                     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_adaptive_terms_take_known_moments_only_at_equal_cuts():
+def test_adaptive_terms_take_t_at_the_spataru_cut():
+    # check-conditions hands the adaptive series the exponential series' T,
+    # taken at eps * a(n); on the spataru normalizer that is the adaptive cut
+    # eps * (n log n)^(1/2) bit for bit, so the terms are the plain ones
     d, eps, n = dm.uniform_sym(1.0), 0.5, np.arange(2, 3000)
-    cut = eps * spataru_norms().values(n)  # (n log n)^(1/2) for n >= 2, bit for bit
+    cut = eps * spataru_norms().values(n)
     plain = cv.adaptive_exponent_terms(d, eps, n)
     t = dm.truncated_moments(d, 2.0, cut)
-    assert cv.adaptive_exponent_terms(d, eps, n, known=(cut, t)).tolist() == plain.tolist()
-    fake = np.full(n.shape, 1.0)  # shows whether the known column was used
-    used = cv.adaptive_exponent_terms(d, eps, n, known=(cut, fake))
+    assert cv.adaptive_exponent_terms(d, eps, n, t=t).tobytes() == plain.tobytes()
+    fake = np.full(n.shape, 1.0)  # shows that the given column is used
+    used = cv.adaptive_exponent_terms(d, eps, n, t=fake)
     assert used.tolist() == [float(k) ** (-1.0 - eps * eps) for k in n.tolist()]
-    moved = np.nextafter(cut, np.inf)
-    assert cv.adaptive_exponent_terms(d, eps, n, known=(moved, fake)).tolist() == plain.tolist()
 
 
 def test_single_tail_scale_consistency():
@@ -171,20 +172,22 @@ def test_single_tail_scale_consistency():
 def test_summarize_power_envelope():
     n = list(range(1, 101))
     env = cv.PowerEnvelope(coef=1.0, exponent=2.0)
-    rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n], envelope=env)
+    rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n],
+                              certificate=env)
     assert rep.verdict == CONVERGES
     # integral bound: tail beyond N is at most about 1/N
-    assert rep.tail_bound.tail_bound <= 1.0 / 100.0 * 1.2
+    assert rep.certificate["tail_bound"] <= 1.0 / 100.0 * 1.2
     exact_tail = sum(n ** -2.0 for n in range(101, 10 ** 6))
-    assert rep.tail_bound.tail_bound >= exact_tail
+    assert rep.certificate["tail_bound"] >= exact_tail
+    assert rep.to_json_dict()["tail_bound"] == env.to_json_dict(100)
 
 
 def test_summarize_zero_terms():
     rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49,
-                              envelope=cv.VanishingEnvelope(from_n=1))
+                              certificate=cv.VanishingEnvelope(from_n=1))
     assert rep.verdict == CONVERGES
     assert rep.rows[-1].partial_sum == 0.0
-    assert rep.tail_bound.tail_bound == 0.0
+    assert rep.certificate["tail_bound"] == 0.0
 
 
 @pytest.mark.parametrize("env", [cv.VanishingEnvelope(from_n=60),
@@ -206,16 +209,24 @@ def test_summarize_undetermined_without_certificate():
 def test_summarize_divergence_floor():
     n = list(range(1, 200))
     rep = cv.summarize_series("rootn", n, [float(k) ** -0.5 for k in n],
-                              divergence=cv.PowerLowerBound(coef=1.0, exponent=0.5))
+                              certificate=cv.PowerLowerBound(coef=1.0, exponent=0.5))
     assert rep.verdict == DIVERGES
-    assert rep.divergence.block_floor == pytest.approx(2.0 ** -0.5)
+    assert rep.certificate["block_floor"] == pytest.approx(2.0 ** -0.5)
+    assert rep.to_json_dict()["divergence"] == rep.certificate
 
 
 def test_summarize_rejects_violated_envelope():
     n = list(range(1, 50))
     env = cv.PowerEnvelope(coef=0.5, exponent=1.5)
     with pytest.raises(ValueError):
-        cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], envelope=env)
+        cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], certificate=env)
+
+
+def test_summarize_rejects_violated_floor():
+    n = list(range(1, 50))
+    floor = cv.PowerLowerBound(coef=2.0, exponent=0.5, from_n=10)
+    with pytest.raises(ValueError, match="divergence floor violated at n=10"):
+        cv.summarize_series("broken", n, [float(k) ** -0.5 for k in n], certificate=floor)
 
 
 def test_summarize_rejects_negative_terms():
@@ -229,6 +240,10 @@ def test_certified_reports_require_certificates():
         rp.SeriesReport("x", {}, (), rp.CONVERGES)
     with pytest.raises(ValueError):
         rp.SeriesReport("x", {}, (), rp.DIVERGES)
+    cert = cv.VanishingEnvelope(from_n=1).to_json_dict(0)
+    assert rp.SeriesReport("x", {}, (), rp.CONVERGES, certificate=cert).verdict == rp.CONVERGES
+    with pytest.raises(ValueError, match="Undetermined verdict carries no certificate"):
+        rp.SeriesReport("x", {}, (), rp.UNDETERMINED, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,9 @@ def test_sample_deterministic_per_stream():
     assert not np.array_equal(a, c)
 
 
-def test_fair_pair_samples_by_sign_flip_whatever_the_kind():
-    # the sampler is chosen from the table: two atoms +-v of mass 1/2 each
+def test_fair_pairs_draw_the_same_signs_whatever_the_kind():
+    # the inverse cdf draws the same indices from any two tables with the
+    # same masses: two atoms -v, +v of mass 1/2 each
     signs = dm.sample(dm.rademacher(), seeding.stream(3, 1), 1000)
     for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
         assert np.array_equal(dm.sample(d, seeding.stream(3, 1), 1000), 2.5 * signs)
