@@ -36,7 +36,9 @@ from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow
                       check_partial_sums)
 from .seqkit import NormSeq, SlowlyVarying, WeightSeq, libm, prefix_sums
 
-_ENVELOPE_SLACK = 1e-9  # relative tolerance when checking computed terms against envelopes
+# Relative tolerance when checking computed terms against envelopes; it dwarfs
+# the few ulp of np.power, so the bounds need not go through libm.
+_ENVELOPE_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +150,7 @@ class PowerEnvelope:
             raise ValueError("envelope coefficient must be nonnegative")
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, k, -self.exponent))
+        return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(k, -self.exponent))
 
     def tail_beyond(self, last_n: int) -> float:
         start = _tail_start(self.from_n, last_n)
@@ -180,7 +182,7 @@ class GeometricEnvelope:
             raise ValueError("envelope coefficient must be nonnegative")
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, math.inf, lambda k: self.coef * libm(pow, self.ratio, k))
+        return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(self.ratio, k))
 
     def tail_beyond(self, last_n: int) -> float:
         start = _tail_start(self.from_n, last_n)
@@ -237,7 +239,7 @@ class PowerLowerBound:
             raise ValueError("floor coefficient must be positive")
 
     def floors_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, 0.0, lambda k: self.coef * libm(pow, k, -self.exponent))
+        return _from(n, self.from_n, 0.0, lambda k: self.coef * np.power(k, -self.exponent))
 
     def to_json_dict(self, last_n: int) -> dict:
         return {"kind": "power-floor",
@@ -305,18 +307,17 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         sv = wf.sv.combine(af.sv, -alpha)
         if q > 1.0:
             delta = sv.growth_exponent_bound(n0)
-            if q - delta > 1.0:
-                return PowerEnvelope(coef=coef * sv.value(n0) * float(n0) ** delta,
-                                     exponent=q - delta, from_n=n0,
-                                     description="exact symmetric-Pareto tail term")
+            cert, exponent, holds = PowerEnvelope, q - delta, q - delta > 1.0
+            text = "exact symmetric-Pareto tail term"
+        else:
+            delta = sv.decay_exponent_bound(n0)
+            cert, exponent, holds = PowerLowerBound, q + delta, q + delta <= 1.0
+            text = "exact symmetric-Pareto tail term stays above a divergent power"
+        coef = coef * sv.value(n0) * float(n0) ** delta
+        # at a huge eps the coefficient underflows to 0, which bounds nothing
+        if not holds or not 0.0 < coef < math.inf:
             return None
-        delta = sv.decay_exponent_bound(n0)
-        if q + delta <= 1.0:
-            return PowerLowerBound(coef=coef * sv.value(n0) * float(n0) ** delta,
-                                   exponent=q + delta, from_n=n0,
-                                   description="exact symmetric-Pareto tail term stays "
-                                               "above a divergent power")
-        return None
+        return cert(coef=coef, exponent=exponent, from_n=n0, description=text)
     if d.kind == "normal_std" and w.family is not None and a.family is not None:
         wf = w.family
         if a.family.exponent < 0.5:
@@ -366,7 +367,7 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
         n0 = 4
         d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
         ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
-        if ratio >= 1.0:
+        if ratio >= 1.0 or ratio ** n0 == 0.0:  # the coefficient divides by ratio^n0
             return None
         coef = (wf.coef * float(n0) ** wf.exponent
                 * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)

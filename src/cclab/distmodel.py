@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -94,6 +95,21 @@ class Dist:
         keys = sorted(mass)
         terms = [mass[m] for m in keys]
         return keys, terms, _split_sums(terms, below=False)
+
+    @cached_property
+    def lattice_steps(self) -> Optional[tuple[list[int], np.ndarray, int]]:
+        """The atoms of positive mass as (steps, probs, den), P(X = steps[i]/den) =
+        probs[i], built on first use; None for kinds without atoms.  Each atom is
+        read as the shortest decimal that rounds to it and scaled by the lcm of
+        the denominators."""
+        table = atom_table(self)
+        if table is None:
+            return None
+        values, probs = table
+        keep = probs > 0.0
+        atoms = [Fraction(repr(v)) for v in values[keep].tolist()]
+        den = math.lcm(*(a.denominator for a in atoms))
+        return [int(a * den) for a in atoms], probs[keep], den
 
 
 def rademacher() -> Dist:
@@ -267,7 +283,8 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
             mass = libm(math.erfc, -b / _SQRT2) - 1.0
             if nu == 0.0:
                 return mass
-            return mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
+            with np.errstate(over="ignore"):  # b * b is inf past 1.3e154, and exp(-inf) = 0
+                return mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
         from scipy import integrate
         return np.array([integrate.quad(lambda x: 2.0 * x ** nu * _normal_pdf(x),
                                         0.0, c, epsabs=1e-12, limit=200)[0]

@@ -163,7 +163,7 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     laws sum n single-step draws in fixed column chunks, each drawn and summed
     in row blocks of about _BLOCK_ELEMENTS steps.
     """
-    lattice = _lattice_steps(d)
+    lattice = d.lattice_steps
     if lattice is not None:
         steps, probs, den = lattice
         if _exact_range(n, steps, den):
@@ -280,22 +280,6 @@ def _check_cost(points: int = 0, work: int = 0) -> None:
             f"walk convolutions exceed {MAX_CONVOLUTION_WORK} multiply-adds at this depth")
 
 
-def _lattice_steps(d: distmodel.Dist) -> tuple[list[int], np.ndarray, int] | None:
-    """The atoms of positive mass as (steps, probs, den), P(X = steps[i]/den) = probs[i].
-
-    Each atom is read as the shortest decimal that rounds to it and scaled by
-    the lcm of the denominators.  None for kinds without atoms.
-    """
-    table = distmodel.atom_table(d)
-    if table is None:
-        return None
-    values, probs = table
-    keep = probs > 0.0
-    atoms = [Fraction(repr(v)) for v in values[keep].tolist()]
-    den = math.lcm(*(a.denominator for a in atoms))
-    return [int(a * den) for a in atoms], probs[keep], den
-
-
 def _exact_range(n: int, steps: list[int], den: int) -> bool:
     """Whether every sum of n steps, and den, converts to float exactly."""
     return max(den, n * max(map(abs, steps))) <= _EXACT_INT
@@ -307,7 +291,7 @@ def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
     The lattice n steps span is checked with Python ints before any array is
     allocated.
     """
-    lattice = _lattice_steps(d)
+    lattice = d.lattice_steps
     if lattice is None:
         raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
     steps, probs, den = lattice

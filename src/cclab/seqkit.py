@@ -17,6 +17,9 @@ are certified.  Everything else is reported empirically over the horizon and
 never as a false certificate.  T_n, and every partial sum a report shows,
 are Sum2 prefix sums (``prefix_sums``): prefix n is within
 u|S_n| + gamma_(n-1)^2 sum|x| of the exact sum S_n, u = 2^-53.
+
+Every column whose bits reach a report goes through ``libm``; a column that
+is exact in doubles (``power``) or only checked against terms skips it.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ def libm(fn, *args) -> np.ndarray:
     bits as Python.  Powers, logs, exponentials and erfc are not: NumPy's
     vectorised versions differ from the math library in the last ulp on up
     to a few per cent of points, and at a tail's discontinuity one ulp flips
-    a term.  Every transcendental behind a report therefore goes through
-    here, computing exactly what the one-point formula computes.
+    a term.  Every transcendental whose bits reach a report therefore goes
+    through here, computing exactly what the one-point formula computes;
+    exact columns (``power``) and columns only checked against terms with a
+    slack (the certificates' bounds) skip it.
     """
     cols, size = [], 0
     for a in args:
@@ -90,6 +95,17 @@ def libm(fn, *args) -> np.ndarray:
             size = a.size
             cols.append(memoryview(a))  # yields Python floats without a list
     return np.fromiter(map(fn, *cols), np.float64, count=size)
+
+
+def power(x, p: float) -> np.ndarray:
+    """libm(pow, x, p) bit for bit, computed exactly without libm at p = 0 (1),
+    p = 1 (x), and p = 2 or 3 (x*x, x*x*x) for integer x while max|x|^p < 2^53."""
+    x = np.array(x, dtype=np.float64)
+    if p == 0 or p == 1:
+        return x if p else np.ones(x.shape)
+    if p in (2, 3) and x.size and np.abs(x).max() < 2.0 ** (53 / p) and (x == np.floor(x)).all():
+        return x * x if p == 2 else x * x * x
+    return libm(pow, x, p)
 
 
 def prefix_sums(values) -> np.ndarray:
@@ -132,13 +148,13 @@ class SlowlyVarying:
         n = np.asarray(n, dtype=np.float64)
         out = np.ones(n.shape)
         if self.log2p:
-            out *= libm(pow, libm(math.log, 2.0 + n), self.log2p)
+            out *= power(libm(math.log, 2.0 + n), self.log2p)
         if self.loglog:
-            out *= libm(pow, libm(math.log, libm(math.log, _E2 + n)), self.loglog)
+            out *= power(libm(math.log, libm(math.log, _E2 + n)), self.loglog)
         if self.logn:
             if (n < 2).any():
                 raise ValueError("plain-log slowly varying factor needs n >= 2")
-            out *= libm(pow, libm(math.log, n), self.logn)
+            out *= power(libm(math.log, n), self.logn)
         return out
 
     def value(self, n: float) -> float:
@@ -199,7 +215,7 @@ class PowerLawFamily:
     sv: SlowlyVarying = field(default_factory=SlowlyVarying)
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        return self.coef * libm(pow, n, self.exponent) * self.sv.values(n)
+        return self.coef * power(n, self.exponent) * self.sv.values(n)
 
 
 class SequenceError(ValueError):
@@ -297,7 +313,7 @@ class SequenceValues(NamedTuple):
         """n^p (``base`` "n") or a(n)^p (``base`` "a") over 1..horizon, computed once."""
         if (base, p) not in self.powers:
             x = self.a if base == "a" else np.arange(1, self.a.size + 1)
-            self.powers[base, p] = libm(pow, x, p)
+            self.powers[base, p] = power(x, p)
         return self.powers[base, p]
 
 
@@ -528,7 +544,7 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
     if shape is not None:
         assessment = certified_power_tail(shape[0], shape[1], shape[2], horizon + 1)
     elif w.tail_bound is not None:
-        g = lambda k: libm(pow, k, theta) / libm(pow, a.values(k), p)
+        g = lambda k: power(k, theta) / power(a.values(k), p)
         assessment = TailAssessment("finite", float(w.tail_bound(horizon + 1, g)),
                                     "caller-supplied certified tail bound")
     else:

@@ -14,7 +14,7 @@ import pytest
 import cclab
 from cclab import cli
 from cclab import convergence as cv
-from cclab import mcengine
+from cclab import mcengine, seqkit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,11 +115,15 @@ CERTIFIED_PAIRS = [
 ]
 
 
+def pair_config(preset, dist, horizon):
+    sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
+    return cli.load_config(None, {"sets": sets + [("distribution", k, v) for k, v in dist.items()]})
+
+
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
 def test_certificates_hold_past_the_horizon(preset, dist):
     horizon = 10_000
-    sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
-    cfg = cli.load_config(None, {"sets": sets + [("distribution", k, v) for k, v in dist.items()]})
+    cfg = pair_config(preset, dist, horizon)
     d, w, a = cfg.dist, cfg.weights, cfg.norms
     n = np.arange(1, 10 * horizon + 1)
     wv, av = w.values(n), a.values(n)
@@ -140,6 +144,57 @@ def test_certificates_hold_past_the_horizon(preset, dist):
             cv.summarize_series("past-horizon", ns, terms, emit=ns == ns[-1], certificate=cert)
             checked += 1
     assert checked > 0
+
+
+# Each certificate's bound through libm: the reference for its np.power form.
+LIBM_BOUNDS = {
+    cv.PowerEnvelope: lambda c, k: c.coef * seqkit.libm(pow, k, -c.exponent),
+    cv.PowerLowerBound: lambda c, k: c.coef * seqkit.libm(pow, k, -c.exponent),
+    cv.GeometricEnvelope: lambda c, k: c.coef * seqkit.libm(pow, c.ratio, k),
+}
+
+
+@pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
+def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
+    # the bounds only check terms, with a 1e-9 slack, so a ufunc's ulps are harmless
+    horizon = 10_000
+    cfg = pair_config(preset, dist, horizon)
+    d, w, a = cfg.dist, cfg.weights, cfg.norms
+    n = np.arange(1, 10 * horizon + 1)
+    checked = 0
+    for eps in cfg.eps:
+        for cert in (cv.single_tail_certificate(d, w, a, eps, horizon),
+                     cv.exp_certificate(d, w, a, eps)):
+            if type(cert) not in LIBM_BOUNDS:
+                continue
+            k = n[n >= cert.from_n]
+            got = (cert.floors_at(k) if cert.verdict == cv.DIVERGES else cert.values_at(k))
+            np.testing.assert_allclose(got, LIBM_BOUNDS[type(cert)](cert, k), rtol=1e-12, atol=0)
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("argv", [
+    # the geometric ratio underflows (to 0 at 1e160, its 4th power to 0 at 20)
+    ["--preset", "baum_katz(2,1)", "--eps", "1e160", "--horizon", "200",
+     "--set", "distribution.kind=rademacher"],
+    ["--preset", "baum_katz(2,1)", "--eps", "20", "--horizon", "200",
+     "--set", "distribution.kind=rademacher"],
+    ["--preset", "baum_katz(1,0.5)", "--eps", "1e300", "--horizon", "200",
+     "--set", "distribution.kind=uniform_sym"],
+    # the Pareto floor's coefficient underflows to 0
+    ["--preset", "baum_katz(2,1)", "--eps", "1e300", "--set", "distribution.kind=pareto_sym"],
+    ["--preset", "baum_katz(3,1.5)", "--eps", "1e160", "--set", "distribution.kind=pareto_sym",
+     "--set", "distribution.alpha=3"],
+    # b * b overflows in the normal law's truncated second moment
+    ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"],
+], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
+        "pareto floor 1e160", "normal moment 1e160"])
+def test_huge_eps_reports_without_error_or_warning(argv):
+    proc = run_process(*MAIN, "check-conditions", *argv)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["series"]
 
 
 # ---------------------------------------------------------------------------

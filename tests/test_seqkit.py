@@ -123,6 +123,71 @@ def test_prefix_sums_past_the_double_range_are_the_running_sum():
 
 
 # ---------------------------------------------------------------------------
+# power: the columns exact in doubles, bit for bit as libm's pow
+# ---------------------------------------------------------------------------
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 0.0, 1.0, 2.0, 3.0])
+def test_power_of_integers_is_libm_pow_bit_for_bit(p):
+    # 200000^3 = 8e15 is still below 2^53, so every p here takes the exact route
+    x = np.arange(1, 200_001)
+    assert same_bits(sk.power(x, p), sk.libm(pow, x, p))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_power_of_the_spataru_column_is_libm_pow_bit_for_bit(p):
+    a = spataru_norms().values(np.arange(1, 200_001))
+    assert same_bits(sk.power(a, p), sk.libm(pow, a, p))
+
+
+@pytest.mark.parametrize("x,p", [
+    ([0.5, 2.0], 2.0),              # not integer-valued
+    ([2.0 ** 27, 3.0], 2.0),        # 2^54 is past 2^53
+    ([208_100.0, -5.0], 3.0),       # 208100^3 is past 2^53
+    ([94_906_265.0], 2.0),          # the largest square below 2^53
+    ([94_906_266.0], 2.0),
+    ([208_063.0], 3.0),             # the largest cube below 2^53
+    ([208_064.0], 3.0),
+    ([-0.0, -3.0, 7.0], 3.0),       # signs survive x*x*x
+    ([math.nan, math.inf, -0.0], 1.0),
+    ([math.nan, math.inf, 0.0], 0.0),
+    ([math.nan, 2.0], 2.0),
+    ([], 2.0),
+])
+def test_power_at_the_edges_is_libm_pow(x, p):
+    assert same_bits(sk.power(x, p), sk.libm(pow, x, p))
+
+
+def test_power_keeps_libm_where_a_shortcut_would_round_differently():
+    # glibc's pow(n, -1) is not 1/n at some n, nor pow(a, 2) a*a at some
+    # spataru a(n): these columns must stay on libm
+    n = np.arange(1, 20_001)
+    a = spataru_norms().values(n)
+    assert same_bits(sk.power(n, -1.0), sk.libm(pow, n, -1.0))
+    assert same_bits(sk.power(a, 2.0), sk.libm(pow, a, 2.0))
+    assert (sk.power(n, -1.0) != 1.0 / n).any() and (sk.power(a, 2.0) != a * a).any()
+
+
+def test_power_past_the_double_range_raises_like_libm_without_a_warning():
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (sk.power, lambda x, p: sk.libm(pow, x, p)):
+            with pytest.raises(OverflowError):
+                f([1e300], 2.0)
+
+
+def test_power_at_one_is_a_copy():
+    x = np.arange(1.0, 4.0)
+    sk.power(x, 1.0)[0] = 9.0
+    assert x[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
 # dyadic regularity criteria
 # ---------------------------------------------------------------------------
 
