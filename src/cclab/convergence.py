@@ -68,13 +68,14 @@ def exp_terms(d: Dist, w, a, eps: float, n, t=None) -> np.ndarray:
     out = np.zeros(t.shape)
     on = t != 0.0
     an = a[on]
-    out[on] = w[on] * libm(math.exp, -(eps * eps * an * an) / (n[on] * t[on]))
+    with np.errstate(over="ignore"):  # a subnormal T gives -inf, and exp(-inf) = 0
+        out[on] = w[on] * libm(math.exp, -(eps * eps * an * an) / (n[on] * t[on]))
     return out
 
 
-def adaptive_exponent_terms(d: Dist, eps: float, n, t=None) -> np.ndarray:
+def adaptive_exponent_terms(d: Optional[Dist], eps: float, n, t=None) -> np.ndarray:
     """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}, zero where T
-    vanishes; ``t``, when given, holds T."""
+    vanishes; ``t``, when given, holds T, and ``d`` is then not read."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     (n,) = _arrays(n)
@@ -84,7 +85,8 @@ def adaptive_exponent_terms(d: Dist, eps: float, n, t=None) -> np.ndarray:
         t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
     out = np.zeros(t.shape)
     on = t != 0.0
-    out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
+    with np.errstate(over="ignore"):  # a subnormal T gives -inf, and pow(n, -inf) = 0
+        out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
     return out
 
 
@@ -351,7 +353,7 @@ def _spataru_shaped(a: NormSeq) -> bool:
 def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
     """Certificate for the exponential/adaptive-exponent series."""
     vb = distmodel.second_moment_bound(d)
-    if vb is None or w.family is None or a.family is None:
+    if vb is None or vb <= 0.0 or w.family is None or a.family is None:
         return None
     wf, af = w.family, a.family
     if _spataru_shaped(a):

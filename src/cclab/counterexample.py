@@ -11,7 +11,8 @@ Everything is certified in the log domain.  The cutoffs themselves overflow
 doubles immediately (ln K_1 is ~29.6, ln K_10 ~ 1e448), so values live in a
 layered representation: level 0 stores the value, level 1 its log.  Every
 certified comparison adds a directed slack of 1e-9 to the required side, so
-certificates only err conservatively.
+certificates only err conservatively.  The distribution's moments need no
+log domain: each block's share is closed form in doubles.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import distmodel
+import numpy as np
+
+from .seqkit import libm
 
 _LN2 = math.log(2.0)
 _LNLN2 = math.log(_LN2)
@@ -373,26 +376,38 @@ class CounterexampleDistribution:
             raise ValueError("atom position exceeds the double log range")
         return 0.5 * (lam.payload + math.log(lam.payload))
 
-    def atom_log_weight(self, m: int) -> float:
-        """ln P(|X| = atom_m) = -m ln 2 - lambda_m; -inf when it underflows."""
-        lam = self.schedule.log_cutoff(m)
-        if lam.level == 0:
-            return -m * _LN2 - lam.payload
-        return -math.inf
+    def truncated_second_moments(self, b) -> np.ndarray:
+        """E[X^2 1{|X| < b}] for an array of cutoffs, strict at the cutoff.
 
-    def to_dist(self) -> distmodel.Dist:
-        """Log-atomic view of the atoms whose lambda_m is below 1e300, the
-        ones a built schedule stores at level 0.
-
-        Cutoffs grow, so the dropped atoms are the last blocks, and each sits
-        at sqrt(K_m ln K_m) >= e^(5e299), beyond the largest double.  The view
-        is therefore exact for every truncated moment of positive order at any
-        double cutoff.  The dropped mass, sum_m 2^-m e^(-lambda_m), is below
-        e^(-1e300); tails and order-0 moments are off by at most that.
+        The two atoms of block m have mass 2^-m / K_m together, at
+        x_m^2 = K_m lambda_m, so the block adds exactly
+        2^-m lambda_m once ln x_m < ln b.  A cutoff stored at level 1 puts
+        ln x_m past 5e299, above the log of any double, so only level-0 blocks
+        can count.
         """
-        return distmodel.log_atomic_sym(
-            (self.atom_log_value(m), self.atom_log_weight(m))
-            for m in range(1, self.schedule.m_max + 1) if self.schedule.log_cutoff(m).level == 0)
+        blocks = [m for m in range(1, self.schedule.m_max + 1)
+                  if self.schedule.log_cutoff(m).level == 0]
+        below = np.cumsum([0.0] + [2.0 ** -m * self.schedule.log_cutoff(m).payload
+                                   for m in blocks])
+        keys = [self.atom_log_value(m) for m in blocks]
+        return below[np.searchsorted(keys, libm(math.log, np.atleast_1d(b)), side="left")]
+
+    def weighted_second_moment(self) -> float:
+        """E[X^2 / log(2 + |X|)], every block counted.
+
+        Block m adds 2^-m lambda_m / log(2 + x_m).  Past ln x_m = 50,
+        log(2 + x_m) = ln x_m within 2e^-50, and the term is
+        2^(1-m) / (1 + ln(lambda_m) / lambda_m) at either storage level.
+        """
+        terms = []
+        for m in range(1, self.schedule.m_max + 1):
+            lam = self.schedule.log_cutoff(m)
+            if lam.level == 0 and (lx := self.atom_log_value(m)) <= 50.0:
+                terms.append(2.0 ** -m * lam.payload / (lx + math.log1p(2.0 * math.exp(-lx))))
+            else:
+                ln_lam = lam.log_value()
+                terms.append(2.0 ** (1 - m) / (1.0 + ln_lam * math.exp(-ln_lam)))
+        return math.fsum(terms)
 
 
 @dataclass(frozen=True)

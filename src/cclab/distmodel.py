@@ -6,9 +6,7 @@ tolerance.  Every finite atom law (``rademacher``, ``atomic_sym``,
 ``atomic``) is one signed (value, mass) table, with the remaining mass at 0,
 and runs through one code path.  ``tails`` and
 ``truncated_moments`` take arrays of cutoffs; ``tail`` and
-``truncated_moment`` are their one-point forms.  The log-atomic kind keeps
-atom positions and weights in the log domain so that masses far below the
-smallest subnormal double remain usable; it cannot be sampled.
+``truncated_moment`` are their one-point forms.
 """
 
 from __future__ import annotations
@@ -45,14 +43,6 @@ def _normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _logsumexp(values) -> float:
-    vals = [v for v in values if v != -math.inf]
-    if not vals:
-        return -math.inf
-    m = max(vals)
-    return m + math.log(sum(math.exp(v - m) for v in vals))
-
-
 @dataclass(frozen=True)
 class TruncatedMoment:
     """E[|X|^order 1{|X| < cutoff}]; nondecreasing in the cutoff."""
@@ -79,15 +69,11 @@ class Dist:
 
     @cached_property
     def _abs_law(self) -> tuple[list, list, np.ndarray]:
-        """Law of |X| for an atom law, built on first use: ascending keys
-        (magnitudes from 0, or log magnitudes for ``log_atomic_sym``), their
-        masses (log masses), and the tail sum over keys[i:] for every i.  A
-        magnitude's mass is the mass at -v plus the mass at +v, in table order.
+        """Law of |X| for an atom law, built on first use: ascending
+        magnitudes from 0, their masses, and the tail sum over magnitudes[i:]
+        for every i.  A magnitude's mass is the mass at -v plus the mass at
+        +v, in table order.
         """
-        if self.kind == "log_atomic_sym":
-            (atoms,) = self.params
-            keys, terms = [lv for lv, _ in atoms], [lw for _, lw in atoms]
-            return keys, terms, _split_sums(terms, below=False, total=_log_total)
         (table,) = self.params
         mass = {0.0: _rest(table)}
         for v, p in table:
@@ -184,21 +170,6 @@ def atomic(atoms) -> Dist:
     return _atom_law("atomic", _by_value(atoms))
 
 
-def log_atomic_sym(log_atoms) -> Dist:
-    """Atoms at +-exp(log_value) with log P(|X| = v) = log_weight.
-
-    The total atom mass must not exceed 1 (checked by log-sum-exp within
-    1e-12 in the log domain); the remainder is the implied atom at 0.
-    """
-    cleaned = tuple(sorted((float(lv), float(lw)) for lv, lw in log_atoms))
-    if any(not math.isfinite(lv) or not math.isfinite(lw) for lv, lw in cleaned):
-        raise ValueError("log-atoms must be finite in the log domain")
-    total_log = _logsumexp(lw for _, lw in cleaned)
-    if total_log > 0.0 + _MASS_TOL:
-        raise ValueError(f"log-atom mass exp({total_log}) exceeds 1")
-    return Dist("log_atomic_sym", (cleaned,), True)
-
-
 # ---------------------------------------------------------------------------
 # Tails
 # ---------------------------------------------------------------------------
@@ -209,21 +180,15 @@ def _rest(table) -> float:
     return max(1.0 - sum(p for _, p in table), 0.0)
 
 
-def _split_sums(terms: list, below: bool, total=sum) -> np.ndarray:
-    """total(terms[:i]) (``below``) or total(terms[i:]) for i = 0..len(terms).
+def _split_sums(terms: list, below: bool) -> np.ndarray:
+    """sum(terms[:i]) (``below``) or sum(terms[i:]) for i = 0..len(terms).
 
     Indexed by ``searchsorted(keys, cut, side="left")`` with ascending keys,
     this is the sum over the atoms below (or at and above) each cutoff, in
     ascending order: the same sum, in the same order, as the one-cutoff formula.
     """
-    return np.array([total(terms[:i] if below else terms[i:]) for i in range(len(terms) + 1)],
+    return np.array([sum(terms[:i] if below else terms[i:]) for i in range(len(terms) + 1)],
                     dtype=np.float64)
-
-
-def _log_total(log_terms) -> float:
-    """exp(logsumexp(log_terms)), exactly 0 for no terms."""
-    s = _logsumexp(log_terms)
-    return math.exp(s) if s > -math.inf else 0.0
 
 
 def tails(d: Dist, lam) -> np.ndarray:
@@ -234,10 +199,9 @@ def tails(d: Dist, lam) -> np.ndarray:
         raise ValueError("threshold must be a nonnegative real")
     pos = lam > 0.0
     out = np.ones(lam.shape)
-    if d.kind in _ATOM_KINDS or d.kind == "log_atomic_sym":
+    if d.kind in _ATOM_KINDS:
         keys, _, above = d._abs_law
-        cut = lam[pos] if d.kind in _ATOM_KINDS else libm(math.log, lam[pos])
-        out[pos] = above[np.searchsorted(keys, cut, side="left")]
+        out[pos] = above[np.searchsorted(keys, lam[pos], side="left")]
     elif d.kind == "uniform_sym":
         (h,) = d.params
         out = np.maximum(0.0, 1.0 - lam / h)
@@ -299,14 +263,6 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         else:
             out[far] = k * (libm(pow, b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
         return out
-    if d.kind == "log_atomic_sym":
-        keys, log_masses, above = d._abs_law
-        below = _split_sums([lw + nu * lv for lv, lw in zip(keys, log_masses)], below=True,
-                            total=_log_total)
-        out = below[np.searchsorted(keys, libm(math.log, b), side="left")]
-        if nu == 0.0:  # |X|^0 = 1 at the implied atom at 0 too
-            out = max(1.0 - above[0], 0.0) + out
-        return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
 
@@ -348,16 +304,6 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
     if d.kind in _ATOM_KINDS:
         mags, masses, _ = d._abs_law
         return MomentValue(True, sum(q * wf(m) for m, q in zip(mags, masses)))
-    if d.kind == "log_atomic_sym":
-        (atoms,) = d.params
-        terms = []
-        for lv, lw in atoms:
-            lp = lv if lv > 50.0 else log_plus(math.exp(lv))  # log(2+v) = lv within 2e^-lv
-            t = lw + 2.0 * lv - math.log(lp)
-            if form == "loglog_delta":
-                t += (1.0 + delta) * math.log(log_plus(lp))
-            terms.append(t)
-        return MomentValue(True, _log_total(terms))
     from scipy import integrate
     if d.kind == "uniform_sym":
         (h,) = d.params
@@ -459,7 +405,4 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         bits = mag.view(np.uint64)
         bits |= words
         return mag
-    if d.kind == "log_atomic_sym":
-        raise SamplingUnavailable(
-            "log_atomic_sym: atom probabilities are below the representable floating range")
     raise ValueError(f"unknown distribution kind {d.kind!r}")

@@ -153,7 +153,7 @@ class SlowlyVarying:
             out *= power(libm(math.log, libm(math.log, _E2 + n)), self.loglog)
         if self.logn:
             if (n < 2).any():
-                raise ValueError("plain-log slowly varying factor needs n >= 2")
+                raise SequenceError("plain-log slowly varying factor needs n >= 2")
             out *= power(libm(math.log, n), self.logn)
         return out
 

@@ -188,8 +188,19 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
      "--set", "distribution.alpha=3"],
     # b * b overflows in the normal law's truncated second moment
     ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"],
+    # the second-moment bound underflows to 0
+    ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
+     "--set", "distribution.atoms=1e-300:0.5"],
+    ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=uniform_sym",
+     "--set", "distribution.half_width=1e-300"],
+    ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=pareto_sym",
+     "--set", "distribution.scale=1e-300", "--set", "distribution.alpha=3"],
+    # a subnormal T sends the exponents to -inf
+    ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
+     "--set", "distribution.atoms=1e-160:0.5"],
 ], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
-        "pareto floor 1e160", "normal moment 1e160"])
+        "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
+        "pareto moment 0", "subnormal T"])
 def test_huge_eps_reports_without_error_or_warning(argv):
     proc = run_process(*MAIN, "check-conditions", *argv)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
@@ -263,12 +274,16 @@ def test_check_conditions_certifies_deep_counterexamples(capsys):
         floors = [math.exp(c["block_lower_bound_log"])
                   for c in reports[depth]["counterexample"]["certificates"]]
         assert series["divergence"]["block_floor"] == min(floors)
-    # blocks 10..16 lie beyond doubles: the shared terms and the moment agree
+    # blocks 10..16 lie beyond doubles: the shared terms agree, and each adds
+    # 2^(1-m) / (1 + ln(lambda_m)/lambda_m) to the moment, lambda_m = e^payload
     deep, shallow = reports[16], reports[9]
     assert deep["series"][0]["rows"] == shallow["series"][0]["rows"]
-    assert deep["moments"][0]["value"] == shallow["moments"][0]["value"]
-    assert "blocks 10..16 lie beyond doubles" in deep["moments"][0]["note"]
-    assert "beyond doubles" not in shallow["moments"][0]["note"]
+    tail = [(c["m"], c["payload"]) for c in deep["schedule"] if c["m"] >= 10]
+    assert all(c["level"] == 1 for c in deep["schedule"] if c["m"] >= 10)
+    added = sum(2.0 ** (1 - m) / (1.0 + p * math.exp(-p)) for m, p in tail)
+    assert deep["moments"][0]["value"] - shallow["moments"][0]["value"] == pytest.approx(
+        added, rel=1e-12)
+    assert "beyond doubles" not in deep["moments"][0]["note"]
 
 
 def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
@@ -513,7 +528,11 @@ def test_nonfinite_inputs_are_config_errors(capsys, argv):
     for entry, message in [("weights.coef=-1", "weight w("),
                            ("normalizer.coef=-1", "normalizer a("),
                            ("weights.exponent=nan", "weight w(2) = nan"),
-                           ("normalizer.exponent=-1", "normalizer decreases at n=2")]
+                           ("normalizer.exponent=-1", "normalizer decreases at n=2"),
+                           ("weights.slowly_varying=plainlog_power:0.5", "plain-log"),
+                           ("normalizer.slowly_varying=plainlog_power:0.5", "plain-log")]
+    # simulate reads the weights on its grid only, which starts at n = 2
+    if not (command == "simulate" and entry.startswith("weights.slowly"))
 ])
 def test_invalid_sequence_values_are_config_errors(capsys, command, entry, message):
     code, out, err = run(capsys, command, "--set", "weights.exponent=-1",

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,33 +351,36 @@ def test_certificates_monotone_under_inflation():
 
 
 def test_total_atom_mass_small():
-    dist = ce.CounterexampleDistribution(ce.build_schedule(9))
-    # every atom sits far above 1e-300, so this tail is the whole atom mass
-    total_log = math.log(dm.tails(dist.to_dist(), 1e-300)[0])
+    # the atoms of block m carry 2^-m e^-lambda_m together: the law is a
+    # probability law, and its atom mass is dominated by the first pair
+    s = ce.build_schedule(9)
+    logs = [-m * LN2 - s.log_cutoff(m).payload for m in range(1, 10)]
+    total_log = float(np.logaddexp.reduce(logs))
     assert total_log < 0.0
-    # dominated by the first pair: 2^-1 e^-lambda_1
-    lead = -LN2 - dist.schedule.log_cutoffs[0].payload
-    assert total_log == pytest.approx(lead, abs=1e-6)
+    assert total_log == pytest.approx(logs[0], abs=1e-6)
 
 
-def test_tail_log_values():
-    # only the first two atoms of a schedule sit at positions below 1e308
-    dist = ce.CounterexampleDistribution(ce.build_schedule(2))
-    d = dist.to_dist()
-    lv = [dist.atom_log_value(m) for m in (1, 2)]
-    lw = [dist.atom_log_weight(m) for m in (1, 2)]
-    at_first = math.log(dm.tails(d, math.exp(lv[0]))[0])
-    assert at_first == pytest.approx(float(np.logaddexp(lw[0], lw[1])), rel=1e-12)
-    assert math.log(dm.tails(d, math.exp(lv[0] + 1.0))[0]) == pytest.approx(lw[1], rel=1e-12)
-    assert dm.tails(d, math.exp(lv[1] + 1.0))[0] == 0.0
+def _moment_mpmath(s) -> mpmath.mpf:
+    """E[X^2 / log(2 + |X|)] at the working precision, from the stored cutoffs."""
+    total = mpmath.mpf(0)
+    for m in range(1, s.m_max + 1):
+        lam = s.log_cutoff(m)
+        lam = mpmath.mpf(lam.payload) if lam.level == 0 else mpmath.exp(lam.payload)
+        lx = (lam + mpmath.log(lam)) / 2
+        # log(2 + x) = ln x + log1p(2/x); past ln x = 1000 the log1p is below
+        # e^-999, and mpmath would not finish exp(-lx)
+        lp = lx + mpmath.log1p(2 * mpmath.exp(-lx)) if lx <= 1000 else lx
+        total += mpmath.mpf(2) ** -m * lam / lp
+    return total
 
 
-def test_to_dist_round_trip_mass():
-    s = ce.build_schedule(6)
-    d = ce.CounterexampleDistribution(s).to_dist()
-    assert d.kind == "log_atomic_sym"
-    with pytest.raises(dm.SamplingUnavailable):
-        dm.sample(d, __import__("cclab.seeding", fromlist=["stream"]).stream(0), 5)
+@pytest.mark.parametrize("depth", range(1, 17))
+def test_weighted_second_moment_matches_mpmath(depth):
+    s = ce.build_schedule(depth)
+    with mpmath.workdps(50):
+        want = _moment_mpmath(s)
+    got = ce.CounterexampleDistribution(s).weighted_second_moment()
+    assert abs(got - want) <= 1e-14 * want
 
 
 def test_inverse_growth_moment_values():
@@ -403,38 +408,50 @@ def test_inverse_growth_moment_per_term_symbolic():
 
 
 def test_truncated_second_moment_log():
-    # T just above the first m atoms is sum_{j <= m} 2^-j lambda_j; only the
-    # first two atoms sit at positions below 1e308
+    # T just above the first m atoms is sum_{j <= m} 2^-j lambda_j, correctly
+    # rounded; only the first two atoms sit at positions below 1e308
     s = ce.build_schedule(5)
     dist = ce.CounterexampleDistribution(s)
-    lam = [x.payload for x in s.log_cutoffs]
+    lam = [Fraction(x.payload) for x in s.log_cutoffs[:2]]
     cut = [math.exp(dist.atom_log_value(m)) * (1.0 + 1e-9) for m in (1, 2)]
-    got = dm.truncated_moments(dist.to_dist(), 2.0, cut)
-    assert got[0] == pytest.approx(0.5 * lam[0], rel=1e-12)
-    assert got[1] == pytest.approx(0.5 * lam[0] + 0.25 * lam[1], rel=1e-12)
-    # monotone in the cutoff, and bounded below by the dominant term
-    assert got[1] >= got[0]
-    assert got[1] >= lam[1] * 2.0 ** -2
+    got = dist.truncated_second_moments(cut)
+    assert got.tolist() == [float(lam[0] / 2), float(lam[0] / 2 + lam[1] / 4)]
+    # strict at the cut: a cutoff whose log is ln x_1 does not count block 1,
+    # the next double up whose log is larger does
+    lx = dist.atom_log_value(1)
+    b = math.exp(lx)
+    while math.log(b) < lx:
+        b = math.nextafter(b, math.inf)
+    while math.log(b) > lx:
+        b = math.nextafter(b, 0.0)
+    above = b
+    while math.log(above) == lx:
+        above = math.nextafter(above, math.inf)
+    assert math.log(b) == lx
+    assert dist.truncated_second_moments([b, above]).tolist() == [0.0, float(lam[0] / 2)]
 
 
 def test_truncated_second_moment_log_rejects_small_n():
-    d = ce.CounterexampleDistribution(ce.build_schedule(3)).to_dist()
+    dist = ce.CounterexampleDistribution(ce.build_schedule(3))
     with pytest.raises(ValueError):
-        dm.truncated_second_moment(d, 1.0, spataru_norms(), 0)
+        spataru_norms().values(np.array([0]))
     # at n = 1 the cutoff a(1) = 1 lies below every atom
-    assert dm.truncated_second_moment(d, 1.0, spataru_norms(), 1) == 0.0
+    assert dist.truncated_second_moments(spataru_norms().values(np.array([1]))).tolist() == [0.0]
 
 
 def test_truncated_second_moment_deep_lower_bound():
     s = ce.build_schedule(12)
-    # lambda_10 is past 1e300, so the view keeps the atoms of blocks 1..9
+    # lambda_10 is past 1e300: blocks 10..12 sit beyond every double cutoff
     assert s.log_cutoff(9).level == 0 and s.log_cutoff(10).level == 1
     dist = ce.CounterexampleDistribution(s)
-    kept = tuple(sorted((dist.atom_log_value(m), dist.atom_log_weight(m)) for m in range(1, 10)))
-    assert dist.to_dist().params == (kept,)
-    assert dist.to_dist() == ce.CounterexampleDistribution(ce.build_schedule(9)).to_dist()
+    shallow = ce.CounterexampleDistribution(ce.build_schedule(9))
+    cuts = [1.0, 1e20, 1e300, 1.7e308]
+    assert dist.truncated_second_moments(cuts).tolist() == (
+        shallow.truncated_second_moments(cuts).tolist())
     with pytest.raises(ValueError):
         dist.atom_log_value(12)
+    # yet every block adds to the weighted moment, 2^(1-m) / (1 + ln(lambda)/lambda)
+    assert dist.weighted_second_moment() > shallow.weighted_second_moment()
     # the block certificate's exponent floor is the dominant term 2^-11 lambda_11
     name, ok, details = ce.certify_block(s, 11).steps[0]
     assert name == "exponent-floor" and ok

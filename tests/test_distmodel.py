@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from cclab import counterexample as ce
 from cclab import distmodel as dm
 from cclab import seeding
 from cclab.cli import spataru_norms
@@ -207,11 +208,21 @@ def test_weighted_second_moment_quadrature_kinds():
 
 
 def test_weighted_second_moment_log_atomic_matches_plain():
-    atoms = [(1.0, 0.5), (3.0, 0.25)]
-    plain = dm.weighted_second_moment(dm.atomic_sym(atoms)).value
-    logd = dm.log_atomic_sym([(math.log(v), math.log(w)) for v, w in atoms])
-    got = dm.weighted_second_moment(logd).value
-    assert got == pytest.approx(plain, rel=1e-12)
+    # the cutoff counterexample gives its atoms in the log domain and its
+    # moments in closed form; blocks 1 and 2 are plain doubles (atoms near
+    # e^16.5 and e^221, masses near e^-30 and e^-439), so the atom law is an oracle
+    s = ce.build_schedule(2)
+    dist = ce.CounterexampleDistribution(s)
+    atoms = [(math.exp(dist.atom_log_value(m)), 2.0 ** -m * math.exp(-s.log_cutoff(m).payload))
+             for m in (1, 2)]
+    d = dm.atomic_sym(atoms)
+    assert dist.weighted_second_moment() == pytest.approx(
+        dm.weighted_second_moment(d).value, rel=1e-13)
+    cuts = [1.0, 1e5] + [x * f for x, _ in atoms for f in (1.0 - 1e-12, 1.0 + 1e-12)] + [1e300]
+    got = dist.truncated_second_moments(cuts)
+    want = dm.truncated_moments(d, 2.0, cuts)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    assert (got == 0.0).tolist() == (want == 0.0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +259,6 @@ def test_atom_table_order_and_implied_zero():
 def test_mass_overflow_rejected():
     with pytest.raises(ValueError):
         dm.atomic_sym([(1.0, 0.7), (2.0, 0.5)])
-    with pytest.raises(ValueError):
-        dm.log_atomic_sym([(0.0, math.log(0.7)), (1.0, math.log(0.5))])
 
 
 def test_atomic_symmetry_detection():
@@ -268,12 +277,6 @@ def test_sample_empty():
     rng = seeding.stream(0, 1)
     for d in ALL_CLOSED:
         assert dm.sample(d, rng, 0).size == 0
-
-
-def test_sample_log_atomic_unavailable():
-    d = dm.log_atomic_sym([(5.0, -50.0)])
-    with pytest.raises(dm.SamplingUnavailable):
-        dm.sample(d, seeding.stream(0), 10)
 
 
 def test_sample_deterministic_per_stream():
@@ -398,10 +401,6 @@ def _reference_tail(d, lam):
         alpha, scale = d.params
         return 1.0 if lam <= scale else (scale / lam) ** alpha
     (atoms,) = d.params
-    if d.kind == "log_atomic_sym":
-        lt = math.log(lam)
-        s = dm._logsumexp(lw for lv, lw in atoms if lv >= lt)
-        return math.exp(s) if s > -math.inf else 0.0
     return sum(p for m, p in _magnitudes(atoms) if m >= lam)
 
 
@@ -421,10 +420,6 @@ def _reference_moment(d, nu, b):
             return 0.0
         return alpha * scale ** alpha * (b ** (nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
     (atoms,) = d.params
-    if d.kind == "log_atomic_sym":
-        lb = math.log(b)
-        s = dm._logsumexp(lw + nu * lv for lv, lw in atoms if lv < lb)
-        return math.exp(s) if s > -math.inf else 0.0
     return sum(p * m ** nu for m, p in _magnitudes(atoms) if m < b)
 
 
@@ -432,12 +427,11 @@ ARRAY_KINDS = ALL_CLOSED + [
     dm.pareto_sym(3.0, 1.5),
     dm.atomic([(-2.0, 0.125), (0.5, 0.25), (2.0, 0.25), (3.5, 0.1)]),
     dm.atomic_sym([(0.1, 0.3), (0.3, 0.2), (0.7, 0.1), (2.2, 0.05)]),
-    dm.log_atomic_sym([(0.0, -1.0), (math.log(3.0), -2.5), (2.0, -4.0)]),
 ]
 
 
 # every discontinuity of ARRAY_KINDS: atoms, the support edge, the scale
-MARKS = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5, math.e ** 2]
+MARKS = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5]
 
 
 @pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
