@@ -545,23 +545,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None)
-        p.add_argument("--preset", default=None)
-        p.add_argument("--eps", default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--maximal", action="store_true")
-        p.add_argument("--out", default=None)
-        p.add_argument("--set", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override a single config key")
+    # the shared options, built once; argparse copies the --set list before appending
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    common.add_argument("--preset", default=None)
+    common.add_argument("--eps", default=None)
+    common.add_argument("--horizon", type=int, default=None)
+    common.add_argument("--replicates", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--maximal", action="store_true")
+    common.add_argument("--out", default=None)
+    common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="override a single config key")
 
     for name in ("check-conditions", "counterexample", "simulate", "estimate"):
-        p = sub.add_parser(name)
-        common(p)
+        p = sub.add_parser(name, parents=[common])
         if name == "counterexample":
             p.add_argument("--schedule", default=None,
                            help="replay and certify a schedule JSON instead of building one")

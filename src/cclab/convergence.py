@@ -146,10 +146,10 @@ class PowerEnvelope:
     verdict = CONVERGES
 
     def __post_init__(self) -> None:
-        if self.exponent <= 1.0:
-            raise ValueError("a power envelope needs exponent > 1")
-        if self.coef < 0.0:
-            raise ValueError("envelope coefficient must be nonnegative")
+        if not 1.0 < self.exponent < math.inf:
+            raise ValueError("a power envelope needs a finite exponent > 1")
+        if not 0.0 <= self.coef < math.inf:
+            raise ValueError("envelope coefficient must be finite and nonnegative")
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
         return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(k, -self.exponent))
@@ -180,8 +180,8 @@ class GeometricEnvelope:
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("a geometric envelope needs 0 < ratio < 1")
-        if self.coef < 0.0:
-            raise ValueError("envelope coefficient must be nonnegative")
+        if not 0.0 <= self.coef < math.inf:
+            raise ValueError("envelope coefficient must be finite and nonnegative")
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
         return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(self.ratio, k))
@@ -358,7 +358,7 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
     wf, af = w.family, a.family
     if _spataru_shaped(a):
         q = eps * eps * af.coef ** 2 / vb - wf.exponent
-        if q > 1.0 and wf.sv.is_trivial():
+        if 1.0 < q < math.inf and wf.sv.is_trivial():  # q is inf at a huge eps
             return PowerEnvelope(coef=wf.coef, exponent=q, from_n=2,
                                  description=f"second moment <= {vb:g} caps the "
                                              "exponent at a summable power")

@@ -240,7 +240,10 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         return below[np.searchsorted(mags, b, side="left")]
     if d.kind == "uniform_sym":
         (h,) = d.params
-        return libm(pow, np.minimum(b, h), nu + 1.0) / (h * (nu + 1.0))
+        inside = b < h  # pow(min(b, h), nu + 1) is one constant past h, formed only if used
+        out = np.full(b.shape, 0.0 if inside.all() else pow(h, nu + 1.0))
+        out[inside] = libm(pow, b[inside], nu + 1.0)
+        return out / (h * (nu + 1.0))
     if d.kind == "normal_std":
         if nu in (0.0, 2.0):
             # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here

@@ -36,6 +36,9 @@ DEFAULT_HORIZON = 10_000
 
 _LN2 = math.log(2.0)
 _E2 = math.e ** 2
+# fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  exp underflows below -745.14; glibc's
+# erfc returns tiny*tiny from 28 up and two - tiny from -6 down.
+_SATURATED = {math.exp: (-750.0, 0.0, math.inf, math.inf), math.erfc: (-6.0, 2.0, 28.0, 0.0)}
 
 
 class Verdict(str, Enum):
@@ -84,8 +87,18 @@ def libm(fn, *args) -> np.ndarray:
     a term.  Every transcendental whose bits reach a report therefore goes
     through here, computing exactly what the one-point formula computes;
     exact columns (``power``) and columns only checked against terms with a
-    slack (the certificates' bounds) skip it.
+    slack (the certificates' bounds) skip it.  Where fn saturates, its value
+    is filled in, not mapped: exp(x) = 0 for x <= -750, erfc(x) = 0 for
+    x >= 28 and 2 for x <= -6 (``_SATURATED``); a NaN still goes through fn.
     """
+    if fn in _SATURATED:
+        lo, low, hi, high = _SATURATED[fn]
+        x = np.asarray(args[0], dtype=np.float64)
+        live = ~((x <= lo) | (x >= hi))
+        if not live.all():
+            out = np.where(x <= lo, low, high)
+            out[live] = libm(fn, x[live])
+            return out
     cols, size = [], 0
     for a in args:
         if np.ndim(a) == 0:

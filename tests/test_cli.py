@@ -14,7 +14,7 @@ import pytest
 import cclab
 from cclab import cli
 from cclab import convergence as cv
-from cclab import mcengine, seqkit
+from cclab import distmodel, mcengine, seqkit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,6 +174,57 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     assert checked > 0
 
 
+# The five law pairs the benchmark certifies, and uniform_sym where its clamp
+# constant pow(h, 3) is not 1.
+CERTIFY_PAIRS = [
+    ("baum_katz(2,1)", {"kind": "rademacher"}),
+    ("spataru", {"kind": "uniform_sym"}),
+    ("spataru", {"kind": "pareto_sym", "alpha": "3"}),
+    ("spataru_weak(0.5)", {"kind": "atomic_sym", "atoms": "1:0.5,3:0.25"}),
+    ("spataru", {"kind": "normal_std"}),
+    ("spataru", {"kind": "uniform_sym", "half_width": "2.5"}),
+]
+
+
+def full_libm_moments(d, b):
+    """E[X^2 1{|X| < b}] with every element through libm: no saturation rule,
+    and uniform_sym's pow(min(b, h), 3) mapped at every cutoff."""
+    if d.kind == "uniform_sym":
+        (h,) = d.params
+        return seqkit.libm(pow, np.minimum(b, h), 3.0) / (h * 3.0)
+    return distmodel.truncated_moments(d, 2.0, b)
+
+
+@pytest.mark.parametrize("preset,dist", CERTIFY_PAIRS)
+def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
+    cfg = pair_config(preset, dist, 20_000)
+    d, w, a = cfg.dist, cfg.weights, cfg.norms
+    n = np.arange(1, 200_001)
+    wv, av = w.values(n), a.values(n)
+    cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))
+    for eps in cfg.eps:
+        got = [distmodel.tails(d, eps * av), distmodel.truncated_moments(d, 2.0, eps * av),
+               cv.exp_terms(d, wv, av, eps, n), cv.adaptive_exponent_terms(d, eps, n[1:])]
+        with monkeypatch.context() as m:
+            m.setattr(seqkit, "_SATURATED", {})
+            t = full_libm_moments(d, eps * av)
+            want = [distmodel.tails(d, eps * av), t, cv.exp_terms(d, wv, av, eps, n, t=t),
+                    cv.adaptive_exponent_terms(d, eps, n[1:], t=full_libm_moments(d, eps * cut))]
+        for g, x in zip(got, want):
+            assert g.dtype == x.dtype == np.float64
+            np.testing.assert_array_equal(g.view(np.uint64), x.view(np.uint64))
+
+
+# q = eps^2 coef^2 / vb overflows to inf: no power envelope may be certified
+NORMAL_1E160 = ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"]
+SUBNORMAL_T = ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
+               "--set", "distribution.atoms=1e-160:0.5"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("argv", [
     # the geometric ratio underflows (to 0 at 1e160, its 4th power to 0 at 20)
     ["--preset", "baum_katz(2,1)", "--eps", "1e160", "--horizon", "200",
@@ -187,7 +238,7 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     ["--preset", "baum_katz(3,1.5)", "--eps", "1e160", "--set", "distribution.kind=pareto_sym",
      "--set", "distribution.alpha=3"],
     # b * b overflows in the normal law's truncated second moment
-    ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"],
+    NORMAL_1E160,
     # the second-moment bound underflows to 0
     ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
      "--set", "distribution.atoms=1e-300:0.5"],
@@ -196,8 +247,7 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=pareto_sym",
      "--set", "distribution.scale=1e-300", "--set", "distribution.alpha=3"],
     # a subnormal T sends the exponents to -inf
-    ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
-     "--set", "distribution.atoms=1e-160:0.5"],
+    SUBNORMAL_T,
 ], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
         "pareto moment 0", "subnormal T"])
@@ -205,7 +255,26 @@ def test_huge_eps_reports_without_error_or_warning(argv):
     proc = run_process(*MAIN, "check-conditions", *argv)
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert proc.stderr == ""
-    assert json.loads(proc.stdout)["series"]
+    series = json.loads(proc.stdout, parse_constant=_reject_constant)["series"]
+    assert series
+    if argv in (NORMAL_1E160, SUBNORMAL_T):
+        assert {s["verdict"] for s in series
+                if s["series_id"] in ("exponential", "adaptive-exponent")} == {cv.UNDETERMINED}
+
+
+def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
+    # the subcommands share one set of option actions, --set's default list included
+    seen = []
+    real = cli._overrides_from_args
+    monkeypatch.setattr(cli, "_overrides_from_args", lambda args: seen.append(args.set) or real(args))
+    code, _, _ = run(capsys, "check-conditions", "--set", "scenario.horizon=50", "--set", "bad")
+    assert code == cli.EXIT_CONFIG
+    run(capsys, "estimate", "--n", "1", "--threshold", "1", "--set", "distribution.kind=nope")
+    run(capsys, "counterexample")
+    assert seen == [["scenario.horizon=50", "bad"], ["distribution.kind=nope"], []]
+    parser = cli._build_parser()
+    assert parser.parse_args(["simulate", "--set", "a.b=1"]).set == ["a.b=1"]
+    assert parser.parse_args(["estimate", "--n", "1", "--threshold", "1"]).set == []
 
 
 # ---------------------------------------------------------------------------

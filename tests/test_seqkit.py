@@ -188,6 +188,53 @@ def test_power_at_one_is_a_copy():
 
 
 # ---------------------------------------------------------------------------
+# libm's saturation rules, held to what the math library itself returns
+# ---------------------------------------------------------------------------
+
+
+def raw_map(fn, x) -> np.ndarray:
+    return np.fromiter(map(fn, np.asarray(x, dtype=np.float64).tolist()), np.float64)
+
+
+# (fn, comparison, edge, the one value fn returns past the edge)
+SATURATION_RULES = [(math.exp, np.less_equal, -750.0, 0.0),
+                    (math.erfc, np.greater_equal, 28.0, 0.0),
+                    (math.erfc, np.less_equal, -6.0, 2.0)]
+
+
+def test_libm_fills_exactly_these_rules():
+    # exp(+inf) = +inf is the fourth entry: the upper edge only the infinity reaches
+    assert sk._SATURATED == {math.exp: (-750.0, 0.0, math.inf, math.inf),
+                             math.erfc: (-6.0, 2.0, 28.0, 0.0)}
+
+
+@pytest.mark.parametrize("fn,compare,edge,value", SATURATION_RULES,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_saturated_values_are_what_libm_returns(fn, compare, edge, value):
+    # the edge, 10^5 points evenly out to 10x past it, a log grid out to
+    # 1e308 and the infinity on that side
+    side = math.copysign(1.0, edge)
+    x = np.concatenate(([edge], np.linspace(edge, 10.0 * edge, 100_000),
+                        side * np.logspace(math.log10(abs(edge)), 308.0, 10_000),
+                        [side * math.inf]))
+    assert compare(x, edge).all()
+    assert same_bits(raw_map(fn, x), np.full(x.shape, value))
+    assert same_bits(sk.libm(fn, x), np.full(x.shape, value))
+
+
+@pytest.mark.parametrize("fn,top", [(math.exp, 709.0), (math.erfc, 40.0)])
+def test_libm_with_saturation_is_the_raw_map_bit_for_bit(fn, top):
+    rng = np.random.default_rng(15)
+    edges = [-750.0, -6.0, 28.0]
+    near = [np.nextafter(e, side) for e in edges for side in (-math.inf, math.inf)]
+    x = np.concatenate((rng.uniform(-800.0, top, 20_000), edges, near,
+                        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324]))
+    rng.shuffle(x)
+    for case in (x, x[x <= -750.0], x[np.isnan(x)], x[:0]):
+        assert same_bits(sk.libm(fn, case), raw_map(fn, case))
+
+
+# ---------------------------------------------------------------------------
 # dyadic regularity criteria
 # ---------------------------------------------------------------------------
 
