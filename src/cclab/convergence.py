@@ -23,6 +23,7 @@ certificate class names its ``verdict`` and renders itself with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +35,7 @@ from .distmodel import Dist
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
                       check_partial_sums)
-from .seqkit import NormSeq, SlowlyVarying, WeightSeq, libm, prefix_sums
+from .seqkit import NormSeq, SlowlyVarying, WeightSeq, libm, power, prefix_sums
 
 # Relative tolerance when checking computed terms against envelopes; it dwarfs
 # the few ulp of np.power, so the bounds need not go through libm.
@@ -332,7 +333,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         need = 3.0 + wf.exponent + delta
 
         def ok(n: np.ndarray) -> np.ndarray:
-            x2 = eps * eps * libm(pow, a.values(n), 2.0)
+            x2 = eps * eps * power(a.values(n), 2.0)
             return x2 / 2.0 >= need * libm(math.log, n)
 
         n0 = _first_n(ok, 3, horizon)
@@ -369,7 +370,8 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
         n0 = 4
         d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
         ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
-        if ratio >= 1.0 or ratio ** n0 == 0.0:  # the coefficient divides by ratio^n0
+        # the coefficient divides by ratio^n0: a subnormal one drops the envelope below the terms
+        if ratio >= 1.0 or ratio ** n0 < sys.float_info.min:
             return None
         coef = (wf.coef * float(n0) ** wf.exponent
                 * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqkit import NormSeq, libm
+from .seqkit import NormSeq, libm, power
 
 
 class SamplingUnavailable(RuntimeError):
@@ -210,7 +210,7 @@ def tails(d: Dist, lam) -> np.ndarray:
     elif d.kind == "pareto_sym":
         alpha, scale = d.params
         far = lam > scale
-        out[far] = libm(pow, scale / lam[far], alpha)
+        out[far] = power(scale / lam[far], alpha)
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     out[~pos] = 1.0
@@ -242,7 +242,7 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         (h,) = d.params
         inside = b < h  # pow(min(b, h), nu + 1) is one constant past h, formed only if used
         out = np.full(b.shape, 0.0 if inside.all() else pow(h, nu + 1.0))
-        out[inside] = libm(pow, b[inside], nu + 1.0)
+        out[inside] = power(b[inside], nu + 1.0)
         return out / (h * (nu + 1.0))
     if d.kind == "normal_std":
         if nu in (0.0, 2.0):
@@ -264,7 +264,7 @@ def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
         if nu == alpha:
             out[far] = k * libm(math.log, b[far] / scale)
         else:
-            out[far] = k * (libm(pow, b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
+            out[far] = k * (power(b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 

@@ -18,8 +18,10 @@ never as a false certificate.  T_n, and every partial sum a report shows,
 are Sum2 prefix sums (``prefix_sums``): prefix n is within
 u|S_n| + gamma_(n-1)^2 sum|x| of the exact sum S_n, u = 2^-53.
 
-Every column whose bits reach a report goes through ``libm``; a column that
-is exact in doubles (``power``) or only checked against terms skips it.
+Every column whose bits reach a report goes through ``libm``, or ``power``:
+libm's pow bit for bit, keeping at p = -1, 2, 3 every x^p more than 1/16 ulp
+from a rounding midpoint, where glibc's pow (within 0.52 ulp) is correctly
+rounded.  A column only checked against terms skips both.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 DEFAULT_HORIZON = 10_000
 
-_LN2 = math.log(2.0)
 _E2 = math.e ** 2
 # fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  exp underflows below -745.14; glibc's
 # erfc returns tiny*tiny from 28 up and two - tiny from -6 down.
@@ -85,11 +86,13 @@ def libm(fn, *args) -> np.ndarray:
     vectorised versions differ from the math library in the last ulp on up
     to a few per cent of points, and at a tail's discontinuity one ulp flips
     a term.  Every transcendental whose bits reach a report therefore goes
-    through here, computing exactly what the one-point formula computes;
-    exact columns (``power``) and columns only checked against terms with a
-    slack (the certificates' bounds) skip it.  Where fn saturates, its value
-    is filled in, not mapped: exp(x) = 0 for x <= -750, erfc(x) = 0 for
-    x >= 28 and 2 for x <= -6 (``_SATURATED``); a NaN still goes through fn.
+    through here, computing exactly what the one-point formula computes,
+    except powers that ``power`` decides (x^p at p = -1, 2, 3 more than 1/16
+    ulp from a rounding midpoint, where glibc's pow, within 0.52 ulp, returns
+    the nearest double) and columns only checked against terms with a slack.
+    Where fn saturates, its value is filled in, not mapped: exp(x) = 0 for
+    x <= -750, erfc(x) = 0 for x >= 28 and 2 for x <= -6 (``_SATURATED``);
+    a NaN still goes through fn.
     """
     if fn in _SATURATED:
         lo, low, hi, high = _SATURATED[fn]
@@ -110,15 +113,60 @@ def libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *cols), np.float64, count=size)
 
 
+def _split(x):
+    """Veltkamp's split: x = hi + lo exactly, each part of at most 26 bits."""
+    hi = x * (2.0 ** 27 + 1.0)
+    hi -= hi - x
+    return hi, x - hi
+
+
+def _product_error(p, ah, al, bh, bl):
+    """a*b - p exactly for p = fl(a*b), a = ah + al, b = bh + bl (Dekker)."""
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _rounded_power(x, p):
+    """(hi, lo), hi + lo = x^p to about 2^-100 |x^p| and hi the double nearest
+    x^p (at p = 3, bar 2^-50 ulp about a midpoint), for x in [2^-300, 2^300]."""
+    xh, xl = _split(x)
+    if p == -1:
+        hi = 1.0 / x
+        q = x * hi  # 1 - x*hi = (1 - q) - (x*hi - q), exact in doubles
+        return hi, ((1.0 - q) - _product_error(q, xh, xl, *_split(hi))) * hi
+    sq = x * x
+    e = _product_error(sq, xh, xl, xh, xl)
+    if p == 2:
+        return sq, e
+    cube = x * sq
+    t = _product_error(cube, xh, xl, *_split(sq)) + x * e
+    hi = cube + t
+    return hi, t - (hi - cube)  # Fast2Sum
+
+
 def power(x, p: float) -> np.ndarray:
-    """libm(pow, x, p) bit for bit, computed exactly without libm at p = 0 (1),
-    p = 1 (x), and p = 2 or 3 (x*x, x*x*x) for integer x while max|x|^p < 2^53."""
+    """libm(pow, x, p) bit for bit: 1 at p = 0, x at p = 1, and at p = -1, 2, 3
+    each x in [2^-300, 2^300] gets hi, the double nearest x^p, and lo = x^p -
+    hi (``_rounded_power``).  hi is kept where |lo| < (1/2 - 1/16) s, s the
+    spacing below hi: x^p is then over s/16 from a rounding midpoint, and a
+    pow that rounds once a value within s/16 of x^p returns hi.  glibc's pow
+    rounds one within about 0.02 ulp (0.52 ulp in all); on the tests' columns
+    it misrounds only within 0.0071 s of a midpoint.  Other elements (near a
+    midpoint, out of range, <= 0, not finite) go through ``libm``, so a huge x
+    still raises OverflowError."""
     x = np.array(x, dtype=np.float64)
     if p == 0 or p == 1:
         return x if p else np.ones(x.shape)
-    if p in (2, 3) and x.size and np.abs(x).max() < 2.0 ** (53 / p) and (x == np.floor(x)).all():
-        return x * x if p == 2 else x * x * x
-    return libm(pow, x, p)
+    if p not in (-1, 2, 3):
+        return libm(pow, x, p)
+    with np.errstate(all="ignore"):
+        hi, lo = _rounded_power(x, p)
+        # 2^52 s: the exponent bits of hi, one binade down where hi is a power of 2
+        s = ((hi.view(np.uint64) - 1) & np.uint64(0x7FF0000000000000)).view(np.float64)
+        miss = ~((np.abs(lo) < (0.5 - 1.0 / 16.0) * 2.0 ** -52 * s)
+                 & (x >= 2.0 ** -300) & (x <= 2.0 ** 300))
+    if miss.any():
+        hi[miss] = libm(pow, x[miss], p)
+    return hi
 
 
 def prefix_sums(values) -> np.ndarray:

@@ -215,10 +215,31 @@ def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
             np.testing.assert_array_equal(g.view(np.uint64), x.view(np.uint64))
 
 
+def test_spataru_pareto_maps_at_most_117784_elements_through_libm(capsys, monkeypatch):
+    # seqkit.power takes most x^-1, x^2 and x^3 elements off libm; a column
+    # sent back through libm raises the count
+    mapped = []
+
+    def counting_map(fn, *cols):
+        mapped.append(max((len(c) for c in cols if isinstance(c, memoryview)), default=0))
+        return map(fn, *cols)
+
+    monkeypatch.setattr(seqkit, "map", counting_map, raising=False)
+    code, _, _ = run(capsys, "check-conditions", "--preset", "spataru", "--horizon", "20000",
+                     "--set", "distribution.kind=pareto_sym", "--set", "distribution.alpha=3")
+    assert code == cli.EXIT_OK
+    assert 0 < sum(mapped) <= 117_784
+
+
 # q = eps^2 coef^2 / vb overflows to inf: no power envelope may be certified
 NORMAL_1E160 = ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"]
 SUBNORMAL_T = ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
                "--set", "distribution.atoms=1e-160:0.5"]
+
+
+F11_R = ("1", "1.5", "2", "3")
+F11_CASES = [["--preset", f"baum_katz({r},0.5)", "--set", "distribution.kind=uniform_sym"]
+             for r in F11_R]
 
 
 def _reject_constant(name):
@@ -248,18 +269,26 @@ def _reject_constant(name):
      "--set", "distribution.scale=1e-300", "--set", "distribution.alpha=3"],
     # a subnormal T sends the exponents to -inf
     SUBNORMAL_T,
+    # ratio^n0 is subnormal at eps 1 on the default grid
+    *F11_CASES,
 ], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
-        "pareto moment 0", "subnormal T"])
-def test_huge_eps_reports_without_error_or_warning(argv):
-    proc = run_process(*MAIN, "check-conditions", *argv)
-    assert proc.returncode == cli.EXIT_OK, proc.stderr
-    assert proc.stderr == ""
-    series = json.loads(proc.stdout, parse_constant=_reject_constant)["series"]
+        "pareto moment 0", "subnormal T", *(f"subnormal ratio^n0 r={r}" for r in F11_R)])
+def test_huge_eps_reports_without_error_or_warning(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check-conditions", *argv)
+    assert code == cli.EXIT_OK, err
+    assert err == ""
+    assert caught == []
+    series = json.loads(out, parse_constant=_reject_constant)["series"]
     assert series
     if argv in (NORMAL_1E160, SUBNORMAL_T):
         assert {s["verdict"] for s in series
                 if s["series_id"] in ("exponential", "adaptive-exponent")} == {cv.UNDETERMINED}
+    if argv in F11_CASES:
+        assert [s["verdict"] for s in series if s["series_id"] == "exponential"
+                and s["params"]["eps"] == 1.0] == [cv.UNDETERMINED]
 
 
 def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):

@@ -2,7 +2,10 @@
 
 import json
 import math
+import sys
+import warnings
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -115,7 +118,6 @@ def test_prefix_sums_of_nonnegative_terms_pass_the_partial_sum_check():
 
 
 def test_prefix_sums_past_the_double_range_are_the_running_sum():
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = sk.prefix_sums([1e308, 1e308, 1.0, -math.inf])
@@ -123,7 +125,7 @@ def test_prefix_sums_past_the_double_range_are_the_running_sum():
 
 
 # ---------------------------------------------------------------------------
-# power: the columns exact in doubles, bit for bit as libm's pow
+# power: bit for bit as libm's pow, with libm only near a rounding midpoint
 # ---------------------------------------------------------------------------
 
 
@@ -131,54 +133,99 @@ def same_bits(x, y) -> bool:
     return x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
 
 
+def libm_pow(x, p) -> np.ndarray:
+    """pow(x, p) one Python float at a time: the reference ``power`` keeps to."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.fromiter(map(pow, x.tolist(), repeat(float(p))), np.float64, count=x.size)
+
+
+def assert_same_uint64(got, want) -> None:
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def spataru_columns() -> dict:
+    """n, a(n), eps a(n) and 1/(eps a(n)) at eps 0.5 and 1, n = 1..200,000."""
+    n = np.arange(1, 200_001)
+    a = spataru_norms().values(n)
+    return {"n": n.astype(np.float64), "a": a, "0.5 a": 0.5 * a,
+            "1/(0.5 a)": 1.0 / (0.5 * a), "1/a": 1.0 / a}
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 0.0, 1.0, 2.0, 3.0])
 def test_power_of_integers_is_libm_pow_bit_for_bit(p):
-    # 200000^3 = 8e15 is still below 2^53, so every p here takes the exact route
     x = np.arange(1, 200_001)
     assert same_bits(sk.power(x, p), sk.libm(pow, x, p))
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 2.0, 3.0])
 def test_power_of_the_spataru_column_is_libm_pow_bit_for_bit(p):
-    a = spataru_norms().values(np.arange(1, 200_001))
-    assert same_bits(sk.power(a, p), sk.libm(pow, a, p))
+    for x in spataru_columns().values():
+        assert_same_uint64(sk.power(x, p), libm_pow(x, p))
+
+
+@pytest.mark.parametrize("p", [-1, 2, 3])
+def test_power_of_log_uniform_doubles_is_pow_bit_for_bit(p):
+    x = np.exp2(np.random.default_rng(20_016).uniform(-300.0, 300.0, 1_000_000))
+    assert_same_uint64(sk.power(x, p), libm_pow(x, p))
+
+
+# the ends of the numpy route's range [2^-300, 2^300] and just past them
+RANGE_ENDS = [2.0 ** -300, 2.0 ** 300, math.nextafter(2.0 ** -300, 0.0),
+              math.nextafter(2.0 ** 300, math.inf)]
 
 
 @pytest.mark.parametrize("x,p", [
     ([0.5, 2.0], 2.0),              # not integer-valued
-    ([2.0 ** 27, 3.0], 2.0),        # 2^54 is past 2^53
-    ([208_100.0, -5.0], 3.0),       # 208100^3 is past 2^53
-    ([94_906_265.0], 2.0),          # the largest square below 2^53
+    ([2.0 ** 27, 3.0], 2.0),        # squares and cubes either side of 2^53
+    ([208_100.0, -5.0], 3.0),
+    ([94_906_265.0], 2.0),
     ([94_906_266.0], 2.0),
-    ([208_063.0], 3.0),             # the largest cube below 2^53
+    ([208_063.0], 3.0),
     ([208_064.0], 3.0),
-    ([-0.0, -3.0, 7.0], 3.0),       # signs survive x*x*x
+    ([-0.0, -3.0, 7.0], 3.0),       # signs survive
     ([math.nan, math.inf, -0.0], 1.0),
     ([math.nan, math.inf, 0.0], 0.0),
     ([math.nan, 2.0], 2.0),
     ([], 2.0),
+    *(([*RANGE_ENDS, sys.float_info.min, 1e-310, 5e-324, 0.0, -0.0, -2.0, math.inf, -math.inf,
+        math.nan], p) for p in (2.0, 3.0)),
+    ([*RANGE_ENDS, sys.float_info.min, -2.0, math.inf, -math.inf, math.nan], -1.0),
 ])
 def test_power_at_the_edges_is_libm_pow(x, p):
-    assert same_bits(sk.power(x, p), sk.libm(pow, x, p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_uint64(sk.power(x, p), libm_pow(x, p))
 
 
-def test_power_keeps_libm_where_a_shortcut_would_round_differently():
+def test_power_keeps_libm_where_a_shortcut_would_round_differently(monkeypatch):
     # glibc's pow(n, -1) is not 1/n at some n, nor pow(a, 2) a*a at some
-    # spataru a(n): these columns must stay on libm
-    n = np.arange(1, 20_001)
-    a = spataru_norms().values(n)
-    assert same_bits(sk.power(n, -1.0), sk.libm(pow, n, -1.0))
-    assert same_bits(sk.power(a, 2.0), sk.libm(pow, a, 2.0))
-    assert (sk.power(n, -1.0) != 1.0 / n).any() and (sk.power(a, 2.0) != a * a).any()
+    # spataru a(n): there x^p lies near a rounding midpoint, and power must
+    # take those elements from libm
+    columns = spataru_columns()
+    n, a = columns["n"], columns["a"]
+    mapped = []
+    real = sk.libm
+    monkeypatch.setattr(sk, "libm", lambda fn, x, p: mapped.append(np.array(x)) or real(fn, x, p))
+    for x, p, shortcut in ((n, -1.0, 1.0 / n), (a, 2.0, a * a)):
+        mapped.clear()
+        got = sk.power(x, p)
+        assert_same_uint64(got, libm_pow(x, p))
+        missed = got != shortcut
+        assert missed.any()
+        assert np.isin(x[missed], np.concatenate(mapped)).all()
 
 
 def test_power_past_the_double_range_raises_like_libm_without_a_warning():
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (sk.power, lambda x, p: sk.libm(pow, x, p)):
-            with pytest.raises(OverflowError):
-                f([1e300], 2.0)
+        for f in (sk.power, libm_pow):
+            for x, p, error in (([1e300], 2.0, OverflowError), ([2.0, 1e300], 3.0, OverflowError),
+                                ([1e-310], -1.0, OverflowError), ([5e-324], -1.0, OverflowError),
+                                ([1.0, 0.0], -1.0, ZeroDivisionError),
+                                ([-0.0], -1.0, ZeroDivisionError)):
+                with pytest.raises(error):
+                    f(x, p)
 
 
 def test_power_at_one_is_a_copy():
