@@ -87,12 +87,11 @@ def libm(fn, *args) -> np.ndarray:
     to a few per cent of points, and at a tail's discontinuity one ulp flips
     a term.  Every transcendental whose bits reach a report therefore goes
     through here, computing exactly what the one-point formula computes,
-    except powers that ``power`` decides (x^p at p = -1, 2, 3 more than 1/16
-    ulp from a rounding midpoint, where glibc's pow, within 0.52 ulp, returns
-    the nearest double) and columns only checked against terms with a slack.
-    Where fn saturates, its value is filled in, not mapped: exp(x) = 0 for
-    x <= -750, erfc(x) = 0 for x >= 28 and 2 for x <= -6 (``_SATURATED``);
-    a NaN still goes through fn.
+    except powers ``power`` decides (x^p at p = -1, 2, 3 over 1/16 ulp from a
+    midpoint, where glibc's pow, within 0.52 ulp, rounds correctly) and
+    columns only checked against terms with a slack.  Where fn saturates, its
+    value is filled in, not mapped: exp(x) = 0 for x <= -750, erfc(x) = 0 for
+    x >= 28 and 2 for x <= -6 (``_SATURATED``); a NaN still goes through fn.
     """
     if fn in _SATURATED:
         lo, low, hi, high = _SATURATED[fn]
@@ -145,8 +144,8 @@ def _rounded_power(x, p):
 
 def power(x, p: float) -> np.ndarray:
     """libm(pow, x, p) bit for bit: 1 at p = 0, x at p = 1, and at p = -1, 2, 3
-    each x in [2^-300, 2^300] gets hi, the double nearest x^p, and lo = x^p -
-    hi (``_rounded_power``).  hi is kept where |lo| < (1/2 - 1/16) s, s the
+    (from 512 elements) each x in [2^-300, 2^300] gets hi, the double nearest
+    x^p, and lo = x^p - hi (``_rounded_power``).  hi is kept where |lo| < (1/2 - 1/16) s, s the
     spacing below hi: x^p is then over s/16 from a rounding midpoint, and a
     pow that rounds once a value within s/16 of x^p returns hi.  glibc's pow
     rounds one within about 0.02 ulp (0.52 ulp in all); on the tests' columns
@@ -156,7 +155,7 @@ def power(x, p: float) -> np.ndarray:
     x = np.array(x, dtype=np.float64)
     if p == 0 or p == 1:
         return x if p else np.ones(x.shape)
-    if p not in (-1, 2, 3):
+    if p not in (-1, 2, 3) or x.size < 512:  # libm is quicker on short arrays
         return libm(pow, x, p)
     with np.errstate(all="ignore"):
         hi, lo = _rounded_power(x, p)
