@@ -370,8 +370,7 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
         n0 = 4
         d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
         ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
-        # the coefficient divides by ratio^n0: a subnormal one drops the envelope below the terms
-        if ratio >= 1.0 or ratio ** n0 < sys.float_info.min:
+        if ratio >= 1.0 or ratio ** n0 < sys.float_info.min:  # coef divides by a normal ratio^n0
             return None
         coef = (wf.coef * float(n0) ** wf.exponent
                 * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)

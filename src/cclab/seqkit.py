@@ -18,10 +18,9 @@ never as a false certificate.  T_n, and every partial sum a report shows,
 are Sum2 prefix sums (``prefix_sums``): prefix n is within
 u|S_n| + gamma_(n-1)^2 sum|x| of the exact sum S_n, u = 2^-53.
 
-Every column whose bits reach a report goes through ``libm``, or ``power``:
-libm's pow bit for bit, keeping at p = -1, 2, 3 every x^p more than 1/16 ulp
-from a rounding midpoint, where glibc's pow (within 0.52 ulp) is correctly
-rounded.  A column only checked against terms skips both.
+Every column whose bits reach a report goes through ``libm`` or ``power``
+(x^-1, x^2, x^3 in numpy wherever x^p is over 1/16 ulp from a rounding
+midpoint, where glibc's pow, within 0.52 ulp, rounds correctly).
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def libm(fn, *args) -> np.ndarray:
             out = np.where(x <= lo, low, high)
             out[live] = libm(fn, x[live])
             return out
-    cols, size = [], 0
+    cols, size = [], 1  # scalars alone give one element
     for a in args:
         if np.ndim(a) == 0:
             cols.append(repeat(float(a)))
@@ -121,7 +120,13 @@ def _split(x):
 
 def _product_error(p, ah, al, bh, bl):
     """a*b - p exactly for p = fl(a*b), a = ah + al, b = bh + bl (Dekker)."""
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh
+    e -= p
+    t = ah * bl
+    e += t
+    e += np.multiply(al, bh, out=t)
+    e += np.multiply(al, bl, out=t)
+    return e
 
 
 def _rounded_power(x, p):
@@ -144,14 +149,11 @@ def _rounded_power(x, p):
 
 def power(x, p: float) -> np.ndarray:
     """libm(pow, x, p) bit for bit: 1 at p = 0, x at p = 1, and at p = -1, 2, 3
-    (from 512 elements) each x in [2^-300, 2^300] gets hi, the double nearest
-    x^p, and lo = x^p - hi (``_rounded_power``).  hi is kept where |lo| < (1/2 - 1/16) s, s the
-    spacing below hi: x^p is then over s/16 from a rounding midpoint, and a
-    pow that rounds once a value within s/16 of x^p returns hi.  glibc's pow
-    rounds one within about 0.02 ulp (0.52 ulp in all); on the tests' columns
-    it misrounds only within 0.0071 s of a midpoint.  Other elements (near a
-    midpoint, out of range, <= 0, not finite) go through ``libm``, so a huge x
-    still raises OverflowError."""
+    (from 512 elements) x in [2^-300, 2^300] gets hi, the double nearest x^p,
+    kept where |x^p - hi| < (1/2 - 1/16) s, s the spacing below hi: glibc's pow
+    rounds once a value within about 0.02 ulp of x^p (0.52 ulp in all), so it
+    returns hi there; on the tests' columns it misrounds only within 0.0071 s
+    of a midpoint.  Other elements go through ``libm``: 1e300 still overflows."""
     x = np.array(x, dtype=np.float64)
     if p == 0 or p == 1:
         return x if p else np.ones(x.shape)

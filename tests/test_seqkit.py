@@ -229,6 +229,12 @@ def test_power_past_the_double_range_raises_like_libm_without_a_warning():
                     f(np.tile(x, 512), p)
 
 
+def test_power_and_libm_of_scalars_give_one_element():
+    assert sk.power(2.0, 3).tolist() == [8.0]
+    assert sk.power(2.5, 0.5).tolist() == [pow(2.5, 0.5)]
+    assert sk.libm(math.exp, 1.0).tolist() == [math.exp(1.0)]
+
+
 def test_power_at_one_is_a_copy():
     x = np.arange(1.0, 4.0)
     sk.power(x, 1.0)[0] = 9.0
