@@ -497,8 +497,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
     seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
-    reports = {}
-    csvs = {}
+    reports, tables = {}, {}  # tables: CSV file name -> report
     if cfg.maximal:
         # Exact or absent: a law without an oracle stops here, before any
         # Monte Carlo runs.
@@ -510,18 +509,18 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             max_rep = convergence.summarize_series(
                 "running-maximum", max_grid, terms, params={"eps": eps},
                 evidence=("exact absorbing-threshold dynamic program",))
-            reports[f"max:{eps}"] = max_rep
-            csvs[f"simulate_max_eps{eps:g}.csv"] = max_rep.to_csv()
+            reports[f"max:{eps}"] = tables[f"simulate_max_eps{eps:g}.csv"] = max_rep
     empirical = mcengine.empirical_series(
         d, cfg.weights, cfg.norms, cfg.eps, grid, cfg.replicates, cfg.seed,
         workers=cfg.workers)
     for eps, rep in zip(cfg.eps, empirical):
-        reports[eps] = rep
-        csvs[f"simulate_eps{eps:g}.csv"] = rep.to_csv()
+        reports[eps] = tables[f"simulate_eps{eps:g}.csv"] = rep
     payload = {
         "provenance": cfg.provenance(),
         "series": {str(k): v.to_json_dict() for k, v in reports.items()},
     }
+    # CSV text is only written with --out
+    csvs = {} if cfg.out_dir is None else {k: v.to_csv() for k, v in tables.items()}
     return payload, csvs
 
 
@@ -541,9 +540,19 @@ def _emit(payload: dict, out_dir: Optional[Path], name: str,
             (out_dir / fname).write_text(content)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Where its first argument names a command, only
+    that command's subparser is built, and the metavar keeps all five names in
+    the usage line; otherwise every subparser is, so that a missing or unknown
+    command gets argparse's own message."""
     parser = argparse.ArgumentParser(prog="cclab")
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=one and "{" + ",".join(_COMMANDS) + "}")
+    names = _COMMANDS if one is None else (one,)
 
     # the shared options, built once; argparse copies the --set list before appending
     common = argparse.ArgumentParser(add_help=False)
@@ -559,7 +568,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a single config key")
 
-    for name in ("check-conditions", "counterexample", "simulate", "estimate"):
+    for name in names:
+        if name == "report-merge":
+            p = sub.add_parser(name)
+            p.add_argument("inputs", nargs="+")
+            p.add_argument("--out", required=True)
+            continue
         p = sub.add_parser(name, parents=[common])
         if name == "counterexample":
             p.add_argument("--schedule", default=None,
@@ -567,10 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "estimate":
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--threshold", type=float, required=True)
-
-    p = sub.add_parser("report-merge")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--out", required=True)
     return parser
 
 
@@ -591,7 +601,8 @@ def _overrides_from_args(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.command == "report-merge":
             merged = {"reports": []}

@@ -350,8 +350,10 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
 
     The walk lives on the band of lattice points k with |fl(k/den)| below the
     threshold, clipped to the range n_max steps can reach; each step is one
-    convolution, and the mass that lands outside the band is absorbed.  No
-    reflection argument is used, so any atomic step law is valid.
+    convolution, and the mass that lands outside the band is absorbed.  The
+    outflow of every step is kept and summed once after the walk, in the
+    order a running sum would add it.  No reflection argument is used, so
+    any atomic step law is valid.
     """
     if n_max < 1 or n_max > MAX_MAXIMAL_N:
         raise ValueError(f"running-maximum DP supports 1 <= n <= {MAX_MAXIMAL_N}")
@@ -377,14 +379,12 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
     kernel = np.pad(kernel, (step_lo - lo, hi - step_hi))
     alive = np.zeros(width, dtype=np.float64)
     alive[-band_lo] = 1.0
-    absorbed = 0.0
-    out = np.empty(n_max, dtype=np.float64)
+    left, right = np.empty((n_max, -lo)), np.empty((n_max, hi))
     for j in range(n_max):
         full = np.convolve(alive, kernel)  # full[i] sits at band_lo + lo + i
-        absorbed += float(full[:-lo].sum()) + float(full[width - lo:].sum())
+        left[j], right[j] = full[:-lo], full[width - lo:]
         alive = full[-lo:width - lo]
-        out[j] = absorbed
-    return out
+    return np.add.accumulate(left.sum(axis=1) + right.sum(axis=1))
 
 
 def exact_max_tail(d: distmodel.Dist, n: int, threshold: float) -> float:

@@ -78,7 +78,8 @@ class RegularityReport:
 
 
 def libm(fn, *args) -> np.ndarray:
-    """fn(*args) elementwise over Python floats; scalar arguments broadcast.
+    """fn(*args) elementwise over Python floats, in the arguments' broadcast
+    shape; scalars alone give one element.
 
     Arithmetic (+ - * /, sqrt) is correctly rounded, so NumPy gives the same
     bits as Python.  Powers, logs, exponentials and erfc are not: NumPy's
@@ -94,21 +95,18 @@ def libm(fn, *args) -> np.ndarray:
     """
     if fn in _SATURATED:
         lo, low, hi, high = _SATURATED[fn]
-        x = np.asarray(args[0], dtype=np.float64)
+        x = np.atleast_1d(np.asarray(args[0], dtype=np.float64))
         live = ~((x <= lo) | (x >= hi))
         if not live.all():
             out = np.where(x <= lo, low, high)
             out[live] = libm(fn, x[live])
             return out
-    cols, size = [], 1  # scalars alone give one element
-    for a in args:
-        if np.ndim(a) == 0:
-            cols.append(repeat(float(a)))
-        else:
-            a = np.asarray(a, dtype=np.float64)
-            size = a.size
-            cols.append(memoryview(a))  # yields Python floats without a list
-    return np.fromiter(map(fn, *cols), np.float64, count=size)
+    shape = np.broadcast(*args).shape or (1,)
+    # a memoryview yields Python floats without a list
+    cols = [repeat(float(a)) if np.ndim(a) == 0 else
+            memoryview(np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel())
+            for a in args]
+    return np.fromiter(map(fn, *cols), np.float64, count=math.prod(shape)).reshape(shape)
 
 
 def _split(x):
@@ -154,7 +152,7 @@ def power(x, p: float) -> np.ndarray:
     rounds once a value within about 0.02 ulp of x^p (0.52 ulp in all), so it
     returns hi there; on the tests' columns it misrounds only within 0.0071 s
     of a midpoint.  Other elements go through ``libm``: 1e300 still overflows."""
-    x = np.array(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, ndmin=1)
     if p == 0 or p == 1:
         return x if p else np.ones(x.shape)
     if p not in (-1, 2, 3) or x.size < 512:  # libm is quicker on short arrays

@@ -15,6 +15,7 @@ import cclab
 from cclab import cli
 from cclab import convergence as cv
 from cclab import distmodel, mcengine, seqkit
+from cclab.reports import CSV_COLUMNS, SeriesReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -306,9 +307,70 @@ def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
     assert parser.parse_args(["estimate", "--n", "1", "--threshold", "1"]).set == []
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main, argparse's own exits included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+PARSER_CASES = [(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
+                ("simulate", "--bogus"), ("simulate", "--horizon", "x"),
+                ("estimate", "--threshold", "1"), ("report-merge", "--out", "merged.json")]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "no arguments")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    got = outcome(capsys, argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: full())
+    assert got == outcome(capsys, argv)
+
+
+def test_a_named_command_builds_its_subparser_alone():
+    for argv in (["simulate", "--maximal"], ["report-merge", "a", "--out", "b"]):
+        (sub,) = cli._build_parser(argv)._subparsers._group_actions
+        assert list(sub.choices) == argv[:1]
+    (sub,) = cli._build_parser(["bogus"])._subparsers._group_actions
+    assert list(sub.choices) == list(cli._COMMANDS)
+
+
 # ---------------------------------------------------------------------------
 # counterexample and simulate paths
 # ---------------------------------------------------------------------------
+
+SIMULATE_MAX = ("simulate", "--preset", "baum_katz(2,1)", "--maximal", "--horizon", "16",
+                "--replicates", "1000", "--eps", "0.5,1", "--set", "distribution.kind=rademacher")
+
+
+def test_simulate_out_writes_the_report_and_a_csv_per_series(capsys, tmp_path):
+    code, out, _ = run(capsys, *SIMULATE_MAX, "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    assert (tmp_path / "simulate.json").read_text() == out
+    series = json.loads(out)["series"]
+    tables = {f"simulate{kind}_eps{eps:g}.csv": series[f"{key}{eps}"]
+              for eps in (0.5, 1.0) for kind, key in (("_max", "max:"), ("", ""))}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*tables, "simulate.json"])
+    for name, report in tables.items():
+        rows = [",".join(str(row["n"]) if key == "n" else repr(row[key]) if key in row else ""
+                         for key in CSV_COLUMNS) for row in report["rows"]]
+        assert (tmp_path / name).read_text() == "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+
+
+def test_simulate_without_out_builds_no_csv(capsys, monkeypatch, tmp_path):
+    code, with_out, _ = run(capsys, *SIMULATE_MAX, "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+
+    def no_csv(self):
+        raise AssertionError("CSV text built without --out")
+
+    monkeypatch.setattr(SeriesReport, "to_csv", no_csv)
+    code, out, err = run(capsys, *SIMULATE_MAX)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == with_out
 
 
 def test_readme_replay_needs_no_preset(capsys, tmp_path):

@@ -109,6 +109,49 @@ def test_max_tail_profile_matches_absorbing_walk(name):
         assert mc.exact_max_tail(d, N_MAX, float(t)) == got[-1]
 
 
+def running_sum_profile(d, n_max: int, threshold: float) -> np.ndarray:
+    """max_tail_profile as it was written first: the outflow added to a
+    running sum at every step.  Kept to hold the one summation to its bits."""
+    if threshold <= 0:
+        return np.ones(n_max, dtype=np.float64)
+    kernel, step_lo, den = mc._lattice(d, n_max)
+    step_hi = step_lo + len(kernel) - 1
+    lo, hi = min(step_lo, 0), max(step_hi, 0)
+    k = n_max * max(-lo, hi)
+    if not math.isinf(threshold):
+        k = min(k, math.ceil(Fraction(threshold) * den) - 1)
+    while k / den >= threshold:
+        k -= 1
+    band_lo, band_hi = max(-k, n_max * lo), min(k, n_max * hi)
+    width = band_hi - band_lo + 1
+    kernel = np.pad(kernel, (step_lo - lo, hi - step_hi))
+    alive = np.zeros(width, dtype=np.float64)
+    alive[-band_lo] = 1.0
+    absorbed = 0.0
+    out = np.empty(n_max, dtype=np.float64)
+    for j in range(n_max):
+        full = np.convolve(alive, kernel)
+        absorbed += float(full[:-lo].sum()) + float(full[width - lo:].sum())
+        alive = full[-lo:width - lo]
+        out[j] = absorbed
+    return out
+
+
+@pytest.mark.parametrize("d", [
+    dm.rademacher(), LAWS["atoms 1,3"][0], LAWS["atoms 0.1,0.3"][0],
+    dm.atomic_sym([(0.001, 0.3), (0.017, 0.3), (0.05, 0.2)]),  # den = 1000
+    LAWS["positive 1,2.5,4"][0], LAWS["negative -0.5,-2"][0],  # lo = 0, hi = 0
+], ids=["rademacher", "atoms 1,3", "atoms 0.1,0.3", "den 1000", "lo 0", "hi 0"])
+def test_max_tail_profile_is_the_running_sum_bit_for_bit(d):
+    steps, _, den = d.lattice_steps
+    reach = max(map(abs, steps))
+    for n in range(1, mc.MAX_MAXIMAL_N + 1):
+        points = [1, reach, n * reach // 3, n * reach // 2 + 1, n * reach]
+        for t in [0.0, 5e-324, *(k / den for k in points), (2 * reach + 1) / (2 * den), math.inf]:
+            np.testing.assert_array_equal(mc.max_tail_profile(d, n, t).view(np.uint64),
+                                          running_sum_profile(d, n, t).view(np.uint64))
+
+
 def test_max_tail_profile_trivial_thresholds():
     d = LAWS["atoms 1,3"][0]
     assert mc.max_tail_profile(d, 4, 0.0).tolist() == [1.0] * 4

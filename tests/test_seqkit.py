@@ -233,6 +233,43 @@ def test_power_and_libm_of_scalars_give_one_element():
     assert sk.libm(math.exp, 1.0).tolist() == [math.exp(1.0)]
 
 
+# every route a scalar can take: saturated fills, the map, and power's shortcuts
+@pytest.mark.parametrize("f,args,want", [
+    (sk.libm, (math.exp, -800.0), 0.0), (sk.libm, (math.erfc, 30.0), 0.0),
+    (sk.libm, (math.erfc, -7.0), 2.0), (sk.libm, (math.exp, 1.0), math.e),
+    (sk.libm, (pow, 2.0, 0.5), math.sqrt(2.0)), (sk.power, (2.0, 0), 1.0),
+    (sk.power, (2.0, 1), 2.0), (sk.power, (2.0, 3), 8.0), (sk.power, (2.0, -1.0), 0.5),
+])
+def test_scalars_alone_give_one_element_on_every_route(f, args, want):
+    got = f(*args)
+    assert got.shape == (1,)
+    assert got.tolist() == [want]
+
+
+def test_libm_refuses_arguments_that_do_not_broadcast():
+    for x, p in ((np.ones(5), np.ones(3)), (np.ones(3), np.ones(5))):
+        with pytest.raises(ValueError, match="broadcast"):
+            sk.libm(pow, x, p)
+
+
+def test_libm_and_power_give_the_broadcast_shape():
+    x = np.linspace(-800.0, 30.0, 24).reshape(4, 6)  # saturated and mapped elements
+    for fn in (math.exp, math.erfc):
+        got = sk.libm(fn, x)
+        assert got.shape == (4, 6)
+        assert same_bits(got.ravel(), raw_map(fn, x.ravel()))
+    assert sk.libm(pow, np.arange(1.0, 4.0)[:, None], np.arange(4.0)).tolist() == [
+        [pow(a, b) for b in (0.0, 1.0, 2.0, 3.0)] for a in (1.0, 2.0, 3.0)]
+    assert sk.libm(math.log, np.arange(1.0, 9.0)[::3]).tolist() == [0.0, math.log(4.0),
+                                                                    math.log(7.0)]
+    # short arrays go to libm, long ones to the numpy route
+    for x in (np.arange(1.0, 13.0).reshape(3, 4), np.arange(1.0, 1025.0).reshape(32, 32)):
+        for p in (0, 1, -1.0, 2.0, 3.0, 0.5):
+            got = sk.power(x, p)
+            assert got.shape == x.shape
+            assert_same_uint64(got.ravel(), libm_pow(x.ravel(), p))
+
+
 def test_power_at_one_is_a_copy():
     x = np.arange(1.0, 4.0)
     sk.power(x, 1.0)[0] = 9.0
