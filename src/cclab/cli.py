@@ -305,6 +305,8 @@ def load_config(path: Optional[str], overrides: dict,
         raise ConfigError("mc keys must be integers") from exc
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if replicates < mcengine.MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {mcengine.MIN_REPLICATES}")
 

@@ -394,7 +394,7 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.standard_normal(count)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
-        # One Philox word a step: its top 53 bits are the uniform u that
+        # One SFC64 word a step: its top 53 bits are the uniform u that
         # Generator.random() makes of it, bit 0 the sign.  scale * u ** (-1/alpha)
         # is computed in place; it is positive or +inf, so setting its sign bit
         # where bit 0 is clear negates it exactly.

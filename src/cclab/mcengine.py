@@ -1,20 +1,20 @@
 """Monte Carlo estimation of P(|S_n| >= t) plus exact small-instance oracles.
 
 Sampling follows a strict determinism contract: replicates are split into
-fixed-size batches, batch b draws from the counter-based stream
-(seed, scenario, n, b), and batch results are merged in index order.  The
-same (config, seed) therefore produces bit-identical output for any worker
-count.  A replicate draws S_n itself where its law allows:
+fixed-size batches, batch b draws from its own stream
+``seeding.stream(seed, scenario, n, b)``, and batch results are merged in
+index order.  The same (config, seed) therefore produces bit-identical output
+for any worker count.  A replicate draws S_n itself where its law allows:
 
 - an atom table on a decimal lattice within 2^53 as multinomial atom counts
   summed on the oracles' lattice, so a hit is |k|/den >= t exactly as in
   exact_tail; any other atom table as the same counts times the float atoms;
 - the normal law as sqrt(n) Z;
-- ``uniform_sym`` at 512 <= n < 2^36 as 53 binomial bit planes, since
+- ``uniform_sym`` at 640 <= n < 2^36 as 53 binomial bit planes, since
   Generator.random() is m 2^-53 with 53 fair bits in m.
 
-``pareto_sym``, and ``uniform_sym`` below n = 512, sum n single steps of one
-Philox word each.  These draws are stream version ``philox-v3``
+``pareto_sym``, and ``uniform_sym`` below n = 640, sum n single steps of one
+SFC64 word each.  These draws are stream version ``sfc64-v4``
 (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
@@ -47,11 +47,11 @@ MIN_REPLICATES = 1_000
 DEFAULT_BATCH = 65_536
 _CHUNK_ELEMENTS = 1 << 22
 # Single steps are drawn and summed this many at a time, so a chunk's steps
-# stay in cache; each step takes one Philox word, so the draws do not depend on it.
+# stay in cache; each step takes one SFC64 word, so the draws do not depend on it.
 _BLOCK_ELEMENTS = 1 << 15
 # uniform_sym draws its 53 bit planes from here on; below, n single steps
-# cost less than 53 binomials (crossover near n = 300-400, 2-vCPU x86 host).
-_PLANE_MIN_N = 512
+# cost less than 53 binomials (SFC64 crossover near n = 600, 2-vCPU x86 host).
+_PLANE_MIN_N = 640
 _PLANE_MAX_N = 1 << 36  # each half of the plane sum stays below 2^63
 _LOW_PLANES = 26  # bits 0-25 of the 53 form the low half, bits 26-52 the high
 _PLANE_WEIGHTS = 1 << np.arange(53 - _LOW_PLANES, dtype=np.int64)  # 2^j within a half

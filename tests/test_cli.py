@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 import cclab
 from cclab import cli
 from cclab import convergence as cv
-from cclab import distmodel, mcengine, seqkit
+from cclab import distmodel, mcengine, seeding, seqkit
 from cclab.reports import CSV_COLUMNS, SeriesReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,9 +61,9 @@ def test_check_conditions_bytes_match_golden(capsys, label):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo bytes: fixtures written when S_n became a direct draw; only
-# their stream label changed since (philox-v3).  70000 replicates are two
-# batches, so the worker count changes the schedule.
+# Monte Carlo bytes: fixtures written when the streams became SFC64
+# (sfc64-v4).  70000 replicates are two batches, so the worker count changes
+# the schedule.
 # ---------------------------------------------------------------------------
 
 MC_CASES = {
@@ -86,6 +87,14 @@ def test_monte_carlo_bytes_match_golden_for_any_worker_count(capsys, label):
         code, out2, _ = run(capsys, *argv, "--workers", workers)
         assert code == cli.EXIT_OK
         assert out2 == out
+
+
+def test_golden_stream_labels_carry_the_current_version():
+    version = seeding.stream_id(0).split(":")[0] + ":"
+    labels = [label for path in sorted(GOLDEN.glob("*.json"))
+              for label in re.findall(r'"seed_stream": "([^"]*)"', path.read_text())]
+    assert labels
+    assert all(label.startswith(version) for label in labels), labels
 
 
 def test_readme_normal_example_certifies_single_tail(capsys):
@@ -529,7 +538,7 @@ def test_seed_zero_is_not_replaced_by_the_default(capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out)
     assert payload["provenance"]["seed"] == 0
-    assert payload["estimate"]["seed_stream"] == "philox-v3:0/0/4"
+    assert payload["estimate"]["seed_stream"] == "sfc64-v4:0/0/4"
 
 
 def config_sha256(capsys, *argv) -> str:
@@ -578,7 +587,7 @@ def test_estimate_with_every_replicate_a_hit(capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("horizon", "0"), ("replicates", "0"), ("replicates", "999"), ("workers", "0"),
-    ("n", "0"), ("threshold", "nan"), ("threshold", "inf")])
+    ("seed", "-1"), ("n", "0"), ("threshold", "nan"), ("threshold", "inf")])
 def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
     # the config file holds valid values, which a falsy flag must not fall back to
     config = tmp_path / "scenario.ini"

@@ -298,7 +298,7 @@ def test_fair_pairs_draw_the_same_signs_whatever_the_kind():
 
 @pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (1.0, 0.3), (2.0, 7.0), (0.01, 1.0)])
 def test_pareto_sample_matches_the_formula_bit_for_bit(alpha, scale):
-    # the sampler works in place on one Philox word a step; the reference is
+    # the sampler works in place on one generator word a step; the reference is
     # the draw written out: random() of the word, and bit 0 of the same word
     u = seeding.stream(5, 1).random(10_000)
     bit = seeding.stream(5, 1).bit_generator.random_raw(10_000) & 1

@@ -351,8 +351,8 @@ def test_plane_assembly_is_exact():
 
 
 def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
-    # sums of uniform_sym(1.5) written by the single-step path before row
-    # blocks and bit planes existed
+    # sums of uniform_sym(1.5) written by the single-step path when the
+    # streams became SFC64 (sfc64-v4)
     fixture = json.loads((Path(__file__).parent / "golden" / "uniform_sym_small_n.json").read_text())
     d = dm.uniform_sym(fixture["half_width"])
     for case in fixture["cases"]:
@@ -438,7 +438,8 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
 
 @pytest.mark.parametrize("d,n", [(dm.normal_std(), 16), (dm.uniform_sym(1.0), 16),
                                  (dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)]), 16),
-                                 (dm.pareto_sym(1.5), 16), (dm.uniform_sym(1.0), 512)],
+                                 (dm.pareto_sym(1.5), 16),
+                                 (dm.uniform_sym(1.0), mc._PLANE_MIN_N)],
                          ids=["normal_std", "uniform_sym", "atoms 0.1,0.3", "pareto_sym",
                               "uniform_sym planes"])
 def test_two_batches_are_identical_for_any_worker_count(d, n):
@@ -446,7 +447,7 @@ def test_two_batches_are_identical_for_any_worker_count(d, n):
     one = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=1)
     two = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
-    assert one.seed_stream.startswith("philox-v3:")
+    assert one.seed_stream.startswith("sfc64-v4:")
 
 
 def test_sums_overflowing_to_both_signs_are_unavailable():
