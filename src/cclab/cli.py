@@ -9,10 +9,11 @@ data inside the reports; exit codes only signal operational failures:
     1  a divergence certificate failed (counterexample subcommand)
     2  config parse/validation error, non-finite numbers included; also a
        ``counterexample --schedule`` file that cannot be read, is not JSON or
-       is not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1, or
-       holds a cutoff for which the integral bound certifies no block end;
-       weights or a normalizer that are negative, non-finite, decreasing or
-       overflow doubles; and configured magnitudes whose powers overflow
+       is not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1
+       numbered m = 1..len, or holds a cutoff for which the integral bound
+       certifies no block end; weights or a normalizer that are negative,
+       non-finite, decreasing or overflow doubles; configured magnitudes
+       whose powers overflow; and an ``--out`` path that cannot be written
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -363,13 +364,11 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             values = seqkit.sequence_values(w, a, horizon)
             tau, av = values.w, values.a
             regularity = [
-                seqkit.check_dyadic_regularity(w, horizon=horizon),
-                seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=3.0,
-                                             horizon=horizon, values=values),
-                seqkit.check_tail_domination(w, a, theta=cfg.theta, moment_power=2.0,
-                                             horizon=horizon, values=values),
-                seqkit.check_inf_growth(w, a, power=3.0, horizon=horizon, values=values),
-                seqkit.check_inf_growth(w, a, power=2.0, horizon=horizon, values=values),
+                seqkit.check_dyadic_regularity(w, values),
+                seqkit.check_tail_domination(w, a, values, theta=cfg.theta, moment_power=3.0),
+                seqkit.check_tail_domination(w, a, values, theta=cfg.theta, moment_power=2.0),
+                seqkit.check_inf_growth(w, a, values, power=3.0),
+                seqkit.check_inf_growth(w, a, values, power=2.0),
             ]
     except OverflowError as exc:
         raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
@@ -400,7 +399,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         certified = report.divergence_certified
         series.append(convergence.summarize_series(
             "adaptive-exponent", grid, convergence.adaptive_exponent_terms(
-                None, 1.0, grid, t=dist.truncated_second_moments(a.values(grid))),
+                1.0, grid, dist.truncated_second_moments(a.values(grid))),
             {"eps": 1.0}, blocks if certified else None,
             evidence=("terms vanish on any double-range horizon; divergence lives at "
                       "the cutoff scales recorded in the certificates" if certified
@@ -431,13 +430,13 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             env_iii = convergence.exp_certificate(d, w, a, eps)
             t = distmodel.truncated_moments(d, 2.0, eps * av)
             series.append(convergence.summarize_series(
-                "exponential", n, convergence.exp_terms(d, tau, av, eps, n, t=t), {"eps": eps},
+                "exponential", n, convergence.exp_terms(tau, av, eps, n, t), {"eps": eps},
                 env_iii, emit=shown,
                 bound=(bound := None if env_iii is None else env_iii.values_at(n))))
             if cfg.preset in ("spataru", "spataru_weak"):
                 series.append(convergence.summarize_series(
                     "adaptive-exponent", n[1:],
-                    convergence.adaptive_exponent_terms(d, eps, n[1:], t=t[1:]),
+                    convergence.adaptive_exponent_terms(eps, n[1:], t[1:]),
                     {"eps": eps}, env_iii, emit=shown[1:],
                     bound=None if bound is None else bound[1:]))
             del t, bound  # before the next eps allocates its columns
@@ -506,7 +505,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
         max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
         wv, av = cfg.weights.values(max_grid).tolist(), cfg.norms.values(max_grid).tolist()
         for eps in cfg.eps:
-            terms = [wn * mcengine.exact_max_tail(d, n, eps * an)
+            terms = [wn * mcengine.max_tail_profile(d, n, eps * an)[-1]
                      for n, wn, an in zip(max_grid, wv, av)]
             max_rep = convergence.summarize_series(
                 "running-maximum", max_grid, terms, params={"eps": eps},
@@ -533,13 +532,17 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 def _emit(payload: dict, out_dir: Optional[Path], name: str,
           extra_files: Optional[dict] = None) -> None:
+    """Print the report, after writing it and ``extra_files`` under ``out_dir``."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text + "\n")
-        for fname, content in (extra_files or {}).items():
-            (out_dir / fname).write_text(content)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_text(text + "\n")
+            for fname, content in (extra_files or {}).items():
+                (out_dir / fname).write_text(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_dir}: {exc}") from exc
+    print(text)
 
 
 _COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
@@ -615,7 +618,10 @@ def main(argv=None) -> int:
                 except (OSError, json.JSONDecodeError) as exc:
                     raise ConfigError(f"cannot read report {path}: {exc}") from exc
             text = json.dumps(merged, sort_keys=True, indent=2)
-            Path(args.out).write_text(text + "\n")
+            try:
+                Path(args.out).write_text(text + "\n")
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
             print(text)
             return EXIT_OK
 
@@ -645,9 +651,8 @@ def main(argv=None) -> int:
             if cfg.dist is None:
                 raise distmodel.SamplingUnavailable(
                     "no samplable distribution configured")
-            est = mcengine.estimate_tail(cfg.dist, args.n, args.threshold,
-                                         cfg.replicates, cfg.seed,
-                                         workers=cfg.workers)
+            (est,) = mcengine.estimate_tail(cfg.dist, args.n, [args.threshold],
+                                            cfg.replicates, cfg.seed, workers=cfg.workers)
             payload = {"estimate": est.to_json_dict(),
                        "provenance": cfg.provenance()}
             _emit(payload, cfg.out_dir, "estimate.json")

@@ -59,13 +59,12 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     return n * w * distmodel.tails(d, eps * a)
 
 
-def exp_terms(d: Dist, w, a, eps: float, n, t=None) -> np.ndarray:
-    """w(n) * exp(-eps^2 a(n)^2 / (n * T)), zero where T vanishes; ``w`` and ``a``
-    hold w(n) and a(n), and ``t``, when given, holds T."""
+def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
+    """w(n) * exp(-eps^2 a(n)^2 / (n * T)), zero where T vanishes; ``w``, ``a``
+    and ``t`` hold w(n), a(n) and T."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    w, a, n = _arrays(w, a, n)
-    t = distmodel.truncated_moments(d, 2.0, eps * a) if t is None else t
+    w, a, n, t = _arrays(w, a, n, t)
     out = np.zeros(t.shape)
     on = t != 0.0
     an = a[on]
@@ -74,16 +73,14 @@ def exp_terms(d: Dist, w, a, eps: float, n, t=None) -> np.ndarray:
     return out
 
 
-def adaptive_exponent_terms(d: Optional[Dist], eps: float, n, t=None) -> np.ndarray:
-    """n^(-1 - eps^2/T) with T truncated at eps * (n log n)^{1/2}, zero where T
-    vanishes; ``t``, when given, holds T, and ``d`` is then not read."""
+def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
+    """n^(-1 - eps^2/T), zero where T vanishes; ``t`` holds T truncated at
+    eps * (n log n)^{1/2}."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    (n,) = _arrays(n)
+    n, t = _arrays(n, t)
     if (n < 2).any():
         raise ValueError("adaptive-exponent terms start at n = 2")
-    if t is None:
-        t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
     out = np.zeros(t.shape)
     on = t != 0.0
     with np.errstate(over="ignore"):  # a subnormal T gives -inf, and pow(n, -inf) = 0
@@ -98,12 +95,14 @@ def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> f
 
 def exp_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
     """w(n) * exp(-eps^2 a(n)^2 / (n * T)), one point of ``exp_terms``."""
-    return float(exp_terms(d, w(n), a(n), eps, n)[0])
+    an = a(n)
+    return float(exp_terms(w(n), an, eps, n, distmodel.truncated_moments(d, 2.0, eps * an))[0])
 
 
 def adaptive_exponent_term(d: Dist, eps: float, n: int) -> float:
     """n^(-1 - eps^2/T), one point of ``adaptive_exponent_terms``."""
-    return float(adaptive_exponent_terms(d, eps, n)[0])
+    t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
+    return float(adaptive_exponent_terms(eps, n, t)[0])
 
 
 def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
@@ -385,9 +384,8 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
-                     certificate=None, evidence: tuple[str, ...] = (),
-                     emit=None, bound=None) -> SeriesReport:
+def summarize_series(series_id: str, n, term, params: dict, certificate=None,
+                     evidence: tuple[str, ...] = (), emit=None, bound=None) -> SeriesReport:
     """Assemble a report from the columns ``n`` and ``term``, checking the
     certificate, if any, against every term; the report takes its verdict
     and its ``to_json_dict`` at the last n.
@@ -428,5 +426,5 @@ def summarize_series(series_id: str, n, term, params: Optional[dict] = None,
                  zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
     last_n = int(n[-1]) if n.size else 0
     rendered = None if certificate is None else certificate.to_json_dict(last_n)
-    return SeriesReport(series_id, dict(params or {}), rows, verdict, certificate=rendered,
+    return SeriesReport(series_id, dict(params), rows, verdict, certificate=rendered,
                         evidence=evidence)

@@ -300,7 +300,11 @@ class CutoffSchedule:
 
     @staticmethod
     def from_json_list(items: list) -> "CutoffSchedule":
+        """The schedule ``to_json_list`` wrote.  Entry m's atom has mass
+        2^(-m-1)/K_m, so the entries must be numbered 1..len, in any order."""
         items = sorted(items, key=lambda d: d["m"])
+        if [d["m"] for d in items] != list(range(1, len(items) + 1)):
+            raise ValueError("schedule entries must be numbered m = 1..len, each once")
         cutoffs = tuple(LogReal(int(d["level"]), float(d["payload"])) for d in items)
         return CutoffSchedule(
             m_max=len(items),
@@ -419,20 +423,14 @@ class InverseGrowthMoment:
     terms: int
 
 
-def inverse_growth_moment(dist: CounterexampleDistribution,
-                          terms: Optional[int] = None) -> InverseGrowthMoment:
-    """Sum of 2 * (2^(-m-1)/K_m) * phi(psi(K_m)) over m = 1..terms.
+def inverse_growth_moment(dist: CounterexampleDistribution) -> InverseGrowthMoment:
+    """Sum of 2 * (2^(-m-1)/K_m) * phi(psi(K_m)) over the schedule's m = 1..M.
 
     phi(psi(K_m)) = K_m cancels symbolically in the log domain, so each term
-    equals 2^-m regardless of the cutoffs, and the truncated sum is
-    1 - 2^-terms, rounded once (a running sum of the terms rounds to the same
-    double).  ``terms`` may exceed the built depth because the construction
-    is an arbitrarily extendable prefix.
+    equals 2^-m regardless of the cutoffs, and the truncated sum is 1 - 2^-M,
+    rounded once (a running sum of the terms rounds to the same double).
     """
-    if terms is None:
-        terms = dist.schedule.m_max
-    if not 1 <= terms <= 1070:
-        raise ValueError("terms must lie in 1..1070")
+    terms = dist.schedule.m_max
     return InverseGrowthMoment(value=1.0 - 2.0 ** -terms, deficit=2.0 ** -terms, terms=terms)
 
 

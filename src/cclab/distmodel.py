@@ -1,12 +1,14 @@
-"""Random-variable models: exact tails, truncated moments, and samplers.
+"""Random-variable models: exact tails, truncated moments, and single steps.
 
 Tails and truncated moments are closed form wherever a closed form exists;
 the standard normal falls back to adaptive quadrature at 1e-12 absolute
 tolerance.  Every finite atom law (``rademacher``, ``atomic_sym``,
 ``atomic``) is one signed (value, mass) table, with the remaining mass at 0,
-and runs through one code path.  ``tails`` and
+and its tails and moments run through one code path.  ``tails`` and
 ``truncated_moments`` take arrays of cutoffs; ``tail`` and
-``truncated_moment`` are their one-point forms.
+``truncated_moment`` are their one-point forms.  ``sample`` draws the
+single steps ``mcengine`` sums for ``pareto_sym``, and for ``uniform_sym``
+outside its bit-plane range.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def rademacher() -> Dist:
 
 
 def uniform_sym(half_width: float) -> Dist:
-    if not 0.0 < half_width < math.inf:
-        raise ValueError("half_width must be finite and positive")
+    if not 0.0 < 2.0 * half_width < math.inf:  # the width 2h is finite, so uniform() can draw
+        raise ValueError("half_width must be positive, and twice it finite")
     return Dist("uniform_sym", (float(half_width),), True)
 
 
@@ -376,22 +378,14 @@ def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count i.i.d. draws; deterministic given the generator's stream."""
+    """count i.i.d. steps of ``pareto_sym`` or ``uniform_sym``; deterministic
+    given the generator's stream.  ``mcengine`` draws S_n of the atom laws and
+    the normal law whole, so they have no single-step sampler."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    if d.kind in _ATOM_KINDS:
-        values, probs = atom_table(d)
-        cum = np.cumsum(probs)
-        cum[-1] = max(cum[-1], 1.0)
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        return values[idx]
     if d.kind == "uniform_sym":
         (h,) = d.params
         return rng.uniform(-h, h, size=count)
-    if d.kind == "normal_std":
-        return rng.standard_normal(count)
     if d.kind == "pareto_sym":
         alpha, scale = d.params
         # One SFC64 word a step: its top 53 bits are the uniform u that
@@ -408,4 +402,4 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
         bits = mag.view(np.uint64)
         bits |= words
         return mag
-    raise ValueError(f"unknown distribution kind {d.kind!r}")
+    raise ValueError(f"no single-step sampler for kind {d.kind!r}")

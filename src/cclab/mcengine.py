@@ -2,8 +2,8 @@
 
 Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from its own stream
-``seeding.stream(seed, scenario, n, b)``, and batch results are merged in
-index order.  The same (config, seed) therefore produces bit-identical output
+``seeding.stream(seed, 0, n, b)``, and batch results are merged in index
+order.  The same (config, seed) therefore produces bit-identical output
 for any worker count.  A replicate draws S_n itself where its law allows:
 
 - an atom table on a decimal lattice within 2^53 as multinomial atom counts
@@ -30,6 +30,7 @@ OracleUnavailable.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,15 +75,15 @@ class OracleUnavailable(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(hits: int, total: int, z: float = WILSON_Z99) -> tuple[float, float]:
-    """Wilson score interval; preferred over Wald because p sits near 0.
+def wilson_interval(hits: int, total: int) -> tuple[float, float]:
+    """99% Wilson score interval; preferred over Wald because p sits near 0.
 
     At hits == 0 and hits == total the end at the estimate is exactly 0 or 1,
     which the rounding of center -+ half would otherwise miss.
     """
     if total <= 0:
         raise ValueError("total must be positive")
-    p = hits / total
+    p, z = hits / total, WILSON_Z99
     z2 = z * z
     denom = 1.0 + z2 / total
     center = (p + z2 / (2.0 * total)) / denom
@@ -146,7 +147,8 @@ def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator) -
         part = out[r:r + block]
         part[:] = _plane_sums(rng.binomial(n, 0.5, size=(len(part), 53)), n)
     out *= 2.0 ** -53
-    out *= h
+    with np.errstate(over="ignore"):  # a sum past the double range is +-inf, a hit
+        out *= h
     return out
 
 
@@ -208,34 +210,34 @@ def _batch_plan(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def estimate_tail(d: distmodel.Dist, n: int, threshold, replicates: int,
-                  seed: int, scenario: int = 0, workers: int = 1,
-                  batch_size: int = DEFAULT_BATCH):
-    """Monte Carlo estimate of P(|S_n| >= threshold) with a 99% Wilson interval.
+def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
+                  seed: int, workers: int = 1, batch_size: int = DEFAULT_BATCH) -> list:
+    """Monte Carlo estimates of P(|S_n| >= t) with 99% Wilson intervals, one
+    Estimate for each t in ``thresholds``, all counted on the same draws.
 
-    ``threshold`` may also be a sequence: every threshold is then counted on
-    the same draws, and the result is a list of one Estimate per threshold.
+    At most ``workers`` threads draw the batches, and no more than there are
+    batches or CPUs; the counts are merged in batch order either way.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
     if n < 1:
         raise ValueError("n must be >= 1")
-    many = np.ndim(threshold) > 0
-    thresholds = [float(t) for t in threshold] if many else [float(threshold)]
+    thresholds = [float(t) for t in thresholds]
     if any(math.isnan(t) for t in thresholds):
         raise ValueError("threshold must not be NaN")
     plan = _batch_plan(replicates, batch_size)
     draw = _batch_sums(d, n)
 
     def run_batch(b: int) -> list[int]:
-        sums = np.abs(draw(plan[b], seeding.stream(seed, scenario, n, b)))
+        sums = np.abs(draw(plan[b], seeding.stream(seed, 0, n, b)))
         if np.isnan(sums).any():
             raise distmodel.SamplingUnavailable(
                 f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
         return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, len(plan), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(run_batch, range(len(plan))))
     else:
         counts = [run_batch(b) for b in range(len(plan))]
@@ -243,9 +245,8 @@ def estimate_tail(d: distmodel.Dist, n: int, threshold, replicates: int,
     for t, hits in zip(thresholds, map(sum, zip(*counts))):  # integer merge in batch order
         lo, hi = wilson_interval(hits, replicates)
         out.append(Estimate(p_hat=hits / replicates, replicates=replicates, lo=lo, hi=hi,
-                            seed_stream=seeding.stream_id(seed, scenario, n), n=n,
-                            threshold=t))
-    return out if many else out[0]
+                            seed_stream=seeding.stream_id(seed, 0, n), n=n, threshold=t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +388,23 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
     return np.add.accumulate(left.sum(axis=1) + right.sum(axis=1))
 
 
-def exact_max_tail(d: distmodel.Dist, n: int, threshold: float) -> float:
-    """Exact P(max_{k<=n} |S_k| >= threshold)."""
-    return float(max_tail_profile(d, n, threshold)[-1])
-
-
 # ---------------------------------------------------------------------------
 # Empirical series
 # ---------------------------------------------------------------------------
 
 
-def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps,
-                     n_grid, replicates: int, seed: int, workers: int = 1,
-                     scenario: int = 0, series_id: str = "weighted-sum-tail"):
-    """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial sums.
+def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
+                     n_grid, replicates: int, seed: int, workers: int = 1) -> list:
+    """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial
+    sums, one report for each eps in ``eps_list``.
 
     Monte Carlo cannot certify an infinite series, so the verdict is always
     Undetermined; certificates come from the analytic layer.  Each row's
-    ``exact`` is the walk oracle's tail where one exists, else None.
-
-    ``eps`` may also be a sequence, giving a list of one report per eps.  Each
-    batch (seed, scenario, n, b) is drawn once and counted against every eps,
-    the walk oracle is built once per n, and where n doubles along the grid it
-    is the previous oracle squared.
+    ``exact`` is the walk oracle's tail where one exists, else None.  Each
+    batch (seed, 0, n, b) is drawn once and counted against every eps, the
+    walk oracle is built once per n, and where n doubles along the grid it is
+    the previous oracle squared.
     """
-    many = np.ndim(eps) > 0
-    eps_list = list(eps) if many else [eps]
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     ns = [int(n) for n in n_grid]
@@ -420,8 +412,7 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps,
     oracle = None
     for n, tau, an in zip(ns, w.values(ns).tolist(), a.values(ns).tolist()):
         thresholds = [e * an for e in eps_list]
-        ests = estimate_tail(d, n, thresholds, replicates, seed,
-                             scenario=scenario, workers=workers)
+        ests = estimate_tail(d, n, thresholds, replicates, seed, workers=workers)
         try:
             half = oracle if oracle is not None and 2 * oracle.n == n else None
             oracle = exact_walk_oracle(d, n, half=half)
@@ -439,11 +430,11 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps,
                                               prefix_sums(los).tolist(),
                                               prefix_sums(his).tolist(), exacts)]
         reports.append(SeriesReport(
-            series_id=series_id,
+            series_id="weighted-sum-tail",
             params={"eps": e, "replicates": replicates,
-                    "seed_stream": seeding.stream_id(seed, scenario),
+                    "seed_stream": seeding.stream_id(seed, 0),
                     "weights": w.name, "normalizer": a.name},
             rows=tuple(rows), verdict=UNDETERMINED,
             evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "
                       "accumulated into partial-sum bounds",)))
-    return reports if many else reports[0]
+    return reports

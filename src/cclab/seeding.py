@@ -5,8 +5,8 @@ from an SFC64 generator seeded by ``SeedSequence(seed, spawn_key=path)``.  The
 seed is hashed whole, so seeds equal modulo 2^64 still get distinct streams;
 path entries are read as 32-bit words, so paths of one length are distinct
 while their entries stay below 2^32.  Results therefore never depend on worker
-count, scheduling, or call order: batch b of scenario s always sees the same
-bits.
+count, scheduling, or call order: batch b of an ``mcengine`` walk of n steps
+always draws from the address (seed, 0, n, b).
 """
 
 from __future__ import annotations

@@ -33,8 +33,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-DEFAULT_HORIZON = 10_000
-
 _E2 = math.e ** 2
 # fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  exp underflows below -745.14; glibc's
 # erfc returns tiny*tiny from 28 up and two - tiny from -6 down.
@@ -379,6 +377,8 @@ class SequenceValues(NamedTuple):
 
 def sequence_values(w: WeightSeq, a: NormSeq, horizon: int) -> SequenceValues:
     """The arrays every check over 1..horizon reads, evaluated once."""
+    if horizon < 4:
+        raise ValueError("horizon must be >= 4")
     n = np.arange(1, horizon + 1)
     av = a.values(n)
     wv = w.values(n)
@@ -530,16 +530,16 @@ def _dyadic_family_constant(family: PowerLawFamily) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_dyadic_regularity(w: WeightSeq, horizon: int = DEFAULT_HORIZON) -> RegularityReport:
+def check_dyadic_regularity(w: WeightSeq, values: SequenceValues) -> RegularityReport:
     """Sufficient criteria for the weight-closure property.
 
     Passes when either liminf w(n) > 0, or both liminf n*w(n) > 0 and the
     dyadic sandwich C*w(2^{j-1}) >= w(k) >= w(2^j)/C holds with a finite C
     over every dyadic block.  Failing both criteria is Inconclusive: the
-    closure property itself may still hold.
+    closure property itself may still hold.  ``values`` is
+    ``sequence_values(w, a, horizon)``.
     """
-    if horizon < 4:
-        raise ValueError("horizon must be >= 4")
+    horizon = values.w.size
     cid = "weight-dyadic-criteria"
     if w.family is not None:
         fam = w.family
@@ -557,7 +557,7 @@ def check_dyadic_regularity(w: WeightSeq, horizon: int = DEFAULT_HORIZON) -> Reg
                                  "the closure property itself is undecided",))
     # empirical route
     n = np.arange(1, horizon + 1)
-    tau = w.values(n)
+    tau = values.w
     liminf_tau = float(tau[horizon // 2 - 1:].min())
     liminf_ntau = float((n * tau)[horizon // 2 - 1:].min())
     # two-sided comparability against the block anchors; the max witnesses
@@ -575,29 +575,23 @@ def check_dyadic_regularity(w: WeightSeq, horizon: int = DEFAULT_HORIZON) -> Reg
     return RegularityReport(cid, Verdict.INCONCLUSIVE, constants, horizon, ())
 
 
-def check_tail_domination(w: WeightSeq, a: NormSeq, theta: float = 1.0,
-                          moment_power: float = 3.0,
-                          horizon: int = DEFAULT_HORIZON,
-                          values: Optional[SequenceValues] = None
-                          ) -> RegularityReport:
+def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
+                          theta: float = 1.0, moment_power: float = 3.0) -> RegularityReport:
     """Smallest C with a(n)^{p}/n^{theta-1} * sum_{k>=n} k^theta w(k)/a(k)^p <= C*T_{n-1}.
 
     p = moment_power * theta; the canonical selectors are moment_power 3 and 2.
     The infinite tail is the finite sum to the horizon plus a certified
     analytic remainder when family metadata (or a custom tail_bound) provides
-    one; only then is the verdict Certified.  ``values``, when given, is
+    one; only then is the verdict Certified.  ``values`` is
     ``sequence_values(w, a, horizon)``.
     """
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
-    if horizon < 4:
-        raise ValueError("horizon must be >= 4")
     if moment_power <= 0.0:
         raise ValueError("moment_power must be positive")
     cid = f"tail-domination-p{moment_power:g}-theta{theta:g}"
     p = moment_power * theta
-
-    values = values if values is not None else sequence_values(w, a, horizon)
+    horizon = values.a.size
     require_nondecreasing(values.a)
 
     shape = _combined_tail_shape(w, a, theta, moment_power)
@@ -649,24 +643,19 @@ def _norm_growth_direction(family: PowerLawFamily, power: float) -> str:
     return {1: "up", 0: "flat", -1: "down"}[sign]
 
 
-def check_inf_growth(w: WeightSeq, a: NormSeq, power: float = 3.0,
-                     horizon: int = DEFAULT_HORIZON,
-                     values: Optional[SequenceValues] = None
-                     ) -> RegularityReport:
+def check_inf_growth(w: WeightSeq, a: NormSeq, values: SequenceValues,
+                     power: float = 3.0) -> RegularityReport:
     """Floor on liminf_n inf_{k>=n} a(k)^power/(k*a(n)^power) * T_{n-1}.
 
     Certified when the family shows a(k)^power/k eventually monotone, in
     which case the infimum sits at k=n and the liminf reduces to that of
     T_{n-1}/n; measured over the horizon otherwise (running infimum over the
-    last half).  ``values``, when given, is ``sequence_values(w, a, horizon)``.
+    last half).  ``values`` is ``sequence_values(w, a, horizon)``.
     """
-    if horizon < 4:
-        raise ValueError("horizon must be >= 4")
     if power <= 0.0:
         raise ValueError("power must be positive")
     cid = f"inf-growth-p{power:g}"
-
-    values = values if values is not None else sequence_values(w, a, horizon)
+    horizon = values.a.size
     a_pow, t = values.power("a", power), values.t
     sufmin = np.minimum.accumulate((a_pow / np.arange(1, horizon + 1))[::-1])[::-1]
     f = sufmin[1:] * t[:-1] / a_pow[1:]  # n = 2..horizon

@@ -15,7 +15,7 @@ import pytest
 import cclab
 from cclab import cli
 from cclab import convergence as cv
-from cclab import distmodel, mcengine, seeding, seqkit
+from cclab import counterexample, distmodel, mcengine, seeding, seqkit
 from cclab.reports import CSV_COLUMNS, SeriesReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,21 +137,24 @@ def test_certificates_hold_past_the_horizon(preset, dist):
     d, w, a = cfg.dist, cfg.weights, cfg.norms
     n = np.arange(1, 10 * horizon + 1)
     wv, av = w.values(n), a.values(n)
+    cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))  # the adaptive cut over eps
     checked = 0
     for eps in cfg.eps:
         exp_cert = cv.exp_certificate(d, w, a, eps)
         families = [
             (n, cv.single_tail_terms(d, wv, av, eps, n),
              cv.single_tail_certificate(d, w, a, eps, horizon)),
-            (n, cv.exp_terms(d, wv, av, eps, n), exp_cert),
+            (n, cv.exp_terms(wv, av, eps, n, distmodel.truncated_moments(d, 2.0, eps * av)),
+             exp_cert),
         ]
         if cfg.preset in ("spataru", "spataru_weak"):
-            families.append((n[1:], cv.adaptive_exponent_terms(d, eps, n[1:]), exp_cert))
+            t = distmodel.truncated_moments(d, 2.0, eps * cut)
+            families.append((n[1:], cv.adaptive_exponent_terms(eps, n[1:], t), exp_cert))
         for ns, terms, cert in families:
             if cert is None:
                 continue
             # raises at the first term the certificate does not cover
-            cv.summarize_series("past-horizon", ns, terms, emit=ns == ns[-1], certificate=cert)
+            cv.summarize_series("past-horizon", ns, terms, {}, cert, emit=ns == ns[-1])
             checked += 1
     assert checked > 0
 
@@ -213,13 +216,15 @@ def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
     wv, av = w.values(n), a.values(n)
     cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))
     for eps in cfg.eps:
-        got = [distmodel.tails(d, eps * av), distmodel.truncated_moments(d, 2.0, eps * av),
-               cv.exp_terms(d, wv, av, eps, n), cv.adaptive_exponent_terms(d, eps, n[1:])]
+        t = distmodel.truncated_moments(d, 2.0, eps * av)
+        got = [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t),
+               cv.adaptive_exponent_terms(eps, n[1:],
+                                          distmodel.truncated_moments(d, 2.0, eps * cut))]
         with monkeypatch.context() as m:
             m.setattr(seqkit, "_SATURATED", {})
             t = full_libm_moments(d, eps * av)
-            want = [distmodel.tails(d, eps * av), t, cv.exp_terms(d, wv, av, eps, n, t=t),
-                    cv.adaptive_exponent_terms(d, eps, n[1:], t=full_libm_moments(d, eps * cut))]
+            want = [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t),
+                    cv.adaptive_exponent_terms(eps, n[1:], full_libm_moments(d, eps * cut))]
         for g, x in zip(got, want):
             assert g.dtype == x.dtype == np.float64
             np.testing.assert_array_equal(g.view(np.uint64), x.view(np.uint64))
@@ -428,6 +433,47 @@ def test_unusable_schedule_is_a_config_error(capsys, tmp_path, text, message):
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
+
+
+def test_replayed_schedule_is_numbered_one_to_len(capsys, tmp_path):
+    # entry m's atom has mass 2^(-m-1)/K_m: entries 2..4 replayed as 1..3
+    # would certify a different law from the one the file describes
+    entries = counterexample.build_schedule(4).to_json_list()
+    path = tmp_path / "schedule.json"
+    for bad in (entries[1:], entries[:2] + [entries[1]], entries[:2] + [dict(entries[2], m=2)]):
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "counterexample", "--schedule", str(path))
+        assert code == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error: malformed schedule") and "m = 1..len" in err
+        assert len(err.splitlines()) == 1
+    path.write_text(json.dumps(entries[::-1]))  # the order of the entries is free
+    code, out, err = run(capsys, "counterexample", "--schedule", str(path))
+    assert code == cli.EXIT_OK, err
+    assert json.loads(out)["schedule"] == entries
+
+
+@pytest.mark.parametrize("n,half_width,code", [
+    ("100", "1e308", cli.EXIT_CONFIG), ("700", "1e308", cli.EXIT_CONFIG),
+    ("100", "1e307", cli.EXIT_OK), ("700", "1e307", cli.EXIT_OK)])
+def test_uniform_at_a_huge_half_width_warns_nothing(capsys, n, half_width, code):
+    # n = 100 sums single steps and n = 700 bit planes; 2h overflows at 1e308,
+    # and at 1e307 about a quarter of the 700-step sums pass the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "estimate", "--set", "distribution.kind=uniform_sym",
+                            "--set", f"distribution.half_width={half_width}", "--n", n,
+                            "--threshold", "1e308", "--replicates", "1000")
+    assert got == code, err
+    if code == cli.EXIT_CONFIG:
+        assert out == "" and err.startswith("config error: invalid distribution parameters")
+        assert len(err.splitlines()) == 1
+        return
+    assert err == ""
+    # |S_n| >= 10 h for S_n about normal with variance n h^2 / 3
+    exact = math.erfc(10.0 / math.sqrt(2.0 * int(n) / 3.0))
+    est = json.loads(out)["estimate"]
+    assert est["lo"] <= exact <= est["hi"]
 
 
 def test_check_conditions_certifies_deep_counterexamples(capsys):
@@ -642,6 +688,24 @@ def test_config_file_without_section_header_is_a_config_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-conditions", "--config", str(config))
     assert code == cli.EXIT_CONFIG
     assert out == "" and err.startswith("config error: malformed config file")
+
+
+def test_unwritable_out_is_a_config_error(capsys, tmp_path):
+    # a regular file where --out needs a directory, and a missing directory
+    # for report-merge's output file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    report = tmp_path / "report.json"
+    report.write_text("{}")
+    cases = [("estimate", "--set", "distribution.kind=rademacher", "--n", "4",
+              "--threshold", "1", "--replicates", "1000", "--out", str(blocker / "out")),
+             ("report-merge", str(report), "--out", str(blocker / "merged.json")),
+             ("report-merge", str(report), "--out", str(tmp_path / "missing" / "merged.json"))]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_CONFIG, argv
+        assert out == ""
+        assert err.startswith("config error: cannot write") and len(err.splitlines()) == 1
 
 
 def test_report_merge_unreadable_input_is_a_config_error(capsys, tmp_path):

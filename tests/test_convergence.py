@@ -143,14 +143,14 @@ def test_exp_and_adaptive_terms_agree_on_spataru_shape():
 def test_adaptive_terms_take_t_at_the_spataru_cut():
     # check-conditions hands the adaptive series the exponential series' T,
     # taken at eps * a(n); on the spataru normalizer that is the adaptive cut
-    # eps * (n log n)^(1/2) bit for bit, so the terms are the plain ones
+    # eps * (n log n)^(1/2) bit for bit, so the terms are the one-point ones
     d, eps, n = dm.uniform_sym(1.0), 0.5, np.arange(2, 3000)
     cut = eps * spataru_norms().values(n)
-    plain = cv.adaptive_exponent_terms(d, eps, n)
+    plain = [cv.adaptive_exponent_term(d, eps, k) for k in n.tolist()]
     t = dm.truncated_moments(d, 2.0, cut)
-    assert cv.adaptive_exponent_terms(d, eps, n, t=t).tobytes() == plain.tobytes()
+    assert cv.adaptive_exponent_terms(eps, n, t).tolist() == plain
     fake = np.full(n.shape, 1.0)  # shows that the given column is used
-    used = cv.adaptive_exponent_terms(d, eps, n, t=fake)
+    used = cv.adaptive_exponent_terms(eps, n, fake)
     assert used.tolist() == [float(k) ** (-1.0 - eps * eps) for k in n.tolist()]
 
 
@@ -172,7 +172,7 @@ def test_single_tail_scale_consistency():
 def test_summarize_power_envelope():
     n = list(range(1, 101))
     env = cv.PowerEnvelope(coef=1.0, exponent=2.0)
-    rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n],
+    rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n], {},
                               certificate=env)
     assert rep.verdict == CONVERGES
     # integral bound: tail beyond N is at most about 1/N
@@ -183,7 +183,7 @@ def test_summarize_power_envelope():
 
 
 def test_summarize_zero_terms():
-    rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49,
+    rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49, {},
                               certificate=cv.VanishingEnvelope(from_n=1))
     assert rep.verdict == CONVERGES
     assert rep.rows[-1].partial_sum == 0.0
@@ -202,13 +202,13 @@ def test_envelopes_refuse_a_tail_with_unbounded_terms_before_them(env):
 
 
 def test_summarize_undetermined_without_certificate():
-    rep = cv.summarize_series("plain", range(1, 20), [1.0 / n for n in range(1, 20)])
+    rep = cv.summarize_series("plain", range(1, 20), [1.0 / n for n in range(1, 20)], {})
     assert rep.verdict == UNDETERMINED
 
 
 def test_summarize_divergence_floor():
     n = list(range(1, 200))
-    rep = cv.summarize_series("rootn", n, [float(k) ** -0.5 for k in n],
+    rep = cv.summarize_series("rootn", n, [float(k) ** -0.5 for k in n], {},
                               certificate=cv.PowerLowerBound(coef=1.0, exponent=0.5))
     assert rep.verdict == DIVERGES
     assert rep.certificate["block_floor"] == pytest.approx(2.0 ** -0.5)
@@ -219,19 +219,19 @@ def test_summarize_rejects_violated_envelope():
     n = list(range(1, 50))
     env = cv.PowerEnvelope(coef=0.5, exponent=1.5)
     with pytest.raises(ValueError):
-        cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], certificate=env)
+        cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], {}, certificate=env)
 
 
 def test_summarize_rejects_violated_floor():
     n = list(range(1, 50))
     floor = cv.PowerLowerBound(coef=2.0, exponent=0.5, from_n=10)
     with pytest.raises(ValueError, match="divergence floor violated at n=10"):
-        cv.summarize_series("broken", n, [float(k) ** -0.5 for k in n], certificate=floor)
+        cv.summarize_series("broken", n, [float(k) ** -0.5 for k in n], {}, certificate=floor)
 
 
 def test_summarize_rejects_negative_terms():
     with pytest.raises(ValueError):
-        cv.summarize_series("neg", [1], [-0.5])
+        cv.summarize_series("neg", [1], [-0.5], {})
 
 
 def test_certified_reports_require_certificates():

@@ -387,23 +387,24 @@ def test_inverse_growth_moment_values():
     s1 = ce.CounterexampleDistribution(ce.build_schedule(1))
     got = ce.inverse_growth_moment(s1)
     assert got.value == 0.5 and got.deficit == 0.5
-    s9 = ce.CounterexampleDistribution(ce.build_schedule(9))
-    m = ce.inverse_growth_moment(s9)
-    assert m.value + m.deficit == 1.0  # exact dyadic identity
-    m48 = ce.inverse_growth_moment(s9, terms=48)
-    assert m48.value == 1.0 - 2.0 ** -48
-    assert m48.deficit == 2.0 ** -48
-    # the closed form equals the running sum of the terms at every length
+    # the closed form equals the running sum of the terms at every depth
+    entries = ce.build_schedule(ce.MAX_DEPTH).to_json_list()
     total = 0.0
-    for terms in range(1, 1071):
-        total += 2.0 ** -terms
-        assert ce.inverse_growth_moment(s9, terms=terms).value == total
+    for depth in range(1, ce.MAX_DEPTH + 1):
+        total += 2.0 ** -depth
+        dist = ce.CounterexampleDistribution(ce.CutoffSchedule.from_json_list(entries[:depth]))
+        m = ce.inverse_growth_moment(dist)
+        assert (m.value, m.terms) == (total, depth)
+        assert m.value + m.deficit == 1.0  # exact dyadic identity
 
 
 def test_inverse_growth_moment_per_term_symbolic():
     # the per-term value is exactly 2^-m no matter the cutoffs
-    a = ce.inverse_growth_moment(ce.CounterexampleDistribution(ce.build_schedule(3)), terms=3)
-    b = ce.inverse_growth_moment(ce.CounterexampleDistribution(ce.build_schedule(5)), terms=3)
+    entries = ce.build_schedule(3).to_json_list()
+    moved = [{**e, "payload": e["payload"] + 1.0} for e in entries]
+    a, b = (ce.inverse_growth_moment(ce.CounterexampleDistribution(
+        ce.CutoffSchedule.from_json_list(x))) for x in (entries, moved))
+    assert entries[0]["level"] == 0 and entries[0]["payload"] != moved[0]["payload"]
     assert a.value == b.value == 0.875
 
 

@@ -1,6 +1,7 @@
 """Distribution models against quadrature and closed-form oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -273,27 +274,39 @@ def test_atomic_symmetry_detection():
 # ---------------------------------------------------------------------------
 
 
+# sample serves the two laws whose sums mcengine draws step by step
+STEP_LAWS = [dm.uniform_sym(1.0), dm.pareto_sym(1.5)]
+
+
 def test_sample_empty():
     rng = seeding.stream(0, 1)
-    for d in ALL_CLOSED:
-        assert dm.sample(d, rng, 0).size == 0
+    for d in STEP_LAWS:
+        got = dm.sample(d, rng, 0)
+        assert got.size == 0 and got.dtype == np.float64
+
+
+def test_sample_refuses_the_laws_drawn_whole():
+    for d in (dm.rademacher(), dm.atomic_sym([(1.0, 0.5)]), dm.normal_std()):
+        with pytest.raises(ValueError, match="no single-step sampler"):
+            dm.sample(d, seeding.stream(0, 1), 10)
+
+
+def test_uniform_half_width_leaves_its_width_finite():
+    # Generator.uniform(-h, h) needs 2h finite; the next double up is 2^1023
+    top = sys.float_info.max / 2.0
+    assert dm.uniform_sym(top).params == (top,)
+    for h in (2.0 ** 1023, 1e308, sys.float_info.max, math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="half_width"):
+            dm.uniform_sym(h)
 
 
 def test_sample_deterministic_per_stream():
-    d = dm.normal_std()
+    d = dm.uniform_sym(1.0)
     a = dm.sample(d, seeding.stream(42, 1, 2), 1000)
     b = dm.sample(d, seeding.stream(42, 1, 2), 1000)
     c = dm.sample(d, seeding.stream(42, 1, 3), 1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_fair_pairs_draw_the_same_signs_whatever_the_kind():
-    # the inverse cdf draws the same indices from any two tables with the
-    # same masses: two atoms -v, +v of mass 1/2 each
-    signs = dm.sample(dm.rademacher(), seeding.stream(3, 1), 1000)
-    for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
-        assert np.array_equal(dm.sample(d, seeding.stream(3, 1), 1000), 2.5 * signs)
 
 
 @pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (1.0, 0.3), (2.0, 7.0), (0.01, 1.0)])
@@ -308,28 +321,9 @@ def test_pareto_sample_matches_the_formula_bit_for_bit(alpha, scale):
     assert got.tobytes() == want.tobytes()
 
 
-def test_rademacher_clt_mean_bound():
-    x = dm.sample(dm.rademacher(), seeding.stream(7, 0), 10 ** 6)
-    assert abs(x.mean()) <= 4e-3
-
-
 def test_uniform_second_moment_bound():
     x = dm.sample(dm.uniform_sym(1.0), seeding.stream(8, 0), 10 ** 6)
     assert abs((x * x).mean() - 1.0 / 3.0) <= 5e-3
-
-
-def _ks_discrete(samples, points, cdf_vals):
-    # two-sided KS for a discrete law: compare the empirical cdf at each atom
-    # and just below it
-    n = samples.size
-    samples = np.sort(samples)
-    stat = 0.0
-    for v, f in zip(points, cdf_vals):
-        emp_at = np.searchsorted(samples, v, side="right") / n
-        emp_below = np.searchsorted(samples, v, side="left") / n
-        prev = f[0]
-        stat = max(stat, abs(emp_at - f[1]), abs(emp_below - prev))
-    return stat
 
 
 KS_CRIT_1E3 = 1.9495 / math.sqrt(10 ** 6)  # two-sided critical value at alpha = 1e-3
@@ -339,9 +333,6 @@ def test_sampler_ks_continuous_kinds():
     x = dm.sample(dm.uniform_sym(1.0), seeding.stream(11, 0), 10 ** 6)
     stat = stats.kstest(x, lambda t: np.clip((t + 1.0) / 2.0, 0, 1)).statistic
     assert stat < KS_CRIT_1E3
-
-    x = dm.sample(dm.normal_std(), seeding.stream(12, 0), 10 ** 6)
-    assert stats.kstest(x, "norm").statistic < KS_CRIT_1E3
 
     alpha, s = 1.5, 1.0
     x = dm.sample(dm.pareto_sym(alpha, s), seeding.stream(13, 0), 10 ** 6)
@@ -353,18 +344,6 @@ def test_sampler_ks_continuous_kinds():
         return out
 
     assert stats.kstest(x, cdf).statistic < KS_CRIT_1E3
-
-
-def test_sampler_ks_discrete_kinds():
-    x = dm.sample(dm.rademacher(), seeding.stream(14, 0), 10 ** 6)
-    stat = _ks_discrete(x, [-1.0, 1.0], [(0.0, 0.5), (0.5, 1.0)])
-    assert stat < KS_CRIT_1E3
-
-    d = dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)])
-    x = dm.sample(d, seeding.stream(15, 0), 10 ** 6)
-    pts = [-3.0, -1.0, 0.0, 1.0, 3.0]
-    cdf = [(0.0, 0.125), (0.125, 0.375), (0.375, 0.625), (0.625, 0.875), (0.875, 1.0)]
-    assert _ks_discrete(x, pts, cdf) < KS_CRIT_1E3
 
 
 def test_support_and_variance_bounds():

@@ -106,7 +106,6 @@ def test_max_tail_profile_matches_absorbing_walk(name):
         got = mc.max_tail_profile(d, N_MAX, float(t))
         want = [float(p) for p in max_tail_walk(step, N_MAX, t)]
         assert got == pytest.approx(want, rel=1e-13, abs=1e-16), t
-        assert mc.exact_max_tail(d, N_MAX, float(t)) == got[-1]
 
 
 def running_sum_profile(d, n_max: int, threshold: float) -> np.ndarray:
@@ -211,10 +210,10 @@ def test_rademacher_large_n_matches_binomial():
 def test_empirical_series_exact_column():
     w, a = sk.power_law_weights(-1.0), sk.power_law_norms(1.0)
     grid = [2, 4, 8]
-    rep = mc.empirical_series(dm.uniform_sym(1.0), w, a, 0.5, grid, 1000, seed=3)
+    (rep,) = mc.empirical_series(dm.uniform_sym(1.0), w, a, [0.5], grid, 1000, seed=3)
     assert [row.exact for row in rep.rows] == [None] * len(grid)
     d = dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)])
-    rep = mc.empirical_series(d, w, a, 0.5, grid, 1000, seed=3)
+    (rep,) = mc.empirical_series(d, w, a, [0.5], grid, 1000, seed=3)
     for row in rep.rows:
         want = mc.exact_tail(mc.exact_walk_oracle(d, row.n), 0.5 * a(row.n))
         assert row.exact == want
@@ -326,7 +325,7 @@ def test_uniform_estimate_matches_the_exact_tail(n, t):
     exact = float(uniform_sum_tail(n, Fraction(t)))
     assert 0.01 < exact < 0.05
     replicates = 20_000
-    est = mc.estimate_tail(dm.uniform_sym(1.0), n, float(t), replicates, seed=11)
+    (est,) = mc.estimate_tail(dm.uniform_sym(1.0), n, [t], replicates, seed=11)
     assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
 
 
@@ -400,7 +399,7 @@ def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
         exact = mc.exact_tail(mc.exact_walk_oracle(d, n), t)
     misses = 0
     for seed in range(trials):
-        est = mc.estimate_tail(d, n, t, 1000, seed)
+        (est,) = mc.estimate_tail(d, n, [t], 1000, seed)
         misses += not est.lo <= exact <= est.hi
     assert misses <= binomial_miss_limit(trials)
 
@@ -408,7 +407,7 @@ def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
 def test_lattice_hit_rule_matches_exact_tail():
     # 42 float additions of 0.1 give 4.199999999999999 < 4.2; the lattice sum is 42/10
     d = dm.atomic([(0.1, 1.0)])
-    est = mc.estimate_tail(d, 42, 4.2, 1000, seed=5)
+    (est,) = mc.estimate_tail(d, 42, [4.2], 1000, seed=5)
     assert est.p_hat == 1.0 == mc.exact_tail(mc.exact_walk_oracle(d, 42), 4.2)
     assert est.hi == 1.0
 
@@ -428,12 +427,12 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
     with pytest.raises(mc.OracleUnavailable):
         mc.exact_walk_oracle(wide, 1000)
     for d in (wide, dm.rademacher(), dm.normal_std()):
-        assert 0.0 < mc.estimate_tail(d, 1000, 10.0, 1000, seed=1).p_hat < 1.0
-    # uniform_sym from n = 512 on draws its bit planes, and atoms with no
+        assert 0.0 < mc.estimate_tail(d, 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
+    # uniform_sym from n = 640 on draws its bit planes, and atoms with no
     # decimal lattice within 2^53 their counts
-    assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, 10.0, 1000, seed=1).p_hat < 1.0
-    assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, 1.0, 1000,
-                                  seed=1).p_hat < 1.0
+    assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
+    assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, [1.0], 1000,
+                                  seed=1)[0].p_hat < 1.0
 
 
 @pytest.mark.parametrize("d,n", [(dm.normal_std(), 16), (dm.uniform_sym(1.0), 16),
@@ -444,8 +443,8 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
                               "uniform_sym planes"])
 def test_two_batches_are_identical_for_any_worker_count(d, n):
     # 70000 replicates are two batches of DEFAULT_BATCH
-    one = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=1)
-    two = mc.estimate_tail(d, n, 1.0, 70_000, seed=7, workers=2)
+    (one,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=1)
+    (two,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
     assert one.seed_stream.startswith("sfc64-v4:")
 
@@ -455,4 +454,51 @@ def test_sums_overflowing_to_both_signs_are_unavailable():
     # 1000 sums hold both signs, and counting them as misses gave p_hat 0.881
     # where a single step alone exceeds 400 with probability 0.94.
     with pytest.raises(dm.SamplingUnavailable, match="both"):
-        mc.estimate_tail(dm.pareto_sym(0.01), 1024, 400.0, 1000, 1)
+        mc.estimate_tail(dm.pareto_sym(0.01), 1024, [400.0], 1000, 1)
+
+
+def test_fair_pairs_draw_the_same_sums_whatever_the_kind():
+    # multinomial counts depend on the masses alone: two atoms -v, +v of mass
+    # 1/2 each give the same counts in any table, and the sums scale with v
+    rad = mc._batch_sums(dm.rademacher(), 64)(1000, seeding.stream(3, 1))
+    for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
+        assert np.array_equal(mc._batch_sums(d, 64)(1000, seeding.stream(3, 1)), 2.5 * rad)
+
+
+def test_the_pool_has_no_more_threads_than_batches_or_cpus(monkeypatch):
+    # a stand-in for the executor: records its size and runs the batches in order
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", SerialPool)
+    d = dm.uniform_sym(1.0)
+
+    def estimate(workers, replicates=5_000):  # batches of 1000
+        (est,) = mc.estimate_tail(d, 16, [2.0], replicates, 7, workers=workers, batch_size=1000)
+        return est.to_json_dict()
+
+    serial = estimate(1)
+    for cpus, workers, want in ((64, 8, 5), (3, 8, 3), (64, 2, 2), (1, 8, None)):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert estimate(workers) == serial
+        assert sizes == ([] if want is None else [want])
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+    sizes.clear()
+    estimate(8)
+    assert sizes == []  # an unknown CPU count runs serially
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+    estimate(8, replicates=1000)  # one batch
+    assert sizes == []

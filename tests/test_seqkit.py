@@ -25,14 +25,27 @@ def spataru_norms():
 # ---------------------------------------------------------------------------
 
 
+# The three checks, each on the columns sequence_values builds over 1..horizon.
+def dyadic(w, horizon=10_000):
+    return sk.check_dyadic_regularity(w, sk.sequence_values(w, sk.power_law_norms(1.0), horizon))
+
+
+def domination(w, a, horizon=10_000, **kw):
+    return sk.check_tail_domination(w, a, sk.sequence_values(w, a, horizon), **kw)
+
+
+def inf_growth(w, a, horizon=10_000, **kw):
+    return sk.check_inf_growth(w, a, sk.sequence_values(w, a, horizon), **kw)
+
+
 def _running_fsum(values):
     """Correctly rounded prefix sums: an independent reference for ``prefix_sums``."""
     return [math.fsum(values[:i]) for i in range(1, len(values) + 1)]
 
 
 def partial_sums(w, k):
-    """T_1, ..., T_k of the weights ``w``."""
-    return sk.sequence_values(w, sk.power_law_norms(1.0), k).t
+    """T_1, ..., T_k of the weights ``w``; prefix k of any longer horizon's T."""
+    return sk.sequence_values(w, sk.power_law_norms(1.0), max(k, 4)).t[:k]
 
 
 def test_partial_sum_constant_weights():
@@ -329,32 +342,32 @@ def test_libm_with_saturation_is_the_raw_map_bit_for_bit(fn, top):
 
 
 def test_dyadic_constant_weights_certified():
-    rep = sk.check_dyadic_regularity(sk.power_law_weights(0.0))
+    rep = dyadic(sk.power_law_weights(0.0))
     assert rep.verdict is Verdict.CERTIFIED_PASS
 
 
 def test_dyadic_harmonic_weights_constant_two():
-    rep = sk.check_dyadic_regularity(sk.power_law_weights(-1.0))
+    rep = dyadic(sk.power_law_weights(-1.0))
     assert rep.verdict is Verdict.CERTIFIED_PASS
     # ratios w(2^{j-1})/w(k) and w(k)/w(2^j) both peak at 2 inside a block
     assert rep.constants["dyadic_C"] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_dyadic_inverse_square_inconclusive():
-    rep = sk.check_dyadic_regularity(sk.power_law_weights(-2.0))
+    rep = dyadic(sk.power_law_weights(-2.0))
     assert rep.verdict is Verdict.INCONCLUSIVE
 
 
 def test_dyadic_empirical_route():
     w = sk.custom_weights(lambda n: 1.0 / n, name="custom-harmonic")
-    rep = sk.check_dyadic_regularity(w, horizon=512)
+    rep = dyadic(w, horizon=512)
     assert rep.verdict is Verdict.EMPIRICAL_PASS
     assert rep.constants["dyadic_C"] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_dyadic_rejects_small_horizon():
     with pytest.raises(ValueError):
-        sk.check_dyadic_regularity(sk.power_law_weights(0.0), horizon=3)
+        dyadic(sk.power_law_weights(0.0), horizon=3)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +376,14 @@ def test_dyadic_rejects_small_horizon():
 
 
 def test_tail_domination_spataru_theta_one():
-    rep = sk.check_tail_domination(sk.power_law_weights(-1.0), spataru_norms(),
+    rep = domination(sk.power_law_weights(-1.0), spataru_norms(),
                                    theta=1.0, moment_power=3.0, horizon=3000)
     assert rep.verdict is Verdict.CERTIFIED_PASS
     assert math.isfinite(rep.constants["C"])
 
 
 def test_tail_domination_square_case():
-    rep = sk.check_tail_domination(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
+    rep = domination(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
                                    theta=2.0, moment_power=2.0, horizon=3000)
     assert rep.verdict is Verdict.CERTIFIED_PASS
     # sum_{k>=n} k^2/k^4 ~ 1/n against T_{n-1} ~ n^2/2 scaled by n^4/n: C stays small
@@ -378,20 +391,20 @@ def test_tail_domination_square_case():
 
 
 def test_tail_domination_divergent_tail():
-    rep = sk.check_tail_domination(sk.power_law_weights(0.0), sk.power_law_norms(0.25),
+    rep = domination(sk.power_law_weights(0.0), sk.power_law_norms(0.25),
                                    theta=1.0, moment_power=3.0, horizon=500)
     assert rep.verdict is Verdict.CERTIFIED_FAIL
 
 
 def test_tail_domination_rejects_theta_below_one():
     with pytest.raises(ValueError):
-        sk.check_tail_domination(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
+        domination(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
                                  theta=0.5)
 
 
 def test_tail_domination_custom_without_bound_inconclusive():
     w = sk.custom_weights(lambda n: 1.0 / n)
-    rep = sk.check_tail_domination(w, sk.power_law_norms(1.0), horizon=200)
+    rep = domination(w, sk.power_law_norms(1.0), horizon=200)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.constants["C"] > 0.0  # the horizon-limited constant is still reported
 
@@ -403,7 +416,7 @@ def test_tail_domination_custom_with_bound_certified():
         return start ** -3.0 + start ** -2.0 / 2.0
 
     w = sk.custom_weights(lambda n: 1.0 / n, tail_bound=bound)
-    rep = sk.check_tail_domination(w, sk.power_law_norms(1.0), theta=1.0,
+    rep = domination(w, sk.power_law_norms(1.0), theta=1.0,
                                    moment_power=3.0, horizon=200)
     assert rep.verdict is Verdict.CERTIFIED_PASS
 
@@ -427,8 +440,8 @@ def test_weaker_power_implies_stronger_power():
         (sk.power_law_weights(1.0), sk.power_law_norms(0.75), 4.0),
     ]
     for w, a, theta in cases:
-        two = sk.check_tail_domination(w, a, theta=theta, moment_power=2.0, horizon=500)
-        three = sk.check_tail_domination(w, a, theta=theta, moment_power=3.0, horizon=500)
+        two = domination(w, a, theta=theta, moment_power=2.0, horizon=500)
+        three = domination(w, a, theta=theta, moment_power=3.0, horizon=500)
         if two.verdict is Verdict.CERTIFIED_PASS:
             assert three.verdict is Verdict.CERTIFIED_PASS
             assert three.constants["C"] <= two.constants["C"] * (1 + 1e-9)
@@ -446,7 +459,7 @@ def test_power_law_corpus_passes_for_some_theta():
     for w, a in corpus:
         passed = False
         for theta in range(1, 17):
-            rep = sk.check_tail_domination(w, a, theta=float(theta),
+            rep = domination(w, a, theta=float(theta),
                                            moment_power=3.0, horizon=10_000)
             if rep.verdict is Verdict.CERTIFIED_PASS:
                 passed = True
@@ -460,7 +473,7 @@ def test_power_law_corpus_passes_for_some_theta():
 
 
 def test_inf_growth_harmonic_sqrt_certified():
-    rep = sk.check_inf_growth(sk.power_law_weights(-1.0), sk.power_law_norms(0.5),
+    rep = inf_growth(sk.power_law_weights(-1.0), sk.power_law_norms(0.5),
                               power=3.0, horizon=2000)
     assert rep.verdict is Verdict.CERTIFIED_PASS
     # infimum sits at k=n, so the floor is T_{n-1}/n = (n-1)/n
@@ -468,13 +481,13 @@ def test_inf_growth_harmonic_sqrt_certified():
 
 
 def test_inf_growth_linear_square_certified():
-    rep = sk.check_inf_growth(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
+    rep = inf_growth(sk.power_law_weights(0.0), sk.power_law_norms(1.0),
                               power=2.0, horizon=1000)
     assert rep.verdict is Verdict.CERTIFIED_PASS
 
 
 def test_inf_growth_collapsing_floor():
-    rep = sk.check_inf_growth(sk.power_law_weights(-2.0), sk.power_law_norms(0.5),
+    rep = inf_growth(sk.power_law_weights(-2.0), sk.power_law_norms(0.5),
                               power=3.0, horizon=1000)
     assert rep.verdict is Verdict.CERTIFIED_FAIL
     assert rep.constants["liminf_estimate"] < 0.05
@@ -482,7 +495,7 @@ def test_inf_growth_collapsing_floor():
 
 def test_inf_growth_empirical_for_custom():
     w = sk.custom_weights(lambda n: 1.0)
-    rep = sk.check_inf_growth(w, sk.power_law_norms(1.0), power=2.0, horizon=200)
+    rep = inf_growth(w, sk.power_law_norms(1.0), power=2.0, horizon=200)
     assert rep.verdict is Verdict.EMPIRICAL_PASS
 
 
@@ -516,7 +529,7 @@ def test_norm_infinity_certificate():
 
 
 def test_report_json_round_trip():
-    rep = sk.check_dyadic_regularity(sk.power_law_weights(-1.0))
+    rep = dyadic(sk.power_law_weights(-1.0))
     d = rep.to_json_dict()
     again = json.loads(json.dumps(d, allow_nan=False))
     assert again == d
@@ -597,8 +610,8 @@ def test_checks_on_arrays_match_the_loops(theta):
     w = sk.custom_weights(lambda n: (1.0 + 0.3 * math.sin(n)) / n)
     a = sk.custom_norms(lambda n: math.sqrt(n) * (1.0 + math.log(n)))
     horizon = 300
-    dom = sk.check_tail_domination(w, a, theta=theta, moment_power=3.0, horizon=horizon)
-    grow = sk.check_inf_growth(w, a, power=3.0 * theta, horizon=horizon)
+    dom = domination(w, a, theta=theta, moment_power=3.0, horizon=horizon)
+    grow = inf_growth(w, a, power=3.0 * theta, horizon=horizon)
     c, argmax, liminf = _reference_tail_domination_c(w, a, theta, 3.0 * theta, horizon, 0.0)
     assert (dom.constants["C"], dom.constants["argmax_n"]) == (c, argmax)
     assert grow.constants["liminf_estimate"] == liminf
