@@ -24,6 +24,9 @@ data inside the reports; exit codes only signal operational failures:
     5  internal error: a check inside the program failed (for example a
        registered envelope violated); one line on stderr, no traceback
 
+A reader that closes stdout early (``| head -1``) leaves the exit code as
+it is above.
+
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset, sequences or distribution.
 """
@@ -35,6 +38,7 @@ import configparser
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -387,7 +391,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         dist = counterexample.CounterexampleDistribution(schedule)
         moments.append({"form": "inv_logplus", "finite": True,
                         "value": dist.weighted_second_moment(), "reason": "",
-                        "note": f"finite inverse-growth moment {report.moment.value!r} "
+                        "note": f"finite inverse-growth moment {report.moment_value!r} "
                                 "certifies this"})
         floor = min((c.block_lower_bound for c in report.certificates), default=0.0)
         blocks = RecurringBlocks(
@@ -530,6 +534,17 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _print_stdout(text: str) -> None:
+    """Print ``text``.  If the reader closed stdout early, fd 1 is pointed at
+    devnull, so that the flush at exit cannot raise again."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload: dict, out_dir: Optional[Path], name: str,
           extra_files: Optional[dict] = None) -> None:
     """Print the report, after writing it and ``extra_files`` under ``out_dir``."""
@@ -542,7 +557,7 @@ def _emit(payload: dict, out_dir: Optional[Path], name: str,
                 (out_dir / fname).write_text(content)
         except OSError as exc:
             raise ConfigError(f"cannot write --out {out_dir}: {exc}") from exc
-    print(text)
+    _print_stdout(text)
 
 
 _COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
@@ -622,7 +637,7 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(text + "\n")
             except OSError as exc:
                 raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
-            print(text)
+            _print_stdout(text)
             return EXIT_OK
 
         # A replayed schedule is the whole scenario, so it needs neither

@@ -37,10 +37,6 @@ MAX_DEPTH = 16          # two-level arithmetic validated to this schedule depth
 _CORR_CAP = math.exp(-29.0) / 29.0
 
 
-class CertificationError(RuntimeError):
-    """A certified inequality failed; the message names the broken step."""
-
-
 class BlockEndUnavailable(RuntimeError):
     """A cutoff lies outside the range where ``required_block_end`` can
     certify a block end: the integral bound cannot certify at any slack, or
@@ -154,12 +150,11 @@ class HalfTailCertificate:
     lhs_log: float
     rhs_log: float
     margin: float
-    ok: bool
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "log_s": self.log_s, "mode": "integral",
                 "doublings": self.doublings, "lhs_log": self.lhs_log,
-                "rhs_log": self.rhs_log, "margin": self.margin, "ok": self.ok}
+                "rhs_log": self.rhs_log, "margin": self.margin, "ok": True}
 
 
 def _integral_margin(u: float, rhs: float) -> tuple[float, float, float]:
@@ -238,7 +233,7 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
         doublings += 1
     end = log_cutoff.scaled(1.0 + (_LN2 + u) / 2.0 ** m).plus_scalar(delta_ub)
     return end, HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings, lhs_log=lhs_log,
-                                    rhs_log=rhs_log, margin=margin, ok=True)
+                                    rhs_log=rhs_log, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -265,54 +260,56 @@ def _min_loglam_for_block_weight(m: int) -> float:
 class CutoffSchedule:
     """Cutoffs as log-values: entry m holds lambda_m = ln K_m (1-based)."""
 
-    m_max: int
     log_cutoffs: tuple[LogReal, ...]
-    cond_a_margins: tuple[float, ...]
-    cond_b_margins: tuple[Optional[float], ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.m_max <= MAX_DEPTH:
             raise ValueError(f"a schedule holds 1..{MAX_DEPTH} cutoffs, not {self.m_max}")
-        if len(self.log_cutoffs) != self.m_max:
-            raise ValueError("schedule length mismatch")
-        if self.log_cutoffs and self.log_cutoffs[0].log_value() < _LNLN2:
+        if self.log_cutoffs[0].log_value() < _LNLN2:
             raise ValueError("the first cutoff must be at least 2")
         for i in range(1, self.m_max):
             if not self.log_cutoffs[i - 1] < self.log_cutoffs[i]:
                 raise ValueError("cutoffs must increase strictly")
+
+    @property
+    def m_max(self) -> int:
+        return len(self.log_cutoffs)
 
     def log_cutoff(self, m: int) -> LogReal:
         if not 1 <= m <= self.m_max:
             raise ValueError(f"m out of range 1..{self.m_max}")
         return self.log_cutoffs[m - 1]
 
+    def margins(self, m: int) -> tuple[float, Optional[float]]:
+        """The log-domain margins of cutoff m: the block-weight floor's, and
+        lambda_{m+1} over block m's certified end (None for the last cutoff).
+        ``certify_block`` checks both as steps 5 and 2."""
+        lam = self.log_cutoff(m)
+        margin_a = _block_weight(lam, m)[2]
+        if m == self.m_max:
+            return margin_a, None
+        end = required_block_end(lam, m)[0]
+        return margin_a, self.log_cutoffs[m].log_value() - end.log_value() - SLACK
+
     def to_json_list(self) -> list:
         out = []
-        for i in range(self.m_max):
-            out.append({
-                "m": i + 1,
-                "level": self.log_cutoffs[i].level,
-                "payload": self.log_cutoffs[i].payload,
-                "cond_A_margin_log": self.cond_a_margins[i],
-                "cond_B_margin_log": self.cond_b_margins[i],
-            })
+        for m, lam in enumerate(self.log_cutoffs, 1):
+            margin_a, margin_b = self.margins(m)
+            out.append({"m": m, "level": lam.level, "payload": lam.payload,
+                        "cond_A_margin_log": margin_a, "cond_B_margin_log": margin_b})
         return out
 
     @staticmethod
     def from_json_list(items: list) -> "CutoffSchedule":
         """The schedule ``to_json_list`` wrote.  Entry m's atom has mass
-        2^(-m-1)/K_m, so the entries must be numbered 1..len, in any order."""
+        2^(-m-1)/K_m, so the entries must be numbered 1..len, in any order.
+        Only ``m``, ``level`` and ``payload`` are read: the margins are
+        recomputed from the cutoffs."""
         items = sorted(items, key=lambda d: d["m"])
         if [d["m"] for d in items] != list(range(1, len(items) + 1)):
             raise ValueError("schedule entries must be numbered m = 1..len, each once")
-        cutoffs = tuple(LogReal(int(d["level"]), float(d["payload"])) for d in items)
-        return CutoffSchedule(
-            m_max=len(items),
-            log_cutoffs=cutoffs,
-            cond_a_margins=tuple(float(d["cond_A_margin_log"]) for d in items),
-            cond_b_margins=tuple(None if d["cond_B_margin_log"] is None
-                                 else float(d["cond_B_margin_log"]) for d in items),
-        )
+        return CutoffSchedule(tuple(LogReal(int(d["level"]), float(d["payload"]))
+                                    for d in items))
 
 
 def build_schedule(m_max: int) -> CutoffSchedule:
@@ -322,44 +319,23 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     condition (closed form), the certified block end of the previous cutoff,
     and the previous lambda plus one; a 1e-6 log-domain margin is added so
     that replay under the 1e-9 slack always passes.  Entries are promoted to
-    level 1 (the log) once lambda crosses 1e300.
+    level 1 (the log) once lambda crosses 1e300.  ``verify_counterexample``
+    certifies the result.
     """
     if not 1 <= m_max <= MAX_DEPTH:
         raise ValueError(f"m_max must lie in 1..{MAX_DEPTH}")
     cutoffs: list[LogReal] = []
-    ends: list[tuple[LogReal, HalfTailCertificate]] = []  # block m's end, at index m - 1
     for m in range(1, m_max + 1):
         candidates = [_min_loglam_for_block_weight(m)]
         if m > 1:
-            ends.append(required_block_end(cutoffs[-1], m - 1))
-            candidates.append(ends[-1][0].log_value() + SLACK)
+            candidates.append(required_block_end(cutoffs[-1], m - 1)[0].log_value() + SLACK)
             candidates.append(cutoffs[-1].plus_scalar(1.0).log_value())
         lnlam = max(candidates) + _BUILD_MARGIN
         if lnlam <= math.log(_LEVEL0_CAP):
             cutoffs.append(LogReal.from_value(math.exp(lnlam)))
         else:
             cutoffs.append(LogReal.from_log(lnlam))
-
-    a_margins = []
-    b_margins: list[Optional[float]] = []
-    for m in range(1, m_max + 1):
-        margin_a = _block_weight(cutoffs[m - 1], m)[2]
-        if margin_a < 0.0:
-            raise CertificationError(f"block-weight condition failed on replay at m={m}")
-        a_margins.append(margin_a)
-        if m < m_max:
-            end, cert = ends[m - 1]
-            if not cert.ok:
-                raise CertificationError(f"half-tail certificate failed at m={m}")
-            margin_b = cutoffs[m].log_value() - end.log_value() - SLACK
-            if margin_b < 0.0:
-                raise CertificationError(f"block-end condition failed on replay at m={m}")
-            b_margins.append(margin_b)
-        else:
-            b_margins.append(None)
-    return CutoffSchedule(m_max=m_max, log_cutoffs=tuple(cutoffs),
-                          cond_a_margins=tuple(a_margins),
-                          cond_b_margins=tuple(b_margins))
+    return CutoffSchedule(tuple(cutoffs))
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +388,6 @@ class CounterexampleDistribution:
                 ln_lam = lam.log_value()
                 terms.append(2.0 ** (1 - m) / (1.0 + ln_lam * math.exp(-ln_lam)))
         return math.fsum(terms)
-
-
-@dataclass(frozen=True)
-class InverseGrowthMoment:
-    """E of the inverse normalizing function of |X|: each block is exactly 2^-m."""
-
-    value: float
-    deficit: float
-    terms: int
-
-
-def inverse_growth_moment(dist: CounterexampleDistribution) -> InverseGrowthMoment:
-    """Sum of 2 * (2^(-m-1)/K_m) * phi(psi(K_m)) over the schedule's m = 1..M.
-
-    phi(psi(K_m)) = K_m cancels symbolically in the log domain, so each term
-    equals 2^-m regardless of the cutoffs, and the truncated sum is 1 - 2^-M,
-    rounded once (a running sum of the terms rounds to the same double).
-    """
-    terms = dist.schedule.m_max
-    return InverseGrowthMoment(value=1.0 - 2.0 ** -terms, deficit=2.0 ** -terms, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +455,7 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
             "next_log": lam_next.log_value()})
 
     # 3. the half-tail inequality itself
-    record("half-tail", half.ok and half.margin >= 0.0, half.to_json_dict())
+    record("half-tail", half.margin >= 0.0, half.to_json_dict())
 
     # 4. integral tail floor equals twice the block-weight quantity (algebraic)
     corr_ub, floor_log, margin_a = _block_weight(lam, m)
@@ -519,17 +475,28 @@ class CounterexampleReport:
     """Headline outcome: the log-weighted moment is finite, yet the
     adaptive-exponent series diverges block by block."""
 
-    moment: InverseGrowthMoment
-    moment_finite: bool
+    depth: int
     divergence_certified: bool
     certificates: tuple[BlockCertificate, ...]
     notes: tuple[str, ...]
 
+    @property
+    def moment_value(self) -> float:
+        """E of the inverse normalizing function of |X|: block m adds
+        2 * (2^(-m-1)/K_m) * phi(psi(K_m)) = 2^-m whatever the cutoffs, as
+        phi(psi(K_m)) = K_m, so M blocks sum to 1 - 2^-M, rounded once (a
+        running sum of the terms rounds to the same double)."""
+        return 1.0 - 2.0 ** -self.depth
+
+    @property
+    def moment_deficit(self) -> float:
+        return 2.0 ** -self.depth
+
     def to_json_dict(self) -> dict:
         return {
-            "moment_value": self.moment.value,
-            "moment_deficit": self.moment.deficit,
-            "moment_finite": self.moment_finite,
+            "moment_value": self.moment_value,
+            "moment_deficit": self.moment_deficit,
+            "moment_finite": True,
             "divergence_certified": self.divergence_certified,
             "certificates": [c.to_json_dict() for c in self.certificates],
             "notes": list(self.notes),
@@ -538,8 +505,6 @@ class CounterexampleReport:
 
 def verify_counterexample(schedule: CutoffSchedule) -> CounterexampleReport:
     """Certify both halves of the counterexample on a built schedule."""
-    dist = CounterexampleDistribution(schedule)
-    moment = inverse_growth_moment(dist)
     certs = tuple(certify_block(schedule, m) for m in range(1, schedule.m_max))
     diverges = bool(certs) and all(c.ok for c in certs)
     notes = ["symmetric by construction, so medians vanish identically",
@@ -549,6 +514,5 @@ def verify_counterexample(schedule: CutoffSchedule) -> CounterexampleReport:
         notes.append("depth 1 schedule: no block certificates, divergence vacuous")
     else:
         notes.append(f"{len(certs)} block certificates, each block >= 1")
-    return CounterexampleReport(moment=moment, moment_finite=True,
-                                divergence_certified=diverges,
+    return CounterexampleReport(depth=schedule.m_max, divergence_certified=diverges,
                                 certificates=certs, notes=tuple(notes))

@@ -206,7 +206,8 @@ def tails(d: Dist, lam) -> np.ndarray:
         out[pos] = above[np.searchsorted(keys, lam[pos], side="left")]
     elif d.kind == "uniform_sym":
         (h,) = d.params
-        out = np.maximum(0.0, 1.0 - lam / h)
+        with np.errstate(over="ignore"):  # a subnormal h: lam / h is inf, the tail 0
+            out = np.maximum(0.0, 1.0 - lam / h)
     elif d.kind == "normal_std":
         out = libm(math.erfc, lam / _SQRT2)
     elif d.kind == "pareto_sym":

@@ -280,6 +280,9 @@ def _reject_constant(name):
      "--set", "distribution.atoms=1e-300:0.5"],
     ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=uniform_sym",
      "--set", "distribution.half_width=1e-300"],
+    # a subnormal half-width: lam / h overflows, and the tail is 0
+    ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=uniform_sym",
+     "--set", "distribution.half_width=1e-320"],
     ["--preset", "baum_katz(2,1)", "--horizon", "300", "--set", "distribution.kind=pareto_sym",
      "--set", "distribution.scale=1e-300", "--set", "distribution.alpha=3"],
     # a subnormal T sends the exponents to -inf
@@ -288,7 +291,7 @@ def _reject_constant(name):
     *F11_CASES,
 ], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
-        "pareto moment 0", "subnormal T", *(f"subnormal ratio^n0 r={r}" for r in F11_R)])
+        "uniform subnormal half-width", "pareto moment 0", "subnormal T", *(f"subnormal ratio^n0 r={r}" for r in F11_R)])
 def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -404,8 +407,8 @@ def test_readme_replay_needs_no_preset(capsys, tmp_path):
 
 
 def schedule_rows(level: int, payloads) -> str:
-    return json.dumps([{"m": m, "level": level, "payload": p, "cond_A_margin_log": 0.0,
-                        "cond_B_margin_log": None} for m, p in enumerate(payloads, start=1)])
+    return json.dumps([{"m": m, "level": level, "payload": p}
+                       for m, p in enumerate(payloads, start=1)])
 
 
 @pytest.mark.parametrize("text,message", [
@@ -450,6 +453,28 @@ def test_replayed_schedule_is_numbered_one_to_len(capsys, tmp_path):
     path.write_text(json.dumps(entries[::-1]))  # the order of the entries is free
     code, out, err = run(capsys, "counterexample", "--schedule", str(path))
     assert code == cli.EXIT_OK, err
+    assert json.loads(out)["schedule"] == entries
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e: dict(e, cond_A_margin_log=123.0, cond_B_margin_log=-5.0),
+    lambda e: {k: e[k] for k in ("m", "level", "payload")},
+], ids=["altered margins", "no margins"])
+def test_replay_prints_the_margins_of_its_cutoffs(capsys, tmp_path, edit):
+    # the margins are recomputed from the cutoffs: margin keys in the file
+    # change no byte of the replay
+    code, built, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(4)",
+                         "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    code, honest, _ = run(capsys, "counterexample",
+                          "--schedule", str(tmp_path / "counterexample.json"))
+    assert code == cli.EXIT_OK
+    entries = json.loads(built)["schedule"]
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps([edit(e) for e in entries]))
+    code, out, err = run(capsys, "counterexample", "--schedule", str(path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == honest
     assert json.loads(out)["schedule"] == entries
 
 
@@ -515,12 +540,13 @@ def test_simulate_maximal_without_atoms_exits_unsupported(capsys, monkeypatch):
     assert err.startswith("unsupported distribution:")
 
 
-def run_process(*args, timeout: float = 120) -> subprocess.CompletedProcess:
+def run_process(*args, timeout: float = 120,
+                stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python args...`` with this checkout's cclab on the path."""
     src = str(Path(cclab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *args], env=env, timeout=timeout,
-                          capture_output=True, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 # ``cclab.cli.main`` in a process of its own, so that any numpy warning
@@ -549,6 +575,31 @@ def test_python_m_cclab_cli_writes_nothing_to_stderr_on_success():
     assert proc.returncode == cli.EXIT_OK
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["estimate"]["n"] == 4
+
+
+@pytest.mark.parametrize("command,code", [
+    (("check-conditions", "--preset", "spataru", "--set", "distribution.kind=rademacher",
+      "--horizon", "100"), cli.EXIT_OK),
+    (("report-merge", "REPORT", "--out", "MERGED"), cli.EXIT_OK),
+    (("counterexample", "--schedule", "TAMPERED"), cli.EXIT_CERT_FAILED),
+], ids=["check-conditions", "report-merge", "failed certificate"])
+def test_stdout_closed_early_keeps_the_exit_code(tmp_path, command, code):
+    # the reader is gone before the report is printed, as after `| head -1`
+    report = tmp_path / "report.json"
+    report.write_text("{}")
+    entries = counterexample.build_schedule(3).to_json_list()
+    entries[2]["payload"] = entries[1]["payload"] + 1.0  # block 2 ends past K_3
+    (tmp_path / "tampered.json").write_text(json.dumps(entries))
+    paths = {"REPORT": str(report), "MERGED": str(tmp_path / "merged.json"),
+             "TAMPERED": str(tmp_path / "tampered.json")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process("-m", "cclab.cli", *(paths.get(a, a) for a in command),
+                           stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_import_cclab_leaves_cli_unloaded_until_used():
@@ -706,6 +757,30 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path):
         assert code == cli.EXIT_CONFIG, argv
         assert out == ""
         assert err.startswith("config error: cannot write") and len(err.splitlines()) == 1
+
+
+def test_readme_report_merge(capsys, tmp_path):
+    # two reports written with --out, merged in the order of the arguments
+    code, _, _ = run(capsys, "check-conditions", "--preset", "baum_katz(2,1)", "--eps", "0.5,1",
+                     "--horizon", "100", "--set", "distribution.kind=rademacher",
+                     "--out", str(tmp_path / "cc"))
+    assert code == cli.EXIT_OK
+    code, _, _ = run(capsys, "simulate", "--preset", "baum_katz(2,1)", "--eps", "0.5",
+                     "--horizon", "8", "--set", "distribution.kind=rademacher",
+                     "--replicates", "1000", "--seed", "7", "--maximal",
+                     "--out", str(tmp_path / "sim"))
+    assert code == cli.EXIT_OK
+    inputs = [str(tmp_path / "cc" / "check_conditions.json"),
+              str(tmp_path / "sim" / "simulate.json")]
+    merged = tmp_path / "merged.json"
+    for order in (inputs, inputs[::-1]):
+        code, out, err = run(capsys, "report-merge", *order, "--out", str(merged))
+        assert (code, err) == (cli.EXIT_OK, "")
+        text = merged.read_text()
+        assert text.endswith("\n") and out == text
+        reports = json.loads(out)["reports"]
+        assert [r["path"] for r in reports] == order
+        assert [r["report"] for r in reports] == [json.loads(Path(p).read_text()) for p in order]
 
 
 def test_report_merge_unreadable_input_is_a_config_error(capsys, tmp_path):

@@ -130,7 +130,7 @@ def test_block_end_certificate_always_holds():
                 LogReal.from_log(2000.0)):
         for m in (1, 3, 7):
             end, cert = ce.required_block_end(lam, m)
-            assert cert.ok and cert.margin >= 0.0
+            assert cert.margin >= 0.0
             assert lam < end
 
 
@@ -146,7 +146,8 @@ def test_block_end_unit_exponent_regime():
     # by lambda + e^-lambda, so the computed end sits just above that
     lam = LogReal.from_value(2.0)
     end, cert = ce.required_block_end(lam, 1)
-    assert cert.ok and cert.to_json_dict()["mode"] == "integral" and cert.doublings == 0
+    assert cert.margin >= 0.0 and cert.to_json_dict()["mode"] == "integral"
+    assert cert.doublings == 0
     want = 2.0 * (1.0 + LN2) + math.exp(-2.0)
     assert end.level == 0 and end.payload == pytest.approx(want, rel=1e-12)
     block_end = math.exp(end.payload)
@@ -175,7 +176,7 @@ def test_block_end_integral_route_certifies_at_the_block_weight_floor(m):
     # bound is the one route needed
     lam = _at_block_weight_floor(m)
     end, cert = ce.required_block_end(lam, m)
-    assert cert.ok and cert.margin >= 0.0 and lam < end
+    assert cert.margin >= 0.0 and lam < end
 
 
 @pytest.mark.parametrize("lam_log", [1.2, math.log(29.6)], ids=["e^1.2", "29.6"])
@@ -225,7 +226,7 @@ def _doubling_loop_block_end(log_cutoff, m):
     end = log_cutoff.scaled(1.0 + (LN2 + u) / 2.0 ** m).plus_scalar(e_neg)
     return end, ce.HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings,
                                        lhs_log=lhs_log, rhs_log=rhs_log,
-                                       margin=margin, ok=True)
+                                       margin=margin)
 
 
 def test_block_end_closed_form_matches_doubling_loop():
@@ -275,9 +276,10 @@ def test_first_cutoff_log_matches_bisection_root():
 
 def test_schedule_conditions_replay():
     s = ce.build_schedule(9)
-    assert all(m >= 0.0 for m in s.cond_a_margins)
-    assert all(m is None or m >= 0.0 for m in s.cond_b_margins)
-    assert s.cond_b_margins[-1] is None
+    margins = [s.margins(m) for m in range(1, 10)]
+    assert all(a >= 0.0 for a, _ in margins)
+    assert all(b >= 0.0 for _, b in margins[:-1])
+    assert margins[-1][1] is None
     # strictly increasing cutoffs, second dominated by the required end
     for i in range(1, 9):
         assert s.log_cutoffs[i - 1] < s.log_cutoffs[i]
@@ -296,13 +298,28 @@ def test_schedule_deep_levels_promote():
     s = ce.build_schedule(12)
     assert [x.level for x in s.log_cutoffs[:9]] == [0] * 9
     assert all(x.level == 1 for x in s.log_cutoffs[9:])
-    assert all(m >= 0.0 for m in s.cond_a_margins)
+    assert all(s.margins(m)[0] >= 0.0 for m in range(1, 13))
 
 
 def test_schedule_json_round_trip():
     s = ce.build_schedule(5)
     again = ce.CutoffSchedule.from_json_list(s.to_json_list())
     assert again == s
+
+
+def test_printed_margins_are_the_certificates_margins():
+    # bit for bit: cond_B is step 2's margin and cond_A step 5's, block by block
+    s = ce.build_schedule(16)
+    entries = s.to_json_list()
+    certs = ce.verify_counterexample(s).certificates
+    assert len(certs) == len(entries) - 1 == 15
+    for entry, cert in zip(entries, certs):
+        details = {name: det for name, _, det in cert.steps}
+        assert entry["cond_B_margin_log"].hex() == (
+            details["block-covers-certified-end"]["margin"].hex())
+        assert entry["cond_A_margin_log"].hex() == details["block-weight-floor"]["margin"].hex()
+    assert entries[-1]["cond_B_margin_log"] is None
+    assert entries[-1]["cond_A_margin_log"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +401,26 @@ def test_weighted_second_moment_matches_mpmath(depth):
 
 
 def test_inverse_growth_moment_values():
-    s1 = ce.CounterexampleDistribution(ce.build_schedule(1))
-    got = ce.inverse_growth_moment(s1)
-    assert got.value == 0.5 and got.deficit == 0.5
+    got = ce.verify_counterexample(ce.build_schedule(1))
+    assert got.moment_value == 0.5 and got.moment_deficit == 0.5
     # the closed form equals the running sum of the terms at every depth
     entries = ce.build_schedule(ce.MAX_DEPTH).to_json_list()
     total = 0.0
     for depth in range(1, ce.MAX_DEPTH + 1):
         total += 2.0 ** -depth
-        dist = ce.CounterexampleDistribution(ce.CutoffSchedule.from_json_list(entries[:depth]))
-        m = ce.inverse_growth_moment(dist)
-        assert (m.value, m.terms) == (total, depth)
-        assert m.value + m.deficit == 1.0  # exact dyadic identity
+        rep = ce.verify_counterexample(ce.CutoffSchedule.from_json_list(entries[:depth]))
+        assert (rep.moment_value, rep.depth) == (total, depth)
+        assert rep.moment_value + rep.moment_deficit == 1.0  # exact dyadic identity
 
 
 def test_inverse_growth_moment_per_term_symbolic():
     # the per-term value is exactly 2^-m no matter the cutoffs
     entries = ce.build_schedule(3).to_json_list()
     moved = [{**e, "payload": e["payload"] + 1.0} for e in entries]
-    a, b = (ce.inverse_growth_moment(ce.CounterexampleDistribution(
-        ce.CutoffSchedule.from_json_list(x))) for x in (entries, moved))
+    a, b = (ce.verify_counterexample(ce.CutoffSchedule.from_json_list(x))
+            for x in (entries, moved))
     assert entries[0]["level"] == 0 and entries[0]["payload"] != moved[0]["payload"]
-    assert a.value == b.value == 0.875
+    assert a.moment_value == b.moment_value == 0.875
 
 
 def test_truncated_second_moment_log():
@@ -467,15 +482,15 @@ def test_truncated_second_moment_deep_lower_bound():
 
 def test_verify_counterexample_depth_nine():
     rep = ce.verify_counterexample(ce.build_schedule(9))
-    assert rep.moment_finite
+    assert rep.to_json_dict()["moment_finite"] is True
     assert rep.divergence_certified
     assert len(rep.certificates) == 8
-    assert rep.moment.value <= 1.0
+    assert rep.moment_value <= 1.0
 
 
 def test_verify_counterexample_degenerate_depth_one():
     rep = ce.verify_counterexample(ce.build_schedule(1))
-    assert rep.moment_finite
+    assert rep.to_json_dict()["moment_finite"] is True
     assert not rep.divergence_certified
     assert len(rep.certificates) == 0
     assert any("vacuous" in note for note in rep.notes)
