@@ -14,16 +14,16 @@ numerically.  Each family is computed on arrays of n (``single_tail_terms``,
 ``exp_terms``, ``adaptive_exponent_terms``); the one-term functions are
 their one-point forms.
 
-Verdicts are certificates, built, checked and rendered here.  Each
-certificate class names its ``verdict`` and renders itself with
-``to_json_dict(last_n)``; a converging one bounds every term from above
-(``values_at``), a diverging one from below (``floors_at``).
+Verdicts are certificates, built and checked here.  Each names its
+``verdict``, bounds every term (``values_at``: from above when it converges,
+from below when it diverges) and renders itself (``to_json_dict(last_n)``):
+one ``seqkit.TermBound`` for every power, Gaussian and exponential envelope
+and power floor, ``VanishingEnvelope`` and ``RecurringBlocks``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,10 +35,11 @@ from .distmodel import Dist
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
                       check_partial_sums)
-from .seqkit import NormSeq, SlowlyVarying, WeightSeq, libm, power, prefix_sums
+from .seqkit import (NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf, power,
+                     prefix_sums, tail_start)
 
-# Relative tolerance when checking computed terms against envelopes; it dwarfs
-# the few ulp of np.power, so the bounds need not go through libm.
+# Relative tolerance when checking computed terms against bounds; it dwarfs
+# the few ulp of numpy's log and exp, so the bounds need not go through libm.
 _ENVELOPE_SLACK = 1e-9
 
 
@@ -117,87 +118,6 @@ def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _from(n, from_n: int, before: float, bound) -> np.ndarray:
-    """bound(n) for the n >= from_n, ``before`` for the n below."""
-    n = np.asarray(n)
-    out = np.full(n.shape, before)
-    on = n >= from_n
-    out[on] = bound(n[on])
-    return out
-
-
-def _tail_start(from_n: int, last_n: int) -> int:
-    """The first n past ``last_n``; an envelope from ``from_n`` bounds the
-    tail from there only if it leaves no term between them unbounded."""
-    if from_n > last_n + 1:
-        raise ValueError(f"an envelope from n={from_n} leaves the terms "
-                         f"{last_n + 1}..{from_n - 1} unbounded")
-    return last_n + 1
-
-
-@dataclass(frozen=True)
-class PowerEnvelope:
-    """terms(n) <= coef * n^(-exponent) for n >= from_n, with exponent > 1."""
-
-    coef: float
-    exponent: float
-    from_n: int = 1
-    description: str = ""
-    verdict = CONVERGES
-
-    def __post_init__(self) -> None:
-        if not 1.0 < self.exponent < math.inf:
-            raise ValueError("a power envelope needs a finite exponent > 1")
-        if not 0.0 <= self.coef < math.inf:
-            raise ValueError("envelope coefficient must be finite and nonnegative")
-
-    def values_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(k, -self.exponent))
-
-    def tail_beyond(self, last_n: int) -> float:
-        start = _tail_start(self.from_n, last_n)
-        q = self.exponent
-        return self.coef * (float(start) ** -q + float(start) ** (1.0 - q) / (q - 1.0))
-
-    def to_json_dict(self, last_n: int) -> dict:
-        return {"kind": "power",
-                "params": {"coef": self.coef, "exponent": self.exponent, "from_n": self.from_n},
-                "tail_bound": self.tail_beyond(last_n),
-                "description": self.description or
-                f"terms <= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}"}
-
-
-@dataclass(frozen=True)
-class GeometricEnvelope:
-    """terms(n) <= coef * ratio^n for n >= from_n, with ratio < 1."""
-
-    coef: float
-    ratio: float
-    from_n: int = 1
-    description: str = ""
-    verdict = CONVERGES
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError("a geometric envelope needs 0 < ratio < 1")
-        if not 0.0 <= self.coef < math.inf:
-            raise ValueError("envelope coefficient must be finite and nonnegative")
-
-    def values_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, math.inf, lambda k: self.coef * np.power(self.ratio, k))
-
-    def tail_beyond(self, last_n: int) -> float:
-        start = _tail_start(self.from_n, last_n)
-        return self.coef * self.ratio ** start / (1.0 - self.ratio)
-
-    def to_json_dict(self, last_n: int) -> dict:
-        return {"kind": "geometric",
-                "params": {"coef": self.coef, "ratio": self.ratio, "from_n": self.from_n},
-                "tail_bound": self.tail_beyond(last_n),
-                "description": self.description or
-                f"terms <= {self.coef:g} * {self.ratio:g}^n beyond n={self.from_n}"}
-
-
 @dataclass(frozen=True)
 class VanishingEnvelope:
     """terms(n) provably 0 for every n >= from_n (e.g. bounded support)."""
@@ -207,49 +127,16 @@ class VanishingEnvelope:
     verdict = CONVERGES
 
     def values_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, math.inf, np.zeros_like)
+        return np.where(np.asarray(n) >= self.from_n, 0.0, math.inf)
 
     def tail_beyond(self, last_n: int) -> float:
-        _tail_start(self.from_n, last_n)
+        tail_start(self.from_n, last_n)
         return 0.0
 
     def to_json_dict(self, last_n: int) -> dict:
         return {"kind": "vanishing", "params": {"from_n": self.from_n},
                 "tail_bound": self.tail_beyond(last_n),
-                "description": self.description or
-                f"terms vanish for every n >= {self.from_n}"}
-
-
-@dataclass(frozen=True)
-class PowerLowerBound:
-    """terms(n) >= coef * n^(-exponent) for n >= from_n, with exponent <= 1.
-
-    Dyadic blocks [2^j, 2^{j+1}) then each contribute at least
-    coef * 2^(-exponent), a fixed positive floor recurring forever.
-    """
-
-    coef: float
-    exponent: float
-    from_n: int = 1
-    description: str = ""
-    verdict = DIVERGES
-
-    def __post_init__(self) -> None:
-        if self.exponent > 1.0:
-            raise ValueError("a divergence floor needs exponent <= 1")
-        if self.coef <= 0.0:
-            raise ValueError("floor coefficient must be positive")
-
-    def floors_at(self, n: np.ndarray) -> np.ndarray:
-        return _from(n, self.from_n, 0.0, lambda k: self.coef * np.power(k, -self.exponent))
-
-    def to_json_dict(self, last_n: int) -> dict:
-        return {"kind": "power-floor",
-                "params": {"coef": self.coef, "exponent": self.exponent, "from_n": self.from_n},
-                "block_floor": self.coef * 2.0 ** (-self.exponent),
-                "description": self.description or
-                f"terms >= {self.coef:g} n^-{self.exponent:g} beyond n={self.from_n}; "
-                "every dyadic block clears a fixed floor"}
+                "description": self.description}
 
 
 @dataclass(frozen=True)
@@ -261,7 +148,7 @@ class RecurringBlocks:
     description: str
     verdict = DIVERGES
 
-    def floors_at(self, n: np.ndarray) -> np.ndarray:
+    def values_at(self, n: np.ndarray) -> np.ndarray:
         """0 for every term: the floor belongs to the blocks, not to single terms."""
         return np.zeros(np.shape(n))
 
@@ -273,6 +160,13 @@ class RecurringBlocks:
 # ---------------------------------------------------------------------------
 # Certificate builders for the structural cases the presets exercise
 # ---------------------------------------------------------------------------
+
+
+def _certified(bound: TermBound) -> Optional[TermBound]:
+    """``bound`` if it is a floor with a positive block floor or an envelope with a finite tail."""
+    if bound.floor:
+        return bound if bound.block_floor() > 0.0 else None
+    return bound if bound.tail_beyond(bound.from_n - 1) < math.inf else None
 
 
 def _first_n(predicate, start: int, limit: int) -> Optional[int]:
@@ -304,22 +198,17 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         n0 = _first_n(lambda n: eps * a.values(n) >= scale, 2, horizon)
         if n0 is None:
             return None
-        coef = wf.coef * (scale / eps) ** alpha * af.coef ** (-alpha)
-        q = alpha * af.exponent - 1.0 - wf.exponent
-        sv = wf.sv.combine(af.sv, -alpha)
-        if q > 1.0:
-            delta = sv.growth_exponent_bound(n0)
-            cert, exponent, holds = PowerEnvelope, q - delta, q - delta > 1.0
-            text = "exact symmetric-Pareto tail term"
-        else:
-            delta = sv.decay_exponent_bound(n0)
-            cert, exponent, holds = PowerLowerBound, q + delta, q + delta <= 1.0
-            text = "exact symmetric-Pareto tail term stays above a divergent power"
-        coef = coef * sv.value(n0) * float(n0) ** delta
-        # at a huge eps the coefficient underflows to 0, which bounds nothing
-        if not holds or not 0.0 < coef < math.inf:
+        # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta
+        q, sv = alpha * af.exponent - 1.0 - wf.exponent, wf.sv.combine(af.sv, -alpha)
+        floor = q <= 1.0
+        delta = -sv.decay_exponent_bound(n0) if floor else sv.growth_exponent_bound(n0)
+        if floor and q - delta > 1.0:
             return None
-        return cert(coef=coef, exponent=exponent, from_n=n0, description=text)
+        log_coef = (log_or_inf(wf.coef) + float(sv.log_values(n0)) - delta * math.log(n0)
+                    + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
+        return _certified(TermBound(log_coef, q - delta, from_n=n0, floor=floor,
+                                    description="exact symmetric-Pareto tail term" +
+                                    (" stays above a divergent power" if floor else "")))
     if d.kind == "normal_std" and w.family is not None and a.family is not None:
         wf = w.family
         if a.family.exponent < 0.5:
@@ -338,45 +227,37 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         n0 = _first_n(ok, 3, horizon)
         if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
             return None
-        coef = wf.coef * wf.sv.value(n0) * float(n0) ** (-delta)
-        return PowerEnvelope(coef=coef, exponent=2.0, from_n=n0,
-                             description="Gaussian tail bound exp(-x^2/2) past the "
-                                         f"crossover n={n0}")
+        log_coef = log_or_inf(wf.coef) + float(wf.sv.log_values(n0)) - delta * math.log(n0)
+        return _certified(TermBound(log_coef, 2.0, from_n=n0,
+                                    description="Gaussian tail bound exp(-x^2/2) past the "
+                                                f"crossover n={n0}"))
     return None
 
 
-def _spataru_shaped(a: NormSeq) -> bool:
-    return (a.family is not None and a.family.exponent == 0.5
-            and a.family.sv == SlowlyVarying(logn=0.5))
-
-
 def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
-    """Certificate for the exponential/adaptive-exponent series."""
+    """Certificate for the exponential/adaptive-exponent series.
+
+    T <= vb, the second-moment bound, so eps^2 a(n)^2 / (n T) >= c n^(2 rho - 1)
+    for a(n) = A n^rho, with c = eps^2 A^2 / vb.  The terms are then at most
+    w(n) exp(-c n^kappa), kappa = 2 rho - 1 > 0; at a(n) = (n log n)^(1/2)
+    the exponent is c log n, and the terms are at most w(n) n^-c.
+    """
     vb = distmodel.second_moment_bound(d)
     if vb is None or vb <= 0.0 or w.family is None or a.family is None:
         return None
     wf, af = w.family, a.family
-    if _spataru_shaped(a):
-        q = eps * eps * af.coef ** 2 / vb - wf.exponent
-        if 1.0 < q < math.inf and wf.sv.is_trivial():  # q is inf at a huge eps
-            return PowerEnvelope(coef=wf.coef, exponent=q, from_n=2,
-                                 description=f"second moment <= {vb:g} caps the "
-                                             "exponent at a summable power")
+    c = eps * af.coef * (eps * af.coef) / vb
+    if not 0.0 < c < math.inf:  # at a huge eps or a subnormal vb, c is inf
         return None
-    if af.exponent >= 1.0 and af.sv.is_trivial() and wf.sv.is_trivial():
-        kappa = 2.0 * af.exponent - 1.0
-        c_exp = eps * eps * af.coef ** 2 / vb
-        n0 = 4
-        d_min = float(n0 + 1) ** kappa - float(n0) ** kappa
-        ratio = math.exp(-c_exp * d_min) * (1.0 + 1.0 / n0) ** max(wf.exponent, 0.0)
-        if ratio >= 1.0 or ratio ** n0 < sys.float_info.min:  # coef divides by a normal ratio^n0
-            return None
-        coef = (wf.coef * float(n0) ** wf.exponent
-                * math.exp(-c_exp * float(n0) ** kappa) / ratio ** n0)
-        return GeometricEnvelope(coef=coef, ratio=ratio, from_n=n0,
-                                 description=f"second moment <= {vb:g} gives a "
-                                             "geometric decay bound")
-    return None
+    if af.exponent == 0.5 and af.sv == SlowlyVarying(logn=0.5):
+        shape, text = {"exponent": c - wf.exponent}, "caps the exponent at a summable power"
+    elif af.exponent > 0.5 and af.sv.is_trivial():
+        shape = {"exponent": 0.0 - wf.exponent, "rate": c, "kappa": 2.0 * af.exponent - 1.0}
+        text = "bounds the terms by w(n) exp(-c n^kappa)"
+    else:
+        return None
+    return _certified(TermBound(log_or_inf(wf.coef), sv=wf.sv, from_n=2,
+                                description=f"second moment <= {vb:g} {text}", **shape))
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +283,12 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     negative = ~(term >= 0.0)
     over = under = np.zeros(term.shape, dtype=bool)
     verdict = UNDETERMINED if certificate is None else certificate.verdict
-    if verdict == CONVERGES:
+    if certificate is not None:
         bound = certificate.values_at(n) if bound is None else bound
+    if verdict == CONVERGES:
         over = term > bound * (1.0 + _ENVELOPE_SLACK)
     elif verdict == DIVERGES:
-        floor = certificate.floors_at(n)
-        under = term < floor * (1.0 - _ENVELOPE_SLACK)
+        under = term < bound * (1.0 - _ENVELOPE_SLACK)
     bad = np.flatnonzero(negative | over | under)
     if bad.size:
         i = bad[0]
@@ -418,7 +299,7 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
             raise ValueError(f"registered envelope violated at n={k}: term {t!r} "
                              f"exceeds {float(bound[i])!r}")
         raise ValueError(f"registered divergence floor violated at n={k}: term {t!r} "
-                         f"below {float(floor[i])!r}")
+                         f"below {float(bound[i])!r}")
     partial = prefix_sums(term)
     check_partial_sums(n, term, partial)
     keep = slice(None) if emit is None else emit

@@ -11,12 +11,14 @@ growth and domination conditions the convergence machinery relies on:
   / a(k)^{p*theta} <= C * T_{n-1}, where T_k = sum_{j<=k} j*w(j),
 * an infimum growth floor: liminf_n inf_{k>=n} a(k)^p/(k*a(n)^p) * T_{n-1} > 0.
 
-Power-law families with slowly varying factors carry closed-form tail
-envelopes derived from the Karamata integral comparison, so their verdicts
-are certified.  Everything else is reported empirically over the horizon and
-never as a false certificate.  T_n, and every partial sum a report shows,
-are Sum2 prefix sums (``prefix_sums``): prefix n is within
-u|S_n| + gamma_(n-1)^2 sum|x| of the exact sum S_n, u = 2^-53.
+Power-law families with slowly varying factors are certified through one
+``TermBound``, exp(log_coef) n^-e sv(n) exp(-c n^kappa) as an envelope or a
+divergence floor, whose tail is closed-form and rounded up; the tail
+domination check and every power or exponential certificate use it.
+Everything else is reported empirically over the horizon and never as a
+false certificate.  T_n, and every partial sum a report shows, are Sum2
+prefix sums (``prefix_sums``): prefix n is within u|S_n| + gamma_(n-1)^2
+sum|x| of the exact sum S_n, u = 2^-53.
 
 Every column whose bits reach a report goes through ``libm`` or ``power``
 (x^-1, x^2, x^3 in numpy wherever x^p is over 1/16 ulp from a rounding
@@ -26,6 +28,7 @@ midpoint, where glibc's pow, within 0.52 ulp, rounds correctly).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -33,7 +36,10 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .reports import CONVERGES, DIVERGES
+
 _E2 = math.e ** 2
+_TINY = sys.float_info.min  # the least normal double
 # fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  exp underflows below -745.14; glibc's
 # erfc returns tiny*tiny from 28 up and two - tiny from -6 down.
 _SATURATED = {math.exp: (-750.0, 0.0, math.inf, math.inf), math.erfc: (-6.0, 2.0, 28.0, 0.0)}
@@ -215,9 +221,6 @@ class SlowlyVarying:
             out *= power(libm(math.log, n), self.logn)
         return out
 
-    def value(self, n: float) -> float:
-        return float(self.values(np.array([n]))[0])
-
     def is_trivial(self) -> bool:
         return self.log2p == 0.0 and self.loglog == 0.0 and self.logn == 0.0
 
@@ -262,6 +265,184 @@ class SlowlyVarying:
             loglog=self.loglog + other_power * other.loglog,
             logn=self.logn + other_power * other.logn,
         )
+
+    def log_values(self, n) -> np.ndarray:
+        """log sv(n) by numpy ufuncs, for bounds compared under a slack."""
+        n = np.asarray(n, dtype=np.float64)
+        out = np.zeros(n.shape)
+        if self.log2p:
+            out += self.log2p * np.log(np.log(2.0 + n))
+        if self.loglog:
+            out += self.loglog * np.log(np.log(np.log(_E2 + n)))
+        if self.logn:
+            out += self.logn * np.log(np.log(n))
+        return out
+
+
+# Room added to a computed log: 128 ulp of its parts, each of which carries a few.
+_PAD = 2.0 ** -46
+
+
+def _log_up(*parts: float) -> float:
+    """The sum of ``parts``, rounded up by _PAD of their magnitude."""
+    total = math.fsum(parts)
+    return total + _PAD * (1.0 + math.fsum(map(abs, parts))) if math.isfinite(total) else total
+
+
+def _log_add_up(a: float, b: float) -> float:
+    """log(e^a + e^b), rounded up."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else _log_up(hi, math.log1p(math.exp(lo - hi)))
+
+
+def log_or_inf(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def exp_up(log_x: float) -> float:
+    """exp(log_x) rounded up: the least subnormal, never 0.0, where it underflows."""
+    return math.nextafter(math.exp(log_x), math.inf) if log_x < 709.0 else math.inf
+
+
+def tail_start(from_n: int, last_n: int) -> int:
+    """The first n past ``last_n``, where a bound from ``from_n`` leaves no term unbounded."""
+    if from_n > last_n + 1:
+        raise ValueError(f"an envelope from n={from_n} leaves the terms "
+                         f"{last_n + 1}..{from_n - 1} unbounded")
+    return last_n + 1
+
+
+@dataclass(frozen=True)
+class TermBound:
+    """f(n) = exp(log_coef) n^-exponent sv(n) exp(-rate n^kappa) for n >= from_n: an
+    upper envelope of a series' terms, or with ``floor`` a lower floor; a certificate.
+
+    ``values_at`` forms f in logs by numpy ufuncs, not ``libm``: it is only
+    compared with terms under a slack, and in logs no coefficient underflows.
+    An envelope is raised to the least normal double and a floor below it
+    lowered to 0, so no subnormal is compared.  A floor is a plain power with
+    exponent <= 1: each dyadic block past ``from_n`` sums to ``block_floor()``.
+    """
+
+    log_coef: float
+    exponent: float
+    sv: SlowlyVarying = SlowlyVarying()
+    rate: float = 0.0
+    kappa: float = 0.0
+    from_n: int = 1
+    floor: bool = False
+    description: str = ""
+
+    def __post_init__(self) -> None:
+        if not (self.log_coef < math.inf and math.isfinite(self.exponent)
+                and (0.0 < self.rate < math.inf) == (0.0 < self.kappa < math.inf)
+                and self.rate >= 0.0 <= self.kappa and (self.from_n >= 2 or not self.sv.logn)):
+            raise ValueError(f"invalid term bound {self!r}")
+        if self.floor and not (self.rate == 0.0 and self.sv.is_trivial() and self.exponent <= 1.0):
+            raise ValueError("a divergence floor is a plain power with exponent <= 1")
+
+    @property
+    def verdict(self) -> str:
+        return DIVERGES if self.floor else CONVERGES
+
+    def values_at(self, n) -> np.ndarray:
+        n = np.asarray(n)
+        out = np.full(n.shape, 0.0 if self.floor else math.inf)
+        on = n >= self.from_n
+        ln = np.log(n[on].astype(np.float64))
+        with np.errstate(over="ignore"):
+            v = np.exp(self.sv.log_values(n[on]) + self.log_coef - self.exponent * ln
+                       - self.rate * np.exp(self.kappa * ln))
+        out[on] = np.where(v < _TINY, 0.0, v) if self.floor else np.maximum(v, _TINY)
+        return out
+
+    def log_tail(self, start: int) -> float:
+        """log of an upper bound on sum_{n >= start} f(n), rounded up; inf where
+        no finite bound is certified.  Past start, sv(x) <= sv(start) (x/start)^delta
+        (``growth_exponent_bound``), so f <= g = G x^-(e - delta) exp(-rate x^kappa),
+        which is unimodal, and the tail is at most max_{x>=start} g + int_start^inf g:
+        * kappa = 0, e - delta > 1: f(start) (1 + start / (e - delta - 1));
+        * kappa = 0, e = 1: Bertrand's integral in log(2+x), a plain log folded
+          in by log x <= log(2+x) <= 2 log x (x >= 2);
+        * kappa > 0: the integral is G Gamma(s, z) / (kappa rate^s) with
+          s = (1 - e + delta)/kappa, z = rate start^kappa, and Gamma(s, z) at most
+          z^(s-1) e^-z for s <= 1, min(Gamma(s), z^(s-1) e^-z / (1 - (s-1)/z)) for
+          s > 1 (DLMF 8.10)."""
+        if self.log_coef == -math.inf:
+            return -math.inf  # every term is 0
+        x, e = float(start), self.exponent
+        ln, log_sv = math.log(x), float(self.sv.log_values(x))
+        if self.rate == 0.0 and e == 1.0:
+            b = self.sv.logn
+            g1, g2 = self.sv.log2p + b, self.sv.loglog
+            gap = (-g1 - 1.0) - _PAD * (abs(g1) + 1.0)
+            if gap <= 0.0 or g2 > 0.0:
+                return math.inf
+            # (log k)^b <= 2^max(0,-b) log(2+k)^b, and loglog^g2 falls from its value at start
+            lead = (self.log_coef, max(0.0, -b) * math.log(2.0),
+                    g2 * math.log(math.log(_E2 + x)))
+            log_l = math.log(math.log(2.0 + x))
+            return _log_add_up(_log_up(*lead, -ln, g1 * log_l), _log_up(
+                *lead, math.log((2.0 + x) / x), (g1 + 1.0) * log_l, -math.log(gap)))
+        delta = 0.0 if self.sv.is_trivial() else self.sv.growth_exponent_bound(start) * (1.0 + _PAD)
+        e_net = e - delta
+        if self.rate == 0.0:
+            gap = (e_net - 1.0) - _PAD * (abs(e) + 1.0 + delta)
+            if gap <= 0.0:
+                return math.inf
+            return _log_up(self.log_coef, log_sv, -e * ln, math.log1p(x / gap))
+        k, c = self.kappa, self.rate
+        head = (self.log_coef, log_sv, -delta * ln)  # log G
+        # g peaks at x^kappa = -e_net / (kappa rate) when e_net < 0
+        log_peak = ln if e_net >= 0.0 else max(ln, (math.log(-e_net / k) - math.log(c)) / k)
+        # exp capped at e^709 below: a smaller z or g^kappa only raises the bound
+        log_max = _log_up(*head, -e_net * log_peak, -c * math.exp(min(k * log_peak, 709.0)))
+        s = (1.0 - e_net) / k
+        log_z = math.log(c) + k * ln
+        z = math.exp(min(log_z, 709.0))
+        log_gamma = (s - 1.0) * log_z - z
+        if s > 1.0:
+            log_gamma = (min(math.lgamma(s), log_gamma - math.log1p(-(s - 1.0) / z))
+                         if z > s - 1.0 else math.lgamma(s))
+        log_int = _log_up(*head, log_gamma, -math.log(k), -s * math.log(c))
+        return _log_add_up(log_max, log_int)
+
+    def tail_beyond(self, last_n: int) -> float:
+        """sum_{n > last_n} f(n), rounded up."""
+        return exp_up(self.log_tail(tail_start(self.from_n, last_n)))
+
+    def divergence(self) -> Optional[str]:
+        """Why sum_n f(n) diverges (a power n^(1-e) > 1 outgrows sv; at e = 1,
+        Bertrand's test after ``log_tail``'s fold), or None if not certified."""
+        if self.rate > 0.0 or self.exponent > 1.0 or self.log_coef == -math.inf:
+            return None
+        if self.exponent < 1.0:
+            return f"terms k^-{self.exponent:.3g} sv(k) with exponent < 1"
+        g1, g2 = self.sv.log2p + self.sv.logn, self.sv.loglog
+        if g1 > -1.0:
+            return "q == 1 with log exponent > -1"
+        if g1 == -1.0 and g2 >= -1.0:
+            return "q == 1, log exponent -1, loglog exponent >= -1"
+        return None
+
+    def block_floor(self) -> float:
+        """exp(log_coef) 2^-exponent, rounded down: no dyadic block past from_n sums to less."""
+        y = self.log_coef - self.exponent * math.log(2.0)
+        return math.nextafter(math.exp(min(y - _PAD * (1.0 + abs(y)), 709.0)), 0.0)
+
+    def to_json_dict(self, last_n: int) -> dict:
+        # logs are raised to -DBL_MAX, so that they print, where they are -inf
+        params = {"log_coef": max(self.log_coef, -sys.float_info.max),
+                  "exponent": self.exponent, "from_n": self.from_n,
+                  **{key: g for key, g in vars(self.sv).items() if g},
+                  **({"rate": self.rate, "kappa": self.kappa} if self.rate else {})}
+        if self.floor:
+            return {"kind": "power-floor", "params": params, "block_floor": self.block_floor(),
+                    "description": self.description}
+        log_tail = max(self.log_tail(tail_start(self.from_n, last_n)), -sys.float_info.max)
+        return {"kind": "power-exp" if self.rate else "power", "params": params,
+                "tail_bound": exp_up(log_tail), "log_tail_bound": log_tail,
+                "description": self.description}
 
 
 @dataclass(frozen=True)
@@ -417,78 +598,6 @@ def custom_norms(fn: Callable[[int], float], name: str = "custom") -> NormSeq:
 
 
 # ---------------------------------------------------------------------------
-# Certified tail assessment for k^{-q} * sv(k) shapes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TailAssessment:
-    kind: str               # "finite" | "diverges" | "unknown"
-    bound: Optional[float]  # valid when kind == "finite": sum_{k>=start} <= bound
-    reason: str
-
-
-def certified_power_tail(coef: float, q: float, sv: SlowlyVarying,
-                         start: int) -> TailAssessment:
-    """Assess sum_{k>=start} coef * k^{-q} * sv(k) with certified constants."""
-    if coef == 0.0:
-        return TailAssessment("finite", 0.0, "zero coefficient")
-    if coef < 0.0:
-        raise ValueError("tail coefficient must be nonnegative")
-    if q > 1.0:
-        delta = sv.growth_exponent_bound(start)
-        if q - delta <= 1.0:
-            return TailAssessment(
-                "unknown", None,
-                f"slowly varying envelope exponent {delta:.3g} too large for q={q:.3g} at start={start}")
-        head = sv.value(start) * start ** (-q)
-        bound = coef * head * (1.0 + start / (q - delta - 1.0))
-        return TailAssessment("finite", bound,
-                              f"integral comparison with envelope exponent {delta:.3g}")
-    if q < 1.0:
-        delta = sv.decay_exponent_bound(start)
-        if q + delta < 1.0:
-            return TailAssessment("diverges", None,
-                                  f"terms >= c * k^{-(q + delta):.3g} with exponent < 1")
-        return TailAssessment("unknown", None,
-                              "q < 1 but decay envelope too weak at this start")
-    # q == 1: driven by the logarithmic factors.
-    if sv.logn != 0.0:
-        return TailAssessment("unknown", None,
-                              "q == 1 with a plain-log factor is out of certified scope")
-    g1, g2 = sv.log2p, sv.loglog
-    if g1 > -1.0:
-        return TailAssessment("diverges", None, "q == 1 with log exponent > -1")
-    if g1 == -1.0:
-        if g2 >= -1.0:
-            return TailAssessment("diverges", None,
-                                  "q == 1, log exponent -1, loglog exponent >= -1")
-        return TailAssessment("unknown", None, "iterated-log boundary not certified")
-    if g2 > 0.0:
-        return TailAssessment("unknown", None,
-                              "q == 1 with increasing loglog factor not certified")
-    # g1 < -1, g2 <= 0: sum_{k>=N} k^-1 log(2+k)^{g1} loglog(...)^{g2}
-    ll = math.log(math.log(_E2 + start)) ** g2 if g2 else 1.0
-    peel = start ** -1.0 * math.log(2.0 + start) ** g1
-    integral = ((2.0 + start) / start) * math.log(2.0 + start) ** (g1 + 1.0) / (-g1 - 1.0)
-    return TailAssessment("finite", coef * ll * (peel + integral),
-                          "logarithmic integral comparison")
-
-
-def _combined_tail_shape(w: WeightSeq, a: NormSeq, theta: float,
-                         moment_power: float):
-    """Shape (coef, q, sv) of k^theta * w(k) / a(k)^{moment_power*theta}."""
-    if w.family is None or a.family is None:
-        return None
-    p = moment_power * theta
-    wf, af = w.family, a.family
-    coef = wf.coef * af.coef ** (-p)
-    q = p * af.exponent - theta - wf.exponent
-    sv = wf.sv.combine(af.sv, -p)
-    return coef, q, sv
-
-
-# ---------------------------------------------------------------------------
 # Symbolic liminf helpers for power-law families
 # ---------------------------------------------------------------------------
 
@@ -594,26 +703,31 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
     horizon = values.a.size
     require_nondecreasing(values.a)
 
-    shape = _combined_tail_shape(w, a, theta, moment_power)
-    if shape is not None:
-        assessment = certified_power_tail(shape[0], shape[1], shape[2], horizon + 1)
+    start = horizon + 1
+    remainder, reason = None, "no analytic tail bound available"
+    if w.family is not None and a.family is not None:
+        wf, af = w.family, a.family
+        # k^theta w(k) / a(k)^p is exactly this bound's f
+        q, sv = p * af.exponent - theta - wf.exponent, wf.sv.combine(af.sv, -p)
+        terms = TermBound(log_or_inf(wf.coef) - p * math.log(af.coef), q, sv, from_n=start)
+        log_tail, why = terms.log_tail(start), terms.divergence()
+        if log_tail < math.inf:
+            remainder = exp_up(log_tail)
+            reason = ("logarithmic integral comparison" if q == 1.0 else "integral comparison "
+                      f"with envelope exponent {sv.growth_exponent_bound(start):.3g}")
+        elif why is not None:
+            return RegularityReport(cid, Verdict.CERTIFIED_FAIL,
+                                    {"theta": theta, "moment_power": moment_power},
+                                    horizon, ("tail sum diverges: " + why,))
     elif w.tail_bound is not None:
         g = lambda k: power(k, theta) / power(a.values(k), p)
-        assessment = TailAssessment("finite", float(w.tail_bound(horizon + 1, g)),
-                                    "caller-supplied certified tail bound")
-    else:
-        assessment = TailAssessment("unknown", None, "no analytic tail bound available")
+        remainder = float(w.tail_bound(start, g))
+        reason = "caller-supplied certified tail bound"
 
-    if assessment.kind == "diverges":
-        return RegularityReport(cid, Verdict.CERTIFIED_FAIL,
-                                {"theta": theta, "moment_power": moment_power},
-                                horizon, ("tail sum diverges: " + assessment.reason,))
-
-    remainder = assessment.bound if assessment.kind == "finite" else 0.0
     a_p = values.power("a", p)
     suffix = prefix_sums((values.power("n", theta) * values.w / a_p)[::-1])[::-1]
     t_prev = values.t[:-1]  # T_(n-1) for n = 2..horizon
-    lhs = a_p[1:] / values.power("n", theta - 1.0)[1:] * (suffix[1:] + remainder)
+    lhs = a_p[1:] / values.power("n", theta - 1.0)[1:] * (suffix[1:] + (remainder or 0.0))
 
     # C is the largest ratio lhs/T_(n-1) over the n with T_(n-1) > 0, and
     # argmax_n the first n reaching it; NaN ratios never count.
@@ -626,14 +740,14 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
         best_c, argmax = float(ratio[k]), k + 2
     skipped = int(np.count_nonzero(~counted & (lhs > 0.0)))
     constants = {"C": best_c, "theta": theta, "moment_power": moment_power,
-                 "argmax_n": float(argmax), "tail_remainder": remainder}
+                 "argmax_n": float(argmax), "tail_remainder": remainder or 0.0}
     notes: list[str] = []
     if skipped:
         notes.append(f"{skipped} initial indices skipped where T_(n-1) = 0")
-    if assessment.kind == "finite":
-        notes.append("remainder certified: " + assessment.reason)
+    if remainder is not None:
+        notes.append("remainder certified: " + reason)
         return RegularityReport(cid, Verdict.CERTIFIED_PASS, constants, horizon, tuple(notes))
-    notes.append("no certified remainder (" + assessment.reason + "); constant is horizon-limited evidence")
+    notes.append("no certified remainder (" + reason + "); constant is horizon-limited evidence")
     return RegularityReport(cid, Verdict.INCONCLUSIVE, constants, horizon, tuple(notes))
 
 

@@ -122,6 +122,11 @@ CERTIFIED_PAIRS = [
     ("spataru", {"kind": "atomic_sym", "atoms": "1:0.5, 3:0.25"}),
     ("spataru_weak(0.5)", {"kind": "atomic_sym", "atoms": "1:0.5,3:0.25"}),
     ("baum_katz(2,1)", {"kind": "pareto_sym", "alpha": "1.5"}),  # two power floors
+    # exponential envelopes w(n) exp(-c n^kappa) at kappa = 1/3 and 2/1.9 - 1
+    ("baum_katz(2,1.5)", {"kind": "rademacher"}),
+    ("baum_katz(2,1.5)", {"kind": "uniform_sym"}),
+    ("baum_katz(2,1.5)", {"kind": "normal_std"}),
+    ("baum_katz(3,1.9)", {"kind": "atomic_sym", "atoms": "0.1:0.5"}),
 ]
 
 
@@ -159,12 +164,25 @@ def test_certificates_hold_past_the_horizon(preset, dist):
     assert checked > 0
 
 
-# Each certificate's bound through libm: the reference for its np.power form.
-LIBM_BOUNDS = {
-    cv.PowerEnvelope: lambda c, k: c.coef * seqkit.libm(pow, k, -c.exponent),
-    cv.PowerLowerBound: lambda c, k: c.coef * seqkit.libm(pow, k, -c.exponent),
-    cv.GeometricEnvelope: lambda c, k: c.coef * seqkit.libm(pow, c.ratio, k),
-}
+def libm_term_bound(c, k):
+    """A TermBound's values from from_n on, its logs formed through math.log
+    and math.exp, with the same clamps at the least normal double."""
+    log = lambda x: seqkit.libm(math.log, x)
+    ln = log(k)
+    log_f = c.log_coef - c.exponent * ln
+    for g, inner in ((c.sv.log2p, log(2.0 + k)), (c.sv.loglog, log(log(math.e ** 2 + k))),
+                     (c.sv.logn, ln)):
+        if g:
+            log_f = log_f + g * log(inner)
+    if c.rate:
+        log_f = log_f - c.rate * seqkit.libm(math.exp, c.kappa * ln)
+    v = seqkit.libm(math.exp, log_f)
+    tiny = sys.float_info.min
+    return np.where(v < tiny, 0.0, v) if c.floor else np.maximum(v, tiny)
+
+
+# Each certificate's bound through libm: the reference for its numpy ufunc form.
+LIBM_BOUNDS = {seqkit.TermBound: libm_term_bound}
 
 
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
@@ -181,8 +199,8 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
             if type(cert) not in LIBM_BOUNDS:
                 continue
             k = n[n >= cert.from_n]
-            got = (cert.floors_at(k) if cert.verdict == cv.DIVERGES else cert.values_at(k))
-            np.testing.assert_allclose(got, LIBM_BOUNDS[type(cert)](cert, k), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(cert.values_at(k), LIBM_BOUNDS[type(cert)](cert, k),
+                                       rtol=1e-12, atol=0)
             checked += 1
     assert checked > 0
 
@@ -246,12 +264,14 @@ def test_spataru_pareto_maps_at_most_117784_elements_through_libm(capsys, monkey
     assert 0 < sum(mapped) <= 117_784
 
 
-# q = eps^2 coef^2 / vb overflows to inf: no power envelope may be certified
+# c = eps^2 coef^2 / vb overflows to inf: no envelope may be certified
 NORMAL_1E160 = ["--preset", "spataru", "--eps", "1e160", "--set", "distribution.kind=normal_std"]
 SUBNORMAL_T = ["--preset", "spataru", "--horizon", "300", "--set", "distribution.kind=atomic_sym",
                "--set", "distribution.atoms=1e-160:0.5"]
 
 
+EPS_20 = ["--preset", "baum_katz(2,1)", "--eps", "20", "--horizon", "200",
+          "--set", "distribution.kind=rademacher"]
 F11_R = ("1", "1.5", "2", "3")
 F11_CASES = [["--preset", f"baum_katz({r},0.5)", "--set", "distribution.kind=uniform_sym"]
              for r in F11_R]
@@ -262,14 +282,14 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("argv", [
-    # the geometric ratio underflows (to 0 at 1e160, its 4th power to 0 at 20)
+    # c = eps^2 / vb is inf at 1e160 and 1e300; at 20 the terms underflow past n = 1,
+    # and the tail is rounded up to the least subnormal
     ["--preset", "baum_katz(2,1)", "--eps", "1e160", "--horizon", "200",
      "--set", "distribution.kind=rademacher"],
-    ["--preset", "baum_katz(2,1)", "--eps", "20", "--horizon", "200",
-     "--set", "distribution.kind=rademacher"],
+    EPS_20,
     ["--preset", "baum_katz(1,0.5)", "--eps", "1e300", "--horizon", "200",
      "--set", "distribution.kind=uniform_sym"],
-    # the Pareto floor's coefficient underflows to 0
+    # the Pareto floor's block floor underflows to 0
     ["--preset", "baum_katz(2,1)", "--eps", "1e300", "--set", "distribution.kind=pareto_sym"],
     ["--preset", "baum_katz(3,1.5)", "--eps", "1e160", "--set", "distribution.kind=pareto_sym",
      "--set", "distribution.alpha=3"],
@@ -287,7 +307,7 @@ def _reject_constant(name):
      "--set", "distribution.scale=1e-300", "--set", "distribution.alpha=3"],
     # a subnormal T sends the exponents to -inf
     SUBNORMAL_T,
-    # ratio^n0 is subnormal at eps 1 on the default grid
+    # kappa = 3 at baum_katz(r, 0.5): every exponential series is certified
     *F11_CASES,
 ], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
@@ -304,9 +324,12 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     if argv in (NORMAL_1E160, SUBNORMAL_T):
         assert {s["verdict"] for s in series
                 if s["series_id"] in ("exponential", "adaptive-exponent")} == {cv.UNDETERMINED}
-    if argv in F11_CASES:
-        assert [s["verdict"] for s in series if s["series_id"] == "exponential"
-                and s["params"]["eps"] == 1.0] == [cv.UNDETERMINED]
+    if argv in (*F11_CASES, EPS_20):
+        # the terms are at most exp(-c n^kappa): kappa = 3 with c = 3 eps^2 for
+        # uniform_sym, kappa = 1 with c = 400 for rademacher at eps 20
+        exp_series = [s for s in series if s["series_id"] == "exponential"]
+        assert {s["verdict"] for s in exp_series} == {cv.CONVERGES}
+        assert all(0.0 < s["tail_bound"]["tail_bound"] < math.inf for s in exp_series)
 
 
 def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):

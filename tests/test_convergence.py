@@ -171,7 +171,7 @@ def test_single_tail_scale_consistency():
 
 def test_summarize_power_envelope():
     n = list(range(1, 101))
-    env = cv.PowerEnvelope(coef=1.0, exponent=2.0)
+    env = sk.TermBound(log_coef=0.0, exponent=2.0)
     rep = cv.summarize_series("inverse-square", n, [float(k) ** -2.0 for k in n], {},
                               certificate=env)
     assert rep.verdict == CONVERGES
@@ -179,6 +179,8 @@ def test_summarize_power_envelope():
     assert rep.certificate["tail_bound"] <= 1.0 / 100.0 * 1.2
     exact_tail = sum(n ** -2.0 for n in range(101, 10 ** 6))
     assert rep.certificate["tail_bound"] >= exact_tail
+    assert rep.certificate["log_tail_bound"] == pytest.approx(
+        math.log(rep.certificate["tail_bound"]), abs=1e-12)
     assert rep.to_json_dict()["tail_bound"] == env.to_json_dict(100)
 
 
@@ -191,8 +193,9 @@ def test_summarize_zero_terms():
 
 
 @pytest.mark.parametrize("env", [cv.VanishingEnvelope(from_n=60),
-                                 cv.PowerEnvelope(coef=1.0, exponent=2.0, from_n=60),
-                                 cv.GeometricEnvelope(coef=1.0, ratio=0.5, from_n=60)],
+                                 sk.TermBound(0.0, 2.0, from_n=60),
+                                 sk.TermBound(0.0, 0.0, rate=math.log(2.0), kappa=1.0,
+                                              from_n=60)],
                          ids=["vanishing", "power", "geometric"])
 def test_envelopes_refuse_a_tail_with_unbounded_terms_before_them(env):
     # from n = 60 the envelope says nothing about the terms 50..59
@@ -209,7 +212,7 @@ def test_summarize_undetermined_without_certificate():
 def test_summarize_divergence_floor():
     n = list(range(1, 200))
     rep = cv.summarize_series("rootn", n, [float(k) ** -0.5 for k in n], {},
-                              certificate=cv.PowerLowerBound(coef=1.0, exponent=0.5))
+                              certificate=sk.TermBound(0.0, 0.5, floor=True))
     assert rep.verdict == DIVERGES
     assert rep.certificate["block_floor"] == pytest.approx(2.0 ** -0.5)
     assert rep.to_json_dict()["divergence"] == rep.certificate
@@ -217,14 +220,14 @@ def test_summarize_divergence_floor():
 
 def test_summarize_rejects_violated_envelope():
     n = list(range(1, 50))
-    env = cv.PowerEnvelope(coef=0.5, exponent=1.5)
+    env = sk.TermBound(math.log(0.5), 1.5)
     with pytest.raises(ValueError):
         cv.summarize_series("broken", n, [float(k) ** -1.5 for k in n], {}, certificate=env)
 
 
 def test_summarize_rejects_violated_floor():
     n = list(range(1, 50))
-    floor = cv.PowerLowerBound(coef=2.0, exponent=0.5, from_n=10)
+    floor = sk.TermBound(math.log(2.0), 0.5, from_n=10, floor=True)
     with pytest.raises(ValueError, match="divergence floor violated at n=10"):
         cv.summarize_series("broken", n, [float(k) ** -0.5 for k in n], {}, certificate=floor)
 

@@ -6,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -422,14 +423,83 @@ def test_tail_domination_custom_with_bound_certified():
 
 
 def test_tail_domination_remainder_is_true_upper_bound():
-    # certified remainder must dominate a brute-force continuation of the sum
+    # the certified remainder must dominate a brute-force continuation of the sum
     w = sk.power_law_weights(-1.0)
     a = sk.power_law_norms(1.0)
-    shape = sk._combined_tail_shape(w, a, 1.0, 3.0)
-    assessment = sk.certified_power_tail(*shape, start=101)
-    brute = sum(k ** 1.0 * (1.0 / k) / k ** 3.0 for k in range(101, 400_000))
-    assert assessment.kind == "finite"
-    assert assessment.bound >= brute
+    terms = sk.TermBound(0.0, 3.0, from_n=101)  # k^theta w(k) / a(k)^3 = k^-3
+    brute = math.fsum(k ** 1.0 * (1.0 / k) / k ** 3.0 for k in range(101, 400_000))
+    assert brute <= terms.tail_beyond(100) <= brute * 1.05
+    rep = domination(w, a, theta=1.0, moment_power=3.0, horizon=100)
+    assert rep.verdict is Verdict.CERTIFIED_PASS
+    assert rep.constants["tail_remainder"] == terms.tail_beyond(100)
+
+
+def test_tail_domination_decides_q_one_with_a_plain_log():
+    # spataru, moment power 2: the tail sum is sum 1/(k log k), which diverges
+    rep = domination(sk.power_law_weights(-1.0), spataru_norms(), theta=1.0,
+                     moment_power=2.0, horizon=3000)
+    assert rep.verdict is Verdict.CERTIFIED_FAIL
+    assert rep.notes == ("tail sum diverges: q == 1, log exponent -1, loglog exponent >= -1",)
+    # a(n) = n^(1/2) log n: the tail sum is sum 1/(k (log k)^2), which converges
+    fam = sk.PowerLawFamily(exponent=0.5, sv=SlowlyVarying(logn=1.0))
+    a = sk.NormSeq(fn=lambda n: np.where(n == 1, 0.5, np.sqrt(n) * np.log(n)), family=fam)
+    rep = domination(sk.power_law_weights(-1.0), a, theta=1.0, moment_power=2.0, horizon=3000)
+    assert rep.verdict is Verdict.CERTIFIED_PASS
+    assert rep.notes == ("remainder certified: logarithmic integral comparison",)
+    # the sum from 3001 is at least int_3001^inf dx / (x (log x)^2) = 1 / log 3001;
+    # folding (log k)^-2 into log(2+k)^-2 costs the factor 2^2
+    lower = 1.0 / math.log(3001.0)
+    assert lower <= rep.constants["tail_remainder"] <= 4.01 * lower
+
+
+def _mp_terms(b, x):
+    """f(x) of the TermBound ``b`` in mpmath."""
+    x = mpmath.mpf(x)
+    v = mpmath.e ** b.log_coef * x ** -b.exponent
+    for g, factor in ((b.sv.log2p, lambda: mpmath.log(2 + x)),
+                      (b.sv.loglog, lambda: mpmath.log(mpmath.log(mpmath.e ** 2 + x))),
+                      (b.sv.logn, lambda: mpmath.log(x))):
+        if g:
+            v *= factor() ** g
+    return v * mpmath.e ** (-b.rate * x ** b.kappa) if b.rate else v
+
+
+TAIL_FORMS = [
+    (sk.TermBound(math.log(3.0), 2.5), 50),
+    (sk.TermBound(0.0, 2.0, SlowlyVarying(log2p=1.5)), 100),  # delta > 0
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-2.0)), 20),  # Bertrand
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(logn=-2.5, loglog=-0.5), from_n=2), 10),
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-3.0, logn=0.5), from_n=2), 10),
+    *((sk.TermBound(0.0, e, rate=0.5, kappa=kappa), 5)
+      for kappa in (1.0 / 3.0, 1.0, 3.0) for e in (-1.0, 0.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("bound,start", TAIL_FORMS,
+                         ids=["power", "power sv", "bertrand", "bertrand plain log",
+                              "bertrand rising plain log",
+                              *(f"kappa={k} e={e}" for k in ("1/3", "1", "3")
+                                for e in (-1, 0, 1.5))])
+def test_term_bound_tail_is_at_least_an_mpmath_sum(bound, start):
+    # head summed term by term, and sum_{n>m} f(n) >= int_{m+1}^inf f for
+    # the decreasing f past the head: a lower bound on the true tail
+    m = start + 500
+    with mpmath.workdps(25):
+        lower = (mpmath.fsum(_mp_terms(bound, n) for n in range(start, m + 1))
+                 + mpmath.quad(lambda x: _mp_terms(bound, x), [m + 1, mpmath.inf]))
+    got = bound.tail_beyond(start - 1)
+    assert lower <= got <= 5 * lower
+    assert bound.log_tail(start) == pytest.approx(math.log(got), abs=1e-12)
+
+
+def test_term_bound_tail_is_rounded_up_never_to_zero():
+    # exp(-400 n): the tail past n = 200 is about e^-80400, far below doubles
+    bound = sk.TermBound(0.0, 0.0, rate=400.0, kappa=1.0)
+    assert bound.tail_beyond(200) == 5e-324
+    assert -80400.0 - 1e-6 <= bound.log_tail(201) < -80400.0 + 1.0
+    # a finite tail past the double range is inf; a divergent one certifies nothing
+    assert sk.TermBound(800.0, 2.0).tail_beyond(1) == math.inf
+    assert sk.TermBound(0.0, 1.0).log_tail(10) == math.inf
 
 
 def test_weaker_power_implies_stronger_power():
@@ -545,9 +615,9 @@ def test_report_json_round_trip():
 def test_sv_growth_envelope_property(g1, g2, start):
     sv = SlowlyVarying(log2p=g1, loglog=g2)
     delta = sv.growth_exponent_bound(start)
-    base = sv.value(start)
-    for k in (start, start + 3, 2 * start, 17 * start):
-        assert sv.value(k) <= base * (k / start) ** delta * (1 + 1e-12)
+    ks = np.array([start, start + 3, 2 * start, 17 * start])
+    values = sv.values(ks)
+    assert (values <= values[0] * (ks / start) ** delta * (1 + 1e-12)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ of ``Inconclusive`` hypotheses may never rise above the recorded counts.
 import contextlib
 import io
 import json
+import math
 import warnings
 from collections import Counter
 
 import pytest
 
-from cclab import cli
+from cclab import cli, seqkit
 
 PRESETS = [f"baum_katz({r},{p})" for r in ("1", "1.5", "2", "3")
            for p in ("0.5", "1", "1.5", "1.9")] + ["spataru", "spataru_weak(0.5)",
@@ -41,8 +42,8 @@ LAWS = {
 }
 
 # Counts at or below which the matrix must stay.
-UNDETERMINED_AT_MOST = {"single-tail": 12, "exponential": 207, "adaptive-exponent": 12}
-INCONCLUSIVE_AT_MOST = 27
+UNDETERMINED_AT_MOST = {"single-tail": 12, "exponential": 76, "adaptive-exponent": 12}
+INCONCLUSIVE_AT_MOST = 0
 
 
 def _run(preset, law):
@@ -115,3 +116,17 @@ def test_spataru_presets_follow_the_moment_rules(matrix):
             assert s["verdict"] != "DivergesCertified", (preset, label, s["series_id"])
         elif s["series_id"] == "single-tail":  # E[X^2 / log(2 + |X|)] = inf
             assert s["verdict"] != "ConvergesCertified", (preset, label, s["params"])
+
+
+def test_every_convergence_certificate_bounds_a_positive_tail(matrix):
+    # a positive tail is rounded up, never printed as 0; only a vanishing
+    # envelope may claim a zero tail
+    checked = 0
+    for preset, label, s in _series(matrix):
+        cert = s.get("tail_bound")
+        if cert is None or cert["kind"] == "vanishing":
+            continue
+        checked += 1
+        assert 0.0 < cert["tail_bound"] < math.inf, (preset, label, s["series_id"])
+        assert cert["tail_bound"] == seqkit.exp_up(cert["log_tail_bound"])
+    assert checked > 0
