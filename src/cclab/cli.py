@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, convergence, counterexample, distmodel, mcengine, seqkit
 from .convergence import RecurringBlocks
@@ -135,8 +134,7 @@ class ScenarioConfig:
             "config_sha256": self.config_sha256,
             "seed": self.seed,
             "preset": self.preset,
-            "versions": {"cclab": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__},
+            "versions": {"cclab": __version__, "numpy": np.__version__},
         }
 
 

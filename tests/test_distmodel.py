@@ -1,13 +1,13 @@
-"""Distribution models against quadrature and closed-form oracles."""
+"""Distribution models against 40-digit mpmath and closed-form oracles."""
 
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
 
 from cclab import counterexample as ce
 from cclab import distmodel as dm
@@ -94,15 +94,15 @@ def test_truncated_moment_vs_quadrature(d, nu, b):
     # independent oracle: integrate |x|^nu against the density of |X|
     if d.kind == "uniform_sym":
         (h,) = d.params
-        oracle, _ = integrate.quad(lambda x: x ** nu / h, 0.0, min(b, h))
+        oracle = float(mpmath.quad(lambda x: x ** nu / h, [0.0, min(b, h)]))
     elif d.kind == "normal_std":
-        oracle, _ = integrate.quad(
-            lambda x: 2.0 * x ** nu * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
-            0.0, b)
+        oracle = float(mpmath.quad(
+            lambda x: 2.0 * x ** nu * mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi),
+            [0.0, b]))
     else:
         alpha, s = d.params
-        oracle, _ = integrate.quad(
-            lambda x: x ** nu * alpha * s ** alpha * x ** (-alpha - 1.0), s, b)
+        oracle = float(mpmath.quad(
+            lambda x: x ** nu * alpha * s ** alpha * x ** (-alpha - 1.0), [s, b]))
     assert dm.truncated_moment(d, nu, b).value == pytest.approx(oracle, abs=1e-10)
 
 
@@ -121,15 +121,15 @@ def test_truncated_plus_complement_equals_full_moment():
             if d.kind == "rademacher":
                 comp = (1.0 if b <= 1.0 else 0.0) * 1.0
             elif d.kind == "uniform_sym":
-                comp, _ = integrate.quad(lambda x: x ** 2, min(b, 1.0), 1.0)
+                comp = float(mpmath.quad(lambda x: x ** 2, [min(b, 1.0), 1.0]))
             elif d.kind == "normal_std":
-                comp, _ = integrate.quad(
-                    lambda x: 2 * x ** 2 * math.exp(-x * x / 2) / math.sqrt(2 * math.pi),
-                    b, np.inf)
+                comp = float(mpmath.quad(
+                    lambda x: 2 * x ** 2 * mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi),
+                    [b, mpmath.inf]))
             elif d.kind == "pareto_sym":
                 alpha, s = d.params
-                comp, _ = integrate.quad(
-                    lambda x: x ** 2 * alpha * s ** alpha * x ** (-alpha - 1), max(b, s), np.inf)
+                comp = float(mpmath.quad(
+                    lambda x: x ** 2 * alpha * s ** alpha * x ** (-alpha - 1), [max(b, s), mpmath.inf]))
             else:
                 (atoms,) = d.params
                 comp = sum(p * v ** 2 for v, p in atoms if abs(v) >= b)
@@ -203,7 +203,7 @@ def test_weighted_second_moment_pareto_diverges():
 def test_weighted_second_moment_quadrature_kinds():
     # uniform oracle: E[X^2/log(2+|X|)] = (1/h) \int_0^h x^2/log(2+x) dx
     h = 1.0
-    oracle, _ = integrate.quad(lambda x: x * x / math.log(2 + x), 0, h)
+    oracle = float(mpmath.quad(lambda x: x * x / mpmath.log(2 + x), [0, h]))
     got = dm.weighted_second_moment(dm.uniform_sym(h))
     assert got.value == pytest.approx(oracle / h, abs=1e-9)
 
@@ -224,6 +224,78 @@ def test_weighted_second_moment_log_atomic_matches_plain():
     want = dm.truncated_moments(d, 2.0, cuts)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     assert (got == 0.0).tolist() == (want == 0.0).tolist()
+
+
+def test_atom_weighted_moments_match_the_scalar_formula():
+    # the atom laws keep the bits of the per-atom loop they had
+    d = dm.atomic_sym([(0.1, 0.3), (0.7, 0.1), (3.0, 0.25), (1e5, 0.05)])
+    mags = _magnitudes(d.params[0])
+    assert dm.weighted_second_moment(d).value == sum(
+        q * (x * x / dm.log_plus(x)) for x, q in mags)
+    for delta in (0.5, 1.0, 2.0):
+        assert dm.weighted_second_moment(d, "loglog_delta", delta).value == sum(
+            q * (x * x * dm.log_plus(dm.log_plus(x)) ** (1.0 + delta) / dm.log_plus(x))
+            for x, q in mags)
+
+
+def test_moment_past_the_double_range_has_no_value():
+    for d in (dm.atomic_sym([(1e200, 0.5)]), dm.uniform_sym(1e200), dm.pareto_sym(3.0, 1e200)):
+        got = dm.weighted_second_moment(d)
+        assert got.finite and got.value is None and "double range" in got.reason
+    assert dm.truncated_moments(dm.atomic_sym([(1e200, 0.5)]), 2.0, [1.0, 1e300]).tolist() == [
+        0.0, math.inf]
+    assert dm.second_moment_bound(dm.uniform_sym(1e200)) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# weighted and normal moments against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+
+def _mp_weighted_moment(d, delta):
+    """E[X^2 W(|X|)] at 40 digits, W(x) = 1/log(2+x), times
+    log(2 + log(2+x))^(1+delta) when delta is set."""
+    def weight(x):
+        lx = mpmath.log(2 + x)
+        return (1 if delta is None else mpmath.log(2 + lx) ** (1 + delta)) / lx
+
+    with mpmath.workdps(40):
+        if d.kind == "uniform_sym":
+            h = mpmath.mpf(d.params[0])
+            cuts = [0] + [mpmath.mpf(4) ** k for k in range(-5, 11) if 4 ** k < h] + [h]
+            return mpmath.quad(lambda x: x * x * weight(x), cuts) / h
+        if d.kind == "normal_std":
+            return mpmath.quad(lambda x: 2 * x * x * weight(x) * mpmath.npdf(x),
+                               [0, 1, 2, 4, 8, mpmath.inf])
+        # x = s e^v: alpha s^2 int_0^inf e^(-(alpha-2) v) W(s e^v) dv
+        alpha, s = map(mpmath.mpf, d.params)
+        return alpha * s * s * mpmath.quad(
+            lambda v: mpmath.exp(-(alpha - 2) * v) * weight(s * mpmath.exp(v)),
+            [0, 1, 4, 16, 64, 256, 1024, mpmath.inf])
+
+
+WEIGHTED_LAWS = ([dm.uniform_sym(h) for h in (1e-3, 1.0, 3.0, 1e6)] + [dm.normal_std()]
+                 + [dm.pareto_sym(a, s) for a in (2.05, 2.5, 3.0, 10.0) for s in (1.0, 7.0)])
+
+
+@pytest.mark.parametrize("d", WEIGHTED_LAWS, ids=lambda d: f"{d.kind}{d.params}")
+def test_weighted_moments_match_40_digit_mpmath(d):
+    for form, delta in (("inv_logplus", None), ("loglog_delta", 0.5), ("loglog_delta", 2.0)):
+        got = dm.weighted_second_moment(d, form, delta)
+        assert got.finite
+        assert got.value == pytest.approx(float(_mp_weighted_moment(d, delta)), rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 4.5])
+def test_normal_truncated_moments_match_40_digit_mpmath(nu):
+    # E[|X|^nu 1{|X| < b}] = 2^(nu/2) gamma((nu+1)/2, b^2/2) / sqrt(pi)
+    cuts = [1e-3, 0.5, 1.3, 2.9, 10.0, 37.0, 60.0]
+    got = dm.truncated_moments(dm.normal_std(), nu, cuts)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(nu + 1) / 2
+        want = [2 ** (mpmath.mpf(nu) / 2) * mpmath.gammainc(a, 0, mpmath.mpf(b) ** 2 / 2)
+                / mpmath.sqrt(mpmath.pi) for b in cuts]
+    assert got.tolist() == pytest.approx([float(w) for w in want], rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +401,18 @@ def test_uniform_second_moment_bound():
 KS_CRIT_1E3 = 1.9495 / math.sqrt(10 ** 6)  # two-sided critical value at alpha = 1e-3
 
 
+def ks_statistic(x, cdf) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - F| between the sample's
+    empirical cdf and ``cdf``, taken at the jumps from both sides."""
+    x = np.sort(x)
+    f = cdf(x)
+    i = np.arange(1, x.size + 1)
+    return float(max((i / x.size - f).max(), (f - (i - 1) / x.size).max()))
+
+
 def test_sampler_ks_continuous_kinds():
     x = dm.sample(dm.uniform_sym(1.0), seeding.stream(11, 0), 10 ** 6)
-    stat = stats.kstest(x, lambda t: np.clip((t + 1.0) / 2.0, 0, 1)).statistic
+    stat = ks_statistic(x, lambda t: np.clip((t + 1.0) / 2.0, 0, 1))
     assert stat < KS_CRIT_1E3
 
     alpha, s = 1.5, 1.0
@@ -343,7 +424,7 @@ def test_sampler_ks_continuous_kinds():
         out = np.where(t <= -s, 0.5 * (s / np.maximum(-t, s)) ** alpha, out)
         return out
 
-    assert stats.kstest(x, cdf).statistic < KS_CRIT_1E3
+    assert ks_statistic(x, cdf) < KS_CRIT_1E3
 
 
 def test_support_and_variance_bounds():
