@@ -29,12 +29,19 @@ it is above.
 
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset, sequences or distribution.
+
+Within one process, check-conditions computes its law-independent half (the
+w and a columns and the five regularity reports) once per (weights,
+normalizer, horizon, theta), keeping the 4 most recent; the law's half runs
+on every call.  Presets and config sections give equal sequences one shared
+object, so the key is what the sequences are, never their names.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -91,11 +98,17 @@ _PRESET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 # Presets and families
 # ---------------------------------------------------------------------------
 
+# Equal arguments give one shared sequence object, so that check-conditions'
+# memo (``_sequence_half``) recognises a sequence by what it is.
+_shared = functools.lru_cache(maxsize=16)
 
+
+@_shared
 def spataru_weights() -> WeightSeq:
     return seqkit.power_law_weights(-1.0, name="1/n")
 
 
+@_shared
 def spataru_norms() -> NormSeq:
     """(n log n)^(1/2), with a(1) = 1."""
     fam = PowerLawFamily(exponent=0.5, sv=SlowlyVarying(logn=0.5))
@@ -103,10 +116,12 @@ def spataru_norms() -> NormSeq:
                    name="(n log n)^(1/2)", family=fam)
 
 
+@_shared
 def baum_katz_weights(r: float) -> WeightSeq:
     return seqkit.power_law_weights(r - 2.0, name=f"n^{r - 2:g}")
 
 
+@_shared
 def baum_katz_norms(p: float) -> NormSeq:
     return seqkit.power_law_norms(1.0 / p, name=f"n^(1/{p:g})")
 
@@ -227,15 +242,19 @@ def _parse_distribution(section) -> distmodel.Dist:
 
 
 def _parse_sequence(section, which: str):
-    kind = section.get("kind", "power")
+    return _power_sequence(which, section.get("kind", "power"), section.get("exponent"),
+                           section.get("coef", "1"), section.get("slowly_varying", ""))
+
+
+@_shared  # keyed by the text, so "-0" and "0" stay apart
+def _power_sequence(which: str, kind: str, exponent: Optional[str], coef: str, sv: str):
     if kind != "power":
         raise UnsupportedFamily(f"unsupported {which} family {kind!r}")
     try:
-        exponent = float(section["exponent"])
-        coef = float(section.get("coef", 1.0))
-    except (KeyError, ValueError) as exc:
+        exponent, coef = float(exponent), float(coef)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{which} section needs a numeric exponent") from exc
-    sv = _parse_sv(section.get("slowly_varying", ""))
+    sv = _parse_sv(sv)
     if which == "weights":
         return seqkit.power_law_weights(exponent, coef=coef, sv=sv)
     return seqkit.power_law_norms(exponent, coef=coef, sv=sv)
@@ -358,20 +377,21 @@ def _thinned(n: np.ndarray, last: int) -> np.ndarray:
     return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
 
 
-def run_check_conditions(cfg: ScenarioConfig) -> dict:
-    w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
-    n = np.arange(1, horizon + 1)
+@functools.lru_cache(maxsize=4)
+def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
+    """The law-independent half of check-conditions: the w and a columns over
+    1..horizon, read-only, and the regularity reports.  Memoized per process;
+    the power columns and T_n the checks share are freed on return."""
     try:  # past the double range, numpy gives inf silently and Python raises
         with np.errstate(over="ignore", invalid="ignore"):
             values = seqkit.sequence_values(w, a, horizon)
-            tau, av = values.w, values.a
-            regularity = [
+            regularity = (
                 seqkit.check_dyadic_regularity(w, values),
-                seqkit.check_tail_domination(w, a, values, theta=cfg.theta, moment_power=3.0),
-                seqkit.check_tail_domination(w, a, values, theta=cfg.theta, moment_power=2.0),
+                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=3.0),
+                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=2.0),
                 seqkit.check_inf_growth(w, a, values, power=3.0),
                 seqkit.check_inf_growth(w, a, values, power=2.0),
-            ]
+            )
     except OverflowError as exc:
         raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
     if not math.isfinite(values.t[-1]):
@@ -381,7 +401,19 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         for key, v in r.constants.items():
             if not math.isfinite(v):
                 raise ConfigError(f"{r.condition_id} constant {key} = {v!r} is not finite")
-    del values  # frees the power columns the checks shared before the series run
+    values.w.flags.writeable = values.a.flags.writeable = False
+    return values.w, values.a, regularity
+
+
+def run_check_conditions(cfg: ScenarioConfig) -> dict:
+    w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
+    n = np.arange(1, horizon + 1)
+    try:
+        hash((w, a))
+        half = _sequence_half
+    except TypeError:  # a sequence with an unhashable field is computed, never kept
+        half = _sequence_half.__wrapped__
+    tau, av, regularity = half(w, a, horizon, cfg.theta)
     series, moments, extra = [], [], {}
     if cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(cfg.counter_depth)
@@ -565,9 +597,13 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for ``argv``.  Where its first argument names a command, only
     that command's subparser is built, and the metavar keeps all five names in
     the usage line; otherwise every subparser is, so that a missing or unknown
-    command gets argparse's own message."""
+    command gets argparse's own message.  Each is built once per process."""
+    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
+@functools.lru_cache(maxsize=None)  # one per command, and the full parser
+def _parser(one: Optional[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cclab")
-    one = argv[0] if argv and argv[0] in _COMMANDS else None
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=one and "{" + ",".join(_COMMANDS) + "}")
     names = _COMMANDS if one is None else (one,)

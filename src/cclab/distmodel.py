@@ -507,17 +507,17 @@ def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
     if d.kind == "pareto_sym":
         alpha, scale = d.params
         # One SFC64 word a step: its top 53 bits are the uniform u that
-        # Generator.random() makes of it, bit 0 the sign.  scale * u ** (-1/alpha)
-        # is computed in place; it is positive or +inf, so setting its sign bit
-        # where bit 0 is clear negates it exactly.
+        # Generator.random() makes of it, bit 0 the sign.  -scale * u ** (-1/alpha)
+        # is computed in place; it is negative or -inf, so flipping its sign bit
+        # where bit 0 is set negates it exactly.  u's 53 bits convert exactly
+        # through int64, which numpy converts faster than uint64.
         words = rng.bit_generator.random_raw(count)
-        mag = (words >> np.uint64(11)).astype(np.float64)
+        mag = (words >> np.uint64(11)).view(np.int64).astype(np.float64)
         mag *= 2.0 ** -53
         mag **= -1.0 / alpha
-        mag *= scale
+        mag *= -scale
         words <<= np.uint64(63)
-        words ^= np.uint64(1 << 63)
         bits = mag.view(np.uint64)
-        bits |= words
+        bits ^= words
         return mag
     raise ValueError(f"no single-step sampler for kind {d.kind!r}")

@@ -3,10 +3,10 @@
 Every stochastic routine takes an explicit (seed, path...) address and draws
 from an SFC64 generator seeded by ``SeedSequence(seed, spawn_key=path)``.  The
 seed is hashed whole, so seeds equal modulo 2^64 still get distinct streams;
-path entries are read as 32-bit words, so paths of one length are distinct
-while their entries stay below 2^32.  Results therefore never depend on worker
-count, scheduling, or call order: batch b of an ``mcengine`` walk of n steps
-always draws from the address (seed, 0, n, b).
+path entries are read as 32-bit words and an entry outside [0, 2^32) raises
+ValueError, so distinct paths of one length never share a stream.  Results
+therefore never depend on worker count, scheduling, or call order: batch b of
+an ``mcengine`` walk of n steps always draws from the address (seed, 0, n, b).
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the given stream address."""
+    if not all(0 <= x < 1 << 32 for x in path):
+        raise ValueError(f"stream path entries must lie in [0, 2^32): {path}")
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path)))
 
 

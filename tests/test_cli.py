@@ -1,6 +1,7 @@
 """The CLI paths of the README, run in-process through ``cli.main``."""
 
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -59,6 +60,78 @@ def test_check_conditions_bytes_match_golden(capsys, label):
     code, out, _ = run(capsys, "check-conditions", "--horizon", "5000", *GOLDEN_CASES[label])
     assert code == cli.EXIT_OK
     assert_golden(out, f"check_conditions_{label}.json")
+
+
+# ---------------------------------------------------------------------------
+# check-conditions' memo of its law-independent half
+# ---------------------------------------------------------------------------
+
+CERTIFY_OPS = [["check-conditions", "--horizon", "20000", *argv] for argv in (
+    *(GOLDEN_CASES[k] for k in ("bk_rad", "sp_uni", "sp_par", "spw_atom")),
+    ["--preset", "spataru", "--set", "distribution.kind=normal_std"],
+    ["--preset", "ms_counterexample(9)"], ["--preset", "ms_counterexample(16)"])]
+COLD_RUNS = """if True:
+    import contextlib, io, json, sys
+    from cclab import cli
+    outs = []
+    for argv in json.loads(sys.argv[1]):
+        cli._sequence_half.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            outs.append([cli.main(argv), out.getvalue()])
+    print(json.dumps(outs))
+"""
+
+
+def test_memo_prints_the_bytes_of_a_fresh_process_cold_and_warm(capsys):
+    proc = run_process("-c", COLD_RUNS, json.dumps(CERTIFY_OPS))
+    fresh = [tuple(x) for x in json.loads(proc.stdout)]
+    cold = []
+    for argv in CERTIFY_OPS:
+        cli._sequence_half.cache_clear()
+        cold.append(run(capsys, *argv)[:2])
+    assert cold == fresh
+    order = list(range(len(CERTIFY_OPS))) * 2
+    np.random.default_rng(1).shuffle(order)
+    for i in order:
+        assert run(capsys, *CERTIFY_OPS[i])[:2] == fresh[i]
+    # baum_katz's op holds one entry, the six spataru and ms_counterexample ops the other
+    assert cli._sequence_half.cache_info().currsize == 2
+
+
+def test_memo_keeps_no_failure_and_hands_out_read_only_columns(capsys):
+    cli._sequence_half.cache_clear()
+    over = ["check-conditions", "--horizon", "100", "--set", "weights.exponent=800",
+            "--set", "normalizer.exponent=1", "--set", "distribution.kind=rademacher"]
+    for _ in range(2):
+        assert run(capsys, *over)[0] == cli.EXIT_CONFIG
+    assert cli._sequence_half.cache_info().currsize == 0
+    tau, av, _ = cli._sequence_half(cli.spataru_weights(), cli.spataru_norms(), 100, 1.0)
+    for column in (tau, av):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        av *= 2.0
+
+
+def test_configs_that_differ_only_in_coef_share_no_entry(capsys):
+    cli._sequence_half.cache_clear()
+    base = ["check-conditions", "--horizon", "300", "--set", "weights.exponent=-1",
+            "--set", "normalizer.exponent=0.75", "--set", "distribution.kind=rademacher"]
+    outs = [run(capsys, *base, "--set", f"normalizer.coef={c}")[1] for c in ("1", "2", "1")]
+    assert cli._sequence_half.cache_info()[:2] == (1, 2)  # (hits, misses)
+    assert outs[0] == outs[2] != outs[1]
+
+
+def test_a_sequence_with_an_unhashable_field_runs_uncached():
+    class Bound(list):  # a list, so unhashable; the family's remainder is used instead
+        def __call__(self, start, g):
+            return math.inf
+
+    cfg = pair_config("spataru", {"kind": "rademacher"}, 300)
+    odd = dataclasses.replace(cfg, weights=dataclasses.replace(cfg.weights, tail_bound=Bound()))
+    cli._sequence_half.cache_clear()
+    assert cli.run_check_conditions(odd) == cli.run_check_conditions(cfg)
+    assert cli._sequence_half.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +327,7 @@ def test_spataru_pareto_maps_at_most_118216_elements_through_libm(capsys, monkey
     # sent back through libm raises the count.  432 of the elements are the
     # weighted moment's: three maps over six 24-point panels.
     mapped = []
+    cli._sequence_half.cache_clear()  # the bound is a cold run's
 
     def counting_map(fn, *cols):
         mapped.append(max((len(c) for c in cols if isinstance(c, memoryview)), default=0))
@@ -359,6 +433,10 @@ def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
     parser = cli._build_parser()
     assert parser.parse_args(["simulate", "--set", "a.b=1"]).set == ["a.b=1"]
     assert parser.parse_args(["estimate", "--n", "1", "--threshold", "1"]).set == []
+    # each command's parser is built once per process and keeps its default empty
+    for argv in (["check-conditions"], ["estimate", "--n", "1", "--threshold", "1"]):
+        assert cli._build_parser(argv) is cli._build_parser([argv[0], "-h"])
+        assert cli._build_parser(argv).parse_args(argv).set == []
 
 
 def outcome(capsys, argv):

@@ -36,3 +36,13 @@ def test_seeds_equal_modulo_2_to_the_64_draw_distinct_streams():
 def test_a_negative_seed_has_no_stream():
     with pytest.raises(ValueError):
         seeding.stream(-1, 0, 4)
+
+
+def test_a_path_entry_outside_32_bits_has_no_stream():
+    # SeedSequence reads each entry as 32-bit words, so a wider entry would
+    # alias another path: stream(3, 0, 2**32 + 1, 5) and (3, 0, 1, 1 + 5 * 2**32)
+    for path in ((0, 2 ** 32 + 1, 5), (0, 1, 1 + 5 * 2 ** 32), (0, 2 ** 32), (-1,)):
+        with pytest.raises(ValueError, match="2\\^32"):
+            seeding.stream(3, *path)
+    draw = lambda *path: seeding.stream(3, *path).bit_generator.random_raw(4).tobytes()
+    assert draw(0, 2 ** 32 - 1, 5) == draw(0, 2 ** 32 - 1, 5) != draw(0, 0, 5)
