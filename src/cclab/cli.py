@@ -30,11 +30,8 @@ it is above.
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset, sequences or distribution.
 
-Within one process, check-conditions computes its law-independent half (the
-w and a columns and the five regularity reports) once per (weights,
-normalizer, horizon, theta), keeping the 4 most recent; the law's half runs
-on every call.  Presets and config sections give equal sequences one shared
-object, so the key is what the sequences are, never their names.
+check-conditions computes its law-independent half once per process and
+(weights, normalizer, horizon, theta); see ``_sequence_half``.
 """
 
 from __future__ import annotations
@@ -92,14 +89,14 @@ _FLAG_KEYS = {
 }
 
 _PRESET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
+_MEMO_MAX_HORIZON = 1 << 17  # so _sequence_half's two entries keep at most 4 MiB of columns
 
 
 # ---------------------------------------------------------------------------
 # Presets and families
 # ---------------------------------------------------------------------------
 
-# Equal arguments give one shared sequence object, so that check-conditions'
-# memo (``_sequence_half``) recognises a sequence by what it is.
+# Equal arguments give one shared sequence object: _sequence_half's key is what it is.
 _shared = functools.lru_cache(maxsize=16)
 
 
@@ -377,11 +374,11 @@ def _thinned(n: np.ndarray, last: int) -> np.ndarray:
     return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
-    """The law-independent half of check-conditions: the w and a columns over
-    1..horizon, read-only, and the regularity reports.  Memoized per process;
-    the power columns and T_n the checks share are freed on return."""
+    """The law-independent half of check-conditions: the read-only w and a
+    columns over 1..horizon and the regularity reports, kept for the 2 most
+    recent keys up to _MEMO_MAX_HORIZON; the power columns and T_n are freed."""
     try:  # past the double range, numpy gives inf silently and Python raises
         with np.errstate(over="ignore", invalid="ignore"):
             values = seqkit.sequence_values(w, a, horizon)
@@ -408,10 +405,10 @@ def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tupl
 def run_check_conditions(cfg: ScenarioConfig) -> dict:
     w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
     n = np.arange(1, horizon + 1)
-    try:
+    try:  # past the horizon budget, or with an unhashable field, computed and never kept
         hash((w, a))
-        half = _sequence_half
-    except TypeError:  # a sequence with an unhashable field is computed, never kept
+        half = _sequence_half if horizon <= _MEMO_MAX_HORIZON else _sequence_half.__wrapped__
+    except TypeError:
         half = _sequence_half.__wrapped__
     tau, av, regularity = half(w, a, horizon, cfg.theta)
     series, moments, extra = [], [], {}

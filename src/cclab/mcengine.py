@@ -2,8 +2,8 @@
 
 Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from its own stream
-``seeding.stream(seed, 0, n, b)``, and batch results are merged in index
-order.  The same (config, seed) therefore produces bit-identical output
+``seeding.stream(seed, 0, *words(n), b)``, and batch results are merged in
+index order.  The same (config, seed) therefore produces bit-identical output
 for any worker count.  A replicate draws S_n itself where its law allows:
 
 - an atom table on a decimal lattice within 2^53 as multinomial atom counts
@@ -229,7 +229,7 @@ def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
     draw = _batch_sums(d, n)
 
     def run_batch(b: int) -> list[int]:
-        sums = np.abs(draw(plan[b], seeding.stream(seed, 0, n, b)))
+        sums = np.abs(draw(plan[b], seeding.stream(seed, 0, *seeding.words(n), b)))
         if np.isnan(sums).any():
             raise distmodel.SamplingUnavailable(
                 f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")

@@ -2,11 +2,11 @@
 
 Every stochastic routine takes an explicit (seed, path...) address and draws
 from an SFC64 generator seeded by ``SeedSequence(seed, spawn_key=path)``.  The
-seed is hashed whole, so seeds equal modulo 2^64 still get distinct streams;
-path entries are read as 32-bit words and an entry outside [0, 2^32) raises
-ValueError, so distinct paths of one length never share a stream.  Results
-therefore never depend on worker count, scheduling, or call order: batch b of
-an ``mcengine`` walk of n steps always draws from the address (seed, 0, n, b).
+seed is hashed whole, so seeds equal modulo 2^64 get distinct streams.  Path
+entries are read as 32-bit words: one outside [0, 2^32) raises ValueError and
+a wider number enters as its ``words``, so distinct paths never share a
+stream.  Results never depend on worker count, scheduling, or call order:
+batch b of an ``mcengine`` walk of n steps draws from (seed, 0, *words(n), b).
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     if not all(0 <= x < 1 << 32 for x in path):
         raise ValueError(f"stream path entries must lie in [0, 2^32): {path}")
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+def words(x: int) -> tuple:
+    """The 32-bit words of x >= 0, low first, as SeedSequence read x whole."""
+    return tuple(x >> k & 0xFFFFFFFF for k in range(0, max(x.bit_length(), 1), 32))
 
 
 def stream_id(seed: int, *path: int) -> str:

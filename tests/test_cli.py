@@ -122,7 +122,7 @@ def test_configs_that_differ_only_in_coef_share_no_entry(capsys):
     assert outs[0] == outs[2] != outs[1]
 
 
-def test_a_sequence_with_an_unhashable_field_runs_uncached():
+def test_an_unhashable_sequence_or_a_horizon_past_the_budget_runs_uncached(monkeypatch):
     class Bound(list):  # a list, so unhashable; the family's remainder is used instead
         def __call__(self, start, g):
             return math.inf
@@ -132,6 +132,10 @@ def test_a_sequence_with_an_unhashable_field_runs_uncached():
     cli._sequence_half.cache_clear()
     assert cli.run_check_conditions(odd) == cli.run_check_conditions(cfg)
     assert cli._sequence_half.cache_info().currsize == 1
+    monkeypatch.setattr(cli, "_MEMO_MAX_HORIZON", 299)
+    cli._sequence_half.cache_clear()
+    assert cli.run_check_conditions(cfg) == cli.run_check_conditions(odd)
+    assert cli._sequence_half.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +618,19 @@ def test_uniform_at_a_huge_half_width_warns_nothing(capsys, n, half_width, code)
     exact = math.erfc(10.0 / math.sqrt(2.0 * int(n) / 3.0))
     est = json.loads(out)["estimate"]
     assert est["lo"] <= exact <= est["hi"]
+
+
+@pytest.mark.parametrize("kind,n,threshold,p_hat", [
+    ("normal_std", 2 ** 32, "1e5", 0.13), ("uniform_sym", 2 ** 36 - 1, "2e5", 0.1865),
+    ("atomic_sym", 2 ** 32 + 5, "5e4", 0.2785)])
+def test_walks_of_2_to_the_32_steps_or_more_keep_their_streams(capsys, kind, n, threshold, p_hat):
+    # p_hat as drawn from the unchecked address (7, 0, n, b) in sfc64-v4
+    code, out, err = run(capsys, "estimate", "--set", f"distribution.kind={kind}",
+                         "--set", "distribution.atoms=1:0.5", "--n", str(n),
+                         "--threshold", threshold, "--replicates", "2000", "--seed", "7")
+    assert code == cli.EXIT_OK, err
+    est = json.loads(out)["estimate"]
+    assert (est["p_hat"], est["seed_stream"]) == (p_hat, f"sfc64-v4:7/0/{n}")
 
 
 def test_check_conditions_certifies_deep_counterexamples(capsys):

@@ -46,3 +46,11 @@ def test_a_path_entry_outside_32_bits_has_no_stream():
             seeding.stream(3, *path)
     draw = lambda *path: seeding.stream(3, *path).bit_generator.random_raw(4).tobytes()
     assert draw(0, 2 ** 32 - 1, 5) == draw(0, 2 ** 32 - 1, 5) != draw(0, 0, 5)
+
+
+def test_a_wide_number_enters_a_path_as_the_words_it_was_read_as():
+    # so an mcengine walk of n >= 2^32 steps keeps the stream it drew unchecked
+    for x in (0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 36 - 1, 2 ** 64 + 7):
+        old = np.random.SFC64(np.random.SeedSequence(3, spawn_key=(0, x, 5))).random_raw(4)
+        assert seeding.stream(3, 0, *seeding.words(x), 5).bit_generator.random_raw(4).tobytes() \
+            == old.tobytes()
