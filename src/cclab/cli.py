@@ -30,8 +30,8 @@ it is above.
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset, sequences or distribution.
 
-check-conditions computes its law-independent half once per process and
-(weights, normalizer, horizon, theta); see ``_sequence_half``.
+check-conditions keeps its law-independent half (``_sequence_half``) for the
+2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
 """
 
 from __future__ import annotations
