@@ -56,7 +56,9 @@ def _pow(x: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class TruncatedMoment:
-    """E[|X|^order 1{|X| < cutoff}]; nondecreasing in the cutoff."""
+    """E[|X|^order 1{|X| < cutoff}]; nondecreasing in the cutoff, except for
+    the normal law at orders other than 0 and 2, where the value is one exp
+    of a sum and may step down by about 1e-14 relative as the cutoff grows."""
 
     order: float
     cutoff: float

@@ -20,9 +20,9 @@ false certificate.  T_n, and every partial sum a report shows, are Sum2
 prefix sums (``prefix_sums``): prefix n is within u|S_n| + gamma_(n-1)^2
 sum|x| of the exact sum S_n, u = 2^-53.
 
-Every column whose bits reach a report goes through ``libm`` or ``power``
-(x^-1, x^2, x^3 in numpy wherever x^p is over 1/16 ulp from a rounding
-midpoint, where glibc's pow, within 0.52 ulp, rounds correctly).
+Every column whose bits reach a report goes through ``libm`` or ``power``,
+which give the C library's bits: pow and exp in numpy loops that call the C
+library itself, log and erfc one Python float at a time.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .reports import CONVERGES, DIVERGES
 
 _E2 = math.e ** 2
 _TINY = sys.float_info.min  # the least normal double
-# fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  exp underflows below -745.14; glibc's
-# erfc returns tiny*tiny from 28 up and two - tiny from -6 down.
-_SATURATED = {math.exp: (-750.0, 0.0, math.inf, math.inf), math.erfc: (-6.0, 2.0, 28.0, 0.0)}
+# fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  glibc's erfc returns tiny*tiny from
+# 28 up and two - tiny from -6 down.
+_SATURATED = {math.erfc: (-6.0, 2.0, 28.0, 0.0)}
 
 
 class Verdict(str, Enum):
@@ -81,30 +81,61 @@ class RegularityReport:
 # ---------------------------------------------------------------------------
 
 
+def _float_power(x, p):
+    """numpy's float_power loop calls the C library's pow on every element, with
+    no SIMD variant (np.power has one).  A base <= 0 is left to Python's pow,
+    which raises or returns a complex number there."""
+    return np.float_power(x, p), x <= 0.0
+
+
+def _complex_exp(x):
+    """The C library's cexp(x + 0i) is exp(x) cos 0 = exp(x) exactly while x is
+    at most 709; past that it scales x, so x > 708 is left to math.exp."""
+    return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
+
+
+# fn: (values, elements that fn maps instead) by a numpy loop over the C library's fn
+_VECTOR = {pow: _float_power, math.exp: _complex_exp}
+
+
 def libm(fn, *args) -> np.ndarray:
-    """fn(*args) elementwise over Python floats, in the arguments' broadcast
-    shape; scalars alone give one element.
+    """fn(*args) elementwise as the C library computes it, in the arguments'
+    broadcast shape; scalars alone give one element.
 
     Arithmetic (+ - * /, sqrt) is correctly rounded, so NumPy gives the same
-    bits as Python.  Powers, logs, exponentials and erfc are not: NumPy's
-    vectorised versions differ from the math library in the last ulp on up
-    to a few per cent of points, and at a tail's discontinuity one ulp flips
-    a term.  Every transcendental whose bits reach a report therefore goes
-    through here, computing exactly what the one-point formula computes,
-    except powers ``power`` decides (x^p at p = -1, 2, 3 over 1/16 ulp from a
-    midpoint, where glibc's pow, within 0.52 ulp, rounds correctly) and
-    columns only checked against terms with a slack.  Where fn saturates, its
-    value is filled in, not mapped: exp(x) = 0 for x <= -750, erfc(x) = 0 for
-    x >= 28 and 2 for x <= -6 (``_SATURATED``); a NaN still goes through fn.
+    bits as Python.  Powers, logs, exponentials and erfc are not: NumPy's SIMD
+    versions differ from the math library in the last ulp on up to a few per
+    cent of points, and at a tail's discontinuity one ulp flips a term.  Every
+    transcendental whose bits reach a report therefore goes through here.
+    pow and math.exp run in numpy loops that call the C library's own pow and
+    cexp (``_VECTOR``); an element whose value there is not finite, or that
+    its loop leaves out, goes through fn as a Python float, so Python's errors
+    and special values stay.  Other functions map fn over Python floats,
+    except where erfc saturates: erfc(x) = 0 for x >= 28 and 2 for x <= -6 is
+    filled in (``_SATURATED``); a NaN still goes through fn.
     """
+    if fn in _VECTOR:
+        shape = np.broadcast(*args).shape or (1,)
+        cols = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in args]
+        with np.errstate(all="ignore"):
+            out, mapped = _VECTOR[fn](*cols)
+        mapped |= ~np.isfinite(out)
+        if mapped.any():
+            out[mapped] = _map(fn, *(c[mapped] for c in cols))
+        return out
     if fn in _SATURATED:
         lo, low, hi, high = _SATURATED[fn]
         x = np.atleast_1d(np.asarray(args[0], dtype=np.float64))
         live = ~((x <= lo) | (x >= hi))
         if not live.all():
             out = np.where(x <= lo, low, high)
-            out[live] = libm(fn, x[live])
+            out[live] = _map(fn, x[live])
             return out
+    return _map(fn, *args)
+
+
+def _map(fn, *args) -> np.ndarray:
+    """fn(*args) one Python float at a time, in the arguments' broadcast shape."""
     shape = np.broadcast(*args).shape or (1,)
     # a memoryview yields Python floats without a list
     cols = [repeat(float(a)) if np.ndim(a) == 0 else
@@ -113,63 +144,12 @@ def libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *cols), np.float64, count=math.prod(shape)).reshape(shape)
 
 
-def _split(x):
-    """Veltkamp's split: x = hi + lo exactly, each part of at most 26 bits."""
-    hi = x * (2.0 ** 27 + 1.0)
-    hi -= hi - x
-    return hi, x - hi
-
-
-def _product_error(p, ah, al, bh, bl):
-    """a*b - p exactly for p = fl(a*b), a = ah + al, b = bh + bl (Dekker)."""
-    e = ah * bh
-    e -= p
-    t = ah * bl
-    e += t
-    e += np.multiply(al, bh, out=t)
-    e += np.multiply(al, bl, out=t)
-    return e
-
-
-def _rounded_power(x, p):
-    """(hi, lo), hi + lo = x^p to about 2^-100 |x^p| and hi the double nearest
-    x^p (at p = 3, bar 2^-50 ulp about a midpoint), for x in [2^-300, 2^300]."""
-    xh, xl = _split(x)
-    if p == -1:
-        hi = 1.0 / x
-        q = x * hi  # 1 - x*hi = (1 - q) - (x*hi - q), exact in doubles
-        return hi, ((1.0 - q) - _product_error(q, xh, xl, *_split(hi))) * hi
-    sq = x * x
-    e = _product_error(sq, xh, xl, xh, xl)
-    if p == 2:
-        return sq, e
-    cube = x * sq
-    t = _product_error(cube, xh, xl, *_split(sq)) + x * e
-    hi = cube + t
-    return hi, t - (hi - cube)  # Fast2Sum
-
-
 def power(x, p: float) -> np.ndarray:
-    """libm(pow, x, p) bit for bit: 1 at p = 0, x at p = 1, and at p = -1, 2, 3
-    (from 512 elements) x in [2^-300, 2^300] gets hi, the double nearest x^p,
-    kept where |x^p - hi| < (1/2 - 1/16) s, s the spacing below hi: glibc's pow
-    rounds once a value within about 0.02 ulp of x^p (0.52 ulp in all), so it
-    returns hi there; on the tests' columns it misrounds only within 0.0071 s
-    of a midpoint.  Other elements go through ``libm``: 1e300 still overflows."""
+    """libm(pow, x, p) as a new array: 1 at p = 0 and a copy of x at p = 1."""
     x = np.array(x, dtype=np.float64, ndmin=1)
     if p == 0 or p == 1:
         return x if p else np.ones(x.shape)
-    if p not in (-1, 2, 3) or x.size < 512:  # libm is quicker on short arrays
-        return libm(pow, x, p)
-    with np.errstate(all="ignore"):
-        hi, lo = _rounded_power(x, p)
-        # 2^52 s: the exponent bits of hi, one binade down where hi is a power of 2
-        s = ((hi.view(np.uint64) - 1) & np.uint64(0x7FF0000000000000)).view(np.float64)
-        miss = ~((np.abs(lo) < (0.5 - 1.0 / 16.0) * 2.0 ** -52 * s)
-                 & (x >= 2.0 ** -300) & (x <= 2.0 ** 300))
-    if miss.any():
-        hi[miss] = libm(pow, x[miss], p)
-    return hi
+    return libm(pow, x, p)
 
 
 def prefix_sums(values) -> np.ndarray:

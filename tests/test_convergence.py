@@ -154,6 +154,25 @@ def test_adaptive_terms_take_t_at_the_spataru_cut():
     assert used.tolist() == [float(k) ** (-1.0 - eps * eps) for k in n.tolist()]
 
 
+def test_exp_and_adaptive_exponent_columns_map_no_element_in_python(monkeypatch):
+    # their exp and pow run in numpy loops over the C library's own functions;
+    # an element sent through seqkit's Python map instead would be counted here
+    n = np.arange(1.0, 20_001.0)
+    w, a = spataru_weights().values(n), spataru_norms().values(n)
+    cut = np.sqrt(n[1:] * sk.libm(math.log, n[1:]))
+    laws = (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std(), dm.pareto_sym(3.0),
+            dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)]))
+    columns = [(eps, dm.truncated_moments(d, 2.0, eps * a), dm.truncated_moments(d, 2.0, eps * cut))
+               for d in laws for eps in (0.5, 1.0, 2.0)]
+    mapped = []
+    monkeypatch.setattr(sk, "map", lambda fn, *cols: mapped.append(fn) or map(fn, *cols),
+                        raising=False)
+    for eps, t, t_cut in columns:
+        assert (cv.exp_terms(w, a, eps, n, t) > 0.0).any()
+        assert (cv.adaptive_exponent_terms(eps, n[1:], t_cut) > 0.0).any()
+    assert mapped == []
+
+
 def test_single_tail_scale_consistency():
     # scaling the distribution by s equals shrinking eps by s
     w, a = sk.power_law_weights(0.0), sk.power_law_norms(1.0)

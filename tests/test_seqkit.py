@@ -138,7 +138,7 @@ def test_prefix_sums_past_the_double_range_are_the_running_sum():
 
 
 # ---------------------------------------------------------------------------
-# power: bit for bit as libm's pow, with libm only near a rounding midpoint
+# power and libm's numpy loops: bit for bit as the scalar map
 # ---------------------------------------------------------------------------
 
 
@@ -182,7 +182,7 @@ def test_power_of_log_uniform_doubles_is_pow_bit_for_bit(p):
     assert_same_uint64(sk.power(x, p), libm_pow(x, p))
 
 
-# the ends of the numpy route's range [2^-300, 2^300] and just past them
+# 2^-300 and 2^300, whose cubes are near the double range's ends, and their neighbours
 RANGE_ENDS = [2.0 ** -300, 2.0 ** 300, math.nextafter(2.0 ** -300, 0.0),
               math.nextafter(2.0 ** 300, math.inf)]
 
@@ -207,26 +207,20 @@ RANGE_ENDS = [2.0 ** -300, 2.0 ** 300, math.nextafter(2.0 ** -300, 0.0),
 def test_power_at_the_edges_is_libm_pow(x, p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for xs in (x, np.tile(x, 512)):  # short arrays go to libm whole
+        for xs in (x, np.tile(x, 512)):
             assert_same_uint64(sk.power(xs, p), libm_pow(xs, p))
 
 
-def test_power_keeps_libm_where_a_shortcut_would_round_differently(monkeypatch):
+def test_power_keeps_libm_where_a_shortcut_would_round_differently():
     # glibc's pow(n, -1) is not 1/n at some n, nor pow(a, 2) a*a at some
     # spataru a(n): there x^p lies near a rounding midpoint, and power must
-    # take those elements from libm
+    # give pow's bits there too
     columns = spataru_columns()
     n, a = columns["n"], columns["a"]
-    mapped = []
-    real = sk.libm
-    monkeypatch.setattr(sk, "libm", lambda fn, x, p: mapped.append(np.array(x)) or real(fn, x, p))
     for x, p, shortcut in ((n, -1.0, 1.0 / n), (a, 2.0, a * a)):
-        mapped.clear()
         got = sk.power(x, p)
         assert_same_uint64(got, libm_pow(x, p))
-        missed = got != shortcut
-        assert missed.any()
-        assert np.isin(x[missed], np.concatenate(mapped)).all()
+        assert (got != shortcut).any()
 
 
 def test_power_past_the_double_range_raises_like_libm_without_a_warning():
@@ -247,12 +241,15 @@ def test_power_and_libm_of_scalars_give_one_element():
     assert sk.libm(math.exp, 1.0).tolist() == [math.exp(1.0)]
 
 
-# every route a scalar can take: saturated fills, the map, and power's shortcuts
+# every route a scalar can take: the numpy loops and the elements they leave to
+# the map, erfc's fills, the map, and power's shortcuts
 @pytest.mark.parametrize("f,args,want", [
     (sk.libm, (math.exp, -800.0), 0.0), (sk.libm, (math.erfc, 30.0), 0.0),
     (sk.libm, (math.erfc, -7.0), 2.0), (sk.libm, (math.exp, 1.0), math.e),
     (sk.libm, (pow, 2.0, 0.5), math.sqrt(2.0)), (sk.power, (2.0, 0), 1.0),
     (sk.power, (2.0, 1), 2.0), (sk.power, (2.0, 3), 8.0), (sk.power, (2.0, -1.0), 0.5),
+    (sk.libm, (math.log, 2.0), math.log(2.0)), (sk.libm, (math.exp, 709.5), math.exp(709.5)),
+    (sk.libm, (pow, -2.0, 3.0), -8.0),
 ])
 def test_scalars_alone_give_one_element_on_every_route(f, args, want):
     got = f(*args)
@@ -267,7 +264,7 @@ def test_libm_refuses_arguments_that_do_not_broadcast():
 
 
 def test_libm_and_power_give_the_broadcast_shape():
-    x = np.linspace(-800.0, 30.0, 24).reshape(4, 6)  # saturated and mapped elements
+    x = np.linspace(-800.0, 30.0, 24).reshape(4, 6)  # erfc's fills and its mapped elements
     for fn in (math.exp, math.erfc):
         got = sk.libm(fn, x)
         assert got.shape == (4, 6)
@@ -276,7 +273,7 @@ def test_libm_and_power_give_the_broadcast_shape():
         [pow(a, b) for b in (0.0, 1.0, 2.0, 3.0)] for a in (1.0, 2.0, 3.0)]
     assert sk.libm(math.log, np.arange(1.0, 9.0)[::3]).tolist() == [0.0, math.log(4.0),
                                                                     math.log(7.0)]
-    # short arrays go to libm, long ones to the numpy route
+    # a short and a long array
     for x in (np.arange(1.0, 13.0).reshape(3, 4), np.arange(1.0, 1025.0).reshape(32, 32)):
         for p in (0, 1, -1.0, 2.0, 3.0, 0.5):
             got = sk.power(x, p)
@@ -288,6 +285,99 @@ def test_power_at_one_is_a_copy():
     x = np.arange(1.0, 4.0)
     sk.power(x, 1.0)[0] = 9.0
     assert x[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# libm's numpy loops for pow and exp, held to the scalar map
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def mapped(monkeypatch) -> list:
+    """One entry per element seqkit sends through fn as a Python float."""
+    calls = []
+
+    def counting_map(fn, *cols):
+        return map(lambda *v: calls.append(1) or fn(*v), *cols)
+
+    monkeypatch.setattr(sk, "map", counting_map, raising=False)
+    return calls
+
+
+def pow_or_none(x: float, p: float):
+    """Python's pow(x, p) where it is a float, None where it raises or is complex."""
+    try:
+        v = pow(x, p)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return v if isinstance(v, float) else None
+
+
+def pow_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """Log-uniform bases 1e-300..1e300 with exponents up to +-30; results
+    log-uniform over 2^-1100..2^1050 (underflow, subnormals and overflow) with
+    exponents up to +-1e4; the integers n to 20,000 at -1 - eps^2/T; and every
+    pair of zeros, subnormals, ones, negatives, infinities and NaN."""
+    rng = np.random.default_rng(24_001)
+    size = 200_000
+    sign = rng.choice([-1.0, 1.0], size)
+    wide = sign * 10.0 ** rng.uniform(-3.0, 4.0, size)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.0, -1.0, 0.5, 2.0,
+                        -2.0, 3.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+    n = np.arange(2.0, 20_001.0)
+    base = np.concatenate((10.0 ** rng.uniform(-300.0, 300.0, size),
+                           np.exp2(np.clip(rng.uniform(-1100.0, 1050.0, size) / wide,
+                                           -1074.0, 1023.0)),
+                           n, np.repeat(special, special.size)))
+    expo = np.concatenate((sign * rng.uniform(0.0, 30.0, size), wide,
+                           -1.0 - rng.uniform(0.0, 3.0, n.size), np.tile(special, special.size)))
+    return base, expo
+
+
+def test_libm_pow_is_the_scalar_map_bit_for_bit(mapped):
+    base, expo = pow_pairs()
+    want = list(map(pow_or_none, base.tolist(), expo.tolist()))
+    kept = np.array([v is not None for v in want])
+    want = np.array([v for v in want if v is not None])
+    assert 0 < (want == 0.0).sum() and 0 < (np.abs(want) < sys.float_info.min).sum()
+    got = sk.libm(pow, base[kept], expo[kept])
+    assert_same_uint64(got, want)
+    # only a base <= 0 and a value that is not finite go through Python's pow
+    assert len(mapped) == ((base[kept] <= 0.0) | ~np.isfinite(want)).sum() < 1000
+
+
+def test_libm_pow_overflows_where_python_does():
+    base, expo = pow_pairs()
+    want = list(map(pow_or_none, base.tolist(), expo.tolist()))
+    over = np.array([v is None for v in want]) & (base > 0.0)  # a base > 0 raises only there
+    assert over.sum() > 10_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b, e in zip(base[over][::100], expo[over][::100]):
+            with pytest.raises(OverflowError):
+                sk.libm(pow, np.array([1.0, b]), e)
+
+
+def test_libm_exp_is_the_scalar_map_bit_for_bit(mapped):
+    rng = np.random.default_rng(24_002)
+    x = np.concatenate((rng.uniform(-750.0, 709.78, 1_000_000),
+                        np.linspace(-746.0, -708.0, 100_000),  # subnormal values and 0.0
+                        np.linspace(707.0, 709.78, 100_000),   # past 708: math.exp's
+                        -np.exp2(rng.uniform(-1074.0, 0.0, 10_000)),
+                        np.exp2(rng.uniform(-1074.0, 0.0, 10_000)),
+                        [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -1e308,
+                         708.0, math.nextafter(708.0, math.inf), 709.78]))
+    got = sk.libm(math.exp, x)
+    assert_same_uint64(got, raw_map(math.exp, x))
+    assert len(mapped) == ((x > 708.0) | np.isnan(x)).sum()
+
+
+def test_exp_past_the_double_range_raises_like_math_exp_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (710.0, [0.0, 710.0], np.tile([1.0, 710.0], 512), [-1e308, 1e308]):
+            with pytest.raises(OverflowError):
+                sk.libm(math.exp, x)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +396,8 @@ SATURATION_RULES = [(math.exp, np.less_equal, -750.0, 0.0),
 
 
 def test_libm_fills_exactly_these_rules():
-    # exp(+inf) = +inf is the fourth entry: the upper edge only the infinity reaches
-    assert sk._SATURATED == {math.exp: (-750.0, 0.0, math.inf, math.inf),
-                             math.erfc: (-6.0, 2.0, 28.0, 0.0)}
+    # exp needs no fill: the C library's cexp returns 0.0 below -745.14 itself
+    assert sk._SATURATED == {math.erfc: (-6.0, 2.0, 28.0, 0.0)}
 
 
 @pytest.mark.parametrize("fn,compare,edge,value", SATURATION_RULES,
