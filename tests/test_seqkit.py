@@ -264,7 +264,7 @@ def test_libm_refuses_arguments_that_do_not_broadcast():
 
 
 def test_libm_and_power_give_the_broadcast_shape():
-    x = np.linspace(-800.0, 30.0, 24).reshape(4, 6)  # erfc's fills and its mapped elements
+    x = np.linspace(-800.0, 30.0, 24).reshape(4, 6)  # exp's loop; erfc's fills and map
     for fn in (math.exp, math.erfc):
         got = sk.libm(fn, x)
         assert got.shape == (4, 6)
