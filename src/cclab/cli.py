@@ -53,6 +53,7 @@ import numpy as np
 
 from . import __version__, convergence, counterexample, distmodel, mcengine, seqkit
 from .convergence import RecurringBlocks
+from .reports import json_text
 from .seqkit import NormSeq, PowerLawFamily, SlowlyVarying, WeightSeq
 
 EXIT_OK = 0
@@ -575,7 +576,7 @@ def _print_stdout(text: str) -> None:
 def _emit(payload: dict, out_dir: Optional[Path], name: str,
           extra_files: Optional[dict] = None) -> None:
     """Print the report, after writing it and ``extra_files`` under ``out_dir``."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json_text(payload)
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -663,7 +664,7 @@ def main(argv=None) -> int:
                         merged["reports"].append({"path": path, "report": json.load(fh)})
                 except (OSError, json.JSONDecodeError) as exc:
                     raise ConfigError(f"cannot read report {path}: {exc}") from exc
-            text = json.dumps(merged, sort_keys=True, indent=2)
+            text = json_text(merged)
             try:
                 Path(args.out).write_text(text + "\n")
             except OSError as exc:

@@ -66,12 +66,10 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     w, a, n, t = _arrays(w, a, n, t)
-    out = np.zeros(t.shape)
-    on = t != 0.0
-    an = a[on]
-    with np.errstate(over="ignore"):  # a subnormal T gives -inf, and exp(-inf) = 0
-        out[on] = w[on] * libm(math.exp, -(eps * eps * an * an) / (n[on] * t[on]))
-    return out
+    # exp(-inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.where(t == 0.0, -math.inf, -(eps * eps * a * a) / (n * t))
+    return w * libm(math.exp, x)
 
 
 def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
@@ -82,11 +80,10 @@ def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
     n, t = _arrays(n, t)
     if (n < 2).any():
         raise ValueError("adaptive-exponent terms start at n = 2")
-    out = np.zeros(t.shape)
-    on = t != 0.0
-    with np.errstate(over="ignore"):  # a subnormal T gives -inf, and pow(n, -inf) = 0
-        out[on] = libm(pow, n[on], -1.0 - eps * eps / t[on])
-    return out
+    # pow(n, -inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.where(t == 0.0, -math.inf, -1.0 - eps * eps / t)
+    return libm(pow, n, x)
 
 
 def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:

@@ -17,6 +17,7 @@ log domain: each block's share is closed form in doubles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -280,15 +281,20 @@ class CutoffSchedule:
             raise ValueError(f"m out of range 1..{self.m_max}")
         return self.log_cutoffs[m - 1]
 
+    @functools.cached_property
+    def block_ends(self) -> tuple[tuple[LogReal, HalfTailCertificate], ...]:
+        """``required_block_end`` of every block m < m_max, computed once;
+        ``build_schedule`` hands over the ends it found."""
+        return tuple(required_block_end(lam, m) for m, lam in enumerate(self.log_cutoffs[:-1], 1))
+
     def margins(self, m: int) -> tuple[float, Optional[float]]:
         """The log-domain margins of cutoff m: the block-weight floor's, and
         lambda_{m+1} over block m's certified end (None for the last cutoff).
         ``certify_block`` checks both as steps 5 and 2."""
-        lam = self.log_cutoff(m)
-        margin_a = _block_weight(lam, m)[2]
+        margin_a = _block_weight(self.log_cutoff(m), m)[2]
         if m == self.m_max:
             return margin_a, None
-        end = required_block_end(lam, m)[0]
+        end = self.block_ends[m - 1][0]
         return margin_a, self.log_cutoffs[m].log_value() - end.log_value() - SLACK
 
     def to_json_list(self) -> list:
@@ -325,17 +331,21 @@ def build_schedule(m_max: int) -> CutoffSchedule:
     if not 1 <= m_max <= MAX_DEPTH:
         raise ValueError(f"m_max must lie in 1..{MAX_DEPTH}")
     cutoffs: list[LogReal] = []
+    ends = []
     for m in range(1, m_max + 1):
         candidates = [_min_loglam_for_block_weight(m)]
         if m > 1:
-            candidates.append(required_block_end(cutoffs[-1], m - 1)[0].log_value() + SLACK)
+            ends.append(required_block_end(cutoffs[-1], m - 1))
+            candidates.append(ends[-1][0].log_value() + SLACK)
             candidates.append(cutoffs[-1].plus_scalar(1.0).log_value())
         lnlam = max(candidates) + _BUILD_MARGIN
         if lnlam <= math.log(_LEVEL0_CAP):
             cutoffs.append(LogReal.from_value(math.exp(lnlam)))
         else:
             cutoffs.append(LogReal.from_log(lnlam))
-    return CutoffSchedule(tuple(cutoffs))
+    schedule = CutoffSchedule(tuple(cutoffs))
+    schedule.__dict__["block_ends"] = tuple(ends)  # fills the cached property
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +458,7 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
            {"floor_log": lam.log_value() - m * _LN2})
 
     # 2. the block reaches the certified end: lambda_{m+1} >= ln L
-    end, half = required_block_end(lam, m)
+    end, half = schedule.block_ends[m - 1]
     margin_b = lam_next.log_value() - end.log_value() - SLACK
     record("block-covers-certified-end", margin_b >= 0.0,
            {"margin": margin_b, "end_log": end.log_value(),

@@ -500,7 +500,10 @@ def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
     """count i.i.d. steps of ``pareto_sym`` or ``uniform_sym``; deterministic
     given the generator's stream.  ``mcengine`` draws S_n of the atom laws and
-    the normal law whole, so they have no single-step sampler."""
+    the normal law whole, so they have no single-step sampler.  ``pareto_sym``
+    steps also depend on the host: numpy's power picks a SIMD kernel by the CPU,
+    and the AVX-512 one differs from the C library's pow in the last ulp on
+    about 5% of steps (``np.float_power`` costs 4-5 times as much)."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if d.kind == "uniform_sym":

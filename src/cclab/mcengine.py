@@ -4,7 +4,9 @@ Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from its own stream
 ``seeding.stream(seed, 0, *words(n), b)``, and batch results are merged in
 index order.  The same (config, seed) therefore produces bit-identical output
-for any worker count.  A replicate draws S_n itself where its law allows:
+for any worker count on one host.  ``pareto_sym`` draws also depend on the
+host's SIMD level (``distmodel.sample``), so its bytes can differ between
+hosts.  A replicate draws S_n itself where its law allows:
 
 - an atom table on a decimal lattice within 2^53 as multinomial atom counts
   summed on the oracles' lattice, so a hit is |k|/den >= t exactly as in

@@ -162,12 +162,15 @@ def prefix_sums(values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.add.accumulate(x)
-        e = np.concatenate(([0.0], s))[:-1]  # s_(i-1), then the error of step i
-        step = s - e
-        e -= s - step
-        e += np.subtract(x, step, out=step)
+        e = np.zeros(s.shape)  # the error of step i; the first step is exact
+        prev, err = s[:-1], e[1:]
+        step = s[1:] - prev
+        np.subtract(prev, np.subtract(s[1:], step, out=err), out=err)
+        err += np.subtract(x[1:], step, out=step)
         np.add(s, np.add.accumulate(e, out=e), out=e)
-        np.copyto(e, s, where=~np.isfinite(s))
+        # A running sum that leaves the finite range never comes back.
+        if s.size and not math.isfinite(s[-1]):
+            np.copyto(e, s, where=~np.isfinite(s))
         return e
 
 
@@ -327,14 +330,13 @@ class TermBound:
 
     def values_at(self, n) -> np.ndarray:
         n = np.asarray(n)
-        out = np.full(n.shape, 0.0 if self.floor else math.inf)
-        on = n >= self.from_n
-        ln = np.log(n[on].astype(np.float64))
-        with np.errstate(over="ignore"):
-            v = np.exp(self.sv.log_values(n[on]) + self.log_coef - self.exponent * ln
+        # n < from_n is filled in afterwards, whatever f gives there
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ln = np.log(n.astype(np.float64))
+            v = np.exp(self.sv.log_values(n) + self.log_coef - self.exponent * ln
                        - self.rate * np.exp(self.kappa * ln))
-        out[on] = np.where(v < _TINY, 0.0, v) if self.floor else np.maximum(v, _TINY)
-        return out
+        out = np.where(v < _TINY, 0.0, v) if self.floor else np.maximum(v, _TINY)
+        return np.where(n < self.from_n, 0.0 if self.floor else math.inf, out)
 
     def log_tail(self, start: int) -> float:
         """log of an upper bound on sum_{n >= start} f(n), rounded up; inf where

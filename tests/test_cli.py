@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -13,12 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cclab
 from cclab import cli
 from cclab import convergence as cv
 from cclab import counterexample, distmodel, mcengine, seeding, seqkit
-from cclab.reports import CSV_COLUMNS, SeriesReport
+from cclab.reports import CSV_COLUMNS, SeriesReport, json_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -353,6 +356,9 @@ SUBNORMAL_T = ["--preset", "spataru", "--horizon", "300", "--set", "distribution
 
 EPS_20 = ["--preset", "baum_katz(2,1)", "--eps", "20", "--horizon", "200",
           "--set", "distribution.kind=rademacher"]
+# eps^2 underflows to 0 and T = 0 at every n: eps^2 a^2 / (n T) would be 0/0
+EPS_TINY = ["--preset", "baum_katz(2,1)", "--eps", "1e-200", "--horizon", "200",
+            "--set", "distribution.kind=rademacher"]
 HUGE_MOMENTS = [["--preset", "spataru", "--horizon", "100", "--set", f"distribution.kind={kind}",
                  "--set", f"distribution.{entry}"]
                 for kind, entry in [("atomic_sym", "atoms=1e308:0.5"), ("atomic_sym", "atoms=1e200:0.5"),
@@ -372,6 +378,7 @@ def _reject_constant(name):
     ["--preset", "baum_katz(2,1)", "--eps", "1e160", "--horizon", "200",
      "--set", "distribution.kind=rademacher"],
     EPS_20,
+    EPS_TINY,
     ["--preset", "baum_katz(1,0.5)", "--eps", "1e300", "--horizon", "200",
      "--set", "distribution.kind=uniform_sym"],
     # the Pareto floor's block floor underflows to 0
@@ -396,7 +403,7 @@ def _reject_constant(name):
     *F11_CASES,
     # E[X^2] and E[X^2 / log(2+|X|)] pass the double range
     *HUGE_MOMENTS,
-], ids=["geometric 1e160", "geometric 20", "geometric 1e300", "pareto floor 1e300",
+], ids=["geometric 1e160", "geometric 20", "eps 1e-200", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
         "uniform subnormal half-width", "pareto moment 0", "subnormal T",
         *(f"subnormal ratio^n0 r={r}" for r in F11_R),
@@ -417,6 +424,9 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     if argv in (NORMAL_1E160, SUBNORMAL_T):
         assert {s["verdict"] for s in series
                 if s["series_id"] in ("exponential", "adaptive-exponent")} == {cv.UNDETERMINED}
+    if argv == EPS_TINY:
+        assert {r["term"] for s in series if s["series_id"] == "exponential"
+                for r in s["rows"]} == {0.0}
     if argv in (*F11_CASES, EPS_20):
         # the terms are at most exp(-c n^kappa): kappa = 3 with c = 3 eps^2 for
         # uniform_sym, kappa = 1 with c = 400 for rademacher at eps 20
@@ -719,6 +729,21 @@ def test_no_source_file_imports_scipy():
     assert imported and not [i for i in imported if i[1].split(".")[0] == "scipy"]
 
 
+def test_no_source_file_writes_json_with_dumps():
+    # every report goes through reports.json_text
+    src = Path(cclab.__file__).parent
+    dumps = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                dumps.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                dumps += [(path.name, node.lineno) for a in node.names
+                          if a.name in ("dump", "dumps")]
+    assert dumps == []
+
+
 def test_python_m_cclab_cli_runs_the_command(tmp_path):
     proc = run_process("-m", "cclab.cli", "counterexample",
                        "--schedule", str(tmp_path / "missing.json"))
@@ -950,6 +975,56 @@ def test_report_merge_unreadable_input_is_a_config_error(capsys, tmp_path):
         code, _, err = run(capsys, "report-merge", str(path), "--out", str(tmp_path / "m.json"))
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error: cannot read report")
+
+
+def _dumps_or_error(encode, payload):
+    try:
+        return encode(payload)
+    except TypeError:
+        return TypeError
+
+
+class _Enum(enum.IntEnum):
+    ONE = 1
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 10 ** 40, -(2 ** 70),
+                            "\x00\x1f\u2028\ud7ff é ☃", _Enum.ONE, _Str("sub"),
+                            _Float(0.1), np.float64(0.3)])
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _SPECIAL
+_KEYS = (st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+         | st.sampled_from([math.nan, -0.0, _Str("k"), _Enum.ONE]))
+_TREES = st.recursive(_SCALARS, lambda kids: st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_KEYS, kids, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_json_text_is_json_dumps_byte_for_byte(payload):
+    # dicts with keys of mixed types cannot be sorted: both raise TypeError
+    want = _dumps_or_error(lambda x: json.dumps(x, sort_keys=True, indent=2), payload)
+    assert _dumps_or_error(json_text, payload) == want
+
+
+@pytest.mark.parametrize("payload", [np.int64(1), {1, 2}, {"a": [np.float32(1.0)]},
+                                     {(1, 2): 3}, {"a": {object(): 1}}, [b"bytes"]],
+                         ids=["np.int64", "set", "np.float32", "tuple key", "object key",
+                              "bytes"])
+def test_json_text_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json_text(payload)
 
 
 NONFINITE_CASES = {
