@@ -26,7 +26,9 @@ direct convolution, and the running-maximum tail for n <= 64 by a banded
 absorbing walk on the same lattice.  Kinds without atoms, atoms with no short
 decimal, lattices wider than MAX_ORACLE_SUPPORT points, and walks whose
 convolutions would take more than MAX_CONVOLUTION_WORK multiply-adds raise
-OracleUnavailable.
+OracleUnavailable.  numpy convolves outputs with partial overlap, and all of
+them for kernels over 11 points, with BLAS ddot, whose kernel OpenBLAS picks
+by CPU, so oracle bits can differ between hosts unless every product is exact.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -237,7 +238,7 @@ def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
                 f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
         return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
-    threads = min(workers, len(plan), os.cpu_count() or 1)
+    threads = min(workers, len(plan), os.cpu_count() or 1) if workers > 1 else 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(run_batch, range(len(plan))))
@@ -360,6 +361,7 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
     """
     if n_max < 1 or n_max > MAX_MAXIMAL_N:
         raise ValueError(f"running-maximum DP supports 1 <= n <= {MAX_MAXIMAL_N}")
+    threshold = float(threshold)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     if threshold <= 0:
@@ -373,20 +375,28 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
     # can reach with fl(|k|/den) < threshold.
     k = n_max * max(-lo, hi)
     if not math.isinf(threshold):
-        k = min(k, math.ceil(Fraction(threshold) * den) - 1)
+        num, q = threshold.as_integer_ratio()
+        k = min(k, -(-num * den // q) - 1)  # ceil(threshold * den) - 1, exactly
     while k / den >= threshold:
         k -= 1
     band_lo, band_hi = max(-k, n_max * lo), min(k, n_max * hi)
     width = band_hi - band_lo + 1
     _check_cost(max(width, hi - lo + 1), n_max * width * (hi - lo + 1))
-    kernel = np.pad(kernel, (step_lo - lo, hi - step_hi))
+    padded = np.zeros(hi - lo + 1)
+    padded[step_lo - lo:step_hi - lo + 1] = kernel
     alive = np.zeros(width, dtype=np.float64)
     alive[-band_lo] = 1.0
-    left, right = np.empty((n_max, -lo)), np.empty((n_max, hi))
-    for j in range(n_max):
-        full = np.convolve(alive, kernel)  # full[i] sits at band_lo + lo + i
-        left[j], right[j] = full[:-lo], full[width - lo:]
+    out = np.empty((n_max, hi - lo))  # row j: step j's full[:-lo], then full[width - lo:]
+    edges = np.arange(hi - lo)
+    edges[-lo:] += width
+    rev, narrow = padded[::-1].copy(), width < len(padded)
+    for row in out:
+        # np.convolve(alive, padded) is the same correlation after its wrapper,
+        # unless the kernel is the longer array.  full[i] sits at band_lo + lo + i.
+        full = np.convolve(alive, padded) if narrow else np.correlate(alive, rev, "full")
+        full.take(edges, out=row, mode="clip")
         alive = full[-lo:width - lo]
+    left, right = out[:, :-lo].copy(), out[:, -lo:].copy()  # each row summed contiguously
     return np.add.accumulate(left.sum(axis=1) + right.sum(axis=1))
 
 

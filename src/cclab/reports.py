@@ -128,8 +128,13 @@ class SeriesReport:
             raise ValueError(f"a {self.verdict} verdict requires a certificate")
         if self.verdict == UNDETERMINED and self.certificate is not None:
             raise ValueError("an Undetermined verdict carries no certificate")
-        check_partial_sums([r.n for r in self.rows], [r.term for r in self.rows],
-                           [r.partial_sum for r in self.rows])
+        term = np.array([r.term for r in self.rows], dtype=np.float64)
+        partial_sum = np.array([r.partial_sum for r in self.rows], dtype=np.float64)
+        # check_partial_sums passes NaN: every comparison with it is false.
+        nan = np.flatnonzero(np.isnan(term) | np.isnan(partial_sum))
+        if nan.size:
+            raise ValueError(f"NaN term or partial sum at n={self.rows[nan[0]].n}")
+        check_partial_sums([r.n for r in self.rows], term, partial_sum)
 
     def to_json_dict(self) -> dict:
         out = {

@@ -10,6 +10,7 @@ import pytest
 from cclab import convergence as cv
 from cclab import distmodel as dm
 from cclab import mcengine as mc
+from cclab import reports as rp
 from cclab import seqkit as sk
 from cclab.cli import spataru_norms, spataru_weights
 from cclab.reports import CONVERGES, DIVERGES, UNDETERMINED
@@ -257,7 +258,6 @@ def test_summarize_rejects_negative_terms():
 
 
 def test_certified_reports_require_certificates():
-    import cclab.reports as rp
     with pytest.raises(ValueError):
         rp.SeriesReport("x", {}, (), rp.CONVERGES)
     with pytest.raises(ValueError):
@@ -266,6 +266,21 @@ def test_certified_reports_require_certificates():
     assert rp.SeriesReport("x", {}, (), rp.CONVERGES, certificate=cert).verdict == rp.CONVERGES
     with pytest.raises(ValueError, match="Undetermined verdict carries no certificate"):
         rp.SeriesReport("x", {}, (), rp.UNDETERMINED, certificate=cert)
+
+
+@pytest.mark.parametrize("row", [rp.SeriesRow(2, math.nan, math.nan),
+                                 rp.SeriesRow(2, 0.1, math.nan), rp.SeriesRow(2, math.nan, 0.2)],
+                         ids=["both", "partial sum", "term"])
+def test_series_report_rejects_nan_rows(row):
+    # every comparison with NaN is false, so the partial-sum check alone lets it through
+    with pytest.raises(ValueError, match="NaN term or partial sum at n=2"):
+        rp.SeriesReport("x", {}, (rp.SeriesRow(1, 0.1, 0.1), row), rp.UNDETERMINED)
+
+
+def test_series_report_keeps_an_overflowed_partial_sum():
+    rows = (rp.SeriesRow(1, 1e308, 1e308), rp.SeriesRow(2, 1e308, math.inf),
+            rp.SeriesRow(3, 1e308, math.inf))
+    assert rp.SeriesReport("x", {}, rows, rp.UNDETERMINED).rows == rows
 
 
 # ---------------------------------------------------------------------------

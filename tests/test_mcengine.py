@@ -147,7 +147,9 @@ def test_max_tail_profile_is_the_running_sum_bit_for_bit(d):
     reach = max(map(abs, steps))
     for n in range(1, mc.MAX_MAXIMAL_N + 1):
         points = [1, reach, n * reach // 3, n * reach // 2 + 1, n * reach]
-        for t in [0.0, 5e-324, *(k / den for k in points), (2 * reach + 1) / (2 * den), math.inf]:
+        near = [math.nextafter(k / den, to) for k in points for to in (0.0, math.inf)]
+        for t in [0.0, 5e-324, *(k / den for k in points), *near, (2 * reach + 1) / (2 * den),
+                  math.inf]:
             np.testing.assert_array_equal(mc.max_tail_profile(d, n, t).view(np.uint64),
                                           running_sum_profile(d, n, t).view(np.uint64))
 
