@@ -370,11 +370,6 @@ def load_config(path: Optional[str], overrides: dict,
 # ---------------------------------------------------------------------------
 
 
-def _thinned(n: np.ndarray, last: int) -> np.ndarray:
-    """The rows a report shows: n <= 8, the powers of two, and the last n."""
-    return (n <= 8) | ((n & (n - 1)) == 0) | (n == last)
-
-
 @functools.lru_cache(maxsize=2)
 def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
     """The law-independent half of check-conditions: the read-only w and a
@@ -435,8 +430,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             {"eps": 1.0}, blocks if certified else None,
             evidence=("terms vanish on any double-range horizon; divergence lives at "
                       "the cutoff scales recorded in the certificates" if certified
-                      else "block certificates incomplete",),
-            emit=_thinned(grid, int(grid[-1]))))
+                      else "block certificates incomplete",)))
         extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
     else:
         d = cfg.dist
@@ -450,26 +444,23 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                             "finite": mom2.finite, "value": mom2.value,
                             "reason": mom2.reason})
 
-        shown = _thinned(n, horizon)
         for eps in cfg.eps:
             series.append(convergence.summarize_series(
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
-                {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon),
-                emit=shown))
+                {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon)))
             # The exp and adaptive series share T and the envelope, evaluated
             # after the terms so that fewer columns are live.  The adaptive cut
             # eps (n log n)^(1/2) is eps * a(n) bit for bit on these presets.
             env_iii = convergence.exp_certificate(d, w, a, eps)
-            t = distmodel.truncated_moments(d, 2.0, eps * av)
+            t = distmodel.truncated_second_moments(d, eps * av)
             series.append(convergence.summarize_series(
                 "exponential", n, convergence.exp_terms(tau, av, eps, n, t), {"eps": eps},
-                env_iii, emit=shown,
-                bound=(bound := None if env_iii is None else env_iii.values_at(n))))
+                env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
             if cfg.preset in ("spataru", "spataru_weak"):
                 series.append(convergence.summarize_series(
                     "adaptive-exponent", n[1:],
                     convergence.adaptive_exponent_terms(eps, n[1:], t[1:]),
-                    {"eps": eps}, env_iii, emit=shown[1:],
+                    {"eps": eps}, env_iii,
                     bound=None if bound is None else bound[1:]))
             del t, bound  # before the next eps allocates its columns
 

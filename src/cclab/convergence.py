@@ -94,12 +94,12 @@ def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> f
 def exp_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
     """w(n) * exp(-eps^2 a(n)^2 / (n * T)), one point of ``exp_terms``."""
     an = a(n)
-    return float(exp_terms(w(n), an, eps, n, distmodel.truncated_moments(d, 2.0, eps * an))[0])
+    return float(exp_terms(w(n), an, eps, n, distmodel.truncated_second_moments(d, eps * an))[0])
 
 
 def adaptive_exponent_term(d: Dist, eps: float, n: int) -> float:
     """n^(-1 - eps^2/T), one point of ``adaptive_exponent_terms``."""
-    t = distmodel.truncated_moments(d, 2.0, eps * np.sqrt(n * libm(math.log, n)))
+    t = distmodel.truncated_second_moments(d, eps * np.sqrt(n * libm(math.log, n)))
     return float(adaptive_exponent_terms(eps, n, t)[0])
 
 
@@ -263,7 +263,7 @@ def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
 
 
 def summarize_series(series_id: str, n, term, params: dict, certificate=None,
-                     evidence: tuple[str, ...] = (), emit=None, bound=None) -> SeriesReport:
+                     evidence: tuple[str, ...] = (), bound=None) -> SeriesReport:
     """Assemble a report from the columns ``n`` and ``term``, checking the
     certificate, if any, against every term; the report takes its verdict
     and its ``to_json_dict`` at the last n.
@@ -271,9 +271,9 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     All terms must be nonnegative.  The partial sums are ``prefix_sums`` of
     the terms: each is within u|S| + gamma_(n-1)^2 sum|x| of the exact sum
     S (u = 2^-53), a deterministic function of the terms, so reports are
-    bit-reproducible.  ``emit`` (a boolean mask or index array over the
-    terms) picks the rows the report carries; every term is still checked
-    and summed.  ``bound``, when given, is ``certificate.values_at(n)``.
+    bit-reproducible.  The report carries the rows n <= 8, the powers of two
+    and the last n; every term is still checked and summed.  ``bound``, when
+    given, is ``certificate.values_at(n)``.
     """
     n = np.asarray(n, dtype=np.int64)
     term = np.asarray(term, dtype=np.float64)
@@ -299,10 +299,10 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
                          f"below {float(bound[i])!r}")
     partial = prefix_sums(term)
     check_partial_sums(n, term, partial)
-    keep = slice(None) if emit is None else emit
+    last_n = int(n[-1]) if n.size else 0
+    keep = (n <= 8) | ((n & (n - 1)) == 0) | (n == last_n)
     rows = tuple(SeriesRow(n=k, term=t, partial_sum=ps) for k, t, ps in
                  zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
-    last_n = int(n[-1]) if n.size else 0
     rendered = None if certificate is None else certificate.to_json_dict(last_n)
     return SeriesReport(series_id, dict(params), rows, verdict, certificate=rendered,
                         evidence=evidence)

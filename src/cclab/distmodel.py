@@ -1,19 +1,16 @@
-"""Random-variable models: exact tails, truncated moments, and single steps.
+"""Random-variable models: exact tails, truncated second moments, and single steps.
 
-Tails and truncated moments are closed form wherever a closed form exists;
-the standard normal's truncated moments of orders other than 0 and 2 come
-from the power series of the incomplete gamma function.  The weighted second
-moments of the continuous laws come from one fixed 24-point Gauss-Legendre
-rule on graded panels, with every transcendental mapped through
-``seqkit.libm``, so their bits depend on neither numpy's SIMD dispatch nor
-a LAPACK build.  Every finite
-atom law (``rademacher``, ``atomic_sym``, ``atomic``) is one signed
-(value, mass) table, with the remaining mass at 0, and its tails and
-moments run through one code path.  ``tails`` and
-``truncated_moments`` take arrays of cutoffs; ``tail`` and
-``truncated_moment`` are their one-point forms.  ``sample`` draws the
-single steps ``mcengine`` sums for ``pareto_sym``, and for ``uniform_sym``
-outside its bit-plane range.
+Tails and the truncated second moments E[X^2 1{|X| < b}] are closed form
+for every law.  The weighted second moments of the continuous laws come
+from one fixed 24-point Gauss-Legendre rule on graded panels, with every
+transcendental mapped through ``seqkit.libm``, so their bits depend on
+neither numpy's SIMD dispatch nor a LAPACK build.  Every finite atom law
+(``rademacher``, ``atomic_sym``, ``atomic``) is one signed (value, mass)
+table, with the remaining mass at 0, and its tails and moments run through
+one code path.  ``tails`` and ``truncated_second_moments`` take arrays of
+cutoffs; ``tail`` and ``truncated_moment`` are their one-point forms.
+``sample`` draws the single steps ``mcengine`` sums for ``pareto_sym``, and
+for ``uniform_sym`` outside its bit-plane range.
 """
 
 from __future__ import annotations
@@ -52,17 +49,6 @@ def _pow(x: float, p: float) -> float:
         return x ** p
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class TruncatedMoment:
-    """E[|X|^order 1{|X| < cutoff}]; nondecreasing in the cutoff, except for
-    the normal law at orders other than 0 and 2, where the value is one exp
-    of a sum and may step down by about 1e-14 relative as the cutoff grows."""
-
-    order: float
-    cutoff: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -241,89 +227,50 @@ def tail(d: Dist, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def truncated_moments(d: Dist, nu: float, b) -> np.ndarray:
-    """E[|X|^nu 1{|X| < b}] for an array of cutoffs, strict at the cutoff."""
-    if nu < 0:
-        raise ValueError("moment order must be >= 0")
+def truncated_second_moments(d: Dist, b) -> np.ndarray:
+    """E[X^2 1{|X| < b}] for an array of cutoffs; strict at the cutoff and
+    nondecreasing in it."""
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if not (b > 0.0).all():
         raise ValueError("cutoff must be positive")
     if d.kind in _ATOM_KINDS:
         mags, masses, _ = d._abs_law
-        below = _split_sums([q * _pow(m, nu) for m, q in zip(mags, masses)], below=True)
+        below = _split_sums([q * _pow(m, 2.0) for m, q in zip(mags, masses)], below=True)
         return below[np.searchsorted(mags, b, side="left")]
     if d.kind == "uniform_sym":
         (h,) = d.params
-        inside = b < h  # pow(min(b, h), nu + 1) is one constant past h, formed only if used
-        out = np.full(b.shape, 0.0 if inside.all() else _pow(h, nu + 1.0))
-        out[inside] = power(b[inside], nu + 1.0)
-        return out / (h * (nu + 1.0))
+        inside = b < h  # pow(min(b, h), 3) is one constant past h, formed only if used
+        out = np.full(b.shape, 0.0 if inside.all() else _pow(h, 3.0))
+        out[inside] = power(b[inside], 3.0)
+        return out / (h * 3.0)
     if d.kind == "normal_std":
-        if nu in (0.0, 2.0):
-            # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
-            mass = libm(math.erfc, -b / _SQRT2) - 1.0
-            if nu == 0.0:
-                return mass
-            with np.errstate(over="ignore"):  # b * b is inf past 1.3e154, and exp(-inf) = 0
-                return mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
-        return _normal_moments(nu, b)
+        # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
+        mass = libm(math.erfc, -b / _SQRT2) - 1.0
+        with np.errstate(over="ignore"):  # b * b is inf past 1.3e154, and exp(-inf) = 0
+            return mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
     if d.kind == "pareto_sym":
         alpha, scale = d.params
         out = np.zeros(b.shape)
         far = b > scale
         k = alpha * scale ** alpha
-        if nu == alpha:
+        if alpha == 2.0:
             out[far] = k * libm(math.log, b[far] / scale)
         else:
-            out[far] = k * (power(b[far], nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
+            out[far] = k * (power(b[far], 2.0 - alpha) - scale ** (2.0 - alpha)) / (2.0 - alpha)
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
 
-def _normal_moments(nu: float, b: np.ndarray) -> np.ndarray:
-    """E[|X|^nu 1{|X| < b}] = 2^(nu/2) gamma(a, z) / sqrt(pi) for the standard
-    normal, a = (nu + 1)/2 and z = b^2/2, gamma the lower incomplete gamma
-    function by its power series z^a e^-z sum_k z^k / (a (a+1) ... (a+k))
-    (DLMF 8.7.1).  Where the rest Gamma(a, z) <= z^(a-1) e^-z max(1, z/(z-a+1))
-    (z > a - 1) is below 2^-56 of Gamma(a), the full moment is returned."""
-    a = 0.5 * (nu + 1.0)
-    scale, log_gamma = 0.5 * nu * math.log(2.0) - 0.5 * math.log(math.pi), math.lgamma(a)
-    full = math.exp(scale + log_gamma)
-    with np.errstate(over="ignore"):  # z is inf past 1.3e154, where the moment is full
-        z = 0.5 * (b * b)
-    log_z = 2.0 * libm(math.log, b) - math.log(2.0)  # b * b would underflow first
-    gap = z - (a - 1.0)
-    series = np.isfinite(z)
-    far = series & (gap > 0.0)
-    log_rest = (a - 1.0) * log_z[far] - z[far] + np.maximum(
-        0.0, log_z[far] - libm(math.log, gap[far]))
-    series[far] = log_rest >= log_gamma - 56.0 * math.log(2.0)
-    z, log_z = z[series], log_z[series]
-    term = np.full(z.shape, 1.0 / a)
-    total = term.copy()
-    k = 0
-    while True:
-        k += 1
-        term *= z / (a + k)
-        total += term
-        # once a + k > 2z every later ratio is below 1/2, so the rest is below the last term
-        if (a + k > 2.0 * z).all() and (term <= 2.0 ** -56 * total).all():
-            break
-    out = np.full(b.shape, full)
-    out[series] = np.minimum(libm(math.exp, scale + a * log_z - z + libm(math.log, total)), full)
-    return out
-
-
-def truncated_moment(d: Dist, nu: float, b: float) -> TruncatedMoment:
-    """E[|X|^nu 1{|X| < b}], the one-point form of ``truncated_moments``."""
-    return TruncatedMoment(order=nu, cutoff=b, value=float(truncated_moments(d, nu, b)[0]))
+def truncated_moment(d: Dist, b: float) -> float:
+    """E[X^2 1{|X| < b}], the one-point form of ``truncated_second_moments``."""
+    return float(truncated_second_moments(d, b)[0])
 
 
 def truncated_second_moment(d: Dist, eps: float, norms: NormSeq, n: int) -> float:
     """E[X^2 1{|X| < eps * a(n)}], the variance proxy behind the exponential terms."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return truncated_moment(d, 2.0, eps * norms(n)).value
+    return truncated_moment(d, eps * norms(n))
 
 
 # ---------------------------------------------------------------------------

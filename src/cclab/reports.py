@@ -82,11 +82,13 @@ def check_partial_sums(n, term, partial_sum) -> None:
     the exact, nondecreasing sums S, so they step back by less than twice that."""
     partial_sum = np.asarray(partial_sum, dtype=np.float64)
     negative = np.asarray(term, dtype=np.float64) < 0.0
-    # prev - 1e-15 max(1, |prev|) bit for bit, with prev = -0.0 before the first sum
+    # prev - 1e-15 max(1, |prev|) bit for bit, with prev = -0.0 before the first sum;
+    # after an inf sum the floor is -inf + inf = NaN, which rejects nothing
     floor = np.full(partial_sum.shape, -1e-15)
-    rest = np.fmax(np.abs(partial_sum[:-1], out=floor[1:]), 1.0, out=floor[1:])
-    rest *= -1e-15
-    rest += partial_sum[:-1]
+    with np.errstate(invalid="ignore"):
+        rest = np.fmax(np.abs(partial_sum[:-1], out=floor[1:]), 1.0, out=floor[1:])
+        rest *= -1e-15
+        rest += partial_sum[:-1]
     back = partial_sum < floor
     bad = np.flatnonzero(np.logical_or(back, negative, out=back))
     if bad.size:

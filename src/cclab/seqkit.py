@@ -463,15 +463,11 @@ class WeightSeq:
     """Nonnegative weights w(n); family metadata enables certified verdicts.
 
     ``fn`` maps an array of indices to the array of weights.
-    ``tail_bound(start, g)``, when provided on a custom sequence, must return
-    a certified upper bound on sum_{k>=start} g(k) * w(k); ``g`` maps an
-    array of indices to an array of values.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
     family: Optional[PowerLawFamily] = None
-    tail_bound: Optional[Callable[[int, Callable[[np.ndarray], np.ndarray]], float]] = None
 
     def values(self, n: np.ndarray) -> np.ndarray:
         """w over an array of indices."""
@@ -568,10 +564,9 @@ def _per_index(fn: Callable[[int], float]) -> Callable[[np.ndarray], np.ndarray]
                                  count=n.size)
 
 
-def custom_weights(fn: Callable[[int], float], name: str = "custom",
-                   tail_bound=None) -> WeightSeq:
+def custom_weights(fn: Callable[[int], float], name: str = "custom") -> WeightSeq:
     """Weights from a one-point callable w(n)."""
-    return WeightSeq(fn=_per_index(fn), name=name, family=None, tail_bound=tail_bound)
+    return WeightSeq(fn=_per_index(fn), name=name, family=None)
 
 
 def custom_norms(fn: Callable[[int], float], name: str = "custom") -> NormSeq:
@@ -672,9 +667,8 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
 
     p = moment_power * theta; the canonical selectors are moment_power 3 and 2.
     The infinite tail is the finite sum to the horizon plus a certified
-    analytic remainder when family metadata (or a custom tail_bound) provides
-    one; only then is the verdict Certified.  ``values`` is
-    ``sequence_values(w, a, horizon)``.
+    analytic remainder when family metadata provides one; only then is the
+    verdict Certified.  ``values`` is ``sequence_values(w, a, horizon)``.
     """
     if theta < 1.0:
         raise ValueError("theta must be >= 1")
@@ -701,10 +695,6 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
             return RegularityReport(cid, Verdict.CERTIFIED_FAIL,
                                     {"theta": theta, "moment_power": moment_power},
                                     horizon, ("tail sum diverges: " + why,))
-    elif w.tail_bound is not None:
-        g = lambda k: power(k, theta) / power(a.values(k), p)
-        remainder = float(w.tail_bound(start, g))
-        reason = "caller-supplied certified tail bound"
 
     a_p = values.power("a", p)
     suffix = prefix_sums((values.power("n", theta) * values.w / a_p)[::-1])[::-1]

@@ -126,12 +126,13 @@ def test_configs_that_differ_only_in_coef_share_no_entry(capsys):
 
 
 def test_an_unhashable_sequence_or_a_horizon_past_the_budget_runs_uncached(monkeypatch):
-    class Bound(list):  # a list, so unhashable; the family's remainder is used instead
-        def __call__(self, start, g):
-            return math.inf
-
     cfg = pair_config("spataru", {"kind": "rademacher"}, 300)
-    odd = dataclasses.replace(cfg, weights=dataclasses.replace(cfg.weights, tail_bound=Bound()))
+
+    class Weights(list):  # a list, so unhashable; it returns the preset's weights
+        def __call__(self, n):
+            return cfg.weights.fn(n)
+
+    odd = dataclasses.replace(cfg, weights=dataclasses.replace(cfg.weights, fn=Weights()))
     cli._sequence_half.cache_clear()
     assert cli.run_check_conditions(odd) == cli.run_check_conditions(cfg)
     assert cli._sequence_half.cache_info().currsize == 1
@@ -230,17 +231,17 @@ def test_certificates_hold_past_the_horizon(preset, dist):
         families = [
             (n, cv.single_tail_terms(d, wv, av, eps, n),
              cv.single_tail_certificate(d, w, a, eps, horizon)),
-            (n, cv.exp_terms(wv, av, eps, n, distmodel.truncated_moments(d, 2.0, eps * av)),
+            (n, cv.exp_terms(wv, av, eps, n, distmodel.truncated_second_moments(d, eps * av)),
              exp_cert),
         ]
         if cfg.preset in ("spataru", "spataru_weak"):
-            t = distmodel.truncated_moments(d, 2.0, eps * cut)
+            t = distmodel.truncated_second_moments(d, eps * cut)
             families.append((n[1:], cv.adaptive_exponent_terms(eps, n[1:], t), exp_cert))
         for ns, terms, cert in families:
             if cert is None:
                 continue
             # raises at the first term the certificate does not cover
-            cv.summarize_series("past-horizon", ns, terms, {}, cert, emit=ns == ns[-1])
+            cv.summarize_series("past-horizon", ns, terms, {}, cert)
             checked += 1
     assert checked > 0
 
@@ -304,7 +305,7 @@ def full_libm_moments(d, b):
     if d.kind == "uniform_sym":
         (h,) = d.params
         return seqkit.libm(pow, np.minimum(b, h), 3.0) / (h * 3.0)
-    return distmodel.truncated_moments(d, 2.0, b)
+    return distmodel.truncated_second_moments(d, b)
 
 
 @pytest.mark.parametrize("preset,dist", CERTIFY_PAIRS)
@@ -315,10 +316,10 @@ def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
     wv, av = w.values(n), a.values(n)
     cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))
     for eps in cfg.eps:
-        t = distmodel.truncated_moments(d, 2.0, eps * av)
+        t = distmodel.truncated_second_moments(d, eps * av)
         got = [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t),
                cv.adaptive_exponent_terms(eps, n[1:],
-                                          distmodel.truncated_moments(d, 2.0, eps * cut))]
+                                          distmodel.truncated_second_moments(d, eps * cut))]
         with monkeypatch.context() as m:
             m.setattr(seqkit, "_SATURATED", {})
             t = full_libm_moments(d, eps * av)

@@ -36,28 +36,34 @@ def normal_tails(x):
 
 
 def normal_inner(x):
-    """P(|X| < x) = 2 Phi(x) - 1, the order-0 truncated moment."""
-    return dm.truncated_moments(dm.normal_std(), 0.0, x)
+    """E[X^2 1{|X| < x}] = 2 Phi(x) - 1 - 2 x phi(x), the truncated second moment."""
+    return dm.truncated_second_moments(dm.normal_std(), x)
+
+
+def mp_normal_inner(x):
+    """2 Phi(x) - 1 - 2 x phi(x) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(2 * mpmath.ncdf(x) - 1 - 2 * x * mpmath.npdf(x))
 
 
 def test_phi_anchor_values():
     assert normal_tails(0.0)[0] == 1.0
     # oracle: mpmath at 40 digits
-    mpmath.mp.dps = 40
-    want = float(2 * mpmath.ncdf(1.96) - 1)
-    assert normal_inner(1.96)[0] == pytest.approx(want, abs=1e-12)
-    assert normal_inner(1.96)[0] == pytest.approx(0.950004209703559, abs=1e-12)
+    assert normal_inner(1.96)[0] == pytest.approx(mp_normal_inner(1.96), abs=1e-12)
+    assert normal_inner(1.96)[0] == pytest.approx(0.7209157079164293, abs=1e-12)
 
 
 def test_phi_symmetry_identity():
+    # P(|X| >= x) + E[X^2 1{|X| < x}] = 1 - 2 x phi(x)
     x = np.array([0.1, 0.735, 1.96, 3.3, 7.7])
-    assert normal_tails(x) + normal_inner(x) == pytest.approx(np.ones(x.size), abs=1e-14)
+    with mpmath.workdps(40):
+        want = [float(1 - 2 * b * mpmath.npdf(b)) for b in x.tolist()]
+    assert normal_tails(x) + normal_inner(x) == pytest.approx(want, abs=1e-14)
 
 
 def test_phi_absolute_accuracy_inside():
-    mpmath.mp.dps = 40
     x = np.array([0.25, 0.5, 2.0, 3.2, 5.5, 8.0])
-    want = [float(2 * mpmath.ncdf(b) - 1) for b in x.tolist()]
+    want = [mp_normal_inner(b) for b in x.tolist()]
     assert normal_inner(x) == pytest.approx(want, abs=1e-12)
 
 
@@ -148,7 +154,7 @@ def test_adaptive_terms_take_t_at_the_spataru_cut():
     d, eps, n = dm.uniform_sym(1.0), 0.5, np.arange(2, 3000)
     cut = eps * spataru_norms().values(n)
     plain = [cv.adaptive_exponent_term(d, eps, k) for k in n.tolist()]
-    t = dm.truncated_moments(d, 2.0, cut)
+    t = dm.truncated_second_moments(d, cut)
     assert cv.adaptive_exponent_terms(eps, n, t).tolist() == plain
     fake = np.full(n.shape, 1.0)  # shows that the given column is used
     used = cv.adaptive_exponent_terms(eps, n, fake)
@@ -163,7 +169,8 @@ def test_exp_and_adaptive_exponent_columns_map_no_element_in_python(monkeypatch)
     cut = np.sqrt(n[1:] * sk.libm(math.log, n[1:]))
     laws = (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std(), dm.pareto_sym(3.0),
             dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)]))
-    columns = [(eps, dm.truncated_moments(d, 2.0, eps * a), dm.truncated_moments(d, 2.0, eps * cut))
+    columns = [(eps, dm.truncated_second_moments(d, eps * a),
+                dm.truncated_second_moments(d, eps * cut))
                for d in laws for eps in (0.5, 1.0, 2.0)]
     mapped = []
     monkeypatch.setattr(sk, "map", lambda fn, *cols: mapped.append(fn) or map(fn, *cols),

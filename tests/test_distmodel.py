@@ -72,52 +72,52 @@ def test_pareto_tail_scale_consistency():
 
 def test_rademacher_truncated_examples():
     d = dm.rademacher()
-    assert dm.truncated_moment(d, 2.0, 2.0).value == 1.0
-    assert dm.truncated_moment(d, 2.0, 0.5).value == 0.0
+    assert dm.truncated_moment(d, 2.0) == 1.0
+    assert dm.truncated_moment(d, 0.5) == 0.0
 
 
 def test_uniform_truncated_second_moment():
-    got = dm.truncated_moment(dm.uniform_sym(1.0), 2.0, 0.5).value
+    got = dm.truncated_moment(dm.uniform_sym(1.0), 0.5)
     assert got == pytest.approx(1.0 / 24.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("d,nu,b", [
-    (dm.uniform_sym(1.0), 2.0, 0.5),
-    (dm.uniform_sym(2.0), 3.0, 1.7),
-    (dm.normal_std(), 2.0, 1.3),
-    (dm.normal_std(), 3.0, 2.9),
-    (dm.pareto_sym(1.5, 1.0), 1.0, 7.0),
-    (dm.pareto_sym(2.5, 1.0), 3.0, 40.0),
-    (dm.pareto_sym(2.0, 1.0), 2.0, 9.0),
+@pytest.mark.parametrize("d,b", [
+    (dm.uniform_sym(1.0), 0.5),
+    (dm.uniform_sym(2.0), 1.7),
+    (dm.normal_std(), 1.3),
+    (dm.normal_std(), 2.9),
+    (dm.pareto_sym(1.5, 1.0), 7.0),
+    (dm.pareto_sym(2.5, 1.0), 40.0),
+    (dm.pareto_sym(2.0, 1.0), 9.0),
 ])
-def test_truncated_moment_vs_quadrature(d, nu, b):
-    # independent oracle: integrate |x|^nu against the density of |X|
+def test_truncated_moment_vs_quadrature(d, b):
+    # independent oracle: integrate x^2 against the density of |X|
     if d.kind == "uniform_sym":
         (h,) = d.params
-        oracle = float(mpmath.quad(lambda x: x ** nu / h, [0.0, min(b, h)]))
+        oracle = float(mpmath.quad(lambda x: x ** 2 / h, [0.0, min(b, h)]))
     elif d.kind == "normal_std":
         oracle = float(mpmath.quad(
-            lambda x: 2.0 * x ** nu * mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi),
+            lambda x: 2.0 * x ** 2 * mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi),
             [0.0, b]))
     else:
         alpha, s = d.params
         oracle = float(mpmath.quad(
-            lambda x: x ** nu * alpha * s ** alpha * x ** (-alpha - 1.0), [s, b]))
-    assert dm.truncated_moment(d, nu, b).value == pytest.approx(oracle, abs=1e-10)
+            lambda x: x ** 2 * alpha * s ** alpha * x ** (-alpha - 1.0), [s, b]))
+    assert dm.truncated_moment(d, b) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_truncated_plus_complement_equals_full_moment():
     # closed-form full moments: E|X|^2
     cases = [
-        (dm.rademacher(), 2.0, 1.0),
-        (dm.uniform_sym(1.0), 2.0, 1.0 / 3.0),
-        (dm.normal_std(), 2.0, 1.0),
-        (dm.pareto_sym(3.0, 1.0), 2.0, 3.0),       # alpha s^2/(alpha-2)
-        (dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)]), 2.0, 0.5 + 9 * 0.25),
+        (dm.rademacher(), 1.0),
+        (dm.uniform_sym(1.0), 1.0 / 3.0),
+        (dm.normal_std(), 1.0),
+        (dm.pareto_sym(3.0, 1.0), 3.0),       # alpha s^2/(alpha-2)
+        (dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)]), 0.5 + 9 * 0.25),
     ]
-    for d, nu, full in cases:
+    for d, full in cases:
         for b in (0.5, 1.0, 2.4, 10.0):
-            trunc = dm.truncated_moment(d, nu, b).value
+            trunc = dm.truncated_moment(d, b)
             if d.kind == "rademacher":
                 comp = (1.0 if b <= 1.0 else 0.0) * 1.0
             elif d.kind == "uniform_sym":
@@ -140,24 +140,17 @@ def test_truncated_plus_complement_equals_full_moment():
 @given(st.floats(min_value=0.05, max_value=8.0), st.floats(min_value=0.0, max_value=4.0))
 def test_truncated_moment_monotone_in_cutoff(b, extra):
     for d in ALL_CLOSED:
-        lo = dm.truncated_moment(d, 2.0, b).value
-        hi = dm.truncated_moment(d, 2.0, b + extra).value
+        lo = dm.truncated_moment(d, b)
+        hi = dm.truncated_moment(d, b + extra)
         assert hi >= lo - 1e-15
 
 
-def test_truncated_moments_step_down_only_at_normal_orders_off_0_and_2():
-    # TruncatedMoment's promise, on a grid of 20,001 cutoffs: nondecreasing,
-    # except that a normal-law order other than 0 and 2 may step down, by at
-    # most 7.3e-15 relative here (up to 52 ulp; the value is one exp of a sum)
+def test_truncated_second_moments_never_step_down():
+    # the promise of truncated_second_moments, on a grid of 20,001 cutoffs
     b = np.concatenate((np.linspace(0.01, 12.0, 20_001), np.geomspace(12.0, 1e6, 2_000)))
     for d in ALL_CLOSED:
-        for nu in (0.0, 0.5, 1.0, 2.0, 3.0, 4.5):
-            steps = np.diff(dm.truncated_moments(d, nu, b))
-            if d.kind == "normal_std" and nu not in (0.0, 2.0):
-                assert (steps < 0.0).any()
-                assert (-steps <= 7.3e-15 * dm.truncated_moments(d, nu, b[1:])).all()
-            else:
-                assert (steps >= 0.0).all()
+        steps = np.diff(dm.truncated_second_moments(d, b))
+        assert (steps >= 0.0).all()
 
 
 def test_truncated_second_moment_cutoff_examples():
@@ -236,7 +229,7 @@ def test_weighted_second_moment_log_atomic_matches_plain():
         dm.weighted_second_moment(d).value, rel=1e-13)
     cuts = [1.0, 1e5] + [x * f for x, _ in atoms for f in (1.0 - 1e-12, 1.0 + 1e-12)] + [1e300]
     got = dist.truncated_second_moments(cuts)
-    want = dm.truncated_moments(d, 2.0, cuts)
+    want = dm.truncated_second_moments(d, cuts)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     assert (got == 0.0).tolist() == (want == 0.0).tolist()
 
@@ -257,7 +250,7 @@ def test_moment_past_the_double_range_has_no_value():
     for d in (dm.atomic_sym([(1e200, 0.5)]), dm.uniform_sym(1e200), dm.pareto_sym(3.0, 1e200)):
         got = dm.weighted_second_moment(d)
         assert got.finite and got.value is None and "double range" in got.reason
-    assert dm.truncated_moments(dm.atomic_sym([(1e200, 0.5)]), 2.0, [1.0, 1e300]).tolist() == [
+    assert dm.truncated_second_moments(dm.atomic_sym([(1e200, 0.5)]), [1.0, 1e300]).tolist() == [
         0.0, math.inf]
     assert dm.second_moment_bound(dm.uniform_sym(1e200)) == math.inf
 
@@ -301,16 +294,15 @@ def test_weighted_moments_match_40_digit_mpmath(d):
         assert got.value == pytest.approx(float(_mp_weighted_moment(d, delta)), rel=1e-13)
 
 
-@pytest.mark.parametrize("nu", [0.5, 1.0, 3.0, 4.5])
-def test_normal_truncated_moments_match_40_digit_mpmath(nu):
-    # E[|X|^nu 1{|X| < b}] = 2^(nu/2) gamma((nu+1)/2, b^2/2) / sqrt(pi)
+def test_normal_truncated_moments_match_40_digit_mpmath():
+    # E[X^2 1{|X| < b}] = 2 gamma(3/2, b^2/2) / sqrt(pi); absolute, since
+    # 2 Phi(b) - 1 - 2 b phi(b) cancels near 0 (3.7e-7 relative at b = 1e-3)
     cuts = [1e-3, 0.5, 1.3, 2.9, 10.0, 37.0, 60.0]
-    got = dm.truncated_moments(dm.normal_std(), nu, cuts)
+    got = dm.truncated_second_moments(dm.normal_std(), cuts)
     with mpmath.workdps(40):
-        a = mpmath.mpf(nu + 1) / 2
-        want = [2 ** (mpmath.mpf(nu) / 2) * mpmath.gammainc(a, 0, mpmath.mpf(b) ** 2 / 2)
+        want = [2 * mpmath.gammainc(mpmath.mpf(3) / 2, 0, mpmath.mpf(b) ** 2 / 2)
                 / mpmath.sqrt(mpmath.pi) for b in cuts]
-    assert got.tolist() == pytest.approx([float(w) for w in want], rel=1e-13)
+    assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +471,12 @@ def _reference_tail(d, lam):
     return sum(p for m, p in _magnitudes(atoms) if m >= lam)
 
 
-def _reference_moment(d, nu, b):
+def _reference_moment(d, b):
     if d.kind == "rademacher":
         return 1.0 if b > 1.0 else 0.0
     if d.kind == "uniform_sym":
         (h,) = d.params
-        return min(b, h) ** (nu + 1.0) / (h * (nu + 1.0))
+        return min(b, h) ** 3.0 / (h * 3.0)
     if d.kind == "normal_std":
         cdf = 0.5 * math.erfc(-b / math.sqrt(2.0))
         pdf = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * b * b)
@@ -493,9 +485,9 @@ def _reference_moment(d, nu, b):
         alpha, scale = d.params
         if b <= scale:
             return 0.0
-        return alpha * scale ** alpha * (b ** (nu - alpha) - scale ** (nu - alpha)) / (nu - alpha)
+        return alpha * scale ** alpha * (b ** (2.0 - alpha) - scale ** (2.0 - alpha)) / (2.0 - alpha)
     (atoms,) = d.params
-    return sum(p * m ** nu for m, p in _magnitudes(atoms) if m < b)
+    return sum(p * m ** 2.0 for m, p in _magnitudes(atoms) if m < b)
 
 
 ARRAY_KINDS = ALL_CLOSED + [
@@ -517,18 +509,9 @@ def test_array_tails_and_moments_match_one_point_formulas(d):
     want = [_reference_tail(d, c) for c in [0.0] + cuts.tolist()]
     assert got.tolist() == want
     assert dm.tail(d, 2.0) == _reference_tail(d, 2.0)
-    assert dm.truncated_moments(d, 2.0, cuts).tolist() == [
-        _reference_moment(d, 2.0, c) for c in cuts.tolist()]
-    assert dm.truncated_moment(d, 2.0, 2.2).value == _reference_moment(d, 2.0, 2.2)
-
-
-@pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
-def test_mass_below_plus_tail_is_one(d):
-    # E[1{|X| < b}] + P(|X| >= b) = 1: the implied atom at 0 counts below b
-    rng = np.random.default_rng(11)
-    cuts = np.concatenate([rng.uniform(0.01, 8.0, 200), MARKS, np.nextafter(MARKS, 0.0)])
-    total = dm.truncated_moments(d, 0.0, cuts) + dm.tails(d, cuts)
-    assert total.tolist() == pytest.approx([1.0] * cuts.size, abs=1e-12)
+    assert dm.truncated_second_moments(d, cuts).tolist() == [
+        _reference_moment(d, c) for c in cuts.tolist()]
+    assert dm.truncated_moment(d, 2.2) == _reference_moment(d, 2.2)
 
 
 def test_array_forms_validate_like_one_point_forms():
@@ -538,4 +521,4 @@ def test_array_forms_validate_like_one_point_forms():
     with pytest.raises(ValueError, match="threshold must be a nonnegative real"):
         dm.tail(d, math.nan)
     with pytest.raises(ValueError, match="cutoff must be positive"):
-        dm.truncated_moments(d, 2.0, np.array([0.5, 0.0]))
+        dm.truncated_second_moments(d, np.array([0.5, 0.0]))

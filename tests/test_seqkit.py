@@ -499,18 +499,6 @@ def test_tail_domination_custom_without_bound_inconclusive():
     assert rep.constants["C"] > 0.0  # the horizon-limited constant is still reported
 
 
-def test_tail_domination_custom_with_bound_certified():
-    # tau = 1/k with a certified geometric-free bound: sum_{k>=N} k^t/(a_k^p k)
-    # for a=n, theta=1, p=3: terms k^-3, tail <= N^-3 + N^-2/2
-    def bound(start, g):
-        return start ** -3.0 + start ** -2.0 / 2.0
-
-    w = sk.custom_weights(lambda n: 1.0 / n, tail_bound=bound)
-    rep = domination(w, sk.power_law_norms(1.0), theta=1.0,
-                                   moment_power=3.0, horizon=200)
-    assert rep.verdict is Verdict.CERTIFIED_PASS
-
-
 def test_tail_domination_remainder_is_true_upper_bound():
     # the certified remainder must dominate a brute-force continuation of the sum
     w = sk.power_law_weights(-1.0)
