@@ -294,10 +294,11 @@ def test_weighted_moments_match_40_digit_mpmath(d):
         assert got.value == pytest.approx(float(_mp_weighted_moment(d, delta)), rel=1e-13)
 
 
-def test_normal_truncated_moments_match_40_digit_mpmath():
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, 4.5])
+def test_normal_truncated_moments_match_40_digit_mpmath(scale):
     # E[X^2 1{|X| < b}] = 2 gamma(3/2, b^2/2) / sqrt(pi); absolute, since
     # 2 Phi(b) - 1 - 2 b phi(b) cancels near 0 (3.7e-7 relative at b = 1e-3)
-    cuts = [1e-3, 0.5, 1.3, 2.9, 10.0, 37.0, 60.0]
+    cuts = [scale * b for b in (1e-3, 0.5, 1.3, 2.9, 10.0, 37.0, 60.0)]
     got = dm.truncated_second_moments(dm.normal_std(), cuts)
     with mpmath.workdps(40):
         want = [2 * mpmath.gammainc(mpmath.mpf(3) / 2, 0, mpmath.mpf(b) ** 2 / 2)
