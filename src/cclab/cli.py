@@ -376,7 +376,7 @@ def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tupl
     columns over 1..horizon and the regularity reports, kept for the 2 most
     recent keys up to _MEMO_MAX_HORIZON; the power columns and T_n are freed."""
     try:  # past the double range, numpy gives inf silently and Python raises
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = seqkit.sequence_values(w, a, horizon)
             regularity = (
                 seqkit.check_dyadic_regularity(w, values),

@@ -182,7 +182,7 @@ def _first_n(predicate, start: int, limit: int) -> Optional[int]:
 def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
     """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
     bound = distmodel.support_bound(d)
-    if bound is not None and a.tends_to_infinity():
+    if bound is not None and a.family is not None and a.family.exponent > 0:
         n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
         if n0 is None:
             return None
@@ -198,7 +198,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta
         q, sv = alpha * af.exponent - 1.0 - wf.exponent, wf.sv.combine(af.sv, -alpha)
         floor = q <= 1.0
-        delta = -sv.decay_exponent_bound(n0) if floor else sv.growth_exponent_bound(n0)
+        delta = sv.exponent_bound(n0, -1.0 if floor else 1.0)
         if floor and q - delta > 1.0:
             return None
         log_coef = (log_or_inf(wf.coef) + float(sv.log_values(n0)) - delta * math.log(n0)
@@ -210,7 +210,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         wf = w.family
         if a.family.exponent < 0.5:
             return None
-        delta = wf.sv.growth_exponent_bound(3)
+        delta = wf.sv.exponent_bound(3)
         # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
         # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
         # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n

@@ -116,9 +116,6 @@ class LogReal:
     def __lt__(self, other: "LogReal") -> bool:
         return self.compare(other) < 0
 
-    def __le__(self, other: "LogReal") -> bool:
-        return self.compare(other) <= 0
-
 
 def _lambda_lower_float(log_cutoff: LogReal) -> float:
     """A float lower bound on lambda itself: the payload at level 0, and at
@@ -169,26 +166,6 @@ def _integral_margin(u: float, rhs: float) -> tuple[float, float, float]:
     return lhs_log, rhs_log, lhs_log - rhs_log - SLACK
 
 
-def _plus_ln2(x: float, j: int) -> float:
-    """x with ln 2 added j times in double arithmetic, one rounding per step.
-
-    Below -2 every step inside a binade adds the same rounded increment, so
-    a whole binade but its last step is taken at once; the rest go one by one.
-    """
-    while j > 0:
-        if x < -2.0:
-            edge = -math.ldexp(1.0, math.frexp(x)[1] - 1)
-            d = (x + _LN2) - x
-            k = min(j, int((edge - x) // d) - 1)
-            if k > 0:
-                x += k * d
-                j -= k
-                continue
-        x += _LN2
-        j -= 1
-    return x
-
-
 def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCertificate]:
     """Smallest certified block end L for cutoff K = e^lambda and index m.
 
@@ -210,27 +187,25 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
 
     # The right side does not depend on the slack u, and the margin grows with
     # u to clear 0 at u* = -ln(2 - 2 rhs e^SLACK), so a block end exists
-    # exactly when the margin clears 0 as u grows without bound.  j doublings
-    # of u = s ln2 (ln u += ln 2 each) start two below u* and step up to the
-    # least that certifies; where u* rounds to inf, the left side is 1 at 40.
+    # exactly when the margin clears 0 as u grows without bound.  The least j
+    # whose u = exp(ln(s ln2) + j ln2) certifies is searched from two below u*
+    # up; where u* rounds to inf, the left side is 1 at 40.
     s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
     rhs = 0.5 * (math.exp(min(s_val * delta_ub, 50.0)) + s_val * e_neg)
     if math.log(rhs) > -SLACK:
         raise BlockEndUnavailable("the integral bound cannot certify a block end "
                                   f"for ln lambda = {lam_ln!r} at m = {m}")
-    ln_u = ln_s + _LNLN2
-    if not ln_u > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
+    ln_u0 = ln_s + _LNLN2
+    if not ln_u0 > -2.0 ** 53:  # ln 2 is below half an ulp: ln u cannot grow
         raise BlockEndUnavailable("slack doubling failed to terminate")
     gap = 2.0 - 2.0 * rhs * math.exp(SLACK)
     u_star = -math.log(gap) if gap > 0.0 else 40.0
-    doublings = max(0, math.ceil((math.log(u_star) - ln_u) / _LN2) - 2)
-    ln_u = _plus_ln2(ln_u, doublings)
+    doublings = max(0, math.ceil((math.log(u_star) - ln_u0) / _LN2) - 2)
     while True:
-        u = math.exp(ln_u)
+        u = math.exp(ln_u0 + doublings * _LN2)
         lhs_log, rhs_log, margin = _integral_margin(u, rhs)
         if margin >= 0.0:
             break
-        ln_u += _LN2
         doublings += 1
     end = log_cutoff.scaled(1.0 + (_LN2 + u) / 2.0 ** m).plus_scalar(delta_ub)
     return end, HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings, lhs_log=lhs_log,

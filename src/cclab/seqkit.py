@@ -207,31 +207,11 @@ class SlowlyVarying:
     def is_trivial(self) -> bool:
         return self.log2p == 0.0 and self.loglog == 0.0 and self.logn == 0.0
 
-    def first_sign(self) -> int:
-        """Sign of the dominant factor's exponent as n -> infinity."""
-        primary = self.log2p + self.logn
-        if primary:
-            return 1 if primary > 0 else -1
-        if self.loglog:
-            return 1 if self.loglog > 0 else -1
-        return 0
-
-    def growth_exponent_bound(self, start: int) -> float:
-        """delta such that value(k) <= value(start) * (k/start)^delta, k >= start.
-
-        Each increasing factor f(k)^g with g > 0 satisfies
-        f(k)^g <= f(start)^g * (k/start)^{g * sup_{k>=start} k (log f)'(k)};
-        decreasing factors are simply bounded by their value at start.
-        """
-        return self._exponent_bound(start, 1.0)
-
-    def decay_exponent_bound(self, start: int) -> float:
-        """delta such that value(k) >= value(start) * (k/start)^(-delta), k >= start."""
-        return self._exponent_bound(start, -1.0)
-
-    def _exponent_bound(self, start: int, sign: float) -> float:
-        """The sum of sign * g / scale over the factors f^g with sign * g > 0,
-        where 1/scale bounds k (log f)'(k) for k >= start."""
+    def exponent_bound(self, start: int, sign: float = 1.0) -> float:
+        """delta with sv(k) <= sv(start) (k/start)^delta for k >= start; with
+        ``sign`` -1, sv(k) >= sv(start) (k/start)^delta.  It sums g / scale over
+        the factors f^g with sign * g > 0, where 1/scale bounds k (log f)'(k)
+        past start; the other factors move the other way from their start value."""
         if start < 2:
             raise ValueError("envelope start must be >= 2")
         scales = (math.log(2.0 + start),
@@ -239,7 +219,7 @@ class SlowlyVarying:
         delta = 0.0
         for g, scale in zip((self.log2p, self.loglog, self.logn), scales):
             if sign * g > 0:
-                delta += sign * g / scale
+                delta += g / scale
         return delta
 
     def combine(self, other: "SlowlyVarying", other_power: float) -> "SlowlyVarying":
@@ -341,7 +321,7 @@ class TermBound:
     def log_tail(self, start: int) -> float:
         """log of an upper bound on sum_{n >= start} f(n), rounded up; inf where
         no finite bound is certified.  Past start, sv(x) <= sv(start) (x/start)^delta
-        (``growth_exponent_bound``), so f <= g = G x^-(e - delta) exp(-rate x^kappa),
+        (``exponent_bound``), so f <= g = G x^-(e - delta) exp(-rate x^kappa),
         which is unimodal, and the tail is at most max_{x>=start} g + int_start^inf g:
         * kappa = 0, e - delta > 1: f(start) (1 + start / (e - delta - 1));
         * kappa = 0, e = 1: Bertrand's integral in log(2+x), a plain log folded
@@ -366,7 +346,7 @@ class TermBound:
             log_l = math.log(math.log(2.0 + x))
             return _log_add_up(_log_up(*lead, -ln, g1 * log_l), _log_up(
                 *lead, math.log((2.0 + x) / x), (g1 + 1.0) * log_l, -math.log(gap)))
-        delta = 0.0 if self.sv.is_trivial() else self.sv.growth_exponent_bound(start) * (1.0 + _PAD)
+        delta = 0.0 if self.sv.is_trivial() else self.sv.exponent_bound(start) * (1.0 + _PAD)
         e_net = e - delta
         if self.rate == 0.0:
             gap = (e_net - 1.0) - _PAD * (abs(e) + 1.0 + delta)
@@ -497,16 +477,6 @@ class NormSeq:
     def __call__(self, n: int) -> float:
         return float(self.values(np.array([n]))[0])
 
-    def tends_to_infinity(self) -> Optional[bool]:
-        """True when certified by the family (positive exponent); None if unknown."""
-        if self.family is None:
-            return None
-        if self.family.exponent > 0:
-            return True
-        if self.family.exponent < 0:
-            return False
-        return None
-
 
 def require_nondecreasing(a: np.ndarray) -> None:
     """Raise at the first n with a(n) < a(n-1); ``a`` holds a(1), a(2), ..."""
@@ -575,25 +545,18 @@ def custom_norms(fn: Callable[[int], float], name: str = "custom") -> NormSeq:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic liminf helpers for power-law families
+# Closed forms for power-law families
 # ---------------------------------------------------------------------------
 
 
-def _liminf_sign(exponent: float, sv: SlowlyVarying) -> int:
-    """Sign of liminf of n^exponent * sv(n): 1 positive, -1 zero limit, 0 constant."""
-    if exponent > 0:
-        return 1
-    if exponent < 0:
-        return -1
-    return sv.first_sign()
-
-
-def liminf_n_weights_positive(family: PowerLawFamily) -> bool:
-    return _liminf_sign(1.0 + family.exponent, family.sv) >= 0
-
-
-def liminf_weights_positive(family: PowerLawFamily) -> bool:
-    return _liminf_sign(family.exponent, family.sv) >= 0
+def _eventual_sign(exponent: float, sv: SlowlyVarying) -> int:
+    """Where n^exponent sv(n) goes as n -> infinity: 1 to infinity, -1 to 0,
+    0 to a constant; the sign of the first nonzero of exponent, log2p + logn
+    and loglog."""
+    for g in (exponent, sv.log2p + sv.logn, sv.loglog):
+        if g:
+            return 1 if g > 0 else -1
+    return 0
 
 
 def _dyadic_family_constant(family: PowerLawFamily) -> float:
@@ -629,11 +592,11 @@ def check_dyadic_regularity(w: WeightSeq, values: SequenceValues) -> RegularityR
     cid = "weight-dyadic-criteria"
     if w.family is not None:
         fam = w.family
-        if liminf_weights_positive(fam):
+        if _eventual_sign(fam.exponent, fam.sv) >= 0:
             return RegularityReport(cid, Verdict.CERTIFIED_PASS,
                                     {"route": 1.0}, horizon,
                                     ("liminf of the weights is positive (family closed form)",))
-        if liminf_n_weights_positive(fam):
+        if _eventual_sign(1.0 + fam.exponent, fam.sv) >= 0:
             c = _dyadic_family_constant(fam)
             return RegularityReport(cid, Verdict.CERTIFIED_PASS,
                                     {"route": 2.0, "dyadic_C": c}, horizon,
@@ -690,7 +653,7 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
         if log_tail < math.inf:
             remainder = exp_up(log_tail)
             reason = ("logarithmic integral comparison" if q == 1.0 else "integral comparison "
-                      f"with envelope exponent {sv.growth_exponent_bound(start):.3g}")
+                      f"with envelope exponent {sv.exponent_bound(start):.3g}")
         elif why is not None:
             return RegularityReport(cid, Verdict.CERTIFIED_FAIL,
                                     {"theta": theta, "moment_power": moment_power},
@@ -723,12 +686,6 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
     return RegularityReport(cid, Verdict.INCONCLUSIVE, constants, horizon, tuple(notes))
 
 
-def _norm_growth_direction(family: PowerLawFamily, power: float) -> str:
-    """Eventual direction of a(k)^power / k: 'up', 'flat', or 'down'."""
-    sign = _liminf_sign(power * family.exponent - 1.0, family.sv)
-    return {1: "up", 0: "flat", -1: "down"}[sign]
-
-
 def check_inf_growth(w: WeightSeq, a: NormSeq, values: SequenceValues,
                      power: float = 3.0) -> RegularityReport:
     """Floor on liminf_n inf_{k>=n} a(k)^power/(k*a(n)^power) * T_{n-1}.
@@ -749,11 +706,10 @@ def check_inf_growth(w: WeightSeq, a: NormSeq, values: SequenceValues,
     constants = {"liminf_estimate": liminf_est, "power": power}
 
     if w.family is not None and a.family is not None:
-        direction = _norm_growth_direction(a.family, power)
-        if direction == "down":
+        if _eventual_sign(power * a.family.exponent - 1.0, a.family.sv) < 0:
             return RegularityReport(cid, Verdict.CERTIFIED_FAIL, constants, horizon,
                                     (f"a(k)^{power:g}/k tends to 0, infimum collapses",))
-        if liminf_n_weights_positive(w.family):
+        if _eventual_sign(1.0 + w.family.exponent, w.family.sv) >= 0:
             return RegularityReport(
                 cid, Verdict.CERTIFIED_PASS, constants, horizon,
                 (f"a(k)^{power:g}/k eventually non-decreasing; infimum at k=n and "

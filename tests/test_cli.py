@@ -436,6 +436,22 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
         assert all(0.0 < s["tail_bound"]["tail_bound"] < math.inf for s in exp_series)
 
 
+def test_normal_exponential_terms_stay_below_the_weights_at_tiny_eps(capsys):
+    # eps a(n) is near 1e-8, where T = 2 Phi(b) - 1 - 2 b phi(b) formed as a
+    # difference was negative and the terms rose to 66.85 w(1)
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru", "--eps", "1e-8",
+                         "--horizon", "100", "--set", "distribution.kind=normal_std")
+    assert code == cli.EXIT_OK, err
+    rows = [r for s in json.loads(out)["series"] if s["series_id"] == "exponential"
+            for r in s["rows"]]
+    assert rows and all(r["term"] <= 1.0 / r["n"] for r in rows)
+    assert rows[-1]["partial_sum"] <= math.fsum(1.0 / k for k in range(1, 101))
+    n = np.arange(1, 101)
+    w, a = cli.spataru_weights().values(n), cli.spataru_norms().values(n)
+    t = distmodel.truncated_second_moments(distmodel.normal_std(), 1e-8 * a)
+    assert (cv.exp_terms(w, a, 1e-8, n, t) <= w).all()
+
+
 def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
     # the subcommands share one set of option actions, --set's default list included
     seen = []
@@ -1088,6 +1104,20 @@ def test_invalid_sequence_values_are_config_errors(capsys, command, entry, messa
     assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("coef", ["1e-110", "1e-200", "1e-320"])
+def test_tiny_normalizer_coefficient_is_one_config_error(capsys, coef):
+    # a(n)^3 underflows to 0, so the tail sums divide by zero: an infinite
+    # constant that is refused, with no warning before the refusal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check-conditions", "--set", "weights.exponent=-1",
+                             "--set", "normalizer.exponent=1", "--set", f"normalizer.coef={coef}",
+                             "--set", "distribution.kind=rademacher", "--horizon", "100")
+    assert code == cli.EXIT_CONFIG
+    assert out == "" and caught == []
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
 def test_bounded_support_past_the_horizon_certifies_nothing(capsys):
     # eps a(n) first passes the atom 1000 at n = 315879, far past the horizon,
     # and every term up to there is 0.5: no vanishing tail can be claimed
@@ -1119,3 +1149,22 @@ def test_huge_support_finishes_within_the_horizon(dist, code):
         assert all(s["verdict"] == "Undetermined" for s in json.loads(proc.stdout)["series"])
     else:
         assert proc.stderr.startswith("config error:") and len(proc.stderr.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the suite's own configuration
+# ---------------------------------------------------------------------------
+
+
+def test_a_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    # on a failure hypothesis imports the modules that write its patch, one of
+    # which warns; under filterwarnings = error that ended the pytest run (exit 3)
+    test = tmp_path / "test_one.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\ndef test_one(x):\n    assert x.missing\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "--rootdir",
+                           str(tmp_path), "-p", "no:cacheprovider", str(test)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAILED test_one.py::test_one" in proc.stdout

@@ -207,21 +207,22 @@ def test_block_end_rejects_tiny_cutoff():
 
 
 def _doubling_loop_block_end(log_cutoff, m):
-    """The integral route as a search: double u from s ln 2 until the margin
-    clears 0.  The reference the closed form must reproduce bit for bit."""
+    """The integral route as a search: double u from s ln 2, as
+    u_j = exp(ln(s ln 2) + j ln 2), until the margin clears 0.  The reference
+    the closed form must reproduce bit for bit."""
     ln_s = m * LN2 - log_cutoff.log_value()
     e_neg = ce._exp_neg_upper(log_cutoff)
     s_val = math.exp(ln_s) if ln_s > -745.0 else 0.0
     rhs = 0.5 * (math.exp(min(s_val * e_neg, 50.0)) + s_val * e_neg)
-    ln_u = ln_s + ce._LNLN2
+    ln_u0 = ln_s + ce._LNLN2
     doublings = 0
     while True:
+        ln_u = ln_u0 + doublings * LN2
         u = math.exp(ln_u) if ln_u > -700.0 else 0.0
         if u > 0.0:
             lhs_log, rhs_log, margin = ce._integral_margin(u, rhs)
             if margin >= 0.0:
                 break
-        ln_u += LN2
         doublings += 1
     end = log_cutoff.scaled(1.0 + (LN2 + u) / 2.0 ** m).plus_scalar(e_neg)
     return end, ce.HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings,

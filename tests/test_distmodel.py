@@ -296,14 +296,43 @@ def test_weighted_moments_match_40_digit_mpmath(d):
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0, 4.5])
 def test_normal_truncated_moments_match_40_digit_mpmath(scale):
-    # E[X^2 1{|X| < b}] = 2 gamma(3/2, b^2/2) / sqrt(pi); absolute, since
-    # 2 Phi(b) - 1 - 2 b phi(b) cancels near 0 (3.7e-7 relative at b = 1e-3)
+    # E[X^2 1{|X| < b}] = 2 gamma(3/2, b^2/2) / sqrt(pi), to an absolute 1e-15
     cuts = [scale * b for b in (1e-3, 0.5, 1.3, 2.9, 10.0, 37.0, 60.0)]
     got = dm.truncated_second_moments(dm.normal_std(), cuts)
     with mpmath.workdps(40):
         want = [2 * mpmath.gammainc(mpmath.mpf(3) / 2, 0, mpmath.mpf(b) ** 2 / 2)
                 / mpmath.sqrt(mpmath.pi) for b in cuts]
     assert got.tolist() == pytest.approx([float(w) for w in want], abs=1e-15)
+
+
+def _mp_normal_moment(b):
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        return 2 * mpmath.ncdf(b) - 1 - 2 * b * mpmath.npdf(b)
+
+
+def test_normal_truncated_moment_is_relatively_accurate_at_small_cutoffs():
+    # below the crossover the moment is a series of positive terms; the
+    # difference 2 Phi(b) - 1 - 2 b phi(b) lost every digit there (0.36
+    # relative at 1e-5, negative at 1e-8)
+    c = dm._NORMAL_SERIES_BELOW
+    cuts = [1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 0.1, math.nextafter(c, 0.0)]
+    got = dm.truncated_second_moments(dm.normal_std(), cuts)
+    for b, value in zip(cuts, got.tolist()):
+        want = _mp_normal_moment(b)
+        assert abs(value - want) <= 1e-14 * want, b
+
+
+def test_normal_truncated_moment_positive_and_rising_into_the_crossover():
+    # positive wherever its leading term 2 phi(0) b^3 / 3 is a normal double,
+    # and no step down from the series to the difference at the crossover c
+    c = dm._NORMAL_SERIES_BELOW
+    b = np.append(np.geomspace(1e-104, math.nextafter(c, 0.0), 4001), c)
+    b = b[2.0 / math.sqrt(2.0 * math.pi) * b ** 3 / 3.0 >= sys.float_info.min]
+    assert b[0] < 1e-102
+    got = dm.truncated_second_moments(dm.normal_std(), b)
+    assert (got > 0.0).all() and (np.diff(got) >= 0.0).all()
+    assert got[-2] <= got[-1]  # T(nextafter(c, 0)) <= T(c)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +508,14 @@ def _reference_moment(d, b):
         (h,) = d.params
         return min(b, h) ** 3.0 / (h * 3.0)
     if d.kind == "normal_std":
+        inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
+        if b < dm._NORMAL_SERIES_BELOW:  # 2 phi(b) sum_(k>=1) b^(2k+1)/(2k+1)!!
+            h = 1.0
+            for k in range(10, 1, -1):
+                h = 1.0 + h * (b * b / (2 * k + 1))
+            return 2.0 * inv_sqrt_2pi * math.exp(-0.5 * (b * b)) * (b * (b * b) / 3.0 * h)
         cdf = 0.5 * math.erfc(-b / math.sqrt(2.0))
-        pdf = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * b * b)
+        pdf = inv_sqrt_2pi * math.exp(-0.5 * b * b)
         return (2.0 * cdf - 1.0) - 2.0 * b * pdf
     if d.kind == "pareto_sym":
         alpha, scale = d.params

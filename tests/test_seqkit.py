@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import convergence as cv
+from cclab import distmodel as dm
 from cclab import seqkit as sk
 from cclab.seqkit import SlowlyVarying, Verdict
 
@@ -671,8 +673,12 @@ def test_norm_increasing_check():
 
 
 def test_norm_infinity_certificate():
-    assert sk.power_law_norms(0.5).tends_to_infinity() is True
-    assert sk.custom_norms(lambda n: float(n)).tends_to_infinity() is None
+    # a bounded law's tail vanishes once eps a(n) passes its bound, certified
+    # only where the family shows a(n) -> infinity
+    w, law = sk.power_law_weights(-1.0), dm.rademacher()
+    cert = cv.single_tail_certificate(law, w, sk.power_law_norms(0.5), 0.5, 100)
+    assert isinstance(cert, cv.VanishingEnvelope) and cert.from_n == 5
+    assert cv.single_tail_certificate(law, w, sk.custom_norms(lambda n: float(n)), 0.5, 100) is None
 
 
 def test_report_json_round_trip():
@@ -691,10 +697,45 @@ def test_report_json_round_trip():
        st.integers(min_value=4, max_value=400))
 def test_sv_growth_envelope_property(g1, g2, start):
     sv = SlowlyVarying(log2p=g1, loglog=g2)
-    delta = sv.growth_exponent_bound(start)
     ks = np.array([start, start + 3, 2 * start, 17 * start])
     values = sv.values(ks)
-    assert (values <= values[0] * (ks / start) ** delta * (1 + 1e-12)).all()
+    up, down = sv.exponent_bound(start), sv.exponent_bound(start, -1.0)
+    assert (values <= values[0] * (ks / start) ** up * (1 + 1e-12)).all()
+    assert (values >= values[0] * (ks / start) ** down * (1 - 1e-12)).all()
+
+
+def _family_seq(cls, exponent, sv):
+    """A family sequence whose values at n = 1 are taken at n = 2, so that a
+    plain-log factor can be evaluated over 1..horizon."""
+    fam = sk.PowerLawFamily(exponent, sv=sv)
+    return cls(fn=lambda n: fam.values(np.maximum(n, 2)), family=fam)
+
+
+# (sv, where n^0 sv(n) goes, dyadic verdict of w = sv(n)/n,
+#  inf-growth p2 verdicts of (w = sv(n)/n, a = n^1/2) and (w = 1/n, a = n^1/2 sv(n)))
+_PASS, _FAIL, _UNDECIDED = Verdict.CERTIFIED_PASS, Verdict.CERTIFIED_FAIL, Verdict.INCONCLUSIVE
+EVENTUAL_SIGNS = [
+    (SlowlyVarying(), 0, _PASS, _PASS, _PASS),
+    (SlowlyVarying(log2p=1.0), 1, _PASS, _PASS, _PASS),
+    (SlowlyVarying(logn=-0.5), -1, _UNDECIDED, _FAIL, _FAIL),
+    (SlowlyVarying(log2p=0.5, logn=-0.5), 0, _PASS, _PASS, _PASS),
+    (SlowlyVarying(log2p=0.5, logn=-0.5, loglog=1.0), 1, _PASS, _PASS, _PASS),
+    (SlowlyVarying(log2p=-2.0, logn=2.0, loglog=-1.0), -1, _UNDECIDED, _FAIL, _FAIL),
+    (SlowlyVarying(loglog=-2.0), -1, _UNDECIDED, _FAIL, _FAIL),
+    (SlowlyVarying(log2p=0.25, loglog=-3.0), 1, _PASS, _PASS, _PASS),
+    (SlowlyVarying(log2p=-0.25, loglog=3.0), -1, _UNDECIDED, _FAIL, _FAIL),
+]
+
+
+@pytest.mark.parametrize("sv, sign, dyadic_verdict, w_growth, a_growth", EVENTUAL_SIGNS)
+def test_eventual_sign_of_exponent_zero_families(sv, sign, dyadic_verdict, w_growth, a_growth):
+    assert sk._eventual_sign(0.0, sv) == sign
+    assert sk._eventual_sign(1e-9, sv) == 1 and sk._eventual_sign(-1e-9, sv) == -1
+    w, a = _family_seq(sk.WeightSeq, -1.0, sv), sk.power_law_norms(0.5)
+    assert dyadic(w, horizon=64).verdict is dyadic_verdict
+    assert inf_growth(w, a, power=2.0, horizon=64).verdict is w_growth
+    w, a = sk.power_law_weights(-1.0), _family_seq(sk.NormSeq, 0.5, sv)
+    assert inf_growth(w, a, power=2.0, horizon=64).verdict is a_growth
 
 
 # ---------------------------------------------------------------------------
