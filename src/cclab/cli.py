@@ -13,7 +13,8 @@ data inside the reports; exit codes only signal operational failures:
        numbered m = 1..len, or holds a cutoff for which the integral bound
        certifies no block end; weights or a normalizer that are negative,
        non-finite, decreasing or overflow doubles; configured magnitudes
-       whose powers overflow; and an ``--out`` path that cannot be written
+       whose powers overflow; an ``--out`` path that cannot be written; and
+       a size (such as ``--horizon``) whose arrays cannot be allocated
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -138,7 +139,6 @@ class ScenarioConfig:
     replicates: int
     seed: int
     workers: int
-    maximal: bool
     out_dir: Optional[Path]
     config_sha256: str
 
@@ -185,35 +185,28 @@ def _parse_preset(text: str) -> tuple[str, tuple]:
 _SV_FACTORS = {"log_power": "log2p", "loglog_power": "loglog", "plainlog_power": "logn"}
 
 
-def _parse_sv(text: str) -> SlowlyVarying:
-    kw = {}
+def _entries(text: str, what: str, key=str):
+    """The ``key:value`` entries of the comma-separated list ``text``, as
+    (key(k), float(v)), each parsed as it is taken."""
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            key, val = part.split(":")
-            val = float(val)
+            k, v = part.split(":")
+            entry = key(k), float(v)
         except ValueError as exc:
-            raise ConfigError(f"malformed slowly_varying entry {part!r}") from exc
+            raise ConfigError(f"malformed {what} entry {part!r}") from exc
+        yield entry
+
+
+def _parse_sv(text: str) -> SlowlyVarying:
+    kw = {}
+    for key, val in _entries(text, "slowly_varying"):
         if key not in _SV_FACTORS:
             raise UnsupportedFamily(f"unknown slowly varying factor {key!r}")
         kw[_SV_FACTORS[key]] = val
     return SlowlyVarying(**kw)
-
-
-def _parse_atoms(text: str):
-    atoms = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            v, w = part.split(":")
-            atoms.append((float(v), float(w)))
-        except ValueError as exc:
-            raise ConfigError(f"malformed atom entry {part!r}") from exc
-    return atoms
 
 
 def _parse_distribution(section) -> distmodel.Dist:
@@ -233,7 +226,7 @@ def _parse_distribution(section) -> distmodel.Dist:
         if kind == "atomic_sym":
             if "atoms" not in section:
                 raise ConfigError("atomic_sym needs an atoms table")
-            return distmodel.atomic_sym(_parse_atoms(section["atoms"]))
+            return distmodel.atomic_sym(_entries(section["atoms"], "atom", key=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid distribution parameters: {exc}") from exc
     raise UnsupportedFamily(f"unsupported distribution kind {kind!r}")
@@ -270,11 +263,11 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
     return "\n".join(lines)
 
 
-def load_config(path: Optional[str], overrides: dict,
+def load_config(path: Optional[str], sets: list,
                 require_sequences: bool = True,
                 require_distribution: bool = True) -> ScenarioConfig:
-    """The scenario in the config file at ``path`` (if any), with
-    ``overrides["sets"]``, a list of (section, key, value), applied in order."""
+    """The scenario in the config file at ``path`` (if any), with ``sets``,
+    a list of (section, key, value), applied in order."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -283,7 +276,7 @@ def load_config(path: Optional[str], overrides: dict,
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-    for section, key, value in overrides.get("sets", ()):
+    for section, key, value in sets:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
@@ -360,7 +353,6 @@ def load_config(path: Optional[str], overrides: dict,
                           counter_depth=counter_depth, weights=w, norms=a,
                           eps=eps, theta=theta, horizon=horizon,
                           replicates=replicates, seed=seed, workers=workers,
-                          maximal=bool(overrides.get("maximal")),
                           out_dir=Path(out_dir) if out_dir else None,
                           config_sha256=sha)
 
@@ -514,7 +506,7 @@ def run_counterexample(cfg: ScenarioConfig,
     return EXIT_OK, out
 
 
-def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
+def run_simulate(cfg: ScenarioConfig, maximal: bool) -> tuple[dict, dict]:
     if cfg.preset == "ms_counterexample" or cfg.dist is None:
         raise distmodel.SamplingUnavailable(
             "the cutoff counterexample distribution cannot be sampled")
@@ -522,7 +514,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
     seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
     reports, tables = {}, {}  # tables: CSV file name -> report
-    if cfg.maximal:
+    if maximal:
         # Exact or absent: a law without an oracle stops here, before any
         # Monte Carlo runs.
         max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
@@ -582,20 +574,11 @@ def _emit(payload: dict, out_dir: Optional[Path], name: str,
 _COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
 
 
-def _build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Where its first argument names a command, only
-    that command's subparser is built, and the metavar keeps all five names in
-    the usage line; otherwise every subparser is, so that a missing or unknown
-    command gets argparse's own message.  Each is built once per process."""
-    return _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-
-
-@functools.lru_cache(maxsize=None)  # one per command, and the full parser
-def _parser(one: Optional[str]) -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of all five commands, built once per process."""
     parser = argparse.ArgumentParser(prog="cclab")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=one and "{" + ",".join(_COMMANDS) + "}")
-    names = _COMMANDS if one is None else (one,)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     # the shared options, built once; argparse copies the --set list before appending
     common = argparse.ArgumentParser(add_help=False)
@@ -611,7 +594,7 @@ def _parser(one: Optional[str]) -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a single config key")
 
-    for name in names:
+    for name in _COMMANDS:
         if name == "report-merge":
             p = sub.add_parser(name)
             p.add_argument("inputs", nargs="+")
@@ -627,7 +610,7 @@ def _parser(one: Optional[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args) -> dict:
+def _sets_from_args(args) -> list:
     sets = []
     for item in args.set:
         try:
@@ -640,12 +623,12 @@ def _overrides_from_args(args) -> dict:
         value = getattr(args, flag)
         if value is not None:  # a flag of 0 counts
             sets.append((section, key, str(value)))
-    return {"sets": sets, "maximal": args.maximal}
+    return sets
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "report-merge":
             merged = {"reports": []}
@@ -666,7 +649,7 @@ def main(argv=None) -> int:
         # A replayed schedule is the whole scenario, so it needs neither
         # sequences nor a distribution.
         replay = args.command == "counterexample" and args.schedule is not None
-        cfg = load_config(args.config, _overrides_from_args(args),
+        cfg = load_config(args.config, _sets_from_args(args),
                           require_sequences=args.command != "estimate" and not replay,
                           require_distribution=not replay)
         if args.command == "check-conditions":
@@ -678,7 +661,7 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out_dir, "counterexample.json")
             return code
         if args.command == "simulate":
-            payload, csvs = run_simulate(cfg)
+            payload, csvs = run_simulate(cfg, args.maximal)
             _emit(payload, cfg.out_dir, "simulate.json", extra_files=csvs)
             return EXIT_OK
         if args.command == "estimate":
@@ -696,7 +679,7 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out_dir, "estimate.json")
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, seqkit.SequenceError) as exc:
+    except (ConfigError, seqkit.SequenceError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnsupportedFamily as exc:

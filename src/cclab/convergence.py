@@ -17,8 +17,8 @@ their one-point forms.
 Verdicts are certificates, built and checked here.  Each names its
 ``verdict``, bounds every term (``values_at``: from above when it converges,
 from below when it diverges) and renders itself (``to_json_dict(last_n)``):
-one ``seqkit.TermBound`` for every power, Gaussian and exponential envelope
-and power floor, ``VanishingEnvelope`` and ``RecurringBlocks``.
+one ``seqkit.TermBound`` for every vanishing, power, Gaussian and exponential
+envelope and power floor, and ``RecurringBlocks``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .distmodel import truncated_moment  # noqa: F401
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
                       check_partial_sums)
 from .seqkit import (NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf, power,
-                     prefix_sums, tail_start)
+                     prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds need not go through libm.
@@ -116,27 +116,6 @@ def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:
 
 
 @dataclass(frozen=True)
-class VanishingEnvelope:
-    """terms(n) provably 0 for every n >= from_n (e.g. bounded support)."""
-
-    from_n: int
-    description: str = ""
-    verdict = CONVERGES
-
-    def values_at(self, n: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(n) >= self.from_n, 0.0, math.inf)
-
-    def tail_beyond(self, last_n: int) -> float:
-        tail_start(self.from_n, last_n)
-        return 0.0
-
-    def to_json_dict(self, last_n: int) -> dict:
-        return {"kind": "vanishing", "params": {"from_n": self.from_n},
-                "tail_bound": self.tail_beyond(last_n),
-                "description": self.description}
-
-
-@dataclass(frozen=True)
 class RecurringBlocks:
     """Externally certified blocks, each with sum >= floor, recurring forever."""
 
@@ -186,9 +165,9 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
         if n0 is None:
             return None
-        return VanishingEnvelope(from_n=n0,
-                                 description=f"bounded support {bound:g}: the tail is 0 once "
-                                             f"eps*a(n) > {bound:g}")
+        return TermBound(-math.inf, 0.0, from_n=n0,
+                         description=f"bounded support {bound:g}: the tail is 0 once "
+                                     f"eps*a(n) > {bound:g}")
     if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
         alpha, scale = d.params
         wf, af = w.family, a.family
@@ -199,10 +178,10 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         q, sv = alpha * af.exponent - 1.0 - wf.exponent, wf.sv.combine(af.sv, -alpha)
         floor = q <= 1.0
         delta = sv.exponent_bound(n0, -1.0 if floor else 1.0)
-        if floor and q - delta > 1.0:
-            return None
         log_coef = (log_or_inf(wf.coef) + float(sv.log_values(n0)) - delta * math.log(n0)
                     + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
+        if floor and (q - delta > 1.0 or log_coef == -math.inf):
+            return None
         return _certified(TermBound(log_coef, q - delta, from_n=n0, floor=floor,
                                     description="exact symmetric-Pareto tail term" +
                                     (" stays above a divergent power" if floor else "")))

@@ -36,13 +36,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MASS_TOL = 1e-12
 
 
-def log_plus(x: float) -> float:
-    """log(2 + x); bounded below by log 2, so it is safe as a denominator."""
-    if x < 0:
-        raise ValueError("log_plus is defined for x >= 0")
-    return math.log(2.0 + x)
-
-
 def _pow(x: float, p: float) -> float:
     """x ** p for x >= 0, and inf past the double range, where Python raises."""
     try:
@@ -311,7 +304,7 @@ def _log_power(form: str, delta: Optional[float]) -> float:
 
 def _weighted(sq: np.ndarray, log_x: np.ndarray, p: float) -> np.ndarray:
     """sq log(2 + log_x)^p / log_x, log_x = log(2 + |x|), rounded as the scalar
-    x * x * log_plus(log_plus(x)) ** p / log_plus(x) is at sq = x * x."""
+    x * x * L(L(x)) ** p / L(x), L(x) = log(2 + x), is at sq = x * x."""
     if p:
         sq = sq * power(libm(math.log, 2.0 + log_x), p)
     return sq / log_x
@@ -371,7 +364,7 @@ def _log_2_plus_exp(u: np.ndarray) -> np.ndarray:
 
 def weighted_second_moment(d: Dist, form: str = "inv_logplus",
                            delta: Optional[float] = None) -> MomentValue:
-    """E[X^2 / log_plus|X|] or E[X^2 (log_plus log_plus|X|)^(1+delta) / log_plus|X|].
+    """E[X^2 / L(|X|)] or E[X^2 L(L(|X|))^(1+delta) / L(|X|)], L(x) = log(2 + x).
 
     Returns a certified divergence flag for symmetric Pareto tails that are
     too heavy instead of a sentinel float, and no value, with a reason, for a

@@ -279,6 +279,7 @@ def tail_start(from_n: int, last_n: int) -> int:
 class TermBound:
     """f(n) = exp(log_coef) n^-exponent sv(n) exp(-rate n^kappa) for n >= from_n: an
     upper envelope of a series' terms, or with ``floor`` a lower floor; a certificate.
+    With log_coef = -inf it says that every term from ``from_n`` on is 0.
 
     ``values_at`` forms f in logs by numpy ufuncs, not ``libm``: it is only
     compared with terms under a slack, and in logs no coefficient underflows.
@@ -301,8 +302,10 @@ class TermBound:
                 and (0.0 < self.rate < math.inf) == (0.0 < self.kappa < math.inf)
                 and self.rate >= 0.0 <= self.kappa and (self.from_n >= 2 or not self.sv.logn)):
             raise ValueError(f"invalid term bound {self!r}")
-        if self.floor and not (self.rate == 0.0 and self.sv.is_trivial() and self.exponent <= 1.0):
-            raise ValueError("a divergence floor is a plain power with exponent <= 1")
+        if self.floor and not (self.log_coef > -math.inf and self.rate == 0.0
+                               and self.sv.is_trivial() and self.exponent <= 1.0):
+            raise ValueError("a divergence floor is a plain power with a positive "
+                             "coefficient and exponent <= 1")
 
     @property
     def verdict(self) -> str:
@@ -310,6 +313,8 @@ class TermBound:
 
     def values_at(self, n) -> np.ndarray:
         n = np.asarray(n)
+        if self.log_coef == -math.inf:
+            return np.where(n < self.from_n, math.inf, 0.0)
         # n < from_n is filled in afterwards, whatever f gives there
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ln = np.log(n.astype(np.float64))
@@ -393,15 +398,18 @@ class TermBound:
         return math.nextafter(math.exp(min(y - _PAD * (1.0 + abs(y)), 709.0)), 0.0)
 
     def to_json_dict(self, last_n: int) -> dict:
-        # logs are raised to -DBL_MAX, so that they print, where they are -inf
-        params = {"log_coef": max(self.log_coef, -sys.float_info.max),
+        if self.log_coef == -math.inf:
+            tail_start(self.from_n, last_n)
+            return {"kind": "vanishing", "params": {"from_n": self.from_n}, "tail_bound": 0.0,
+                    "description": self.description}
+        params = {"log_coef": self.log_coef,
                   "exponent": self.exponent, "from_n": self.from_n,
                   **{key: g for key, g in vars(self.sv).items() if g},
                   **({"rate": self.rate, "kappa": self.kappa} if self.rate else {})}
         if self.floor:
             return {"kind": "power-floor", "params": params, "block_floor": self.block_floor(),
                     "description": self.description}
-        log_tail = max(self.log_tail(tail_start(self.from_n, last_n)), -sys.float_info.max)
+        log_tail = self.log_tail(tail_start(self.from_n, last_n))
         return {"kind": "power-exp" if self.rate else "power", "params": params,
                 "tail_bound": exp_up(log_tail), "log_tail_bound": log_tail,
                 "description": self.description}
@@ -639,6 +647,8 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
         raise ValueError("moment_power must be positive")
     cid = f"tail-domination-p{moment_power:g}-theta{theta:g}"
     p = moment_power * theta
+    if not math.isfinite(p):
+        raise OverflowError(f"the power a(n)^p has p = {moment_power:g} * {theta:g} past doubles")
     horizon = values.a.size
     require_nondecreasing(values.a)
 
@@ -648,7 +658,11 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
         wf, af = w.family, a.family
         # k^theta w(k) / a(k)^p is exactly this bound's f
         q, sv = p * af.exponent - theta - wf.exponent, wf.sv.combine(af.sv, -p)
-        terms = TermBound(log_or_inf(wf.coef) - p * math.log(af.coef), q, sv, from_n=start)
+        log_coef = log_or_inf(wf.coef) - p * math.log(af.coef)
+        if not (math.isfinite(q) and log_coef < math.inf):
+            raise OverflowError(f"the tail bound's exponent {q!r} or log coefficient "
+                                f"{log_coef!r} is past doubles")
+        terms = TermBound(log_coef, q, sv, from_n=start)
         log_tail, why = terms.log_tail(start), terms.divergence()
         if log_tail < math.inf:
             remainder = exp_up(log_tail)

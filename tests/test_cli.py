@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import enum
+import inspect
 import json
 import math
 import os
@@ -214,7 +215,7 @@ CERTIFIED_PAIRS = [
 
 def pair_config(preset, dist, horizon):
     sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
-    return cli.load_config(None, {"sets": sets + [("distribution", k, v) for k, v in dist.items()]})
+    return cli.load_config(None, sets + [("distribution", k, v) for k, v in dist.items()])
 
 
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
@@ -248,7 +249,8 @@ def test_certificates_hold_past_the_horizon(preset, dist):
 
 def libm_term_bound(c, k):
     """A TermBound's values from from_n on, its logs formed through math.log
-    and math.exp, with the same clamps at the least normal double."""
+    and math.exp, with the same clamps at the least normal double: the
+    reference for its numpy ufunc form."""
     log = lambda x: seqkit.libm(math.log, x)
     ln = log(k)
     log_f = c.log_coef - c.exponent * ln
@@ -263,10 +265,6 @@ def libm_term_bound(c, k):
     return np.where(v < tiny, 0.0, v) if c.floor else np.maximum(v, tiny)
 
 
-# Each certificate's bound through libm: the reference for its numpy ufunc form.
-LIBM_BOUNDS = {seqkit.TermBound: libm_term_bound}
-
-
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
 def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     # the bounds only check terms, with a 1e-9 slack, so a ufunc's ulps are harmless
@@ -278,10 +276,10 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     for eps in cfg.eps:
         for cert in (cv.single_tail_certificate(d, w, a, eps, horizon),
                      cv.exp_certificate(d, w, a, eps)):
-            if type(cert) not in LIBM_BOUNDS:
+            if cert is None or cert.log_coef == -math.inf:  # a vanishing bound has no ufunc
                 continue
             k = n[n >= cert.from_n]
-            np.testing.assert_allclose(cert.values_at(k), LIBM_BOUNDS[type(cert)](cert, k),
+            np.testing.assert_allclose(cert.values_at(k), libm_term_bound(cert, k),
                                        rtol=1e-12, atol=0)
             checked += 1
     assert checked > 0
@@ -455,20 +453,19 @@ def test_normal_exponential_terms_stay_below_the_weights_at_tiny_eps(capsys):
 def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
     # the subcommands share one set of option actions, --set's default list included
     seen = []
-    real = cli._overrides_from_args
-    monkeypatch.setattr(cli, "_overrides_from_args", lambda args: seen.append(args.set) or real(args))
+    real = cli._sets_from_args
+    monkeypatch.setattr(cli, "_sets_from_args", lambda args: seen.append(args.set) or real(args))
     code, _, _ = run(capsys, "check-conditions", "--set", "scenario.horizon=50", "--set", "bad")
     assert code == cli.EXIT_CONFIG
     run(capsys, "estimate", "--n", "1", "--threshold", "1", "--set", "distribution.kind=nope")
     run(capsys, "counterexample")
     assert seen == [["scenario.horizon=50", "bad"], ["distribution.kind=nope"], []]
-    parser = cli._build_parser()
+    # the parser is built once per process and keeps its default empty
+    parser = cli._parser()
+    assert parser is cli._parser()
     assert parser.parse_args(["simulate", "--set", "a.b=1"]).set == ["a.b=1"]
-    assert parser.parse_args(["estimate", "--n", "1", "--threshold", "1"]).set == []
-    # each command's parser is built once per process and keeps its default empty
     for argv in (["check-conditions"], ["estimate", "--n", "1", "--threshold", "1"]):
-        assert cli._build_parser(argv) is cli._build_parser([argv[0], "-h"])
-        assert cli._build_parser(argv).parse_args(argv).set == []
+        assert parser.parse_args(argv).set == []
 
 
 def outcome(capsys, argv):
@@ -488,18 +485,18 @@ PARSER_CASES = [(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMAND
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "no arguments")
 def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # every command line gets the one cached parser of all five commands,
+    # and it prints what a newly built one prints
     got = outcome(capsys, argv)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv: full())
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     assert got == outcome(capsys, argv)
-
-
-def test_a_named_command_builds_its_subparser_alone():
-    for argv in (["simulate", "--maximal"], ["report-merge", "a", "--out", "b"]):
-        (sub,) = cli._build_parser(argv)._subparsers._group_actions
-        assert list(sub.choices) == argv[:1]
-    (sub,) = cli._build_parser(["bogus"])._subparsers._group_actions
-    assert list(sub.choices) == list(cli._COMMANDS)
+    code, out, err = got
+    if argv[-1:] == ("-h",):
+        assert (code, err) == (0, "") and out.startswith("usage: cclab")
+    else:
+        assert code == 2 and out == "" and err.startswith("usage: cclab")
+    if len(argv) < 2:  # the top-level usage names every command
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out + err
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +758,28 @@ def test_no_source_file_writes_json_with_dumps():
     assert dumps == []
 
 
+def test_every_top_level_function_and_class_in_src_is_referenced():
+    # allowed without a reference: the module names the benchmark tracer
+    # wraps, and the README's Python API
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracer
+        wrapped = {attr for owner, attr, _, _ in tracer._targets(tracer.Tracer())
+                   if inspect.ismodule(owner)}
+    finally:
+        sys.path.pop(0)
+    src = Path(cclab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    allowed = referenced | wrapped | {"custom_weights", "custom_norms", "atomic"}
+    unused = [(name, node.name) for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("__") and node.name not in allowed]
+    assert wrapped and unused == []
+
+
 def test_python_m_cclab_cli_runs_the_command(tmp_path):
     proc = run_process("-m", "cclab.cli", "counterexample",
                        "--schedule", str(tmp_path / "missing.json"))
@@ -895,6 +914,51 @@ def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry,code,message", [
+    ("distribution.atoms=1:0.5:2", cli.EXIT_CONFIG, "config error: malformed atom entry '1:0.5:2'"),
+    ("distribution.atoms=x:0.5", cli.EXIT_CONFIG, "config error: malformed atom entry 'x:0.5'"),
+    ("weights.slowly_varying=log_power", cli.EXIT_CONFIG,
+     "config error: malformed slowly_varying entry 'log_power'"),
+    ("weights.slowly_varying=log_power:abc", cli.EXIT_CONFIG,
+     "config error: malformed slowly_varying entry 'log_power:abc'"),
+    ("weights.slowly_varying=bogus:1", cli.EXIT_FAMILY,
+     "unsupported family: unknown slowly varying factor 'bogus'"),
+], ids=["atom three parts", "atom value", "sv no value", "sv value", "sv factor"])
+def test_malformed_key_value_entries_name_the_entry(capsys, entry, code, message):
+    got = run(capsys, "check-conditions", "--horizon", "100", "--set", "weights.exponent=-1",
+              "--set", "normalizer.exponent=1", "--set", "distribution.kind=atomic_sym",
+              "--set", "distribution.atoms=1:0.5", "--set", entry)
+    assert got == (code, "", message + "\n")
+
+
+HUGE_THETAS = [
+    *((("--preset", preset), theta) for preset in ("spataru", "baum_katz(2,1)")
+      for theta in (6e307, 1e308, sys.float_info.max)),
+    # p = 3 theta is a double here, but the bound's exponent 2p or its log coefficient is not
+    (("--set", "weights.exponent=-1", "--set", "normalizer.exponent=2"), 5e307),
+    (("--set", "weights.exponent=-1", "--set", "normalizer.exponent=1",
+      "--set", "normalizer.coef=1e-300"), 1e306),
+]
+
+
+@pytest.mark.parametrize("sequences,theta", HUGE_THETAS,
+                         ids=[f"{s[-1]} {t!r}" for s, t in HUGE_THETAS])
+def test_a_theta_past_doubles_is_a_config_error(capsys, sequences, theta):
+    code, out, err = run(capsys, "check-conditions", *sequences, "--horizon", "100",
+                         "--set", f"scenario.theta={theta!r}",
+                         "--set", "distribution.kind=rademacher")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_a_horizon_too_large_to_allocate_is_a_config_error(capsys):
+    # numpy refuses the 8 PB column whole, before it touches any memory
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru",
+                         "--horizon", "1000000000000000", "--set", "distribution.kind=rademacher")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error: Unable to allocate") and len(err.splitlines()) == 1
 
 
 def test_estimate_with_overflowing_steps_exits_4_with_one_line():
@@ -1130,6 +1194,35 @@ def test_bounded_support_past_the_horizon_certifies_nothing(capsys):
     assert single["series_id"] == "single-tail"
     assert single["verdict"] == "Undetermined"
     assert "tail_bound" not in single
+
+
+@pytest.mark.parametrize("weights,law", [
+    ("-1", ("rademacher",)), ("-1", ("normal_std",)), ("-1", ("uniform_sym",)),
+    ("-1", ("pareto_sym", "alpha=3")), ("-1", ("pareto_sym", "alpha=1.5")),
+    ("0", ("pareto_sym", "alpha=1.5")),  # a power floor at coef 1
+], ids=["rademacher", "normal", "uniform", "pareto 3", "pareto 1.5", "pareto floor"])
+def test_zero_coefficient_weights_certify_vanishing_terms(capsys, weights, law):
+    # every term is 0: each envelope says so, with the verdict coef 1 gets,
+    # and a floor of 0 certifies nothing
+    series = {}
+    for coef in ("0", "1"):
+        code, out, err = run(capsys, "check-conditions", "--horizon", "200",
+                             "--set", f"weights.exponent={weights}", "--set", f"weights.coef={coef}",
+                             "--set", "normalizer.exponent=0.75",
+                             "--set", f"distribution.kind={law[0]}",
+                             *(x for p in law[1:] for x in ("--set", "distribution." + p)))
+        assert code == cli.EXIT_OK, err
+        series[coef] = json.loads(out)["series"]
+    for zero, one in zip(series["0"], series["1"]):
+        if one["verdict"] == "DivergesCertified":
+            assert zero["verdict"] == "Undetermined" and "divergence" not in zero
+        else:
+            assert zero["verdict"] == one["verdict"]
+        if zero["verdict"] == "ConvergesCertified":
+            bound = zero["tail_bound"]
+            assert (bound["kind"], bound["tail_bound"]) == ("vanishing", 0.0)
+            assert list(bound["params"]) == ["from_n"]
+    assert any(s["verdict"] != "Undetermined" for s in series["1"])
 
 
 @pytest.mark.parametrize("dist,code", [

@@ -213,13 +213,13 @@ def test_summarize_power_envelope():
 
 def test_summarize_zero_terms():
     rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49, {},
-                              certificate=cv.VanishingEnvelope(from_n=1))
+                              certificate=sk.TermBound(-math.inf, 0.0))
     assert rep.verdict == CONVERGES
     assert rep.rows[-1].partial_sum == 0.0
     assert rep.certificate["tail_bound"] == 0.0
 
 
-@pytest.mark.parametrize("env", [cv.VanishingEnvelope(from_n=60),
+@pytest.mark.parametrize("env", [sk.TermBound(-math.inf, 0.0, from_n=60),
                                  sk.TermBound(0.0, 2.0, from_n=60),
                                  sk.TermBound(0.0, 0.0, rate=math.log(2.0), kappa=1.0,
                                               from_n=60)],
@@ -269,7 +269,7 @@ def test_certified_reports_require_certificates():
         rp.SeriesReport("x", {}, (), rp.CONVERGES)
     with pytest.raises(ValueError):
         rp.SeriesReport("x", {}, (), rp.DIVERGES)
-    cert = cv.VanishingEnvelope(from_n=1).to_json_dict(0)
+    cert = sk.TermBound(-math.inf, 0.0).to_json_dict(0)
     assert rp.SeriesReport("x", {}, (), rp.CONVERGES, certificate=cert).verdict == rp.CONVERGES
     with pytest.raises(ValueError, match="Undetermined verdict carries no certificate"):
         rp.SeriesReport("x", {}, (), rp.UNDETERMINED, certificate=cert)

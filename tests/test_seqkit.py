@@ -581,6 +581,19 @@ def test_term_bound_tail_is_rounded_up_never_to_zero():
     assert sk.TermBound(0.0, 1.0).log_tail(10) == math.inf
 
 
+def test_a_term_bound_without_a_coefficient_vanishes_and_floors_nothing():
+    bound = sk.TermBound(-math.inf, 0.0, from_n=5, description="zero")
+    assert bound.values_at(np.arange(1, 9)).tolist() == [math.inf] * 4 + [0.0] * 4
+    assert bound.to_json_dict(7) == {"kind": "vanishing", "params": {"from_n": 5},
+                                     "tail_bound": 0.0, "description": "zero"}
+    with pytest.raises(ValueError, match="4..4 unbounded"):
+        bound.to_json_dict(3)
+    assert bound.divergence() is None
+    # such a floor could only print -Infinity
+    with pytest.raises(ValueError, match="positive coefficient"):
+        sk.TermBound(-math.inf, 0.5, floor=True)
+
+
 def test_weaker_power_implies_stronger_power():
     # passing with the square power forces passing with the cube power
     cases = [
@@ -677,7 +690,7 @@ def test_norm_infinity_certificate():
     # only where the family shows a(n) -> infinity
     w, law = sk.power_law_weights(-1.0), dm.rademacher()
     cert = cv.single_tail_certificate(law, w, sk.power_law_norms(0.5), 0.5, 100)
-    assert isinstance(cert, cv.VanishingEnvelope) and cert.from_n == 5
+    assert (cert.log_coef, cert.exponent, cert.from_n) == (-math.inf, 0.0, 5)
     assert cv.single_tail_certificate(law, w, sk.custom_norms(lambda n: float(n)), 0.5, 100) is None
 
 
