@@ -13,8 +13,10 @@ data inside the reports; exit codes only signal operational failures:
        numbered m = 1..len, or holds a cutoff for which the integral bound
        certifies no block end; weights or a normalizer that are negative,
        non-finite, decreasing or overflow doubles; configured magnitudes
-       whose powers overflow; an ``--out`` path that cannot be written; and
-       a size (such as ``--horizon``) whose arrays cannot be allocated
+       whose powers overflow; an ``--out`` path that cannot be written; a
+       size (such as ``--horizon``) whose arrays cannot be allocated; and an
+       option the command does not take (only ``simulate`` takes
+       ``--maximal``), as argparse's usage error
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -130,7 +132,6 @@ class ScenarioConfig:
     preset: str
     preset_args: tuple
     dist: Optional[distmodel.Dist]
-    counter_depth: Optional[int]
     weights: WeightSeq
     norms: NormSeq
     eps: tuple[float, ...]
@@ -323,14 +324,10 @@ def load_config(path: Optional[str], sets: list,
     if replicates < mcengine.MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {mcengine.MIN_REPLICATES}")
 
-    counter_depth: Optional[int] = None
     if preset == "baum_katz":
         w, a = baum_katz_weights(args[0]), baum_katz_norms(args[1])
-    elif preset in ("spataru", "spataru_weak"):
+    elif preset in ("spataru", "spataru_weak", "ms_counterexample"):
         w, a = spataru_weights(), spataru_norms()
-    elif preset == "ms_counterexample":
-        w, a = spataru_weights(), spataru_norms()
-        counter_depth = int(args[0])
     else:
         have = parser.has_section("weights") and parser.has_section("normalizer")
         if not have and require_sequences:
@@ -349,8 +346,7 @@ def load_config(path: Optional[str], sets: list,
 
     out_dir = parser["output"].get("dir") if parser.has_section("output") else None
     sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
-    return ScenarioConfig(preset=preset, preset_args=args, dist=dist,
-                          counter_depth=counter_depth, weights=w, norms=a,
+    return ScenarioConfig(preset=preset, preset_args=args, dist=dist, weights=w, norms=a,
                           eps=eps, theta=theta, horizon=horizon,
                           replicates=replicates, seed=seed, workers=workers,
                           out_dir=Path(out_dir) if out_dir else None,
@@ -401,7 +397,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
     tau, av, regularity = half(w, a, horizon, cfg.theta)
     series, moments, extra = [], [], {}
     if cfg.preset == "ms_counterexample":
-        schedule = counterexample.build_schedule(cfg.counter_depth)
+        schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
         report = counterexample.verify_counterexample(schedule)
         dist = counterexample.CounterexampleDistribution(schedule)
         moments.append({"form": "inv_logplus", "finite": True,
@@ -484,7 +480,7 @@ def run_counterexample(cfg: ScenarioConfig,
     if schedule_path is not None:
         schedule = _read_schedule(schedule_path)
     else:
-        depth = cfg.counter_depth or 9
+        depth = int(cfg.preset_args[0]) if cfg.preset == "ms_counterexample" else 9
         schedule = counterexample.build_schedule(depth)
     try:
         report = counterexample.verify_counterexample(schedule)
@@ -580,7 +576,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the shared options, built once; argparse copies the --set list before appending
+    # the shared options, built once, and simulate's, which add --maximal in
+    # their midst; argparse copies the --set list before appending
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None)
     common.add_argument("--preset", default=None)
@@ -589,10 +586,12 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--replicates", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--maximal", action="store_true")
-    common.add_argument("--out", default=None)
-    common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                        help="override a single config key")
+    with_maximal = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_maximal.add_argument("--maximal", action="store_true")
+    for options in (common, with_maximal):
+        options.add_argument("--out", default=None)
+        options.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                             help="override a single config key")
 
     for name in _COMMANDS:
         if name == "report-merge":
@@ -600,7 +599,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs="+")
             p.add_argument("--out", required=True)
             continue
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[with_maximal if name == "simulate" else common])
         if name == "counterexample":
             p.add_argument("--schedule", default=None,
                            help="replay and certify a schedule JSON instead of building one")

@@ -8,8 +8,9 @@ grows so slowly that each block (K_m, K_{m+1}] of sum_n n^(-1-1/T_n)
 contributes at least 1.
 
 Everything is certified in the log domain.  The cutoffs themselves overflow
-doubles immediately (ln K_1 is ~29.6, ln K_10 ~ 1e448), so values live in a
-layered representation: level 0 stores the value, level 1 its log.  Every
+doubles immediately (ln K_1 is ~29.6, ln K_10 ~ 1e448), so lambda = ln K is
+stored at one of two levels: level 0 holds lambda, level 1 ln lambda.  The
+levels are storage only; the arithmetic is done on ln lambda.  Every
 certified comparison adds a directed slack of 1e-9 to the required side, so
 certificates only err conservatively.  The distribution's moments need no
 log domain: each block's share is closed form in doubles.
@@ -32,7 +33,7 @@ _LNLN2 = math.log(_LN2)
 SLACK = 1e-9            # directed-rounding slack on the required side of every check
 _BUILD_MARGIN = 1e-6    # extra log-domain headroom so replay at SLACK always passes
 _LEVEL0_CAP = 1e300     # promote to the log layer beyond this magnitude
-MAX_DEPTH = 16          # two-level arithmetic validated to this schedule depth
+MAX_DEPTH = 16          # two-level storage validated to this schedule depth
 
 # corr bound e^(-29)/29, valid once lambda >= 29; the first cutoff lands near 29.56
 _CORR_CAP = math.exp(-29.0) / 29.0
@@ -45,14 +46,15 @@ class BlockEndUnavailable(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Layered nonnegative reals
+# Stored cutoffs
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LogReal:
-    """Nonnegative extended real: payload is the value (level 0) or its log
-    (level 1)."""
+    """A stored cutoff lambda >= 0: payload is lambda (level 0) or ln lambda
+    (level 1).  The levels are storage only; every quantity derived from a
+    cutoff is computed from ``log_value`` by ``_log_affine``."""
 
     level: int
     payload: float
@@ -65,56 +67,21 @@ class LogReal:
         if self.level == 0 and self.payload < 0.0:
             raise ValueError("level-0 payload must be nonnegative")
 
-    @staticmethod
-    def from_value(x: float) -> "LogReal":
-        return LogReal(0, float(x))
-
-    @staticmethod
-    def from_log(lx: float) -> "LogReal":
-        return LogReal(1, float(lx))
-
     def log_value(self) -> float:
         """ln of the represented value; -inf at 0."""
         if self.level == 0:
             return math.log(self.payload) if self.payload > 0.0 else -math.inf
         return self.payload
 
-    def scaled(self, c: float) -> "LogReal":
-        """The value multiplied by c > 0."""
-        if c <= 0.0 or not math.isfinite(c):
-            raise ValueError("scale factor must be a positive finite real")
-        if self.level == 1:
-            return LogReal(1, self.payload + math.log(c))
-        if self.payload == 0.0:
-            return self
-        y = self.payload * c
-        if y < _LEVEL0_CAP:
-            return LogReal(0, y)
-        return LogReal(1, math.log(self.payload) + math.log(c))
 
-    def plus_scalar(self, x: float) -> "LogReal":
-        """The value plus x >= 0; at level 1 the result may round down, so
-        callers must treat it as a lower bound."""
-        if x < 0.0:
-            raise ValueError("addend must be nonnegative")
-        if x == 0.0:
-            return self
-        if self.level == 0:
-            y = self.payload + x
-            if y < _LEVEL0_CAP:
-                return LogReal(0, y)
-            return LogReal.from_log(math.log(y))
-        ratio = x * math.exp(min(-self.payload, 700.0)) if self.payload > -700.0 else math.inf
-        if math.isinf(ratio):
-            return LogReal(1, math.log(x))
-        return LogReal(1, self.payload + math.log1p(ratio))
-
-    def compare(self, other: "LogReal") -> int:
-        la, lb = self.log_value(), other.log_value()
-        return (la > lb) - (la < lb)
-
-    def __lt__(self, other: "LogReal") -> bool:
-        return self.compare(other) < 0
+def _log_affine(lam: LogReal, c: float, x: float) -> float:
+    """ln(c*lambda + x) for a stored cutoff lambda, c > 0 and x >= 0: summed in
+    doubles while c*lambda < 1e300, beyond that ln(c*lambda) + log1p(x/(c*lambda)).
+    Either route is off by a few ulp, which the SLACK of every check covers."""
+    if lam.level == 0 and (y := lam.payload * c) < _LEVEL0_CAP:
+        return math.log(y + x)
+    lc = lam.log_value() + math.log(c)
+    return lc + math.log1p(x * math.exp(min(-lc, 700.0)))
 
 
 def _lambda_lower_float(log_cutoff: LogReal) -> float:
@@ -166,8 +133,9 @@ def _integral_margin(u: float, rhs: float) -> tuple[float, float, float]:
     return lhs_log, rhs_log, lhs_log - rhs_log - SLACK
 
 
-def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCertificate]:
-    """Smallest certified block end L for cutoff K = e^lambda and index m.
+def required_block_end(log_cutoff: LogReal, m: int) -> tuple[float, HalfTailCertificate]:
+    """Smallest certified block end L for cutoff K = e^lambda and index m,
+    returned as ln ln L.
 
     L = F*(K+1)*2^(1/s) with the slack factor F doubled (in the log domain)
     the least number of times that certifies the half-tail inequality.
@@ -207,7 +175,7 @@ def required_block_end(log_cutoff: LogReal, m: int) -> tuple[LogReal, HalfTailCe
         if margin >= 0.0:
             break
         doublings += 1
-    end = log_cutoff.scaled(1.0 + (_LN2 + u) / 2.0 ** m).plus_scalar(delta_ub)
+    end = _log_affine(log_cutoff, 1.0 + (_LN2 + u) / 2.0 ** m, delta_ub)
     return end, HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings, lhs_log=lhs_log,
                                     rhs_log=rhs_log, margin=margin)
 
@@ -244,7 +212,7 @@ class CutoffSchedule:
         if self.log_cutoffs[0].log_value() < _LNLN2:
             raise ValueError("the first cutoff must be at least 2")
         for i in range(1, self.m_max):
-            if not self.log_cutoffs[i - 1] < self.log_cutoffs[i]:
+            if not self.log_cutoffs[i - 1].log_value() < self.log_cutoffs[i].log_value():
                 raise ValueError("cutoffs must increase strictly")
 
     @property
@@ -257,7 +225,7 @@ class CutoffSchedule:
         return self.log_cutoffs[m - 1]
 
     @functools.cached_property
-    def block_ends(self) -> tuple[tuple[LogReal, HalfTailCertificate], ...]:
+    def block_ends(self) -> tuple[tuple[float, HalfTailCertificate], ...]:
         """``required_block_end`` of every block m < m_max, computed once;
         ``build_schedule`` hands over the ends it found."""
         return tuple(required_block_end(lam, m) for m, lam in enumerate(self.log_cutoffs[:-1], 1))
@@ -270,7 +238,7 @@ class CutoffSchedule:
         if m == self.m_max:
             return margin_a, None
         end = self.block_ends[m - 1][0]
-        return margin_a, self.log_cutoffs[m].log_value() - end.log_value() - SLACK
+        return margin_a, self.log_cutoffs[m].log_value() - end - SLACK
 
     def to_json_list(self) -> list:
         out = []
@@ -311,13 +279,13 @@ def build_schedule(m_max: int) -> CutoffSchedule:
         candidates = [_min_loglam_for_block_weight(m)]
         if m > 1:
             ends.append(required_block_end(cutoffs[-1], m - 1))
-            candidates.append(ends[-1][0].log_value() + SLACK)
-            candidates.append(cutoffs[-1].plus_scalar(1.0).log_value())
+            candidates.append(ends[-1][0] + SLACK)
+            candidates.append(_log_affine(cutoffs[-1], 1.0, 1.0))
         lnlam = max(candidates) + _BUILD_MARGIN
         if lnlam <= math.log(_LEVEL0_CAP):
-            cutoffs.append(LogReal.from_value(math.exp(lnlam)))
+            cutoffs.append(LogReal(0, math.exp(lnlam)))
         else:
-            cutoffs.append(LogReal.from_log(lnlam))
+            cutoffs.append(LogReal(1, lnlam))
     schedule = CutoffSchedule(tuple(cutoffs))
     schedule.__dict__["block_ends"] = tuple(ends)  # fills the cached property
     return schedule
@@ -415,16 +383,14 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
     if not 1 <= m < schedule.m_max:
         raise ValueError("certifiable blocks need 1 <= m < m_max")
     lam = schedule.log_cutoff(m)
-    lam_next = schedule.log_cutoff(m + 1)
     steps: list[tuple[str, bool, dict]] = []
     failed: Optional[str] = None
 
-    def record(name: str, ok: bool, details: dict) -> bool:
+    def record(name: str, ok: bool, details: dict) -> None:
         nonlocal failed
         steps.append((name, ok, details))
         if not ok and failed is None:
             failed = name
-        return ok
 
     # 1. exponent floor on the block: T_n >= 2^-m lambda_m, all summands positive
     positive = all(schedule.log_cutoff(j).log_value() > -math.inf
@@ -434,16 +400,16 @@ def certify_block(schedule: CutoffSchedule, m: int) -> BlockCertificate:
 
     # 2. the block reaches the certified end: lambda_{m+1} >= ln L
     end, half = schedule.block_ends[m - 1]
-    margin_b = lam_next.log_value() - end.log_value() - SLACK
+    margin_a, margin_b = schedule.margins(m)
     record("block-covers-certified-end", margin_b >= 0.0,
-           {"margin": margin_b, "end_log": end.log_value(),
-            "next_log": lam_next.log_value()})
+           {"margin": margin_b, "end_log": end,
+            "next_log": schedule.log_cutoff(m + 1).log_value()})
 
     # 3. the half-tail inequality itself
     record("half-tail", half.margin >= 0.0, half.to_json_dict())
 
     # 4. integral tail floor equals twice the block-weight quantity (algebraic)
-    corr_ub, floor_log, margin_a = _block_weight(lam, m)
+    corr_ub, floor_log, _ = _block_weight(lam, m)
     record("tail-floor-identity", True,
            {"corr_upper_bound": corr_ub,
             "note": "s^-1 (K+1)^-s = 2 * 2^(-m-1) lambda e^(-2^m (1+corr)) exactly"})

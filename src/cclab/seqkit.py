@@ -263,7 +263,10 @@ def log_or_inf(x: float) -> float:
 
 
 def exp_up(log_x: float) -> float:
-    """exp(log_x) rounded up: the least subnormal, never 0.0, where it underflows."""
+    """exp(log_x) rounded up: 0.0 only at log_x = -inf, where it is exact, and
+    the least subnormal where a finite log_x underflows."""
+    if log_x == -math.inf:
+        return 0.0
     return math.nextafter(math.exp(log_x), math.inf) if log_x < 709.0 else math.inf
 
 

@@ -480,7 +480,10 @@ def outcome(capsys, argv):
 
 PARSER_CASES = [(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
                 ("simulate", "--bogus"), ("simulate", "--horizon", "x"),
-                ("estimate", "--threshold", "1"), ("report-merge", "--out", "merged.json")]
+                ("estimate", "--threshold", "1"), ("report-merge", "--out", "merged.json"),
+                # only simulate takes --maximal
+                ("check-conditions", "--maximal"), ("counterexample", "--maximal"),
+                ("estimate", "--n", "1", "--threshold", "1", "--maximal")]
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "no arguments")
@@ -760,7 +763,8 @@ def test_no_source_file_writes_json_with_dumps():
 
 def test_every_top_level_function_and_class_in_src_is_referenced():
     # allowed without a reference: the module names the benchmark tracer
-    # wraps, and the README's Python API
+    # wraps, and the README's Python API; a method or property of a class
+    # counts as referenced when its name appears elsewhere in src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import tracer
@@ -774,7 +778,10 @@ def test_every_top_level_function_and_class_in_src_is_referenced():
                   for tree in trees.values() for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))}
     allowed = referenced | wrapped | {"custom_weights", "custom_norms", "atomic"}
-    unused = [(name, node.name) for name, tree in trees.items() for node in tree.body
+    defs = [(name, node) for name, tree in trees.items() for node in tree.body]
+    defs += [(name, item) for name, node in defs if isinstance(node, ast.ClassDef)
+             for item in node.body]
+    unused = [(name, node.name) for name, node in defs
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("__") and node.name not in allowed]
     assert wrapped and unused == []
@@ -1204,7 +1211,7 @@ def test_bounded_support_past_the_horizon_certifies_nothing(capsys):
 def test_zero_coefficient_weights_certify_vanishing_terms(capsys, weights, law):
     # every term is 0: each envelope says so, with the verdict coef 1 gets,
     # and a floor of 0 certifies nothing
-    series = {}
+    reports = {}
     for coef in ("0", "1"):
         code, out, err = run(capsys, "check-conditions", "--horizon", "200",
                              "--set", f"weights.exponent={weights}", "--set", f"weights.coef={coef}",
@@ -1212,7 +1219,14 @@ def test_zero_coefficient_weights_certify_vanishing_terms(capsys, weights, law):
                              "--set", f"distribution.kind={law[0]}",
                              *(x for p in law[1:] for x in ("--set", "distribution." + p)))
         assert code == cli.EXIT_OK, err
-        series[coef] = json.loads(out)["series"]
+        reports[coef] = json.loads(out)
+    # each tail sum is exactly 0, and so is its remainder: no index where
+    # T_(n-1) = 0 is left with a ratio to skip
+    for r in reports["0"]["regularity"][1:3]:
+        assert r["condition_id"].startswith("tail-domination")
+        assert (r["verdict"], r["constants"]["tail_remainder"]) == ("CertifiedPass", 0.0)
+        assert not any("skipped" in note for note in r["notes"])
+    series = {coef: report["series"] for coef, report in reports.items()}
     for zero, one in zip(series["0"], series["1"]):
         if one["verdict"] == "DivergesCertified":
             assert zero["verdict"] == "Undetermined" and "divergence" not in zero

@@ -1,4 +1,4 @@
-"""Layered log arithmetic, the cutoff schedule, and its divergence certificates."""
+"""Stored cutoffs and their log arithmetic, the cutoff schedule, and its divergence certificates."""
 
 import dataclasses
 import math
@@ -27,17 +27,17 @@ LN2 = math.log(2.0)
 
 
 def test_logreal_levels_and_values():
-    x = LogReal.from_value(100.0)
+    x = LogReal(0, 100.0)
     assert x.log_value() == pytest.approx(math.log(100.0))
-    y = LogReal.from_log(1000.0)  # e^1000, far beyond doubles
+    y = LogReal(1, 1000.0)  # e^1000, far beyond doubles
     assert y.log_value() == 1000.0
-    assert LogReal.from_value(0.0).log_value() == -math.inf
+    assert LogReal(0, 0.0).log_value() == -math.inf
 
 
 def test_logreal_round_trips():
-    x = LogReal.from_value(3.7)
-    up = LogReal.from_log(x.log_value())
-    assert up.level == 1 and up.compare(x) == 0
+    x = LogReal(0, 3.7)
+    up = LogReal(1, x.log_value())
+    assert up.log_value() == x.log_value()
     assert math.exp(up.log_value()) == pytest.approx(3.7, rel=1e-12)
     # a replayed schedule carries both levels through its JSON list unchanged
     items = ce.build_schedule(12).to_json_list()
@@ -49,36 +49,59 @@ def test_logreal_round_trips():
 @settings(max_examples=80, deadline=None)
 @given(st.floats(min_value=1e-3, max_value=1e200))
 def test_logreal_round_trip_log_domain(v):
-    x = LogReal.from_value(v)
-    back = LogReal.from_log(x.log_value())
-    assert back.compare(x) == 0
+    x = LogReal(0, v)
+    back = LogReal(1, x.log_value())
+    assert back.log_value() == x.log_value()
     assert math.exp(back.log_value()) == pytest.approx(v, rel=1e-12)
 
 
-def test_logreal_comparisons_across_levels():
-    small = LogReal.from_value(5.0)
-    mid = LogReal.from_log(400.0)        # e^400 ~ 1e173
-    mid2 = LogReal.from_value(1e250)
-    huge = LogReal.from_log(1e100)       # e^{1e100}
-    assert small < mid < mid2 < huge
-    assert not huge < small
-    assert LogReal.from_value(7.0).compare(LogReal.from_value(7.0)) == 0
+def _schedule(*cutoffs):
+    return ce.CutoffSchedule.from_json_list(
+        [{"m": m, "level": level, "payload": payload}
+         for m, (level, payload) in enumerate(cutoffs, 1)])
 
 
-def test_logreal_scaling():
-    x = LogReal.from_value(10.0).scaled(3.0)
-    assert x.level == 0 and x.payload == 30.0
-    y = LogReal.from_value(1e250).scaled(1e100)  # overflows level 0
-    assert y.level == 1
-    assert y.payload == pytest.approx(math.log(1e250) + math.log(1e100), rel=1e-14)
-    z = LogReal.from_log(2000.0).scaled(2.0)
-    assert z.payload == pytest.approx(2000.0 + LN2, rel=1e-14)
+def test_schedule_orders_cutoffs_across_levels():
+    # cutoffs are ordered by their logs, whichever level stores them
+    ok = _schedule((0, 5.0), (1, 400.0), (0, 1e250), (1, 1e100))  # e^400 ~ 1e173
+    assert [x.level for x in ok.log_cutoffs] == [0, 1, 0, 1]
+    for cutoffs in [((0, 1e250), (1, 400.0)),            # a level-1 cutoff below
+                    ((0, 7.0), (1, math.log(7.0))),       # the same cutoff twice
+                    ((1, math.log(7.0)), (0, 7.0))]:
+        with pytest.raises(ValueError, match="increase strictly"):
+            _schedule(*cutoffs)
 
 
-def test_logreal_plus_scalar():
-    assert LogReal.from_value(4.0).plus_scalar(1.0).payload == 5.0
-    y = LogReal.from_log(3.0).plus_scalar(1.0)
-    assert y.payload == pytest.approx(math.log(math.exp(3.0) + 1.0), rel=1e-14)
+def _log_affine_mpmath(lam, c, x):
+    """ln(c lambda + x) at 50 digits, from the stored cutoff."""
+    with mpmath.workdps(50):
+        value = mpmath.mpf(lam.payload) if lam.level == 0 else mpmath.exp(lam.payload)
+        return mpmath.log(mpmath.mpf(c) * value + mpmath.mpf(x))
+
+
+def test_log_affine_matches_mpmath_at_both_levels():
+    # the one piece of arithmetic on a stored cutoff is within a few ulp of
+    # ln(c lambda + x), and never above it by more than the check slack
+    rng = random.Random(31)
+    cases = []
+    for _ in range(300):
+        c, x = rng.uniform(1.0, 3.0), rng.choice([0.0, 1.0, 1e-304, rng.uniform(0.0, 2.0)])
+        cases.append((LogReal(0, math.exp(rng.uniform(-0.36, 690.0))), c, x))
+        cases.append((LogReal(1, rng.uniform(-0.36, 1e5)), c, x))
+        # both sides of the switch to ln(c lambda) + log1p at c lambda = 1e300
+        lam = 1e300 * rng.uniform(0.5, 2.0) / c
+        cases.append((LogReal(0, lam), c, x))
+        cases.append((LogReal(1, math.log(lam)), c, x))
+    sides = {ce._LEVEL0_CAP <= lam.payload * c for lam, c, _ in cases if lam.level == 0}
+    assert sides == {False, True}
+    for lam, c, x in cases:
+        got, want = ce._log_affine(lam, c, x), _log_affine_mpmath(lam, c, x)
+        assert abs(got - want) <= 4 * math.ulp(max(abs(float(want)), 1.0)), (lam, c, x)
+        assert got - want <= ce.SLACK
+    # the unit step that keeps cutoffs apart, ln(lambda + 1)
+    assert ce._log_affine(LogReal(0, 4.0), 1.0, 1.0) == math.log(5.0)
+    assert ce._log_affine(LogReal(1, 3.0), 1.0, 1.0) == pytest.approx(
+        math.log(math.exp(3.0) + 1.0), rel=1e-14)
 
 
 def test_logreal_validation():
@@ -126,31 +149,30 @@ def test_sqrt_xlogx_strictly_increasing_through_junction():
 
 
 def test_block_end_certificate_always_holds():
-    for lam in (LogReal.from_value(29.56), LogReal.from_value(5000.0),
-                LogReal.from_log(2000.0)):
+    for lam in (LogReal(0, 29.56), LogReal(0, 5000.0), LogReal(1, 2000.0)):
         for m in (1, 3, 7):
             end, cert = ce.required_block_end(lam, m)
             assert cert.margin >= 0.0
-            assert lam < end
+            assert lam.log_value() < end
 
 
 def test_block_end_decreasing_in_m():
     # larger m means a faster-decaying block series, so a smaller end suffices
-    lam = LogReal.from_value(40.0)
-    ends = [ce.required_block_end(lam, m)[0].log_value() for m in (1, 2, 4, 8)]
+    lam = LogReal(0, 40.0)
+    ends = [ce.required_block_end(lam, m)[0] for m in (1, 2, 4, 8)]
     assert all(a >= b for a, b in zip(ends, ends[1:]))
 
 
 def test_block_end_unit_exponent_regime():
     # s = 1 when lambda = 2^m: end is about 4(K+1); ln(K+1) is upper-bounded
     # by lambda + e^-lambda, so the computed end sits just above that
-    lam = LogReal.from_value(2.0)
+    lam = LogReal(0, 2.0)
     end, cert = ce.required_block_end(lam, 1)
     assert cert.margin >= 0.0 and cert.to_json_dict()["mode"] == "integral"
     assert cert.doublings == 0
     want = 2.0 * (1.0 + LN2) + math.exp(-2.0)
-    assert end.level == 0 and end.payload == pytest.approx(want, rel=1e-12)
-    block_end = math.exp(end.payload)
+    assert end == pytest.approx(math.log(want), rel=1e-12)  # ln ln L
+    block_end = math.exp(want)
     assert block_end == pytest.approx(4.0 * (math.exp(2.0) + 1.0), rel=0.02)
     assert block_end >= 4.0 * (math.exp(2.0) + 1.0)
 
@@ -158,7 +180,7 @@ def test_block_end_unit_exponent_regime():
 def test_block_end_unavailable_where_the_integral_bound_fails():
     # lambda = ln 2 (K = 2) at m = 2 defeats the integral bound at every slack
     with pytest.raises(ce.BlockEndUnavailable):
-        ce.required_block_end(LogReal.from_value(LN2), 2)
+        ce.required_block_end(LogReal(0, LN2), 2)
 
 
 def _at_block_weight_floor(m):
@@ -166,8 +188,8 @@ def _at_block_weight_floor(m):
     built schedule would store it."""
     lnlam = ce._min_loglam_for_block_weight(m)
     if lnlam <= math.log(ce._LEVEL0_CAP):
-        return LogReal.from_value(math.exp(lnlam))
-    return LogReal.from_log(lnlam)
+        return LogReal(0, math.exp(lnlam))
+    return LogReal(1, lnlam)
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -176,7 +198,7 @@ def test_block_end_integral_route_certifies_at_the_block_weight_floor(m):
     # bound is the one route needed
     lam = _at_block_weight_floor(m)
     end, cert = ce.required_block_end(lam, m)
-    assert cert.margin >= 0.0 and lam < end
+    assert cert.margin >= 0.0 and lam.log_value() < end
 
 
 @pytest.mark.parametrize("lam_log", [1.2, math.log(29.6)], ids=["e^1.2", "29.6"])
@@ -184,13 +206,12 @@ def test_block_end_integral_route_certifies_at_the_block_weight_floor(m):
 def test_block_end_agrees_across_storage_levels(lam_log, m):
     # a cutoff gets the same bounds on lambda and e^-lambda at either level
     lam = math.exp(lam_log)
-    low, _ = ce.required_block_end(LogReal.from_value(lam), m)
-    high, _ = ce.required_block_end(LogReal.from_log(lam_log), m)
-    assert high.level == 1
-    assert abs(high.log_value() - low.log_value()) <= math.ulp(low.log_value())
-    assert high.log_value() >= low.log_value()
-    assert ce._lambda_lower_float(LogReal.from_log(lam_log)) <= lam
-    assert ce._exp_neg_upper(LogReal.from_log(lam_log)) >= math.exp(-lam)
+    low, _ = ce.required_block_end(LogReal(0, lam), m)
+    high, _ = ce.required_block_end(LogReal(1, lam_log), m)
+    assert abs(high - low) <= math.ulp(low)
+    assert high >= low
+    assert ce._lambda_lower_float(LogReal(1, lam_log)) <= lam
+    assert ce._exp_neg_upper(LogReal(1, lam_log)) >= math.exp(-lam)
 
 
 def test_level_one_bounds_of_built_schedules_are_unchanged():
@@ -203,7 +224,7 @@ def test_level_one_bounds_of_built_schedules_are_unchanged():
 
 def test_block_end_rejects_tiny_cutoff():
     with pytest.raises(ValueError):
-        ce.required_block_end(LogReal.from_value(0.5), 1)
+        ce.required_block_end(LogReal(0, 0.5), 1)
 
 
 def _doubling_loop_block_end(log_cutoff, m):
@@ -224,7 +245,7 @@ def _doubling_loop_block_end(log_cutoff, m):
             if margin >= 0.0:
                 break
         doublings += 1
-    end = log_cutoff.scaled(1.0 + (LN2 + u) / 2.0 ** m).plus_scalar(e_neg)
+    end = ce._log_affine(log_cutoff, 1.0 + (LN2 + u) / 2.0 ** m, e_neg)
     return end, ce.HalfTailCertificate(m=m, log_s=ln_s, doublings=doublings,
                                        lhs_log=lhs_log, rhs_log=rhs_log,
                                        margin=margin)
@@ -234,8 +255,8 @@ def test_block_end_closed_form_matches_doubling_loop():
     cases = list(enumerate(ce.build_schedule(16).log_cutoffs[:-1], 1))
     rng = random.Random(8)
     for _ in range(150):
-        cases.append((rng.randint(1, 16), LogReal.from_value(math.exp(rng.uniform(3.4, 690.0)))))
-        cases.append((rng.randint(1, 16), LogReal.from_log(rng.uniform(691.0, 40000.0))))
+        cases.append((rng.randint(1, 16), LogReal(0, math.exp(rng.uniform(3.4, 690.0)))))
+        cases.append((rng.randint(1, 16), LogReal(1, rng.uniform(691.0, 40000.0))))
     for m, lam in cases:
         assert ce.required_block_end(lam, m) == _doubling_loop_block_end(lam, m), (m, lam)
     # the depth-16 schedule doubles up to tens of thousands of times
@@ -245,7 +266,7 @@ def test_block_end_closed_form_matches_doubling_loop():
 def test_block_end_slack_stalls_beyond_double_precision():
     # ln u cannot grow once ln 2 is below half an ulp of it
     with pytest.raises(RuntimeError):
-        ce.required_block_end(LogReal.from_log(1e16), 1)
+        ce.required_block_end(LogReal(1, 1e16), 1)
 
 
 def test_counterexample_bytes_match_the_doubling_loop(capsys, monkeypatch):
@@ -283,9 +304,9 @@ def test_schedule_conditions_replay():
     assert margins[-1][1] is None
     # strictly increasing cutoffs, second dominated by the required end
     for i in range(1, 9):
-        assert s.log_cutoffs[i - 1] < s.log_cutoffs[i]
+        assert s.log_cutoffs[i - 1].log_value() < s.log_cutoffs[i].log_value()
     end, _ = ce.required_block_end(s.log_cutoffs[0], 1)
-    assert end.log_value() <= s.log_cutoffs[1].log_value()
+    assert end <= s.log_cutoffs[1].log_value()
 
 
 def test_schedule_depth_limits():
@@ -346,7 +367,7 @@ def test_block_range_validation():
 
 def test_tampered_schedule_fails_at_block_weight():
     s = ce.build_schedule(4)
-    lam2 = s.log_cutoffs[1].scaled(0.5)
+    lam2 = LogReal(0, s.log_cutoffs[1].payload * 0.5)
     tampered = dataclasses.replace(
         s, log_cutoffs=(s.log_cutoffs[0], lam2) + s.log_cutoffs[2:])
     cert = ce.certify_block(tampered, 2)
@@ -358,7 +379,7 @@ def test_certificates_monotone_under_inflation():
     # inflating every cutoff by e (with the chain order kept) still certifies
     s = ce.build_schedule(6)
     inflated = dataclasses.replace(
-        s, log_cutoffs=tuple(x.scaled(math.e) for x in s.log_cutoffs))
+        s, log_cutoffs=tuple(LogReal(0, x.payload * math.e) for x in s.log_cutoffs))
     for m in range(1, 6):
         assert ce.certify_block(inflated, m).ok
 
@@ -472,8 +493,7 @@ def test_truncated_second_moment_deep_lower_bound():
     # the block certificate's exponent floor is the dominant term 2^-11 lambda_11
     name, ok, details = ce.certify_block(s, 11).steps[0]
     assert name == "exponent-floor" and ok
-    want = s.log_cutoff(11).scaled(2.0 ** -11)
-    assert LogReal.from_log(details["floor_log"]).compare(want) == 0
+    assert details["floor_log"] == s.log_cutoff(11).log_value() + math.log(2.0 ** -11)
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,7 @@ def test_a_term_bound_without_a_coefficient_vanishes_and_floors_nothing():
     assert bound.values_at(np.arange(1, 9)).tolist() == [math.inf] * 4 + [0.0] * 4
     assert bound.to_json_dict(7) == {"kind": "vanishing", "params": {"from_n": 5},
                                      "tail_bound": 0.0, "description": "zero"}
+    assert bound.tail_beyond(7) == sk.exp_up(-math.inf) == 0.0  # exp(-inf) = 0 is exact
     with pytest.raises(ValueError, match="4..4 unbounded"):
         bound.to_json_dict(3)
     assert bound.divergence() is None
