@@ -20,9 +20,9 @@ false certificate.  T_n, and every partial sum a report shows, are Sum2
 prefix sums (``prefix_sums``): prefix n is within u|S_n| + gamma_(n-1)^2
 sum|x| of the exact sum S_n, u = 2^-53.
 
-Every column whose bits reach a report goes through ``libm`` or ``power``,
-which give the C library's bits: pow and exp in numpy loops that call the C
-library itself, log and erfc one Python float at a time.
+Every column whose bits reach a report goes through ``libm`` or ``power``, which
+give the C library's bits by one route table: pow and exp in numpy loops over the
+C library, erfc's saturation fills, all else one Python float at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -40,9 +39,6 @@ from .reports import CONVERGES, DIVERGES
 
 _E2 = math.e ** 2
 _TINY = sys.float_info.min  # the least normal double
-# fn: (lo, fn(x <= lo), hi, fn(x >= hi)).  glibc's erfc returns tiny*tiny from
-# 28 up and two - tiny from -6 down.
-_SATURATED = {math.erfc: (-6.0, 2.0, 28.0, 0.0)}
 
 
 class Verdict(str, Enum):
@@ -94,8 +90,14 @@ def _complex_exp(x):
     return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
 
 
-# fn: (values, elements that fn maps instead) by a numpy loop over the C library's fn
-_VECTOR = {pow: _float_power, math.exp: _complex_exp}
+def _erfc_fills(x):
+    """glibc's erfc is two - tiny = 2.0 from -6 down and tiny*tiny = 0.0 from 28 up."""
+    low = x <= -6.0
+    return np.where(low, 2.0, 0.0), ~(low | (x >= 28.0))
+
+
+# fn: (values, elements that fn maps instead), by a numpy loop over the C library's fn or fills
+_VECTOR = {pow: _float_power, math.exp: _complex_exp, math.erfc: _erfc_fills}
 
 
 def libm(fn, *args) -> np.ndarray:
@@ -107,41 +109,30 @@ def libm(fn, *args) -> np.ndarray:
     versions differ from the math library in the last ulp on up to a few per
     cent of points, and at a tail's discontinuity one ulp flips a term.  Every
     transcendental whose bits reach a report therefore goes through here.
-    pow and math.exp run in numpy loops that call the C library's own pow and
-    cexp (``_VECTOR``); an element whose value there is not finite, or that
-    its loop leaves out, goes through fn as a Python float, so Python's errors
-    and special values stay.  Other functions map fn over Python floats,
-    except where erfc saturates: erfc(x) = 0 for x >= 28 and 2 for x <= -6 is
-    filled in (``_SATURATED``); a NaN still goes through fn.
+    A function with a route in ``_VECTOR`` keeps its values: pow and math.exp
+    from numpy loops that call the C library's pow and cexp, erfc's 2.0 from -6
+    down and 0.0 from 28 up.  Every element a route leaves out or gives no
+    finite value, NaN included, and every element of a function without a
+    route goes through fn as a Python float, so Python's errors and special
+    values stay.
     """
-    if fn in _VECTOR:
-        shape = np.broadcast(*args).shape or (1,)
-        cols = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in args]
-        with np.errstate(all="ignore"):
-            out, mapped = _VECTOR[fn](*cols)
-        mapped |= ~np.isfinite(out)
-        if mapped.any():
-            out[mapped] = _map(fn, *(c[mapped] for c in cols))
-        return out
-    if fn in _SATURATED:
-        lo, low, hi, high = _SATURATED[fn]
-        x = np.atleast_1d(np.asarray(args[0], dtype=np.float64))
-        live = ~((x <= lo) | (x >= hi))
-        if not live.all():
-            out = np.where(x <= lo, low, high)
-            out[live] = _map(fn, x[live])
-            return out
-    return _map(fn, *args)
-
-
-def _map(fn, *args) -> np.ndarray:
-    """fn(*args) one Python float at a time, in the arguments' broadcast shape."""
     shape = np.broadcast(*args).shape or (1,)
-    # a memoryview yields Python floats without a list
-    cols = [repeat(float(a)) if np.ndim(a) == 0 else
-            memoryview(np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel())
-            for a in args]
-    return np.fromiter(map(fn, *cols), np.float64, count=math.prod(shape)).reshape(shape)
+    cols = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in args]
+    if fn not in _VECTOR:
+        return _map(fn, *(c.ravel() for c in cols)).reshape(shape)
+    with np.errstate(all="ignore"):
+        out, mapped = _VECTOR[fn](*cols)
+    mapped |= ~np.isfinite(out)
+    if mapped.any():
+        out[mapped] = _map(fn, *(c[mapped] for c in cols))
+    return out
+
+
+def _map(fn, *cols) -> np.ndarray:
+    """fn over 1-D columns of one length, one Python float at a time; a
+    memoryview yields Python floats without a list."""
+    views = [memoryview(c) for c in cols]
+    return np.fromiter(map(fn, *views), np.float64, count=len(views[0]))
 
 
 def power(x, p: float) -> np.ndarray:

@@ -298,7 +298,7 @@ CERTIFY_PAIRS = [
 
 
 def full_libm_moments(d, b):
-    """E[X^2 1{|X| < b}] with every element through libm: no saturation rule,
+    """E[X^2 1{|X| < b}] with every element through libm: no erfc fill,
     and uniform_sym's pow(min(b, h), 3) mapped at every cutoff."""
     if d.kind == "uniform_sym":
         (h,) = d.params
@@ -319,7 +319,7 @@ def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
                cv.adaptive_exponent_terms(eps, n[1:],
                                           distmodel.truncated_second_moments(d, eps * cut))]
         with monkeypatch.context() as m:
-            m.setattr(seqkit, "_SATURATED", {})
+            m.delitem(seqkit._VECTOR, math.erfc)
             t = full_libm_moments(d, eps * av)
             want = [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t),
                     cv.adaptive_exponent_terms(eps, n[1:], full_libm_moments(d, eps * cut))]

@@ -399,7 +399,13 @@ SATURATION_RULES = [(math.exp, np.less_equal, -750.0, 0.0),
 
 def test_libm_fills_exactly_these_rules():
     # exp needs no fill: the C library's cexp returns 0.0 below -745.14 itself
-    assert sk._SATURATED == {math.erfc: (-6.0, 2.0, 28.0, 0.0)}
+    assert set(sk._VECTOR) == {pow, math.exp, math.erfc}
+    assert sk._VECTOR[math.erfc] is sk._erfc_fills
+    x = np.array([-math.inf, -6.0, np.nextafter(-6.0, 0.0), math.nan, 0.0,
+                  np.nextafter(28.0, 0.0), 28.0, math.inf])
+    values, mapped = sk._erfc_fills(x)
+    assert mapped.tolist() == [False, False, True, True, True, True, False, False]
+    assert values[~mapped].tolist() == [2.0, 2.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("fn,compare,edge,value", SATURATION_RULES,
