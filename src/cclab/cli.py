@@ -421,6 +421,10 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                       else "block certificates incomplete",)))
         extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
     else:
+        # a is nondecreasing, so a(1) gives the least cutoff; a subnormal one has lost digits
+        if not min(cfg.eps) * av[0] >= sys.float_info.min:
+            raise ConfigError(f"the cutoff eps * a(1) = {min(cfg.eps)!r} * {float(av[0])!r} "
+                              "underflows past the normal doubles")
         d = cfg.dist
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
         moments.append({"form": "inv_logplus", "finite": mom.finite,
@@ -479,9 +483,11 @@ def run_counterexample(cfg: ScenarioConfig,
                        schedule_path: Optional[str] = None) -> tuple[int, dict]:
     if schedule_path is not None:
         schedule = _read_schedule(schedule_path)
+    elif cfg.preset == "ms_counterexample":
+        schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
     else:
-        depth = int(cfg.preset_args[0]) if cfg.preset == "ms_counterexample" else 9
-        schedule = counterexample.build_schedule(depth)
+        raise ConfigError("counterexample needs --preset 'ms_counterexample(d)' or --schedule, "
+                          f"not preset {cfg.preset!r}")
     try:
         report = counterexample.verify_counterexample(schedule)
     except counterexample.BlockEndUnavailable as exc:
@@ -645,12 +651,11 @@ def main(argv=None) -> int:
             _print_stdout(text)
             return EXIT_OK
 
-        # A replayed schedule is the whole scenario, so it needs neither
-        # sequences nor a distribution.
-        replay = args.command == "counterexample" and args.schedule is not None
+        # counterexample reads neither sequences nor a distribution: its
+        # preset or its replayed schedule is the whole scenario.
         cfg = load_config(args.config, _sets_from_args(args),
-                          require_sequences=args.command != "estimate" and not replay,
-                          require_distribution=not replay)
+                          require_sequences=args.command in ("check-conditions", "simulate"),
+                          require_distribution=args.command != "counterexample")
         if args.command == "check-conditions":
             payload = run_check_conditions(cfg)
             _emit(payload, cfg.out_dir, "check_conditions.json")

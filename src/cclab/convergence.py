@@ -52,6 +52,16 @@ def _arrays(*xs) -> tuple:
     return tuple(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs)
 
 
+def _exponent(x: np.ndarray, n: np.ndarray, formula: str) -> np.ndarray:
+    """x, the exponent ``formula`` at every n; a NaN there means that its parts
+    left the doubles (inf / inf, or a T of 0 * inf), so it raises at the first n."""
+    bad = np.flatnonzero(np.isnan(x))
+    if bad.size:
+        k = np.broadcast_to(n, x.shape).ravel()[bad[0]]
+        raise OverflowError(f"the exponent {formula} is NaN at n={k:.0f}")
+    return x
+
+
 def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     """n * w(n) * P(|X| >= eps * a(n)), where ``w`` and ``a`` hold w(n) and a(n)."""
     if eps <= 0:
@@ -69,7 +79,7 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     # exp(-inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.where(t == 0.0, -math.inf, -(eps * eps * a * a) / (n * t))
-    return w * libm(math.exp, x)
+    return w * libm(math.exp, _exponent(x, n, "-eps^2 a(n)^2 / (n T)"))
 
 
 def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
@@ -83,7 +93,7 @@ def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
     # pow(n, -inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.where(t == 0.0, -math.inf, -1.0 - eps * eps / t)
-    return libm(pow, n, x)
+    return libm(pow, n, _exponent(x, n, "-1 - eps^2 / T"))
 
 
 def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:

@@ -16,6 +16,7 @@ for ``uniform_sym`` outside its bit-plane range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -34,6 +35,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _MASS_TOL = 1e-12
+_CUBE_MAX = 5.643803094122361e+102  # the largest double whose pow(x, 3) is finite
+_MAX_PANELS = 10_000  # the most quadrature panels one weighted moment may take
 
 
 def _pow(x: float, p: float) -> float:
@@ -203,7 +206,12 @@ def tails(d: Dist, lam) -> np.ndarray:
     elif d.kind == "pareto_sym":
         alpha, scale = d.params
         far = lam > scale
-        out[far] = power(scale / lam[far], alpha)
+        ratio = scale / lam[far]
+        t = power(ratio, alpha)
+        tiny = ratio < sys.float_info.min  # the ratio has lost digits: exp(alpha log ratio)
+        if tiny.any():
+            t[tiny] = libm(math.exp, alpha * (math.log(scale) - libm(math.log, lam[far][tiny])))
+        out[far] = t
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     out[~pos] = 1.0
@@ -232,10 +240,15 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         return below[np.searchsorted(mags, b, side="left")]
     if d.kind == "uniform_sym":
         (h,) = d.params
-        inside = b < h  # pow(min(b, h), 3) is one constant past h, formed only if used
-        out = np.full(b.shape, 0.0 if inside.all() else _pow(h, 3.0))
-        out[inside] = power(b[inside], 3.0)
-        return out / (h * 3.0)
+        m = np.minimum(b, h)
+        big = m > _CUBE_MAX  # m^3 leaves the doubles: T is formed as m m (m / 3h)
+        cube = (b < h) & ~big  # pow(min(b, h), 3) is one constant past h, formed only if used
+        out = np.full(b.shape, 0.0 if (cube | big).all() else _pow(h, 3.0))
+        out[cube] = power(b[cube], 3.0)
+        out /= h * 3.0
+        with np.errstate(over="ignore"):  # a T past the doubles, h^2/3 > 1.8e308, is inf
+            out[big] = m[big] * m[big] * (m[big] / (h * 3.0))
+        return out
     if d.kind == "normal_std":
         # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
         mass = libm(math.erfc, -b / _SQRT2) - 1.0
@@ -368,9 +381,10 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
 
     Returns a certified divergence flag for symmetric Pareto tails that are
     too heavy instead of a sentinel float, and no value, with a reason, for a
-    moment past the double range.  The continuous laws integrate with
-    ``_integral``: the 1/log pole sits at x = -1, the other singularities
-    further left or, in u = log x, at Im u = +-pi.
+    moment past the double range or a Pareto integral of over _MAX_PANELS
+    panels.  The continuous laws integrate with ``_integral``: the 1/log pole
+    sits at x = -1, the other singularities further left or, in u = log x, at
+    Im u = +-pi.
     """
     p = _log_power(form, delta)
     if d.kind in _ATOM_KINDS:
@@ -395,6 +409,9 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
             why = ("x^(1-alpha)/log(2+x) is not integrable" if form == "inv_logplus"
                    else "iterated-log weight cannot rescue the integral")
             return MomentValue(False, None, f"tail index {alpha:g} <= 2: {why}")
+        if p > _MAX_PANELS:  # the range below spans p of its widest panels
+            return MomentValue(True, None, f"log power {p:g}: the quadrature needs more "
+                                           f"than {_MAX_PANELS} panels")
         # alpha s^2 int_0^inf e^(-(alpha-2) v) W(s e^v) dv in v = log(x/s): panels
         # of at least 2 below the singularities at Im v = +-pi, across each at most
         # e^-40 of decay, and the rest past 40 max(1, p) / (alpha - 2) below e^-40

@@ -362,6 +362,16 @@ HUGE_MOMENTS = [["--preset", "spataru", "--horizon", "100", "--set", f"distribut
                  "--set", f"distribution.{entry}"]
                 for kind, entry in [("atomic_sym", "atoms=1e308:0.5"), ("atomic_sym", "atoms=1e200:0.5"),
                                     ("uniform_sym", "half_width=1e200")]]
+# scale / lambda underflows past the normal doubles; min(b, h)^3 overflows
+PARETO_TINY_RATIO = [
+    ["--preset", "baum_katz(2,1)", "--eps", "1e100", "--horizon", "50", "--set",
+     "distribution.kind=pareto_sym", "--set", "distribution.alpha=0.5",
+     "--set", "distribution.scale=1e-300"],
+    ["--preset", "spataru", "--eps", "1e100", "--horizon", "50", "--set",
+     "distribution.kind=pareto_sym", "--set", "distribution.alpha=1e-320",
+     "--set", "distribution.scale=1e-300"]]
+UNIFORM_HUGE_CUBE = ["--preset", "spataru", "--eps", "1e125", "--horizon", "50", "--set",
+                     "distribution.kind=uniform_sym", "--set", "distribution.half_width=1e120"]
 F11_R = ("1", "1.5", "2", "3")
 F11_CASES = [["--preset", f"baum_katz({r},0.5)", "--set", "distribution.kind=uniform_sym"]
              for r in F11_R]
@@ -402,11 +412,14 @@ def _reject_constant(name):
     *F11_CASES,
     # E[X^2] and E[X^2 / log(2+|X|)] pass the double range
     *HUGE_MOMENTS,
+    *PARETO_TINY_RATIO,
+    UNIFORM_HUGE_CUBE,
 ], ids=["geometric 1e160", "geometric 20", "eps 1e-200", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
         "uniform subnormal half-width", "pareto moment 0", "subnormal T",
         *(f"subnormal ratio^n0 r={r}" for r in F11_R),
-        "atom 1e308", "atom 1e200", "uniform half-width 1e200"])
+        "atom 1e308", "atom 1e200", "uniform half-width 1e200",
+        "pareto ratio 1e-400", "pareto alpha 1e-320", "uniform cube 1e360"])
 def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -426,12 +439,42 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     if argv == EPS_TINY:
         assert {r["term"] for s in series if s["series_id"] == "exponential"
                 for r in s["rows"]} == {0.0}
+    if argv in PARETO_TINY_RATIO:  # the floor holds where the tail no longer underflows
+        assert [s["verdict"] for s in series if s["series_id"] == "single-tail"] == [cv.DIVERGES]
     if argv in (*F11_CASES, EPS_20):
         # the terms are at most exp(-c n^kappa): kappa = 3 with c = 3 eps^2 for
         # uniform_sym, kappa = 1 with c = 400 for rademacher at eps 20
         exp_series = [s for s in series if s["series_id"] == "exponential"]
         assert {s["verdict"] for s in exp_series} == {cv.CONVERGES}
         assert all(0.0 < s["tail_bound"]["tail_bound"] < math.inf for s in exp_series)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # eps^2 a^2 and n T both overflow: inf / inf
+    (["--preset", "baum_katz(2,1)", "--eps", "1e300", "--set", "distribution.kind=atomic_sym",
+      "--set", "distribution.atoms=1e300:0.5"], "exponent -eps^2 a(n)^2 / (n T) is NaN at n=2"),
+    # T = 0 * inf: alpha scale^2 underflows and log(b / scale) overflows
+    (["--preset", "baum_katz(2,1)", "--eps", "0.5,10", "--set", "distribution.kind=pareto_sym",
+      "--set", "distribution.alpha=2", "--set", "distribution.scale=1e-320"],
+     "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
+    # T = inf * 0 once 2 eps a(n) overflows
+    (["--preset", "spataru", "--eps", "1e308", "--set", "distribution.kind=normal_std"],
+     "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
+    # eps a(1) underflows to 0, or to a subnormal whose lost digits broke a certificate
+    (["--set", "weights.exponent=-2", "--set", "normalizer.exponent=1",
+      "--set", "normalizer.coef=1e-100", "--eps", "1e-300", "--set", "distribution.kind=rademacher"],
+     "the cutoff eps * a(1) = 1e-300 * 1e-100 underflows past the normal doubles"),
+    (["--preset", "spataru", "--eps", "1e-320,0.5", "--set", "distribution.kind=pareto_sym",
+      "--set", "distribution.alpha=3", "--set", "distribution.scale=1e-320"],
+     "the cutoff eps * a(1) = 1e-320 * 1.0 underflows past the normal doubles"),
+], ids=["atom inf/inf", "pareto 0*inf", "normal inf*0", "cutoff 0", "cutoff subnormal"])
+def test_values_past_the_double_range_are_refused(capsys, argv, message):
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")  # numpy may warn on its way to the NaN
+        code, out, err = run(capsys, "check-conditions", "--horizon", "50", *argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert message in err
 
 
 def test_normal_exponential_terms_stay_below_the_weights_at_tiny_eps(capsys):
@@ -551,6 +594,22 @@ def test_readme_replay_needs_no_preset(capsys, tmp_path):
     readme_form = json.loads(out)
     assert readme_form["schedule"] == with_preset["schedule"]
     assert readme_form["report"] == with_preset["report"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--preset", "spataru", "--set", "distribution.kind=normal_std"),
+    ("--preset", "baum_katz(2,1)"),
+    (),
+], ids=["spataru", "baum_katz", "no preset"])
+def test_counterexample_builds_only_its_own_preset(capsys, argv):
+    # a depth-9 counterexample used to be reported under any other preset
+    code, out, err = run(capsys, "counterexample", *argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error: counterexample needs --preset 'ms_counterexample(d)'")
+    assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "counterexample", "--preset", "ms_counterexample(3)")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert len(json.loads(out)["schedule"]) == 3
 
 
 def schedule_rows(level: int, payloads) -> str:
@@ -1256,6 +1315,61 @@ def test_huge_support_finishes_within_the_horizon(dist, code):
         assert all(s["verdict"] == "Undetermined" for s in json.loads(proc.stdout)["series"])
     else:
         assert proc.stderr.startswith("config error:") and len(proc.stderr.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# exit codes over a seeded sweep of valid scenarios at every magnitude
+# ---------------------------------------------------------------------------
+
+SWEEP_MAGNITUDES = (1e-320, 1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.0,
+                    10.0, 1e3, 1e10, 1e100, 1e200, 1e300)
+SWEEP_LAWS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_std": (),
+              "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
+
+
+def sweep_scenario(rng) -> list:
+    """One valid check-conditions command line drawn from ``rng``: half on a
+    preset, half on power-law sequences, each magnitude from SWEEP_MAGNITUDES."""
+    def mag(below=math.inf, least=0.0) -> str:
+        return repr(float(rng.choice([m for m in SWEEP_MAGNITUDES if least <= m < below])))
+
+    def signed() -> str:
+        return ("-" if rng.random() < 0.5 else "") + mag()
+
+    argv = ["check-conditions", "--horizon", str(rng.choice([4, 50, 300])),
+            "--eps", f"{mag()},{mag()}"]
+    if rng.random() < 0.5:
+        preset = rng.choice(["baum_katz", "spataru", "spataru_weak"])
+        args = {"baum_katz": f"({mag(least=1.0)},{mag(below=2.0)})", "spataru": "",
+                "spataru_weak": f"({mag()})"}[preset]
+        argv += ["--preset", preset + args]
+    else:
+        for section in ("weights", "normalizer"):
+            factors = [f"{name}:{signed()}" for name in ("log_power", "loglog_power")
+                       if rng.random() < 0.5]
+            argv += ["--set", f"{section}.exponent={signed()}", "--set", f"{section}.coef={mag()}",
+                     "--set", f"{section}.slowly_varying={','.join(factors)}"]
+    kind = str(rng.choice(list(SWEEP_LAWS)))
+    argv += ["--set", f"distribution.kind={kind}"]
+    for key in SWEEP_LAWS[kind]:
+        value = f"{mag()}:0.5,{mag()}:0.25" if key == "atoms" else mag()
+        argv += ["--set", f"distribution.{key}={value}"]
+    return argv
+
+
+def test_valid_scenarios_at_every_magnitude_end_in_a_documented_exit_code(capsys):
+    # a value past the double range is refused (2) or reported; a check that
+    # fails inside the program (5) is a defect.  Warnings are recorded, not failed.
+    rng = np.random.default_rng(0)
+    failures = []
+    for _ in range(300):
+        argv = sweep_scenario(rng)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *argv)
+        if code not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_FAMILY):
+            failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
+    assert not failures, "\n".join(failures)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_weighted_term_binomial_oracle():
     assert cv.weighted_term(w, 4, p) == 0.125
 
 
+def test_a_nan_exponent_raises_at_its_first_n():
+    # eps^2 a^2 / (n T) = inf / inf at n = 3; a NaN T at n = 3
+    n = np.arange(1.0, 5.0)
+    with pytest.raises(OverflowError, match=r"-eps\^2 a\(n\)\^2 / \(n T\) is NaN at n=3"):
+        cv.exp_terms(1.0, [1.0, 1.0, 1e300, 1e300], 1e10, n, [1.0, 1.0, math.inf, 1.0])
+    with pytest.raises(OverflowError, match=r"-1 - eps\^2 / T is NaN at n=3"):
+        cv.adaptive_exponent_terms(1.0, [2.0, 3.0], [1.0, math.nan])
+
+
 def test_exp_and_adaptive_terms_agree_on_spataru_shape():
     w, a = spataru_weights(), spataru_norms()
     for d in (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std()):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cclab import counterexample as ce
 from cclab import distmodel as dm
 from cclab import seeding
+from cclab import seqkit as sk
 from cclab.cli import spataru_norms
 from cclab.seqkit import power_law_norms
 
@@ -249,6 +250,41 @@ def test_moment_past_the_double_range_has_no_value():
     assert dm.truncated_second_moments(dm.atomic_sym([(1e200, 0.5)]), [1.0, 1e300]).tolist() == [
         0.0, math.inf]
     assert dm.second_moment_bound(dm.uniform_sym(1e200)) == math.inf
+
+
+def test_pareto_tail_past_the_normal_doubles_is_formed_in_logs():
+    # scale / lam = 1e-400 underflowed to 0.0 before the power, and a floor failed
+    lam = np.array([1e100, 3e100, 1e300, math.inf])
+    want = [float(mpmath.power(mpmath.mpf(1e-300) / mpmath.mpf(x), 0.5)) for x in lam[:3]]
+    got = dm.tails(dm.pareto_sym(0.5, 1e-300), lam)
+    np.testing.assert_allclose(got[:3], want, rtol=1e-13)
+    assert got[3] == 0.0
+    assert dm.tails(dm.pareto_sym(1e-320, 1e-300), lam[:3]).tolist() == [1.0] * 3
+    # a ratio within the normal doubles keeps pow's bits
+    lam = np.logspace(0.1, 307.0, 200)
+    assert dm.tails(dm.pareto_sym(1.5, 1.0), lam).tolist() == sk.libm(pow, 1.0 / lam, 1.5).tolist()
+
+
+def test_uniform_truncated_moment_past_the_cube_range():
+    # pow(min(b, h), 3) leaves the doubles past _CUBE_MAX; T = m m (m / 3h) does not
+    assert pow(dm._CUBE_MAX, 3.0) < math.inf
+    with pytest.raises(OverflowError):
+        pow(math.nextafter(dm._CUBE_MAX, math.inf), 3.0)
+    got = dm.truncated_second_moments(dm.uniform_sym(1e120), [1e119, 1e121])
+    np.testing.assert_allclose(got, [1e238 / 30.0, 1e240 / 3.0], rtol=1e-15)
+    b = np.array([1.0, 1e50, dm._CUBE_MAX])
+    assert dm.truncated_second_moments(dm.uniform_sym(1e110), b).tolist() == [
+        pow(x, 3.0) / (1e110 * 3.0) for x in b.tolist()]
+    # h^2 / 3 past the doubles is inf, with no warning
+    assert dm.truncated_second_moments(dm.uniform_sym(1e200), [1e150, 1e200]).tolist() == [
+        1e150 * 1e150 * (1e150 / (1e200 * 3.0)), math.inf]
+
+
+def test_pareto_moment_past_the_panel_budget_has_no_value():
+    # the range spans 1 + delta panels: 1e10 of them used to exhaust memory
+    got = dm.weighted_second_moment(dm.pareto_sym(3.0), "loglog_delta", delta=1e10)
+    assert (got.finite, got.value) == (True, None)
+    assert got.reason == "log power 1e+10: the quadrature needs more than 10000 panels"
 
 
 # ---------------------------------------------------------------------------
