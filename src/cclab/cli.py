@@ -13,10 +13,14 @@ data inside the reports; exit codes only signal operational failures:
        numbered m = 1..len, or holds a cutoff for which the integral bound
        certifies no block end; weights or a normalizer that are negative,
        non-finite, decreasing or overflow doubles; configured magnitudes
-       whose powers overflow; an ``--out`` path that cannot be written; a
-       size (such as ``--horizon``) whose arrays cannot be allocated; and an
-       option the command does not take (only ``simulate`` takes
-       ``--maximal``), as argparse's usage error
+       whose powers overflow; an exponential or adaptive-exponent term
+       whose exponent is NaN because its parts left the doubles; a least
+       cutoff eps * a(1) below the normal doubles; ``counterexample``
+       without ``--schedule`` under any preset but ``ms_counterexample(d)``;
+       an ``--out`` path that cannot be written; a size (such as
+       ``--horizon``) whose arrays cannot be allocated; and an option the
+       command does not take (only ``simulate`` takes ``--maximal``), as
+       argparse's usage error
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -31,7 +35,8 @@ A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
 
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
-no preset, sequences or distribution.
+no preset; without ``--schedule`` it builds ``ms_counterexample(d)`` and
+nothing else.  It reads no sequences and no distribution.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.

@@ -241,13 +241,13 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
     if d.kind == "uniform_sym":
         (h,) = d.params
         m = np.minimum(b, h)
-        big = m > _CUBE_MAX  # m^3 leaves the doubles: T is formed as m m (m / 3h)
+        big = m > _CUBE_MAX  # m^3 leaves the doubles: T is formed as m (m (m / 3h))
         cube = (b < h) & ~big  # pow(min(b, h), 3) is one constant past h, formed only if used
         out = np.full(b.shape, 0.0 if (cube | big).all() else _pow(h, 3.0))
         out[cube] = power(b[cube], 3.0)
         out /= h * 3.0
         with np.errstate(over="ignore"):  # a T past the doubles, h^2/3 > 1.8e308, is inf
-            out[big] = m[big] * m[big] * (m[big] / (h * 3.0))
+            out[big] = m[big] * (m[big] * (m[big] / (h * 3.0)))
         return out
     if d.kind == "normal_std":
         # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here

@@ -266,7 +266,8 @@ def test_pareto_tail_past_the_normal_doubles_is_formed_in_logs():
 
 
 def test_uniform_truncated_moment_past_the_cube_range():
-    # pow(min(b, h), 3) leaves the doubles past _CUBE_MAX; T = m m (m / 3h) does not
+    # pow(min(b, h), 3) leaves the doubles past _CUBE_MAX; T = m (m (m / 3h)) does
+    # not, nor does m^2 at b = 1e160 < h = 1e200
     assert pow(dm._CUBE_MAX, 3.0) < math.inf
     with pytest.raises(OverflowError):
         pow(math.nextafter(dm._CUBE_MAX, math.inf), 3.0)
@@ -276,8 +277,9 @@ def test_uniform_truncated_moment_past_the_cube_range():
     assert dm.truncated_second_moments(dm.uniform_sym(1e110), b).tolist() == [
         pow(x, 3.0) / (1e110 * 3.0) for x in b.tolist()]
     # h^2 / 3 past the doubles is inf, with no warning
-    assert dm.truncated_second_moments(dm.uniform_sym(1e200), [1e150, 1e200]).tolist() == [
-        1e150 * 1e150 * (1e150 / (1e200 * 3.0)), math.inf]
+    got = dm.truncated_second_moments(dm.uniform_sym(1e200), [1e160, 1e200])
+    np.testing.assert_allclose(got[0], 1e280 / 3.0, rtol=1e-15)
+    assert got[1] == math.inf
 
 
 def test_pareto_moment_past_the_panel_budget_has_no_value():
