@@ -427,8 +427,9 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
     else:
         # a is nondecreasing, so a(1) gives the least cutoff; a subnormal one has lost digits
-        if not min(cfg.eps) * av[0] >= sys.float_info.min:
-            raise ConfigError(f"the cutoff eps * a(1) = {min(cfg.eps)!r} * {float(av[0])!r} "
+        least, a1 = min(cfg.eps), float(av[0])  # Python floats: no warning on overflow
+        if not least * a1 >= sys.float_info.min:
+            raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} "
                               "underflows past the normal doubles")
         d = cfg.dist
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
