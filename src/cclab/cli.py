@@ -14,9 +14,10 @@ data inside the reports; exit codes only signal operational failures:
        certifies no block end; weights or a normalizer that are negative,
        non-finite, decreasing or overflow doubles; configured magnitudes
        whose powers overflow; an exponential or adaptive-exponent term
-       whose exponent is NaN because its parts left the doubles; a least
-       cutoff eps * a(1) below the normal doubles; ``counterexample``
-       without ``--schedule`` under any preset but ``ms_counterexample(d)``;
+       whose exponent is NaN because its parts left the doubles (any NaN T
+       counts as such); a least cutoff eps * a(1) that underflows to 0;
+       ``counterexample`` without ``--schedule`` under any preset but
+       ``ms_counterexample(d)``;
        an ``--out`` path that cannot be written; a size (such as
        ``--horizon``) whose arrays cannot be allocated; and an option the
        command does not take (only ``simulate`` takes ``--maximal``), as
@@ -426,11 +427,10 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                       else "block certificates incomplete",)))
         extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
     else:
-        # a is nondecreasing, so a(1) gives the least cutoff; a subnormal one has lost digits
+        # a is nondecreasing, so a(1) gives the least cutoff
         least, a1 = min(cfg.eps), float(av[0])  # Python floats: no warning on overflow
-        if not least * a1 >= sys.float_info.min:
-            raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} "
-                              "underflows past the normal doubles")
+        if not least * a1 > 0.0:
+            raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
         d = cfg.dist
         mom = distmodel.weighted_second_moment(d, "inv_logplus")
         moments.append({"form": "inv_logplus", "finite": mom.finite,

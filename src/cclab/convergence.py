@@ -35,8 +35,8 @@ from .distmodel import Dist
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
                       check_partial_sums)
-from .seqkit import (NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf, power,
-                     prefix_sums)
+from .seqkit import (_TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
+                     power, prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds need not go through libm.
@@ -53,8 +53,11 @@ def _arrays(*xs) -> tuple:
 
 
 def _exponent(x: np.ndarray, n: np.ndarray, formula: str) -> np.ndarray:
-    """x, the exponent ``formula`` at every n; a NaN there means that its parts
-    left the doubles (inf / inf, or a T of 0 * inf), so it raises at the first n."""
+    """x, the exponent ``formula`` at every n; it raises at the first n where x
+    is NaN.  Every NaN exponent counts as a value past the double range: its
+    parts are inf / inf, or T is NaN, which the laws' T forms only from parts
+    past the doubles (0 * inf).  A NaN T from a defect in a law would be
+    reported the same way, not as an internal error."""
     bad = np.flatnonzero(np.isnan(x))
     if bad.size:
         k = np.broadcast_to(n, x.shape).ravel()[bad[0]]
@@ -181,7 +184,8 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
     if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
         alpha, scale = d.params
         wf, af = w.family, a.family
-        n0 = _first_n(lambda n: eps * a.values(n) >= scale, 2, horizon)
+        # the tail is exact from the first cutoff at or past the scale that keeps every digit
+        n0 = _first_n(lambda n: eps * a.values(n) >= max(scale, _TINY), 2, horizon)
         if n0 is None:
             return None
         # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta

@@ -16,7 +16,6 @@ for ``uniform_sym`` outside its bit-plane range.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -24,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqkit import NormSeq, libm, power
+from .seqkit import _TINY, NormSeq, libm, power
 
 
 class SamplingUnavailable(RuntimeError):
@@ -208,7 +207,7 @@ def tails(d: Dist, lam) -> np.ndarray:
         far = lam > scale
         ratio = scale / lam[far]
         t = power(ratio, alpha)
-        tiny = ratio < sys.float_info.min  # the ratio has lost digits: exp(alpha log ratio)
+        tiny = ratio < _TINY  # the ratio has lost digits: exp(alpha log ratio)
         if tiny.any():
             t[tiny] = libm(math.exp, alpha * (math.log(scale) - libm(math.log, lam[far][tiny])))
         out[far] = t
@@ -240,14 +239,18 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         return below[np.searchsorted(mags, b, side="left")]
     if d.kind == "uniform_sym":
         (h,) = d.params
+
+        def over_3h(x):  # 3h leaves the doubles past h = 6e307: divide by h, then by 3
+            return x / (h * 3.0) if h * 3.0 < math.inf else x / h / 3.0
+
         m = np.minimum(b, h)
         big = m > _CUBE_MAX  # m^3 leaves the doubles: T is formed as m (m (m / 3h))
         cube = (b < h) & ~big  # pow(min(b, h), 3) is one constant past h, formed only if used
         out = np.full(b.shape, 0.0 if (cube | big).all() else _pow(h, 3.0))
         out[cube] = power(b[cube], 3.0)
-        out /= h * 3.0
+        out = over_3h(out)
         with np.errstate(over="ignore"):  # a T past the doubles, h^2/3 > 1.8e308, is inf
-            out[big] = m[big] * (m[big] * (m[big] / (h * 3.0)))
+            out[big] = m[big] * (m[big] * over_3h(m[big]))
         return out
     if d.kind == "normal_std":
         # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here

@@ -372,6 +372,13 @@ PARETO_TINY_RATIO = [
      "--set", "distribution.scale=1e-300"]]
 UNIFORM_HUGE_CUBE = ["--preset", "spataru", "--eps", "1e125", "--horizon", "50", "--set",
                      "distribution.kind=uniform_sym", "--set", "distribution.half_width=1e120"]
+# eps a(n) is subnormal: rademacher's T is exact there, and the Pareto tail's
+# envelope starts at the first cutoff that is a normal double
+SUBNORMAL_CUTOFF = [["--preset", "spataru", "--eps", "1e-320,0.5", "--horizon", "50",
+                     "--set", "distribution.kind=rademacher"],
+                    ["--preset", "spataru", "--eps", "1e-320,0.5", "--horizon", "50",
+                     "--set", "distribution.kind=pareto_sym", "--set", "distribution.alpha=1.5",
+                     "--set", "distribution.scale=1e-320"]]
 F11_R = ("1", "1.5", "2", "3")
 F11_CASES = [["--preset", f"baum_katz({r},0.5)", "--set", "distribution.kind=uniform_sym"]
              for r in F11_R]
@@ -414,12 +421,14 @@ def _reject_constant(name):
     *HUGE_MOMENTS,
     *PARETO_TINY_RATIO,
     UNIFORM_HUGE_CUBE,
+    *SUBNORMAL_CUTOFF,
 ], ids=["geometric 1e160", "geometric 20", "eps 1e-200", "geometric 1e300", "pareto floor 1e300",
         "pareto floor 1e160", "normal moment 1e160", "atom moment 0", "uniform moment 0",
         "uniform subnormal half-width", "pareto moment 0", "subnormal T",
         *(f"subnormal ratio^n0 r={r}" for r in F11_R),
         "atom 1e308", "atom 1e200", "uniform half-width 1e200",
-        "pareto ratio 1e-400", "pareto alpha 1e-320", "uniform cube 1e360"])
+        "pareto ratio 1e-400", "pareto alpha 1e-320", "uniform cube 1e360",
+        "rademacher cutoff 1e-320", "pareto cutoff 1e-320"])
 def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -460,14 +469,19 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     # T = inf * 0 once 2 eps a(n) overflows
     (["--preset", "spataru", "--eps", "1e308", "--set", "distribution.kind=normal_std"],
      "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
-    # eps a(1) underflows to 0, or to a subnormal whose lost digits broke a certificate
+    # 3h is inf past h = 6e307, T = m (m (m / h / 3)) is inf and so is eps^2 a^2
+    (["--preset", "baum_katz(2,1)", "--eps", "1e307", "--set", "distribution.kind=uniform_sym",
+      "--set", "distribution.half_width=8e307"], "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
+    # eps a(1) underflows to 0
     (["--set", "weights.exponent=-2", "--set", "normalizer.exponent=1",
       "--set", "normalizer.coef=1e-100", "--eps", "1e-300", "--set", "distribution.kind=rademacher"],
-     "the cutoff eps * a(1) = 1e-300 * 1e-100 underflows past the normal doubles"),
+     "the cutoff eps * a(1) = 1e-300 * 1e-100 underflows to 0"),
+    # b^(2 - alpha) overflows in the Pareto T at a subnormal cutoff
     (["--preset", "spataru", "--eps", "1e-320,0.5", "--set", "distribution.kind=pareto_sym",
       "--set", "distribution.alpha=3", "--set", "distribution.scale=1e-320"],
-     "the cutoff eps * a(1) = 1e-320 * 1.0 underflows past the normal doubles"),
-], ids=["atom inf/inf", "pareto 0*inf", "normal inf*0", "cutoff 0", "cutoff subnormal"])
+     "a value past the double range"),
+], ids=["atom inf/inf", "pareto 0*inf", "normal inf*0", "uniform inf/inf", "cutoff 0",
+        "pareto power at a subnormal cutoff"])
 def test_values_past_the_double_range_are_refused(capsys, argv, message):
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")  # numpy may warn on its way to the NaN

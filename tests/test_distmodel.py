@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -280,6 +281,13 @@ def test_uniform_truncated_moment_past_the_cube_range():
     got = dm.truncated_second_moments(dm.uniform_sym(1e200), [1e160, 1e200])
     np.testing.assert_allclose(got[0], 1e280 / 3.0, rtol=1e-15)
     assert got[1] == math.inf
+    # 3h is inf past h = 6e307: T divides by h, then by 3
+    assert 8e307 * 3.0 == math.inf
+    got = dm.truncated_second_moments(dm.uniform_sym(8e307), [1.0, 1e100, 1e200, 8e307, 1e308])
+    want = [float(Fraction(b) ** 3 / (3 * Fraction(8e307))) for b in (1.0, 1e100, 1e200)]
+    np.testing.assert_allclose(got[:3], want, rtol=1e-15)
+    assert got[1:3].tolist() == [1e100 ** 3 / 8e307 / 3.0, 1e200 * (1e200 * (1e200 / 8e307 / 3.0))]
+    assert got[3:].tolist() == [math.inf, math.inf]
 
 
 def test_pareto_moment_past_the_panel_budget_has_no_value():

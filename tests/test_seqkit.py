@@ -701,6 +701,16 @@ def test_norm_infinity_certificate():
     assert cv.single_tail_certificate(law, w, sk.custom_norms(lambda n: float(n)), 0.5, 100) is None
 
 
+def test_pareto_tail_envelope_starts_at_the_first_normal_cutoff():
+    # a subnormal cutoff eps a(n) has lost digits, and the tail formed from it
+    # is not the exact term the envelope bounds
+    w, a, law = sk.power_law_weights(-1.0), sk.power_law_norms(1.0), dm.pareto_sym(3.0, 1e-320)
+    assert 1e-310 * 222 < sys.float_info.min <= 1e-310 * 223
+    assert cv.single_tail_certificate(law, w, a, 1e-310, 1000).from_n == 223
+    assert cv.single_tail_certificate(law, w, a, 1e-320, 1000) is None
+    assert cv.single_tail_certificate(law, w, a, 1e-300, 1000).from_n == 2
+
+
 def test_report_json_round_trip():
     rep = dyadic(sk.power_law_weights(-1.0))
     d = rep.to_json_dict()
