@@ -368,7 +368,7 @@ def load_config(path: Optional[str], sets: list,
 def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
     """The law-independent half of check-conditions: the read-only w and a
     columns over 1..horizon and the regularity reports, kept for the 2 most
-    recent keys up to _MEMO_MAX_HORIZON; the power columns and T_n are freed."""
+    recent keys up to _MEMO_MAX_HORIZON; T_n is freed."""
     try:  # past the double range, numpy gives inf silently and Python raises
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             values = seqkit.sequence_values(w, a, horizon)

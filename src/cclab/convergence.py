@@ -33,10 +33,9 @@ from . import distmodel
 from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
-from .reports import (CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, SeriesRow,
-                      check_partial_sums)
+from .reports import CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, check_partial_sums
 from .seqkit import (_TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
-                     power, prefix_sums)
+                     prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds need not go through libm.
@@ -211,7 +210,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         need = 3.0 + wf.exponent + delta
 
         def ok(n: np.ndarray) -> np.ndarray:
-            x2 = eps * eps * power(a.values(n), 2.0)
+            x2 = eps * eps * libm(pow, a.values(n), 2.0)
             return x2 / 2.0 >= need * libm(math.log, n)
 
         n0 = _first_n(ok, 3, horizon)
@@ -294,7 +293,7 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     check_partial_sums(n, term, partial)
     last_n = int(n[-1]) if n.size else 0
     keep = (n <= 8) | ((n & (n - 1)) == 0) | (n == last_n)
-    rows = tuple(SeriesRow(n=k, term=t, partial_sum=ps) for k, t, ps in
+    rows = tuple({"n": k, "term": t, "partial_sum": ps} for k, t, ps in
                  zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
     rendered = None if certificate is None else certificate.to_json_dict(last_n)
     return SeriesReport(series_id, dict(params), rows, verdict, certificate=rendered,

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqkit import _TINY, NormSeq, libm, power
+from .seqkit import _TINY, NormSeq, libm
 
 
 class SamplingUnavailable(RuntimeError):
@@ -206,7 +206,7 @@ def tails(d: Dist, lam) -> np.ndarray:
         alpha, scale = d.params
         far = lam > scale
         ratio = scale / lam[far]
-        t = power(ratio, alpha)
+        t = libm(pow, ratio, alpha)
         tiny = ratio < _TINY  # the ratio has lost digits: exp(alpha log ratio)
         if tiny.any():
             t[tiny] = libm(math.exp, alpha * (math.log(scale) - libm(math.log, lam[far][tiny])))
@@ -247,7 +247,7 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         big = m > _CUBE_MAX  # m^3 leaves the doubles: T is formed as m (m (m / 3h))
         cube = (b < h) & ~big  # pow(min(b, h), 3) is one constant past h, formed only if used
         out = np.full(b.shape, 0.0 if (cube | big).all() else _pow(h, 3.0))
-        out[cube] = power(b[cube], 3.0)
+        out[cube] = libm(pow, b[cube], 3.0)
         out = over_3h(out)
         with np.errstate(over="ignore"):  # a T past the doubles, h^2/3 > 1.8e308, is inf
             out[big] = m[big] * (m[big] * over_3h(m[big]))
@@ -269,7 +269,7 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         if alpha == 2.0:
             out[far] = k * libm(math.log, b[far] / scale)
         else:
-            out[far] = k * (power(b[far], 2.0 - alpha) - scale ** (2.0 - alpha)) / (2.0 - alpha)
+            out[far] = k * (libm(pow, b[far], 2.0 - alpha) - scale ** (2.0 - alpha)) / (2.0 - alpha)
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
@@ -322,7 +322,7 @@ def _weighted(sq: np.ndarray, log_x: np.ndarray, p: float) -> np.ndarray:
     """sq log(2 + log_x)^p / log_x, log_x = log(2 + |x|), rounded as the scalar
     x * x * L(L(x)) ** p / L(x), L(x) = log(2 + x), is at sq = x * x."""
     if p:
-        sq = sq * power(libm(math.log, 2.0 + log_x), p)
+        sq = sq * libm(pow, libm(math.log, 2.0 + log_x), p)
     return sq / log_x
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distmodel, seeding
-from .reports import UNDETERMINED, SeriesReport, SeriesRow
+from .reports import UNDETERMINED, SeriesReport
 from .seqkit import NormSeq, WeightSeq, prefix_sums
 
 WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
@@ -437,7 +437,8 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
             his.append(tau * est.hi)
     reports = []
     for e, (terms, los, his, exacts) in zip(eps_list, cols):
-        rows = [SeriesRow(n=n, term=t, partial_sum=s, ci_lo=lo, ci_hi=hi, exact=x)
+        rows = [{"n": n, "term": t, "partial_sum": s, "ci_lo": lo, "ci_hi": hi,
+                 **({} if x is None else {"exact": x})}
                 for n, t, s, lo, hi, x in zip(ns, terms, prefix_sums(terms).tolist(),
                                               prefix_sums(los).tolist(),
                                               prefix_sums(his).tolist(), exacts)]

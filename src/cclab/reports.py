@@ -98,27 +98,13 @@ def check_partial_sums(n, term, partial_sum) -> None:
 
 
 @dataclass(frozen=True)
-class SeriesRow:
-    n: int
-    term: float
-    partial_sum: float
-    ci_lo: Optional[float] = None
-    ci_hi: Optional[float] = None
-    exact: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        out = {"n": self.n, "term": self.term, "partial_sum": self.partial_sum}
-        for key in ("ci_lo", "ci_hi", "exact"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        return out
-
-
-@dataclass(frozen=True)
 class SeriesReport:
+    """A series' rows, each the dict a report prints: ``n``, ``term`` and
+    ``partial_sum``, and ``ci_lo``, ``ci_hi`` and ``exact`` where set."""
+
     series_id: str
     params: dict
-    rows: tuple[SeriesRow, ...]
+    rows: tuple[dict, ...]
     verdict: str
     certificate: Optional[dict] = None
     evidence: tuple[str, ...] = ()
@@ -130,19 +116,19 @@ class SeriesReport:
             raise ValueError(f"a {self.verdict} verdict requires a certificate")
         if self.verdict == UNDETERMINED and self.certificate is not None:
             raise ValueError("an Undetermined verdict carries no certificate")
-        term = np.array([r.term for r in self.rows], dtype=np.float64)
-        partial_sum = np.array([r.partial_sum for r in self.rows], dtype=np.float64)
+        term = np.array([r["term"] for r in self.rows], dtype=np.float64)
+        partial_sum = np.array([r["partial_sum"] for r in self.rows], dtype=np.float64)
         # check_partial_sums passes NaN: every comparison with it is false.
         nan = np.flatnonzero(np.isnan(term) | np.isnan(partial_sum))
         if nan.size:
-            raise ValueError(f"NaN term or partial sum at n={self.rows[nan[0]].n}")
-        check_partial_sums([r.n for r in self.rows], term, partial_sum)
+            raise ValueError(f"NaN term or partial sum at n={self.rows[nan[0]]['n']}")
+        check_partial_sums([r["n"] for r in self.rows], term, partial_sum)
 
     def to_json_dict(self) -> dict:
         out = {
             "series_id": self.series_id,
             "params": dict(self.params),
-            "rows": [r.to_json_dict() for r in self.rows],
+            "rows": [dict(r) for r in self.rows],
             "verdict": self.verdict,
             "evidence": list(self.evidence),
         }
@@ -155,12 +141,5 @@ class SeriesReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in self.rows:
-            writer.writerow([
-                r.n,
-                repr(r.term),
-                repr(r.partial_sum),
-                "" if r.ci_lo is None else repr(r.ci_lo),
-                "" if r.ci_hi is None else repr(r.ci_hi),
-                "" if r.exact is None else repr(r.exact),
-            ])
+            writer.writerow([repr(r[key]) if key in r else "" for key in CSV_COLUMNS])
         return buf.getvalue()

@@ -20,9 +20,9 @@ false certificate.  T_n, and every partial sum a report shows, are Sum2
 prefix sums (``prefix_sums``): prefix n is within u|S_n| + gamma_(n-1)^2
 sum|x| of the exact sum S_n, u = 2^-53.
 
-Every column whose bits reach a report goes through ``libm`` or ``power``, which
-give the C library's bits by one route table: pow and exp in numpy loops over the
-C library, erfc's saturation fills, all else one Python float at a time.
+Every column whose bits reach a report goes through ``libm``, which gives the C
+library's bits by one route table: pow and exp in numpy loops over the C library,
+erfc's saturation fills, all else one Python float at a time.
 """
 
 from __future__ import annotations
@@ -135,14 +135,6 @@ def _map(fn, *cols) -> np.ndarray:
     return np.fromiter(map(fn, *views), np.float64, count=len(views[0]))
 
 
-def power(x, p: float) -> np.ndarray:
-    """libm(pow, x, p) as a new array: 1 at p = 0 and a copy of x at p = 1."""
-    x = np.array(x, dtype=np.float64, ndmin=1)
-    if p == 0 or p == 1:
-        return x if p else np.ones(x.shape)
-    return libm(pow, x, p)
-
-
 def prefix_sums(values) -> np.ndarray:
     """Every prefix sum of ``values`` by Sum2 (Ogita, Rump and Oishi, "Accurate
     sum and dot product", SIAM J. Sci. Comput. 26, 2005): the running sum s
@@ -186,13 +178,13 @@ class SlowlyVarying:
         n = np.asarray(n, dtype=np.float64)
         out = np.ones(n.shape)
         if self.log2p:
-            out *= power(libm(math.log, 2.0 + n), self.log2p)
+            out *= libm(pow, libm(math.log, 2.0 + n), self.log2p)
         if self.loglog:
-            out *= power(libm(math.log, libm(math.log, _E2 + n)), self.loglog)
+            out *= libm(pow, libm(math.log, libm(math.log, _E2 + n)), self.loglog)
         if self.logn:
             if (n < 2).any():
                 raise SequenceError("plain-log slowly varying factor needs n >= 2")
-            out *= power(libm(math.log, n), self.logn)
+            out *= libm(pow, libm(math.log, n), self.logn)
         return out
 
     def is_trivial(self) -> bool:
@@ -418,7 +410,7 @@ class PowerLawFamily:
     sv: SlowlyVarying = field(default_factory=SlowlyVarying)
 
     def values(self, n: np.ndarray) -> np.ndarray:
-        return self.coef * power(n, self.exponent) * self.sv.values(n)
+        return self.coef * libm(pow, n, self.exponent) * self.sv.values(n)
 
 
 class SequenceError(ValueError):
@@ -490,20 +482,11 @@ def require_nondecreasing(a: np.ndarray) -> None:
 
 
 class SequenceValues(NamedTuple):
-    """w(n), a(n) and T_n = sum_{k<=n} k w(k) for n = 1..horizon, and the
-    powers of n and a(n) the checks have taken."""
+    """w(n), a(n) and T_n = sum_{k<=n} k w(k) for n = 1..horizon."""
 
     w: np.ndarray
     a: np.ndarray
     t: np.ndarray
-    powers: dict
-
-    def power(self, base: str, p: float) -> np.ndarray:
-        """n^p (``base`` "n") or a(n)^p (``base`` "a") over 1..horizon, computed once."""
-        if (base, p) not in self.powers:
-            x = self.a if base == "a" else np.arange(1, self.a.size + 1)
-            self.powers[base, p] = power(x, p)
-        return self.powers[base, p]
 
 
 def sequence_values(w: WeightSeq, a: NormSeq, horizon: int) -> SequenceValues:
@@ -513,7 +496,7 @@ def sequence_values(w: WeightSeq, a: NormSeq, horizon: int) -> SequenceValues:
     n = np.arange(1, horizon + 1)
     av = a.values(n)
     wv = w.values(n)
-    return SequenceValues(wv, av, prefix_sums(n * wv), {})
+    return SequenceValues(wv, av, prefix_sums(n * wv))
 
 
 def power_law_weights(exponent: float, coef: float = 1.0,
@@ -667,10 +650,11 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
                                     {"theta": theta, "moment_power": moment_power},
                                     horizon, ("tail sum diverges: " + why,))
 
-    a_p = values.power("a", p)
-    suffix = prefix_sums((values.power("n", theta) * values.w / a_p)[::-1])[::-1]
+    n = np.arange(1, horizon + 1)
+    a_p = libm(pow, values.a, p)
+    suffix = prefix_sums((libm(pow, n, theta) * values.w / a_p)[::-1])[::-1]
     t_prev = values.t[:-1]  # T_(n-1) for n = 2..horizon
-    lhs = a_p[1:] / values.power("n", theta - 1.0)[1:] * (suffix[1:] + (remainder or 0.0))
+    lhs = a_p[1:] / libm(pow, n[1:], theta - 1.0) * (suffix[1:] + (remainder or 0.0))
 
     # C is the largest ratio lhs/T_(n-1) over the n with T_(n-1) > 0, and
     # argmax_n the first n reaching it; NaN ratios never count.
@@ -707,7 +691,7 @@ def check_inf_growth(w: WeightSeq, a: NormSeq, values: SequenceValues,
         raise ValueError("power must be positive")
     cid = f"inf-growth-p{power:g}"
     horizon = values.a.size
-    a_pow, t = values.power("a", power), values.t
+    a_pow, t = libm(pow, values.a, power), values.t
     sufmin = np.minimum.accumulate((a_pow / np.arange(1, horizon + 1))[::-1])[::-1]
     f = sufmin[1:] * t[:-1] / a_pow[1:]  # n = 2..horizon
     liminf_est = min(memoryview(f[max(2, horizon // 2) - 2:]))

@@ -224,7 +224,7 @@ def test_summarize_zero_terms():
     rep = cv.summarize_series("zero", range(1, 50), [0.0] * 49, {},
                               certificate=sk.TermBound(-math.inf, 0.0))
     assert rep.verdict == CONVERGES
-    assert rep.rows[-1].partial_sum == 0.0
+    assert rep.rows[-1]["partial_sum"] == 0.0
     assert rep.certificate["tail_bound"] == 0.0
 
 
@@ -284,18 +284,21 @@ def test_certified_reports_require_certificates():
         rp.SeriesReport("x", {}, (), rp.UNDETERMINED, certificate=cert)
 
 
-@pytest.mark.parametrize("row", [rp.SeriesRow(2, math.nan, math.nan),
-                                 rp.SeriesRow(2, 0.1, math.nan), rp.SeriesRow(2, math.nan, 0.2)],
+def row(n, term, partial_sum) -> dict:
+    return {"n": n, "term": term, "partial_sum": partial_sum}
+
+
+@pytest.mark.parametrize("last", [row(2, math.nan, math.nan),
+                                  row(2, 0.1, math.nan), row(2, math.nan, 0.2)],
                          ids=["both", "partial sum", "term"])
-def test_series_report_rejects_nan_rows(row):
+def test_series_report_rejects_nan_rows(last):
     # every comparison with NaN is false, so the partial-sum check alone lets it through
     with pytest.raises(ValueError, match="NaN term or partial sum at n=2"):
-        rp.SeriesReport("x", {}, (rp.SeriesRow(1, 0.1, 0.1), row), rp.UNDETERMINED)
+        rp.SeriesReport("x", {}, (row(1, 0.1, 0.1), last), rp.UNDETERMINED)
 
 
 def test_series_report_keeps_an_overflowed_partial_sum():
-    rows = (rp.SeriesRow(1, 1e308, 1e308), rp.SeriesRow(2, 1e308, math.inf),
-            rp.SeriesRow(3, 1e308, math.inf))
+    rows = (row(1, 1e308, 1e308), row(2, 1e308, math.inf), row(3, 1e308, math.inf))
     assert rp.SeriesReport("x", {}, rows, rp.UNDETERMINED).rows == rows
 
 
