@@ -450,7 +450,9 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             # after the terms so that fewer columns are live.  The adaptive cut
             # eps (n log n)^(1/2) is eps * a(n) bit for bit on these presets.
             env_iii = convergence.exp_certificate(d, w, a, eps)
-            t = distmodel.truncated_second_moments(d, eps * av)
+            with np.errstate(over="ignore"):  # at an inf cutoff T is E X^2
+                cut = eps * av
+            t = distmodel.truncated_second_moments(d, cut)
             series.append(convergence.summarize_series(
                 "exponential", n, convergence.exp_terms(tau, av, eps, n, t), {"eps": eps},
                 env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
@@ -460,7 +462,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                     convergence.adaptive_exponent_terms(eps, n[1:], t[1:]),
                     {"eps": eps}, env_iii,
                     bound=None if bound is None else bound[1:]))
-            del t, bound  # before the next eps allocates its columns
+            del t, cut, bound  # before the next eps allocates its columns
 
     return {
         "provenance": cfg.provenance(),

@@ -69,7 +69,9 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     w, a, n = _arrays(w, a, n)
-    return n * w * distmodel.tails(d, eps * a)
+    with np.errstate(over="ignore"):  # an inf cutoff is right: its tail is 0
+        cut = eps * a
+    return n * w * distmodel.tails(d, cut)
 
 
 def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
@@ -174,7 +176,8 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
     """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
     bound = distmodel.support_bound(d)
     if bound is not None and a.family is not None and a.family.exponent > 0:
-        n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
+        with np.errstate(over="ignore"):  # an inf cutoff lies past the support
+            n0 = _first_n(lambda n: eps * a.values(n) > bound, 1, horizon)
         if n0 is None:
             return None
         return TermBound(-math.inf, 0.0, from_n=n0,
@@ -184,7 +187,8 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         alpha, scale = d.params
         wf, af = w.family, a.family
         # the tail is exact from the first cutoff at or past the scale that keeps every digit
-        n0 = _first_n(lambda n: eps * a.values(n) >= max(scale, _TINY), 2, horizon)
+        with np.errstate(over="ignore"):
+            n0 = _first_n(lambda n: eps * a.values(n) >= max(scale, _TINY), 2, horizon)
         if n0 is None:
             return None
         # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta
@@ -210,7 +214,8 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         need = 3.0 + wf.exponent + delta
 
         def ok(n: np.ndarray) -> np.ndarray:
-            x2 = eps * eps * libm(pow, a.values(n), 2.0)
+            with np.errstate(over="ignore"):  # an inf x^2 passes, as it should
+                x2 = eps * eps * libm(pow, a.values(n), 2.0)
             return x2 / 2.0 >= need * libm(math.log, n)
 
         n0 = _first_n(ok, 3, horizon)

@@ -255,7 +255,8 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
     if d.kind == "normal_std":
         # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
         mass = libm(math.erfc, -b / _SQRT2) - 1.0
-        with np.errstate(over="ignore"):  # b * b is inf past 1.3e154, and exp(-inf) = 0
+        # b * b is inf past 1.3e154, and exp(-inf) = 0; at an inf b, 2 b * 0 is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             out = mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
         near = b < _NORMAL_SERIES_BELOW
         if near.any():
@@ -266,10 +267,13 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         out = np.zeros(b.shape)
         far = b > scale
         k = alpha * scale ** alpha
-        if alpha == 2.0:
-            out[far] = k * libm(math.log, b[far] / scale)
-        else:
-            out[far] = k * (libm(pow, b[far], 2.0 - alpha) - scale ** (2.0 - alpha)) / (2.0 - alpha)
+        # past the doubles T is inf, or NaN where an inf meets a zero k
+        with np.errstate(over="ignore", invalid="ignore"):
+            if alpha == 2.0:
+                out[far] = k * libm(math.log, b[far] / scale)
+            else:
+                out[far] = (k * (libm(pow, b[far], 2.0 - alpha) - scale ** (2.0 - alpha))
+                            / (2.0 - alpha))
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
