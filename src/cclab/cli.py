@@ -491,11 +491,20 @@ def run_counterexample(cfg: ScenarioConfig,
                        schedule_path: Optional[str] = None) -> tuple[int, dict]:
     if schedule_path is not None:
         schedule = _read_schedule(schedule_path)
+        depth = schedule.m_max
+        if cfg.preset != "custom" and (cfg.preset, cfg.preset_args) != ("ms_counterexample",
+                                                                         (depth,)):
+            given = ",".join(f"{x:g}" for x in cfg.preset_args)
+            raise ConfigError(f"a replayed schedule of depth {depth} takes no preset or "
+                              f"'ms_counterexample({depth})', not "
+                              f"{cfg.preset + (f'({given})' if given else '')!r}")
     elif cfg.preset == "ms_counterexample":
         schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
     else:
         raise ConfigError("counterexample needs --preset 'ms_counterexample(d)' or --schedule, "
                           f"not preset {cfg.preset!r}")
+    if cfg.dist is not None:
+        raise ConfigError("counterexample reads no [distribution] section")
     try:
         report = counterexample.verify_counterexample(schedule)
     except counterexample.BlockEndUnavailable as exc:

@@ -661,6 +661,33 @@ def test_counterexample_builds_only_its_own_preset(capsys, argv):
     assert len(json.loads(out)["schedule"]) == 3
 
 
+@pytest.mark.parametrize("argv,replay,message", [
+    (("--preset", "spataru", "--set", "distribution.kind=normal_std"), True,
+     "a replayed schedule of depth 3 takes no preset or 'ms_counterexample(3)', not 'spataru'"),
+    (("--preset", "ms_counterexample(9)"), True, "not 'ms_counterexample(9)'"),
+    (("--set", "distribution.kind=normal_std"), True,
+     "counterexample reads no [distribution] section"),
+    (("--preset", "ms_counterexample(3)", "--set", "distribution.kind=rademacher"), True,
+     "counterexample reads no [distribution] section"),
+    (("--preset", "ms_counterexample(3)", "--set", "distribution.kind=rademacher"), False,
+     "counterexample reads no [distribution] section"),
+], ids=["other preset", "other depth", "distribution", "own preset and a distribution",
+        "build with a distribution"])
+def test_counterexample_refuses_what_it_does_not_read(capsys, tmp_path, argv, replay, message):
+    # a replay used to ignore its preset and distribution and report the preset it was given
+    code, _, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(3)",
+                     "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    schedule = ("--schedule", str(tmp_path / "counterexample.json"))
+    for preset in ((), ("--preset", "ms_counterexample(3)")):
+        code, out, err = run(capsys, "counterexample", *preset, *schedule)
+        assert (code, err) == (cli.EXIT_OK, "")
+    code, out, err = run(capsys, "counterexample", *argv, *(schedule if replay else ()))
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def schedule_rows(level: int, payloads) -> str:
     return json.dumps([{"m": m, "level": level, "payload": p}
                        for m, p in enumerate(payloads, start=1)])
