@@ -195,7 +195,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         q, sv = alpha * af.exponent - 1.0 - wf.exponent, wf.sv.combine(af.sv, -alpha)
         floor = q <= 1.0
         delta = sv.exponent_bound(n0, -1.0 if floor else 1.0)
-        log_coef = (log_or_inf(wf.coef) + float(sv.log_values(n0)) - delta * math.log(n0)
+        log_coef = (log_or_inf(wf.coef) + sv.log_values(n0, math.log) - delta * math.log(n0)
                     + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
         if floor and (q - delta > 1.0 or log_coef == -math.inf):
             return None
@@ -221,7 +221,7 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         n0 = _first_n(ok, 3, horizon)
         if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
             return None
-        log_coef = log_or_inf(wf.coef) + float(wf.sv.log_values(n0)) - delta * math.log(n0)
+        log_coef = log_or_inf(wf.coef) + wf.sv.log_values(n0, math.log) - delta * math.log(n0)
         return _certified(TermBound(log_coef, 2.0, from_n=n0,
                                     description="Gaussian tail bound exp(-x^2/2) past the "
                                                 f"crossover n={n0}"))

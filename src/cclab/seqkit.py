@@ -212,16 +212,18 @@ class SlowlyVarying:
             logn=self.logn + other_power * other.logn,
         )
 
-    def log_values(self, n) -> np.ndarray:
-        """log sv(n) by numpy ufuncs, for bounds compared under a slack."""
-        n = np.asarray(n, dtype=np.float64)
-        out = np.zeros(n.shape)
+    def log_values(self, n, log=np.log):
+        """log sv(n): by numpy's log over an array of n, for bounds compared under
+        a slack, or with ``log`` math.log at one n, as a float whose bits reach a
+        report and so must not hang on numpy's SIMD dispatch."""
+        n = np.asarray(n, dtype=np.float64) if log is np.log else float(n)
+        out = 0.0 * n
         if self.log2p:
-            out += self.log2p * np.log(np.log(2.0 + n))
+            out = out + self.log2p * log(log(2.0 + n))
         if self.loglog:
-            out += self.loglog * np.log(np.log(np.log(_E2 + n)))
+            out = out + self.loglog * log(log(log(_E2 + n)))
         if self.logn:
-            out += self.logn * np.log(np.log(n))
+            out = out + self.logn * log(log(n))
         return out
 
 
@@ -324,7 +326,7 @@ class TermBound:
         if self.log_coef == -math.inf:
             return -math.inf  # every term is 0
         x, e = float(start), self.exponent
-        ln, log_sv = math.log(x), float(self.sv.log_values(x))
+        ln, log_sv = math.log(x), self.sv.log_values(x, math.log)
         if self.rate == 0.0 and e == 1.0:
             b = self.sv.logn
             g1, g2 = self.sv.log2p + b, self.sv.loglog

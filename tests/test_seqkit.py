@@ -736,6 +736,26 @@ def test_sv_growth_envelope_property(g1, g2, start):
     assert (values >= values[0] * (ks / start) ** down * (1 - 1e-12)).all()
 
 
+@pytest.mark.parametrize("sv", [SlowlyVarying(log2p=1.0), SlowlyVarying(loglog=-2.5),
+                                SlowlyVarying(logn=0.5), SlowlyVarying(1.5, -1.0, 2.0)],
+                         ids=["log2p", "loglog", "logn", "all three"])
+def test_scalar_log_values_take_the_c_librarys_log_bit_for_bit(sv):
+    # numpy's SIMD log differs from the C library's in the last ulp at some
+    # doubles, and log sv(n) at one n reaches reports (log_tail, log_coef)
+    x = np.random.default_rng(34).uniform(2.0, 1e6, 200_000)
+    moved = x[np.log(x) != raw_map(math.log, x)].tolist()
+    for n in [*moved, *x[:500].tolist(), 2, 3, 1 << 40]:
+        want = 0.0
+        if sv.log2p:
+            want += sv.log2p * math.log(math.log(2.0 + n))
+        if sv.loglog:
+            want += sv.loglog * math.log(math.log(math.log(math.e ** 2 + n)))
+        if sv.logn:
+            want += sv.logn * math.log(math.log(n))
+        got = sv.log_values(n, math.log)
+        assert type(got) is float and got.hex() == want.hex()
+
+
 def _family_seq(cls, exponent, sv):
     """A family sequence whose values at n = 1 are taken at n = 2, so that a
     plain-log factor can be evaluated over 1..horizon."""
