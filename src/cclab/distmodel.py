@@ -59,7 +59,6 @@ class MomentValue:
 class Dist:
     kind: str
     params: tuple
-    symmetric: bool
 
     @cached_property
     def _abs_law(self) -> tuple[list, list, np.ndarray]:
@@ -99,18 +98,18 @@ def rademacher() -> Dist:
 def uniform_sym(half_width: float) -> Dist:
     if not 0.0 < 2.0 * half_width < math.inf:  # the width 2h is finite, so uniform() can draw
         raise ValueError("half_width must be positive, and twice it finite")
-    return Dist("uniform_sym", (float(half_width),), True)
+    return Dist("uniform_sym", (float(half_width),))
 
 
 def normal_std() -> Dist:
-    return Dist("normal_std", (), True)
+    return Dist("normal_std", ())
 
 
 def pareto_sym(alpha: float, scale: float = 1.0) -> Dist:
     """Symmetric power tail: P(|X| >= t) = min(1, (scale/t)^alpha)."""
     if not (0.0 < alpha < math.inf and 0.0 < scale < math.inf):
         raise ValueError("alpha and scale must be finite and positive")
-    return Dist("pareto_sym", (float(alpha), float(scale)), True)
+    return Dist("pareto_sym", (float(alpha), float(scale)))
 
 
 # The kinds whose params are one signed (value, mass) table.
@@ -120,8 +119,7 @@ _ATOM_KINDS = ("rademacher", "atomic_sym", "atomic")
 def _atom_law(kind: str, pairs) -> Dist:
     """The one finite atom law: a signed (value, mass) table in the order of
     ``pairs``, equal values merged where they first occur; the remaining mass
-    is the implied atom at 0.  Symmetric when every atom's mirror image
-    carries the same mass."""
+    is the implied atom at 0."""
     table: dict[float, float] = {}
     for v, p in pairs:
         if not math.isfinite(v):
@@ -134,8 +132,7 @@ def _atom_law(kind: str, pairs) -> Dist:
     total = sum(table.values())
     if total > 1.0 + _MASS_TOL:
         raise ValueError(f"atom mass {total} exceeds 1")
-    sym = all(abs(table.get(-v, 0.0) - p) <= _MASS_TOL for v, p in table.items())
-    return Dist(kind, (tuple(table.items()),), sym)
+    return Dist(kind, (tuple(table.items()),))
 
 
 def _by_value(atoms) -> list:

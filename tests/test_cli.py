@@ -922,6 +922,23 @@ def test_every_top_level_function_and_class_in_src_is_referenced():
     assert wrapped and unused == []
 
 
+def test_every_dataclass_and_namedtuple_field_in_src_is_read():
+    # a field counts as read when src or the benchmark reads it as an attribute
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted([*(root / "src" / "cclab").glob("*.py"),
+                                 *(root / "perfbench").glob("*.py")])}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    records = [node for path, tree in trees.items() if path.parent.name == "cclab"
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               and (any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+                    or any(ast.unparse(b) == "NamedTuple" for b in node.bases))]
+    fields = [(cls.name, item.target.id) for cls in records for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert len(records) > 10 and [f for f in fields if f[1] not in read] == []
+
+
 def test_python_m_cclab_cli_runs_the_command(tmp_path):
     proc = run_process("-m", "cclab.cli", "counterexample",
                        "--schedule", str(tmp_path / "missing.json"))

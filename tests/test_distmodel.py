@@ -413,13 +413,6 @@ def test_mass_overflow_rejected():
         dm.atomic_sym([(1.0, 0.7), (2.0, 0.5)])
 
 
-def test_atomic_symmetry_detection():
-    sym = dm.atomic([(1.0, 0.25), (-1.0, 0.25)])
-    assert sym.symmetric
-    skew = dm.atomic([(1.0, 0.5), (-1.0, 0.3)])
-    assert not skew.symmetric
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
