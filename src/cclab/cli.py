@@ -81,9 +81,13 @@ class UnsupportedFamily(Exception):
     pass
 
 
+# The keys each distribution kind reads besides its kind; any other is refused.
+_DISTRIBUTION_KEYS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_std": (),
+                      "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
+
 _ALLOWED_KEYS = {
     "scenario": {"preset", "eps", "theta", "horizon"},
-    "distribution": {"kind", "alpha", "scale", "half_width", "atoms"},
+    "distribution": {"kind"}.union(*_DISTRIBUTION_KEYS.values()),
     "weights": {"kind", "exponent", "coef", "slowly_varying"},
     "normalizer": {"kind", "exponent", "coef", "slowly_varying"},
     "mc": {"replicates", "seed", "workers"},
@@ -220,6 +224,11 @@ def _parse_distribution(section) -> distmodel.Dist:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("distribution section needs a kind")
+    if kind not in _DISTRIBUTION_KEYS:
+        raise UnsupportedFamily(f"unsupported distribution kind {kind!r}")
+    unread = sorted(set(section) - {"kind", *_DISTRIBUTION_KEYS[kind]})
+    if unread:
+        raise ConfigError(f"distribution kind {kind!r} reads no key {unread[0]!r}")
     try:
         if kind == "rademacher":
             return distmodel.rademacher()
@@ -230,13 +239,11 @@ def _parse_distribution(section) -> distmodel.Dist:
         if kind == "pareto_sym":
             return distmodel.pareto_sym(float(section.get("alpha", 1.5)),
                                         float(section.get("scale", 1.0)))
-        if kind == "atomic_sym":
-            if "atoms" not in section:
-                raise ConfigError("atomic_sym needs an atoms table")
-            return distmodel.atomic_sym(_entries(section["atoms"], "atom", key=float))
+        if "atoms" not in section:  # the one kind left, atomic_sym
+            raise ConfigError("atomic_sym needs an atoms table")
+        return distmodel.atomic_sym(_entries(section["atoms"], "atom", key=float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid distribution parameters: {exc}") from exc
-    raise UnsupportedFamily(f"unsupported distribution kind {kind!r}")
 
 
 def _parse_sequence(section, which: str):

@@ -788,9 +788,10 @@ def test_uniform_at_a_huge_half_width_warns_nothing(capsys, n, half_width, code)
     ("atomic_sym", 2 ** 32 + 5, "5e4", 0.2785)])
 def test_walks_of_2_to_the_32_steps_or_more_keep_their_streams(capsys, kind, n, threshold, p_hat):
     # p_hat as drawn from the unchecked address (7, 0, n, b) in sfc64-v4
-    code, out, err = run(capsys, "estimate", "--set", f"distribution.kind={kind}",
-                         "--set", "distribution.atoms=1:0.5", "--n", str(n),
-                         "--threshold", threshold, "--replicates", "2000", "--seed", "7")
+    atoms = ("--set", "distribution.atoms=1:0.5") if kind == "atomic_sym" else ()
+    code, out, err = run(capsys, "estimate", "--set", f"distribution.kind={kind}", *atoms,
+                         "--n", str(n), "--threshold", threshold, "--replicates", "2000",
+                         "--seed", "7")
     assert code == cli.EXIT_OK, err
     est = json.loads(out)["estimate"]
     assert (est["p_hat"], est["seed_stream"]) == (p_hat, f"sfc64-v4:7/0/{n}")
@@ -1090,6 +1091,21 @@ def test_malformed_key_value_entries_name_the_entry(capsys, entry, code, message
               "--set", "normalizer.exponent=1", "--set", "distribution.kind=atomic_sym",
               "--set", "distribution.atoms=1:0.5", "--set", entry)
     assert got == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv,kind,key", [
+    (("check-conditions", "--preset", "spataru", "--horizon", "50"), "uniform_sym", "alpha"),
+    (("estimate", "--n", "8", "--threshold", "2"), "normal_std", "half_width"),
+    (("simulate", "--preset", "spataru", "--horizon", "16", "--replicates", "1000"),
+     "rademacher", "atoms"),
+    (("estimate", "--n", "8", "--threshold", "2"), "pareto_sym", "half_width"),
+], ids=["uniform alpha", "normal half_width", "rademacher atoms", "pareto half_width"])
+def test_a_distribution_key_the_kind_does_not_read_is_refused(capsys, argv, kind, key):
+    # the key used to be ignored, though the config hash took it in
+    code, out, err = run(capsys, *argv, "--set", f"distribution.kind={kind}",
+                         "--set", f"distribution.{key}=3")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: distribution kind {kind!r} reads no key {key!r}\n"
 
 
 HUGE_THETAS = [
