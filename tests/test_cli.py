@@ -679,9 +679,6 @@ def test_counterexample_refuses_what_it_does_not_read(capsys, tmp_path, argv, re
                      "--out", str(tmp_path))
     assert code == cli.EXIT_OK
     schedule = ("--schedule", str(tmp_path / "counterexample.json"))
-    for preset in ((), ("--preset", "ms_counterexample(3)")):
-        code, out, err = run(capsys, "counterexample", *preset, *schedule)
-        assert (code, err) == (cli.EXIT_OK, "")
     code, out, err = run(capsys, "counterexample", *argv, *(schedule if replay else ()))
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith("config error: ") and message in err
