@@ -17,7 +17,10 @@ data inside the reports; exit codes only signal operational failures:
        whose exponent is NaN because its parts left the doubles (any NaN T
        counts as such); a least cutoff eps * a(1) that underflows to 0;
        ``counterexample`` without ``--schedule`` under any preset but
-       ``ms_counterexample(d)``;
+       ``ms_counterexample(d)``, a replay under any preset but
+       ``ms_counterexample(d)`` of the schedule's depth d, and
+       ``counterexample`` given a [distribution] section; a distribution
+       key that the configured kind does not read;
        an ``--out`` path that cannot be written; a size (such as
        ``--horizon``) whose arrays cannot be allocated; and an option the
        command does not take (only ``simulate`` takes ``--maximal``), as
@@ -37,7 +40,7 @@ it is above.
 
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset; without ``--schedule`` it builds ``ms_counterexample(d)`` and
-nothing else.  It reads no sequences and no distribution.
+nothing else.  It reads no sequences and refuses a distribution.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
