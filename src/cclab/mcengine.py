@@ -13,10 +13,13 @@ hosts.  A replicate draws S_n itself where its law allows:
   exact_tail; any other atom table as the same counts times the float atoms;
 - the normal law as sqrt(n) Z;
 - ``uniform_sym`` at 640 <= n < 2^36 as 53 binomial bit planes, since
-  Generator.random() is m 2^-53 with 53 fair bits in m.
+  Generator.random() is m 2^-53 with 53 fair bits in m.  Up to
+  _TABLE_MAX_N steps each plane count C_k ~ Bin(n, 1/2) is one SFC64 word
+  read through the exact CDF (a guide table, Chen and Asau 1974), so its law
+  is exactly Bin(n, 1/2); past it numpy's binomial (BTPE) draws the counts.
 
 ``pareto_sym``, and ``uniform_sym`` below n = 640, sum n single steps of one
-SFC64 word each.  These draws are stream version ``sfc64-v4``
+SFC64 word each.  These draws are stream version ``sfc64-v5``
 (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
@@ -54,9 +57,16 @@ _CHUNK_ELEMENTS = 1 << 22
 # stay in cache; each step takes one SFC64 word, so the draws do not depend on it.
 _BLOCK_ELEMENTS = 1 << 15
 # uniform_sym draws its 53 bit planes from here on; below, n single steps
-# cost less than 53 binomials (SFC64 crossover near n = 600, 2-vCPU x86 host).
+# cost less than 53 numpy binomials (SFC64 crossover near n = 600, 2-vCPU x86
+# host).  Inverted counts are cheaper, but the single-step sums below stay pinned.
 _PLANE_MIN_N = 640
 _PLANE_MAX_N = 1 << 36  # each half of the plane sum stays below 2^63
+# Up to here the plane counts are drawn by exact inversion: building the table
+# costs less than the 53 * MIN_REPLICATES numpy binomials (BTPE) it replaces.
+# Building it took 2.4-2.6 ms at n = 2304 against 2.5-2.6 ms for the binomials,
+# and more from n = 2432 on (three sweeps, 2-vCPU x86 host).  Past it numpy draws them.
+_TABLE_MAX_N = 2304
+_GUIDE_BITS = 14  # the guide reads a word's top 14 bits: 2^14 entries, 128 KiB
 _LOW_PLANES = 26  # bits 0-25 of the 53 form the low half, bits 26-52 the high
 _PLANE_WEIGHTS = 1 << np.arange(53 - _LOW_PLANES, dtype=np.int64)  # 2^j within a half
 
@@ -138,17 +148,98 @@ def _plane_sums(counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator) -> np.ndarray:
+class _HalfBinomial:
+    """Bin(n, 1/2) by exact inversion of its CDF F(k) = cum[k] / 2^n.
+
+    A count reads one 64-bit word W, the leading bits of a uniform U, and is
+    X = #{k < n : U >= F(k)}, so its law is Bin(n, 1/2) exactly.  With
+    b[k] = floor(2^64 F(k)), W > b[k] gives U >= F(k) and W < b[k] gives
+    U < F(k).  The guide starts X at the least count W's top _GUIDE_BITS bits
+    allow, and steps up while W >= b[X].  A word equal to b[X - 1] leaves U
+    against F(X - 1) undecided, with probability below n 2^-64 a count, and
+    ``settle`` decides it from further words.  The table is read-only once
+    built, so threads share it.
+    """
+
+    def __init__(self, n: int):
+        c, total, cum = 1, 0, []
+        for k in range(n):  # c = C(n, k)
+            total += c
+            cum.append(total)
+            c = c * (n - k) // (k + 1)
+        self.n, self.cum = n, cum
+        self.b = np.array([t << 64 >> n for t in cum], dtype=np.uint64)
+        # guide[j] counts the k with b[k] below the least word of bucket j;
+        # capped at n - 1, so the first step reads a real b[X]
+        shift = 64 - _GUIDE_BITS
+        per_bucket = np.bincount((self.b >> shift).astype(np.intp), minlength=1 << _GUIDE_BITS)
+        self.guide = np.zeros(1 << _GUIDE_BITS, dtype=np.intp)
+        np.cumsum(per_bucket[:-1], out=self.guide[1:])
+        np.minimum(self.guide, n - 1, out=self.guide)
+
+    def invert(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The count each word gives, reading every tie as U >= F, and the
+        indices of the tied words, in order.  Where W >= b[X] at the guide's X,
+        X becomes #{k : b[k] <= W} by binary search.  Only those words can tie,
+        since the guide's b[X - 1] lies below the word's bucket."""
+        b = self.b
+        x = self.guide.take(words >> (64 - _GUIDE_BITS))
+        stepped = np.flatnonzero(words >= b.take(x))
+        x[stepped] = np.searchsorted(b, words[stepped], side="right")
+        return x, stepped[b[x[stepped] - 1] == words[stepped]]
+
+    def settle(self, word: int, more: Callable[[], int]) -> int:
+        """The count for a tied word: U, extended by 64 bits from each call of
+        ``more``, against F(k) = cum[k] / 2^n for the k with b[k] = word, as
+        far as it takes.  U equal to F(k) over every bit of F(k) is U >= F(k)."""
+        k = int(np.searchsorted(self.b, np.uint64(word)))
+        u, bits, den = word, 64, 1 << self.n
+        while k < self.n and int(self.b[k]) == word:
+            q, r = divmod(self.cum[k] << bits, den)  # F(k)'s first bits, and whether more follow
+            while u == q and r:
+                u, bits = u << 64 | more(), bits + 64
+                q, r = divmod(self.cum[k] << bits, den)
+            if u < q:
+                break
+            k += 1
+        return k
+
+
+def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator,
+                        table: _HalfBinomial | None) -> np.ndarray:
     """rows draws of S_n for uniform_sym(h): bit k of the 53-bit integers m_i
     behind Generator.uniform(-h, h) is set in C_k ~ Bin(n, 1/2) of the n steps,
     independently over k, and S_n = h 2^-53 sum_i (2 m_i - 2^53).  The law the
-    single steps draw, rounded twice instead of n times.  The counts are drawn
-    in row blocks of about _BLOCK_ELEMENTS, in the order one call would draw them."""
+    single steps draw, rounded twice instead of n times.
+
+    The counts are drawn in row blocks of about _BLOCK_ELEMENTS, in the order
+    one call would draw them: by ``table``'s inversion, one word a count, or by
+    numpy's binomial where ``table`` is None.  The words that settle tied
+    counts follow all of the batch's regular words, in draw order, so the sums
+    do not depend on the block size."""
     out = np.empty(rows, dtype=np.float64)
     block = max(1, _BLOCK_ELEMENTS // 53)
+    ties, tied_rows = [], {}  # (row, plane, word) in draw order; row -> its counts
     for r in range(0, rows, block):
         part = out[r:r + block]
-        part[:] = _plane_sums(rng.binomial(n, 0.5, size=(len(part), 53)), n)
+        if table is None:
+            counts = rng.binomial(n, 0.5, size=(len(part), 53))
+        else:
+            words = rng.bit_generator.random_raw(len(part) * 53)
+            flat, tied = table.invert(words)
+            counts = flat.reshape(len(part), 53)
+            for i in tied.tolist():
+                row, plane = divmod(i, 53)
+                tied_rows.setdefault(r + row, counts[row].copy())
+                ties.append((r + row, plane, int(words[i])))
+        part[:] = _plane_sums(counts, n)
+    def more() -> int:
+        return int(rng.bit_generator.random_raw())
+
+    for row, plane, word in ties:
+        tied_rows[row][plane] = table.settle(word, more)
+    for row, counts in tied_rows.items():
+        out[row] = _plane_sums(counts[None], n)[0]
     out *= 2.0 ** -53
     with np.errstate(over="ignore"):  # a sum past the double range is +-inf, a hit
         out *= h
@@ -164,8 +255,9 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     so |S_n| >= t is exact_tail's rule at every lattice point.  Off the
     lattice (a float 1/3, or 1e17) it sums the counts times the float atoms,
     and the hit rule is a float comparison.  The normal law draws sqrt(n) Z,
-    and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes.  Other
-    laws sum n single-step draws in fixed column chunks, each drawn and summed
+    and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes, whose
+    counts up to _TABLE_MAX_N invert one table built here for every batch.
+    Other laws sum n single-step draws in fixed column chunks, each drawn and summed
     in row blocks of about _BLOCK_ELEMENTS steps.
     """
     lattice = d.lattice_steps
@@ -187,7 +279,8 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
         return lambda rows, rng: root * rng.standard_normal(rows)
     if d.kind == "uniform_sym" and _PLANE_MIN_N <= n < _PLANE_MAX_N:
         (h,) = d.params
-        return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng)
+        table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
+        return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)
 
     def chunked(rows: int, rng: np.random.Generator) -> np.ndarray:
         total = np.zeros(rows, dtype=np.float64)

@@ -31,5 +31,6 @@ def stream_id(seed: int, *path: int) -> str:
     made from a stream change (v2: direct sums of S_n in ``mcengine``; v3:
     ``uniform_sym`` bit planes at n >= 512, off-lattice atom counts, and one
     word per ``pareto_sym`` step; v4: SFC64 seeded by ``SeedSequence`` in
-    place of Philox)."""
-    return "sfc64-v4:" + "/".join(str(int(x)) for x in (seed, *path))
+    place of Philox; v5: ``uniform_sym`` plane counts by exact inversion up
+    to ``mcengine._TABLE_MAX_N``)."""
+    return "sfc64-v5:" + "/".join(str(int(x)) for x in (seed, *path))

@@ -1,6 +1,8 @@
 """Exact walk oracles against Fraction enumeration and closed forms."""
 
+import bisect
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -312,14 +314,15 @@ def uniform_sum_tail(n: int, t: Fraction) -> Fraction:
 @pytest.mark.parametrize("n", [2, 3, 16])
 def test_plane_sums_follow_irwin_hall(n):
     h, rows = 1.5, 50_000
-    sums = mc._uniform_plane_sums(n, h, rows, seeding.stream(2026, 3, n))
-    assert np.abs(sums).max() <= n * h
     cuts = [Fraction(n * j, 20) for j in range(1, 20)]  # cuts of U_1 + ... + U_n
     cdf = [Fraction(0), *(irwin_hall_cdf(n, x) for x in cuts), Fraction(1)]
     probs = np.array([float(b - a) for a, b in zip(cdf, cdf[1:])])
     edges = np.array([h * (2 * float(x) - n) for x in cuts])
-    observed = np.bincount(np.searchsorted(edges, sums), minlength=len(probs))
-    assert chi_square_p(observed, rows * probs) > 1e-4
+    for table in (mc._HalfBinomial(n), None):  # the counts by inversion, then by numpy
+        sums = mc._uniform_plane_sums(n, h, rows, seeding.stream(2026, 3, n), table)
+        assert np.abs(sums).max() <= n * h
+        observed = np.bincount(np.searchsorted(edges, sums), minlength=len(probs))
+        assert chi_square_p(observed, rows * probs) > 1e-4
 
 
 @pytest.mark.parametrize("n,t", [(512, 30), (1024, 40)])
@@ -364,16 +367,134 @@ def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
         assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == case["sha256"]
 
 
-@pytest.mark.parametrize("d,n", [(dm.pareto_sym(1.5), 300), (dm.uniform_sym(1.0), 300),
-                                 (dm.uniform_sym(1.0), 1024)],
-                         ids=["pareto_sym", "uniform_sym", "uniform_sym planes"])
-def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n):
+# ---------------------------------------------------------------------------
+# uniform_sym's plane counts by exact inversion of Bin(n, 1/2)
+# ---------------------------------------------------------------------------
+
+
+class ListedWords:
+    """A stand-in for a Generator whose bit generator hands out ``words`` in
+    order; inverted plane counts read nothing else of it."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words, self.drawn = self, list(words), 0
+
+    def random_raw(self, size=None):
+        k = 1 if size is None else size
+        out = self.words[self.drawn:self.drawn + k]
+        assert len(out) == k, "ran out of listed words"
+        self.drawn += k
+        return out[0] if size is None else np.array(out, dtype=np.uint64)
+
+
+class PlantedTies:
+    """A stand-in for ``rng`` whose words are rng's, but for every 4999th, which
+    ties with Bin(n, 1/2)'s CDF: 0, 2^64 - 1 or one of the central b[k]."""
+
+    def __init__(self, rng, n):
+        b = mc._HalfBinomial(n).b
+        self.ties = np.array([0, 2 ** 64 - 1, *b[n // 2 - 8:n // 2 + 8]], dtype=np.uint64)
+        self.bit_generator, self.words, self.drawn = self, rng.bit_generator, 0
+
+    def random_raw(self, size=None):
+        out = self.words.random_raw(1 if size is None else size)
+        at = np.arange(self.drawn, self.drawn + len(out))
+        self.drawn += len(out)
+        hit = at % 4999 == 0
+        out[hit] = self.ties[at[hit] // 4999 % len(self.ties)]
+        return int(out[0]) if size is None else out
+
+
+def fraction_counts(n: int, size: int, words: list) -> tuple[list, int]:
+    """``size`` Bin(n, 1/2) counts X = #{k < n : U >= F(k)} by exact Fractions,
+    and how many of ``words`` they read.  Each count reads one word, U's leading
+    64 bits; a count whose U interval holds some F(k) strictly inside then reads
+    further words, after all counts' first words and in draw order, until none does."""
+    cdf = list(itertools.accumulate(Fraction(math.comb(n, k), 2 ** n) for k in range(n)))
+
+    def undecided(u, width):
+        return bisect.bisect_right(cdf, u) != bisect.bisect_left(cdf, u + width)
+
+    us = [Fraction(w, 2 ** 64) for w in words[:size]]
+    used = size
+    for i in [i for i, u in enumerate(us) if undecided(u, Fraction(1, 2 ** 64))]:
+        width = Fraction(1, 2 ** 64)
+        while undecided(us[i], width):
+            width /= 2 ** 64
+            us[i] += words[used] * width
+            used += 1
+    return [bisect.bisect_right(cdf, u) for u in us], used
+
+
+@pytest.mark.parametrize("n", [16, 1000, 1024])
+def test_inverted_counts_match_fraction_inversion(n):
+    # words forced onto b[k], 0 and 2^64 - 1, then words that decide the ties
+    table = mc._HalfBinomial(n)
+    cum = list(itertools.accumulate(math.comb(n, k) for k in range(n)))
+    assert table.cum == cum
+    mask = 2 ** 64 - 1
+
+    def chunk(k, j):  # word j of F(k) = cum[k] / 2^n, word 0 being b[k]
+        return cum[k] << 64 * (j + 1) >> n & mask
+
+    rows = 3
+    words = [int(w) for w in np.random.SFC64(n).random_raw(53 * rows + 40)]
+    k1, k2, k3 = n // 2, n // 2 + 3, n // 2 - 5
+    regular, more = words[:53 * rows], []
+    regular[5], regular[17] = chunk(k1, 0), chunk(k2, 0)
+    regular[60], regular[61] = chunk(k3, 0), 0
+    regular[150] = mask
+    if n > 64:
+        assert chunk(k1, 2) < mask and chunk(k2, 1) > 0 and table.b[0] == 0
+        more += [chunk(k1, 1), chunk(k1, 2) + 1]  # equal for a word, then above F(k1)
+        more += [chunk(k2, 1) - 1]  # below F(k2)
+        more += [chunk(k3, j) for j in range(1, -(-(n - 64) // 64) + 1)]  # F(k3) to its end
+    stream = ListedWords(regular + more + words[53 * rows:])
+    sums = mc._uniform_plane_sums(n, 1.0, rows, stream, table)
+    want, used = fraction_counts(n, 53 * rows, stream.words)
+    counts = np.array(want).reshape(rows, 53)
+    assert sums.tolist() == (mc._plane_sums(counts, n) * 2.0 ** -53).tolist()
+    assert stream.drawn == used
+    if n > 64:
+        assert (counts.flat[5], counts.flat[17], counts.flat[60]) == (k1 + 1, k2, k3 + 1)
+        assert used > 53 * rows + len(more)  # the words at 0 and 2^64 - 1 read words too
+    else:
+        assert used == 53 * rows  # b[k] = 2^64 F(k) exactly, so no word ties
+
+
+@pytest.mark.parametrize("n", [mc._PLANE_MIN_N, mc._TABLE_MAX_N])
+def test_inverted_counts_follow_the_binomial_law(n):
+    table = mc._HalfBinomial(n)
+    counts, tied = table.invert(seeding.stream(2026, 11, n).bit_generator.random_raw(10 ** 6))
+    assert tied.size == 0
+    pmf = np.array([math.comb(n, k) / 2 ** n for k in range(n + 1)])
+    assert chi_square_p(np.bincount(counts, minlength=n + 1), 10 ** 6 * pmf) > 1e-4
+
+
+def test_past_the_table_the_planes_keep_numpys_binomials():
+    # the sums the plane path drew at this n before the table existed
+    n = mc._TABLE_MAX_N + 1
+    assert n == 2305
+    sums = mc._batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 10))
+    assert [float(x).hex() for x in sums[:2]] == ["-0x1.4935f2a13facep+5", "0x1.b8100a1976789p+5"]
+    assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == \
+        "8df9a8af0ba8a0a85deb55f79ec1655d9ba5bf362260a1cc8472342e11bc5e2c"
+
+
+@pytest.mark.parametrize("d,n,planted", [(dm.pareto_sym(1.5), 300, False),
+                                         (dm.uniform_sym(1.0), 300, False),
+                                         (dm.uniform_sym(1.0), 1024, False),
+                                         (dm.uniform_sym(1.0), 1024, True)],
+                         ids=["pareto_sym", "uniform_sym", "uniform_sym planes",
+                              "uniform_sym planes with ties"])
+def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n, planted):
     # 15000 rows of 300 steps are two column chunks of 279 and 21 steps
     rows = 15_000
     sums = []
     for block in (1 << 10, 1 << 15):
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
-        sums.append(mc._batch_sums(d, n)(rows, seeding.stream(2026, 4)).tobytes())
+        rng = seeding.stream(2026, 4)
+        sums.append(mc._batch_sums(d, n)(rows, PlantedTies(rng, n) if planted else rng).tobytes())
     assert sums[0] == sums[1]
 
 
@@ -437,18 +558,23 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
                                   seed=1)[0].p_hat < 1.0
 
 
-@pytest.mark.parametrize("d,n", [(dm.normal_std(), 16), (dm.uniform_sym(1.0), 16),
-                                 (dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)]), 16),
-                                 (dm.pareto_sym(1.5), 16),
-                                 (dm.uniform_sym(1.0), mc._PLANE_MIN_N)],
+@pytest.mark.parametrize("d,n,planted", [(dm.normal_std(), 16, False),
+                                         (dm.uniform_sym(1.0), 16, False),
+                                         (dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)]), 16, False),
+                                         (dm.pareto_sym(1.5), 16, False),
+                                         (dm.uniform_sym(1.0), mc._PLANE_MIN_N, False),
+                                         (dm.uniform_sym(1.0), mc._PLANE_MIN_N, True)],
                          ids=["normal_std", "uniform_sym", "atoms 0.1,0.3", "pareto_sym",
-                              "uniform_sym planes"])
-def test_two_batches_are_identical_for_any_worker_count(d, n):
+                              "uniform_sym planes", "uniform_sym planes with ties"])
+def test_two_batches_are_identical_for_any_worker_count(monkeypatch, d, n, planted):
+    if planted:
+        stream = seeding.stream
+        monkeypatch.setattr(seeding, "stream", lambda *address: PlantedTies(stream(*address), n))
     # 70000 replicates are two batches of DEFAULT_BATCH
     (one,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=1)
     (two,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
-    assert one.seed_stream.startswith("sfc64-v4:")
+    assert one.seed_stream == seeding.stream_id(7, 0, n)
 
 
 def test_sums_overflowing_to_both_signs_are_unavailable():
