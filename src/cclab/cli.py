@@ -19,8 +19,10 @@ data inside the reports; exit codes only signal operational failures:
        ``counterexample`` without ``--schedule`` under any preset but
        ``ms_counterexample(d)``, a replay under any preset but
        ``ms_counterexample(d)`` of the schedule's depth d, and
-       ``counterexample`` given a [distribution] section; a distribution
-       key that the configured kind does not read;
+       ``counterexample`` given a key it does not read (a [distribution],
+       [weights] or [normalizer] section, ``scenario.eps``, ``horizon`` or
+       ``theta``, or ``mc.replicates``); a distribution key that the
+       configured kind does not read;
        an ``--out`` path that cannot be written; a size (such as
        ``--horizon``) whose arrays cannot be allocated; and an option the
        command does not take (only ``simulate`` takes ``--maximal``), as
@@ -40,7 +42,8 @@ it is above.
 
 ``counterexample --schedule FILE`` replays the schedule in FILE and needs
 no preset; without ``--schedule`` it builds ``ms_counterexample(d)`` and
-nothing else.  It reads no sequences and refuses a distribution.
+nothing else.  Of a config it reads the preset and ``mc.seed``, which its
+provenance prints, and refuses the keys that only other commands read.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
@@ -155,6 +158,7 @@ class ScenarioConfig:
     workers: int
     out_dir: Optional[Path]
     config_sha256: str
+    given: frozenset  # the (section, key) pairs the config and flags set
 
     def provenance(self) -> dict:
         return {
@@ -366,7 +370,8 @@ def load_config(path: Optional[str], sets: list,
                           eps=eps, theta=theta, horizon=horizon,
                           replicates=replicates, seed=seed, workers=workers,
                           out_dir=Path(out_dir) if out_dir else None,
-                          config_sha256=sha)
+                          config_sha256=sha,
+                          given=frozenset((s, k) for s in parser.sections() for k in parser[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +502,12 @@ def _read_schedule(path: str) -> counterexample.CutoffSchedule:
         raise ConfigError(f"malformed schedule {path}: {type(exc).__name__} {exc}") from exc
 
 
+# What counterexample reads of a config: its preset, the seed its provenance
+# prints, and the keys that change no byte of a report.
+_COUNTEREXAMPLE_KEYS = {("scenario", "preset"), ("mc", "seed"), ("mc", "workers"),
+                        ("output", "dir")}
+
+
 def run_counterexample(cfg: ScenarioConfig,
                        schedule_path: Optional[str] = None) -> tuple[int, dict]:
     if schedule_path is not None:
@@ -513,8 +524,12 @@ def run_counterexample(cfg: ScenarioConfig,
     else:
         raise ConfigError("counterexample needs --preset 'ms_counterexample(d)' or --schedule, "
                           f"not preset {cfg.preset!r}")
-    if cfg.dist is not None:
-        raise ConfigError("counterexample reads no [distribution] section")
+    unread = sorted(cfg.given - _COUNTEREXAMPLE_KEYS)
+    if unread:
+        section, key = unread[0]
+        if section in ("distribution", "weights", "normalizer"):
+            raise ConfigError(f"counterexample reads no [{section}] section")
+        raise ConfigError(f"counterexample reads no {section}.{key}")
     try:
         report = counterexample.verify_counterexample(schedule)
     except counterexample.BlockEndUnavailable as exc:

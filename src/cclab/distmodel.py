@@ -252,9 +252,11 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
     if d.kind == "normal_std":
         # 2 Phi(b) - 1 = erfc(-b/sqrt2) - 1 exactly, erfc lying in [1, 2] here
         mass = libm(math.erfc, -b / _SQRT2) - 1.0
-        # b * b is inf past 1.3e154, and exp(-inf) = 0; at an inf b, 2 b * 0 is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = mass - 2.0 * b * (_INV_SQRT_2PI * libm(math.exp, -0.5 * b * b))
+        # b * b is inf past 1.3e154, and exp(-inf) = 0; where the density is 0,
+        # T is the mass (2 b * 0 would be NaN at an inf b)
+        with np.errstate(over="ignore"):
+            density = _INV_SQRT_2PI * libm(math.exp, -0.5 * b * b)
+            out = mass - np.multiply(2.0 * b, density, out=np.zeros_like(b), where=density > 0.0)
         near = b < _NORMAL_SERIES_BELOW
         if near.any():
             out[near] = _normal_series(b[near])

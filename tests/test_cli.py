@@ -467,9 +467,6 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     (["--preset", "baum_katz(2,1)", "--eps", "0.5,10", "--set", "distribution.kind=pareto_sym",
       "--set", "distribution.alpha=2", "--set", "distribution.scale=1e-320"],
      "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
-    # T = inf * 0 once 2 eps a(n) overflows
-    (["--preset", "spataru", "--eps", "1e308", "--set", "distribution.kind=normal_std"],
-     "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
     # 3h is inf past h = 6e307, T = m (m (m / h / 3)) is inf and so is eps^2 a^2
     (["--preset", "baum_katz(2,1)", "--eps", "1e307", "--set", "distribution.kind=uniform_sym",
       "--set", "distribution.half_width=8e307"], "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
@@ -489,7 +486,7 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     (["--preset", "spataru", "--eps", "1e300", "--set", "distribution.kind=pareto_sym",
       "--set", "distribution.alpha=1", "--set", "distribution.scale=1e10"],
      "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
-], ids=["atom inf/inf", "pareto 0*inf", "normal inf*0", "uniform inf/inf", "cutoff 0",
+], ids=["atom inf/inf", "pareto 0*inf", "uniform inf/inf", "cutoff 0",
         "pareto power at a subnormal cutoff", "spataru pareto 0*inf", "pareto inf power"])
 def test_values_past_the_double_range_are_refused(capsys, argv, message):
     # pytest turns a warning into an error, so these runs print none
@@ -499,8 +496,9 @@ def test_values_past_the_double_range_are_refused(capsys, argv, message):
     assert message in err
 
 
-# Products that leave the doubles on the way to a report: an inf cutoff eps a(n)
-# and an inf eps^2 a(n)^2, given by the sha256 of the JSON without the versions.
+# Products that leave the doubles on the way to a report: an inf cutoff eps a(n),
+# an inf eps^2 a(n)^2 and the normal T at an inf cutoff (the mass, where 2 b
+# meets a density of 0), given by the sha256 of the JSON without the versions.
 PAST_THE_DOUBLES = {
     "eps a": (["--preset", "baum_katz(2,1)", "--eps", "1e308", "--horizon", "50",
                "--set", "distribution.kind=rademacher"],
@@ -508,6 +506,9 @@ PAST_THE_DOUBLES = {
     "eps^2 a^2": (["--preset", "baum_katz(1,0.5)", "--eps", "1e150", "--horizon", "300",
                    "--set", "distribution.kind=normal_std"],
                   "94103e80f1a5b93455a86516f8cb17180de33d55d29359b3ce447d20c9f220d9"),
+    "normal T at inf": (["--preset", "spataru", "--eps", "1e308", "--horizon", "50",
+                         "--set", "distribution.kind=normal_std"],
+                        "0a482a3cf30b0c643d58ffe867824c326bbb95104e8c7390498c38031e30196c"),
 }
 
 
@@ -665,10 +666,23 @@ def test_counterexample_builds_only_its_own_preset(capsys, argv):
      "counterexample reads no [distribution] section"),
     (("--preset", "ms_counterexample(3)", "--set", "distribution.kind=rademacher"), False,
      "counterexample reads no [distribution] section"),
+    (("--preset", "ms_counterexample(3)", "--eps", "5", "--horizon", "100"), False,
+     "counterexample reads no scenario.eps"),
+    (("--preset", "ms_counterexample(3)", "--horizon", "100"), False,
+     "counterexample reads no scenario.horizon"),
+    (("--preset", "ms_counterexample(3)", "--set", "scenario.theta=2"), False,
+     "counterexample reads no scenario.theta"),
+    (("--preset", "ms_counterexample(3)", "--replicates", "5000"), False,
+     "counterexample reads no mc.replicates"),
+    (("--set", "weights.exponent=3"), True, "counterexample reads no [weights] section"),
+    (("--preset", "ms_counterexample(3)", "--set", "normalizer.exponent=1"), False,
+     "counterexample reads no [normalizer] section"),
 ], ids=["other preset", "other depth", "distribution", "own preset and a distribution",
-        "build with a distribution"])
+        "build with a distribution", "eps", "horizon", "theta", "replicates",
+        "replay with weights", "build with a normalizer"])
 def test_counterexample_refuses_what_it_does_not_read(capsys, tmp_path, argv, replay, message):
-    # a replay used to ignore its preset and distribution and report the preset it was given
+    # a replay used to ignore its preset and distribution and report the preset it was
+    # given, and keys no counterexample reads changed the config hash it printed
     code, _, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(3)",
                      "--out", str(tmp_path))
     assert code == cli.EXIT_OK
@@ -1035,6 +1049,10 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     assert seeded == config_sha256(capsys, *estimate_argv(replicates="1000"),
                                    "--set", "mc.seed=5")
     assert seeded != config_sha256(capsys, *estimate_argv(seed="5", replicates="2000"))
+    # counterexample's hash names its preset and the seed its provenance prints
+    built = ["counterexample", "--preset", "ms_counterexample(3)"]
+    assert config_sha256(capsys, *built) == config_sha256(capsys, *built, "--workers", "2")
+    assert config_sha256(capsys, *built) != config_sha256(capsys, *built, "--seed", "3")
 
 
 def test_percent_in_set_entries_and_config_files_is_literal(capsys, tmp_path):

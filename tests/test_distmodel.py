@@ -377,6 +377,12 @@ def test_normal_truncated_moment_positive_and_rising_into_the_crossover():
     assert got[-2] <= got[-1]  # T(nextafter(c, 0)) <= T(c)
 
 
+def test_normal_truncated_moment_is_the_variance_where_the_density_is_0():
+    # 2 b phi(b) is 0 from b = 39 on; at an inf b it was inf * 0, a NaN
+    b = [39.0, 1.3e154, 1.4e154, 9e307, sys.float_info.max, math.inf]
+    assert dm.truncated_second_moments(dm.normal_std(), b).tolist() == [1.0] * len(b)
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
