@@ -155,10 +155,10 @@ class _HalfBinomial:
     X = #{k < n : U >= F(k)}, so its law is Bin(n, 1/2) exactly.  With
     b[k] = floor(2^64 F(k)), W > b[k] gives U >= F(k) and W < b[k] gives
     U < F(k).  The guide starts X at the least count W's top _GUIDE_BITS bits
-    allow, and steps up while W >= b[X].  A word equal to b[X - 1] leaves U
-    against F(X - 1) undecided, with probability below n 2^-64 a count, and
-    ``settle`` decides it from further words.  The table is read-only once
-    built, so threads share it.
+    allow, and X moves up to #{k : b[k] <= W} where W >= b[X].  A word equal
+    to b[X - 1] leaves U against F(X - 1) undecided, with probability below
+    n 2^-64 a count, and ``settle`` decides it from further words.  The table
+    is read-only once built, so threads share it.
     """
 
     def __init__(self, n: int):
@@ -188,16 +188,16 @@ class _HalfBinomial:
         x[stepped] = np.searchsorted(b, words[stepped], side="right")
         return x, stepped[b[x[stepped] - 1] == words[stepped]]
 
-    def settle(self, word: int, more: Callable[[], int]) -> int:
-        """The count for a tied word: U, extended by 64 bits from each call of
-        ``more``, against F(k) = cum[k] / 2^n for the k with b[k] = word, as
-        far as it takes.  U equal to F(k) over every bit of F(k) is U >= F(k)."""
+    def settle(self, word: int, rng: np.random.Generator) -> int:
+        """The count for a tied word: U, extended by 64 bits from each further
+        word of ``rng``, against F(k) = cum[k] / 2^n for the k with b[k] = word,
+        as far as it takes.  U equal to F(k) over every bit of F(k) is U >= F(k)."""
         k = int(np.searchsorted(self.b, np.uint64(word)))
         u, bits, den = word, 64, 1 << self.n
         while k < self.n and int(self.b[k]) == word:
             q, r = divmod(self.cum[k] << bits, den)  # F(k)'s first bits, and whether more follow
             while u == q and r:
-                u, bits = u << 64 | more(), bits + 64
+                u, bits = u << 64 | int(rng.bit_generator.random_raw()), bits + 64
                 q, r = divmod(self.cum[k] << bits, den)
             if u < q:
                 break
@@ -233,11 +233,8 @@ def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator,
                 tied_rows.setdefault(r + row, counts[row].copy())
                 ties.append((r + row, plane, int(words[i])))
         part[:] = _plane_sums(counts, n)
-    def more() -> int:
-        return int(rng.bit_generator.random_raw())
-
     for row, plane, word in ties:
-        tied_rows[row][plane] = table.settle(word, more)
+        tied_rows[row][plane] = table.settle(word, rng)
     for row, counts in tied_rows.items():
         out[row] = _plane_sums(counts[None], n)[0]
     out *= 2.0 ** -53
