@@ -33,7 +33,8 @@ data inside the reports; exit codes only signal operational failures:
        running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution; also a Monte
        Carlo sum whose steps overflow to both +inf and -inf (pareto_sym with
-       a small alpha), since |S_n| then has no float value
+       a small alpha), since |S_n| then has no float value; and uniform_sym
+       at n >= 2^36, past its bit planes, before any draw
     5  internal error: a check inside the program failed (for example a
        registered envelope violated); one line on stderr, no traceback
 

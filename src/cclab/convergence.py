@@ -194,7 +194,13 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta
         q, sv = alpha * af.exponent - 1.0 - wf.exponent, wf.sv.combine(af.sv, -alpha)
         floor = q <= 1.0
-        delta = sv.exponent_bound(n0, -1.0 if floor else 1.0)
+        sign = -1.0 if floor else 1.0
+        # the slack delta falls with the start, so a start at n0, 2 n0, 4 n0, ...
+        # (at most horizon + 1) may leave q - delta on q's side of 1
+        delta = sv.exponent_bound(n0, sign)
+        while (q - delta > 1.0) == floor and 2 * n0 <= horizon + 1:
+            n0 *= 2
+            delta = sv.exponent_bound(n0, sign)
         log_coef = (log_or_inf(wf.coef) + sv.log_values(n0, math.log) - delta * math.log(n0)
                     + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
         if floor and (q - delta > 1.0 or log_coef == -math.inf):

@@ -10,16 +10,20 @@ hosts.  A replicate draws S_n itself where its law allows:
 
 - an atom table on a decimal lattice within 2^53 as multinomial atom counts
   summed on the oracles' lattice, so a hit is |k|/den >= t exactly as in
-  exact_tail; any other atom table as the same counts times the float atoms;
+  exact_tail; any other atom table as the same counts times the float atoms.
+  Where every mass is a multiple of 1/8 and n is small, the counts are
+  popcounts of ANDs of fair random bit planes (Knuth and Yao 1976), exact
+  in law; elsewhere numpy's multinomial draws them;
 - the normal law as sqrt(n) Z;
-- ``uniform_sym`` at 640 <= n < 2^36 as 53 binomial bit planes, since
+- ``uniform_sym`` at 192 <= n < 2^36 as 53 binomial bit planes, since
   Generator.random() is m 2^-53 with 53 fair bits in m.  Up to
   _TABLE_MAX_N steps each plane count C_k ~ Bin(n, 1/2) is one SFC64 word
   read through the exact CDF (a guide table, Chen and Asau 1974), so its law
   is exactly Bin(n, 1/2); past it numpy's binomial (BTPE) draws the counts.
+  From n = 2^36 on ``uniform_sym`` raises SamplingUnavailable.
 
-``pareto_sym``, and ``uniform_sym`` below n = 640, sum n single steps of one
-SFC64 word each.  These draws are stream version ``sfc64-v5``
+``pareto_sym``, and ``uniform_sym`` below n = 192, sum n single steps of one
+SFC64 word each.  These draws are stream version ``sfc64-v6``
 (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
@@ -36,6 +40,7 @@ by CPU, so oracle bits can differ between hosts unless every product is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections.abc import Callable
@@ -56,11 +61,14 @@ _CHUNK_ELEMENTS = 1 << 22
 # Single steps are drawn and summed this many at a time, so a chunk's steps
 # stay in cache; each step takes one SFC64 word, so the draws do not depend on it.
 _BLOCK_ELEMENTS = 1 << 15
-# uniform_sym draws its 53 bit planes from here on; below, n single steps
-# cost less than 53 numpy binomials (SFC64 crossover near n = 600, 2-vCPU x86
-# host).  Inverted counts are cheaper, but the single-step sums below stay pinned.
-_PLANE_MIN_N = 640
-_PLANE_MAX_N = 1 << 36  # each half of the plane sum stays below 2^63
+# uniform_sym draws its 53 inverted plane counts from here on; below, n single
+# steps cost less.  Planes, with their table, first cost no more at n = 192 for
+# MIN_REPLICATES rows and at n = 96 for DEFAULT_BATCH rows (least of 41 and of
+# 5 interleaved runs, 2-vCPU x86 host).
+_PLANE_MIN_N = 192
+# Each half of the plane sum stays below 2^63 up to here; past it estimate_tail
+# refuses uniform_sym, whose n single steps a replicate would run for hours.
+_PLANE_MAX_N = 1 << 36
 # Up to here the plane counts are drawn by exact inversion: building the table
 # costs less than the 53 * MIN_REPLICATES numpy binomials (BTPE) it replaces.
 # Building it took 2.4-2.6 ms at n = 2304 against 2.5-2.6 ms for the binomials,
@@ -69,6 +77,14 @@ _TABLE_MAX_N = 2304
 _GUIDE_BITS = 14  # the guide reads a word's top 14 bits: 2^14 entries, 128 KiB
 _LOW_PLANES = 26  # bits 0-25 of the 53 form the low half, bits 26-52 the high
 _PLANE_WEIGHTS = 1 << np.arange(53 - _LOW_PLANES, dtype=np.int64)  # 2^j within a half
+# Atom laws with masses in multiples of 2^-B, B up to here, draw their counts
+# from B fair bit planes while B * ceil(n/64) <= _SLICE_WORDS * (K - 1) for K
+# atoms.  Against numpy's multinomial for B = 1..3 and K = 2..8 at 1,000 and
+# 65,536 rows (2-vCPU x86 host), the rule picks the cheaper draw except at
+# n <= 16, where fair bits cost up to 28 us more per 1,000 rows, and just past
+# its edge, where they would cost up to 1.8x less.
+_SLICE_MAX_BITS = 3
+_SLICE_WORDS = 8
 
 MAX_ORACLE_SUPPORT = 1_000_000
 # Direct convolution is quadratic in the lattice width, so the support cap
@@ -243,38 +259,119 @@ def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator,
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _slice_plan(masses: tuple) -> tuple[int, tuple, np.ndarray] | None:
+    """(B, ands, C) for masses that are multiples m_j 2^-B of the least such
+    B >= 1, B <= _SLICE_MAX_BITS, and sum to exactly 1; else None.
+
+    A step reads B fair bits, bit b of a value v in [0, 2^B), and is category
+    j where cum[j-1] <= v < cum[j], cum the running sums of the m_j.  Among n
+    steps, let P_S count those with every bit of the subset S set (P_0 = n).
+    By Moebius inversion over subsets, the steps whose set bits are exactly
+    v number sum over S containing v of (-1)^|S - v| P_S, so the category
+    counts are P @ C, with C[S, j] = sum of (-1)^|S - v| over the v of
+    category j inside S.  The subsets S != 0 come in the order the counter
+    forms them: the B single bits, then the rest, each the AND of an earlier
+    subset and a single bit, as listed in ``ands`` (index, earlier, bit).
+    """
+    ratios = [p.as_integer_ratio() for p in masses]  # every denominator a power of 2
+    bits = max(1, *(den.bit_length() - 1 for _, den in ratios))
+    if bits > _SLICE_MAX_BITS:
+        return None
+    m = [num << bits >> den.bit_length() - 1 for num, den in ratios]
+    if sum(m) != 1 << bits:
+        return None
+    order = [1 << b for b in range(bits)] + [s for s in range(3, 1 << bits) if s & s - 1]
+    where = {s: i for i, s in enumerate(order)}
+    ands = tuple((where[s], where[s & s - 1], where[s & -s]) for s in order[bits:])
+    category = np.repeat(np.arange(len(m)), m)  # category of each v
+    coef = np.zeros((1 << bits, len(m)), dtype=np.int64)
+    for row, s in enumerate([0, *order]):
+        for v in range(1 << bits):
+            if v & ~s == 0:
+                coef[row, category[v]] += -1 if (s ^ v).bit_count() & 1 else 1
+    coef.setflags(write=False)  # shared by every caller of the cache
+    return bits, ands, coef
+
+
+def _sliced_counts(n: int, bits: int, ands: tuple, coef: np.ndarray, rows: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """rows category counts of n steps from ``_slice_plan``'s (bits, ands, coef).
+
+    A replicate reads W = ceil(n/64) words per bit in a row, word-major: word
+    w of bit planes 0..bits-1, then word w + 1.  Lane i of word w is step
+    64w + i, and lanes at or past n are masked off.  Rows are counted in
+    blocks that hold about _BLOCK_ELEMENTS words, planes and ANDs together,
+    so the counts do not depend on the block size."""
+    width = -(-n // 64)
+    subsets = len(coef) - 1
+    out = np.empty((coef.shape[1], rows), dtype=np.int64)  # returned transposed
+    block = max(1, _BLOCK_ELEMENTS // ((bits + subsets) * width))
+    for r in range(0, rows, block):
+        m = min(block, rows - r)
+        # sets[i, w] holds word w of subset i's AND, one entry per row
+        sets = np.empty((subsets, width, m), dtype=np.uint64)
+        words = rng.bit_generator.random_raw(m * bits * width)
+        sets[:bits] = words.reshape(m, width, bits).T
+        if n % 64:
+            sets[:bits, -1] &= np.uint64((1 << n % 64) - 1)
+        for i, earlier, bit in ands:
+            np.bitwise_and(sets[earlier], sets[bit], out=sets[i])
+        # P_S for S != 0, at most 64 width < 2^16; the products are small
+        # integers, so the float product is exact and cheaper than numpy's int one
+        pop = np.bitwise_count(sets).sum(axis=1, dtype=np.uint16)
+        out[:, r:r + m] = coef[1:].T @ pop.astype(np.float64)
+    out += n * coef[:1].T
+    return out.T
+
+
+def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """The draw of rows category counts of n steps with masses ``probs``: by
+    fair bits while bits * ceil(n/64) <= _SLICE_WORDS * (K - 1), else by
+    numpy's multinomial."""
+    plan = _slice_plan(tuple(probs.tolist()))
+    if plan is not None and plan[0] * -(-n // 64) <= _SLICE_WORDS * (len(probs) - 1):
+        return lambda rows, rng: _sliced_counts(n, *plan, rows, rng)
+    return lambda rows, rng: rng.multinomial(n, probs, size=rows)
+
+
 def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
     """The draw of one batch of S_n: a function (rows, rng) -> rows sums.
 
-    An atom table draws how often each atom occurs, rng.multinomial(n, probs).
+    An atom table draws how often each atom occurs, ``_atom_counts``.
     On a decimal lattice within 2^53 it sums the counts times the integer
     steps; the int64 coordinate k comes back as the correctly rounded k/den,
     so |S_n| >= t is exact_tail's rule at every lattice point.  Off the
     lattice (a float 1/3, or 1e17) it sums the counts times the float atoms,
     and the hit rule is a float comparison.  The normal law draws sqrt(n) Z,
     and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes, whose
-    counts up to _TABLE_MAX_N invert one table built here for every batch.
+    counts up to _TABLE_MAX_N invert one table built here for every batch;
+    past _PLANE_MAX_N it raises SamplingUnavailable before any draw.
     Other laws sum n single-step draws in fixed column chunks, each drawn and summed
     in row blocks of about _BLOCK_ELEMENTS steps.
     """
     lattice = d.lattice_steps
     if lattice is not None:
         steps, probs, den = lattice
+        counts = _atom_counts(n, probs)
         if _exact_range(n, steps, den):
             k = np.asarray(steps, dtype=np.int64)
-            return lambda rows, rng: (rng.multinomial(n, probs, size=rows) @ k) / den
+            return lambda rows, rng: (counts(rows, rng) @ k) / den
         values, all_probs = distmodel.atom_table(d)
         values = values[all_probs > 0.0]
 
         def float_atoms(rows: int, rng: np.random.Generator) -> np.ndarray:
             with np.errstate(over="ignore", invalid="ignore"):  # as in chunked below
-                return (rng.multinomial(n, probs, size=rows) * values).sum(axis=1)
+                return (counts(rows, rng) * values).sum(axis=1)
 
         return float_atoms
     if d.kind == "normal_std":
         root = math.sqrt(n)
         return lambda rows, rng: root * rng.standard_normal(rows)
-    if d.kind == "uniform_sym" and _PLANE_MIN_N <= n < _PLANE_MAX_N:
+    if d.kind == "uniform_sym" and n >= _PLANE_MAX_N:
+        raise distmodel.SamplingUnavailable(
+            f"uniform_sym: {n} steps is past the bit-plane range n < 2^36")
+    if d.kind == "uniform_sym" and n >= _PLANE_MIN_N:
         (h,) = d.params
         table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
         return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)

@@ -32,5 +32,7 @@ def stream_id(seed: int, *path: int) -> str:
     ``uniform_sym`` bit planes at n >= 512, off-lattice atom counts, and one
     word per ``pareto_sym`` step; v4: SFC64 seeded by ``SeedSequence`` in
     place of Philox; v5: ``uniform_sym`` plane counts by exact inversion up
-    to ``mcengine._TABLE_MAX_N``)."""
-    return "sfc64-v5:" + "/".join(str(int(x)) for x in (seed, *path))
+    to ``mcengine._TABLE_MAX_N``; v6: atom counts from fair bits for masses
+    in multiples of 1/8 below ``mcengine``'s crossover, and ``uniform_sym``
+    bit planes from a lower ``mcengine._PLANE_MIN_N``)."""
+    return "sfc64-v6:" + "/".join(str(int(x)) for x in (seed, *path))

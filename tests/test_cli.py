@@ -145,8 +145,8 @@ def test_an_unhashable_sequence_or_a_horizon_past_the_budget_runs_uncached(monke
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo bytes: fixtures written when the streams became SFC64
-# (sfc64-v4), their labels since moved to sfc64-v5.  70000 replicates are two batches, so the worker count changes
+# Monte Carlo bytes: fixtures written when atom counts came from fair bits
+# (sfc64-v6).  70000 replicates are two batches, so the worker count changes
 # the schedule.
 # ---------------------------------------------------------------------------
 
@@ -173,12 +173,42 @@ def test_monte_carlo_bytes_match_golden_for_any_worker_count(capsys, label):
         assert out2 == out
 
 
+def test_monte_carlo_goldens_cover_the_exact_tails():
+    # each estimate's 99% interval, and each partial sum's, holds the exact value
+    atoms = distmodel.atomic_sym([(1.0, 0.5), (3.0, 0.25)])
+    for label, d in (("estimate_rad", distmodel.rademacher()), ("estimate_atom", atoms)):
+        est = json.loads((GOLDEN / f"{label}.json").read_text())["estimate"]
+        exact = mcengine.exact_tail(mcengine.exact_walk_oracle(d, est["n"]), est["threshold"])
+        assert est["lo"] <= exact <= est["hi"], label
+    series = json.loads((GOLDEN / "simulate_bk_rad.json").read_text())["series"]
+    for key in ("0.5", "1.0"):
+        exact = 0.0
+        for row in series[key]["rows"]:
+            exact += row["exact"]
+            assert row["ci_lo"] <= exact <= row["ci_hi"], (key, row["n"])
+
+
 def test_golden_stream_labels_carry_the_current_version():
     version = seeding.stream_id(0).split(":")[0] + ":"
     labels = [label for path in sorted(GOLDEN.glob("*.json"))
               for label in re.findall(r'"seed_stream": "([^"]*)"', path.read_text())]
     assert labels
     assert all(label.startswith(version) for label in labels), labels
+
+
+def test_pareto_slack_is_taken_at_a_later_start(capsys):
+    # the terms n^-1.5 (log(2+n))^2 sum; at the crossing n0 = 2 the log factor
+    # costs an exponent slack of 0.72, which left the series Undetermined with
+    # no evidence.  From n = 64 the slack is 0.48.
+    code, out, err = run(capsys, "check-conditions", "--set", "distribution.kind=pareto_sym",
+                         "--set", "distribution.alpha=2", "--set", "weights.exponent=-1.5",
+                         "--set", "weights.slowly_varying=log_power:2",
+                         "--set", "normalizer.exponent=0.5", "--eps", "1", "--horizon", "5000")
+    assert code == cli.EXIT_OK, err
+    (single,) = [s for s in json.loads(out)["series"] if s["series_id"] == "single-tail"]
+    assert single["verdict"] == "ConvergesCertified"
+    params = single["tail_bound"]["params"]
+    assert params["from_n"] == 64 and 1.0 < params["exponent"] < 1.03
 
 
 def test_readme_normal_example_certifies_single_tail(capsys):
@@ -793,7 +823,8 @@ def test_uniform_at_a_huge_half_width_warns_nothing(capsys, n, half_width, code)
     ("atomic_sym", 2 ** 32 + 5, "5e4", 0.2785)])
 def test_walks_of_2_to_the_32_steps_or_more_keep_their_streams(capsys, kind, n, threshold, p_hat):
     # p_hat as drawn from the unchecked address (7, 0, n, b) in sfc64-v4; n is past
-    # uniform_sym's table, so its counts are numpy's binomials in sfc64-v5 too
+    # uniform_sym's table and the atoms' fair-bit crossover, so its counts are
+    # numpy's binomials and multinomials in sfc64-v6 too
     atoms = ("--set", "distribution.atoms=1:0.5") if kind == "atomic_sym" else ()
     code, out, err = run(capsys, "estimate", "--set", f"distribution.kind={kind}", *atoms,
                          "--n", str(n), "--threshold", threshold, "--replicates", "2000",
@@ -1144,6 +1175,19 @@ def test_a_horizon_too_large_to_allocate_is_a_config_error(capsys):
                          "--horizon", "1000000000000000", "--set", "distribution.kind=rademacher")
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith("config error: Unable to allocate") and len(err.splitlines()) == 1
+
+
+def test_uniform_past_the_plane_range_exits_4_before_any_draw(capsys, monkeypatch):
+    # 2^36 single steps a replicate would run for hours
+    def no_stream(*address):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(seeding, "stream", no_stream)
+    code, out, err = run(capsys, "estimate", "--set", "distribution.kind=uniform_sym",
+                         "--n", "68719476736", "--threshold", "1e6", "--replicates", "1000")
+    assert (code, out) == (cli.EXIT_SAMPLING, "")
+    assert err == ("sampling unavailable: uniform_sym: 68719476736 steps is past the "
+                   "bit-plane range n < 2^36\n")
 
 
 def test_estimate_with_overflowing_steps_exits_4_with_one_line():

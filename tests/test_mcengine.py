@@ -248,7 +248,7 @@ def chi_square_p(observed, expected) -> float:
 SUM_LAWS = ["rademacher", "atoms 1,3", "atoms 0.1,0.3"]
 
 
-@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("n", [1, 2, 16, 100, 512, 1024])
 @pytest.mark.parametrize("name", SUM_LAWS)
 def test_direct_sums_follow_the_oracle_law(name, n):
     d = LAWS[name][0]
@@ -356,7 +356,8 @@ def test_plane_assembly_is_exact():
 
 def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
     # sums of uniform_sym(1.5) written by the single-step path when the
-    # streams became SFC64 (sfc64-v4)
+    # streams became SFC64 (sfc64-v4); the n = 639 case left when the cutoff
+    # fell from 640 to 192
     fixture = json.loads((Path(__file__).parent / "golden" / "uniform_sym_small_n.json").read_text())
     d = dm.uniform_sym(fixture["half_width"])
     for case in fixture["cases"]:
@@ -365,6 +366,19 @@ def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
         sums = mc._batch_sums(d, n)(case["rows"], seeding.stream(*fixture["stream"], n))
         assert [float(x).hex() for x in sums[:3]] == case["head"]
         assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == case["sha256"]
+
+
+def test_uniform_from_the_plane_cutoff_draws_inverted_planes():
+    # the least n at which inverted planes, table included, cost no more than
+    # single steps at both MIN_REPLICATES and DEFAULT_BATCH rows
+    n = mc._PLANE_MIN_N
+    assert n == 192
+    sums = mc._batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 9, n))
+    planes = mc._uniform_plane_sums(n, 1.5, 3000, seeding.stream(2026, 9, n), mc._HalfBinomial(n))
+    assert np.array_equal(sums, planes)
+    assert [float(x).hex() for x in sums[:2]] == ["-0x1.30da22280116ap+4", "0x1.e9ab1a202615ep+2"]
+    assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == \
+        "adae9fd28e0dda6a5f348e83c9aba44f061dcacb43eed196a1d0c6099e628afa"
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +496,15 @@ def test_past_the_table_the_planes_keep_numpys_binomials():
 
 
 @pytest.mark.parametrize("d,n,planted", [(dm.pareto_sym(1.5), 300, False),
-                                         (dm.uniform_sym(1.0), 300, False),
+                                         (dm.uniform_sym(1.0), 150, False),
                                          (dm.uniform_sym(1.0), 1024, False),
-                                         (dm.uniform_sym(1.0), 1024, True)],
+                                         (dm.uniform_sym(1.0), 1024, True),
+                                         (LAWS["atoms 1,3"][0], 200, False)],
                          ids=["pareto_sym", "uniform_sym", "uniform_sym planes",
-                              "uniform_sym planes with ties"])
+                              "uniform_sym planes with ties", "atoms 1,3 fair bits"])
 def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n, planted):
-    # 15000 rows of 300 steps are two column chunks of 279 and 21 steps
+    # 15000 rows of 300 steps are two column chunks of 279 and 21 steps; the
+    # fair bits of 200 steps come 25 or 819 rows to a block
     rows = 15_000
     sums = []
     for block in (1 << 10, 1 << 15):
@@ -551,7 +567,7 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
         mc.exact_walk_oracle(wide, 1000)
     for d in (wide, dm.rademacher(), dm.normal_std()):
         assert 0.0 < mc.estimate_tail(d, 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
-    # uniform_sym from n = 640 on draws its bit planes, and atoms with no
+    # uniform_sym from n = 192 on draws its bit planes, and atoms with no
     # decimal lattice within 2^53 their counts
     assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
     assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, [1.0], 1000,
@@ -563,9 +579,11 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
                                          (dm.atomic_sym([(0.1, 0.5), (0.3, 0.25)]), 16, False),
                                          (dm.pareto_sym(1.5), 16, False),
                                          (dm.uniform_sym(1.0), mc._PLANE_MIN_N, False),
-                                         (dm.uniform_sym(1.0), mc._PLANE_MIN_N, True)],
+                                         (dm.uniform_sym(1.0), mc._PLANE_MIN_N, True),
+                                         (dm.rademacher(), 300, False)],
                          ids=["normal_std", "uniform_sym", "atoms 0.1,0.3", "pareto_sym",
-                              "uniform_sym planes", "uniform_sym planes with ties"])
+                              "uniform_sym planes", "uniform_sym planes with ties",
+                              "rademacher fair bits"])
 def test_two_batches_are_identical_for_any_worker_count(monkeypatch, d, n, planted):
     if planted:
         stream = seeding.stream
@@ -591,6 +609,95 @@ def test_fair_pairs_draw_the_same_sums_whatever_the_kind():
     rad = mc._batch_sums(dm.rademacher(), 64)(1000, seeding.stream(3, 1))
     for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
         assert np.array_equal(mc._batch_sums(d, 64)(1000, seeding.stream(3, 1)), 2.5 * rad)
+
+
+# ---------------------------------------------------------------------------
+# Atom counts from fair bits: popcounts of the ANDs of B bit planes
+# ---------------------------------------------------------------------------
+
+
+def slice_plan(name: str):
+    return mc._slice_plan(tuple(LAWS[name][0].lattice_steps[1].tolist()))
+
+
+def test_slice_plans_take_the_least_bits_and_exact_masses():
+    assert mc._slice_plan((0.5, 0.5))[0] == 1
+    assert slice_plan("rademacher")[0] == 1
+    assert slice_plan("atoms 1,3")[0] == 3
+    assert slice_plan("negative -0.5,-2")[0] == 2
+    # 0.3 is no multiple of 2^-3, 1/16 needs 4 bits, and the masses must sum to 1
+    for masses in [(0.3, 0.7), (0.0625, 0.9375), (0.5, 0.25), (0.5, 0.25, 0.125, 0.25)]:
+        assert mc._slice_plan(masses) is None
+
+
+def decoded_counts(words: list, n: int, masses, rows: int) -> list:
+    """Category counts of n steps a row, each step's B bits read one by one
+    from ``words`` as _sliced_counts lays them out."""
+    bits = max(1, *(p.as_integer_ratio()[1].bit_length() - 1 for p in masses))
+    cum = list(itertools.accumulate(int(p * 2 ** bits) for p in masses))
+    width = -(-n // 64)
+    out = []
+    for r in range(rows):
+        row = words[r * bits * width:(r + 1) * bits * width]
+        counts = [0] * len(masses)
+        for i in range(n):
+            w, lane = divmod(i, 64)
+            v = sum((row[w * bits + b] >> lane & 1) << b for b in range(bits))
+            counts[bisect.bisect_right(cum, v)] += 1
+        out.append(counts)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("name", ["rademacher", "atoms 1,3", "negative -0.5,-2",
+                                  "positive 1,2.5,4"])
+def test_sliced_counts_decode_each_step(name, n):
+    masses = LAWS[name][0].lattice_steps[1].tolist()
+    plan = slice_plan(name)
+    rows = 5
+    words = [int(w) for w in np.random.SFC64(n).random_raw(rows * plan[0] * -(-n // 64))]
+    stream = ListedWords(words)
+    counts = mc._sliced_counts(n, *plan, rows, stream)
+    assert stream.drawn == len(words)
+    assert counts.tolist() == decoded_counts(words, n, masses, rows)
+
+
+@pytest.mark.parametrize("name", ["rademacher", "atoms 1,3", "negative -0.5,-2"])
+def test_constant_words_give_the_first_and_last_pattern(name):
+    # at n = 65 the second word of each plane holds one step; its other 63
+    # lanes are ignored, or the all-one words would count 128 steps
+    plan, k = slice_plan(name), len(LAWS[name][0].lattice_steps[1])
+    n, rows = 65, 3
+    for word, category in ((0, 0), (2 ** 64 - 1, k - 1)):
+        counts = mc._sliced_counts(n, *plan, rows, ListedWords([word] * (rows * plan[0] * 2)))
+        assert counts.tolist() == [[n if j == category else 0 for j in range(k)]] * rows
+
+
+@pytest.mark.parametrize("name,last", [("rademacher", 512), ("atoms 1,3", 640),
+                                       ("negative -0.5,-2", 256)])
+def test_fair_bits_draw_up_to_the_crossover(monkeypatch, name, last):
+    # B ceil(n/64) <= 8 (K - 1): B = 1, K = 2; B = 3, K = 5; B = 2, K = 2
+    sliced, real = [], mc._sliced_counts
+    monkeypatch.setattr(mc, "_sliced_counts", lambda n, *rest: sliced.append(n) or real(n, *rest))
+    for n in (1, last, last + 1):
+        mc._batch_sums(LAWS[name][0], n)(10, seeding.stream(1))
+    assert sliced == [1, last]
+
+
+@pytest.mark.parametrize("name,n,head,digest", [
+    ("rademacher", 513, ["-0x1.b000000000000p+4", "-0x1.8000000000000p+1"],
+     "cfb86a10f8f842c3c16b29f966811bc52617363f59da9ae7530cd98797c57299"),
+    ("atoms 1,3", 641, ["0x1.8000000000000p+2", "0x0.0p+0"],
+     "958fb258b48feb56cea0673d39b88f5ad353fff026f1e25355e5e229623aab4b"),
+    ("atoms 0.1,0.3", 641, ["0x1.3333333333333p-1", "0x0.0p+0"],
+     "7f68ecf05f1609be11ecdc06fb02bc50ab2c0ebb4e3f59a04bec006958cba435"),
+    ("rademacher", 1024, ["-0x1.1000000000000p+5", "0x0.0p+0"],
+     "3c49bcacbeff02bbba70c411584556771a1bd41917096991371ba25404634992")])
+def test_past_the_crossover_the_counts_keep_numpys_multinomial(name, n, head, digest):
+    # the sums numpy's multinomial drew before fair bits existed (sfc64-v5)
+    sums = mc._batch_sums(LAWS[name][0], n)(3000, seeding.stream(2026, 12))
+    assert [float(x).hex() for x in sums[:2]] == head
+    assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_the_pool_has_no_more_threads_than_batches_or_cpus(monkeypatch):

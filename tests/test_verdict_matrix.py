@@ -42,7 +42,7 @@ LAWS = {
 }
 
 # Counts at or below which the matrix must stay.
-UNDETERMINED_AT_MOST = {"single-tail": 12, "exponential": 76, "adaptive-exponent": 12}
+UNDETERMINED_AT_MOST = {"single-tail": 6, "exponential": 76, "adaptive-exponent": 12}
 INCONCLUSIVE_AT_MOST = 0
 
 
