@@ -18,10 +18,8 @@ data inside the reports; exit codes only signal operational failures:
        counts as such); a least cutoff eps * a(1) that underflows to 0;
        ``counterexample`` without ``--schedule`` under any preset but
        ``ms_counterexample(d)``, a replay under any preset but
-       ``ms_counterexample(d)`` of the schedule's depth d, and
-       ``counterexample`` given a key it does not read (a [distribution],
-       [weights] or [normalizer] section, ``scenario.eps``, ``horizon`` or
-       ``theta``, or ``mc.replicates``); a distribution key that the
+       ``ms_counterexample(d)`` of the schedule's depth d; a key the
+       command does not read; a distribution key that the
        configured kind does not read;
        an ``--out`` path that cannot be written; a size (such as
        ``--horizon``) whose arrays cannot be allocated; and an option the
@@ -41,10 +39,11 @@ data inside the reports; exit codes only signal operational failures:
 A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
 
-``counterexample --schedule FILE`` replays the schedule in FILE and needs
-no preset; without ``--schedule`` it builds ``ms_counterexample(d)`` and
-nothing else.  Of a config it reads the preset and ``mc.seed``, which its
-provenance prints, and refuses the keys that only other commands read.
+Each command refuses any key outside its read-set in ``_READS`` (a named
+preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too),
+so ``config_sha256`` hashes what the command read.  ``counterexample
+--schedule FILE`` replays the schedule in FILE and needs no preset; without
+``--schedule`` it builds ``ms_counterexample(d)`` and nothing else.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
@@ -91,15 +90,22 @@ class UnsupportedFamily(Exception):
 # The keys each distribution kind reads besides its kind; any other is refused.
 _DISTRIBUTION_KEYS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_std": (),
                       "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
+_LAW_KEYS = frozenset(("distribution", k) for k in {"kind"}.union(*_DISTRIBUTION_KEYS.values()))
+_SEQUENCE_KEYS = frozenset((s, k) for s in ("weights", "normalizer")
+                           for k in ("kind", "exponent", "coef", "slowly_varying"))
+# Keys that change no byte of a report: every command takes them, and the
+# hash leaves them out, so the bytes are identical across worker counts.
+_EXECUTION_KEYS = frozenset({("mc", "workers"), ("output", "dir")})
 
-_ALLOWED_KEYS = {
-    "scenario": {"preset", "eps", "theta", "horizon"},
-    "distribution": {"kind"}.union(*_DISTRIBUTION_KEYS.values()),
-    "weights": {"kind", "exponent", "coef", "slowly_varying"},
-    "normalizer": {"kind", "exponent", "coef", "slowly_varying"},
-    "mc": {"replicates", "seed", "workers"},
-    "output": {"dir"},
-}
+# The (section, key) pairs each command reads; every provenance prints mc.seed.
+_READS = {command: frozenset(keys) | {("mc", "seed")} | _EXECUTION_KEYS for command, keys in {
+    "check-conditions": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "theta"),
+                         ("scenario", "horizon"), *_SEQUENCE_KEYS, *_LAW_KEYS},
+    "simulate": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "horizon"),
+                 ("mc", "replicates"), *_SEQUENCE_KEYS, *_LAW_KEYS},
+    "estimate": {("mc", "replicates"), *_LAW_KEYS},
+    "counterexample": {("scenario", "preset")},
+}.items()}
 
 # The config key each flag sets.  Flags are applied after the --set entries,
 # so they win, and the hash sees every key however it was given.
@@ -149,8 +155,8 @@ class ScenarioConfig:
     preset: str
     preset_args: tuple
     dist: Optional[distmodel.Dist]
-    weights: WeightSeq
-    norms: NormSeq
+    weights: Optional[WeightSeq]
+    norms: Optional[NormSeq]
     eps: tuple[float, ...]
     theta: float
     horizon: int
@@ -159,7 +165,6 @@ class ScenarioConfig:
     workers: int
     out_dir: Optional[Path]
     config_sha256: str
-    given: frozenset  # the (section, key) pairs the config and flags set
 
     def provenance(self) -> dict:
         return {
@@ -279,17 +284,16 @@ def _canonical_text(parser: configparser.ConfigParser) -> str:
     lines = []
     for section in sorted(parser.sections()):
         for key in sorted(parser[section]):
-            if section == "output" or (section, key) == ("mc", "workers"):
+            if (section, key) in _EXECUTION_KEYS:
                 continue
             lines.append(f"{section}.{key}={parser[section][key]}")
     return "\n".join(lines)
 
 
-def load_config(path: Optional[str], sets: list,
-                require_sequences: bool = True,
-                require_distribution: bool = True) -> ScenarioConfig:
-    """The scenario in the config file at ``path`` (if any), with ``sets``,
-    a list of (section, key, value), applied in order."""
+def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig:
+    """The scenario ``command`` reads in the config file at ``path`` (if any),
+    with ``sets``, a list of (section, key, value), applied in order.  A
+    given key that the command does not read is refused."""
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         try:
@@ -303,15 +307,23 @@ def load_config(path: Optional[str], sets: list,
             parser.add_section(section)
         parser.set(section, key, value)
 
-    for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _ALLOWED_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-
+    reads = _READS[command]
     scen = parser["scenario"] if parser.has_section("scenario") else {}
-    preset, args = _parse_preset(scen.get("preset", "custom"))
+    preset, args = "custom", ()
+    if ("scenario", "preset") in reads:
+        preset, args = _parse_preset(scen.get("preset", "custom"))
+    if preset != "custom":  # a named preset fixes the sequences
+        reads -= _SEQUENCE_KEYS
+    if preset == "ms_counterexample":  # and this one the law and eps as well
+        reads -= _LAW_KEYS | {("scenario", "eps")}
+    unread = sorted({(s, k) for s in parser.sections() for k in parser[s]} - reads)
+    if unread:
+        section, key = unread[0]
+        # a flag's key by name; a section none of whose keys are read, whole
+        whole = section not in ("scenario", "mc") and all(s != section for s, _ in reads)
+        name = f"[{section}] section" if whole else f"{section}.{key}"
+        why = f" under preset {scen['preset']!r}" if unread[0] in _READS[command] else ""
+        raise ConfigError(f"{command} reads no {name}{why}")
 
     eps_text = scen.get("eps", "0.5,1.0")
     try:
@@ -345,25 +357,23 @@ def load_config(path: Optional[str], sets: list,
     if replicates < mcengine.MIN_REPLICATES:
         raise ConfigError(f"replicates must be >= {mcengine.MIN_REPLICATES}")
 
-    if preset == "baum_katz":
+    if ("weights", "exponent") in reads:
+        if not (parser.has_section("weights") and parser.has_section("normalizer")):
+            raise ConfigError("custom scenarios need [weights] and [normalizer] sections")
+        w = _parse_sequence(parser["weights"], "weights")
+        a = _parse_sequence(parser["normalizer"], "normalizer")
+    elif preset == "baum_katz":
         w, a = baum_katz_weights(args[0]), baum_katz_norms(args[1])
-    elif preset in ("spataru", "spataru_weak", "ms_counterexample"):
+    elif preset != "custom":
         w, a = spataru_weights(), spataru_norms()
     else:
-        have = parser.has_section("weights") and parser.has_section("normalizer")
-        if not have and require_sequences:
-            raise ConfigError("custom scenarios need [weights] and [normalizer] sections")
-        if have:
-            w = _parse_sequence(parser["weights"], "weights")
-            a = _parse_sequence(parser["normalizer"], "normalizer")
-        else:
-            w, a = seqkit.power_law_weights(0.0), seqkit.power_law_norms(1.0)
+        w = a = None
 
     dist = None
-    if parser.has_section("distribution"):
+    if ("distribution", "kind") in reads:
+        if not parser.has_section("distribution"):
+            raise ConfigError(f"{command} needs a [distribution] section")
         dist = _parse_distribution(parser["distribution"])
-    if dist is None and preset != "ms_counterexample" and require_distribution:
-        raise ConfigError("a [distribution] section is required for this preset")
 
     out_dir = parser["output"].get("dir") if parser.has_section("output") else None
     sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
@@ -371,8 +381,7 @@ def load_config(path: Optional[str], sets: list,
                           eps=eps, theta=theta, horizon=horizon,
                           replicates=replicates, seed=seed, workers=workers,
                           out_dir=Path(out_dir) if out_dir else None,
-                          config_sha256=sha,
-                          given=frozenset((s, k) for s in parser.sections() for k in parser[s]))
+                          config_sha256=sha)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +512,6 @@ def _read_schedule(path: str) -> counterexample.CutoffSchedule:
         raise ConfigError(f"malformed schedule {path}: {type(exc).__name__} {exc}") from exc
 
 
-# What counterexample reads of a config: its preset, the seed its provenance
-# prints, and the keys that change no byte of a report.
-_COUNTEREXAMPLE_KEYS = {("scenario", "preset"), ("mc", "seed"), ("mc", "workers"),
-                        ("output", "dir")}
-
-
 def run_counterexample(cfg: ScenarioConfig,
                        schedule_path: Optional[str] = None) -> tuple[int, dict]:
     if schedule_path is not None:
@@ -525,12 +528,6 @@ def run_counterexample(cfg: ScenarioConfig,
     else:
         raise ConfigError("counterexample needs --preset 'ms_counterexample(d)' or --schedule, "
                           f"not preset {cfg.preset!r}")
-    unread = sorted(cfg.given - _COUNTEREXAMPLE_KEYS)
-    if unread:
-        section, key = unread[0]
-        if section in ("distribution", "weights", "normalizer"):
-            raise ConfigError(f"counterexample reads no [{section}] section")
-        raise ConfigError(f"counterexample reads no {section}.{key}")
     try:
         report = counterexample.verify_counterexample(schedule)
     except counterexample.BlockEndUnavailable as exc:
@@ -552,7 +549,7 @@ def run_counterexample(cfg: ScenarioConfig,
 
 
 def run_simulate(cfg: ScenarioConfig, maximal: bool) -> tuple[dict, dict]:
-    if cfg.preset == "ms_counterexample" or cfg.dist is None:
+    if cfg.dist is None:
         raise distmodel.SamplingUnavailable(
             "the cutoff counterexample distribution cannot be sampled")
     d = cfg.dist
@@ -694,11 +691,7 @@ def main(argv=None) -> int:
             _print_stdout(text)
             return EXIT_OK
 
-        # counterexample reads neither sequences nor a distribution: its
-        # preset or its replayed schedule is the whole scenario.
-        cfg = load_config(args.config, _sets_from_args(args),
-                          require_sequences=args.command in ("check-conditions", "simulate"),
-                          require_distribution=args.command != "counterexample")
+        cfg = load_config(args.config, _sets_from_args(args), args.command)
         if args.command == "check-conditions":
             payload = run_check_conditions(cfg)
             _emit(payload, cfg.out_dir, "check_conditions.json")
@@ -716,9 +709,6 @@ def main(argv=None) -> int:
                 raise ConfigError("--n must be >= 1")
             if not math.isfinite(args.threshold):
                 raise ConfigError("--threshold must be finite")
-            if cfg.dist is None:
-                raise distmodel.SamplingUnavailable(
-                    "no samplable distribution configured")
             (est,) = mcengine.estimate_tail(cfg.dist, args.n, [args.threshold],
                                             cfg.replicates, cfg.seed, workers=cfg.workers)
             payload = {"estimate": est.to_json_dict(),

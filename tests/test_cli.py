@@ -246,7 +246,8 @@ CERTIFIED_PAIRS = [
 
 def pair_config(preset, dist, horizon):
     sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
-    return cli.load_config(None, sets + [("distribution", k, v) for k, v in dist.items()])
+    return cli.load_config(None, sets + [("distribution", k, v) for k, v in dist.items()],
+                           "check-conditions")
 
 
 @pytest.mark.parametrize("preset,dist", CERTIFIED_PAIRS)
@@ -671,7 +672,7 @@ def test_readme_replay_needs_no_preset(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--preset", "spataru", "--set", "distribution.kind=normal_std"),
+    ("--preset", "spataru"),
     ("--preset", "baum_katz(2,1)"),
     (),
 ], ids=["spataru", "baum_katz", "no preset"])
@@ -687,7 +688,7 @@ def test_counterexample_builds_only_its_own_preset(capsys, argv):
 
 
 @pytest.mark.parametrize("argv,replay,message", [
-    (("--preset", "spataru", "--set", "distribution.kind=normal_std"), True,
+    (("--preset", "spataru"), True,
      "a replayed schedule of depth 3 takes no preset or 'ms_counterexample(3)', not 'spataru'"),
     (("--preset", "ms_counterexample(9)"), True, "not 'ms_counterexample(9)'"),
     (("--set", "distribution.kind=normal_std"), True,
@@ -1086,6 +1087,105 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     assert config_sha256(capsys, *built) != config_sha256(capsys, *built, "--seed", "3")
 
 
+# ---------------------------------------------------------------------------
+# read-sets: every key a command takes changes its report or is refused
+# ---------------------------------------------------------------------------
+
+# A valid value for each key of the read-sets' union, none of them a default
+# or a base's own value; the preset's depends on the base, and [output]'s on
+# the test's directory.
+SWEEP_VALUES = {
+    ("scenario", "eps"): "0.75", ("scenario", "theta"): "2", ("scenario", "horizon"): "32",
+    ("mc", "replicates"): "2000", ("mc", "seed"): "9", ("mc", "workers"): "2",
+    ("distribution", "kind"): "normal_std", ("distribution", "half_width"): "2",
+    ("distribution", "alpha"): "3", ("distribution", "scale"): "2",
+    ("distribution", "atoms"): "1:0.5",
+    **{(section, key): value for section, exponent in (("weights", "-2"), ("normalizer", "0.75"))
+       for key, value in (("kind", "geometric"), ("exponent", exponent), ("coef", "2"),
+                          ("slowly_varying", "log_power:1"))},
+}
+RADEMACHER = {("distribution", "kind"): "rademacher"}
+CUSTOM = {("weights", "exponent"): "-1", ("normalizer", "exponent"): "1", **RADEMACHER}
+# label: (argv before the --set entries, the base's keys, another preset)
+READ_SET_BASES = {
+    "check-conditions named": (["check-conditions"], {
+        ("scenario", "preset"): "baum_katz(2,1)", ("scenario", "horizon"): "50", **RADEMACHER},
+        "baum_katz(3,1)"),
+    "check-conditions custom": (["check-conditions"], {("scenario", "horizon"): "50", **CUSTOM},
+                                "spataru"),
+    "check-conditions ms_counterexample": (["check-conditions"], {
+        ("scenario", "preset"): "ms_counterexample(3)", ("scenario", "horizon"): "50"},
+        "ms_counterexample(4)"),
+    "simulate named": (["simulate"], {
+        ("scenario", "preset"): "baum_katz(2,1)", ("scenario", "horizon"): "16",
+        ("mc", "replicates"): "1000", **RADEMACHER}, "baum_katz(3,1)"),
+    "simulate custom": (["simulate"], {
+        ("scenario", "horizon"): "16", ("mc", "replicates"): "1000", **CUSTOM}, "spataru"),
+    "estimate": (["estimate", "--n", "8", "--threshold", "2"],
+                 {("mc", "replicates"): "1000", **RADEMACHER}, "spataru"),
+    "counterexample build": (["counterexample"], {("scenario", "preset"): "ms_counterexample(3)"},
+                             "ms_counterexample(4)"),
+    "counterexample replay": (["counterexample", "--schedule", "SCHEDULE"], {},
+                              "ms_counterexample(3)"),
+}
+
+
+def without_hash(out: str) -> dict:
+    report = json.loads(out)
+    del report["provenance"]["config_sha256"]
+    return report
+
+
+@pytest.mark.parametrize("base", READ_SET_BASES)
+def test_every_key_a_command_takes_changes_its_report_or_is_refused(capsys, tmp_path, base):
+    # a key a command took and never read used to change only its config hash.
+    # The base keys come as --set entries, since a flag would win over the new value.
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(counterexample.build_schedule(3).to_json_list()))
+    head, keys, preset = READ_SET_BASES[base]
+    head = [str(schedule) if a == "SCHEDULE" else a for a in head]
+    values = {**SWEEP_VALUES, ("scenario", "preset"): preset,
+              ("output", "dir"): str(tmp_path / "out")}
+    assert set(values) == set().union(*cli._READS.values())
+
+    def outcome_with(entries):
+        return run(capsys, *head, *(x for (section, key), value in entries.items()
+                                    for x in ("--set", f"{section}.{key}={value}")))
+
+    code, out, err = outcome_with(keys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    failures = []
+    for (section, key), value in values.items():
+        code, got, err = outcome_with({**keys, (section, key): value})
+        given = {*keys, (section, key)}
+        if (section, key) in cli._EXECUTION_KEYS:
+            ok = (code, got, err) == (cli.EXIT_OK, out, "")
+        elif code in (cli.EXIT_CONFIG, cli.EXIT_FAMILY):
+            # the line names the key or its value, or a given key the value made unread
+            ok = got == "" and len(err.splitlines()) == 1 and (repr(value) in err or any(
+                f"{s}.{k}" in err or f"[{s}] section" in err or f"key {k!r}" in err
+                for s, k in given))
+        else:
+            ok = code == cli.EXIT_OK and without_hash(got) != without_hash(out)
+        if not ok:
+            failures.append(f"{section}.{key}={value}: exit {code} {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
+def test_readme_ini_example_is_a_simulate_scenario(capsys, tmp_path):
+    # run exactly as the README writes it; check-conditions reads none of its [mc] keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    config = tmp_path / "scenario.ini"
+    config.write_text(example)
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert (code, err) == (cli.EXIT_OK, "")
+    report = json.loads(out)
+    assert report["provenance"]["seed"] == 42 and sorted(report["series"]) == ["0.5", "1.0"]
+    assert run(capsys, "check-conditions", "--config", str(config)) == (
+        cli.EXIT_CONFIG, "", "config error: check-conditions reads no mc.replicates\n")
+
+
 def test_percent_in_set_entries_and_config_files_is_literal(capsys, tmp_path):
     code, _, err = run(capsys, *estimate_argv(), "--set", f"output.dir={tmp_path / 'a%b'}")
     assert code == cli.EXIT_OK, err
@@ -1108,13 +1208,21 @@ def test_estimate_with_every_replicate_a_hit(capsys):
     ("horizon", "0"), ("replicates", "0"), ("replicates", "999"), ("workers", "0"),
     ("seed", "-1"), ("n", "0"), ("threshold", "nan"), ("threshold", "inf")])
 def test_invalid_flags_are_config_errors(capsys, tmp_path, flag, value):
-    # the config file holds valid values, which a falsy flag must not fall back to
+    # the config file holds valid values, which a falsy flag must not fall back to;
+    # estimate reads no horizon, so check-conditions takes that flag
     config = tmp_path / "scenario.ini"
-    config.write_text("[scenario]\nhorizon = 100\n[mc]\nreplicates = 2000\nworkers = 2\n")
-    code, out, err = run(capsys, *estimate_argv(config=str(config), **{flag: value}))
+    if flag == "horizon":
+        config.write_text("[scenario]\nhorizon = 100\n")
+        argv = ["check-conditions", "--config", str(config), "--preset", "spataru",
+                "--set", "distribution.kind=rademacher", "--horizon", value]
+    else:
+        config.write_text("[mc]\nreplicates = 2000\nworkers = 2\n")
+        argv = estimate_argv(config=str(config), **{flag: value})
+    code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "reads no" not in err
 
 
 @pytest.mark.parametrize("entry,code,message", [
@@ -1167,6 +1275,7 @@ def test_a_theta_past_doubles_is_a_config_error(capsys, sequences, theta):
                          "--set", "distribution.kind=rademacher")
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "reads no" not in err
 
 
 def test_a_horizon_too_large_to_allocate_is_a_config_error(capsys):
@@ -1366,14 +1475,21 @@ NONFINITE_CASES = {
 }
 
 
+# The size flags each command reads; any other would be refused as unread.
+SIZE_FLAGS = {"check-conditions": ("--horizon", "100"),
+              "simulate": ("--horizon", "100", "--replicates", "1000"),
+              "estimate": ("--replicates", "1000")}
+
+
 @pytest.mark.parametrize("argv", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
 def test_nonfinite_inputs_are_config_errors(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would be a second line
-        code, out, err = run(capsys, *argv, "--horizon", "100", "--replicates", "1000")
+        code, out, err = run(capsys, *argv, *SIZE_FLAGS[argv[0]])
     assert code == cli.EXIT_CONFIG, err
     assert out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "reads no" not in err
 
 
 @pytest.mark.parametrize("command,entry,message", [
@@ -1390,8 +1506,7 @@ def test_nonfinite_inputs_are_config_errors(capsys, argv):
 def test_invalid_sequence_values_are_config_errors(capsys, command, entry, message):
     code, out, err = run(capsys, command, "--set", "weights.exponent=-1",
                          "--set", "normalizer.exponent=1", "--set", entry,
-                         "--set", "distribution.kind=rademacher",
-                         "--horizon", "100", "--replicates", "1000")
+                         "--set", "distribution.kind=rademacher", *SIZE_FLAGS[command])
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error: " + message) and len(err.splitlines()) == 1
@@ -1409,6 +1524,7 @@ def test_tiny_normalizer_coefficient_is_one_config_error(capsys, coef):
     assert code == cli.EXIT_CONFIG
     assert out == "" and caught == []
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "reads no" not in err
 
 
 def test_bounded_support_past_the_horizon_certifies_nothing(capsys):
@@ -1478,6 +1594,7 @@ def test_huge_support_finishes_within_the_horizon(dist, code):
         assert all(s["verdict"] == "Undetermined" for s in json.loads(proc.stdout)["series"])
     else:
         assert proc.stderr.startswith("config error:") and len(proc.stderr.splitlines()) == 1
+        assert "reads no" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
