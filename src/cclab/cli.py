@@ -18,7 +18,8 @@ data inside the reports; exit codes only signal operational failures:
        counts as such); a least cutoff eps * a(1) that underflows to 0;
        ``counterexample`` without ``--schedule`` under any preset but
        ``ms_counterexample(d)``, a replay under any preset but
-       ``ms_counterexample(d)`` of the schedule's depth d; a key the
+       ``ms_counterexample(d)`` of the schedule's depth d; ``simulate``
+       under ``ms_counterexample(d)``, whose law has no sampler; a key the
        command does not read; a distribution key that the
        configured kind does not read;
        an ``--out`` path that cannot be written; a size (such as
@@ -30,8 +31,8 @@ data inside the reports; exit codes only signal operational failures:
        any short decimal lattice, or a lattice too wide), since the
        running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution; also a Monte
-       Carlo sum whose steps overflow to both +inf and -inf (pareto_sym with
-       a small alpha), since |S_n| then has no float value; and uniform_sym
+       Carlo sum whose + and - parts both overflow (pareto_sym with a small
+       alpha), since |S_n| then has no float value; and uniform_sym
        at n >= 2^36, past its bit planes, before any draw
     5  internal error: a check inside the program failed (for example a
        registered envelope violated); one line on stderr, no traceback
@@ -40,8 +41,10 @@ A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
 
 Each command refuses any key outside its read-set in ``_READS`` (a named
-preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too),
-so ``config_sha256`` hashes what the command read.  ``counterexample
+preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too,
+and ``simulate`` refuses that preset, whose law it cannot sample), so
+``config_sha256`` hashes what the command read.  A ``[DEFAULT]`` section is
+an ordinary section that lends no keys to the others.  ``counterexample
 --schedule FILE`` replays the schedule in FILE and needs no preset; without
 ``--schedule`` it builds ``ms_counterexample(d)`` and nothing else.
 
@@ -294,7 +297,9 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     """The scenario ``command`` reads in the config file at ``path`` (if any),
     with ``sets``, a list of (section, key, value), applied in order.  A
     given key that the command does not read is refused."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # A default section named by what no file line or --set section can
+    # spell, so a [DEFAULT] section is an ordinary one, refused like any other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n.")
     if path is not None:
         try:
             read = parser.read(path)
@@ -312,6 +317,8 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     preset, args = "custom", ()
     if ("scenario", "preset") in reads:
         preset, args = _parse_preset(scen.get("preset", "custom"))
+    if command == "simulate" and preset == "ms_counterexample":
+        raise ConfigError(f"simulate cannot sample the law of preset {scen['preset']!r}")
     if preset != "custom":  # a named preset fixes the sequences
         reads -= _SEQUENCE_KEYS
     if preset == "ms_counterexample":  # and this one the law and eps as well
@@ -549,9 +556,6 @@ def run_counterexample(cfg: ScenarioConfig,
 
 
 def run_simulate(cfg: ScenarioConfig, maximal: bool) -> tuple[dict, dict]:
-    if cfg.dist is None:
-        raise distmodel.SamplingUnavailable(
-            "the cutoff counterexample distribution cannot be sampled")
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
     seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))

@@ -1,4 +1,4 @@
-"""Random-variable models: exact tails, truncated second moments, and single steps.
+"""Random-variable models: exact tails, truncated second moments, and magnitudes.
 
 Tails and the truncated second moments E[X^2 1{|X| < b}] are closed form
 for every law.  The weighted second moments of the continuous laws come
@@ -9,8 +9,9 @@ neither numpy's SIMD dispatch nor a LAPACK build.  Every finite atom law
 table, with the remaining mass at 0, and its tails and moments run through
 one code path.  ``tails`` and ``truncated_second_moments`` take arrays of
 cutoffs; ``tail`` and ``truncated_moment`` are their one-point forms.
-``sample`` draws the single steps ``mcengine`` sums for ``pareto_sym``, and
-for ``uniform_sym`` outside its bit-plane range.
+``sample`` draws the magnitudes |X| / scale of the single steps ``mcengine``
+signs by one count a row, for ``pareto_sym``, and for ``uniform_sym`` below
+its bit-plane range.
 """
 
 from __future__ import annotations
@@ -481,31 +482,15 @@ def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count i.i.d. steps of ``pareto_sym`` or ``uniform_sym``; deterministic
-    given the generator's stream.  ``mcengine`` draws S_n of the atom laws and
-    the normal law whole, so they have no single-step sampler.  ``pareto_sym``
-    steps also depend on the host: numpy's power picks a SIMD kernel by the CPU,
-    and the AVX-512 one differs from the C library's pow in the last ulp on
-    about 5% of steps (``np.float_power`` costs 4-5 times as much)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if d.kind == "uniform_sym":
-        (h,) = d.params
-        return rng.uniform(-h, h, size=count)
+    """count i.i.d. magnitudes |X| / scale from one SFC64 word u = random() each:
+    u ** (-1/alpha) for ``pareto_sym``, u for ``uniform_sym``.  ``mcengine``
+    signs and scales them; it draws the other laws' sums whole.  numpy's power
+    picks a SIMD kernel by the CPU, and the AVX-512 one differs from the C
+    library's pow in the last ulp on about 5% of draws, so ``pareto_sym``
+    bytes depend on the host (``np.float_power`` costs 4-5 times as much)."""
+    if d.kind not in ("uniform_sym", "pareto_sym"):
+        raise ValueError(f"no single-step sampler for kind {d.kind!r}")
+    mag = rng.random(count)  # a ValueError at count < 0
     if d.kind == "pareto_sym":
-        alpha, scale = d.params
-        # One SFC64 word a step: its top 53 bits are the uniform u that
-        # Generator.random() makes of it, bit 0 the sign.  -scale * u ** (-1/alpha)
-        # is computed in place; it is negative or -inf, so flipping its sign bit
-        # where bit 0 is set negates it exactly.  u's 53 bits convert exactly
-        # through int64, which numpy converts faster than uint64.
-        words = rng.bit_generator.random_raw(count)
-        mag = (words >> np.uint64(11)).view(np.int64).astype(np.float64)
-        mag *= 2.0 ** -53
-        mag **= -1.0 / alpha
-        mag *= -scale
-        words <<= np.uint64(63)
-        bits = mag.view(np.uint64)
-        bits ^= words
-        return mag
-    raise ValueError(f"no single-step sampler for kind {d.kind!r}")
+        mag **= -1.0 / d.params[0]  # +inf past the double range
+    return mag

@@ -15,16 +15,17 @@ hosts.  A replicate draws S_n itself where its law allows:
   popcounts of ANDs of fair random bit planes (Knuth and Yao 1976), exact
   in law; elsewhere numpy's multinomial draws them;
 - the normal law as sqrt(n) Z;
-- ``uniform_sym`` at 192 <= n < 2^36 as 53 binomial bit planes, since
+- ``uniform_sym`` at 176 <= n < 2^36 as 53 binomial bit planes, since
   Generator.random() is m 2^-53 with 53 fair bits in m.  Up to
   _TABLE_MAX_N steps each plane count C_k ~ Bin(n, 1/2) is one SFC64 word
   read through the exact CDF (a guide table, Chen and Asau 1974), so its law
   is exactly Bin(n, 1/2); past it numpy's binomial (BTPE) draws the counts.
   From n = 2^36 on ``uniform_sym`` raises SamplingUnavailable.
 
-``pareto_sym``, and ``uniform_sym`` below n = 192, sum n single steps of one
-SFC64 word each.  These draws are stream version ``sfc64-v6``
-(``seeding.stream_id``).
+``pareto_sym``, and ``uniform_sym`` below n = 176, draw a count K ~ Bin(n, 1/2)
+of + signs a row, as a Rademacher walk's counts, then n magnitudes |X| / scale
+of one SFC64 word each: S_n = scale (sum of the first K - sum of the rest).
+These draws are stream version ``sfc64-v7`` (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
 the user wrote) and scale by the lcm of the denominators, so every walk lives
@@ -57,15 +58,14 @@ WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
 
 MIN_REPLICATES = 1_000
 DEFAULT_BATCH = 65_536
-_CHUNK_ELEMENTS = 1 << 22
-# Single steps are drawn and summed this many at a time, so a chunk's steps
-# stay in cache; each step takes one SFC64 word, so the draws do not depend on it.
+# Magnitudes are drawn and summed about this many at a time, so a block stays
+# in cache; each takes one SFC64 word, so the draws do not depend on it.
 _BLOCK_ELEMENTS = 1 << 15
-# uniform_sym draws its 53 inverted plane counts from here on; below, n single
-# steps cost less.  Planes, with their table, first cost no more at n = 192 for
-# MIN_REPLICATES rows and at n = 96 for DEFAULT_BATCH rows (least of 41 and of
-# 5 interleaved runs, 2-vCPU x86 host).
-_PLANE_MIN_N = 192
+_ROW_PIECE = 1 << 15  # a longer row comes in pieces this long, summed in order
+# uniform_sym draws its 53 inverted plane counts from here on: planes, with
+# their table, first cost no more than single steps at n = 176 for
+# MIN_REPLICATES rows and n = 128-160 for DEFAULT_BATCH rows (2-vCPU x86 host).
+_PLANE_MIN_N = 176
 # Each half of the plane sum stays below 2^63 up to here; past it estimate_tail
 # refuses uniform_sym, whose n single steps a replicate would run for hours.
 _PLANE_MAX_N = 1 << 36
@@ -259,6 +259,35 @@ def _uniform_plane_sums(n: int, h: float, rows: int, rng: np.random.Generator,
     return out
 
 
+def _step_sums(d: distmodel.Dist, n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """rows draws of S_n for pareto_sym or uniform_sym.  The magnitudes are
+    i.i.d. and independent of the fair signs, so by exchangeability a row's
+    first K magnitudes may carry its K ~ Bin(n, 1/2) + signs.  Every K comes
+    first, as a fair pair's count; the magnitudes follow row-major, in blocks
+    of whole rows whose + and - parts one reduceat sums pairwise.  The scale
+    multiplies the difference, so a sum is NaN only where both parts overflow."""
+    plus = _atom_counts(n, np.array([0.5, 0.5]))(rows, rng)[:, 1]
+    parts = np.zeros((rows, 2))  # each row's + and - sums
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if n <= _ROW_PIECE:
+            cuts = np.arange(0, rows * n, n).repeat(2)  # where each row's parts start
+            cuts[1::2] += plus
+            per = max(1, _BLOCK_ELEMENTS // n)
+            for r in range(0, rows, per):
+                x = distmodel.sample(d, rng, min(per, rows - r) * n)
+                at = cuts[2 * r:2 * (r + per)] - r * n
+                used = at.size - (at[-1] == x.size)  # a part at the end of x is empty
+                parts[r:r + per].reshape(-1)[:used] = np.add.reduceat(x, at[:used])
+            parts[plus == 0, 0] = parts[plus == n, 1] = 0.0  # reduceat gave them one magnitude
+        else:
+            for i, k in enumerate(plus.tolist()):
+                for c in range(0, n, _ROW_PIECE):
+                    x = distmodel.sample(d, rng, min(_ROW_PIECE, n - c))
+                    cut = min(max(k - c, 0), x.size)
+                    parts[i] += x[:cut].sum(), x[cut:].sum()
+        return (parts[:, 0] - parts[:, 1]) * d.params[-1]  # the half width or the scale
+
+
 @functools.lru_cache(maxsize=64)
 def _slice_plan(masses: tuple) -> tuple[int, tuple, np.ndarray] | None:
     """(B, ands, C) for masses that are multiples m_j 2^-B of the least such
@@ -347,8 +376,7 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes, whose
     counts up to _TABLE_MAX_N invert one table built here for every batch;
     past _PLANE_MAX_N it raises SamplingUnavailable before any draw.
-    Other laws sum n single-step draws in fixed column chunks, each drawn and summed
-    in row blocks of about _BLOCK_ELEMENTS steps.
+    Other laws split n single steps into signs and magnitudes, ``_step_sums``.
     """
     lattice = d.lattice_steps
     if lattice is not None:
@@ -361,7 +389,7 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
         values = values[all_probs > 0.0]
 
         def float_atoms(rows: int, rng: np.random.Generator) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in chunked below
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _step_sums
                 return (counts(rows, rng) * values).sum(axis=1)
 
         return float_atoms
@@ -376,23 +404,7 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
         table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
         return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)
 
-    def chunked(rows: int, rng: np.random.Generator) -> np.ndarray:
-        total = np.zeros(rows, dtype=np.float64)
-        done = 0
-        # A step may overflow to +-inf (pareto_sym with small alpha): a sum at
-        # inf is a hit; a sum holding both signs is NaN, and estimate_tail raises.
-        with np.errstate(over="ignore", invalid="ignore"):
-            while done < n:
-                cols = min(n - done, max(1, _CHUNK_ELEMENTS // rows))
-                block = max(1, _BLOCK_ELEMENTS // cols)
-                for r in range(0, rows, block):
-                    part = total[r:r + block]
-                    x = distmodel.sample(d, rng, len(part) * cols)
-                    part += x.reshape(len(part), cols).sum(axis=1)
-                done += cols
-        return total
-
-    return chunked
+    return lambda rows, rng: _step_sums(d, n, rows, rng)
 
 
 def _batch_plan(replicates: int, batch_size: int) -> list[int]:
@@ -422,7 +434,7 @@ def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
         sums = np.abs(draw(plan[b], seeding.stream(seed, 0, *seeding.words(n), b)))
         if np.isnan(sums).any():
             raise distmodel.SamplingUnavailable(
-                f"{d.kind}: a sum of {n} steps overflowed to both +inf and -inf")
+                f"{d.kind}: the + and - parts of a sum of {n} steps both overflowed")
         return [int(np.count_nonzero(sums >= t)) for t in thresholds]
 
     threads = min(workers, len(plan), os.cpu_count() or 1) if workers > 1 else 1

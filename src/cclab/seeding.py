@@ -34,5 +34,7 @@ def stream_id(seed: int, *path: int) -> str:
     place of Philox; v5: ``uniform_sym`` plane counts by exact inversion up
     to ``mcengine._TABLE_MAX_N``; v6: atom counts from fair bits for masses
     in multiples of 1/8 below ``mcengine``'s crossover, and ``uniform_sym``
-    bit planes from a lower ``mcengine._PLANE_MIN_N``)."""
-    return "sfc64-v6:" + "/".join(str(int(x)) for x in (seed, *path))
+    bit planes from a lower ``mcengine._PLANE_MIN_N``; v7: single-step sums
+    as one sign count a row, then the magnitudes |X| / scale, and the
+    ``uniform_sym`` planes from a re-measured ``_PLANE_MIN_N``)."""
+    return "sfc64-v7:" + "/".join(str(int(x)) for x in (seed, *path))

@@ -146,8 +146,8 @@ def test_an_unhashable_sequence_or_a_horizon_past_the_budget_runs_uncached(monke
 
 # ---------------------------------------------------------------------------
 # Monte Carlo bytes: fixtures written when atom counts came from fair bits
-# (sfc64-v6).  70000 replicates are two batches, so the worker count changes
-# the schedule.
+# (sfc64-v6), relabelled sfc64-v7.  70000 replicates are two batches, so the
+# worker count changes the schedule.
 # ---------------------------------------------------------------------------
 
 MC_CASES = {
@@ -724,6 +724,34 @@ def test_counterexample_refuses_what_it_does_not_read(capsys, tmp_path, argv, re
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--eps", "0.5")], ids=["bare", "with eps"])
+def test_simulate_refuses_the_counterexample_preset(capsys, extra):
+    # its law has no sampler; the bare command exited 4 and the one with
+    # --eps exited 2, naming eps
+    code, out, err = run(capsys, "simulate", "--preset", "ms_counterexample(3)", "--horizon",
+                         "16", "--replicates", "1000", *extra)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "config error: simulate cannot sample the law of preset 'ms_counterexample(3)'\n"
+
+
+@pytest.mark.parametrize("preset", ["spataru", "ms_counterexample(3)"])
+@pytest.mark.parametrize("given", ["file", "set"])
+def test_a_default_section_is_an_ordinary_refused_section(capsys, tmp_path, preset, given):
+    # configparser copied [DEFAULT]'s keys into every section: the refusal
+    # named distribution.horizon, a key never written, and under
+    # ms_counterexample(3) the file set scenario.horizon; --set DEFAULT.horizon
+    # was an internal error
+    law = ("--set", "distribution.kind=rademacher") if preset == "spataru" else ()
+    if given == "file":
+        (tmp_path / "default.ini").write_text("[DEFAULT]\nhorizon = 100\n")
+        source = ("--config", str(tmp_path / "default.ini"))
+    else:
+        source = ("--set", "DEFAULT.horizon=100")
+    code, out, err = run(capsys, "check-conditions", *source, "--preset", preset, *law)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "config error: check-conditions reads no [DEFAULT] section\n"
+
+
 def schedule_rows(level: int, payloads) -> str:
     return json.dumps([{"m": m, "level": level, "payload": p}
                        for m, p in enumerate(payloads, start=1)])
@@ -825,7 +853,7 @@ def test_uniform_at_a_huge_half_width_warns_nothing(capsys, n, half_width, code)
 def test_walks_of_2_to_the_32_steps_or_more_keep_their_streams(capsys, kind, n, threshold, p_hat):
     # p_hat as drawn from the unchecked address (7, 0, n, b) in sfc64-v4; n is past
     # uniform_sym's table and the atoms' fair-bit crossover, so its counts are
-    # numpy's binomials and multinomials in sfc64-v6 too
+    # numpy's binomials and multinomials in sfc64-v7 too
     atoms = ("--set", "distribution.atoms=1:0.5") if kind == "atomic_sym" else ()
     code, out, err = run(capsys, "estimate", "--set", f"distribution.kind={kind}", *atoms,
                          "--n", str(n), "--threshold", threshold, "--replicates", "2000",

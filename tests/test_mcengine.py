@@ -17,6 +17,7 @@ from cclab import distmodel as dm
 from cclab import mcengine as mc
 from cclab import seeding
 from cclab import seqkit as sk
+from test_distmodel import KS_CRIT_1E3, ks_statistic
 
 N_MAX = 8
 
@@ -355,9 +356,8 @@ def test_plane_assembly_is_exact():
 
 
 def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
-    # sums of uniform_sym(1.5) written by the single-step path when the
-    # streams became SFC64 (sfc64-v4); the n = 639 case left when the cutoff
-    # fell from 640 to 192
+    # sums of uniform_sym(1.5) written when single steps became a sign count
+    # a row and magnitudes (sfc64-v7)
     fixture = json.loads((Path(__file__).parent / "golden" / "uniform_sym_small_n.json").read_text())
     d = dm.uniform_sym(fixture["half_width"])
     for case in fixture["cases"]:
@@ -372,13 +372,13 @@ def test_uniform_from_the_plane_cutoff_draws_inverted_planes():
     # the least n at which inverted planes, table included, cost no more than
     # single steps at both MIN_REPLICATES and DEFAULT_BATCH rows
     n = mc._PLANE_MIN_N
-    assert n == 192
+    assert n == 176
     sums = mc._batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 9, n))
     planes = mc._uniform_plane_sums(n, 1.5, 3000, seeding.stream(2026, 9, n), mc._HalfBinomial(n))
     assert np.array_equal(sums, planes)
-    assert [float(x).hex() for x in sums[:2]] == ["-0x1.30da22280116ap+4", "0x1.e9ab1a202615ep+2"]
+    assert [float(x).hex() for x in sums[:2]] == ["0x1.764b880fa1244p+2", "0x1.66ffcb05750acp+1"]
     assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == \
-        "adae9fd28e0dda6a5f348e83c9aba44f061dcacb43eed196a1d0c6099e628afa"
+        "6281463af73756d5fc27292ee458e789e80582ac09dd8957f4d1e21c32064ba4"
 
 
 # ---------------------------------------------------------------------------
@@ -495,23 +495,110 @@ def test_past_the_table_the_planes_keep_numpys_binomials():
         "8df9a8af0ba8a0a85deb55f79ec1655d9ba5bf362260a1cc8472342e11bc5e2c"
 
 
-@pytest.mark.parametrize("d,n,planted", [(dm.pareto_sym(1.5), 300, False),
-                                         (dm.uniform_sym(1.0), 150, False),
-                                         (dm.uniform_sym(1.0), 1024, False),
-                                         (dm.uniform_sym(1.0), 1024, True),
-                                         (LAWS["atoms 1,3"][0], 200, False)],
-                         ids=["pareto_sym", "uniform_sym", "uniform_sym planes",
-                              "uniform_sym planes with ties", "atoms 1,3 fair bits"])
-def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n, planted):
-    # 15000 rows of 300 steps are two column chunks of 279 and 21 steps; the
-    # fair bits of 200 steps come 25 or 819 rows to a block
-    rows = 15_000
+class PlantedSigns:
+    """A stand-in for ``rng`` whose fair sign words are rng's, but all zero in
+    every third row of n steps and all one in the row after it, so those rows
+    have K = 0 and K = n + steps.  The magnitudes are rng's own."""
+
+    def __init__(self, rng, n):
+        self.bit_generator, self.rng, self.width, self.drawn = self, rng, -(-n // 64), 0
+
+    def random_raw(self, size):
+        out = self.rng.bit_generator.random_raw(size)
+        row = np.arange(self.drawn, self.drawn + size) // self.width % 3
+        self.drawn += size
+        out[row == 0], out[row == 1] = 0, 2 ** 64 - 1
+        return out
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("d,n,rows,stand_in", [
+    (dm.pareto_sym(1.5), 300, 15_000, None), (dm.uniform_sym(1.0), 150, 15_000, None),
+    (dm.uniform_sym(1.0), 1024, 15_000, None), (dm.uniform_sym(1.0), 1024, 15_000, PlantedTies),
+    (LAWS["atoms 1,3"][0], 200, 15_000, None), (dm.pareto_sym(1.5), 3000, 1_500, None),
+    (dm.pareto_sym(1.5), 300, 15_000, PlantedSigns)],
+    ids=["pareto_sym", "uniform_sym", "uniform_sym planes", "uniform_sym planes with ties",
+         "atoms 1,3 fair bits", "pareto_sym rows past the block", "pareto_sym rows of one sign"])
+def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n, rows, stand_in):
+    # rows of 300 magnitudes come 3 or 109 to a block, and rows of 3000 one
+    # or 10 (a row past the smaller block is a block of its own); the fair
+    # bits of 200 steps come 25 or 819 rows to a block
     sums = []
     for block in (1 << 10, 1 << 15):
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
         rng = seeding.stream(2026, 4)
-        sums.append(mc._batch_sums(d, n)(rows, PlantedTies(rng, n) if planted else rng).tobytes())
+        sums.append(mc._batch_sums(d, n)(rows, stand_in(rng, n) if stand_in else rng).tobytes())
     assert sums[0] == sums[1]
+
+
+@pytest.mark.parametrize("n,planted,piece", [(1, False, None), (7, True, None), (300, True, None),
+                                             (1024, False, None), (3000, False, 1 << 10)])
+def test_step_sums_are_the_signed_sums_of_their_draws(monkeypatch, n, planted, piece):
+    # S_n = scale (sum of a row's first K magnitudes - sum of the rest), K its
+    # + count; the planted rows have K = 0 and K = n, and at 300 steps rows
+    # 217 and 301 end their blocks with K = n; 3000 steps in pieces of 1024
+    # put K in the middle piece
+    if piece:
+        monkeypatch.setattr(mc, "_ROW_PIECE", piece)
+    d, rows = dm.pareto_sym(1.5, 2.0), 302
+
+    def rng():
+        stream = seeding.stream(2026, 13, n)
+        return PlantedSigns(stream, n) if planted else stream
+
+    sums = mc._batch_sums(d, n)(rows, rng())
+    again = rng()
+    k = mc._atom_counts(n, np.array([0.5, 0.5]))(rows, again)[:, 1]
+    mags = dm.sample(d, again, rows * n).reshape(rows, n)
+    first = np.arange(n) < k[:, None]
+    plus, minus = np.where(first, mags, 0.0).sum(axis=1), np.where(first, 0.0, mags).sum(axis=1)
+    assert np.all(np.abs(sums - 2.0 * (plus - minus)) <= 1e-12 * (plus + minus))
+    if planted:
+        assert (k[0::3] == 0).all() and (k[1::3] == n).all()
+
+
+def test_one_step_sums_follow_the_step_laws():
+    # at n = 1 the sum is the step itself, scale times +-|X|
+    s, alpha = 2.0, 1.5
+    x = mc._batch_sums(dm.pareto_sym(alpha, s), 1)(10 ** 6, seeding.stream(2026, 14))
+
+    def pareto_cdf(t):
+        tail = 0.5 * (s / np.maximum(np.abs(t), s)) ** alpha
+        return np.where(t < 0, tail, 1.0 - tail)
+
+    assert ks_statistic(x, pareto_cdf) < KS_CRIT_1E3
+    h = 1.5
+    x = mc._batch_sums(dm.uniform_sym(h), 1)(10 ** 6, seeding.stream(2026, 15))
+    assert ks_statistic(x, lambda t: np.clip((t + h) / (2.0 * h), 0.0, 1.0)) < KS_CRIT_1E3
+
+
+def pareto_pair_tail(alpha: float, t: float) -> float:
+    """P(|X_1 + X_2| >= t) for pareto_sym(alpha, 1) by quadrature: twice
+    the integral of f(x) P(X_2 >= t - x), f(x) = alpha/2 |x|^(-alpha-1) off (-1, 1)."""
+    mpmath.mp.dps = 30
+
+    def upper(y):  # P(X >= y); X has no mass in (-1, 1)
+        if y >= 1:
+            return 0.5 * y ** -alpha
+        return mpmath.mpf(0.5) if y > -1 else 1 - 0.5 * (-y) ** -alpha
+
+    def f(x):
+        return alpha / 2 * abs(x) ** (-alpha - 1) * upper(t - x)
+
+    assert t > 2  # so 1 < t - 1, where P(X_2 >= t - x) changes form
+    right = mpmath.quad(f, [1, t - 1, t + 1, mpmath.inf])
+    left = mpmath.quad(f, [-mpmath.inf, -1])
+    return float(2 * (right + left))
+
+
+@pytest.mark.parametrize("t", [3.0, 10.0, 40.0])
+def test_pareto_pair_estimate_matches_the_quadrature(t):
+    exact = pareto_pair_tail(1.5, t)
+    replicates = 200_000
+    (est,) = mc.estimate_tail(dm.pareto_sym(1.5), 2, [t], replicates, seed=17)
+    assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
 
 
 def binomial_miss_limit(trials: int, miss_p: float = 0.01, alpha: float = 1e-6) -> int:
@@ -525,6 +612,7 @@ def binomial_miss_limit(trials: int, miss_p: float = 0.01, alpha: float = 1e-6) 
 
 @pytest.mark.parametrize("name,n,t", [("rademacher", 16, 4.0), ("atoms 1,3", 16, 6.0),
                                       ("atoms 0.1,0.3", 16, 0.6), ("normal_std", 64, 8.0),
+                                      ("uniform_sym", 16, 5.0), ("uniform_sym", 100, 12.0),
                                       ("uniform_sym", 1024, 40.0)])
 def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
     trials = 400
@@ -532,7 +620,8 @@ def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
         d, exact = dm.normal_std(), math.erfc(t / math.sqrt(2.0 * n))
     elif name == "uniform_sym":
         d, exact = dm.uniform_sym(1.0), float(uniform_sum_tail(n, Fraction(t)))
-        trials = 200  # 2e5 replicates of 53 binomials each
+        if n >= mc._PLANE_MIN_N:
+            trials = 200  # 2e5 replicates of 53 binomials each
     else:
         d = LAWS[name][0]
         exact = mc.exact_tail(mc.exact_walk_oracle(d, n), t)
@@ -567,7 +656,7 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
         mc.exact_walk_oracle(wide, 1000)
     for d in (wide, dm.rademacher(), dm.normal_std()):
         assert 0.0 < mc.estimate_tail(d, 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
-    # uniform_sym from n = 192 on draws its bit planes, and atoms with no
+    # uniform_sym from n = 176 on draws its bit planes, and atoms with no
     # decimal lattice within 2^53 their counts
     assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
     assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, [1.0], 1000,
