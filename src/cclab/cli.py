@@ -20,12 +20,11 @@ data inside the reports; exit codes only signal operational failures:
        ``ms_counterexample(d)``, a replay under any preset but
        ``ms_counterexample(d)`` of the schedule's depth d; ``simulate``
        under ``ms_counterexample(d)``, whose law has no sampler; a key the
-       command does not read; a distribution key that the
-       configured kind does not read;
-       an ``--out`` path that cannot be written; a size (such as
-       ``--horizon``) whose arrays cannot be allocated; and an option the
-       command does not take (only ``simulate`` takes ``--maximal``), as
-       argparse's usage error
+       command does not read (``check-conditions --maximal`` included) or
+       reads with no value (``estimate`` without ``--n``); a distribution
+       key that the configured kind does not read; an ``--out`` path that
+       cannot be written; and a size (such as ``--horizon``) whose arrays
+       cannot be allocated
     3  unsupported distribution or sequence family; also ``simulate
        --maximal`` on a law without an exact oracle (no atoms, atoms off
        any short decimal lattice, or a lattice too wide), since the
@@ -43,10 +42,10 @@ it is above.
 Each command refuses any key outside its read-set in ``_READS`` (a named
 preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too,
 and ``simulate`` refuses that preset, whose law it cannot sample), so
-``config_sha256`` hashes what the command read.  A ``[DEFAULT]`` section is
-an ordinary section that lends no keys to the others.  ``counterexample
---schedule FILE`` replays the schedule in FILE and needs no preset; without
-``--schedule`` it builds ``ms_counterexample(d)`` and nothing else.
+``config_sha256`` hashes what the command read.  A ``[DEFAULT]`` section is an ordinary section that lends no
+keys to the others.  ``counterexample --schedule FILE`` replays the schedule
+in FILE and needs no preset; without ``--schedule`` it builds
+``ms_counterexample(d)`` and nothing else.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
@@ -105,17 +104,20 @@ _READS = {command: frozenset(keys) | {("mc", "seed")} | _EXECUTION_KEYS for comm
     "check-conditions": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "theta"),
                          ("scenario", "horizon"), *_SEQUENCE_KEYS, *_LAW_KEYS},
     "simulate": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "horizon"),
-                 ("mc", "replicates"), *_SEQUENCE_KEYS, *_LAW_KEYS},
-    "estimate": {("mc", "replicates"), *_LAW_KEYS},
+                 ("scenario", "maximal"), ("mc", "replicates"), *_SEQUENCE_KEYS, *_LAW_KEYS},
+    "estimate": {("scenario", "n"), ("scenario", "threshold"), ("mc", "replicates"),
+                 *_LAW_KEYS},
     "counterexample": {("scenario", "preset")},
 }.items()}
 
-# The config key each flag sets.  Flags are applied after the --set entries,
-# so they win, and the hash sees every key however it was given.
+# The config key each flag sets to its text (--maximal: "true").  Flags are applied
+# after the --set entries, so they win, and the hash sees every key however given.
 _FLAG_KEYS = {
     "preset": ("scenario", "preset"), "eps": ("scenario", "eps"),
-    "horizon": ("scenario", "horizon"), "replicates": ("mc", "replicates"),
-    "seed": ("mc", "seed"), "workers": ("mc", "workers"), "out": ("output", "dir"),
+    "horizon": ("scenario", "horizon"), "n": ("scenario", "n"),
+    "threshold": ("scenario", "threshold"), "maximal": ("scenario", "maximal"),
+    "replicates": ("mc", "replicates"), "seed": ("mc", "seed"), "workers": ("mc", "workers"),
+    "out": ("output", "dir"),
 }
 
 _PRESET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
@@ -160,14 +162,17 @@ class ScenarioConfig:
     dist: Optional[distmodel.Dist]
     weights: Optional[WeightSeq]
     norms: Optional[NormSeq]
-    eps: tuple[float, ...]
-    theta: float
-    horizon: int
-    replicates: int
-    seed: int
-    workers: int
     out_dir: Optional[Path]
     config_sha256: str
+    seed: int
+    workers: int
+    eps: Optional[tuple[float, ...]] = None
+    theta: Optional[float] = None
+    horizon: Optional[int] = None
+    n: Optional[int] = None
+    threshold: Optional[float] = None
+    maximal: Optional[bool] = None
+    replicates: Optional[int] = None  # None: a scalar key the command does not read
 
     def provenance(self) -> dict:
         return {
@@ -178,34 +183,30 @@ class ScenarioConfig:
         }
 
 
+# Each preset's argument count, the rule on its arguments and the rule's words.
+_PRESETS = {
+    "custom": (0, lambda: True, "custom with no arguments"),
+    "spataru": (0, lambda: True, "spataru with no arguments"),
+    "spataru_weak": (1, lambda delta: 0.0 < delta < math.inf,
+                     "spataru_weak(delta) with finite delta > 0"),
+    "baum_katz": (2, lambda r, p: 1.0 <= r < math.inf and 0.0 < p < 2.0,
+                  "baum_katz(r, p) with finite r >= 1 and 0 < p < 2"),
+    "ms_counterexample": (1, lambda d: d in range(1, counterexample.MAX_DEPTH + 1),
+                          "ms_counterexample(d) with an integer d in "
+                          f"1..{counterexample.MAX_DEPTH}"),
+}
+
+
 def _parse_preset(text: str) -> tuple[str, tuple]:
     m = _PRESET_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"malformed preset {text!r}")
-    name, raw = m.group(1), m.group(2)
-    args: tuple = ()
-    if raw:
-        try:
-            args = tuple(float(x) for x in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"malformed preset arguments in {text!r}") from exc
-    if name == "baum_katz":
-        if len(args) != 2:
-            raise ConfigError("baum_katz needs (r, p)")
-        r, p = args
-        if not (1.0 <= r < math.inf and 0.0 < p < 2.0):
-            raise ConfigError("baum_katz requires finite r >= 1 and 0 < p < 2")
-    elif name in ("spataru", "custom"):
-        if args:
-            raise ConfigError(f"{name} takes no arguments")
-    elif name == "spataru_weak":
-        if len(args) != 1 or not 0.0 < args[0] < math.inf:
-            raise ConfigError("spataru_weak needs (delta) with finite delta > 0")
-    elif name == "ms_counterexample":
-        if len(args) != 1 or args[0] not in range(1, 17):
-            raise ConfigError("ms_counterexample needs an integer depth in 1..16")
-    else:
-        raise ConfigError(f"unknown preset {name!r}")
+    name, raw = m.groups() if m else (None, None)
+    count, rule, words = _PRESETS.get(name, (None, None, f"one of {', '.join(_PRESETS)}"))
+    try:
+        args = tuple(float(x) for x in raw.split(",")) if raw else ()
+    except ValueError:
+        args = None
+    if args is None or len(args) != count or not rule(*args):
+        raise ConfigError(f"scenario.preset must be {words}, not {text!r}")
     return name, args
 
 
@@ -281,6 +282,45 @@ def _power_sequence(which: str, kind: str, exponent: Optional[str], coef: str, s
     return seqkit.power_law_norms(exponent, coef=coef, sv=sv)
 
 
+# One row per scalar key: its parse, its default text (None: the key is
+# required), the rule on the parsed value and the rule's words.
+_SCALARS = {
+    ("scenario", "eps"): (lambda text: tuple(float(x) for x in text.split(",") if x.strip()),
+                          "0.5,1.0", lambda eps: eps and all(0.0 < e < math.inf for e in eps),
+                          "a list of finite numbers > 0"),
+    ("scenario", "theta"): (float, "1.0", lambda t: 1.0 <= t < math.inf, "a finite number >= 1"),
+    ("scenario", "horizon"): (int, "10000", lambda h: h >= 4, "an integer >= 4"),
+    ("scenario", "n"): (int, None, lambda n: n >= 1, "an integer >= 1"),
+    ("scenario", "threshold"): (float, None, math.isfinite, "a finite number"),
+    ("scenario", "maximal"): (lambda text: {"true": True, "false": False}[text], "false",
+                              lambda m: True, "true or false"),
+    ("mc", "replicates"): (int, "10000", lambda r: r >= mcengine.MIN_REPLICATES,
+                           f"an integer >= {mcengine.MIN_REPLICATES}"),
+    ("mc", "seed"): (int, "20240801", lambda s: s >= 0, "an integer >= 0"),
+    ("mc", "workers"): (int, "1", lambda w: w >= 1, "an integer >= 1"),
+}
+
+
+def _scalars(parser: configparser.ConfigParser, reads: frozenset, command: str) -> dict:
+    """The value of each scalar key in ``reads``, by key name: given or its
+    default, parsed and checked by the key's row."""
+    values = {}
+    for (section, key), (parse, default, rule, words) in _SCALARS.items():
+        if (section, key) not in reads:
+            continue
+        text = parser.get(section, key, fallback=default)
+        if text is None:
+            raise ConfigError(f"{command} needs {section}.{key}, {words}")
+        try:
+            values[key] = parse(text)
+            ok = rule(values[key])
+        except (KeyError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {words}, not {text!r}")
+    return values
+
+
 def _canonical_text(parser: configparser.ConfigParser) -> str:
     """Stable rendering for hashing; execution-only keys are excluded so the
     hash (and hence all emitted bytes) is identical across worker counts."""
@@ -332,38 +372,7 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
         why = f" under preset {scen['preset']!r}" if unread[0] in _READS[command] else ""
         raise ConfigError(f"{command} reads no {name}{why}")
 
-    eps_text = scen.get("eps", "0.5,1.0")
-    try:
-        eps = tuple(float(x) for x in str(eps_text).split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"malformed eps list {eps_text!r}") from exc
-    if not eps or not all(0.0 < e < math.inf for e in eps):
-        raise ConfigError("eps values must be finite and positive")
-
-    try:
-        theta = float(scen.get("theta", 1.0))
-        horizon = int(scen.get("horizon", 10_000))
-    except ValueError as exc:
-        raise ConfigError("theta/horizon must be numeric") from exc
-    if not 1.0 <= theta < math.inf:
-        raise ConfigError("theta must be finite and >= 1")
-    if horizon < 4:
-        raise ConfigError("horizon must be >= 4")
-
-    mc = parser["mc"] if parser.has_section("mc") else {}
-    try:
-        replicates = int(mc.get("replicates", 10_000))
-        seed = int(mc.get("seed", 20_240_801))
-        workers = int(mc.get("workers", 1))
-    except ValueError as exc:
-        raise ConfigError("mc keys must be integers") from exc
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    if replicates < mcengine.MIN_REPLICATES:
-        raise ConfigError(f"replicates must be >= {mcengine.MIN_REPLICATES}")
-
+    scalars = _scalars(parser, reads, command)
     if ("weights", "exponent") in reads:
         if not (parser.has_section("weights") and parser.has_section("normalizer")):
             raise ConfigError("custom scenarios need [weights] and [normalizer] sections")
@@ -385,10 +394,8 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     out_dir = parser["output"].get("dir") if parser.has_section("output") else None
     sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
     return ScenarioConfig(preset=preset, preset_args=args, dist=dist, weights=w, norms=a,
-                          eps=eps, theta=theta, horizon=horizon,
-                          replicates=replicates, seed=seed, workers=workers,
-                          out_dir=Path(out_dir) if out_dir else None,
-                          config_sha256=sha)
+                          out_dir=Path(out_dir) if out_dir else None, config_sha256=sha,
+                          **scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +562,12 @@ def run_counterexample(cfg: ScenarioConfig,
     return EXIT_OK, out
 
 
-def run_simulate(cfg: ScenarioConfig, maximal: bool) -> tuple[dict, dict]:
+def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
     seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
     reports, tables = {}, {}  # tables: CSV file name -> report
-    if maximal:
+    if cfg.maximal:
         # Exact or absent: a law without an oracle stops here, before any
         # Monte Carlo runs.
         max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
@@ -626,22 +633,15 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the shared options, built once, and simulate's, which add --maximal in
-    # their midst; argparse copies the --set list before appending
+    # the options of every command but report-merge, built once; argparse
+    # copies the --set list before appending
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None)
-    common.add_argument("--preset", default=None)
-    common.add_argument("--eps", default=None)
-    common.add_argument("--horizon", type=int, default=None)
-    common.add_argument("--replicates", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None)
-    with_maximal = argparse.ArgumentParser(add_help=False, parents=[common])
-    with_maximal.add_argument("--maximal", action="store_true")
-    for options in (common, with_maximal):
-        options.add_argument("--out", default=None)
-        options.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                             help="override a single config key")
+    common.add_argument("--config")
+    for flag in _FLAG_KEYS:
+        switch = {"action": "store_const", "const": "true"} if flag == "maximal" else {}
+        common.add_argument(f"--{flag}", **switch)
+    common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="override a single config key")
 
     for name in _COMMANDS:
         if name == "report-merge":
@@ -649,13 +649,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("inputs", nargs="+")
             p.add_argument("--out", required=True)
             continue
-        p = sub.add_parser(name, parents=[with_maximal if name == "simulate" else common])
+        p = sub.add_parser(name, parents=[common])
         if name == "counterexample":
             p.add_argument("--schedule", default=None,
                            help="replay and certify a schedule JSON instead of building one")
-        if name == "estimate":
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--threshold", type=float, required=True)
     return parser
 
 
@@ -670,8 +667,8 @@ def _sets_from_args(args) -> list:
         sets.append((section, key, value))
     for flag, (section, key) in _FLAG_KEYS.items():
         value = getattr(args, flag)
-        if value is not None:  # a flag of 0 counts
-            sets.append((section, key, str(value)))
+        if value is not None:
+            sets.append((section, key, value))
     return sets
 
 
@@ -705,21 +702,14 @@ def main(argv=None) -> int:
             _emit(payload, cfg.out_dir, "counterexample.json")
             return code
         if args.command == "simulate":
-            payload, csvs = run_simulate(cfg, args.maximal)
+            payload, csvs = run_simulate(cfg)
             _emit(payload, cfg.out_dir, "simulate.json", extra_files=csvs)
             return EXIT_OK
-        if args.command == "estimate":
-            if args.n < 1:
-                raise ConfigError("--n must be >= 1")
-            if not math.isfinite(args.threshold):
-                raise ConfigError("--threshold must be finite")
-            (est,) = mcengine.estimate_tail(cfg.dist, args.n, [args.threshold],
-                                            cfg.replicates, cfg.seed, workers=cfg.workers)
-            payload = {"estimate": est.to_json_dict(),
-                       "provenance": cfg.provenance()}
-            _emit(payload, cfg.out_dir, "estimate.json")
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        (est,) = mcengine.estimate_tail(cfg.dist, cfg.n, [cfg.threshold],  # estimate
+                                        cfg.replicates, cfg.seed, workers=cfg.workers)
+        _emit({"estimate": est.to_json_dict(), "provenance": cfg.provenance()},
+              cfg.out_dir, "estimate.json")
+        return EXIT_OK
     except (ConfigError, seqkit.SequenceError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

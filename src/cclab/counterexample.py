@@ -457,12 +457,16 @@ class CounterexampleReport:
 def verify_counterexample(schedule: CutoffSchedule) -> CounterexampleReport:
     """Certify both halves of the counterexample on a built schedule."""
     certs = tuple(certify_block(schedule, m) for m in range(1, schedule.m_max))
-    diverges = bool(certs) and all(c.ok for c in certs)
+    failed = [c.m for c in certs if not c.ok]
+    diverges = bool(certs) and not failed
     notes = ["symmetric by construction, so medians vanish identically",
              "finite inverse-growth moment certifies the log-weighted "
              "second-moment condition"]
     if not certs:
         notes.append("depth 1 schedule: no block certificates, divergence vacuous")
+    elif failed:
+        notes.append(f"{len(failed)} of {len(certs)} block certificates failed, "
+                     f"the first at m = {failed[0]}")
     else:
         notes.append(f"{len(certs)} block certificates, each block >= 1")
     return CounterexampleReport(depth=schedule.m_max, divergence_certified=diverges,

@@ -28,7 +28,9 @@ from .seqkit import _TINY, NormSeq, libm
 
 
 class SamplingUnavailable(RuntimeError):
-    """Raised when a distribution's atom probabilities cannot be realized."""
+    """Raised when Monte Carlo sums cannot be drawn: ``uniform_sym`` at
+    n >= 2^36, past its bit planes, and a sum whose + and - parts both
+    overflow, which has no float value."""
 
 
 _SQRT2 = math.sqrt(2.0)

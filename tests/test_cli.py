@@ -596,12 +596,19 @@ def outcome(capsys, argv):
     return code, out, err
 
 
-PARSER_CASES = [(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
-                ("simulate", "--bogus"), ("simulate", "--horizon", "x"),
-                ("estimate", "--threshold", "1"), ("report-merge", "--out", "merged.json"),
-                # only simulate takes --maximal
-                ("check-conditions", "--maximal"), ("counterexample", "--maximal"),
-                ("estimate", "--n", "1", "--threshold", "1", "--maximal")]
+# argv: None where argparse prints its usage, else the one config-error line.
+# Flags set config keys as text, so a key's row or the read-set refuses a
+# bad flag value, a missing --n and --maximal on any command but simulate.
+PARSER_CASES = {
+    **dict.fromkeys([(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
+                     ("simulate", "--bogus"), ("report-merge", "--out", "merged.json")]),
+    ("simulate", "--horizon", "x"): "scenario.horizon must be an integer >= 4, not 'x'",
+    ("estimate", "--threshold", "1"): "estimate needs scenario.n, an integer >= 1",
+    ("check-conditions", "--maximal"): "check-conditions reads no scenario.maximal",
+    ("counterexample", "--maximal"): "counterexample reads no scenario.maximal",
+    ("estimate", "--n", "1", "--threshold", "1", "--maximal"):
+        "estimate reads no scenario.maximal",
+}
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "no arguments")
@@ -612,7 +619,9 @@ def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
     monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
     assert got == outcome(capsys, argv)
     code, out, err = got
-    if argv[-1:] == ("-h",):
+    if PARSER_CASES[argv] is not None:
+        assert got == (cli.EXIT_CONFIG, "", f"config error: {PARSER_CASES[argv]}\n")
+    elif argv[-1:] == ("-h",):
         assert (code, err) == (0, "") and out.startswith("usage: cclab")
     else:
         assert code == 2 and out == "" and err.startswith("usage: cclab")
@@ -722,6 +731,26 @@ def test_counterexample_refuses_what_it_does_not_read(capsys, tmp_path, argv, re
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith("config error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+def test_a_replay_that_fails_a_block_exits_1_and_names_the_first_failure(capsys, tmp_path):
+    # the last note said every block held whatever the certificates said
+    code, _, _ = run(capsys, "counterexample", "--preset", "ms_counterexample(3)",
+                     "--out", str(tmp_path))
+    assert code == cli.EXIT_OK
+    path = tmp_path / "counterexample.json"
+    built = json.loads(path.read_text())
+    assert built["report"]["notes"][-1] == "2 block certificates, each block >= 1"
+    built["schedule"][1]["payload"] = 1.5 * built["schedule"][0]["payload"]
+    path.write_text(json.dumps(built))
+    code, out, err = run(capsys, "counterexample", "--schedule", str(path))
+    assert (code, err) == (cli.EXIT_CERT_FAILED, "")
+    replay = json.loads(out)
+    assert replay["first_failure"] == {"m": 2, "failed_step": "block-weight-floor"}
+    report = replay["report"]
+    assert not report["divergence_certified"]
+    assert [c["ok"] for c in report["certificates"]] == [True, False]
+    assert report["notes"][-1] == "1 of 2 block certificates failed, the first at m = 2"
 
 
 @pytest.mark.parametrize("extra", [(), ("--eps", "0.5")], ids=["bare", "with eps"])
@@ -1115,6 +1144,105 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     assert config_sha256(capsys, *built) != config_sha256(capsys, *built, "--seed", "3")
 
 
+def test_config_hash_covers_n_threshold_and_maximal(capsys, tmp_path):
+    # the three were argparse options the hash never saw: estimate at n 16
+    # and 32, and simulate with and without --maximal, printed one hash
+    rad = ("--set", "distribution.kind=rademacher", "--replicates", "1000")
+    hashes = {config_sha256(capsys, "estimate", *rad, "--n", n, "--threshold", t)
+              for n in ("16", "32") for t in ("4", "5")}
+    assert len(hashes) == 4
+    sim = ("simulate", "--preset", "baum_katz(2,1)", "--eps", "0.5", "--horizon", "16", *rad)
+    assert config_sha256(capsys, *sim) != config_sha256(capsys, *sim, "--maximal")
+    # a key hashes alike by flag, by --set and in a config file
+    config = tmp_path / "scenario.ini"
+    config.write_text("[scenario]\nn = 16\nthreshold = 4\n")
+    by_flag = config_sha256(capsys, "estimate", *rad, "--n", "16", "--threshold", "4")
+    assert by_flag == config_sha256(capsys, "estimate", *rad, "--set", "scenario.n=16",
+                                    "--set", "scenario.threshold=4")
+    assert by_flag == config_sha256(capsys, "estimate", *rad, "--config", str(config))
+    by_flag = config_sha256(capsys, *sim, "--maximal")
+    assert by_flag == config_sha256(capsys, *sim, "--set", "scenario.maximal=true")
+    config.write_text("[scenario]\nmaximal = true\n")
+    assert by_flag == config_sha256(capsys, *sim, "--config", str(config))
+
+
+# Bad values for each row of cli._SCALARS and cli._PRESETS: (section, key, a
+# command that reads it, the value, the row's words).  A flag and --set of the
+# key are refused alike.
+ROW_REFUSALS = [
+    ("scenario", "eps", "check-conditions", "0.5,x", "a list of finite numbers > 0"),
+    ("scenario", "eps", "simulate", ",", "a list of finite numbers > 0"),
+    ("scenario", "theta", "check-conditions", "2x", "a finite number >= 1"),
+    ("scenario", "theta", "check-conditions", "0.5", "a finite number >= 1"),
+    ("scenario", "horizon", "simulate", "1e3", "an integer >= 4"),
+    ("scenario", "horizon", "check-conditions", "3", "an integer >= 4"),
+    ("scenario", "n", "estimate", "1.5", "an integer >= 1"),
+    ("scenario", "threshold", "estimate", "1/2", "a finite number"),
+    ("scenario", "threshold", "estimate", "inf", "a finite number"),
+    ("scenario", "maximal", "simulate", "yes", "true or false"),
+    ("mc", "replicates", "simulate", "1e4", "an integer >= 1000"),
+    ("mc", "replicates", "simulate", "999", "an integer >= 1000"),
+    ("mc", "seed", "check-conditions", "0x10", "an integer >= 0"),
+    ("mc", "workers", "counterexample", "two", "an integer >= 1"),
+    ("scenario", "preset", "check-conditions", "bogus", "one of custom, spataru, "
+     "spataru_weak, baum_katz, ms_counterexample"),
+    ("scenario", "preset", "simulate", "baum_katz(2,1", "one of custom, spataru, "
+     "spataru_weak, baum_katz, ms_counterexample"),
+    ("scenario", "preset", "check-conditions", "baum_katz(2)",
+     "baum_katz(r, p) with finite r >= 1 and 0 < p < 2"),
+    ("scenario", "preset", "simulate", "baum_katz(2,x)",
+     "baum_katz(r, p) with finite r >= 1 and 0 < p < 2"),
+    ("scenario", "preset", "check-conditions", "spataru(1)", "spataru with no arguments"),
+    ("scenario", "preset", "simulate", "custom(0)", "custom with no arguments"),
+    ("scenario", "preset", "check-conditions", "spataru_weak(0)",
+     "spataru_weak(delta) with finite delta > 0"),
+    ("scenario", "preset", "counterexample", "ms_counterexample(2.5)",
+     "ms_counterexample(d) with an integer d in 1..16"),
+]
+
+
+@pytest.mark.parametrize("section,key,command,value,words", ROW_REFUSALS,
+                         ids=[f"{r[1]}={r[3]}" for r in ROW_REFUSALS])
+def test_a_value_its_row_refuses_is_one_config_error_by_flag_and_by_set(
+        capsys, section, key, command, value, words):
+    # the rows replace three try/except blocks, six range checks and
+    # _parse_preset's branches; --horizon 1e3 was argparse's usage error
+    # and --set scenario.horizon=1e3 'theta/horizon must be numeric'.
+    # estimate refuses a missing n before it reads threshold.
+    given = ("--set", "scenario.n=4") if key == "threshold" else ()
+    want = (cli.EXIT_CONFIG, "", f"config error: {section}.{key} must be {words}, not {value!r}\n")
+    assert run(capsys, command, *given, "--set", f"{section}.{key}={value}") == want
+    flags = [flag for flag, target in cli._FLAG_KEYS.items() if target == (section, key)]
+    for flag in flags if key != "maximal" else ():  # --maximal takes no value; no --theta
+        assert run(capsys, command, *given, f"--{flag}", value) == want
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("estimate",), "estimate needs scenario.n, an integer >= 1"),
+    (("estimate", "--n", "4"), "estimate needs scenario.threshold, a finite number"),
+    (("estimate", "--n", "4", "--threshold", "1", "--set", "distribution.alpha=2"),
+     "distribution section needs a kind"),
+    (("estimate", "--n", "4", "--threshold", "1", "--set", "distribution.kind=atomic_sym"),
+     "atomic_sym needs an atoms table"),
+    (("check-conditions", "--set", "weights.exponent=x", "--set", "normalizer.exponent=1",
+      "--set", "distribution.kind=rademacher"), "weights section needs a numeric exponent"),
+    (("simulate", "--set", "weights.exponent=-1", "--set", "normalizer.coef=2",
+      "--set", "distribution.kind=rademacher"), "normalizer section needs a numeric exponent"),
+    (("check-conditions", "--config", "missing.ini"), "cannot read config file missing.ini"),
+    (("check-conditions", "--set", "distribution.kind=rademacher"),
+     "custom scenarios need [weights] and [normalizer] sections"),
+    (("simulate", "--set", "weights.exponent=-1"),
+     "custom scenarios need [weights] and [normalizer] sections"),
+    (("check-conditions", "--preset", "spataru"), "check-conditions needs a [distribution] section"),
+    (("estimate", "--n", "4", "--threshold", "1"), "estimate needs a [distribution] section"),
+], ids=["no n", "no threshold", "no kind", "no atoms", "weights exponent", "no normalizer exponent",
+        "no config file", "no sequences", "no normalizer", "no law", "estimate no law"])
+def test_a_missing_or_unparsable_input_is_one_config_error(capsys, tmp_path, monkeypatch,
+                                                           argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (cli.EXIT_CONFIG, "", f"config error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # read-sets: every key a command takes changes its report or is refused
 # ---------------------------------------------------------------------------
@@ -1124,6 +1252,7 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
 # the test's directory.
 SWEEP_VALUES = {
     ("scenario", "eps"): "0.75", ("scenario", "theta"): "2", ("scenario", "horizon"): "32",
+    ("scenario", "n"): "5", ("scenario", "threshold"): "3", ("scenario", "maximal"): "true",
     ("mc", "replicates"): "2000", ("mc", "seed"): "9", ("mc", "workers"): "2",
     ("distribution", "kind"): "normal_std", ("distribution", "half_width"): "2",
     ("distribution", "alpha"): "3", ("distribution", "scale"): "2",
@@ -1149,8 +1278,8 @@ READ_SET_BASES = {
         ("mc", "replicates"): "1000", **RADEMACHER}, "baum_katz(3,1)"),
     "simulate custom": (["simulate"], {
         ("scenario", "horizon"): "16", ("mc", "replicates"): "1000", **CUSTOM}, "spataru"),
-    "estimate": (["estimate", "--n", "8", "--threshold", "2"],
-                 {("mc", "replicates"): "1000", **RADEMACHER}, "spataru"),
+    "estimate": (["estimate"], {("scenario", "n"): "8", ("scenario", "threshold"): "2",
+                                ("mc", "replicates"): "1000", **RADEMACHER}, "spataru"),
     "counterexample build": (["counterexample"], {("scenario", "preset"): "ms_counterexample(3)"},
                              "ms_counterexample(4)"),
     "counterexample replay": (["counterexample", "--schedule", "SCHEDULE"], {},

@@ -46,8 +46,8 @@ UNDETERMINED_AT_MOST = {"single-tail": 6, "exponential": 76, "adaptive-exponent"
 INCONCLUSIVE_AT_MOST = 0
 
 
-def _run(preset, law):
-    argv = ["check-conditions", "--preset", preset, "--horizon", "5000"]
+def _run(preset, law, horizon="5000", eps="0.5,1.0"):
+    argv = ["check-conditions", "--preset", preset, "--horizon", horizon, "--eps", eps]
     for key, value in law.items():
         argv += ["--set", f"distribution.{key}={value}"]
     out, err = io.StringIO(), io.StringIO()
@@ -130,3 +130,26 @@ def test_every_convergence_certificate_bounds_a_positive_tail(matrix):
         assert 0.0 < cert["tail_bound"] < math.inf, (preset, label, s["series_id"])
         assert cert["tail_bound"] == seqkit.exp_up(cert["log_tail_bound"])
     assert checked > 0
+
+
+def _verdicts(preset, law, eps):
+    code, out, err, caught = _run(preset, law, horizon="2000",
+                                  eps=",".join(repr(e) for e in eps))
+    assert (code, err, caught) == (cli.EXIT_OK, "", []), (preset, law, eps)
+    return [(s["series_id"], s["verdict"]) for s in json.loads(out)["series"]]
+
+
+def test_verdicts_depend_on_eps_over_the_scale_alone():
+    # P(|X| >= eps a) and eps^2 a^2 / (n T) depend on eps/s alone, so every
+    # verdict of a law scaled by s at eps is that of the unscaled law at eps/s
+    eps, seen = (0.5, 1.0, 2.0), set()
+    cases = [({"kind": "pareto_sym", "alpha": alpha}, "scale", s)
+             for alpha in ("1.5", "2", "3") for s in (1e-3, 0.5, 3.0, 1e3)]
+    cases += [({"kind": "uniform_sym"}, "half_width", h) for h in (0.5, 3.0, 1e3)]
+    for preset in ("baum_katz(2,1)", "baum_katz(1.5,1.5)", "baum_katz(3,0.5)", "spataru",
+                   "spataru_weak(0.5)"):
+        for law, key, s in cases:
+            scaled = _verdicts(preset, {**law, key: repr(s)}, eps)
+            assert scaled == _verdicts(preset, law, [e / s for e in eps]), (preset, law, key, s)
+            seen.update(v for _, v in scaled)
+    assert {"ConvergesCertified", "DivergesCertified"} <= seen
