@@ -20,15 +20,15 @@ data inside the reports; exit codes only signal operational failures:
        ``ms_counterexample(d)``, a replay under any preset but
        ``ms_counterexample(d)`` of the schedule's depth d; ``simulate``
        under ``ms_counterexample(d)``, whose law has no sampler; a key the
-       command does not read (``check-conditions --maximal`` included) or
+       command does not read (``check-conditions --seed`` included) or
        reads with no value (``estimate`` without ``--n``); a distribution
        key that the configured kind does not read; an ``--out`` path that
        cannot be written; and a size (such as ``--horizon``) whose arrays
        cannot be allocated
-    3  unsupported distribution or sequence family; also ``simulate
-       --maximal`` on a law without an exact oracle (no atoms, atoms off
-       any short decimal lattice, or a lattice too wide), since the
-       running-maximum series is exact or absent
+    3  unsupported distribution kind or slowly varying factor; also
+       ``simulate --maximal`` on a law without an exact oracle (no atoms,
+       atoms off any short decimal lattice, or a lattice too wide), since
+       the running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution; also a Monte
        Carlo sum whose + and - parts both overflow (pareto_sym with a small
        alpha), since |S_n| then has no float value; and uniform_sym
@@ -40,12 +40,11 @@ A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
 
 Each command refuses any key outside its read-set in ``_READS`` (a named
-preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too,
-and ``simulate`` refuses that preset, whose law it cannot sample), so
-``config_sha256`` hashes what the command read.  A ``[DEFAULT]`` section is an ordinary section that lends no
-keys to the others.  ``counterexample --schedule FILE`` replays the schedule
-in FILE and needs no preset; without ``--schedule`` it builds
-``ms_counterexample(d)`` and nothing else.
+preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too),
+so ``config_sha256`` hashes what the command read, and the provenance
+prints the seed and the preset only where they are read.  A ``[DEFAULT]``
+section is an ordinary section.  ``counterexample --schedule FILE`` replays
+the schedule in FILE and needs no preset.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
 2 most recent (weights, normalizer, horizon, theta), at horizons up to 2^17.
@@ -94,19 +93,19 @@ _DISTRIBUTION_KEYS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_
                       "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
 _LAW_KEYS = frozenset(("distribution", k) for k in {"kind"}.union(*_DISTRIBUTION_KEYS.values()))
 _SEQUENCE_KEYS = frozenset((s, k) for s in ("weights", "normalizer")
-                           for k in ("kind", "exponent", "coef", "slowly_varying"))
-# Keys that change no byte of a report: every command takes them, and the
-# hash leaves them out, so the bytes are identical across worker counts.
+                           for k in ("exponent", "coef", "slowly_varying"))
+_MC_KEYS = frozenset(("mc", k) for k in ("replicates", "seed", "workers"))
+# Keys that change no byte of a report: the hash leaves them out, so the bytes
+# are identical across worker counts.  Every command takes output.dir.
 _EXECUTION_KEYS = frozenset({("mc", "workers"), ("output", "dir")})
 
-# The (section, key) pairs each command reads; every provenance prints mc.seed.
-_READS = {command: frozenset(keys) | {("mc", "seed")} | _EXECUTION_KEYS for command, keys in {
+# The (section, key) pairs each command reads; only the commands that draw read [mc].
+_READS = {command: frozenset(keys) | {("output", "dir")} for command, keys in {
     "check-conditions": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "theta"),
                          ("scenario", "horizon"), *_SEQUENCE_KEYS, *_LAW_KEYS},
     "simulate": {("scenario", "preset"), ("scenario", "eps"), ("scenario", "horizon"),
-                 ("scenario", "maximal"), ("mc", "replicates"), *_SEQUENCE_KEYS, *_LAW_KEYS},
-    "estimate": {("scenario", "n"), ("scenario", "threshold"), ("mc", "replicates"),
-                 *_LAW_KEYS},
+                 ("scenario", "maximal"), *_MC_KEYS, *_SEQUENCE_KEYS, *_LAW_KEYS},
+    "estimate": {("scenario", "n"), ("scenario", "threshold"), *_MC_KEYS, *_LAW_KEYS},
     "counterexample": {("scenario", "preset")},
 }.items()}
 
@@ -157,15 +156,16 @@ def baum_katz_norms(p: float) -> NormSeq:
 
 @dataclass
 class ScenarioConfig:
-    preset: str
+    preset: Optional[str]  # the text of scenario.preset, stripped; "custom" if not given
+    preset_name: str
     preset_args: tuple
     dist: Optional[distmodel.Dist]
     weights: Optional[WeightSeq]
     norms: Optional[NormSeq]
     out_dir: Optional[Path]
     config_sha256: str
-    seed: int
-    workers: int
+    seed: Optional[int] = None
+    workers: Optional[int] = None
     eps: Optional[tuple[float, ...]] = None
     theta: Optional[float] = None
     horizon: Optional[int] = None
@@ -175,12 +175,11 @@ class ScenarioConfig:
     replicates: Optional[int] = None  # None: a scalar key the command does not read
 
     def provenance(self) -> dict:
-        return {
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "preset": self.preset,
-            "versions": {"cclab": __version__, "numpy": np.__version__},
-        }
+        """The hash, and the seed and preset where the command reads them."""
+        read = {"seed": self.seed, "preset": self.preset}
+        return {"config_sha256": self.config_sha256,
+                **{key: value for key, value in read.items() if value is not None},
+                "versions": {"cclab": __version__, "numpy": np.__version__}}
 
 
 # Each preset's argument count, the rule on its arguments and the rule's words.
@@ -198,7 +197,7 @@ _PRESETS = {
 
 
 def _parse_preset(text: str) -> tuple[str, tuple]:
-    m = _PRESET_RE.match(text.strip())
+    m = _PRESET_RE.match(text)
     name, raw = m.groups() if m else (None, None)
     count, rule, words = _PRESETS.get(name, (None, None, f"one of {', '.join(_PRESETS)}"))
     try:
@@ -264,18 +263,21 @@ def _parse_distribution(section) -> distmodel.Dist:
 
 
 def _parse_sequence(section, which: str):
-    return _power_sequence(which, section.get("kind", "power"), section.get("exponent"),
-                           section.get("coef", "1"), section.get("slowly_varying", ""))
+    return _power_sequence(which, section.get("exponent"), section.get("coef", "1"),
+                           section.get("slowly_varying", ""))
 
 
 @_shared  # keyed by the text, so "-0" and "0" stay apart
-def _power_sequence(which: str, kind: str, exponent: Optional[str], coef: str, sv: str):
-    if kind != "power":
-        raise UnsupportedFamily(f"unsupported {which} family {kind!r}")
-    try:
-        exponent, coef = float(exponent), float(coef)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{which} section needs a numeric exponent") from exc
+def _power_sequence(which: str, exponent: Optional[str], coef: str, sv: str):
+    if exponent is None:
+        raise ConfigError(f"{which} section needs a numeric exponent")
+    numbers = []
+    for key, text in (("exponent", exponent), ("coef", coef)):
+        try:
+            numbers.append(float(text))
+        except ValueError as exc:
+            raise ConfigError(f"{which}.{key} must be a number, not {text!r}") from exc
+    exponent, coef = numbers
     sv = _parse_sv(sv)
     if which == "weights":
         return seqkit.power_law_weights(exponent, coef=coef, sv=sv)
@@ -324,13 +326,9 @@ def _scalars(parser: configparser.ConfigParser, reads: frozenset, command: str) 
 def _canonical_text(parser: configparser.ConfigParser) -> str:
     """Stable rendering for hashing; execution-only keys are excluded so the
     hash (and hence all emitted bytes) is identical across worker counts."""
-    lines = []
-    for section in sorted(parser.sections()):
-        for key in sorted(parser[section]):
-            if (section, key) in _EXECUTION_KEYS:
-                continue
-            lines.append(f"{section}.{key}={parser[section][key]}")
-    return "\n".join(lines)
+    return "\n".join(f"{section}.{key}={parser[section][key]}"
+                     for section in sorted(parser.sections()) for key in sorted(parser[section])
+                     if (section, key) not in _EXECUTION_KEYS)
 
 
 def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig:
@@ -354,11 +352,10 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
 
     reads = _READS[command]
     scen = parser["scenario"] if parser.has_section("scenario") else {}
-    preset, args = "custom", ()
-    if ("scenario", "preset") in reads:
-        preset, args = _parse_preset(scen.get("preset", "custom"))
+    preset_text = scen.get("preset", "custom").strip() if ("scenario", "preset") in reads else None
+    preset, args = ("custom", ()) if preset_text is None else _parse_preset(preset_text)
     if command == "simulate" and preset == "ms_counterexample":
-        raise ConfigError(f"simulate cannot sample the law of preset {scen['preset']!r}")
+        raise ConfigError(f"simulate cannot sample the law of preset {preset_text!r}")
     if preset != "custom":  # a named preset fixes the sequences
         reads -= _SEQUENCE_KEYS
     if preset == "ms_counterexample":  # and this one the law and eps as well
@@ -369,7 +366,7 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
         # a flag's key by name; a section none of whose keys are read, whole
         whole = section not in ("scenario", "mc") and all(s != section for s, _ in reads)
         name = f"[{section}] section" if whole else f"{section}.{key}"
-        why = f" under preset {scen['preset']!r}" if unread[0] in _READS[command] else ""
+        why = f" under preset {preset_text!r}" if unread[0] in _READS[command] else ""
         raise ConfigError(f"{command} reads no {name}{why}")
 
     scalars = _scalars(parser, reads, command)
@@ -393,9 +390,9 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
 
     out_dir = parser["output"].get("dir") if parser.has_section("output") else None
     sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
-    return ScenarioConfig(preset=preset, preset_args=args, dist=dist, weights=w, norms=a,
-                          out_dir=Path(out_dir) if out_dir else None, config_sha256=sha,
-                          **scalars)
+    return ScenarioConfig(preset=preset_text, preset_name=preset, preset_args=args,
+                          dist=dist, weights=w, norms=a, out_dir=Path(out_dir) if out_dir else None,
+                          config_sha256=sha, **scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +438,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         half = _sequence_half.__wrapped__
     tau, av, regularity = half(w, a, horizon, cfg.theta)
     series, moments, extra = [], [], {}
-    if cfg.preset == "ms_counterexample":
+    if cfg.preset_name == "ms_counterexample":
         schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
         report = counterexample.verify_counterexample(schedule)
         dist = counterexample.CounterexampleDistribution(schedule)
@@ -471,12 +468,12 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         if not least * a1 > 0.0:
             raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
         d = cfg.dist
-        mom = distmodel.weighted_second_moment(d, "inv_logplus")
+        mom = distmodel.weighted_second_moment(d)
         moments.append({"form": "inv_logplus", "finite": mom.finite,
                         "value": mom.value, "reason": mom.reason})
-        if cfg.preset == "spataru_weak":
+        if cfg.preset_name == "spataru_weak":
             delta = cfg.preset_args[0]
-            mom2 = distmodel.weighted_second_moment(d, "loglog_delta", delta=delta)
+            mom2 = distmodel.weighted_second_moment(d, 1.0 + delta)
             moments.append({"form": "loglog_delta", "delta": delta,
                             "finite": mom2.finite, "value": mom2.value,
                             "reason": mom2.reason})
@@ -495,7 +492,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             series.append(convergence.summarize_series(
                 "exponential", n, convergence.exp_terms(tau, av, eps, n, t), {"eps": eps},
                 env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
-            if cfg.preset in ("spataru", "spataru_weak"):
+            if cfg.preset_name in ("spataru", "spataru_weak"):
                 series.append(convergence.summarize_series(
                     "adaptive-exponent", n[1:],
                     convergence.adaptive_exponent_terms(eps, n[1:], t[1:]),
@@ -531,13 +528,11 @@ def run_counterexample(cfg: ScenarioConfig,
     if schedule_path is not None:
         schedule = _read_schedule(schedule_path)
         depth = schedule.m_max
-        if cfg.preset != "custom" and (cfg.preset, cfg.preset_args) != ("ms_counterexample",
-                                                                         (depth,)):
-            given = ",".join(f"{x:g}" for x in cfg.preset_args)
+        if cfg.preset_name != "custom" and (cfg.preset_name, cfg.preset_args) != (
+                "ms_counterexample", (depth,)):
             raise ConfigError(f"a replayed schedule of depth {depth} takes no preset or "
-                              f"'ms_counterexample({depth})', not "
-                              f"{cfg.preset + (f'({given})' if given else '')!r}")
-    elif cfg.preset == "ms_counterexample":
+                              f"'ms_counterexample({depth})', not {cfg.preset!r}")
+    elif cfg.preset_name == "ms_counterexample":
         schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
     else:
         raise ConfigError("counterexample needs --preset 'ms_counterexample(d)' or --schedule, "
@@ -665,16 +660,22 @@ def _sets_from_args(args) -> list:
         except ValueError as exc:
             raise ConfigError(f"malformed --set {item!r}") from exc
         sets.append((section, key, value))
-    for flag, (section, key) in _FLAG_KEYS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            sets.append((section, key, value))
-    return sets
+    return sets + [(*target, getattr(args, flag)) for flag, target in _FLAG_KEYS.items()
+                   if getattr(args, flag) is not None]
+
+
+_VALUE_OPTIONS = frozenset({"--config", "--set", "--schedule",
+                            *(f"--{flag}" for flag in _FLAG_KEYS if flag != "maximal")})
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(argv)
+    # An option that takes a value takes the next word as --option=VALUE, also a
+    # word that begins with "-" ("-1e3"), which argparse would read as an option.
+    words, joined = iter(sys.argv[1:] if argv is None else argv), []
+    for word in words:
+        value = next(words, None) if word in _VALUE_OPTIONS else None
+        joined.append(word if value is None else f"{word}={value}")
+    args = _parser().parse_args(joined)
     try:
         if args.command == "report-merge":
             merged = {"reports": []}
@@ -694,8 +695,7 @@ def main(argv=None) -> int:
 
         cfg = load_config(args.config, _sets_from_args(args), args.command)
         if args.command == "check-conditions":
-            payload = run_check_conditions(cfg)
-            _emit(payload, cfg.out_dir, "check_conditions.json")
+            _emit(run_check_conditions(cfg), cfg.out_dir, "check_conditions.json")
             return EXIT_OK
         if args.command == "counterexample":
             code, payload = run_counterexample(cfg, schedule_path=args.schedule)

@@ -313,17 +313,6 @@ def truncated_second_moment(d: Dist, eps: float, norms: NormSeq, n: int) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _log_power(form: str, delta: Optional[float]) -> float:
-    """p in the weight log(2 + L)^p / L, L = log(2 + |x|): 0 for ``inv_logplus``."""
-    if form == "inv_logplus":
-        return 0.0
-    if form == "loglog_delta":
-        if delta is None or delta <= 0:
-            raise ValueError("loglog_delta form needs delta > 0")
-        return 1.0 + delta
-    raise ValueError(f"unknown weighted-moment form {form!r}")
-
-
 def _weighted(sq: np.ndarray, log_x: np.ndarray, p: float) -> np.ndarray:
     """sq log(2 + log_x)^p / log_x, log_x = log(2 + |x|), rounded as the scalar
     x * x * L(L(x)) ** p / L(x), L(x) = log(2 + x), is at sq = x * x."""
@@ -384,9 +373,8 @@ def _log_2_plus_exp(u: np.ndarray) -> np.ndarray:
     return e
 
 
-def weighted_second_moment(d: Dist, form: str = "inv_logplus",
-                           delta: Optional[float] = None) -> MomentValue:
-    """E[X^2 / L(|X|)] or E[X^2 L(L(|X|))^(1+delta) / L(|X|)], L(x) = log(2 + x).
+def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
+    """E[X^2 L(L(|X|))^p / L(|X|)], L(x) = log(2 + x), p = ``log_power``.
 
     Returns a certified divergence flag for symmetric Pareto tails that are
     too heavy instead of a sentinel float, and no value, with a reason, for a
@@ -395,31 +383,32 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
     sits at x = -1, the other singularities further left or, in u = log x, at
     Im u = +-pi.
     """
-    p = _log_power(form, delta)
     if d.kind in _ATOM_KINDS:
         mags, masses, _ = d._abs_law
         x = np.array(mags)
         with np.errstate(over="ignore"):  # x * x is inf past 1.3e154
-            val = sum((np.array(masses) * _weighted(x * x, libm(math.log, 2.0 + x), p)).tolist())
+            val = sum((np.array(masses)
+                       * _weighted(x * x, libm(math.log, 2.0 + x), log_power)).tolist())
     elif d.kind == "uniform_sym":
         # (1/h) int_0^h = h^2 int_0^1 in t = x/h, the pole at t = -1/h
         (h,) = d.params
-        val = h * (h * _integral(lambda t: _weighted(t * t, libm(math.log, 2.0 + h * t), p),
-                                 0.0, 1.0, -1.0 / h))  # -inf for a subnormal h
+        val = h * (h * _integral(
+            lambda t: _weighted(t * t, libm(math.log, 2.0 + h * t), log_power),
+            0.0, 1.0, -1.0 / h))  # -inf for a subnormal h
     elif d.kind == "normal_std":
         # 2 x^2 phi(x) is below 1e-35 past 13; panels of at most 2 follow the Gaussian
         def f(x):
             density = 2.0 * _INV_SQRT_2PI * libm(math.exp, -0.5 * x * x)
-            return _weighted(x * x * density, libm(math.log, 2.0 + x), p)
+            return _weighted(x * x * density, libm(math.log, 2.0 + x), log_power)
         val = _integral(f, 0.0, 13.0, -1.0, most=2.0)
     elif d.kind == "pareto_sym":
         alpha, scale = d.params
         if alpha <= 2.0:
-            why = ("x^(1-alpha)/log(2+x) is not integrable" if form == "inv_logplus"
+            why = ("x^(1-alpha)/log(2+x) is not integrable" if log_power == 0
                    else "iterated-log weight cannot rescue the integral")
             return MomentValue(False, None, f"tail index {alpha:g} <= 2: {why}")
-        if p > _MAX_PANELS:  # the range below spans p of its widest panels
-            return MomentValue(True, None, f"log power {p:g}: the quadrature needs more "
+        if log_power > _MAX_PANELS:  # the range below spans p of its widest panels
+            return MomentValue(True, None, f"log power {log_power:g}: the quadrature needs more "
                                            f"than {_MAX_PANELS} panels")
         # alpha s^2 int_0^inf e^(-(alpha-2) v) W(s e^v) dv in v = log(x/s): panels
         # of at least 2 below the singularities at Im v = +-pi, across each at most
@@ -427,8 +416,9 @@ def weighted_second_moment(d: Dist, form: str = "inv_logplus",
         # of the whole
         rate, u0 = alpha - 2.0, math.log(scale)
         val = alpha * _pow(scale, 2.0) * _integral(
-            lambda v: _weighted(libm(math.exp, -rate * v), _log_2_plus_exp(u0 + v), p),
-            0.0, 40.0 * max(1.0, p) / rate, math.log(2.0) - u0, least=2.0, most=40.0 / rate)
+            lambda v: _weighted(libm(math.exp, -rate * v), _log_2_plus_exp(u0 + v), log_power),
+            0.0, 40.0 * max(1.0, log_power) / rate, math.log(2.0) - u0, least=2.0,
+            most=40.0 / rate)
     else:
         raise ValueError(f"unknown distribution kind {d.kind!r}")
     if not math.isfinite(val):

@@ -267,7 +267,7 @@ def test_certificates_hold_past_the_horizon(preset, dist):
             (n, cv.exp_terms(wv, av, eps, n, distmodel.truncated_second_moments(d, eps * av)),
              exp_cert),
         ]
-        if cfg.preset in ("spataru", "spataru_weak"):
+        if cfg.preset_name in ("spataru", "spataru_weak"):
             t = distmodel.truncated_second_moments(d, eps * cut)
             families.append((n[1:], cv.adaptive_exponent_terms(eps, n[1:], t), exp_cert))
         for ns, terms, cert in families:
@@ -533,13 +533,13 @@ def test_values_past_the_double_range_are_refused(capsys, argv, message):
 PAST_THE_DOUBLES = {
     "eps a": (["--preset", "baum_katz(2,1)", "--eps", "1e308", "--horizon", "50",
                "--set", "distribution.kind=rademacher"],
-              "96fb31d60143d2db6558677878e741d908784dddcbd65921b2b4f6ce0cb18631"),
+              "beb1055689137a27062ba6b31d58b8fe263c9dfb518207ca4ce30be6f7869b7e"),
     "eps^2 a^2": (["--preset", "baum_katz(1,0.5)", "--eps", "1e150", "--horizon", "300",
                    "--set", "distribution.kind=normal_std"],
-                  "94103e80f1a5b93455a86516f8cb17180de33d55d29359b3ce447d20c9f220d9"),
+                  "ce1f4852c986b72f2d9de20a04034bf9dabd2c1247a9175afd02bf12a21a013d"),
     "normal T at inf": (["--preset", "spataru", "--eps", "1e308", "--horizon", "50",
                          "--set", "distribution.kind=normal_std"],
-                        "0a482a3cf30b0c643d58ffe867824c326bbb95104e8c7390498c38031e30196c"),
+                        "e37e77f3fd3c35cad9e8b99d3816035fbf33ff40b38cd9070771aa98484eb551"),
 }
 
 
@@ -1138,10 +1138,11 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
     assert seeded == config_sha256(capsys, *estimate_argv(replicates="1000"),
                                    "--set", "mc.seed=5")
     assert seeded != config_sha256(capsys, *estimate_argv(seed="5", replicates="2000"))
-    # counterexample's hash names its preset and the seed its provenance prints
+    # counterexample draws nothing, so it reads no seed and no worker count
     built = ["counterexample", "--preset", "ms_counterexample(3)"]
-    assert config_sha256(capsys, *built) == config_sha256(capsys, *built, "--workers", "2")
-    assert config_sha256(capsys, *built) != config_sha256(capsys, *built, "--seed", "3")
+    for flag in ("--workers", "--seed"):
+        assert run(capsys, *built, flag, "3") == (
+            cli.EXIT_CONFIG, "", f"config error: counterexample reads no mc.{flag[2:]}\n")
 
 
 def test_config_hash_covers_n_threshold_and_maximal(capsys, tmp_path):
@@ -1182,8 +1183,8 @@ ROW_REFUSALS = [
     ("scenario", "maximal", "simulate", "yes", "true or false"),
     ("mc", "replicates", "simulate", "1e4", "an integer >= 1000"),
     ("mc", "replicates", "simulate", "999", "an integer >= 1000"),
-    ("mc", "seed", "check-conditions", "0x10", "an integer >= 0"),
-    ("mc", "workers", "counterexample", "two", "an integer >= 1"),
+    ("mc", "seed", "simulate", "0x10", "an integer >= 0"),
+    ("mc", "workers", "simulate", "two", "an integer >= 1"),
     ("scenario", "preset", "check-conditions", "bogus", "one of custom, spataru, "
      "spataru_weak, baum_katz, ms_counterexample"),
     ("scenario", "preset", "simulate", "baum_katz(2,1", "one of custom, spataru, "
@@ -1225,7 +1226,7 @@ def test_a_value_its_row_refuses_is_one_config_error_by_flag_and_by_set(
     (("estimate", "--n", "4", "--threshold", "1", "--set", "distribution.kind=atomic_sym"),
      "atomic_sym needs an atoms table"),
     (("check-conditions", "--set", "weights.exponent=x", "--set", "normalizer.exponent=1",
-      "--set", "distribution.kind=rademacher"), "weights section needs a numeric exponent"),
+      "--set", "distribution.kind=rademacher"), "weights.exponent must be a number, not 'x'"),
     (("simulate", "--set", "weights.exponent=-1", "--set", "normalizer.coef=2",
       "--set", "distribution.kind=rademacher"), "normalizer section needs a numeric exponent"),
     (("check-conditions", "--config", "missing.ini"), "cannot read config file missing.ini"),
@@ -1235,8 +1236,17 @@ def test_a_value_its_row_refuses_is_one_config_error_by_flag_and_by_set(
      "custom scenarios need [weights] and [normalizer] sections"),
     (("check-conditions", "--preset", "spataru"), "check-conditions needs a [distribution] section"),
     (("estimate", "--n", "4", "--threshold", "1"), "estimate needs a [distribution] section"),
+    (("check-conditions", "--horizon", "100", "--set", "weights.exponent=-1",
+      "--set", "weights.coef=x", "--set", "normalizer.exponent=0.5",
+      "--set", "distribution.kind=rademacher"), "weights.coef must be a number, not 'x'"),
+    (("simulate", "--set", "weights.exponent=-1", "--set", "normalizer.exponent=1/2",
+      "--set", "distribution.kind=rademacher"), "normalizer.exponent must be a number, not '1/2'"),
+    (("simulate", "--set", "weights.exponent=-1", "--set", "normalizer.exponent=1",
+      "--set", "normalizer.coef=two", "--set", "distribution.kind=rademacher"),
+     "normalizer.coef must be a number, not 'two'"),
 ], ids=["no n", "no threshold", "no kind", "no atoms", "weights exponent", "no normalizer exponent",
-        "no config file", "no sequences", "no normalizer", "no law", "estimate no law"])
+        "no config file", "no sequences", "no normalizer", "no law", "estimate no law",
+        "weights coef", "normalizer exponent", "normalizer coef"])
 def test_a_missing_or_unparsable_input_is_one_config_error(capsys, tmp_path, monkeypatch,
                                                            argv, message):
     monkeypatch.chdir(tmp_path)
@@ -1258,7 +1268,7 @@ SWEEP_VALUES = {
     ("distribution", "alpha"): "3", ("distribution", "scale"): "2",
     ("distribution", "atoms"): "1:0.5",
     **{(section, key): value for section, exponent in (("weights", "-2"), ("normalizer", "0.75"))
-       for key, value in (("kind", "geometric"), ("exponent", exponent), ("coef", "2"),
+       for key, value in (("exponent", exponent), ("coef", "2"),
                           ("slowly_varying", "log_power:1"))},
 }
 RADEMACHER = {("distribution", "kind"): "rademacher"}
@@ -1293,9 +1303,16 @@ def without_hash(out: str) -> dict:
     return report
 
 
+def without_provenance(out: str) -> dict:
+    report = json.loads(out)
+    del report["provenance"]
+    return report
+
+
 @pytest.mark.parametrize("base", READ_SET_BASES)
 def test_every_key_a_command_takes_changes_its_report_or_is_refused(capsys, tmp_path, base):
-    # a key a command took and never read used to change only its config hash.
+    # a key a command took and never read used to change only its config hash,
+    # and mc.seed on check-conditions only the hash and the provenance's seed.
     # The base keys come as --set entries, since a flag would win over the new value.
     schedule = tmp_path / "schedule.json"
     schedule.write_text(json.dumps(counterexample.build_schedule(3).to_json_list()))
@@ -1314,16 +1331,22 @@ def test_every_key_a_command_takes_changes_its_report_or_is_refused(capsys, tmp_
     failures = []
     for (section, key), value in values.items():
         code, got, err = outcome_with({**keys, (section, key): value})
-        given = {*keys, (section, key)}
-        if (section, key) in cli._EXECUTION_KEYS:
+        given, read = {*keys, (section, key)}, (section, key) in cli._READS[head[0]]
+        if read and (section, key) in cli._EXECUTION_KEYS:
             ok = (code, got, err) == (cli.EXIT_OK, out, "")
         elif code in (cli.EXIT_CONFIG, cli.EXIT_FAMILY):
             # the line names the key or its value, or a given key the value made unread
             ok = got == "" and len(err.splitlines()) == 1 and (repr(value) in err or any(
                 f"{s}.{k}" in err or f"[{s}] section" in err or f"key {k!r}" in err
                 for s, k in given))
-        else:
+        elif not read:
+            ok = False
+        elif (section, key) == ("scenario", "preset") and "--schedule" in head:
+            # the one exception: a replay's preset only checks the schedule's depth,
+            # so it changes the provenance alone
             ok = code == cli.EXIT_OK and without_hash(got) != without_hash(out)
+        else:
+            ok = code == cli.EXIT_OK and without_provenance(got) != without_provenance(out)
         if not ok:
             failures.append(f"{section}.{key}={value}: exit {code} {err.strip()}")
     assert not failures, "\n".join(failures)
@@ -1341,6 +1364,114 @@ def test_readme_ini_example_is_a_simulate_scenario(capsys, tmp_path):
     assert report["provenance"]["seed"] == 42 and sorted(report["series"]) == ["0.5", "1.0"]
     assert run(capsys, "check-conditions", "--config", str(config)) == (
         cli.EXIT_CONFIG, "", "config error: check-conditions reads no mc.replicates\n")
+
+
+def test_readme_read_table_is_the_read_sets_and_the_scalar_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| key \| default \|.*?\n\n", readme, re.M | re.S).group(0)
+    header, _, *rows = table.strip().splitlines()
+    commands = [cell.strip() for cell in header.strip("|").split("|")][2:]
+    reads = {command: set() for command in commands}
+    for row in rows:
+        key, default, *marks = [cell.strip() for cell in row.strip("|").split("|")]
+        section, name = key.strip("`").split(".")
+        for command, mark in zip(commands, marks, strict=True):
+            if mark == "x":
+                reads[command].add((section, name))
+        if (section, name) in cli._SCALARS:
+            want = cli._SCALARS[section, name][1]
+            assert default == ("required" if want is None else f"`{want}`"), key
+    assert len(rows) == len(set().union(*cli._READS.values()))
+    assert reads == {command: set(keys) for command, keys in cli._READS.items()}
+
+
+# ---------------------------------------------------------------------------
+# what a command reads is what it prints and hashes; the rest is refused
+# ---------------------------------------------------------------------------
+
+BK_RAD = ("--preset", "baum_katz(2,1)", "--horizon", "100", "--set", "distribution.kind=rademacher")
+CUSTOM_RAD = ("--set", "weights.exponent=-1", "--set", "normalizer.exponent=1",
+              "--set", "distribution.kind=rademacher")
+BUILD = ("--preset", "ms_counterexample(3)")
+ESTIMATE = ("--n", "4", "--replicates", "1000", "--set", "distribution.kind=rademacher")
+
+
+def test_only_the_commands_that_draw_read_mc_keys():
+    assert {command: len(keys) for command, keys in cli._READS.items()} == {
+        "check-conditions": 16, "simulate": 19, "estimate": 11, "counterexample": 2}
+    for section, key in cli._MC_KEYS:
+        assert [c for c, keys in cli._READS.items() if (section, key) in keys] == [
+            "simulate", "estimate"]
+    assert all(("output", "dir") in keys for keys in cli._READS.values())
+
+
+# (command, a run it completes, what is added to it, the unread key the line names)
+UNREAD_KEYS = [
+    *((command, argv, extra, name) for command, argv in (("check-conditions", BK_RAD),
+                                                          ("counterexample", BUILD))
+      for extra, name in ((("--seed", "9"), "mc.seed"), (("--workers", "2"), "mc.workers"),
+                          (("--set", "mc.seed=9"), "mc.seed"))),
+    ("check-conditions", (*CUSTOM_RAD, "--horizon", "100"), ("--set", "weights.kind=power"),
+     "weights.kind"),
+    ("simulate", (*CUSTOM_RAD, "--horizon", "16", "--replicates", "1000"),
+     ("--set", "normalizer.kind=power"), "normalizer.kind"),
+    ("check-conditions", BK_RAD, ("--set", "normalizer.kind=power"), "[normalizer] section"),
+    ("estimate", (*ESTIMATE, "--threshold", "2"), ("--set", "weights.kind=power"),
+     "[weights] section"),
+    ("counterexample", BUILD, ("--set", "normalizer.kind=power"), "[normalizer] section"),
+]
+
+
+@pytest.mark.parametrize("command,argv,extra,name", UNREAD_KEYS,
+                         ids=[f"{case[0]} {' '.join(case[2])}" for case in UNREAD_KEYS])
+def test_a_key_that_changes_no_computed_byte_is_refused(capsys, command, argv, extra, name):
+    # check-conditions and counterexample draw nothing, yet printed the seed they
+    # were given, and a sequence's kind took one value, its default "power"
+    code, _, err = run(capsys, command, *argv)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert run(capsys, command, *argv, *extra) == (
+        cli.EXIT_CONFIG, "", f"config error: {command} reads no {name}\n")
+
+
+def test_provenance_prints_the_seed_and_the_preset_only_where_read(capsys, tmp_path):
+    def provenance(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, "")
+        fields = json.loads(out)["provenance"]
+        assert fields.pop("versions") == {"cclab": cclab.__version__, "numpy": np.__version__}
+        return fields.pop("config_sha256"), fields
+
+    sha2, fields = provenance("check-conditions", *BK_RAD)
+    assert fields == {"preset": "baum_katz(2,1)"}
+    # baum_katz(3,1) hashes differently and used to print the same "baum_katz"
+    sha3, fields = provenance("check-conditions", *BK_RAD, "--preset", " baum_katz(3,1) ")
+    assert sha3 != sha2 and fields == {"preset": "baum_katz(3,1)"}
+    _, fields = provenance("simulate", *CUSTOM_RAD, "--horizon", "16", "--replicates", "1000")
+    assert fields == {"seed": 20240801, "preset": "custom"}
+    assert provenance("estimate", *ESTIMATE, "--threshold", "2", "--seed", "5")[1] == {"seed": 5}
+    _, fields = provenance("counterexample", *BUILD, "--out", str(tmp_path))
+    assert fields == {"preset": "ms_counterexample(3)"}
+    _, fields = provenance("counterexample", "--schedule", str(tmp_path / "counterexample.json"))
+    assert fields == {"preset": "custom"}
+
+
+@pytest.mark.parametrize("command,key,value,refusal", [
+    ("estimate", "threshold", "-1e3", None),
+    ("estimate", "threshold", "-inf", "scenario.threshold must be a finite number, not '-inf'"),
+    ("check-conditions", "eps", "-1e-3",
+     "scenario.eps must be a list of finite numbers > 0, not '-1e-3'"),
+])
+def test_a_flag_value_that_begins_with_a_minus_is_the_flags_value(capsys, command, key, value,
+                                                                 refusal):
+    # argparse took "-1e3" for an option and printed its six-line usage
+    argv = (command, *{"estimate": ESTIMATE, "check-conditions": BK_RAD}[command])
+    by_flag = run(capsys, *argv, f"--{key}", value)
+    assert by_flag == run(capsys, *argv, "--set", f"scenario.{key}={value}")
+    assert by_flag == run(capsys, *argv, f"--{key}={value}")
+    if refusal is None:
+        assert by_flag[0] == cli.EXIT_OK and json.loads(by_flag[1])["estimate"]["p_hat"] == 1.0
+    else:
+        assert by_flag == (cli.EXIT_CONFIG, "", f"config error: {refusal}\n")
 
 
 def test_percent_in_set_entries_and_config_files_is_literal(capsys, tmp_path):
@@ -1480,6 +1611,14 @@ def test_overflowing_weights_are_a_config_error(tmp_path, weights, message):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("config error: " + message)
+
+
+def test_weights_whose_t_n_overflows_at_n_2_are_one_config_error(capsys):
+    # in process, where the subprocess cases above leave the guard unmeasured
+    assert run(capsys, "check-conditions", "--horizon", "100", "--set", "weights.exponent=0",
+               "--set", "weights.coef=1e308", "--set", "normalizer.exponent=1",
+               "--set", "distribution.kind=rademacher") == (
+        cli.EXIT_CONFIG, "", "config error: T_n = sum k w(k) overflows doubles at n=2\n")
 
 
 def test_internal_error_exits_5_with_one_line(capsys, monkeypatch):

@@ -465,6 +465,14 @@ def test_dyadic_empirical_route():
     assert rep.constants["dyadic_C"] == pytest.approx(2.0, rel=1e-9)
 
 
+def test_dyadic_empirical_route_is_inconclusive_when_both_liminfs_vanish():
+    # weights that are 0 from n = 10 on: liminf w(n) and liminf n w(n) are both 0
+    rep = dyadic(sk.custom_weights(lambda n: 1.0 if n < 10 else 0.0), horizon=64)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert (rep.constants["liminf_tau"], rep.constants["liminf_ntau"]) == (0.0, 0.0)
+    assert rep.notes == ()
+
+
 def test_dyadic_rejects_small_horizon():
     with pytest.raises(ValueError):
         dyadic(sk.power_law_weights(0.0), horizon=3)
@@ -507,6 +515,15 @@ def test_tail_domination_custom_without_bound_inconclusive():
     rep = domination(w, sk.power_law_norms(1.0), horizon=200)
     assert rep.verdict is Verdict.INCONCLUSIVE
     assert rep.constants["C"] > 0.0  # the horizon-limited constant is still reported
+
+
+def test_tail_domination_skips_the_indices_where_t_is_zero():
+    # w(1..3) = 0, so T_1 = T_2 = T_3 = 0 and the ratios at n = 2, 3, 4 are not taken
+    w = sk.custom_weights(lambda n: 0.0 if n < 4 else 1.0 / n)
+    rep = domination(w, sk.power_law_norms(1.0), horizon=64)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.notes[0] == "3 initial indices skipped where T_(n-1) = 0"
+    assert rep.constants["argmax_n"] >= 5.0
 
 
 def test_tail_domination_remainder_is_true_upper_bound():
