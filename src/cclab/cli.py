@@ -20,11 +20,10 @@ data inside the reports; exit codes only signal operational failures:
        ``ms_counterexample(d)``, a replay under any preset but
        ``ms_counterexample(d)`` of the schedule's depth d; ``simulate``
        under ``ms_counterexample(d)``, whose law has no sampler; a key the
-       command does not read (``check-conditions --seed`` included) or
-       reads with no value (``estimate`` without ``--n``); a distribution
-       key that the configured kind does not read; an ``--out`` path that
-       cannot be written; and a size (such as ``--horizon``) whose arrays
-       cannot be allocated
+       command does not read (``check-conditions --seed`` included), a
+       required key it is not given (``estimate`` without ``--n``) and a
+       value its row refuses; an ``--out`` path that cannot be written; and
+       a size (such as ``--horizon``) whose arrays cannot be allocated
     3  unsupported distribution kind or slowly varying factor; also
        ``simulate --maximal`` on a law without an exact oracle (no atoms,
        atoms off any short decimal lattice, or a lattice too wide), since
@@ -40,10 +39,12 @@ A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
 
 Each command refuses any key outside its read-set in ``_READS`` (a named
-preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too),
-so ``config_sha256`` hashes what the command read, and the provenance
-prints the seed and the preset only where they are read.  A ``[DEFAULT]``
-section is an ordinary section.  ``counterexample --schedule FILE`` replays
+preset fixes the sequences, ``ms_counterexample(d)`` the law and eps too,
+and a distribution kind its own keys) and parses each key it reads by its
+row in ``_ROWS``.  ``config_sha256`` hashes the values read, as parsed, so
+runs that read equal values print one hash, and the provenance prints the
+seed and the preset only where they are read.  A ``[DEFAULT]`` section is
+an ordinary section.  ``counterexample --schedule FILE`` replays
 the schedule in FILE and needs no preset.
 
 check-conditions keeps its law-independent half (``_sequence_half``) for the
@@ -88,12 +89,16 @@ class UnsupportedFamily(Exception):
     pass
 
 
-# The keys each distribution kind reads besides its kind; any other is refused.
-_DISTRIBUTION_KEYS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_std": (),
-                      "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
-_LAW_KEYS = frozenset(("distribution", k) for k in {"kind"}.union(*_DISTRIBUTION_KEYS.values()))
-_SEQUENCE_KEYS = frozenset((s, k) for s in ("weights", "normalizer")
-                           for k in ("exponent", "coef", "slowly_varying"))
+# Each distribution kind's constructor and the keys it reads besides its kind,
+# in argument order.
+_LAWS = {"rademacher": (distmodel.rademacher, ()),
+         "uniform_sym": (distmodel.uniform_sym, ("half_width",)),
+         "normal_std": (distmodel.normal_std, ()),
+         "pareto_sym": (distmodel.pareto_sym, ("alpha", "scale")),
+         "atomic_sym": (distmodel.atomic_sym, ("atoms",))}
+_LAW_KEYS = frozenset(("distribution", k) for k in {"kind"}.union(*(k for _, k in _LAWS.values())))
+_POWER_KEYS = ("exponent", "coef", "slowly_varying")
+_SEQUENCE_KEYS = frozenset((s, k) for s in ("weights", "normalizer") for k in _POWER_KEYS)
 _MC_KEYS = frozenset(("mc", k) for k in ("replicates", "seed", "workers"))
 # Keys that change no byte of a report: the hash leaves them out, so the bytes
 # are identical across worker counts.  Every command takes output.dir.
@@ -127,8 +132,12 @@ _MEMO_MAX_HORIZON = 1 << 17  # so _sequence_half's two entries keep at most 4 Mi
 # Presets and families
 # ---------------------------------------------------------------------------
 
-# Equal arguments give one shared sequence object: _sequence_half's key is what it is.
-_shared = functools.lru_cache(maxsize=16)
+
+def _shared(fn):
+    """Equal arguments give one shared object, so _sequence_half's key is what it
+    is.  The arguments' repr is part of the key, which keeps -0.0 and 0.0 apart."""
+    cached = functools.lru_cache(maxsize=16)(lambda key, *args: fn(*args))
+    return functools.wraps(fn)(lambda *args: cached(repr(args), *args))
 
 
 @_shared
@@ -197,6 +206,7 @@ _PRESETS = {
 
 
 def _parse_preset(text: str) -> tuple[str, tuple]:
+    text = text.strip()
     m = _PRESET_RE.match(text)
     name, raw = m.groups() if m else (None, None)
     count, rule, words = _PRESETS.get(name, (None, None, f"one of {', '.join(_PRESETS)}"))
@@ -236,145 +246,125 @@ def _parse_sv(text: str) -> SlowlyVarying:
     return SlowlyVarying(**kw)
 
 
-def _parse_distribution(section) -> distmodel.Dist:
-    kind = section.get("kind")
-    if kind is None:
-        raise ConfigError("distribution section needs a kind")
-    if kind not in _DISTRIBUTION_KEYS:
-        raise UnsupportedFamily(f"unsupported distribution kind {kind!r}")
-    unread = sorted(set(section) - {"kind", *_DISTRIBUTION_KEYS[kind]})
-    if unread:
-        raise ConfigError(f"distribution kind {kind!r} reads no key {unread[0]!r}")
-    try:
-        if kind == "rademacher":
-            return distmodel.rademacher()
-        if kind == "uniform_sym":
-            return distmodel.uniform_sym(float(section.get("half_width", 1.0)))
-        if kind == "normal_std":
-            return distmodel.normal_std()
-        if kind == "pareto_sym":
-            return distmodel.pareto_sym(float(section.get("alpha", 1.5)),
-                                        float(section.get("scale", 1.0)))
-        if "atoms" not in section:  # the one kind left, atomic_sym
-            raise ConfigError("atomic_sym needs an atoms table")
-        return distmodel.atomic_sym(_entries(section["atoms"], "atom", key=float))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid distribution parameters: {exc}") from exc
+def _parse_kind(text: str) -> str:
+    if text not in _LAWS:
+        raise UnsupportedFamily(f"unsupported distribution kind {text!r}")
+    return text
 
 
-def _parse_sequence(section, which: str):
-    return _power_sequence(which, section.get("exponent"), section.get("coef", "1"),
-                           section.get("slowly_varying", ""))
+def _any(value) -> bool:
+    return True
 
 
-@_shared  # keyed by the text, so "-0" and "0" stay apart
-def _power_sequence(which: str, exponent: Optional[str], coef: str, sv: str):
-    if exponent is None:
-        raise ConfigError(f"{which} section needs a numeric exponent")
-    numbers = []
-    for key, text in (("exponent", exponent), ("coef", coef)):
-        try:
-            numbers.append(float(text))
-        except ValueError as exc:
-            raise ConfigError(f"{which}.{key} must be a number, not {text!r}") from exc
-    exponent, coef = numbers
-    sv = _parse_sv(sv)
+@_shared
+def _power_sequence(which: str, exponent: float, coef: float, sv: SlowlyVarying):
     if which == "weights":
         return seqkit.power_law_weights(exponent, coef=coef, sv=sv)
     return seqkit.power_law_norms(exponent, coef=coef, sv=sv)
 
 
-# One row per scalar key: its parse, its default text (None: the key is
-# required), the rule on the parsed value and the rule's words.
-_SCALARS = {
+# One row per key a command reads, in the order they are read: its parse, its
+# default text (None: the key is required), the rule on the parsed value and
+# the rule's words.  A parse may refuse in its own words (a preset, an entry, a kind).
+_ROWS = {
+    ("scenario", "preset"): (_parse_preset, "custom", _any, f"one of {', '.join(_PRESETS)}"),
     ("scenario", "eps"): (lambda text: tuple(float(x) for x in text.split(",") if x.strip()),
-                          "0.5,1.0", lambda eps: eps and all(0.0 < e < math.inf for e in eps),
-                          "a list of finite numbers > 0"),
+                          "0.5,1.0", lambda eps: eps and len(set(eps)) == len(eps)
+                          and all(0.0 < e < math.inf for e in eps),
+                          "a list of distinct finite numbers > 0"),
     ("scenario", "theta"): (float, "1.0", lambda t: 1.0 <= t < math.inf, "a finite number >= 1"),
     ("scenario", "horizon"): (int, "10000", lambda h: h >= 4, "an integer >= 4"),
     ("scenario", "n"): (int, None, lambda n: n >= 1, "an integer >= 1"),
     ("scenario", "threshold"): (float, None, math.isfinite, "a finite number"),
     ("scenario", "maximal"): (lambda text: {"true": True, "false": False}[text], "false",
-                              lambda m: True, "true or false"),
+                              _any, "true or false"),
     ("mc", "replicates"): (int, "10000", lambda r: r >= mcengine.MIN_REPLICATES,
                            f"an integer >= {mcengine.MIN_REPLICATES}"),
     ("mc", "seed"): (int, "20240801", lambda s: s >= 0, "an integer >= 0"),
     ("mc", "workers"): (int, "1", lambda w: w >= 1, "an integer >= 1"),
+    **{(section, key): row for section in ("weights", "normalizer") for key, row in zip(
+        _POWER_KEYS, ((float, None, _any, "a number"), (float, "1", _any, "a number"),
+                      (_parse_sv, "", _any, "a list of factor:power entries")))},
+    ("distribution", "kind"): (_parse_kind, None, _any, f"one of {', '.join(_LAWS)}"),
+    ("distribution", "half_width"): (float, "1.0", _any, "a number"),
+    ("distribution", "alpha"): (float, "1.5", _any, "a number"),
+    ("distribution", "scale"): (float, "1.0", _any, "a number"),
+    ("distribution", "atoms"): (lambda text: tuple(sorted(_entries(text, "atom", key=float),
+                                                          key=lambda atom: atom[0])),
+                                None, _any, "a list of x:mass entries"),
+    ("output", "dir"): (lambda text: Path(text) if text else None, "", _any, "a directory"),
 }
-
-
-def _scalars(parser: configparser.ConfigParser, reads: frozenset, command: str) -> dict:
-    """The value of each scalar key in ``reads``, by key name: given or its
-    default, parsed and checked by the key's row."""
-    values = {}
-    for (section, key), (parse, default, rule, words) in _SCALARS.items():
-        if (section, key) not in reads:
-            continue
-        text = parser.get(section, key, fallback=default)
-        if text is None:
-            raise ConfigError(f"{command} needs {section}.{key}, {words}")
-        try:
-            values[key] = parse(text)
-            ok = rule(values[key])
-        except (KeyError, ValueError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"{section}.{key} must be {words}, not {text!r}")
-    return values
-
-
-def _canonical_text(parser: configparser.ConfigParser) -> str:
-    """Stable rendering for hashing; execution-only keys are excluded so the
-    hash (and hence all emitted bytes) is identical across worker counts."""
-    return "\n".join(f"{section}.{key}={parser[section][key]}"
-                     for section in sorted(parser.sections()) for key in sorted(parser[section])
-                     if (section, key) not in _EXECUTION_KEYS)
 
 
 def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig:
     """The scenario ``command`` reads in the config file at ``path`` (if any),
     with ``sets``, a list of (section, key, value), applied in order.  A
-    given key that the command does not read is refused."""
+    given key that the command does not read is refused; each key it reads is
+    parsed by its row, and the hash is that of the parsed values."""
     # A default section named by what no file line or --set section can
     # spell, so a [DEFAULT] section is an ordinary one, refused like any other.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n.")
     if path is not None:
         try:
-            read = parser.read(path)
+            found = parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
-        if not read:
+        if not found:
             raise ConfigError(f"cannot read config file {path}")
     for section, key, value in sets:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
 
-    reads = _READS[command]
-    scen = parser["scenario"] if parser.has_section("scenario") else {}
-    preset_text = scen.get("preset", "custom").strip() if ("scenario", "preset") in reads else None
-    preset, args = ("custom", ()) if preset_text is None else _parse_preset(preset_text)
+    values = {}
+
+    def read(section: str, key: str):
+        """The value of the key, given or its default, parsed and checked by its row."""
+        parse, default, rule, words = _ROWS[section, key]
+        text = parser.get(section, key, fallback=default)
+        if text is None:
+            raise ConfigError(f"{command} needs {section}.{key}, {words}")
+        try:
+            values[section, key] = parse(text)
+            ok = rule(values[section, key])
+        except (KeyError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {words}, not {text!r}")
+        return values[section, key]
+
+    reads, preset_text = _READS[command], None
+    preset, args = "custom", ()
+    if ("scenario", "preset") in reads:
+        preset_text = parser.get("scenario", "preset", fallback="custom").strip()
+        preset, args = read("scenario", "preset")
     if command == "simulate" and preset == "ms_counterexample":
         raise ConfigError(f"simulate cannot sample the law of preset {preset_text!r}")
+    # Each key the command reads and this scenario does not, with what fixes it.
+    kind = parser.get("distribution", "kind", fallback=None)
+    why = dict.fromkeys(_LAW_KEYS - {("distribution", k) for k in ("kind", *_LAWS[kind][1])},
+                        f"kind {kind!r}") if kind in _LAWS else {}
     if preset != "custom":  # a named preset fixes the sequences
-        reads -= _SEQUENCE_KEYS
+        why |= dict.fromkeys(_SEQUENCE_KEYS, f"preset {preset_text!r}")
     if preset == "ms_counterexample":  # and this one the law and eps as well
-        reads -= _LAW_KEYS | {("scenario", "eps")}
+        why |= dict.fromkeys(_LAW_KEYS | {("scenario", "eps")}, f"preset {preset_text!r}")
+    why = {key: words for key, words in why.items() if key in reads}
+    reads -= why.keys()
     unread = sorted({(s, k) for s in parser.sections() for k in parser[s]} - reads)
     if unread:
         section, key = unread[0]
         # a flag's key by name; a section none of whose keys are read, whole
         whole = section not in ("scenario", "mc") and all(s != section for s, _ in reads)
         name = f"[{section}] section" if whole else f"{section}.{key}"
-        why = f" under preset {preset_text!r}" if unread[0] in _READS[command] else ""
-        raise ConfigError(f"{command} reads no {name}{why}")
+        under = f" under {why[unread[0]]}" if unread[0] in why else ""
+        raise ConfigError(f"{command} reads no {name}{under}")
 
-    scalars = _scalars(parser, reads, command)
+    for key in _ROWS:
+        if key in reads and key not in values:
+            read(*key)
     if ("weights", "exponent") in reads:
-        if not (parser.has_section("weights") and parser.has_section("normalizer")):
-            raise ConfigError("custom scenarios need [weights] and [normalizer] sections")
-        w = _parse_sequence(parser["weights"], "weights")
-        a = _parse_sequence(parser["normalizer"], "normalizer")
+        w, a = (_power_sequence(s, *(values[s, k] for k in _POWER_KEYS))
+                for s in ("weights", "normalizer"))
     elif preset == "baum_katz":
         w, a = baum_katz_weights(args[0]), baum_katz_norms(args[1])
     elif preset != "custom":
@@ -384,15 +374,20 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
 
     dist = None
     if ("distribution", "kind") in reads:
-        if not parser.has_section("distribution"):
-            raise ConfigError(f"{command} needs a [distribution] section")
-        dist = _parse_distribution(parser["distribution"])
+        law, keys = _LAWS[values["distribution", "kind"]]
+        try:
+            dist = law(*(values["distribution", k] for k in keys))
+        except ValueError as exc:
+            raise ConfigError(f"invalid distribution parameters: {exc}") from exc
 
-    out_dir = parser["output"].get("dir") if parser.has_section("output") else None
-    sha = hashlib.sha256(_canonical_text(parser).encode()).hexdigest()
+    # The sha256 of every read value as parsed, the execution-only keys left out,
+    # so the hash (and hence all emitted bytes) is identical across worker counts.
+    sha = hashlib.sha256("\n".join(f"{s}.{k}={v!r}" for (s, k), v in sorted(values.items())
+                                   if (s, k) not in _EXECUTION_KEYS).encode()).hexdigest()
     return ScenarioConfig(preset=preset_text, preset_name=preset, preset_args=args,
-                          dist=dist, weights=w, norms=a, out_dir=Path(out_dir) if out_dir else None,
-                          config_sha256=sha, **scalars)
+                          dist=dist, weights=w, norms=a, out_dir=values["output", "dir"],
+                          config_sha256=sha, **{k: v for (s, k), v in values.items()
+                                                if s in ("scenario", "mc") and k != "preset"})
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +568,12 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             max_rep = convergence.summarize_series(
                 "running-maximum", max_grid, terms, params={"eps": eps},
                 evidence=("exact absorbing-threshold dynamic program",))
-            reports[f"max:{eps}"] = tables[f"simulate_max_eps{eps:g}.csv"] = max_rep
+            reports[f"max:{eps}"] = tables[f"simulate_max_eps{eps}.csv"] = max_rep
     empirical = mcengine.empirical_series(
         d, cfg.weights, cfg.norms, cfg.eps, grid, cfg.replicates, cfg.seed,
         workers=cfg.workers)
     for eps, rep in zip(cfg.eps, empirical):
-        reports[eps] = tables[f"simulate_eps{eps:g}.csv"] = rep
+        reports[eps] = tables[f"simulate_eps{eps}.csv"] = rep
     payload = {
         "provenance": cfg.provenance(),
         "series": {str(k): v.to_json_dict() for k, v in reports.items()},
@@ -625,12 +620,12 @@ _COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "repo
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of all five commands, built once per process."""
-    parser = argparse.ArgumentParser(prog="cclab")
+    parser = argparse.ArgumentParser(prog="cclab", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the options of every command but report-merge, built once; argparse
     # copies the --set list before appending
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config")
     for flag in _FLAG_KEYS:
         switch = {"action": "store_const", "const": "true"} if flag == "maximal" else {}
@@ -640,11 +635,11 @@ def _parser() -> argparse.ArgumentParser:
 
     for name in _COMMANDS:
         if name == "report-merge":
-            p = sub.add_parser(name)
+            p = sub.add_parser(name, allow_abbrev=False)
             p.add_argument("inputs", nargs="+")
             p.add_argument("--out", required=True)
             continue
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False)
         if name == "counterexample":
             p.add_argument("--schedule", default=None,
                            help="replay and certify a schedule JSON instead of building one")

@@ -533,13 +533,13 @@ def test_values_past_the_double_range_are_refused(capsys, argv, message):
 PAST_THE_DOUBLES = {
     "eps a": (["--preset", "baum_katz(2,1)", "--eps", "1e308", "--horizon", "50",
                "--set", "distribution.kind=rademacher"],
-              "beb1055689137a27062ba6b31d58b8fe263c9dfb518207ca4ce30be6f7869b7e"),
+              "7b7361120448905ceff51251aa3fac6565a7fab65c078a7882eed207cf7b2397"),
     "eps^2 a^2": (["--preset", "baum_katz(1,0.5)", "--eps", "1e150", "--horizon", "300",
                    "--set", "distribution.kind=normal_std"],
-                  "ce1f4852c986b72f2d9de20a04034bf9dabd2c1247a9175afd02bf12a21a013d"),
+                  "0a349fb97c19bff410d492466c6e4ac9594c4a93e344a86670ad8d6b7eb87a09"),
     "normal T at inf": (["--preset", "spataru", "--eps", "1e308", "--horizon", "50",
                          "--set", "distribution.kind=normal_std"],
-                        "e37e77f3fd3c35cad9e8b99d3816035fbf33ff40b38cd9070771aa98484eb551"),
+                        "1556bc179e5b611d2a88806d99e663491e796481e7c34d2efe3055089b175c05"),
 }
 
 
@@ -601,7 +601,11 @@ def outcome(capsys, argv):
 # bad flag value, a missing --n and --maximal on any command but simulate.
 PARSER_CASES = {
     **dict.fromkeys([(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
-                     ("simulate", "--bogus"), ("report-merge", "--out", "merged.json")]),
+                     ("simulate", "--bogus"), ("report-merge", "--out", "merged.json"),
+                     # an option is spelled in full: argparse took the prefix
+                     # --thresh, so "--thresh=-1e3" ran
+                     *(("estimate", "--n", "4", *words, "--set", "distribution.kind=rademacher")
+                       for words in (("--thresh", "-1e3"), ("--thresh=-1e3",)))]),
     ("simulate", "--horizon", "x"): "scenario.horizon must be an integer >= 4, not 'x'",
     ("estimate", "--threshold", "1"): "estimate needs scenario.n, an integer >= 1",
     ("check-conditions", "--maximal"): "check-conditions reads no scenario.maximal",
@@ -642,13 +646,27 @@ def test_simulate_out_writes_the_report_and_a_csv_per_series(capsys, tmp_path):
     assert code == cli.EXIT_OK
     assert (tmp_path / "simulate.json").read_text() == out
     series = json.loads(out)["series"]
-    tables = {f"simulate{kind}_eps{eps:g}.csv": series[f"{key}{eps}"]
+    tables = {f"simulate{kind}_eps{eps}.csv": series[f"{key}{eps}"]
               for eps in (0.5, 1.0) for kind, key in (("_max", "max:"), ("", ""))}
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*tables, "simulate.json"])
     for name, report in tables.items():
         rows = [",".join(str(row["n"]) if key == "n" else repr(row[key]) if key in row else ""
                          for key in CSV_COLUMNS) for row in report["rows"]]
         assert (tmp_path / name).read_text() == "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+
+
+def test_each_simulate_csv_is_named_by_its_series_key(capsys, tmp_path):
+    # eps 0.1 and 0.1000001 both print as 0.1 under {eps:g}, so one file was
+    # written over the other
+    code, out, err = run(capsys, *SIMULATE_MAX[:-4], "--eps", "0.1,0.1000001",
+                         *SIMULATE_MAX[-2:], "--out", str(tmp_path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    keys = sorted(json.loads(out)["series"])
+    assert keys == ["0.1", "0.1000001", "max:0.1", "max:0.1000001"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["simulate.json", *(f"simulate_{key.replace('max:', 'max_eps')}.csv"
+                            if key.startswith("max:") else f"simulate_eps{key}.csv"
+                            for key in keys)])
 
 
 def test_simulate_without_out_builds_no_csv(capsys, monkeypatch, tmp_path):
@@ -1145,6 +1163,54 @@ def test_config_hash_covers_flags_like_set_entries(capsys, tmp_path):
             cli.EXIT_CONFIG, "", f"config error: counterexample reads no mc.{flag[2:]}\n")
 
 
+# Pairs of runs and whether they read equal values.  The hash took each key's
+# text, so the first six pairs printed two hashes.
+SPATARU_RAD = ("check-conditions", "--preset", "spataru", "--set", "distribution.kind=rademacher")
+SPATARU_50 = (*SPATARU_RAD, "--horizon", "50")
+RAD_50 = ("check-conditions", "--horizon", "50", "--set", "distribution.kind=rademacher")
+ATOMS_50 = ("check-conditions", "--preset", "spataru", "--horizon", "50",
+            "--set", "distribution.kind=atomic_sym")
+CUSTOM_50 = ("check-conditions", "--horizon", "50", "--set", "weights.exponent=-1",
+             "--set", "normalizer.exponent=1", "--set", "distribution.kind=rademacher")
+HASH_PAIRS = {
+    "preset blank": ((*RAD_50, "--preset", " spataru"), (*RAD_50, "--preset", "spataru"), True),
+    "horizon blank": ((*SPATARU_RAD, "--set", "scenario.horizon= 100"),
+                      (*SPATARU_RAD, "--set", "scenario.horizon=100"), True),
+    "horizon default": ((*SPATARU_RAD, "--horizon", "10000"), SPATARU_RAD, True),
+    "eps spelling": ((*SPATARU_50, "--eps", "0.50,1"), (*SPATARU_50, "--eps", "0.5,1.0"), True),
+    "atom order": ((*ATOMS_50, "--set", "distribution.atoms=1:0.5, 3:0.25"),
+                   (*ATOMS_50, "--set", "distribution.atoms=3:0.25,1:0.5"), True),
+    "preset arguments": ((*RAD_50, "--preset", "baum_katz(2,1)"),
+                         (*RAD_50, "--preset", "baum_katz(2.0, 1.0)"), True),
+    "preset": ((*RAD_50, "--preset", "spataru"), (*RAD_50, "--preset", "spataru_weak(1)"), False),
+    "horizon": ((*SPATARU_RAD, "--horizon", "100"), (*SPATARU_RAD, "--horizon", "101"), False),
+    "eps order": ((*SPATARU_50, "--eps", "0.5,1"), (*SPATARU_50, "--eps", "1,0.5"), False),
+    "atom mass": ((*ATOMS_50, "--set", "distribution.atoms=1:0.5,3:0.25"),
+                  (*ATOMS_50, "--set", "distribution.atoms=1:0.5,3:0.2"), False),
+    "preset argument": ((*RAD_50, "--preset", "baum_katz(2,1)"),
+                        (*RAD_50, "--preset", "baum_katz(2,1.5)"), False),
+    "kind": ((*SPATARU_RAD, "--horizon", "100"),
+             (*SPATARU_RAD, "--horizon", "100", "--set", "distribution.kind=normal_std"), False),
+    "coef sign": ((*CUSTOM_50, "--set", "weights.coef=-0"),
+                  (*CUSTOM_50, "--set", "weights.coef=0"), False),
+}
+
+
+@pytest.mark.parametrize("first,second,equal", HASH_PAIRS.values(), ids=HASH_PAIRS.keys())
+def test_runs_that_read_equal_values_print_equal_hashes(capsys, first, second, equal):
+    assert (config_sha256(capsys, *first) == config_sha256(capsys, *second)) == equal
+
+
+def test_a_negative_zero_is_kept_apart_from_zero(capsys):
+    # -0.0 == 0.0, so a sequence cache keyed by the parsed values alone
+    # would hand the second run the first run's weights
+    for coef, term in (("-0", "-0.0"), ("0", "0.0"), ("-0", "-0.0")):
+        code, out, err = run(capsys, *CUSTOM_50, "--set", f"weights.coef={coef}")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert {line.strip() for line in out.splitlines() if '"term"' in line} == {
+            f'"term": {term}'}
+
+
 def test_config_hash_covers_n_threshold_and_maximal(capsys, tmp_path):
     # the three were argparse options the hash never saw: estimate at n 16
     # and 32, and simulate with and without --maximal, printed one hash
@@ -1171,8 +1237,10 @@ def test_config_hash_covers_n_threshold_and_maximal(capsys, tmp_path):
 # command that reads it, the value, the row's words).  A flag and --set of the
 # key are refused alike.
 ROW_REFUSALS = [
-    ("scenario", "eps", "check-conditions", "0.5,x", "a list of finite numbers > 0"),
-    ("scenario", "eps", "simulate", ",", "a list of finite numbers > 0"),
+    ("scenario", "eps", "check-conditions", "0.5,x", "a list of distinct finite numbers > 0"),
+    ("scenario", "eps", "simulate", ",", "a list of distinct finite numbers > 0"),
+    ("scenario", "eps", "simulate", "0.5,0.5", "a list of distinct finite numbers > 0"),
+    ("scenario", "eps", "check-conditions", "0.5,1,0.50", "a list of distinct finite numbers > 0"),
     ("scenario", "theta", "check-conditions", "2x", "a finite number >= 1"),
     ("scenario", "theta", "check-conditions", "0.5", "a finite number >= 1"),
     ("scenario", "horizon", "simulate", "1e3", "an integer >= 4"),
@@ -1218,24 +1286,30 @@ def test_a_value_its_row_refuses_is_one_config_error_by_flag_and_by_set(
         assert run(capsys, command, *given, f"--{flag}", value) == want
 
 
+# A missing required key is one "needs" line, in place of five messages of
+# their own ("distribution section needs a kind", "custom scenarios need
+# [weights] and [normalizer] sections", ...).
+KINDS = "one of rademacher, uniform_sym, normal_std, pareto_sym, atomic_sym"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("estimate",), "estimate needs scenario.n, an integer >= 1"),
     (("estimate", "--n", "4"), "estimate needs scenario.threshold, a finite number"),
     (("estimate", "--n", "4", "--threshold", "1", "--set", "distribution.alpha=2"),
-     "distribution section needs a kind"),
+     f"estimate needs distribution.kind, {KINDS}"),
     (("estimate", "--n", "4", "--threshold", "1", "--set", "distribution.kind=atomic_sym"),
-     "atomic_sym needs an atoms table"),
+     "estimate needs distribution.atoms, a list of x:mass entries"),
     (("check-conditions", "--set", "weights.exponent=x", "--set", "normalizer.exponent=1",
       "--set", "distribution.kind=rademacher"), "weights.exponent must be a number, not 'x'"),
     (("simulate", "--set", "weights.exponent=-1", "--set", "normalizer.coef=2",
-      "--set", "distribution.kind=rademacher"), "normalizer section needs a numeric exponent"),
+      "--set", "distribution.kind=rademacher"), "simulate needs normalizer.exponent, a number"),
     (("check-conditions", "--config", "missing.ini"), "cannot read config file missing.ini"),
     (("check-conditions", "--set", "distribution.kind=rademacher"),
-     "custom scenarios need [weights] and [normalizer] sections"),
-    (("simulate", "--set", "weights.exponent=-1"),
-     "custom scenarios need [weights] and [normalizer] sections"),
-    (("check-conditions", "--preset", "spataru"), "check-conditions needs a [distribution] section"),
-    (("estimate", "--n", "4", "--threshold", "1"), "estimate needs a [distribution] section"),
+     "check-conditions needs weights.exponent, a number"),
+    (("simulate", "--set", "weights.exponent=-1"), "simulate needs normalizer.exponent, a number"),
+    (("check-conditions", "--preset", "spataru"),
+     f"check-conditions needs distribution.kind, {KINDS}"),
+    (("estimate", "--n", "4", "--threshold", "1"), f"estimate needs distribution.kind, {KINDS}"),
     (("check-conditions", "--horizon", "100", "--set", "weights.exponent=-1",
       "--set", "weights.coef=x", "--set", "normalizer.exponent=0.5",
       "--set", "distribution.kind=rademacher"), "weights.coef must be a number, not 'x'"),
@@ -1337,8 +1411,7 @@ def test_every_key_a_command_takes_changes_its_report_or_is_refused(capsys, tmp_
         elif code in (cli.EXIT_CONFIG, cli.EXIT_FAMILY):
             # the line names the key or its value, or a given key the value made unread
             ok = got == "" and len(err.splitlines()) == 1 and (repr(value) in err or any(
-                f"{s}.{k}" in err or f"[{s}] section" in err or f"key {k!r}" in err
-                for s, k in given))
+                f"{s}.{k}" in err or f"[{s}] section" in err for s, k in given))
         elif not read:
             ok = False
         elif (section, key) == ("scenario", "preset") and "--schedule" in head:
@@ -1378,10 +1451,12 @@ def test_readme_read_table_is_the_read_sets_and_the_scalar_defaults():
         for command, mark in zip(commands, marks, strict=True):
             if mark == "x":
                 reads[command].add((section, name))
-        if (section, name) in cli._SCALARS:
-            want = cli._SCALARS[section, name][1]
-            assert default == ("required" if want is None else f"`{want}`"), key
-    assert len(rows) == len(set().union(*cli._READS.values()))
+        # every row's default, and for a law key the kinds that read it
+        want = cli._ROWS[section, name][1]
+        kinds = [kind for kind, (_, keys) in cli._LAWS.items() if name in keys]
+        assert default == " ".join([{None: "required", "": "none"}.get(want, f"`{want}`"),
+                                    *(f"(`{kind}`)" for kind in kinds)]), key
+    assert len(rows) == len(set().union(*cli._READS.values())) == len(cli._ROWS)
     assert reads == {command: set(keys) for command, keys in cli._READS.items()}
 
 
@@ -1459,7 +1534,7 @@ def test_provenance_prints_the_seed_and_the_preset_only_where_read(capsys, tmp_p
     ("estimate", "threshold", "-1e3", None),
     ("estimate", "threshold", "-inf", "scenario.threshold must be a finite number, not '-inf'"),
     ("check-conditions", "eps", "-1e-3",
-     "scenario.eps must be a list of finite numbers > 0, not '-1e-3'"),
+     "scenario.eps must be a list of distinct finite numbers > 0, not '-1e-3'"),
 ])
 def test_a_flag_value_that_begins_with_a_minus_is_the_flags_value(capsys, command, key, value,
                                                                  refusal):
@@ -1538,11 +1613,12 @@ def test_malformed_key_value_entries_name_the_entry(capsys, entry, code, message
     (("estimate", "--n", "8", "--threshold", "2"), "pareto_sym", "half_width"),
 ], ids=["uniform alpha", "normal half_width", "rademacher atoms", "pareto half_width"])
 def test_a_distribution_key_the_kind_does_not_read_is_refused(capsys, argv, kind, key):
-    # the key used to be ignored, though the config hash took it in
+    # the kind narrows the read-set as a named preset does, and the one
+    # unread-key rule names it
     code, out, err = run(capsys, *argv, "--set", f"distribution.kind={kind}",
                          "--set", f"distribution.{key}=3")
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err == f"config error: distribution kind {kind!r} reads no key {key!r}\n"
+    assert err == f"config error: {argv[0]} reads no distribution.{key} under kind {kind!r}\n"
 
 
 HUGE_THETAS = [
@@ -1912,8 +1988,9 @@ def sweep_scenario(rng) -> list:
     def signed() -> str:
         return ("-" if rng.random() < 0.5 else "") + mag()
 
+    # two draws, one eps where they agree: a repeated eps is refused
     argv = ["check-conditions", "--horizon", str(rng.choice([4, 50, 300])),
-            "--eps", f"{mag()},{mag()}"]
+            "--eps", ",".join(dict.fromkeys([mag(), mag()]))]
     if rng.random() < 0.5:
         preset = rng.choice(["baum_katz", "spataru", "spataru_weak"])
         args = {"baum_katz": f"({mag(least=1.0)},{mag(below=2.0)})", "spataru": "",
