@@ -29,9 +29,10 @@ data inside the reports; exit codes only signal operational failures:
        atoms off any short decimal lattice, or a lattice too wide), since
        the running-maximum series is exact or absent
     4  sampling unavailable for the configured distribution; also a Monte
-       Carlo sum whose + and - parts both overflow (pareto_sym with a small
-       alpha), since |S_n| then has no float value; and uniform_sym
-       at n >= 2^36, past its bit planes, before any draw
+       Carlo sum whose + and - parts both overflow, or a walk whose running
+       sum meets +inf and -inf (pareto_sym with a small alpha), since |S_n|
+       then has no float value; and uniform_sym at n >= 2^36, past its bit
+       planes, before any draw
     5  internal error: a check inside the program failed (for example a
        registered envelope violated); one line on stderr, no traceback
 
@@ -206,7 +207,6 @@ _PRESETS = {
 
 
 def _parse_preset(text: str) -> tuple[str, tuple]:
-    text = text.strip()
     m = _PRESET_RE.match(text)
     name, raw = m.groups() if m else (None, None)
     count, rule, words = _PRESETS.get(name, (None, None, f"one of {', '.join(_PRESETS)}"))
@@ -314,7 +314,7 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     for section, key, value in sets:
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key, value)
+        parser.set(section, key, value.strip())  # as a config file's values are
 
     values = {}
 
@@ -336,7 +336,7 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     reads, preset_text = _READS[command], None
     preset, args = "custom", ()
     if ("scenario", "preset") in reads:
-        preset_text = parser.get("scenario", "preset", fallback="custom").strip()
+        preset_text = parser.get("scenario", "preset", fallback="custom")
         preset, args = read("scenario", "preset")
     if command == "simulate" and preset == "ms_counterexample":
         raise ConfigError(f"simulate cannot sample the law of preset {preset_text!r}")
@@ -700,8 +700,9 @@ def main(argv=None) -> int:
             payload, csvs = run_simulate(cfg)
             _emit(payload, cfg.out_dir, "simulate.json", extra_files=csvs)
             return EXIT_OK
-        (est,) = mcengine.estimate_tail(cfg.dist, cfg.n, [cfg.threshold],  # estimate
-                                        cfg.replicates, cfg.seed, workers=cfg.workers)
+        ((est,),) = mcengine.estimate_tail(cfg.dist, [(cfg.n, [cfg.threshold])],  # estimate
+                                           cfg.replicates, cfg.seed, (0, cfg.n),
+                                           workers=cfg.workers)
         _emit({"estimate": est.to_json_dict(), "provenance": cfg.provenance()},
               cfg.out_dir, "estimate.json")
         return EXIT_OK

@@ -1,30 +1,35 @@
 """Monte Carlo estimation of P(|S_n| >= t) plus exact small-instance oracles.
 
 Sampling follows a strict determinism contract: replicates are split into
-fixed-size batches, batch b draws from its own stream
-``seeding.stream(seed, 0, *words(n), b)``, and batch results are merged in
-index order.  The same (config, seed) therefore produces bit-identical output
-for any worker count on one host.  ``pareto_sym`` draws also depend on the
-host's SIMD level (``distmodel.sample``), so its bytes can differ between
-hosts.  A replicate draws S_n itself where its law allows:
+fixed-size batches, batch b draws from its own stream, (seed, 0, *words(n), b)
+for ``estimate`` and (seed, 1, b) for ``simulate``, and batch results are
+merged in index order.  The same (config, seed) therefore produces
+bit-identical output for any worker count on one host.  ``pareto_sym`` draws
+also depend on the host's SIMD level (``distmodel.sample``), so its bytes can
+differ between hosts.  A replicate is one walk read at every n of an
+ascending grid: it draws the increments S_{n_i} - S_{n_(i-1)} in grid order
+and adds them up, so estimates at different n are correlated, each with the
+exact law of its S_n.  An increment of m steps is drawn whole where its law
+allows:
 
-- an atom table on a decimal lattice within 2^53 as multinomial atom counts
-  summed on the oracles' lattice, so a hit is |k|/den >= t exactly as in
-  exact_tail; any other atom table as the same counts times the float atoms.
-  Where every mass is a multiple of 1/8 and n is small, the counts are
+- an atom table on a decimal lattice within 2^53 at the grid's last n as
+  multinomial atom counts summed on the oracles' lattice, added up in int64
+  and divided by den once a grid point, so a hit is |k|/den >= t exactly as
+  in exact_tail; any other atom table as the same counts times the float atoms.
+  Where every mass is a multiple of 1/8 and m is small, the counts are
   popcounts of ANDs of fair random bit planes (Knuth and Yao 1976), exact
   in law; elsewhere numpy's multinomial draws them;
-- the normal law as sqrt(n) Z;
-- ``uniform_sym`` at 176 <= n < 2^36 as 53 binomial bit planes, since
-  Generator.random() is m 2^-53 with 53 fair bits in m.  Up to
-  _TABLE_MAX_N steps each plane count C_k ~ Bin(n, 1/2) is one SFC64 word
+- the normal law as sqrt(m) Z;
+- ``uniform_sym`` at 176 <= m < 2^36 as 53 binomial bit planes, since
+  Generator.random() is x 2^-53 with 53 fair bits in x.  Up to
+  _TABLE_MAX_N steps each plane count C_k ~ Bin(m, 1/2) is one SFC64 word
   read through the exact CDF (a guide table, Chen and Asau 1974), so its law
-  is exactly Bin(n, 1/2); past it numpy's binomial (BTPE) draws the counts.
-  From n = 2^36 on ``uniform_sym`` raises SamplingUnavailable.
+  is exactly Bin(m, 1/2); past it numpy's binomial (BTPE) draws the counts.
+  From m = 2^36 on ``uniform_sym`` raises SamplingUnavailable.
 
-``pareto_sym``, and ``uniform_sym`` below n = 176, draw a count K ~ Bin(n, 1/2)
-of + signs a row, as a Rademacher walk's counts, then n magnitudes |X| / scale
-of one SFC64 word each: S_n = scale (sum of the first K - sum of the rest).
+``pareto_sym``, and ``uniform_sym`` below m = 176, draw a count K ~ Bin(m, 1/2)
+of + signs a row, as a Rademacher walk's counts, then m magnitudes |X| / scale
+of one SFC64 word each: scale (sum of the first K - sum of the rest).
 These draws are stream version ``sfc64-v7`` (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
@@ -44,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -364,27 +369,20 @@ def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generato
     return lambda rows, rng: rng.multinomial(n, probs, size=rows)
 
 
-def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """The draw of one batch of S_n: a function (rows, rng) -> rows sums.
+def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """The draw of one batch of S_n as floats: a function (rows, rng) -> rows sums.
 
-    An atom table draws how often each atom occurs, ``_atom_counts``.
-    On a decimal lattice within 2^53 it sums the counts times the integer
-    steps; the int64 coordinate k comes back as the correctly rounded k/den,
-    so |S_n| >= t is exact_tail's rule at every lattice point.  Off the
-    lattice (a float 1/3, or 1e17) it sums the counts times the float atoms,
-    and the hit rule is a float comparison.  The normal law draws sqrt(n) Z,
-    and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N its bit planes, whose
-    counts up to _TABLE_MAX_N invert one table built here for every batch;
-    past _PLANE_MAX_N it raises SamplingUnavailable before any draw.
-    Other laws split n single steps into signs and magnitudes, ``_step_sums``.
+    An atom table draws how often each atom occurs, ``_atom_counts``, and
+    sums the counts times the float atoms (a float 1/3, or 1e17, or a
+    lattice past 2^53), so the hit rule is a float comparison.  The normal
+    law draws sqrt(n) Z, and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N
+    its bit planes, whose counts up to _TABLE_MAX_N invert one table built
+    here for every batch; past _PLANE_MAX_N it raises SamplingUnavailable
+    before any draw.  Other laws split n single steps into signs and
+    magnitudes, ``_step_sums``.
     """
-    lattice = d.lattice_steps
-    if lattice is not None:
-        steps, probs, den = lattice
-        counts = _atom_counts(n, probs)
-        if _exact_range(n, steps, den):
-            k = np.asarray(steps, dtype=np.int64)
-            return lambda rows, rng: (counts(rows, rng) @ k) / den
+    if d.lattice_steps is not None:
+        counts = _atom_counts(n, d.lattice_steps[1])
         values, all_probs = distmodel.atom_table(d)
         values = values[all_probs > 0.0]
 
@@ -407,35 +405,84 @@ def _batch_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     return lambda rows, rng: _step_sums(d, n, rows, rng)
 
 
+def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generator], Iterator]:
+    """The draw of one batch of walks along the ascending grid ``ns``: a
+    function (rows, rng) that yields rows values of S_n at each n in turn.
+
+    The walk draws its increments S_{n_i} - S_{n_(i-1)} (n_0 = 0) in grid
+    order, each as a sum of n_i - n_(i-1) steps, and adds them up, so each
+    S_n has its own law and the values at different n are partial sums of
+    one walk.  An atom table on a decimal lattice whose n_max steps stay
+    within 2^53 adds the int64 lattice coordinates k of its atom counts, and
+    S_n comes back as the correctly rounded k/den, so |S_n| >= t is
+    exact_tail's rule at every lattice point.  Other laws add the float sums
+    of ``_float_sums``.  An increment whose + and - parts both overflowed,
+    or a running sum that met +inf and -inf, has no float value, and
+    SamplingUnavailable says which.
+    """
+    steps = [n - m for m, n in zip([0, *ns], ns)]
+    lattice = d.lattice_steps
+    if lattice is not None and _exact_range(ns[-1], lattice[0], lattice[2]):
+        atoms, probs, den = lattice
+        k = np.asarray(atoms, dtype=np.int64)
+        draws = [lambda rows, rng, count=_atom_counts(m, probs): count(rows, rng) @ k
+                 for m in steps]
+    else:
+        draws, den = [_float_sums(d, m) for m in steps], None
+
+    def walk(rows: int, rng: np.random.Generator) -> Iterator:
+        s = None
+        for n, m, draw in zip(ns, steps, draws):
+            x = draw(rows, rng)
+            with np.errstate(invalid="ignore"):
+                s = x if s is None else s + x
+            if np.isnan(s).any():  # a NaN increment carries into s
+                to = "" if m == n else f", the increment to n = {n},"
+                raise distmodel.SamplingUnavailable(
+                    f"{d.kind}: the + and - parts of a sum of {m} steps{to} both overflowed"
+                    if np.isnan(x).any() else
+                    f"{d.kind}: the running sum met +inf and -inf across increments by n = {n}")
+            yield s if den is None else s / den
+
+    return walk
+
+
 def _batch_plan(replicates: int, batch_size: int) -> list[int]:
     full, rest = divmod(replicates, batch_size)
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
-                  seed: int, workers: int = 1, batch_size: int = DEFAULT_BATCH) -> list:
-    """Monte Carlo estimates of P(|S_n| >= t) with 99% Wilson intervals, one
-    Estimate for each t in ``thresholds``, all counted on the same draws.
+def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tuple,
+                  workers: int = 1, batch_size: int = DEFAULT_BATCH) -> list:
+    """Monte Carlo estimates of P(|S_n| >= t) with 99% Wilson intervals along
+    one walk a replicate.  ``grid`` lists (n, thresholds) at ascending n; the
+    result lists, for each n, one Estimate for each of its thresholds, all
+    counted on the same draws of S_n.  Estimates at different n read one walk,
+    so they are correlated; each keeps the exact marginal law of S_n.
 
+    Batch b draws from ``seeding.stream(seed, *path, b)``, each path entry as
+    its 32-bit words, and every Estimate names the stream ``(seed, *path)``.
     At most ``workers`` threads draw the batches, and no more than there are
     batches or CPUs; the counts are merged in batch order either way.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"need at least {MIN_REPLICATES} replicates")
-    if n < 1:
+    ns = [int(n) for n, _ in grid]
+    if not ns or ns[0] < 1:
         raise ValueError("n must be >= 1")
-    thresholds = [float(t) for t in thresholds]
-    if any(math.isnan(t) for t in thresholds):
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"the grid's n must ascend: {ns}")
+    thresholds = [[float(t) for t in ts] for _, ts in grid]
+    if any(math.isnan(t) for ts in thresholds for t in ts):
         raise ValueError("threshold must not be NaN")
     plan = _batch_plan(replicates, batch_size)
-    draw = _batch_sums(d, n)
+    walk = _walk(d, ns)
+    address = [word for x in path for word in seeding.words(x)]
 
-    def run_batch(b: int) -> list[int]:
-        sums = np.abs(draw(plan[b], seeding.stream(seed, 0, *seeding.words(n), b)))
-        if np.isnan(sums).any():
-            raise distmodel.SamplingUnavailable(
-                f"{d.kind}: the + and - parts of a sum of {n} steps both overflowed")
-        return [int(np.count_nonzero(sums >= t)) for t in thresholds]
+    def run_batch(b: int) -> list[list[int]]:
+        sums = walk(plan[b], seeding.stream(seed, *address, b))
+        return [[int(np.count_nonzero(s >= t)) for t in ts]
+                for s, ts in zip(map(np.abs, sums), thresholds)]
 
     threads = min(workers, len(plan), os.cpu_count() or 1) if workers > 1 else 1
     if threads > 1:
@@ -443,11 +490,15 @@ def estimate_tail(d: distmodel.Dist, n: int, thresholds, replicates: int,
             counts = list(pool.map(run_batch, range(len(plan))))
     else:
         counts = [run_batch(b) for b in range(len(plan))]
+    label = seeding.stream_id(seed, *path)
     out = []
-    for t, hits in zip(thresholds, map(sum, zip(*counts))):  # integer merge in batch order
-        lo, hi = wilson_interval(hits, replicates)
-        out.append(Estimate(p_hat=hits / replicates, replicates=replicates, lo=lo, hi=hi,
-                            seed_stream=seeding.stream_id(seed, 0, n), n=n, threshold=t))
+    for n, ts, per_point in zip(ns, thresholds, zip(*counts)):
+        row = []
+        for t, hits in zip(ts, map(sum, zip(*per_point))):  # integer merge in batch order
+            lo, hi = wilson_interval(hits, replicates)
+            row.append(Estimate(p_hat=hits / replicates, replicates=replicates, lo=lo, hi=hi,
+                                seed_stream=label, n=n, threshold=t))
+        out.append(row)
     return out
 
 
@@ -612,18 +663,21 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
     Monte Carlo cannot certify an infinite series, so the verdict is always
     Undetermined; certificates come from the analytic layer.  Each row's
     ``exact`` is the walk oracle's tail where one exists, else None.  Each
-    batch (seed, 0, n, b) is drawn once and counted against every eps, the
-    walk oracle is built once per n, and where n doubles along the grid it is
-    the previous oracle squared.
+    replicate is one walk read at every grid n, drawn from the batches
+    (seed, 1, b) and counted against every eps, so the terms are correlated
+    across n; each keeps its own law, and the partial-sum bounds add
+    per-term bounds.  The walk oracle is built once per n, and where n
+    doubles along the grid it is the previous oracle squared.
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     ns = [int(n) for n in n_grid]
+    taus = w.values(ns).tolist()
+    grid = [(n, [e * an for e in eps_list]) for n, an in zip(ns, a.values(ns).tolist())]
+    estimates = estimate_tail(d, grid, replicates, seed, (1,), workers=workers)
     cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
     oracle = None
-    for n, tau, an in zip(ns, w.values(ns).tolist(), a.values(ns).tolist()):
-        thresholds = [e * an for e in eps_list]
-        ests = estimate_tail(d, n, thresholds, replicates, seed, workers=workers)
+    for (n, thresholds), tau, ests in zip(grid, taus, estimates):
         try:
             half = oracle if oracle is not None and 2 * oracle.n == n else None
             oracle = exact_walk_oracle(d, n, half=half)
@@ -644,7 +698,7 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
         reports.append(SeriesReport(
             series_id="weighted-sum-tail",
             params={"eps": e, "replicates": replicates,
-                    "seed_stream": seeding.stream_id(seed, 0),
+                    "seed_stream": seeding.stream_id(seed, 1),
                     "weights": w.name, "normalizer": a.name},
             rows=tuple(rows), verdict=UNDETERMINED,
             evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "

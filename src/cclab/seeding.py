@@ -5,8 +5,10 @@ from an SFC64 generator seeded by ``SeedSequence(seed, spawn_key=path)``.  The
 seed is hashed whole, so seeds equal modulo 2^64 get distinct streams.  Path
 entries are read as 32-bit words: one outside [0, 2^32) raises ValueError and
 a wider number enters as its ``words``, so distinct paths never share a
-stream.  Results never depend on worker count, scheduling, or call order:
-batch b of an ``mcengine`` walk of n steps draws from (seed, 0, *words(n), b).
+stream.  Results never depend on worker count, scheduling, or call order.
+``mcengine``'s batch b draws from one stream, whose words every grid point of
+its walks reads in turn: (seed, 0, *words(n), b) for ``estimate`` at n, and
+(seed, 1, b) for ``simulate``, whose one walk a replicate runs to the last n.
 """
 
 from __future__ import annotations

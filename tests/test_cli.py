@@ -188,6 +188,49 @@ def test_monte_carlo_goldens_cover_the_exact_tails():
             assert row["ci_lo"] <= exact <= row["ci_hi"], (key, row["n"])
 
 
+def monte_carlo_columns(out: str, n_max: int) -> dict:
+    """Each empirical series' rows up to n_max, without the exact column."""
+    return {key: [{k: row[k] for k in ("n", "term", "partial_sum", "ci_lo", "ci_hi")}
+                  for row in series["rows"] if row["n"] <= n_max]
+            for key, series in json.loads(out)["series"].items() if not key.startswith("max:")}
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "pareto_sym"])
+def test_a_longer_horizon_extends_the_walks_of_a_shorter_one(capsys, kind):
+    # each replicate is one walk read at every grid n, so the points past 16
+    # draw after the first four increments and leave them as they were
+    argv = ("simulate", "--preset", "spataru", "--replicates", "2000", "--seed", "5",
+            "--set", f"distribution.kind={kind}")
+    (code16, out16, _), (code64, out64, _) = (run(capsys, *argv, "--horizon", h)
+                                              for h in ("16", "64"))
+    assert code16 == code64 == cli.EXIT_OK
+    assert [len(rows) for rows in monte_carlo_columns(out64, 64).values()] == [6, 6]
+    assert monte_carlo_columns(out16, 16) == monte_carlo_columns(out64, 16)
+
+
+def test_a_run_opens_one_stream_per_batch(capsys, monkeypatch):
+    # simulate drew a walk of its own for each grid n: a stream per n and batch
+    opened, stream = [], seeding.stream
+    monkeypatch.setattr(seeding, "stream",
+                        lambda *address: opened.append(address) or stream(*address))
+    for label, want in (("simulate_bk_rad", [(7, 1, 0), (7, 1, 1)]),
+                        ("estimate_rad", [(7, 0, 16, 0), (7, 0, 16, 1)])):
+        opened.clear()  # 70000 replicates are two batches of DEFAULT_BATCH
+        code, _, err = run(capsys, *MC_CASES[label], "--replicates", "70000", "--seed", "7")
+        assert (code, err, opened) == (cli.EXIT_OK, "", want)
+
+
+def test_pareto_sym_draws_replicates_times_n_max_magnitudes(capsys, monkeypatch):
+    # a walk of its own for each n = 2, 4, ..., 64 drew 126 magnitudes a replicate
+    drawn, sample = [], distmodel.sample
+    monkeypatch.setattr(distmodel, "sample",
+                        lambda d, rng, count: drawn.append(count) or sample(d, rng, count))
+    code, _, err = run(capsys, "simulate", "--preset", "spataru", "--horizon", "64",
+                       "--replicates", "1000", "--set", "distribution.kind=pareto_sym")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert sum(drawn) == 1000 * 64
+
+
 def test_golden_stream_labels_carry_the_current_version():
     version = seeding.stream_id(0).split(":")[0] + ":"
     labels = [label for path in sorted(GOLDEN.glob("*.json"))
@@ -1396,15 +1439,25 @@ def test_every_key_a_command_takes_changes_its_report_or_is_refused(capsys, tmp_
               ("output", "dir"): str(tmp_path / "out")}
     assert set(values) == set().union(*cli._READS.values())
 
-    def outcome_with(entries):
+    def outcome_with(entries, *extra):
         return run(capsys, *head, *(x for (section, key), value in entries.items()
-                                    for x in ("--set", f"{section}.{key}={value}")))
+                                    for x in ("--set", f"{section}.{key}={value}")), *extra)
 
     code, out, err = outcome_with(keys)
     assert (code, err) == (cli.EXIT_OK, "")
+    flags = {target: flag for flag, target in cli._FLAG_KEYS.items() if flag != "maximal"}
     failures = []
     for (section, key), value in values.items():
         code, got, err = outcome_with({**keys, (section, key): value})
+        # the value with blanks around it, by its flag where it has one, reads
+        # the same value: the same bytes and hash, or the same refusal
+        padded = f" {value} "
+        if (section, key) in flags:
+            again = outcome_with(keys, f"--{flags[section, key]}", padded)
+        else:
+            again = outcome_with({**keys, (section, key): padded})
+        if again != (code, got, err):
+            failures.append(f"{section}.{key}={padded!r}: exit {again[0]} {again[2].strip()}")
         given, read = {*keys, (section, key)}, (section, key) in cli._READS[head[0]]
         if read and (section, key) in cli._EXECUTION_KEYS:
             ok = (code, got, err) == (cli.EXIT_OK, out, "")
@@ -1671,6 +1724,19 @@ def test_estimate_with_overflowing_steps_exits_4_with_one_line():
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("sampling unavailable: pareto_sym:")
+
+
+@pytest.mark.parametrize("seed,message", [
+    ("4", "the running sum met +inf and -inf across increments by n = 4"),
+    ("2", "the + and - parts of a sum of 4 steps, the increment to n = 8, both overflowed")])
+def test_a_walk_with_no_float_value_exits_4_and_says_why(capsys, seed, message):
+    # at seed 4 no increment overflowed both its parts, but a row's walk was
+    # +-inf at n = 2 and its next increment the other infinity
+    code, out, err = run(capsys, "simulate", "--preset", "spataru", "--horizon", "16",
+                         "--replicates", "1000", "--seed", seed, "--set",
+                         "distribution.kind=pareto_sym", "--set", "distribution.alpha=0.006")
+    assert (code, out, err) == (cli.EXIT_SAMPLING, "",
+                                f"sampling unavailable: pareto_sym: {message}\n")
 
 
 @pytest.mark.parametrize("weights,message", [

@@ -21,6 +21,19 @@ from test_distmodel import KS_CRIT_1E3, ks_statistic
 
 N_MAX = 8
 
+
+def estimate_at(d, n, thresholds, replicates, seed, **kwargs) -> list:
+    """estimate_tail's one-point grid on the estimate command's address (seed, 0, n)."""
+    (ests,) = mc.estimate_tail(d, [(n, thresholds)], replicates, seed, (0, n), **kwargs)
+    return ests
+
+
+def batch_sums(d, n):
+    """The draw of one batch of S_n, rows signed sums: the walk of the one-point grid [n]."""
+    walk = mc._walk(d, [n])
+    return lambda rows, rng: next(walk(rows, rng))
+
+
 # (distribution, exact one-step law as {value: probability}); values are the
 # decimals as written, probabilities the exact binary fractions the floats hold
 LAWS = {
@@ -254,7 +267,7 @@ SUM_LAWS = ["rademacher", "atoms 1,3", "atoms 0.1,0.3"]
 def test_direct_sums_follow_the_oracle_law(name, n):
     d = LAWS[name][0]
     rows = 200_000
-    sums = mc._batch_sums(d, n)(rows, seeding.stream(2026, n))
+    sums = batch_sums(d, n)(rows, seeding.stream(2026, n))
     oracle = mc.exact_walk_oracle(d, n)
     idx = np.searchsorted(oracle.values, sums)
     # every draw is a lattice point of the oracle, bit for bit
@@ -266,7 +279,7 @@ def test_direct_sums_follow_the_oracle_law(name, n):
 @pytest.mark.parametrize("n", [16, 1024])
 def test_direct_normal_sums_follow_erfc(n):
     rows = 200_000
-    sums = mc._batch_sums(dm.normal_std(), n)(rows, seeding.stream(2026, n))
+    sums = batch_sums(dm.normal_std(), n)(rows, seeding.stream(2026, n))
     edges = [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
     upper = [0.5 * math.erfc(e / math.sqrt(2.0)) for e in edges]  # P(Z >= e)
     probs = -np.diff([1.0, *upper, 0.0])
@@ -286,7 +299,7 @@ def test_off_lattice_sums_follow_the_law_of_the_float_atoms():
     n, rows = 8, 200_000
     law = walk_laws(step, n)[-1]
     support = np.array([float(s) for s in sorted(law)])
-    sums = mc._batch_sums(d, n)(rows, seeding.stream(2026, 8))
+    sums = batch_sums(d, n)(rows, seeding.stream(2026, 8))
     # every draw lies within rounding of one point of the law
     idx = np.clip(np.searchsorted(support, sums), 1, len(support) - 1)
     idx -= np.abs(sums - support[idx - 1]) < np.abs(sums - support[idx])
@@ -331,7 +344,7 @@ def test_uniform_estimate_matches_the_exact_tail(n, t):
     exact = float(uniform_sum_tail(n, Fraction(t)))
     assert 0.01 < exact < 0.05
     replicates = 20_000
-    (est,) = mc.estimate_tail(dm.uniform_sym(1.0), n, [t], replicates, seed=11)
+    (est,) = estimate_at(dm.uniform_sym(1.0), n, [t], replicates, seed=11)
     assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
 
 
@@ -363,7 +376,7 @@ def test_uniform_below_the_plane_cutoff_keeps_its_single_steps():
     for case in fixture["cases"]:
         n = case["n"]
         assert n < mc._PLANE_MIN_N
-        sums = mc._batch_sums(d, n)(case["rows"], seeding.stream(*fixture["stream"], n))
+        sums = batch_sums(d, n)(case["rows"], seeding.stream(*fixture["stream"], n))
         assert [float(x).hex() for x in sums[:3]] == case["head"]
         assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == case["sha256"]
 
@@ -373,7 +386,7 @@ def test_uniform_from_the_plane_cutoff_draws_inverted_planes():
     # single steps at both MIN_REPLICATES and DEFAULT_BATCH rows
     n = mc._PLANE_MIN_N
     assert n == 176
-    sums = mc._batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 9, n))
+    sums = batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 9, n))
     planes = mc._uniform_plane_sums(n, 1.5, 3000, seeding.stream(2026, 9, n), mc._HalfBinomial(n))
     assert np.array_equal(sums, planes)
     assert [float(x).hex() for x in sums[:2]] == ["0x1.764b880fa1244p+2", "0x1.66ffcb05750acp+1"]
@@ -489,7 +502,7 @@ def test_past_the_table_the_planes_keep_numpys_binomials():
     # the sums the plane path drew at this n before the table existed
     n = mc._TABLE_MAX_N + 1
     assert n == 2305
-    sums = mc._batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 10))
+    sums = batch_sums(dm.uniform_sym(1.5), n)(3000, seeding.stream(2026, 10))
     assert [float(x).hex() for x in sums[:2]] == ["-0x1.4935f2a13facep+5", "0x1.b8100a1976789p+5"]
     assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == \
         "8df9a8af0ba8a0a85deb55f79ec1655d9ba5bf362260a1cc8472342e11bc5e2c"
@@ -529,7 +542,7 @@ def test_sums_do_not_depend_on_the_block_size(monkeypatch, d, n, rows, stand_in)
     for block in (1 << 10, 1 << 15):
         monkeypatch.setattr(mc, "_BLOCK_ELEMENTS", block)
         rng = seeding.stream(2026, 4)
-        sums.append(mc._batch_sums(d, n)(rows, stand_in(rng, n) if stand_in else rng).tobytes())
+        sums.append(batch_sums(d, n)(rows, stand_in(rng, n) if stand_in else rng).tobytes())
     assert sums[0] == sums[1]
 
 
@@ -548,7 +561,7 @@ def test_step_sums_are_the_signed_sums_of_their_draws(monkeypatch, n, planted, p
         stream = seeding.stream(2026, 13, n)
         return PlantedSigns(stream, n) if planted else stream
 
-    sums = mc._batch_sums(d, n)(rows, rng())
+    sums = batch_sums(d, n)(rows, rng())
     again = rng()
     k = mc._atom_counts(n, np.array([0.5, 0.5]))(rows, again)[:, 1]
     mags = dm.sample(d, again, rows * n).reshape(rows, n)
@@ -562,7 +575,7 @@ def test_step_sums_are_the_signed_sums_of_their_draws(monkeypatch, n, planted, p
 def test_one_step_sums_follow_the_step_laws():
     # at n = 1 the sum is the step itself, scale times +-|X|
     s, alpha = 2.0, 1.5
-    x = mc._batch_sums(dm.pareto_sym(alpha, s), 1)(10 ** 6, seeding.stream(2026, 14))
+    x = batch_sums(dm.pareto_sym(alpha, s), 1)(10 ** 6, seeding.stream(2026, 14))
 
     def pareto_cdf(t):
         tail = 0.5 * (s / np.maximum(np.abs(t), s)) ** alpha
@@ -570,7 +583,7 @@ def test_one_step_sums_follow_the_step_laws():
 
     assert ks_statistic(x, pareto_cdf) < KS_CRIT_1E3
     h = 1.5
-    x = mc._batch_sums(dm.uniform_sym(h), 1)(10 ** 6, seeding.stream(2026, 15))
+    x = batch_sums(dm.uniform_sym(h), 1)(10 ** 6, seeding.stream(2026, 15))
     assert ks_statistic(x, lambda t: np.clip((t + h) / (2.0 * h), 0.0, 1.0)) < KS_CRIT_1E3
 
 
@@ -597,7 +610,7 @@ def pareto_pair_tail(alpha: float, t: float) -> float:
 def test_pareto_pair_estimate_matches_the_quadrature(t):
     exact = pareto_pair_tail(1.5, t)
     replicates = 200_000
-    (est,) = mc.estimate_tail(dm.pareto_sym(1.5), 2, [t], replicates, seed=17)
+    (est,) = estimate_at(dm.pareto_sym(1.5), 2, [t], replicates, seed=17)
     assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / replicates)
 
 
@@ -627,7 +640,7 @@ def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
         exact = mc.exact_tail(mc.exact_walk_oracle(d, n), t)
     misses = 0
     for seed in range(trials):
-        (est,) = mc.estimate_tail(d, n, [t], 1000, seed)
+        (est,) = estimate_at(d, n, [t], 1000, seed)
         misses += not est.lo <= exact <= est.hi
     assert misses <= binomial_miss_limit(trials)
 
@@ -635,7 +648,7 @@ def test_wilson_interval_covers_exact_tail_over_seeds(name, n, t):
 def test_lattice_hit_rule_matches_exact_tail():
     # 42 float additions of 0.1 give 4.199999999999999 < 4.2; the lattice sum is 42/10
     d = dm.atomic([(0.1, 1.0)])
-    (est,) = mc.estimate_tail(d, 42, [4.2], 1000, seed=5)
+    (est,) = estimate_at(d, 42, [4.2], 1000, seed=5)
     assert est.p_hat == 1.0 == mc.exact_tail(mc.exact_walk_oracle(d, 42), 4.2)
     assert est.hi == 1.0
 
@@ -655,12 +668,12 @@ def test_direct_sums_skip_single_steps_and_the_oracle_cap(monkeypatch):
     with pytest.raises(mc.OracleUnavailable):
         mc.exact_walk_oracle(wide, 1000)
     for d in (wide, dm.rademacher(), dm.normal_std()):
-        assert 0.0 < mc.estimate_tail(d, 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
+        assert 0.0 < estimate_at(d, 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
     # uniform_sym from n = 176 on draws its bit planes, and atoms with no
     # decimal lattice within 2^53 their counts
-    assert 0.0 < mc.estimate_tail(dm.uniform_sym(1.0), 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
-    assert 0.0 < mc.estimate_tail(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, [1.0], 1000,
-                                  seed=1)[0].p_hat < 1.0
+    assert 0.0 < estimate_at(dm.uniform_sym(1.0), 1000, [10.0], 1000, seed=1)[0].p_hat < 1.0
+    assert 0.0 < estimate_at(dm.atomic_sym([(1.0 / 3.0, 0.5)]), 8, [1.0], 1000,
+                             seed=1)[0].p_hat < 1.0
 
 
 @pytest.mark.parametrize("d,n,planted", [(dm.normal_std(), 16, False),
@@ -678,8 +691,8 @@ def test_two_batches_are_identical_for_any_worker_count(monkeypatch, d, n, plant
         stream = seeding.stream
         monkeypatch.setattr(seeding, "stream", lambda *address: PlantedTies(stream(*address), n))
     # 70000 replicates are two batches of DEFAULT_BATCH
-    (one,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=1)
-    (two,) = mc.estimate_tail(d, n, [1.0], 70_000, seed=7, workers=2)
+    (one,) = estimate_at(d, n, [1.0], 70_000, seed=7, workers=1)
+    (two,) = estimate_at(d, n, [1.0], 70_000, seed=7, workers=2)
     assert one.to_json_dict() == two.to_json_dict()
     assert one.seed_stream == seeding.stream_id(7, 0, n)
 
@@ -689,15 +702,95 @@ def test_sums_overflowing_to_both_signs_are_unavailable():
     # 1000 sums hold both signs, and counting them as misses gave p_hat 0.881
     # where a single step alone exceeds 400 with probability 0.94.
     with pytest.raises(dm.SamplingUnavailable, match="both"):
-        mc.estimate_tail(dm.pareto_sym(0.01), 1024, [400.0], 1000, 1)
+        estimate_at(dm.pareto_sym(0.01), 1024, [400.0], 1000, 1)
 
 
 def test_fair_pairs_draw_the_same_sums_whatever_the_kind():
     # multinomial counts depend on the masses alone: two atoms -v, +v of mass
     # 1/2 each give the same counts in any table, and the sums scale with v
-    rad = mc._batch_sums(dm.rademacher(), 64)(1000, seeding.stream(3, 1))
+    rad = batch_sums(dm.rademacher(), 64)(1000, seeding.stream(3, 1))
     for d in (dm.atomic_sym([(2.5, 1.0)]), dm.atomic([(2.5, 0.5), (-2.5, 0.5)])):
-        assert np.array_equal(mc._batch_sums(d, 64)(1000, seeding.stream(3, 1)), 2.5 * rad)
+        assert np.array_equal(batch_sums(d, 64)(1000, seeding.stream(3, 1)), 2.5 * rad)
+
+
+# ---------------------------------------------------------------------------
+# The grid walk: one walk a replicate, read at every grid n
+# ---------------------------------------------------------------------------
+
+# Grids whose increments cross the samplers' edges: rademacher's fair bits
+# end at 512 steps and the 0.1,0.3 atoms' at 640, so the last increment of
+# each draws numpy's multinomial.
+WALK_GRIDS = {"rademacher": [2, 4, 16, 64, 576, 1600],
+              "atoms 0.1,0.3": [1, 2, 8, 16, 100, 612, 1312]}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_GRIDS))
+def test_the_walk_follows_the_oracle_law_at_every_grid_n(name):
+    d, grid, rows = LAWS[name][0], WALK_GRIDS[name], 100_000
+    oracles = [mc.exact_walk_oracle(d, n) for n in grid]
+    # thresholds on lattice points: the least support point of |S_n| at or
+    # past one standard deviation, and one point further
+    var = float(sum(v * v * p for v, p in LAWS[name][1].items()))  # of one step
+    thresholds = []
+    for n, oracle in zip(grid, oracles):
+        points = np.unique(np.abs(oracle.values))
+        i = int(np.searchsorted(points, math.sqrt(n * var)))
+        thresholds.append(points[i:i + 2].tolist())
+    # one batch, so the walk and estimate_tail read the same stream
+    estimates = mc.estimate_tail(d, list(zip(grid, thresholds)), rows, 2026, (16,),
+                                 batch_size=rows)
+    walk = mc._walk(d, grid)(rows, seeding.stream(2026, 16, 0))
+    for n, oracle, sums, ts, ests in zip(grid, oracles, walk, thresholds, estimates):
+        idx = np.searchsorted(oracle.values, sums)
+        # every draw is a lattice point of the oracle, bit for bit
+        assert np.array_equal(oracle.values[np.minimum(idx, len(oracle.values) - 1)], sums), n
+        observed = np.bincount(idx, minlength=len(oracle.values))
+        assert chi_square_p(observed, rows * oracle.probs) > 1e-4, n
+        for t, est in zip(ts, ests):
+            # a hit is |k|/den >= t, counted on the walk's own S_n
+            assert est.p_hat == np.count_nonzero(np.abs(sums) >= t) / rows, (n, t)
+            exact = mc.exact_tail(oracle, t)
+            assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / rows)
+
+
+def test_the_walk_carries_the_lattice_coordinate_across_increments():
+    # 42 float additions of 0.1 give 4.199999999999999 < 4.2; the walk adds
+    # the increments' integer coordinates and divides by den once a point
+    d = dm.atomic([(0.1, 1.0)])
+    grid = [(2, [0.2]), (7, [0.7]), (40, [4.0]), (42, [4.2])]
+    for ests in mc.estimate_tail(d, grid, 1000, 5, (1,)):
+        assert [est.p_hat for est in ests] == [1.0]
+
+
+def test_the_uniform_walk_follows_irwin_hall_across_the_plane_crossover():
+    # increments of 16 and 84 steps draw single steps, of 176 bit planes
+    h, rows, grid = 1.5, 50_000, [16, 100, 276, 452]
+    assert grid[2] - grid[1] == grid[3] - grid[2] == mc._PLANE_MIN_N > grid[1] - grid[0]
+    walk = mc._walk(dm.uniform_sym(h), grid)(rows, seeding.stream(2026, 17))
+    for n, sums in zip(grid, walk):
+        # cuts of U_1 + ... + U_n about half a standard deviation, sqrt(n/12), apart
+        s = math.isqrt(n * 100 // 12)
+        cuts = [Fraction(n, 2) + Fraction(j * s, 20) for j in range(-6, 7)]
+        cdf = [Fraction(0), *(irwin_hall_cdf(n, x) for x in cuts), Fraction(1)]
+        probs = np.array([float(b - a) for a, b in zip(cdf, cdf[1:])])
+        edges = np.array([h * (2 * float(x) - n) for x in cuts])
+        observed = np.bincount(np.searchsorted(edges, sums), minlength=len(probs))
+        assert chi_square_p(observed, rows * probs) > 1e-4, n
+
+
+def test_a_running_sum_that_meets_both_infinities_is_unavailable():
+    # a step of pareto_sym(0.001) is +-inf for u below 0.49, so one step
+    # draws no NaN, and rows whose two steps are +inf and -inf meet at n = 2
+    d = dm.pareto_sym(0.001)
+    assert estimate_at(d, 1, [1.0], 1000, 3)[0].p_hat > 0.4
+    with pytest.raises(dm.SamplingUnavailable, match=r"running sum met \+inf and -inf"):
+        mc.estimate_tail(d, [(1, [1.0]), (2, [1.0])], 1000, 3, (1,))
+
+
+def test_the_grid_must_ascend():
+    for grid in ([], [(4, [1.0]), (4, [1.0])], [(4, [1.0]), (2, [1.0])], [(0, [1.0])]):
+        with pytest.raises(ValueError):
+            mc.estimate_tail(dm.rademacher(), grid, 1000, 1, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +862,7 @@ def test_fair_bits_draw_up_to_the_crossover(monkeypatch, name, last):
     sliced, real = [], mc._sliced_counts
     monkeypatch.setattr(mc, "_sliced_counts", lambda n, *rest: sliced.append(n) or real(n, *rest))
     for n in (1, last, last + 1):
-        mc._batch_sums(LAWS[name][0], n)(10, seeding.stream(1))
+        batch_sums(LAWS[name][0], n)(10, seeding.stream(1))
     assert sliced == [1, last]
 
 
@@ -784,7 +877,7 @@ def test_fair_bits_draw_up_to_the_crossover(monkeypatch, name, last):
      "3c49bcacbeff02bbba70c411584556771a1bd41917096991371ba25404634992")])
 def test_past_the_crossover_the_counts_keep_numpys_multinomial(name, n, head, digest):
     # the sums numpy's multinomial drew before fair bits existed (sfc64-v5)
-    sums = mc._batch_sums(LAWS[name][0], n)(3000, seeding.stream(2026, 12))
+    sums = batch_sums(LAWS[name][0], n)(3000, seeding.stream(2026, 12))
     assert [float(x).hex() for x in sums[:2]] == head
     assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == digest
 
@@ -810,7 +903,7 @@ def test_the_pool_has_no_more_threads_than_batches_or_cpus(monkeypatch):
     d = dm.uniform_sym(1.0)
 
     def estimate(workers, replicates=5_000):  # batches of 1000
-        (est,) = mc.estimate_tail(d, 16, [2.0], replicates, 7, workers=workers, batch_size=1000)
+        (est,) = estimate_at(d, 16, [2.0], replicates, 7, workers=workers, batch_size=1000)
         return est.to_json_dict()
 
     serial = estimate(1)
