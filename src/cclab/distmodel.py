@@ -5,10 +5,12 @@ for every law.  The weighted second moments of the continuous laws come
 from one fixed 24-point Gauss-Legendre rule on graded panels, with every
 transcendental mapped through ``seqkit.libm``, so their bits depend on
 neither numpy's SIMD dispatch nor a LAPACK build.  Every finite atom law
-(``rademacher``, ``atomic_sym``, ``atomic``) is one signed (value, mass)
-table, with the remaining mass at 0, and its tails and moments run through
-one code path.  ``tails`` and ``truncated_second_moments`` take arrays of
-cutoffs; ``tail`` and ``truncated_moment`` are their one-point forms.
+(``rademacher``, ``atomic_sym``, ``atomic``) is one kind, ``atoms``: a
+signed (value, mass) table, with the remaining mass at 0, so equal tables
+are equal laws; its tails and moments run through one code path, and
+``Dist.lattice_steps`` is its one step-law view.  ``tails`` and
+``truncated_second_moments`` take arrays of cutoffs; ``tail`` and
+``truncated_moment`` are their one-point forms.
 ``sample`` draws the magnitudes |X| / scale of the single steps ``mcengine``
 signs by one count a row, for ``pareto_sym``, and for ``uniform_sym`` below
 its bit-plane range.
@@ -49,6 +51,17 @@ def _pow(x: float, p: float) -> float:
         return math.inf
 
 
+def _pareto_pow(scale: float, p: float, b: Optional[np.ndarray] = None):
+    """scale ** p, or by libm each cutoff b ** p, in ``pareto_sym``'s closed
+    forms; past the double range, where Python raises, the OverflowError
+    names the law, the scale and the power."""
+    try:
+        return scale ** p if b is None else libm(pow, b, p)
+    except OverflowError:
+        of = "" if b is None else "a cutoff above "
+        raise OverflowError(f"pareto_sym: {of}scale {scale!r} to the power {p:g}") from None
+
+
 @dataclass(frozen=True)
 class MomentValue:
     """An extended real: either a finite value or a certified divergence."""
@@ -79,23 +92,24 @@ class Dist:
         return keys, terms, _split_sums(terms, below=False)
 
     @cached_property
-    def lattice_steps(self) -> Optional[tuple[list[int], np.ndarray, int]]:
-        """The atoms of positive mass as (steps, probs, den), P(X = steps[i]/den) =
-        probs[i], built on first use; None for kinds without atoms.  Each atom is
-        read as the shortest decimal that rounds to it and scaled by the lcm of
-        the denominators."""
-        table = atom_table(self)
-        if table is None:
+    def lattice_steps(self) -> Optional[tuple[list[int], np.ndarray, int, np.ndarray]]:
+        """The step law as (steps, probs, den, values), P(X = values[i]) =
+        probs[i], built on first use; None for kinds without atoms.  The atoms
+        come in table order, then the implied atom at 0 if its mass is positive;
+        steps[i]/den is values[i] read as the shortest decimal that rounds to
+        it, den the lcm of the denominators."""
+        if self.kind != "atoms":
             return None
-        values, probs = table
-        keep = probs > 0.0
-        atoms = [Fraction(repr(v)) for v in values[keep].tolist()]
+        (table,) = self.params
+        rest = _rest(table)
+        values, probs = zip(*table, *([(0.0, rest)] if rest > 0.0 else []))
+        atoms = [Fraction(repr(v)) for v in values]
         den = math.lcm(*(a.denominator for a in atoms))
-        return [int(a * den) for a in atoms], probs[keep], den
+        return [int(a * den) for a in atoms], np.array(probs), den, np.array(values)
 
 
 def rademacher() -> Dist:
-    return _atom_law("rademacher", [(-1.0, 0.5), (1.0, 0.5)])
+    return _atom_law([(-1.0, 0.5), (1.0, 0.5)])
 
 
 def uniform_sym(half_width: float) -> Dist:
@@ -115,14 +129,10 @@ def pareto_sym(alpha: float, scale: float = 1.0) -> Dist:
     return Dist("pareto_sym", (float(alpha), float(scale)))
 
 
-# The kinds whose params are one signed (value, mass) table.
-_ATOM_KINDS = ("rademacher", "atomic_sym", "atomic")
-
-
-def _atom_law(kind: str, pairs) -> Dist:
-    """The one finite atom law: a signed (value, mass) table in the order of
-    ``pairs``, equal values merged where they first occur; the remaining mass
-    is the implied atom at 0."""
+def _atom_law(pairs) -> Dist:
+    """The one finite atom law, kind ``atoms``: a signed (value, mass) table in
+    the order of ``pairs``, equal values merged where they first occur; the
+    remaining mass is the implied atom at 0."""
     table: dict[float, float] = {}
     for v, p in pairs:
         if not math.isfinite(v):
@@ -135,7 +145,7 @@ def _atom_law(kind: str, pairs) -> Dist:
     total = sum(table.values())
     if total > 1.0 + _MASS_TOL:
         raise ValueError(f"atom mass {total} exceeds 1")
-    return Dist(kind, (tuple(table.items()),))
+    return Dist("atoms", (tuple(table.items()),))
 
 
 def _by_value(atoms) -> list:
@@ -152,7 +162,7 @@ def atomic_sym(atoms) -> Dist:
     pairs = _by_value(atoms)
     if any(v <= 0 for v, _ in pairs):
         raise ValueError("atomic_sym values must be strictly positive")
-    return _atom_law("atomic_sym", [(s * v, 0.5 * w) for v, w in pairs for s in (-1.0, 1.0)])
+    return _atom_law([(s * v, 0.5 * w) for v, w in pairs for s in (-1.0, 1.0)])
 
 
 def atomic(atoms) -> Dist:
@@ -161,7 +171,7 @@ def atomic(atoms) -> Dist:
     ``atoms`` is an iterable of (value, probability) with value != 0; the
     table holds them in ascending value.
     """
-    return _atom_law("atomic", _by_value(atoms))
+    return _atom_law(_by_value(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +203,7 @@ def tails(d: Dist, lam) -> np.ndarray:
         raise ValueError("threshold must be a nonnegative real")
     pos = lam > 0.0
     out = np.ones(lam.shape)
-    if d.kind in _ATOM_KINDS:
+    if d.kind == "atoms":
         keys, _, above = d._abs_law
         out[pos] = above[np.searchsorted(keys, lam[pos], side="left")]
     elif d.kind == "uniform_sym":
@@ -233,7 +243,7 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if not (b > 0.0).all():
         raise ValueError("cutoff must be positive")
-    if d.kind in _ATOM_KINDS:
+    if d.kind == "atoms":
         mags, masses, _ = d._abs_law
         below = _split_sums([q * _pow(m, 2.0) for m, q in zip(mags, masses)], below=True)
         return below[np.searchsorted(mags, b, side="left")]
@@ -268,14 +278,14 @@ def truncated_second_moments(d: Dist, b) -> np.ndarray:
         alpha, scale = d.params
         out = np.zeros(b.shape)
         far = b > scale
-        k = alpha * scale ** alpha
+        k = alpha * _pareto_pow(scale, alpha)
         # past the doubles T is inf, or NaN where an inf meets a zero k
         with np.errstate(over="ignore", invalid="ignore"):
             if alpha == 2.0:
                 out[far] = k * libm(math.log, b[far] / scale)
             else:
-                out[far] = (k * (libm(pow, b[far], 2.0 - alpha) - scale ** (2.0 - alpha))
-                            / (2.0 - alpha))
+                out[far] = (k * (_pareto_pow(scale, 2.0 - alpha, b[far])
+                                 - _pareto_pow(scale, 2.0 - alpha)) / (2.0 - alpha))
         return out
     raise ValueError(f"unknown distribution kind {d.kind!r}")
 
@@ -383,7 +393,7 @@ def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
     sits at x = -1, the other singularities further left or, in u = log x, at
     Im u = +-pi.
     """
-    if d.kind in _ATOM_KINDS:
+    if d.kind == "atoms":
         mags, masses, _ = d._abs_law
         x = np.array(mags)
         with np.errstate(over="ignore"):  # x * x is inf past 1.3e154
@@ -433,7 +443,7 @@ def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
 
 def support_bound(d: Dist) -> Optional[float]:
     """Least B with P(|X| <= B) = 1, when finite and known."""
-    if d.kind in _ATOM_KINDS:
+    if d.kind == "atoms":
         return d._abs_law[0][-1]
     if d.kind == "uniform_sym":
         return d.params[0]
@@ -442,7 +452,7 @@ def support_bound(d: Dist) -> Optional[float]:
 
 def second_moment_bound(d: Dist) -> Optional[float]:
     """Upper bound on E[X^2], when finite and known in closed form."""
-    if d.kind in _ATOM_KINDS:
+    if d.kind == "atoms":
         mags, masses, _ = d._abs_law
         return sum(q * m * m for m, q in zip(mags, masses))
     if d.kind == "normal_std":
@@ -452,25 +462,13 @@ def second_moment_bound(d: Dist) -> Optional[float]:
     if d.kind == "pareto_sym":
         alpha, scale = d.params
         if alpha > 2.0:
-            return alpha * scale ** 2 / (alpha - 2.0)
+            return alpha * _pareto_pow(scale, 2.0) / (alpha - 2.0)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-
-
-def atom_table(d: Dist) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """One-step law as (values, probs) arrays, or None for kinds without atoms.
-
-    Atoms come in table order (+-v pairs for ``atomic_sym``), followed by the
-    implied atom at 0 with the remaining mass, which may be 0.
-    """
-    if d.kind not in _ATOM_KINDS:
-        return None
-    (table,) = d.params
-    return np.array([v for v, _ in table] + [0.0]), np.array([p for _, p in table] + [_rest(table)])
 
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:

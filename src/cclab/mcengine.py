@@ -12,13 +12,13 @@ and adds them up, so estimates at different n are correlated, each with the
 exact law of its S_n.  An increment of m steps is drawn whole where its law
 allows:
 
-- an atom table on a decimal lattice within 2^53 at the grid's last n as
-  multinomial atom counts summed on the oracles' lattice, added up in int64
-  and divided by den once a grid point, so a hit is |k|/den >= t exactly as
-  in exact_tail; any other atom table as the same counts times the float atoms.
-  Where every mass is a multiple of 1/8 and m is small, the counts are
-  popcounts of ANDs of fair random bit planes (Knuth and Yao 1976), exact
-  in law; elsewhere numpy's multinomial draws them;
+- an atom table as its atom counts, drawn in one place, summed on the
+  oracles' lattice in int64 while the grid's last n stays within 2^53 and
+  divided by den once a grid point, so a hit is |k|/den >= t exactly as in
+  exact_tail; past 2^53, as the counts times the float atoms.  Where every
+  mass is a multiple of 1/8 and m is small, the counts are popcounts of
+  ANDs of fair random bit planes (Knuth and Yao 1976), exact in law;
+  elsewhere numpy's multinomial draws them;
 - the normal law as sqrt(m) Z;
 - ``uniform_sym`` at 176 <= m < 2^36 as 53 binomial bit planes, since
   Generator.random() is x 2^-53 with 53 fair bits in x.  Up to
@@ -370,27 +370,15 @@ def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generato
 
 
 def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """The draw of one batch of S_n as floats: a function (rows, rng) -> rows sums.
+    """The draw of one batch of S_n for a law without atoms: a function
+    (rows, rng) -> rows sums.
 
-    An atom table draws how often each atom occurs, ``_atom_counts``, and
-    sums the counts times the float atoms (a float 1/3, or 1e17, or a
-    lattice past 2^53), so the hit rule is a float comparison.  The normal
-    law draws sqrt(n) Z, and uniform_sym at _PLANE_MIN_N <= n < _PLANE_MAX_N
-    its bit planes, whose counts up to _TABLE_MAX_N invert one table built
-    here for every batch; past _PLANE_MAX_N it raises SamplingUnavailable
-    before any draw.  Other laws split n single steps into signs and
-    magnitudes, ``_step_sums``.
+    The normal law draws sqrt(n) Z, and uniform_sym at _PLANE_MIN_N <= n <
+    _PLANE_MAX_N its bit planes, whose counts up to _TABLE_MAX_N invert one
+    table built here for every batch; past _PLANE_MAX_N it raises
+    SamplingUnavailable before any draw.  Other laws split n single steps
+    into signs and magnitudes, ``_step_sums``.
     """
-    if d.lattice_steps is not None:
-        counts = _atom_counts(n, d.lattice_steps[1])
-        values, all_probs = distmodel.atom_table(d)
-        values = values[all_probs > 0.0]
-
-        def float_atoms(rows: int, rng: np.random.Generator) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in _step_sums
-                return (counts(rows, rng) * values).sum(axis=1)
-
-        return float_atoms
     if d.kind == "normal_std":
         root = math.sqrt(n)
         return lambda rows, rng: root * rng.standard_normal(rows)
@@ -412,23 +400,34 @@ def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generato
     The walk draws its increments S_{n_i} - S_{n_(i-1)} (n_0 = 0) in grid
     order, each as a sum of n_i - n_(i-1) steps, and adds them up, so each
     S_n has its own law and the values at different n are partial sums of
-    one walk.  An atom table on a decimal lattice whose n_max steps stay
-    within 2^53 adds the int64 lattice coordinates k of its atom counts, and
-    S_n comes back as the correctly rounded k/den, so |S_n| >= t is
-    exact_tail's rule at every lattice point.  Other laws add the float sums
-    of ``_float_sums``.  An increment whose + and - parts both overflowed,
-    or a running sum that met +inf and -inf, has no float value, and
-    SamplingUnavailable says which.
+    one walk.  An atom table draws each increment's atom counts by one
+    ``_atom_counts`` call.  While n_max steps stay within 2^53 on its decimal
+    lattice it adds their int64 lattice coordinates k, and S_n comes back as
+    the correctly rounded k/den, so |S_n| >= t is exact_tail's rule at every
+    lattice point; past that it adds the counts times the float atoms (a
+    float 1/3, or 1e17).  Laws without atoms add ``_float_sums``.  An
+    increment whose + and - parts both overflowed, or a running sum that met
+    +inf and -inf, has no float value, and SamplingUnavailable says which.
     """
     steps = [n - m for m, n in zip([0, *ns], ns)]
-    lattice = d.lattice_steps
-    if lattice is not None and _exact_range(ns[-1], lattice[0], lattice[2]):
-        atoms, probs, den = lattice
-        k = np.asarray(atoms, dtype=np.int64)
-        draws = [lambda rows, rng, count=_atom_counts(m, probs): count(rows, rng) @ k
-                 for m in steps]
-    else:
+    if d.lattice_steps is None:
         draws, den = [_float_sums(d, m) for m in steps], None
+    else:
+        atoms, probs, den, values = d.lattice_steps
+        if _exact_range(ns[-1], atoms, den):
+            k = np.asarray(atoms, dtype=np.int64)
+
+            def add(counts: np.ndarray) -> np.ndarray:
+                return counts @ k
+        else:
+            den = None
+
+            def add(counts: np.ndarray) -> np.ndarray:
+                with np.errstate(over="ignore", invalid="ignore"):  # as in _step_sums
+                    return (counts * values).sum(axis=1)
+
+        draws = [lambda rows, rng, count=_atom_counts(m, probs): add(count(rows, rng))
+                 for m in steps]
 
     def walk(rows: int, rng: np.random.Generator) -> Iterator:
         s = None
@@ -548,7 +547,7 @@ def _lattice(d: distmodel.Dist, n: int) -> tuple[np.ndarray, int, int]:
     lattice = d.lattice_steps
     if lattice is None:
         raise OracleUnavailable(f"no exact walk oracle for kind {d.kind!r}")
-    steps, probs, den = lattice
+    steps, probs, den, _ = lattice
     lo, hi = min(steps), max(steps)
     _check_cost(n * (hi - lo) + 1)
     if not _exact_range(n, steps, den):

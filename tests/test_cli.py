@@ -551,7 +551,17 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
     # b^(2 - alpha) overflows in the Pareto T at a subnormal cutoff
     (["--preset", "spataru", "--eps", "1e-320,0.5", "--set", "distribution.kind=pareto_sym",
       "--set", "distribution.alpha=3", "--set", "distribution.scale=1e-320"],
-     "a value past the double range"),
+     "a value past the double range: pareto_sym: a cutoff above scale 1e-320 to the power -1"),
+    # scale^2 in E[X^2], scale^alpha and scale^(2 - alpha) in the Pareto T
+    (["--preset", "spataru", "--set", "distribution.kind=pareto_sym",
+      "--set", "distribution.alpha=3", "--set", "distribution.scale=1e300"],
+     "a value past the double range: pareto_sym: scale 1e+300 to the power 2"),
+    (["--preset", "spataru", "--set", "distribution.kind=pareto_sym",
+      "--set", "distribution.alpha=2", "--set", "distribution.scale=1e200"],
+     "a value past the double range: pareto_sym: scale 1e+200 to the power 2"),
+    (["--preset", "spataru", "--set", "distribution.kind=pareto_sym",
+      "--set", "distribution.alpha=3", "--set", "distribution.scale=1e-320"],
+     "a value past the double range: pareto_sym: scale 1e-320 to the power -1"),
     # as pareto 0*inf, on the spataru preset
     (["--preset", "spataru", "--eps", "0.5,10", "--set", "distribution.kind=pareto_sym",
       "--set", "distribution.alpha=2", "--set", "distribution.scale=1e-320"],
@@ -561,7 +571,8 @@ def test_huge_eps_reports_without_error_or_warning(capsys, argv):
       "--set", "distribution.alpha=1", "--set", "distribution.scale=1e10"],
      "exponent -eps^2 a(n)^2 / (n T) is NaN at n=1"),
 ], ids=["atom inf/inf", "pareto 0*inf", "uniform inf/inf", "cutoff 0",
-        "pareto power at a subnormal cutoff", "spataru pareto 0*inf", "pareto inf power"])
+        "pareto power at a subnormal cutoff", "pareto scale^2", "pareto scale^alpha",
+        "pareto scale^(2-alpha)", "spataru pareto 0*inf", "pareto inf power"])
 def test_values_past_the_double_range_are_refused(capsys, argv, message):
     # pytest turns a warning into an error, so these runs print none
     code, out, err = run(capsys, "check-conditions", "--horizon", "50", *argv)
@@ -1424,6 +1435,22 @@ def without_provenance(out: str) -> dict:
     report = json.loads(out)
     del report["provenance"]
     return report
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-conditions", "--preset", "spataru", "--horizon", "100"),
+    ("estimate", "--n", "64", "--threshold", "8", "--replicates", "1000"),
+    ("simulate", "--preset", "spataru", "--maximal", "--horizon", "16", "--replicates", "1000"),
+], ids=["check-conditions", "estimate", "simulate --maximal"])
+def test_rademacher_and_its_atom_table_print_one_report(capsys, argv):
+    # one atom law, however it is configured: only the provenance tells them apart
+    reports = []
+    for law in (("distribution.kind=rademacher",),
+                ("distribution.kind=atomic_sym", "distribution.atoms=1:1")):
+        code, out, err = run(capsys, *argv, *(arg for key in law for arg in ("--set", key)))
+        assert (code, err) == (cli.EXIT_OK, "")
+        reports.append(json.dumps(without_provenance(out)))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("base", READ_SET_BASES)

@@ -120,9 +120,7 @@ def test_truncated_plus_complement_equals_full_moment():
     for d, full in cases:
         for b in (0.5, 1.0, 2.4, 10.0):
             trunc = dm.truncated_moment(d, b)
-            if d.kind == "rademacher":
-                comp = (1.0 if b <= 1.0 else 0.0) * 1.0
-            elif d.kind == "uniform_sym":
+            if d.kind == "uniform_sym":
                 comp = float(mpmath.quad(lambda x: x ** 2, [min(b, 1.0), 1.0]))
             elif d.kind == "normal_std":
                 comp = float(mpmath.quad(
@@ -404,14 +402,26 @@ def test_atoms_must_be_finite():
 
 
 def test_atom_table_order_and_implied_zero():
-    values, probs = dm.atom_table(dm.atomic_sym([(3.0, 0.25), (1.0, 0.5)]))
+    steps, probs, den, values = dm.atomic_sym([(3.0, 0.25), (1.0, 0.5)]).lattice_steps
     assert values.tolist() == [-1.0, 1.0, -3.0, 3.0, 0.0]
     assert probs.tolist() == [0.25, 0.25, 0.125, 0.125, 0.25]
-    values, probs = dm.atom_table(dm.atomic([(1.0, 0.5), (2.5, 0.5)]))
-    assert values.tolist() == [1.0, 2.5, 0.0]
-    assert probs.tolist() == [0.5, 0.5, 0.0]
-    assert dm.atom_table(dm.rademacher())[1].tolist() == [0.5, 0.5, 0.0]
-    assert dm.atom_table(dm.normal_std()) is None
+    assert (steps, den) == ([-1, 1, -3, 3, 0], 1)
+    # the implied atom at 0 appears only when its mass is positive
+    steps, probs, den, values = dm.atomic([(1.0, 0.5), (2.5, 0.5)]).lattice_steps
+    assert values.tolist() == [1.0, 2.5]
+    assert probs.tolist() == [0.5, 0.5]
+    assert (steps, den) == ([2, 5], 2)
+    assert dm.rademacher().lattice_steps[1].tolist() == [0.5, 0.5]
+    assert dm.normal_std().lattice_steps is None
+
+
+def test_a_law_is_its_table():
+    # one kind for every atom table: equal tables are equal laws, whichever
+    # constructor built them
+    rad = dm.rademacher()
+    assert rad == dm.atomic_sym([(1.0, 1.0)]) == dm.atomic([(1.0, 0.5), (-1.0, 0.5)])
+    assert dm.atomic_sym([(1.0, 0.5)]) == dm.atomic([(-1.0, 0.25), (1.0, 0.25)])
+    assert rad != dm.atomic_sym([(2.0, 1.0)])
 
 
 def test_mass_overflow_rejected():
@@ -523,8 +533,6 @@ def _magnitudes(table):
 def _reference_tail(d, lam):
     if lam == 0.0:
         return 1.0
-    if d.kind == "rademacher":
-        return 1.0 if lam <= 1.0 else 0.0
     if d.kind == "uniform_sym":
         return max(0.0, 1.0 - lam / d.params[0])
     if d.kind == "normal_std":
@@ -537,8 +545,6 @@ def _reference_tail(d, lam):
 
 
 def _reference_moment(d, b):
-    if d.kind == "rademacher":
-        return 1.0 if b > 1.0 else 0.0
     if d.kind == "uniform_sym":
         (h,) = d.params
         return min(b, h) ** 3.0 / (h * 3.0)
@@ -566,13 +572,16 @@ ARRAY_KINDS = ALL_CLOSED + [
     dm.atomic([(-2.0, 0.125), (0.5, 0.25), (2.0, 0.25), (3.5, 0.1)]),
     dm.atomic_sym([(0.1, 0.3), (0.3, 0.2), (0.7, 0.1), (2.2, 0.05)]),
 ]
+# named by constructor: every atom table is one kind
+ARRAY_IDS = ["rademacher", "uniform_sym", "normal_std", "pareto_sym", "atomic_sym", "pareto_sym",
+             "atomic", "atomic_sym"]
 
 
 # every discontinuity of ARRAY_KINDS: atoms, the support edge, the scale
 MARKS = [1.0, 1.5, 3.0, 0.1, 0.3, 0.7, 2.2, 0.5, 2.0, 3.5]
 
 
-@pytest.mark.parametrize("d", ARRAY_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ARRAY_KINDS, ids=ARRAY_IDS)
 def test_array_tails_and_moments_match_one_point_formulas(d):
     rng = np.random.default_rng(7)
     cuts = np.concatenate([rng.uniform(0.0, 8.0, 400), MARKS, np.nextafter(MARKS, 0.0)])

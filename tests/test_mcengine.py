@@ -159,7 +159,7 @@ def running_sum_profile(d, n_max: int, threshold: float) -> np.ndarray:
     LAWS["positive 1,2.5,4"][0], LAWS["negative -0.5,-2"][0],  # lo = 0, hi = 0
 ], ids=["rademacher", "atoms 1,3", "atoms 0.1,0.3", "den 1000", "lo 0", "hi 0"])
 def test_max_tail_profile_is_the_running_sum_bit_for_bit(d):
-    steps, _, den = d.lattice_steps
+    steps, _, den, _ = d.lattice_steps
     reach = max(map(abs, steps))
     for n in range(1, mc.MAX_MAXIMAL_N + 1):
         points = [1, reach, n * reach // 3, n * reach // 2 + 1, n * reach]
@@ -290,23 +290,42 @@ def test_direct_normal_sums_follow_erfc(n):
 
 
 def test_off_lattice_sums_follow_the_law_of_the_float_atoms():
-    # 1/3 and sqrt 2 have no decimal lattice within 2^53, so S_n is the atom
-    # counts times the float atoms; the law is enumerated over the exact
-    # binary values of those floats
-    third, root2 = 1.0 / 3.0, math.sqrt(2.0)
-    d = dm.atomic_sym([(third, 0.5), (root2, 0.25)])
-    step = {Fraction(v): Fraction(p) for v, p in zip(*dm.atom_table(d))}
-    n, rows = 8, 200_000
-    law = walk_laws(step, n)[-1]
-    support = np.array([float(s) for s in sorted(law)])
-    sums = batch_sums(d, n)(rows, seeding.stream(2026, 8))
-    # every draw lies within rounding of one point of the law
-    idx = np.clip(np.searchsorted(support, sums), 1, len(support) - 1)
-    idx -= np.abs(sums - support[idx - 1]) < np.abs(sums - support[idx])
-    assert np.abs(sums - support[idx]).max() <= 1e-14
-    assert np.diff(support).min() > 1e-3
-    observed = np.bincount(idx, minlength=len(support))
-    assert chi_square_p(observed, rows * np.array([float(law[s]) for s in sorted(law)])) > 1e-4
+    # 1/3 and sqrt 2 have no decimal lattice within 2^53, so each increment
+    # of the walk, of 2, 4 and 2 steps, adds its atom counts times the float
+    # atoms; the law is enumerated over the exact binary values of those floats
+    d = dm.atomic_sym([(1.0 / 3.0, 0.5), (math.sqrt(2.0), 0.25)])
+    steps, probs, den, values = d.lattice_steps
+    grid, rows = [2, 6, 8], 200_000
+    assert not mc._exact_range(grid[0], steps, den)
+    laws = walk_laws({Fraction(v): Fraction(p) for v, p in zip(values.tolist(), probs.tolist())},
+                     grid[-1])
+    supports = [np.array([float(s) for s in sorted(laws[n - 1])]) for n in grid]
+    var = sum(v * v * p for v, p in zip(values.tolist(), probs.tolist()))  # of one step
+    thresholds = []
+    for n, support in zip(grid, supports):
+        # midway between the points of |S_n| about one standard deviation out
+        points = np.unique(np.abs(support))
+        i = int(np.searchsorted(points, math.sqrt(n * var)))
+        thresholds.append([float(points[j - 1] + points[j]) / 2.0 for j in (i, i + 1)])
+    # one batch, so the walk and estimate_tail read the same stream
+    estimates = mc.estimate_tail(d, list(zip(grid, thresholds)), rows, 2026, (8,),
+                                 batch_size=rows)
+    walk = mc._walk(d, grid)(rows, seeding.stream(2026, 8, 0))
+    for n, support, sums, ts, ests in zip(grid, supports, walk, thresholds, estimates):
+        law = laws[n - 1]
+        # every draw lies within rounding of one point of the law
+        idx = np.clip(np.searchsorted(support, sums), 1, len(support) - 1)
+        idx -= np.abs(sums - support[idx - 1]) < np.abs(sums - support[idx])
+        assert np.abs(sums - support[idx]).max() <= 1e-14, n
+        assert np.diff(support).min() > 1e-3, n
+        observed = np.bincount(idx, minlength=len(support))
+        expected = rows * np.array([float(law[s]) for s in sorted(law)])
+        assert chi_square_p(observed, expected) > 1e-4, n
+        for t, est in zip(ts, ests):
+            # a hit is |S_n| >= t, counted on the walk's own S_n
+            assert est.p_hat == np.count_nonzero(np.abs(sums) >= t) / rows, (n, t)
+            exact = float(sum(p for s, p in law.items() if abs(s) >= Fraction(t)))
+            assert abs(est.p_hat - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / rows), (n, t)
 
 
 # ---------------------------------------------------------------------------
