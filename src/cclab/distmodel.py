@@ -473,14 +473,19 @@ def second_moment_bound(d: Dist) -> Optional[float]:
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
     """count i.i.d. magnitudes |X| / scale from one SFC64 word u = random() each:
-    u ** (-1/alpha) for ``pareto_sym``, u for ``uniform_sym``.  ``mcengine``
-    signs and scales them; it draws the other laws' sums whole.  numpy's power
-    picks a SIMD kernel by the CPU, and the AVX-512 one differs from the C
-    library's pow in the last ulp on about 5% of draws, so ``pareto_sym``
-    bytes depend on the host (``np.float_power`` costs 4-5 times as much)."""
+    exp(log(u) * (-1/alpha)) for ``pareto_sym``, formed in place, and u for
+    ``uniform_sym``.  ``mcengine`` signs and scales them; it draws the other
+    laws' sums whole.  A Pareto magnitude is within 2^-51 (1 + |log(u)/alpha|)
+    of u^(-1/alpha) relative, and +inf at u = 0 and past the double range,
+    where u^(-1/alpha) overflows.  numpy's log and exp pick a SIMD kernel by
+    the CPU, so ``pareto_sym`` bytes depend on the host; the C library's pow
+    (``np.float_power``) would not, at 5-6 times the cost."""
     if d.kind not in ("uniform_sym", "pareto_sym"):
         raise ValueError(f"no single-step sampler for kind {d.kind!r}")
     mag = rng.random(count)  # a ValueError at count < 0
     if d.kind == "pareto_sym":
-        mag **= -1.0 / d.params[0]  # +inf past the double range
+        with np.errstate(divide="ignore", over="ignore"):  # u = 0 and past the doubles: +inf
+            np.log(mag, out=mag)
+            mag *= -1.0 / d.params[0]
+            np.exp(mag, out=mag)
     return mag

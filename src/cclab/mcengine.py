@@ -4,10 +4,11 @@ Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from its own stream, (seed, 0, *words(n), b)
 for ``estimate`` and (seed, 1, b) for ``simulate``, and batch results are
 merged in index order.  The same (config, seed) therefore produces
-bit-identical output for any worker count on one host.  ``pareto_sym`` draws
-also depend on the host's SIMD level (``distmodel.sample``), so its bytes can
-differ between hosts.  A replicate is one walk read at every n of an
-ascending grid: it draws the increments S_{n_i} - S_{n_(i-1)} in grid order
+bit-identical output for any worker count on one host.  ``pareto_sym``
+magnitudes come from numpy's log and exp, whose SIMD kernels depend on the
+CPU (``distmodel.sample``), so its bytes can differ between hosts.  A
+replicate is one walk read at every n of an ascending grid: it draws the
+increments S_{n_i} - S_{n_(i-1)} in grid order
 and adds them up, so estimates at different n are correlated, each with the
 exact law of its S_n.  An increment of m steps is drawn whole where its law
 allows:
@@ -30,7 +31,7 @@ allows:
 ``pareto_sym``, and ``uniform_sym`` below m = 176, draw a count K ~ Bin(m, 1/2)
 of + signs a row, as a Rademacher walk's counts, then m magnitudes |X| / scale
 of one SFC64 word each: scale (sum of the first K - sum of the rest).
-These draws are stream version ``sfc64-v7`` (``seeding.stream_id``).
+These draws are stream version ``sfc64-v8`` (``seeding.stream_id``).
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
 the user wrote) and scale by the lcm of the denominators, so every walk lives
@@ -83,13 +84,20 @@ _GUIDE_BITS = 14  # the guide reads a word's top 14 bits: 2^14 entries, 128 KiB
 _LOW_PLANES = 26  # bits 0-25 of the 53 form the low half, bits 26-52 the high
 _PLANE_WEIGHTS = 1 << np.arange(53 - _LOW_PLANES, dtype=np.int64)  # 2^j within a half
 # Atom laws with masses in multiples of 2^-B, B up to here, draw their counts
-# from B fair bit planes while B * ceil(n/64) <= _SLICE_WORDS * (K - 1) for K
-# atoms.  Against numpy's multinomial for B = 1..3 and K = 2..8 at 1,000 and
-# 65,536 rows (2-vCPU x86 host), the rule picks the cheaper draw except at
-# n <= 16, where fair bits cost up to 28 us more per 1,000 rows, and just past
-# its edge, where they would cost up to 1.8x less.
+# from B fair bit planes while B * ceil(n/64) <= _SLICE_WORDS * (K - 1) -
+# _SLICE_LESS for K atoms: 8 words at K = 2, 22 at 3, 50 at 5 and 92 at 8.
+# numpy's multinomial draws K - 1 binomials and reuses a binomial's setup
+# across rows only at K = 2, so each binomial past K = 2 costs about twice as
+# much.  Three sweeps of both draws over (K, B) = (2, 1-3), (3, 2-3), (5, 3)
+# and (8, 3), n = 16-2048, 1,000 and 50,000 rows (2-vCPU x86 host), found fair
+# bits cheaper, by the median cost ratio, up to n = 448 (K = 2, B = 1, 640 at
+# 50,000 rows), 384 (2, 2), 192 (2, 3), 960 (3, 2), 512 (3, 3), 1024 (5, 3) and
+# 1920 (8, 3).  The rule stops at 512, 256, 128, 704, 448, 1024 and 1920: it
+# keeps every K = 2 draw (at 512, fair bits cost 5% more for 1,000 rows and 13%
+# less for 50,000) and picks no dearer draw than 8 (K - 1) words did.
 _SLICE_MAX_BITS = 3
-_SLICE_WORDS = 8
+_SLICE_WORDS = 14
+_SLICE_LESS = 6
 
 MAX_ORACLE_SUPPORT = 1_000_000
 # Direct convolution is quadratic in the lattice width, so the support cap
@@ -361,10 +369,11 @@ def _sliced_counts(n: int, bits: int, ands: tuple, coef: np.ndarray, rows: int,
 
 def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generator], np.ndarray]:
     """The draw of rows category counts of n steps with masses ``probs``: by
-    fair bits while bits * ceil(n/64) <= _SLICE_WORDS * (K - 1), else by
-    numpy's multinomial."""
+    fair bits while bits * ceil(n/64) <= _SLICE_WORDS * (K - 1) - _SLICE_LESS,
+    else by numpy's multinomial."""
     plan = _slice_plan(tuple(probs.tolist()))
-    if plan is not None and plan[0] * -(-n // 64) <= _SLICE_WORDS * (len(probs) - 1):
+    budget = _SLICE_WORDS * (len(probs) - 1) - _SLICE_LESS
+    if plan is not None and plan[0] * -(-n // 64) <= budget:
         return lambda rows, rng: _sliced_counts(n, *plan, rows, rng)
     return lambda rows, rng: rng.multinomial(n, probs, size=rows)
 

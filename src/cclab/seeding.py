@@ -38,5 +38,7 @@ def stream_id(seed: int, *path: int) -> str:
     in multiples of 1/8 below ``mcengine``'s crossover, and ``uniform_sym``
     bit planes from a lower ``mcengine._PLANE_MIN_N``; v7: single-step sums
     as one sign count a row, then the magnitudes |X| / scale, and the
-    ``uniform_sym`` planes from a re-measured ``_PLANE_MIN_N``)."""
-    return "sfc64-v7:" + "/".join(str(int(x)) for x in (seed, *path))
+    ``uniform_sym`` planes from a re-measured ``_PLANE_MIN_N``; v8: Pareto
+    magnitudes by log and exp, and fair-bit atom counts from a re-measured
+    ``mcengine`` crossover)."""
+    return "sfc64-v8:" + "/".join(str(int(x)) for x in (seed, *path))

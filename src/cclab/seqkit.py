@@ -21,8 +21,8 @@ prefix sums (``prefix_sums``): prefix n is within u|S_n| + gamma_(n-1)^2
 sum|x| of the exact sum S_n, u = 2^-53.
 
 Every column whose bits reach a report goes through ``libm``, which gives the C
-library's bits by one route table: pow and exp in numpy loops over the C library,
-erfc's saturation fills, all else one Python float at a time.
+library's bits by one route table: pow, exp and log in numpy loops over the C
+library, erfc's saturation fills, all else one Python float at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +90,14 @@ def _complex_exp(x):
     return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
 
 
+def _complex_log(x):
+    """The C library's clog(x + 0i) has real part log(x) bit for bit on
+    [2, DBL_MAX/4]; below 2 it takes a log1p branch or scales x, and past
+    DBL_MAX/4 it scales x, so every other element is left to math.log."""
+    kept = (x >= 2.0) & (x <= sys.float_info.max / 4.0)
+    return np.log(x.astype(np.complex128)).real.copy(), ~kept
+
+
 def _erfc_fills(x):
     """glibc's erfc is two - tiny = 2.0 from -6 down and tiny*tiny = 0.0 from 28 up."""
     low = x <= -6.0
@@ -97,7 +105,8 @@ def _erfc_fills(x):
 
 
 # fn: (values, elements that fn maps instead), by a numpy loop over the C library's fn or fills
-_VECTOR = {pow: _float_power, math.exp: _complex_exp, math.erfc: _erfc_fills}
+_VECTOR = {pow: _float_power, math.exp: _complex_exp, math.log: _complex_log,
+           math.erfc: _erfc_fills}
 
 
 def libm(fn, *args) -> np.ndarray:
@@ -109,12 +118,12 @@ def libm(fn, *args) -> np.ndarray:
     versions differ from the math library in the last ulp on up to a few per
     cent of points, and at a tail's discontinuity one ulp flips a term.  Every
     transcendental whose bits reach a report therefore goes through here.
-    A function with a route in ``_VECTOR`` keeps its values: pow and math.exp
-    from numpy loops that call the C library's pow and cexp, erfc's 2.0 from -6
-    down and 0.0 from 28 up.  Every element a route leaves out or gives no
-    finite value, NaN included, and every element of a function without a
-    route goes through fn as a Python float, so Python's errors and special
-    values stay.
+    A function with a route in ``_VECTOR`` keeps its values: pow, math.exp and
+    math.log from numpy loops that call the C library's pow, cexp and clog,
+    erfc's 2.0 from -6 down and 0.0 from 28 up.  Every element a route leaves
+    out or gives no finite value, NaN included, and every element of a
+    function without a route goes through fn as a Python float, so Python's
+    errors and special values stay.
     """
     shape = np.broadcast(*args).shape or (1,)
     cols = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in args]

@@ -471,13 +471,49 @@ def test_sample_deterministic_per_stream():
 
 @pytest.mark.parametrize("alpha,scale", [(1.5, 1.0), (1.0, 0.3), (2.0, 7.0), (0.01, 1.0)])
 def test_pareto_sample_matches_the_formula_bit_for_bit(alpha, scale):
-    # a magnitude |X| / scale is random() of one generator word raised to
-    # -1/alpha in place, whatever the scale
+    # a magnitude |X| / scale is exp(log(u) * (-1/alpha)) of random() of one
+    # generator word, formed in place, whatever the scale
     u = seeding.stream(5, 1).random(10_000)
     with np.errstate(over="ignore"):
-        want = u ** (-1.0 / alpha)
-        got = dm.sample(dm.pareto_sym(alpha, scale), seeding.stream(5, 1), 10_000)
+        want = np.exp(np.log(u) * (-1.0 / alpha))
+    got = dm.sample(dm.pareto_sym(alpha, scale), seeding.stream(5, 1), 10_000)
     assert got.tobytes() == want.tobytes()
+
+
+class _Words:
+    """A stand-in generator whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.5, 1.0, 1.5, 2.0, 3.0])
+def test_pareto_magnitudes_are_within_the_log_exp_bound_of_pow(alpha):
+    # |got / pow(u, -1/alpha) - 1| <= 2^-51 (1 + |log(u) / alpha|) against the
+    # C library's pow (np.float_power calls it, as math.pow does), and +inf
+    # exactly where pow overflows and at u = 0
+    g = np.random.default_rng(44)
+    u = np.concatenate([np.arange(200_001) * 2.0 ** -53,
+                        g.random(200_000),
+                        2.0 ** -g.uniform(0.0, 53.0, 200_000)])
+    got = dm.sample(dm.pareto_sym(alpha), _Words(u), u.size)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = np.float_power(u, -1.0 / alpha)
+        bound = 2.0 ** -51 * (1.0 + np.abs(np.log(u) / alpha))
+    for i in (0, 1, 200_000, 300_000):  # a cross-check of float_power against math.pow
+        try:
+            assert want[i] == math.pow(u[i], -1.0 / alpha)
+        except (OverflowError, ValueError):  # past the doubles, and at u = 0
+            assert want[i] == math.inf
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isposinf(got), ~finite)
+    assert got[0] == math.inf
+    err = np.abs(got[finite] / want[finite] - 1.0)
+    assert (err <= bound[finite]).all(), (err / bound[finite]).max()
 
 
 def test_uniform_second_moment_bound():

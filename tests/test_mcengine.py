@@ -737,10 +737,10 @@ def test_fair_pairs_draw_the_same_sums_whatever_the_kind():
 # ---------------------------------------------------------------------------
 
 # Grids whose increments cross the samplers' edges: rademacher's fair bits
-# end at 512 steps and the 0.1,0.3 atoms' at 640, so the last increment of
+# end at 512 steps and the 0.1,0.3 atoms' at 1024, so the last increment of
 # each draws numpy's multinomial.
 WALK_GRIDS = {"rademacher": [2, 4, 16, 64, 576, 1600],
-              "atoms 0.1,0.3": [1, 2, 8, 16, 100, 612, 1312]}
+              "atoms 0.1,0.3": [1, 2, 8, 16, 100, 612, 1712]}
 
 
 @pytest.mark.parametrize("name", sorted(WALK_GRIDS))
@@ -874,10 +874,11 @@ def test_constant_words_give_the_first_and_last_pattern(name):
         assert counts.tolist() == [[n if j == category else 0 for j in range(k)]] * rows
 
 
-@pytest.mark.parametrize("name,last", [("rademacher", 512), ("atoms 1,3", 640),
-                                       ("negative -0.5,-2", 256)])
+@pytest.mark.parametrize("name,last", [("rademacher", 512), ("atoms 1,3", 1024),
+                                       ("negative -0.5,-2", 256), ("positive 1,2.5,4", 704)])
 def test_fair_bits_draw_up_to_the_crossover(monkeypatch, name, last):
-    # B ceil(n/64) <= 8 (K - 1): B = 1, K = 2; B = 3, K = 5; B = 2, K = 2
+    # B ceil(n/64) <= 14 (K - 1) - 6: B = 1, K = 2; B = 3, K = 5; B = 2, K = 2;
+    # B = 2, K = 3
     sliced, real = [], mc._sliced_counts
     monkeypatch.setattr(mc, "_sliced_counts", lambda n, *rest: sliced.append(n) or real(n, *rest))
     for n in (1, last, last + 1):
@@ -888,14 +889,15 @@ def test_fair_bits_draw_up_to_the_crossover(monkeypatch, name, last):
 @pytest.mark.parametrize("name,n,head,digest", [
     ("rademacher", 513, ["-0x1.b000000000000p+4", "-0x1.8000000000000p+1"],
      "cfb86a10f8f842c3c16b29f966811bc52617363f59da9ae7530cd98797c57299"),
-    ("atoms 1,3", 641, ["0x1.8000000000000p+2", "0x0.0p+0"],
-     "958fb258b48feb56cea0673d39b88f5ad353fff026f1e25355e5e229623aab4b"),
-    ("atoms 0.1,0.3", 641, ["0x1.3333333333333p-1", "0x0.0p+0"],
-     "7f68ecf05f1609be11ecdc06fb02bc50ab2c0ebb4e3f59a04bec006958cba435"),
+    ("atoms 1,3", 1025, ["0x1.8000000000000p+1", "0x1.8000000000000p+4"],
+     "267e6b95fe27ae3a43ed6bb8b4e107f9f02aed5d72770d6b93951060593f5d13"),
+    ("atoms 0.1,0.3", 1025, ["0x1.3333333333333p-2", "0x1.3333333333333p+1"],
+     "3f65ef5c647f138302805241f8f27a6808c1d6da02558ae240f94dd0e58fe5ef"),
     ("rademacher", 1024, ["-0x1.1000000000000p+5", "0x0.0p+0"],
      "3c49bcacbeff02bbba70c411584556771a1bd41917096991371ba25404634992")])
 def test_past_the_crossover_the_counts_keep_numpys_multinomial(name, n, head, digest):
-    # the sums numpy's multinomial drew before fair bits existed (sfc64-v5)
+    # the sums numpy's multinomial drew before fair bits existed (sfc64-v5);
+    # the atom laws' sums at n = 1025 as the multinomial drew them in sfc64-v7
     sums = batch_sums(LAWS[name][0], n)(3000, seeding.stream(2026, 12))
     assert [float(x).hex() for x in sums[:2]] == head
     assert hashlib.sha256(sums.astype("<f8").tobytes()).hexdigest() == digest

@@ -384,6 +384,28 @@ def test_exp_past_the_double_range_raises_like_math_exp_without_a_warning():
                 sk.libm(math.exp, x)
 
 
+def test_libm_log_is_the_scalar_map_bit_for_bit(mapped):
+    rng = np.random.default_rng(24_003)
+    top = sys.float_info.max / 4.0  # past it the C library's clog scales x
+    x = np.concatenate((np.arange(1.0, 2_000_001.0),
+                        rng.uniform(0.0, 1e6, 1_000_000),
+                        rng.uniform(0.5, 2.0, 100_000),  # clog's log1p branch is on (1, 2)
+                        np.exp2(rng.uniform(-1074.0, 1024.0, 100_000)),  # subnormal to DBL_MAX
+                        [2.0, math.nextafter(2.0, 0.0), 1.5, top, math.nextafter(top, math.inf),
+                         sys.float_info.max, 5e-324, 1e-310, math.inf, math.nan]))
+    got = sk.libm(math.log, x)
+    assert_same_uint64(got, raw_map(math.log, x))
+    assert len(mapped) == (~((x >= 2.0) & (x <= top))).sum()
+
+
+def test_log_of_a_nonpositive_number_raises_like_math_log_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, -0.0, -5e-324, -1.0, -math.inf, [2.0, -1.0], np.tile([3.0, 0.0], 512)):
+            with pytest.raises(ValueError):
+                sk.libm(math.log, x)
+
+
 # ---------------------------------------------------------------------------
 # libm's saturation rules, held to what the math library itself returns
 # ---------------------------------------------------------------------------
@@ -401,7 +423,7 @@ SATURATION_RULES = [(math.exp, np.less_equal, -750.0, 0.0),
 
 def test_libm_fills_exactly_these_rules():
     # exp needs no fill: the C library's cexp returns 0.0 below -745.14 itself
-    assert set(sk._VECTOR) == {pow, math.exp, math.erfc}
+    assert set(sk._VECTOR) == {pow, math.exp, math.log, math.erfc}
     assert sk._VECTOR[math.erfc] is sk._erfc_fills
     x = np.array([-math.inf, -6.0, np.nextafter(-6.0, 0.0), math.nan, 0.0,
                   np.nextafter(28.0, 0.0), 28.0, math.inf])
