@@ -7,23 +7,23 @@ data inside the reports; exit codes only signal operational failures:
 
     0  ran to completion
     1  a divergence certificate failed (counterexample subcommand)
-    2  config parse/validation error, non-finite numbers included; also a
-       ``counterexample --schedule`` file that cannot be read, is not JSON or
-       is not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1
-       numbered m = 1..len, or holds a cutoff for which the integral bound
-       certifies no block end; weights or a normalizer that are negative,
-       non-finite, decreasing or overflow doubles; configured magnitudes
-       whose powers overflow; an exponential or adaptive-exponent term
-       whose exponent is NaN because its parts left the doubles (any NaN T
-       counts as such); a least cutoff eps * a(1) that underflows to 0;
-       ``counterexample`` without ``--schedule`` under any preset but
-       ``ms_counterexample(d)``, a replay under any preset but
-       ``ms_counterexample(d)`` of the schedule's depth d; ``simulate``
-       under ``ms_counterexample(d)``, whose law has no sampler; a key the
-       command does not read (``check-conditions --seed`` included), a
-       required key it is not given (``estimate`` without ``--n``) and a
-       value its row refuses; an ``--out`` path that cannot be written; and
-       a size (such as ``--horizon``) whose arrays cannot be allocated
+    2  config parse/validation error, non-finite numbers included; also a config
+       file or ``report-merge`` input that cannot be read or is not UTF-8, and a
+       ``counterexample --schedule`` file that cannot be read, is not JSON or is
+       not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1 numbered
+       m = 1..len, or holds a cutoff for which the integral bound certifies no
+       block end; weights or a normalizer that are negative, non-finite,
+       decreasing or overflow doubles; configured magnitudes whose powers
+       overflow; an exponential or adaptive-exponent term whose exponent is NaN
+       because its parts left the doubles (any NaN T counts as such); a least
+       cutoff eps * a(1) that underflows to 0; ``counterexample`` without
+       ``--schedule`` under any preset but ``ms_counterexample(d)``, a replay
+       under any preset but ``ms_counterexample(d)`` of the schedule's depth d;
+       ``simulate`` under ``ms_counterexample(d)``, whose law has no sampler; a
+       key the command does not read (``check-conditions --seed`` included), a
+       required key it is not given (``estimate`` without ``--n``) and a value
+       its row refuses (a ``--horizon`` past 2^53 included); an unwritable
+       ``--out`` path; and a ``--horizon`` whose arrays cannot be allocated
     3  unsupported distribution kind or slowly varying factor; also
        ``simulate --maximal`` on a law without an exact oracle (no atoms,
        atoms off any short decimal lattice, or a lattice too wide), since
@@ -219,9 +219,6 @@ def _parse_preset(text: str) -> tuple[str, tuple]:
     return name, args
 
 
-_SV_FACTORS = {"log_power": "log2p", "loglog_power": "loglog", "plainlog_power": "logn"}
-
-
 def _entries(text: str, what: str, key=str):
     """The ``key:value`` entries of the comma-separated list ``text``, as
     (key(k), float(v)), each parsed as it is taken."""
@@ -238,11 +235,11 @@ def _entries(text: str, what: str, key=str):
 
 
 def _parse_sv(text: str) -> SlowlyVarying:
-    kw = {}
+    fields, kw = {row.name: row.field for row in seqkit.SV_FACTORS}, {}
     for key, val in _entries(text, "slowly_varying"):
-        if key not in _SV_FACTORS:
+        if key not in fields:
             raise UnsupportedFamily(f"unknown slowly varying factor {key!r}")
-        kw[_SV_FACTORS[key]] = val
+        kw[fields[key]] = val
     return SlowlyVarying(**kw)
 
 
@@ -273,7 +270,8 @@ _ROWS = {
                           and all(0.0 < e < math.inf for e in eps),
                           "a list of distinct finite numbers > 0"),
     ("scenario", "theta"): (float, "1.0", lambda t: 1.0 <= t < math.inf, "a finite number >= 1"),
-    ("scenario", "horizon"): (int, "10000", lambda h: h >= 4, "an integer >= 4"),
+    ("scenario", "horizon"): (int, "10000", lambda h: 4 <= h <= 2 ** 53,  # n exact as doubles
+                              "an integer from 4 to 2^53"),
     ("scenario", "n"): (int, None, lambda n: n >= 1, "an integer >= 1"),
     ("scenario", "threshold"): (float, None, math.isfinite, "a finite number"),
     ("scenario", "maximal"): (lambda text: {"true": True, "false": False}[text], "false",
@@ -307,7 +305,7 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
     if path is not None:
         try:
             found = parser.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
         if not found:
             raise ConfigError(f"cannot read config file {path}")
@@ -554,7 +552,7 @@ def run_counterexample(cfg: ScenarioConfig,
 
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = cfg.dist
-    grid = [2 ** j for j in range(1, 11) if 2 ** j <= max(cfg.horizon, 2)]
+    grid = [2 ** j for j in range(1, 11) if 2 ** j <= cfg.horizon]
     seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
     reports, tables = {}, {}  # tables: CSV file name -> report
     if cfg.maximal:
@@ -678,7 +676,7 @@ def main(argv=None) -> int:
                 try:
                     with open(path) as fh:
                         merged["reports"].append({"path": path, "report": json.load(fh)})
-                except (OSError, json.JSONDecodeError) as exc:
+                except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise ConfigError(f"cannot read report {path}: {exc}") from exc
             text = json_text(merged)
             try:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -171,55 +172,64 @@ def prefix_sums(values) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Each slowly varying factor L(n)^g, in the order every sum and product takes them: the
+# field of g, its config name, L(n) under a given log, the scale whose inverse bounds
+# k (log L)'(k) for k >= start, the ratio the dyadic constant takes for L's blocks, and
+# the least n that ``values`` takes (L(n) > 0 from there on) and its refusal's words.
+SvFactor = namedtuple("SvFactor", "field name base scale ratio least_n words")
+SV_FACTORS = (
+    SvFactor("log2p", "log_power", lambda n, log: log(2.0 + n), lambda s: math.log(2.0 + s),
+             math.log(4.0) / math.log(3.0), 0, "log"),
+    SvFactor("loglog", "loglog_power", lambda n, log: log(log(_E2 + n)),
+             lambda s: math.log(_E2 + s) * math.log(math.log(_E2 + s)),
+             max(math.log(math.log(_E2 + 2.0 ** j)) / math.log(math.log(_E2 + 2.0 ** (j - 1)))
+                 for j in range(1, 65)), 0, "loglog"),
+    SvFactor("logn", "plainlog_power", lambda n, log: log(n), math.log, 2.0, 2, "plain-log"),
+)
+
+
 @dataclass(frozen=True)
 class SlowlyVarying:
-    """Product (log(2+n))^log2p * (loglog(e^2+n))^loglog * (log n)^logn.
-
-    The plain-log factor requires n >= 2 and exists so that normalizers like
-    (n log n)^{1/2} are exactly representable as a family.
-    """
+    """Product (log(2+n))^log2p * (loglog(e^2+n))^loglog * (log n)^logn, each
+    factor a row of ``SV_FACTORS``.  The plain-log factor makes normalizers like
+    (n log n)^{1/2} exactly representable as a family."""
 
     log2p: float = 0.0
     loglog: float = 0.0
     logn: float = 0.0
 
+    def factors(self) -> list:  # (row, exponent) for each row of SV_FACTORS, in its order
+        return [(row, getattr(self, row.field)) for row in SV_FACTORS]
+
     def values(self, n: np.ndarray) -> np.ndarray:
         n = np.asarray(n, dtype=np.float64)
         out = np.ones(n.shape)
-        if self.log2p:
-            out *= libm(pow, libm(math.log, 2.0 + n), self.log2p)
-        if self.loglog:
-            out *= libm(pow, libm(math.log, libm(math.log, _E2 + n)), self.loglog)
-        if self.logn:
-            if (n < 2).any():
-                raise SequenceError("plain-log slowly varying factor needs n >= 2")
-            out *= libm(pow, libm(math.log, n), self.logn)
+        for row, g in self.factors():
+            if g and (n < row.least_n).any():
+                raise SequenceError(f"{row.words} slowly varying factor needs n >= {row.least_n}")
+            if g:
+                out *= libm(pow, row.base(n, lambda x: libm(math.log, x)), g)
         return out
 
     def is_trivial(self) -> bool:
-        return self.log2p == 0.0 and self.loglog == 0.0 and self.logn == 0.0
+        return all(g == 0.0 for _, g in self.factors())
 
     def exponent_bound(self, start: int, sign: float = 1.0) -> float:
         """delta with sv(k) <= sv(start) (k/start)^delta for k >= start; with
         ``sign`` -1, sv(k) >= sv(start) (k/start)^delta.  It sums g / scale over
-        the factors f^g with sign * g > 0, where 1/scale bounds k (log f)'(k)
+        the factors L^g with sign * g > 0, where 1/scale bounds k (log L)'(k)
         past start; the other factors move the other way from their start value."""
         if start < 2:
             raise ValueError("envelope start must be >= 2")
-        scales = (math.log(2.0 + start),
-                  math.log(_E2 + start) * math.log(math.log(_E2 + start)), math.log(start))
         delta = 0.0
-        for g, scale in zip((self.log2p, self.loglog, self.logn), scales):
+        for row, g in self.factors():
             if sign * g > 0:
-                delta += g / scale
+                delta += g / row.scale(start)
         return delta
 
     def combine(self, other: "SlowlyVarying", other_power: float) -> "SlowlyVarying":
-        return SlowlyVarying(
-            log2p=self.log2p + other_power * other.log2p,
-            loglog=self.loglog + other_power * other.loglog,
-            logn=self.logn + other_power * other.logn,
-        )
+        return SlowlyVarying(**{row.field: g + other_power * getattr(other, row.field)
+                                for row, g in self.factors()})
 
     def log_values(self, n, log=np.log):
         """log sv(n): by numpy's log over an array of n, for bounds compared under
@@ -227,12 +237,9 @@ class SlowlyVarying:
         report and so must not hang on numpy's SIMD dispatch."""
         n = np.asarray(n, dtype=np.float64) if log is np.log else float(n)
         out = 0.0 * n
-        if self.log2p:
-            out = out + self.log2p * log(log(2.0 + n))
-        if self.loglog:
-            out = out + self.loglog * log(log(log(_E2 + n)))
-        if self.logn:
-            out = out + self.logn * log(log(n))
+        for row, g in self.factors():
+            if g:
+                out = out + g * log(row.base(n, log))
         return out
 
 
@@ -297,7 +304,8 @@ class TermBound:
     def __post_init__(self) -> None:
         if not (self.log_coef < math.inf and math.isfinite(self.exponent)
                 and (0.0 < self.rate < math.inf) == (0.0 < self.kappa < math.inf)
-                and self.rate >= 0.0 <= self.kappa and (self.from_n >= 2 or not self.sv.logn)):
+                and self.rate >= 0.0 <= self.kappa
+                and all(self.from_n >= row.least_n for row, g in self.sv.factors() if g)):
             raise ValueError(f"invalid term bound {self!r}")
         if self.floor and not (self.log_coef > -math.inf and self.rate == 0.0
                                and self.sv.is_trivial() and self.exponent <= 1.0):
@@ -557,17 +565,8 @@ def _eventual_sign(exponent: float, sv: SlowlyVarying) -> int:
 
 def _dyadic_family_constant(family: PowerLawFamily) -> float:
     """Closed-form constant for the dyadic sandwich of a power-law family."""
-    c = 2.0 ** abs(family.exponent)
-    sv = family.sv
-    if sv.log2p:
-        c *= (math.log(4.0) / math.log(3.0)) ** abs(sv.log2p)
-    if sv.loglog:
-        ratios = (math.log(math.log(_E2 + 2.0 ** j)) /
-                  math.log(math.log(_E2 + 2.0 ** (j - 1))) for j in range(1, 65))
-        c *= max(ratios) ** abs(sv.loglog)
-    if sv.logn:
-        c *= 2.0 ** abs(sv.logn)
-    return c
+    return math.prod([2.0 ** abs(family.exponent),
+                      *(row.ratio ** abs(g) for row, g in family.sv.factors() if g)])
 
 
 # ---------------------------------------------------------------------------

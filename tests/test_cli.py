@@ -664,7 +664,7 @@ PARSER_CASES = {
                      # --thresh, so "--thresh=-1e3" ran
                      *(("estimate", "--n", "4", *words, "--set", "distribution.kind=rademacher")
                        for words in (("--thresh", "-1e3"), ("--thresh=-1e3",)))]),
-    ("simulate", "--horizon", "x"): "scenario.horizon must be an integer >= 4, not 'x'",
+    ("simulate", "--horizon", "x"): "scenario.horizon must be an integer from 4 to 2^53, not 'x'",
     ("estimate", "--threshold", "1"): "estimate needs scenario.n, an integer >= 1",
     ("check-conditions", "--maximal"): "check-conditions reads no scenario.maximal",
     ("counterexample", "--maximal"): "counterexample reads no scenario.maximal",
@@ -1301,8 +1301,9 @@ ROW_REFUSALS = [
     ("scenario", "eps", "check-conditions", "0.5,1,0.50", "a list of distinct finite numbers > 0"),
     ("scenario", "theta", "check-conditions", "2x", "a finite number >= 1"),
     ("scenario", "theta", "check-conditions", "0.5", "a finite number >= 1"),
-    ("scenario", "horizon", "simulate", "1e3", "an integer >= 4"),
-    ("scenario", "horizon", "check-conditions", "3", "an integer >= 4"),
+    ("scenario", "horizon", "simulate", "1e3", "an integer from 4 to 2^53"),
+    ("scenario", "horizon", "check-conditions", "3", "an integer from 4 to 2^53"),
+    ("scenario", "horizon", "simulate", str(2 ** 53 + 1), "an integer from 4 to 2^53"),
     ("scenario", "n", "estimate", "1.5", "an integer >= 1"),
     ("scenario", "threshold", "estimate", "1/2", "a finite number"),
     ("scenario", "threshold", "estimate", "inf", "a finite number"),
@@ -1812,6 +1813,34 @@ def test_config_file_without_section_header_is_a_config_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-conditions", "--config", str(config))
     assert code == cli.EXIT_CONFIG
     assert out == "" and err.startswith("config error: malformed config file")
+
+
+@pytest.mark.parametrize("argv,words", [
+    (("check-conditions", "--config", "BAD", "--preset", "spataru",
+      "--set", "distribution.kind=rademacher"), "malformed config file"),
+    (("report-merge", "BAD", "--out", "MERGED"), "cannot read report")],
+    ids=["config", "report-merge"])
+def test_a_file_that_is_not_utf8_is_a_config_error(capsys, tmp_path, argv, words):
+    bad, merged = tmp_path / "bad.ini", tmp_path / "merged.json"
+    bad.write_bytes(b"\xff\xfe[scenario]\n")
+    argv = [{"BAD": str(bad), "MERGED": str(merged)}.get(word, word) for word in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"config error: {words} {bad}: ") and len(err.splitlines()) == 1
+    assert not merged.exists()
+
+
+@pytest.mark.parametrize("horizon", [2 ** 61, 2 ** 62, 10 ** 20, 10 ** 30, 2 ** 63 - 1],
+                         ids=["2^61", "2^62", "1e20", "1e30", "2^63-1"])
+def test_a_horizon_past_2_53_is_refused_by_its_row(capsys, horizon):
+    # numpy refused these columns (or, at 2^63 - 1, built empty ones) with an
+    # internal error; past 2^53 a column of n would not hold every index exactly
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru", "--horizon",
+                         str(horizon), "--set", "distribution.kind=rademacher")
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "config error: scenario.horizon must be "
+                                f"an integer from 4 to 2^53, not '{horizon}'\n")
+    _, _, rule, _ = cli._ROWS["scenario", "horizon"]
+    assert rule(2 ** 53) and not rule(2 ** 53 + 1)
 
 
 def test_unwritable_out_is_a_config_error(capsys, tmp_path):

@@ -475,6 +475,35 @@ def test_dyadic_harmonic_weights_constant_two():
     assert rep.constants["dyadic_C"] == pytest.approx(2.0, rel=1e-12)
 
 
+# The dyadic constant of n^e sv(n), multiplied out in the order the closed form takes
+# the factors: 2^|e|, log(4)/log(3) for log(2+n) (a known defect: the block [2, 4] has
+# ratio log(6)/log(4)), the largest of loglog's 64 block ratios, then 2 for log n.
+LOGLOG_BLOCK_RATIO = max(math.log(math.log(math.e ** 2 + 2.0 ** j))
+                         / math.log(math.log(math.e ** 2 + 2.0 ** (j - 1))) for j in range(1, 65))
+
+
+@pytest.mark.parametrize("exponent", [-0.5, 1.5])
+@pytest.mark.parametrize("sv", [
+    *(SlowlyVarying(**{field: g}) for field in ("log2p", "loglog", "logn")
+      for g in (-2.0, -0.5, 0.5, 2.0)),
+    SlowlyVarying(log2p=0.7, loglog=-1.3, logn=0.5)], ids=repr)
+def test_dyadic_constant_multiplies_each_slowly_varying_factors_block_ratio(exponent, sv):
+    expected = 2.0 ** abs(exponent)
+    if sv.log2p:
+        expected *= (math.log(4.0) / math.log(3.0)) ** abs(sv.log2p)
+    if sv.loglog:
+        expected *= LOGLOG_BLOCK_RATIO ** abs(sv.loglog)
+    if sv.logn:
+        expected *= 2.0 ** abs(sv.logn)
+    fam = sk.PowerLawFamily(exponent, sv=sv)
+    assert sk._dyadic_family_constant(fam).hex() == expected.hex()
+    # the weights' route to the constant; the plain log has no value at n = 1
+    if exponent < 0.0 and not sv.logn:
+        rep = dyadic(sk.power_law_weights(exponent, sv=sv), horizon=64)
+        assert (rep.verdict, rep.constants["route"]) == (Verdict.CERTIFIED_PASS, 2.0)
+        assert rep.constants["dyadic_C"].hex() == expected.hex()
+
+
 def test_dyadic_inverse_square_inconclusive():
     rep = dyadic(sk.power_law_weights(-2.0))
     assert rep.verdict is Verdict.INCONCLUSIVE
