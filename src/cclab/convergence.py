@@ -34,8 +34,7 @@ from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, check_partial_sums
-from .seqkit import (_TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
-                     prefix_sums)
+from .seqkit import NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf, prefix_sums
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds need not go through libm.
@@ -173,7 +172,8 @@ def _first_n(predicate, start: int, limit: int) -> Optional[int]:
 
 
 def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
-    """Certificate for the n*w(n)*P(|X| >= eps a(n)) series, when structure permits."""
+    """Certificate for the n*w(n)*P(|X| >= eps a(n)) series from the law's
+    support bound or its ``tail_shape``, when structure permits."""
     bound = distmodel.support_bound(d)
     if bound is not None and a.family is not None and a.family.exponent > 0:
         with np.errstate(over="ignore"):  # an inf cutoff lies past the support
@@ -183,12 +183,14 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         return TermBound(-math.inf, 0.0, from_n=n0,
                          description=f"bounded support {bound:g}: the tail is 0 once "
                                      f"eps*a(n) > {bound:g}")
-    if d.kind == "pareto_sym" and w.family is not None and a.family is not None:
-        alpha, scale = d.params
-        wf, af = w.family, a.family
-        # the tail is exact from the first cutoff at or past the scale that keeps every digit
-        with np.errstate(over="ignore"):
-            n0 = _first_n(lambda n: eps * a.values(n) >= max(scale, _TINY), 2, horizon)
+    shape = d.tail_shape()
+    if shape is None or w.family is None or a.family is None:
+        return None
+    wf, af = w.family, a.family
+    if shape.alpha is not None:
+        alpha, scale = shape.alpha, shape.scale
+        with np.errstate(over="ignore"):  # from where the tail is exact
+            n0 = _first_n(lambda n: eps * a.values(n) >= shape.start, 2, horizon)
         if n0 is None:
             return None
         # the term is exactly coef n^-q sv(n) from n0 on; sv(n) <= or >= sv(n0) (n/n0)^delta
@@ -203,35 +205,33 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
             delta = sv.exponent_bound(n0, sign)
         log_coef = (log_or_inf(wf.coef) + sv.log_values(n0, math.log) - delta * math.log(n0)
                     + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
-        if floor and (q - delta > 1.0 or log_coef == -math.inf):
+        # a coefficient past the doubles (alpha 1e308) bounds nothing
+        if not log_coef < math.inf or (floor and (q - delta > 1.0 or log_coef == -math.inf)):
             return None
         return _certified(TermBound(log_coef, q - delta, from_n=n0, floor=floor,
                                     description="exact symmetric-Pareto tail term" +
                                     (" stays above a divergent power" if floor else "")))
-    if d.kind == "normal_std" and w.family is not None and a.family is not None:
-        wf = w.family
-        if a.family.exponent < 0.5:
-            return None
-        delta = wf.sv.exponent_bound(3)
-        # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
-        # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
-        # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
-        # costs one power beyond the weight's own exponent e.
-        need = 3.0 + wf.exponent + delta
+    if af.exponent < 0.5:
+        return None
+    delta = wf.sv.exponent_bound(3)
+    # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
+    # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
+    # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
+    # costs one power beyond the weight's own exponent e.
+    need = 3.0 + wf.exponent + delta
 
-        def ok(n: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):  # an inf x^2 passes, as it should
-                x2 = eps * eps * libm(pow, a.values(n), 2.0)
-            return x2 / 2.0 >= need * libm(math.log, n)
+    def ok(n: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an inf x^2 passes, as it should
+            x2 = eps * eps * libm(pow, a.values(n), 2.0)
+        return x2 / 2.0 >= need * libm(math.log, n)
 
-        n0 = _first_n(ok, 3, horizon)
-        if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
-            return None
-        log_coef = log_or_inf(wf.coef) + wf.sv.log_values(n0, math.log) - delta * math.log(n0)
-        return _certified(TermBound(log_coef, 2.0, from_n=n0,
-                                    description="Gaussian tail bound exp(-x^2/2) past the "
-                                                f"crossover n={n0}"))
-    return None
+    n0 = _first_n(ok, 3, horizon)
+    if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
+        return None
+    log_coef = log_or_inf(wf.coef) + wf.sv.log_values(n0, math.log) - delta * math.log(n0)
+    return _certified(TermBound(log_coef, 2.0, from_n=n0,
+                                description="Gaussian tail bound exp(-x^2/2) past the "
+                                            f"crossover n={n0}"))
 
 
 def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):

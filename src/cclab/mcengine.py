@@ -388,17 +388,16 @@ def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     SamplingUnavailable before any draw.  Other laws split n single steps
     into signs and magnitudes, ``_step_sums``.
     """
-    if d.kind == "normal_std":
+    if d.gaussian:
         root = math.sqrt(n)
         return lambda rows, rng: root * rng.standard_normal(rows)
-    if d.kind == "uniform_sym" and n >= _PLANE_MAX_N:
+    h = d.plane_width
+    if h is not None and n >= _PLANE_MAX_N:
         raise distmodel.SamplingUnavailable(
             f"uniform_sym: {n} steps is past the bit-plane range n < 2^36")
-    if d.kind == "uniform_sym" and n >= _PLANE_MIN_N:
-        (h,) = d.params
+    if h is not None and n >= _PLANE_MIN_N:
         table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
         return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)
-
     return lambda rows, rng: _step_sums(d, n, rows, rng)
 
 
@@ -442,7 +441,7 @@ def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generato
         s = None
         for n, m, draw in zip(ns, steps, draws):
             x = draw(rows, rng)
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):  # as in _step_sums
                 s = x if s is None else s + x
             if np.isnan(s).any():  # a NaN increment carries into s
                 to = "" if m == n else f", the increment to n = {n},"
