@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import json
@@ -393,23 +394,30 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _sequence_guard():
+    """Past the double range, numpy gives inf silently and Python raises: a config error."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    except OverflowError as exc:
+        raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
+
+
 @functools.lru_cache(maxsize=2)
 def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
     """The law-independent half of check-conditions: the read-only w and a
     columns over 1..horizon and the regularity reports, kept for the 2 most
     recent keys up to _MEMO_MAX_HORIZON; T_n is freed."""
-    try:  # past the double range, numpy gives inf silently and Python raises
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = seqkit.sequence_values(w, a, horizon)
-            regularity = (
-                seqkit.check_dyadic_regularity(w, values),
-                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=3.0),
-                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=2.0),
-                seqkit.check_inf_growth(w, a, values, power=3.0),
-                seqkit.check_inf_growth(w, a, values, power=2.0),
-            )
-    except OverflowError as exc:
-        raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
+    with _sequence_guard():
+        values = seqkit.sequence_values(w, a, horizon)
+        regularity = (
+            seqkit.check_dyadic_regularity(w, values),
+            seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=3.0),
+            seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=2.0),
+            seqkit.check_inf_growth(w, a, values, power=3.0),
+            seqkit.check_inf_growth(w, a, values, power=2.0),
+        )
     if not math.isfinite(values.t[-1]):
         k = int(np.argmin(np.isfinite(values.t))) + 1
         raise ConfigError(f"T_n = sum k w(k) overflows doubles at n={k}")
@@ -553,23 +561,25 @@ def run_counterexample(cfg: ScenarioConfig,
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= cfg.horizon]
-    seqkit.require_nondecreasing(cfg.norms.values(np.arange(1, grid[-1] + 1)))
+    with _sequence_guard():  # each evaluated once, as check-conditions evaluates them
+        av = cfg.norms.values(np.arange(1, grid[-1] + 1))
+        seqkit.require_nondecreasing(av)
+        wv, av = cfg.weights.values(grid), av[np.array(grid) - 1]
     reports, tables = {}, {}  # tables: CSV file name -> report
     if cfg.maximal:
         # Exact or absent: a law without an oracle stops here, before any
         # Monte Carlo runs.
         max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
-        wv, av = cfg.weights.values(max_grid).tolist(), cfg.norms.values(max_grid).tolist()
         for eps in cfg.eps:
             terms = [wn * mcengine.max_tail_profile(d, n, eps * an)[-1]
-                     for n, wn, an in zip(max_grid, wv, av)]
+                     for n, wn, an in zip(max_grid, wv.tolist(), av.tolist())]
             max_rep = convergence.summarize_series(
                 "running-maximum", max_grid, terms, params={"eps": eps},
                 evidence=("exact absorbing-threshold dynamic program",))
             reports[f"max:{eps}"] = tables[f"simulate_max_eps{eps}.csv"] = max_rep
     empirical = mcengine.empirical_series(
         d, cfg.weights, cfg.norms, cfg.eps, grid, cfg.replicates, cfg.seed,
-        workers=cfg.workers)
+        workers=cfg.workers, columns=(wv, av))
     for eps, rep in zip(cfg.eps, empirical):
         reports[eps] = tables[f"simulate_eps{eps}.csv"] = rep
     payload = {

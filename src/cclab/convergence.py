@@ -34,11 +34,13 @@ from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, check_partial_sums
-from .seqkit import NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf, prefix_sums
+from .seqkit import (_TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
+                     prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds need not go through libm.
 _ENVELOPE_SLACK = 1e-9
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,16 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     # exp(-inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.where(t == 0.0, -math.inf, -(eps * eps * a * a) / (n * t))
-    return w * libm(math.exp, _exponent(x, n, "-eps^2 a(n)^2 / (n T)"))
+    w, x = np.broadcast_arrays(w, _exponent(x, n, "-eps^2 a(n)^2 / (n T)"))
+    e = libm(math.exp, x)
+    out = w * e
+    # Below the normal doubles exp(x) has lost digits, so there the term is
+    # exp(log w(n) + x), log w(n) = log 4m + (k - 2) log 2 for w(n) = m 2^k
+    # (libm's loop takes 4m in [2, 4)); past x + k log 2 = -746 it is 0 either way.
+    m, k = np.frexp(w)
+    low = (e < _TINY) & (x + k * _LN2 > -746.0) & (w > 0.0)
+    out[low] = libm(math.exp, libm(math.log, 4.0 * m[low]) + (k[low] - 2) * _LN2 + x[low])
+    return out
 
 
 def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:

@@ -1,26 +1,17 @@
 """Random-variable models: one class per law, its closed forms as methods.
 
-Each law is a frozen, hashable ``Dist`` subclass, named by its ``kind``:
+Each law is a frozen, hashable ``Dist`` subclass named by its ``kind``:
 ``Atoms``, ``UniformSym``, ``NormalStd`` and ``ParetoSym``.  Its methods are
-its closed forms: tails P(|X| >= t) and truncated second moments
-E[X^2 1{|X| < b}] over arrays, the weighted second moment, the support and
-second-moment bounds, the shape of its tail for the single-tail certificates
-and, for the laws ``mcengine`` draws step by step, the magnitudes.  The
-views ``mcengine`` draws whole sums from (``lattice_steps``, ``plane_width``
-and ``gaussian``) are None or False on the laws without them.  The module
-functions check the arguments every law shares and call the method.
-
-The weighted second moments of the continuous laws come from one fixed
-24-point Gauss-Legendre rule on graded panels, with every transcendental
-mapped through ``seqkit.libm``, so their bits depend on neither numpy's SIMD
-dispatch nor a LAPACK build.  Every finite atom law (``rademacher``,
-``atomic_sym``, ``atomic``) is one class, ``Atoms``: a signed (value, mass)
-table, with the remaining mass at 0, so equal tables are equal laws, and
-``Atoms.lattice_steps`` is its one step-law view.  ``tails`` and
-``truncated_second_moments`` take arrays of cutoffs; ``tail`` and
-``truncated_moment`` are their one-point forms.  ``sample`` draws the
-magnitudes |X| / scale of the single steps ``mcengine`` signs by one count a
-row, for ``pareto_sym``, and for ``uniform_sym`` below its bit-plane range.
+its tails P(|X| >= t) and truncated second moments E[X^2 1{|X| < b}] over
+arrays, its weighted second moment, support and second-moment bounds, the
+tail shape the single-tail certificates use and, for the laws ``mcengine``
+draws step by step, the magnitudes |X| / scale.  The module functions check
+the arguments every law shares and call the method.  The weighted moments
+of the continuous laws come from one fixed 24-point Gauss-Legendre rule on
+graded panels, with every transcendental mapped through ``seqkit.libm``, so
+their bits depend on neither numpy's SIMD dispatch nor a LAPACK build.
+Every finite atom law (``rademacher``, ``atomic_sym``, ``atomic``) is one
+``Atoms`` table, with the remaining mass at 0, so equal tables are equal laws.
 """
 
 from __future__ import annotations
@@ -80,8 +71,8 @@ class MomentValue:
 
 @dataclass(frozen=True)
 class TailShape:
-    """How P(|X| >= x) falls: exactly as (scale / x)^alpha from x = ``start``
-    on, or, with ``alpha`` None, at most as exp(-x^2 / 2) at every x >= 0."""
+    """P(|X| >= x) is exactly (scale / x)^alpha from x = ``start`` on, or,
+    with ``alpha`` None, at most exp(-x^2 / 2) at every x >= 0."""
 
     alpha: Optional[float] = None
     scale: float = 1.0
@@ -90,13 +81,12 @@ class TailShape:
 
 @dataclass(frozen=True)
 class Dist:
-    """A law of X, one subclass per kind, whose fields are its ``params``.
-
-    Every law has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)``
-    at b > 0 and ``weighted_second_moment(p)``, a float or a MomentValue that
-    says why there is none; the methods below are the defaults of a law
-    without that closed form.
-    """
+    """A law of X, one subclass per kind, its fields its ``params``.  Every law
+    has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)`` at b > 0
+    and ``weighted_second_moment(p)``, a float or a MomentValue saying why
+    there is none; the other closed forms are None where the law has none.
+    The views ``mcengine`` draws whole sums from are None or False on the
+    laws without them."""
 
     kind = ""
     lattice_steps = None  # Atoms: the step law on its decimal lattice
@@ -109,15 +99,12 @@ class Dist:
 
     def support_bound(self) -> Optional[float]:
         """Least B with P(|X| <= B) = 1, when finite and known."""
-        return None
 
     def second_moment_bound(self) -> Optional[float]:
         """Upper bound on E[X^2], when finite and known in closed form."""
-        return None
 
     def tail_shape(self) -> Optional[TailShape]:
-        """The shape the single-tail certificates bound the terms by."""
-        return None
+        """The shape of P(|X| >= x) that the single-tail certificates read."""
 
     def magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count magnitudes |X| / scale of one SFC64 word u = random() each."""
@@ -281,9 +268,7 @@ class UniformSym(Dist):
     half_width: float
     kind = "uniform_sym"
 
-    @property
-    def plane_width(self) -> float:
-        return self.half_width
+    plane_width = property(lambda self: self.half_width)
 
     def tails(self, lam: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # a subnormal h: lam / h is inf, the tail 0
@@ -420,8 +405,10 @@ class ParetoSym(Dist):
         return TailShape(self.alpha, self.scale, max(self.scale, _TINY))
 
     def magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """exp(log(u) * (-1/alpha)), formed in place: within 2^-51 (1 + |log(u)/alpha|)
-        of u^(-1/alpha) relative, and +inf at u = 0 and past the double range."""
+        """exp(log(u) (-1/alpha)), formed in place: within 2^-51 (1 + |log(u)/alpha|)
+        of u^(-1/alpha) relative, +inf at u = 0 and past the double range.  numpy
+        picks its log and exp kernels by the CPU, so the bits depend on the host;
+        the C library's pow (``np.float_power``) would not, at 5-6 times the cost."""
         mag = rng.random(count)  # a ValueError at count < 0
         with np.errstate(divide="ignore", over="ignore"):  # u = 0 and past the doubles: +inf
             np.log(mag, out=mag)
@@ -497,8 +484,7 @@ def atomic(atoms) -> Dist:
 
 
 # ---------------------------------------------------------------------------
-# The module functions: shared argument checks, then the law's method.
-# perfbench/tracer.py wraps several of them by name.
+# The shared argument checks, then the law's method; perfbench's tracer wraps some
 # ---------------------------------------------------------------------------
 
 
@@ -558,20 +544,14 @@ def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
 
 
 def support_bound(d: Dist) -> Optional[float]:
-    """Least B with P(|X| <= B) = 1, when finite and known."""
     return d.support_bound()
 
 
 def second_moment_bound(d: Dist) -> Optional[float]:
-    """Upper bound on E[X^2], when finite and known in closed form."""
     return d.second_moment_bound()
 
 
 def sample(d: Dist, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count i.i.d. magnitudes |X| / scale from one SFC64 word u = random() each:
-    exp(log(u) * (-1/alpha)) for ``pareto_sym`` and u for ``uniform_sym``.
-    ``mcengine`` signs and scales them; it draws the other laws' sums whole.
-    numpy's log and exp pick a SIMD kernel by the CPU, so ``pareto_sym`` bytes
-    depend on the host; the C library's pow (``np.float_power``) would not, at
-    5-6 times the cost."""
+    """count i.i.d. magnitudes |X| / scale, for ``uniform_sym`` and ``pareto_sym``;
+    ``mcengine`` signs and scales them, and draws the other laws' sums whole."""
     return d.magnitudes(rng, count)

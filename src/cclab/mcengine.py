@@ -664,8 +664,8 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
-                     n_grid, replicates: int, seed: int, workers: int = 1) -> list:
+def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list, n_grid,
+                     replicates: int, seed: int, workers: int = 1, columns=None) -> list:
     """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial
     sums, one report for each eps in ``eps_list``.
 
@@ -676,13 +676,15 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list,
     (seed, 1, b) and counted against every eps, so the terms are correlated
     across n; each keeps its own law, and the partial-sum bounds add
     per-term bounds.  The walk oracle is built once per n, and where n
-    doubles along the grid it is the previous oracle squared.
+    doubles along the grid it is the previous oracle squared.  ``columns``,
+    when given, holds w(n) and a(n) at the grid's n.
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     ns = [int(n) for n in n_grid]
-    taus = w.values(ns).tolist()
-    grid = [(n, [e * an for e in eps_list]) for n, an in zip(ns, a.values(ns).tolist())]
+    wv, av = (w.values(ns), a.values(ns)) if columns is None else columns
+    taus = wv.tolist()
+    grid = [(n, [e * an for e in eps_list]) for n, an in zip(ns, av.tolist())]
     estimates = estimate_tail(d, grid, replicates, seed, (1,), workers=workers)
     cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
     oracle = None

@@ -179,7 +179,8 @@ def prefix_sums(values) -> np.ndarray:
 SvFactor = namedtuple("SvFactor", "field name base scale ratio least_n words")
 SV_FACTORS = (
     SvFactor("log2p", "log_power", lambda n, log: log(2.0 + n), lambda s: math.log(2.0 + s),
-             math.log(4.0) / math.log(3.0), 0, "log"),
+             max(math.log(2.0 + 2.0 ** j) / math.log(2.0 + 2.0 ** (j - 1)) for j in range(1, 65)),
+             0, "log"),
     SvFactor("loglog", "loglog_power", lambda n, log: log(log(_E2 + n)),
              lambda s: math.log(_E2 + s) * math.log(math.log(_E2 + s)),
              max(math.log(math.log(_E2 + 2.0 ** j)) / math.log(math.log(_E2 + 2.0 ** (j - 1)))

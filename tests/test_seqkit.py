@@ -476,8 +476,8 @@ def test_dyadic_harmonic_weights_constant_two():
 
 
 # The dyadic constant of n^e sv(n), multiplied out in the order the closed form takes
-# the factors: 2^|e|, log(4)/log(3) for log(2+n) (a known defect: the block [2, 4] has
-# ratio log(6)/log(4)), the largest of loglog's 64 block ratios, then 2 for log n.
+# the factors: 2^|e|, log(6)/log(4) for log(2+n) (the block [2, 4], the largest of
+# its 64 block ratios), the largest of loglog's 64 block ratios, then 2 for log n.
 LOGLOG_BLOCK_RATIO = max(math.log(math.log(math.e ** 2 + 2.0 ** j))
                          / math.log(math.log(math.e ** 2 + 2.0 ** (j - 1))) for j in range(1, 65))
 
@@ -490,7 +490,7 @@ LOGLOG_BLOCK_RATIO = max(math.log(math.log(math.e ** 2 + 2.0 ** j))
 def test_dyadic_constant_multiplies_each_slowly_varying_factors_block_ratio(exponent, sv):
     expected = 2.0 ** abs(exponent)
     if sv.log2p:
-        expected *= (math.log(4.0) / math.log(3.0)) ** abs(sv.log2p)
+        expected *= (math.log(6.0) / math.log(4.0)) ** abs(sv.log2p)
     if sv.loglog:
         expected *= LOGLOG_BLOCK_RATIO ** abs(sv.loglog)
     if sv.logn:
