@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import functools
 import hashlib
 import json
@@ -394,30 +393,23 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _sequence_guard():
-    """Past the double range, numpy gives inf silently and Python raises: a config error."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            yield
-    except OverflowError as exc:
-        raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
-
-
 @functools.lru_cache(maxsize=2)
 def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tuple:
     """The law-independent half of check-conditions: the read-only w and a
     columns over 1..horizon and the regularity reports, kept for the 2 most
     recent keys up to _MEMO_MAX_HORIZON; T_n is freed."""
-    with _sequence_guard():
-        values = seqkit.sequence_values(w, a, horizon)
-        regularity = (
-            seqkit.check_dyadic_regularity(w, values),
-            seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=3.0),
-            seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=2.0),
-            seqkit.check_inf_growth(w, a, values, power=3.0),
-            seqkit.check_inf_growth(w, a, values, power=2.0),
-        )
+    try:  # past the double range, numpy gives inf silently and Python raises
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = seqkit.sequence_values(w, a, horizon)
+            regularity = (
+                seqkit.check_dyadic_regularity(w, values),
+                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=3.0),
+                seqkit.check_tail_domination(w, a, values, theta=theta, moment_power=2.0),
+                seqkit.check_inf_growth(w, a, values, power=3.0),
+                seqkit.check_inf_growth(w, a, values, power=2.0),
+            )
+    except OverflowError as exc:
+        raise ConfigError(f"the weights or normalizer overflow doubles: {exc}") from exc
     if not math.isfinite(values.t[-1]):
         k = int(np.argmin(np.isfinite(values.t))) + 1
         raise ConfigError(f"T_n = sum k w(k) overflows doubles at n={k}")
@@ -469,15 +461,12 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         if not least * a1 > 0.0:
             raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
         d = cfg.dist
-        mom = distmodel.weighted_second_moment(d)
-        moments.append({"form": "inv_logplus", "finite": mom.finite,
-                        "value": mom.value, "reason": mom.reason})
+        # a moment's fields, finite, value and reason, are what the report prints
+        moments.append({"form": "inv_logplus", **vars(distmodel.weighted_second_moment(d))})
         if cfg.preset_name == "spataru_weak":
             delta = cfg.preset_args[0]
-            mom2 = distmodel.weighted_second_moment(d, 1.0 + delta)
             moments.append({"form": "loglog_delta", "delta": delta,
-                            "finite": mom2.finite, "value": mom2.value,
-                            "reason": mom2.reason})
+                            **vars(distmodel.weighted_second_moment(d, 1.0 + delta))})
 
         for eps in cfg.eps:
             series.append(convergence.summarize_series(
@@ -561,7 +550,8 @@ def run_counterexample(cfg: ScenarioConfig,
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= cfg.horizon]
-    with _sequence_guard():  # each evaluated once, as check-conditions evaluates them
+    # each evaluated once, with numpy's overflow silent as in _sequence_half
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         av = cfg.norms.values(np.arange(1, grid[-1] + 1))
         seqkit.require_nondecreasing(av)
         wv, av = cfg.weights.values(grid), av[np.array(grid) - 1]

@@ -81,14 +81,12 @@ class TailShape:
 
 @dataclass(frozen=True)
 class Dist:
-    """A law of X, one subclass per kind, its fields its ``params``.  Every law
-    has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)`` at b > 0
+    """A law of X, one subclass per ``kind``, its fields its ``params``.  Every
+    law has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)`` at b > 0
     and ``weighted_second_moment(p)``, a float or a MomentValue saying why
-    there is none; the other closed forms are None where the law has none.
-    The views ``mcengine`` draws whole sums from are None or False on the
-    laws without them."""
+    there is none; its other closed forms, and the views ``mcengine`` draws
+    whole sums from, are None (or False) where it has none."""
 
-    kind = ""
     lattice_steps = None  # Atoms: the step law on its decimal lattice
     plane_width = None  # UniformSym: the h whose uniform(-h, h) steps are 53 fair bit planes
     gaussian = False  # NormalStd: S_n has the law of sqrt(n) X
@@ -187,7 +185,6 @@ def _log_2_plus_exp(u: np.ndarray) -> np.ndarray:
     return e
 
 
-
 # Below this cutoff 2 Phi(b) - 1 - 2 b phi(b) cancels, and the normal T is
 # summed as a series; at it the difference is at least the series one ulp below.
 _NORMAL_SERIES_BELOW = 0.4
@@ -202,7 +199,6 @@ def _normal_series(b: np.ndarray) -> np.ndarray:
     for k in range(10, 1, -1):
         h = 1.0 + h * (b2 / (2 * k + 1))
     return 2.0 * _INV_SQRT_2PI * libm(math.exp, -0.5 * b2) * (b * b2 / 3.0 * h)
-
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,6 @@ class UniformSym(Dist):
 
     half_width: float
     kind = "uniform_sym"
-
     plane_width = property(lambda self: self.half_width)
 
     def tails(self, lam: np.ndarray) -> np.ndarray:

@@ -1,48 +1,32 @@
 """Monte Carlo estimation of P(|S_n| >= t) plus exact small-instance oracles.
 
 Sampling follows a strict determinism contract: replicates are split into
-fixed-size batches, batch b draws from its own stream, (seed, 0, *words(n), b)
-for ``estimate`` and (seed, 1, b) for ``simulate``, and batch results are
-merged in index order.  The same (config, seed) therefore produces
-bit-identical output for any worker count on one host.  ``pareto_sym``
-magnitudes come from numpy's log and exp, whose SIMD kernels depend on the
-CPU (``distmodel.sample``), so its bytes can differ between hosts.  A
-replicate is one walk read at every n of an ascending grid: it draws the
-increments S_{n_i} - S_{n_(i-1)} in grid order
-and adds them up, so estimates at different n are correlated, each with the
-exact law of its S_n.  An increment of m steps is drawn whole where its law
-allows:
-
-- an atom table as its atom counts, drawn in one place, summed on the
-  oracles' lattice in int64 while the grid's last n stays within 2^53 and
-  divided by den once a grid point, so a hit is |k|/den >= t exactly as in
-  exact_tail; past 2^53, as the counts times the float atoms.  Where every
-  mass is a multiple of 1/8 and m is small, the counts are popcounts of
-  ANDs of fair random bit planes (Knuth and Yao 1976), exact in law;
-  elsewhere numpy's multinomial draws them;
-- the normal law as sqrt(m) Z;
-- ``uniform_sym`` at 176 <= m < 2^36 as 53 binomial bit planes, since
-  Generator.random() is x 2^-53 with 53 fair bits in x.  Up to
-  _TABLE_MAX_N steps each plane count C_k ~ Bin(m, 1/2) is one SFC64 word
-  read through the exact CDF (a guide table, Chen and Asau 1974), so its law
-  is exactly Bin(m, 1/2); past it numpy's binomial (BTPE) draws the counts.
-  From m = 2^36 on ``uniform_sym`` raises SamplingUnavailable.
-
-``pareto_sym``, and ``uniform_sym`` below m = 176, draw a count K ~ Bin(m, 1/2)
-of + signs a row, as a Rademacher walk's counts, then m magnitudes |X| / scale
-of one SFC64 word each: scale (sum of the first K - sum of the rest).
-These draws are stream version ``sfc64-v8`` (``seeding.stream_id``).
+fixed-size batches, batch b draws from its own stream (``seeding``), and
+batch results are merged in index order, so the same (config, seed) gives
+bit-identical output for any worker count on one host.  A replicate is one
+walk read at every n of an ascending grid (``_walk``).  It adds up the
+increments S_{n_i} - S_{n_(i-1)}, each of m steps drawn whole where a view
+of its law allows: an atom table's ``lattice_steps`` as its atom counts, from
+fair random bit planes (Knuth and Yao 1976) where every mass is a multiple
+of 1/8 and m is small, else from numpy's multinomial; the ``gaussian`` law
+as sqrt(m) Z; and ``uniform_sym`` (``plane_width``) at 176 <= m < 2^36 as 53
+binomial bit planes, each count one SFC64 word read through the exact CDF
+(a guide table, Chen and Asau 1974) up to _TABLE_MAX_N steps.  ``pareto_sym``,
+and ``uniform_sym`` below m = 176, draw a count K ~ Bin(m, 1/2) of + signs a
+row, then m magnitudes |X| / scale (``distmodel.sample``), whose numpy log
+and exp for ``pareto_sym`` pick SIMD kernels by the CPU, so its bytes can
+differ between hosts.  These draws are stream version ``sfc64-v8``.
 
 Oracles read each atom as the shortest decimal that rounds to it (the number
 the user wrote) and scale by the lcm of the denominators, so every walk lives
-on one integer lattice.  The law of S_n is built by repeated squaring with
-direct convolution, and the running-maximum tail for n <= 64 by a banded
-absorbing walk on the same lattice.  Kinds without atoms, atoms with no short
-decimal, lattices wider than MAX_ORACLE_SUPPORT points, and walks whose
-convolutions would take more than MAX_CONVOLUTION_WORK multiply-adds raise
-OracleUnavailable.  numpy convolves outputs with partial overlap, and all of
-them for kernels over 11 points, with BLAS ddot, whose kernel OpenBLAS picks
-by CPU, so oracle bits can differ between hosts unless every product is exact.
+on one integer lattice: the law of S_n by repeated squaring with direct
+convolution, the running-maximum tail for n <= 64 by a banded absorbing walk.
+Laws without atoms, atoms with no short decimal, and lattices or
+convolutions past MAX_ORACLE_SUPPORT points or MAX_CONVOLUTION_WORK
+multiply-adds raise OracleUnavailable.  numpy convolves outputs with partial
+overlap, and all of them for kernels over 11 points, with BLAS ddot, whose
+kernel OpenBLAS picks by CPU, so oracle bits can differ between hosts unless
+every product is exact.
 """
 
 from __future__ import annotations
@@ -379,15 +363,11 @@ def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generato
 
 
 def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """The draw of one batch of S_n for a law without atoms: a function
-    (rows, rng) -> rows sums.
-
-    The normal law draws sqrt(n) Z, and uniform_sym at _PLANE_MIN_N <= n <
-    _PLANE_MAX_N its bit planes, whose counts up to _TABLE_MAX_N invert one
-    table built here for every batch; past _PLANE_MAX_N it raises
-    SamplingUnavailable before any draw.  Other laws split n single steps
-    into signs and magnitudes, ``_step_sums``.
-    """
+    """The draw of one batch of S_n for a law without atoms, a function (rows,
+    rng) -> rows sums, by the law's views as the module docstring lists.  The
+    table that inverts ``uniform_sym``'s plane counts is built here once for
+    every batch, and past _PLANE_MAX_N SamplingUnavailable is raised before
+    any draw."""
     if d.gaussian:
         root = math.sqrt(n)
         return lambda rows, rng: root * rng.standard_normal(rows)
@@ -454,11 +434,6 @@ def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generato
     return walk
 
 
-def _batch_plan(replicates: int, batch_size: int) -> list[int]:
-    full, rest = divmod(replicates, batch_size)
-    return [batch_size] * full + ([rest] if rest else [])
-
-
 def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tuple,
                   workers: int = 1, batch_size: int = DEFAULT_BATCH) -> list:
     """Monte Carlo estimates of P(|S_n| >= t) with 99% Wilson intervals along
@@ -482,7 +457,8 @@ def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tup
     thresholds = [[float(t) for t in ts] for _, ts in grid]
     if any(math.isnan(t) for ts in thresholds for t in ts):
         raise ValueError("threshold must not be NaN")
-    plan = _batch_plan(replicates, batch_size)
+    full, rest = divmod(replicates, batch_size)
+    plan = [batch_size] * full + ([rest] if rest else [])
     walk = _walk(d, ns)
     address = [word for x in path for word in seeding.words(x)]
 

@@ -29,16 +29,6 @@ def words(x: int) -> tuple:
 
 
 def stream_id(seed: int, *path: int) -> str:
-    """Label of a stream address; the version tag changes whenever the draws
-    made from a stream change (v2: direct sums of S_n in ``mcengine``; v3:
-    ``uniform_sym`` bit planes at n >= 512, off-lattice atom counts, and one
-    word per ``pareto_sym`` step; v4: SFC64 seeded by ``SeedSequence`` in
-    place of Philox; v5: ``uniform_sym`` plane counts by exact inversion up
-    to ``mcengine._TABLE_MAX_N``; v6: atom counts from fair bits for masses
-    in multiples of 1/8 below ``mcengine``'s crossover, and ``uniform_sym``
-    bit planes from a lower ``mcengine._PLANE_MIN_N``; v7: single-step sums
-    as one sign count a row, then the magnitudes |X| / scale, and the
-    ``uniform_sym`` planes from a re-measured ``_PLANE_MIN_N``; v8: Pareto
-    magnitudes by log and exp, and fair-bit atom counts from a re-measured
-    ``mcengine`` crossover)."""
+    """Label of a stream address.  The version tag changes whenever the draws
+    made from a stream change; CHANGES.md says what each version changed."""
     return "sfc64-v8:" + "/".join(str(int(x)) for x in (seed, *path))

@@ -23,7 +23,7 @@ import cclab
 from cclab import cli
 from cclab import convergence as cv
 from cclab import counterexample, distmodel, mcengine, seeding, seqkit
-from cclab.reports import CSV_COLUMNS, SeriesReport, json_text
+from cclab.reports import CONVERGES, CSV_COLUMNS, UNDETERMINED, SeriesReport, json_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -2149,6 +2149,74 @@ def test_valid_scenarios_at_every_magnitude_end_in_a_documented_exit_code(capsys
         if code not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_FAMILY):
             failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
     assert not failures, "\n".join(failures)
+
+
+# A fixed product grid of custom scenarios at horizon 2000: weight coefficient and
+# exponent, normalizer exponent, a log factor on the weights, and five laws.
+GRID_LAWS = {"rademacher": (), "normal_std": (), "uniform_sym": (),
+             "pareto_sym": ("--set", "distribution.alpha=3"),
+             "atomic_sym": ("--set", "distribution.atoms=1:0.5,3:0.25")}
+CUSTOM_GRID = [
+    ("check-conditions", "--horizon", "2000", "--set", f"weights.coef={coef}",
+     "--set", f"weights.exponent={w_exp}", "--set", f"normalizer.exponent={a_exp}",
+     *(("--set", f"weights.slowly_varying={sv}") if sv else ()),
+     "--set", f"distribution.kind={kind}", *extra)
+    for coef in ("1", "1e9") for w_exp in ("-1", "0") for a_exp in ("0.75", "1", "1.5")
+    for sv in ("", "log_power:10") for kind, extra in GRID_LAWS.items()]
+
+
+def test_a_grid_of_custom_scenarios_ends_in_a_documented_exit_code(capsys):
+    # exit 0 prints nothing on stderr, exits 1-4 one line; exit 5 (a check inside
+    # the program failed) is a defect.  Under the suite's filterwarnings a numpy
+    # warning raises.  The exponential terms whose exp(x) is subnormal exited 5
+    # when formed as w(n) exp(x): the envelope is tight, the term off by 1e-8.
+    failures = []
+    for argv in CUSTOM_GRID:
+        code, _, err = run(capsys, *argv)
+        if code not in range(5) or len(err.splitlines()) != (code != cli.EXIT_OK):
+            failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--set", "weights.exponent=0", "--set", "weights.coef=1e9"),
+    ("--set", "weights.exponent=-0.01", "--set", "weights.slowly_varying=log_power:10")],
+    ids=["coef 1e9", "log_power 10"])
+def test_exponential_terms_below_the_normal_range_meet_their_tight_envelope(capsys, argv):
+    code, out, err = run(capsys, "check-conditions", *argv, "--set", "normalizer.exponent=1",
+                         "--set", "distribution.kind=rademacher", "--horizon", "2000")
+    assert (code, err) == (cli.EXIT_OK, "")
+    series = json.loads(out)["series"]
+    assert [s["verdict"] for s in series if s["series_id"] == "exponential"] == [CONVERGES] * 2
+
+
+@pytest.mark.parametrize("alpha,verdict", [("1e300", CONVERGES), ("1e308", UNDETERMINED)])
+def test_a_pareto_alpha_whose_coefficient_leaves_the_doubles_has_no_certificate(
+        capsys, alpha, verdict):
+    # alpha (log s - log eps - log A) overflows to inf at alpha 1e308: no envelope
+    code, out, err = run(capsys, "check-conditions", "--preset", "spataru", "--horizon", "64",
+                         "--eps", "0.1", "--set", "distribution.kind=pareto_sym",
+                         "--set", f"distribution.alpha={alpha}")
+    assert (code, err) == (cli.EXIT_OK, "")
+    (single,) = [s for s in json.loads(out)["series"] if s["series_id"] == "single-tail"]
+    assert single["verdict"] == verdict
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a finite running sum that overflows adds to inf without a warning
+    (("--preset", "spataru", "--set", "distribution.kind=atomic_sym",
+      "--set", "distribution.atoms=1e308:0.002", "--horizon", "64", "--seed", "1"), 0),
+    # the sequences are evaluated once, with numpy's overflow silent
+    (("--set", "weights.exponent=-1", "--set", "normalizer.exponent=0",
+      "--set", "normalizer.coef=1e308", "--set", "normalizer.slowly_varying=log_power:2",
+      "--set", "distribution.kind=uniform_sym", "--horizon", "16"), 2),
+], ids=["overflowing walk", "overflowing normalizer"])
+def test_simulate_prints_no_numpy_warning(argv, code):
+    proc = run_process(*MAIN, "simulate", *argv, "--replicates", "1000")
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == (code != cli.EXIT_OK), proc.stderr
+    if code:
+        assert proc.stderr.startswith("config error: normalizer a(2) = inf")
 
 
 # ---------------------------------------------------------------------------

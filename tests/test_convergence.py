@@ -143,6 +143,22 @@ def test_a_nan_exponent_raises_at_its_first_n():
         cv.adaptive_exponent_terms(1.0, [2.0, 3.0], [1.0, math.nan])
 
 
+@pytest.mark.parametrize("w,a,n,t", [
+    (1e9, 27.0, 1.0, 1.0),  # exp(x) = 2.5e-317 keeps 22 bits; the term is a normal double
+    (1e9, 726.0, 726.0, 1.0),  # rademacher's exponential term at n = 726 under weights 1e9
+    (2048.0, 2048.0, 2048.0, 2.75),  # baum_katz(3,1), atoms 1:0.5,3:0.25, eps 1 at n = 2048
+    (0.75, 27.22, 1.0, 1.0),  # w < 2, a subnormal term
+    (1e300, 37.5, 1.0, 1.0),  # exp(x) = 0, but the term is 1.1e-311
+    (0.5, 38.0, 1.0, 1.0),  # exp(x) = 0 and so is the term
+])
+def test_exp_terms_below_the_normal_range_are_formed_in_logs(w, a, n, t):
+    # w(n) exp(x) with exp(x) subnormal lost digits; exp(log w(n) + x) keeps them
+    x = -(a * a) / (n * t)
+    exact = mpmath.mpf(w) * mpmath.exp(mpmath.mpf(x))
+    got = cv.exp_terms(w, a, 1.0, n, t)[0]
+    assert abs(got - float(exact)) <= max(1e-13 * float(exact), 5e-324)
+
+
 def test_exp_and_adaptive_terms_agree_on_spataru_shape():
     w, a = spataru_weights(), spataru_norms()
     for d in (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std()):

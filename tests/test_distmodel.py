@@ -1,6 +1,8 @@
 """Distribution models against 40-digit mpmath and closed-form oracles."""
 
+import inspect
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -10,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cclab import cli
+from cclab import convergence as cv
 from cclab import counterexample as ce
 from cclab import distmodel as dm
+from cclab import mcengine as mc
 from cclab import seeding
 from cclab import seqkit as sk
 from cclab.cli import spataru_norms
@@ -638,3 +643,51 @@ def test_array_forms_validate_like_one_point_forms():
         dm.tail(d, math.nan)
     with pytest.raises(ValueError, match="cutoff must be positive"):
         dm.truncated_second_moments(d, np.array([0.5, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# one class per law
+# ---------------------------------------------------------------------------
+
+LAW_CLASSES = [(dm.rademacher(), dm.Atoms, "atoms"),
+               (dm.uniform_sym(2.0), dm.UniformSym, "uniform_sym"),
+               (dm.normal_std(), dm.NormalStd, "normal_std"),
+               (dm.pareto_sym(3.0, 2.0), dm.ParetoSym, "pareto_sym")]
+
+
+def test_each_law_is_one_hashable_class_with_the_views_mcengine_reads():
+    laws = {d: (cls, kind) for d, cls, kind in LAW_CLASSES}  # hashable, and unequal
+    assert len(laws) == 4
+    assert all(type(d) is cls and d.kind == kind for d, (cls, kind) in laws.items())
+    assert [d.params for d in laws] == [(((-1.0, 0.5), (1.0, 0.5)),), (2.0,), (), (3.0, 2.0)]
+    # one whole-sum view each: the atom lattice, the bit planes, the Gaussian sums
+    assert [d.lattice_steps is not None for d in laws] == [True, False, False, False]
+    assert [d.plane_width for d in laws] == [None, 2.0, None, None]
+    assert [d.gaussian for d in laws] == [False, False, True, False]
+    assert [dm.support_bound(d) for d in laws] == [1.0, 2.0, None, None]
+    assert [dm.second_moment_bound(d) for d in laws] == [1.0, 4.0 / 3.0, 1.0, 12.0]
+    with pytest.raises(ValueError, match="no single-step sampler for kind 'atoms'"):
+        dm.sample(dm.rademacher(), np.random.default_rng(0), 4)
+
+
+def test_no_module_but_distmodel_tests_a_laws_kind():
+    # each law's closed forms and views sit in its class; elsewhere .kind is message text
+    for module in (cv, mc, cli):
+        assert not re.search(r"\.kind\s*(==|!=|in\b)", inspect.getsource(module)), module
+
+
+def test_the_tail_shapes_are_the_laws_tails():
+    # pareto_sym: P(|X| >= x) = (scale / x)^alpha exactly, bit for bit, from the start on
+    d = dm.pareto_sym(3.0, 2.0)
+    shape = d.tail_shape()
+    assert shape == dm.TailShape(3.0, 2.0, 2.0)
+    x = np.geomspace(shape.start, 1e6, 200)
+    assert dm.tails(d, x).tolist() == sk.libm(pow, shape.scale / x, shape.alpha).tolist()
+    # a subnormal scale: the exact form starts at the least normal double
+    assert dm.pareto_sym(3.0, 1e-310).tail_shape().start == sys.float_info.min
+    # normal_std: P(|X| >= x) <= exp(-x^2 / 2) at every x >= 0
+    assert dm.normal_std().tail_shape() == dm.TailShape()
+    x = np.linspace(0.0, 38.0, 400)
+    assert (dm.tails(dm.normal_std(), x) <= np.exp(-x * x / 2.0)).all()
+    # the bounded laws have no tail shape: their support bounds the single tail
+    assert dm.rademacher().tail_shape() is None and dm.uniform_sym(1.0).tail_shape() is None
