@@ -461,12 +461,15 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         if not least * a1 > 0.0:
             raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
         d = cfg.dist
-        # a moment's fields, finite, value and reason, are what the report prints
-        moments.append({"form": "inv_logplus", **vars(distmodel.weighted_second_moment(d))})
+        mom = distmodel.weighted_second_moment(d)
+        moments.append({"form": "inv_logplus", "finite": mom.finite,
+                        "value": mom.value, "reason": mom.reason})
         if cfg.preset_name == "spataru_weak":
             delta = cfg.preset_args[0]
+            mom2 = distmodel.weighted_second_moment(d, 1.0 + delta)
             moments.append({"form": "loglog_delta", "delta": delta,
-                            **vars(distmodel.weighted_second_moment(d, 1.0 + delta))})
+                            "finite": mom2.finite, "value": mom2.value,
+                            "reason": mom2.reason})
 
         for eps in cfg.eps:
             series.append(convergence.summarize_series(
