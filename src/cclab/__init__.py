@@ -22,5 +22,14 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = ["__version__", "cli", "convergence", "counterexample", "distmodel", "mcengine",
-           "reports", "seeding", "seqkit"]
+__all__ = [
+    "__version__",
+    "cli",
+    "convergence",
+    "counterexample",
+    "distmodel",
+    "mcengine",
+    "reports",
+    "seeding",
+    "seqkit",
+]

@@ -109,11 +109,6 @@ class Dist:
         raise ValueError(f"no single-step sampler for kind {self.kind!r}")
 
 
-def _rest(table) -> float:
-    """Mass of the implied atom at 0."""
-    return max(1.0 - sum(p for _, p in table), 0.0)
-
-
 def _split_sums(terms: list, below: bool) -> np.ndarray:
     """sum(terms[:i]) (``below``) or sum(terms[i:]) for i = 0..len(terms).
 
@@ -211,10 +206,10 @@ class Atoms(Dist):
     @cached_property
     def _abs_law(self) -> tuple[list, list, np.ndarray]:
         """Law of |X|, built on first use: ascending magnitudes from 0, their
-        masses, and the tail sum over magnitudes[i:] for every i.  A
-        magnitude's mass is the mass at -v plus the mass at +v, in table order.
-        """
-        mass = {0.0: _rest(self.table)}
+        masses, the first the implied atom's at 0, and the tail sum over
+        magnitudes[i:] for every i.  A magnitude's mass is the mass at -v plus
+        the mass at +v, in table order."""
+        mass = {0.0: max(1.0 - sum(p for _, p in self.table), 0.0)}
         for v, p in self.table:
             mass[abs(v)] = mass.get(abs(v), 0.0) + p
         keys = sorted(mass)
@@ -228,7 +223,7 @@ class Atoms(Dist):
         implied atom at 0 if its mass is positive; steps[i]/den is values[i]
         read as the shortest decimal that rounds to it, den the lcm of the
         denominators."""
-        rest = _rest(self.table)
+        rest = self._abs_law[1][0]
         values, probs = zip(*self.table, *([(0.0, rest)] if rest > 0.0 else []))
         atoms = [Fraction(repr(v)) for v in values]
         den = math.lcm(*(a.denominator for a in atoms))
@@ -521,15 +516,10 @@ def truncated_second_moment(d: Dist, eps: float, norms: NormSeq, n: int) -> floa
 
 
 def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
-    """E[X^2 L(L(|X|))^p / L(|X|)], L(x) = log(2 + x), p = ``log_power``.
-
-    Returns a certified divergence flag for symmetric Pareto tails that are
-    too heavy instead of a sentinel float, and no value, with a reason, for a
-    moment past the double range or a Pareto integral of over _MAX_PANELS
-    panels.  The continuous laws integrate with ``_integral``: the 1/log pole
-    sits at x = -1, the other singularities further left or, in u = log x, at
-    Im u = +-pi.
-    """
+    """E[X^2 L(L(|X|))^p / L(|X|)], L(x) = log(2 + x), p = ``log_power``, as a
+    MomentValue: the law's own where it has none (a symmetric Pareto tail too
+    heavy, a certified divergence, or an integral of over _MAX_PANELS panels),
+    and no value, with a reason, for a moment past the double range."""
     val = d.weighted_second_moment(log_power)
     if isinstance(val, MomentValue):
         return val
