@@ -659,12 +659,11 @@ def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list, n_gr
         raise ValueError("eps must be positive")
     ns = [int(n) for n in n_grid]
     wv, av = (w.values(ns), a.values(ns)) if columns is None else columns
-    taus = wv.tolist()
     grid = [(n, [e * an for e in eps_list]) for n, an in zip(ns, av.tolist())]
     estimates = estimate_tail(d, grid, replicates, seed, (1,), workers=workers)
     cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
     oracle = None
-    for (n, thresholds), tau, ests in zip(grid, taus, estimates):
+    for (n, thresholds), tau, ests in zip(grid, wv.tolist(), estimates):
         try:
             half = oracle if oracle is not None and 2 * oracle.n == n else None
             oracle = exact_walk_oracle(d, n, half=half)
