@@ -89,10 +89,13 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     out = w * e
     # Below the normal doubles exp(x) has lost digits, so there the term is
     # exp(log w(n) + x), log w(n) = log 4m + (k - 2) log 2 for w(n) = m 2^k
-    # (libm's loop takes 4m in [2, 4)); past x + k log 2 = -746 it is 0 either way.
-    m, k = np.frexp(w)
-    low = (e < _TINY) & (x + k * _LN2 > -746.0) & (w > 0.0)
-    out[low] = libm(math.exp, libm(math.log, 4.0 * m[low]) + (k[low] - 2) * _LN2 + x[low])
+    # (libm's loop takes 4m in [2, 4)), where x + log max w > -746: below that
+    # both forms are 0 or the least subnormal.
+    least = -746.0 - log_or_inf(float(w.max(initial=0.0)))
+    low = np.flatnonzero((e < _TINY) & (x > least) & (w > 0.0))
+    if low.size:
+        m, k = np.frexp(w[low])
+        out[low] = libm(math.exp, libm(math.log, 4.0 * m) + (k - 2) * _LN2 + x[low])
     return out
 
 
