@@ -84,8 +84,9 @@ class Dist:
     """A law of X, one subclass per ``kind``, its fields its ``params``.  Every
     law has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)`` at b > 0
     and ``weighted_second_moment(p)``, a float or a MomentValue saying why
-    there is none; its other closed forms, and the views ``mcengine`` draws
-    whole sums from, are None (or False) where it has none."""
+    there is none.  Where it has no other closed form, the method gives None
+    (``magnitudes`` raises), and the views ``mcengine`` draws whole sums from
+    are None or False."""
 
     lattice_steps = None  # Atoms: the step law on its decimal lattice
     plane_width = None  # UniformSym: the h whose uniform(-h, h) steps are 53 fair bit planes
@@ -517,9 +518,9 @@ def truncated_second_moment(d: Dist, eps: float, norms: NormSeq, n: int) -> floa
 
 def weighted_second_moment(d: Dist, log_power: float = 0.0) -> MomentValue:
     """E[X^2 L(L(|X|))^p / L(|X|)], L(x) = log(2 + x), p = ``log_power``, as a
-    MomentValue: the law's own where it has none (a symmetric Pareto tail too
-    heavy, a certified divergence, or an integral of over _MAX_PANELS panels),
-    and no value, with a reason, for a moment past the double range."""
+    MomentValue: the law's own where it has no value (``pareto_sym``: a certified
+    divergence at alpha <= 2, or an integral of over _MAX_PANELS panels), and
+    no value, with a reason, for a moment past the double range."""
     val = d.weighted_second_moment(log_power)
     if isinstance(val, MomentValue):
         return val
