@@ -374,7 +374,7 @@ def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     h = d.plane_width
     if h is not None and n >= _PLANE_MAX_N:
         raise distmodel.SamplingUnavailable(
-            f"uniform_sym: {n} steps is past the bit-plane range n < 2^36")
+            f"{d.kind}: {n} steps is past the bit-plane range n < 2^36")
     if h is not None and n >= _PLANE_MIN_N:
         table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
         return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)
