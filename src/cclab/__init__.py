@@ -15,7 +15,7 @@ from . import convergence, counterexample, distmodel, mcengine, reports, seeding
 
 def __getattr__(name):
     # ``cli`` loads on first use, so ``python -m cclab.cli`` runs the module
-    # once, as __main__, and ``import cclab`` does not pay for argparse.
+    # once, as __main__.
     if name == "cli":
         import importlib
         return importlib.import_module(".cli", __name__)

@@ -3,27 +3,31 @@
 Subcommands: check-conditions, counterexample, simulate, estimate,
 report-merge.  Configs are INI files (flat key=value pairs under sections,
 diffable, one file per scenario); flags override file keys.  Verdicts are
-data inside the reports; exit codes only signal operational failures:
+data inside the reports; exit codes only signal operational failures, each
+from 2 on with one line on stderr and no traceback:
 
-    0  ran to completion
+    0  ran to completion; also ``-h`` or ``--help``, which print the usage
     1  a divergence certificate failed (counterexample subcommand)
-    2  config parse/validation error, non-finite numbers included; also a config
-       file or ``report-merge`` input that cannot be read or is not UTF-8, and a
-       ``counterexample --schedule`` file that cannot be read, is not JSON or is
-       not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1 numbered
-       m = 1..len, or holds a cutoff for which the integral bound certifies no
-       block end; weights or a normalizer that are negative, non-finite,
-       decreasing or overflow doubles; configured magnitudes whose powers
-       overflow; an exponential or adaptive-exponent term whose exponent is NaN
-       because its parts left the doubles (any NaN T counts as such); a least
-       cutoff eps * a(1) that underflows to 0; ``counterexample`` without
-       ``--schedule`` under any preset but ``ms_counterexample(d)``, a replay
-       under any preset but ``ms_counterexample(d)`` of the schedule's depth d;
-       ``simulate`` under ``ms_counterexample(d)``, whose law has no sampler; a
-       key the command does not read (``check-conditions --seed`` included), a
-       required key it is not given (``estimate`` without ``--n``) and a value
-       its row refuses (a ``--horizon`` past 2^53 included); an unwritable
-       ``--out`` path; and a ``--horizon`` whose arrays cannot be allocated
+    2  a malformed command line: no or an unknown command, an option the command
+       does not take (a prefix included), an option without its value, a value for
+       ``--maximal``, a word no option takes, ``report-merge`` without reports or
+       ``--out``; a config parse/validation error, non-finite numbers included; also
+       a config file or ``report-merge`` input that cannot be read or is not UTF-8,
+       and a ``counterexample --schedule`` file that cannot be read, is not JSON or
+       is not a schedule of 1 to MAX_DEPTH cutoffs at levels 0 and 1 numbered
+       m = 1..len, or holds a cutoff for which the integral bound certifies no block
+       end; weights or a normalizer that are negative, non-finite, decreasing or
+       overflow doubles; configured magnitudes whose powers overflow; an exponential
+       or adaptive-exponent term whose exponent is NaN because its parts left the
+       doubles (any NaN T counts as such); a least cutoff eps * a(1) that underflows
+       to 0; ``counterexample`` without ``--schedule`` under any preset but
+       ``ms_counterexample(d)``, a replay under any preset but
+       ``ms_counterexample(d)`` of the schedule's depth d; ``simulate`` under
+       ``ms_counterexample(d)``, whose law has no sampler; a key the command does
+       not read (``check-conditions --seed`` included), a required key it is not
+       given (``estimate`` without ``--n``) and a value its row refuses (a
+       ``--horizon`` past 2^53 included); an unwritable ``--out`` path; and a
+       ``--horizon`` whose arrays cannot be allocated
     3  unsupported distribution kind or slowly varying factor; also
        ``simulate --maximal`` on a law without an exact oracle (no atoms,
        atoms off any short decimal lattice, or a lattice too wide), since
@@ -34,7 +38,7 @@ data inside the reports; exit codes only signal operational failures:
        then has no float value; and uniform_sym at n >= 2^36, past its bit
        planes, before any draw
     5  internal error: a check inside the program failed (for example a
-       registered envelope violated); one line on stderr, no traceback
+       registered envelope violated)
 
 A reader that closes stdout early (``| head -1``) leaves the exit code as
 it is above.
@@ -54,7 +58,6 @@ check-conditions keeps its law-independent half (``_sequence_half``) for the
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import functools
 import hashlib
@@ -124,6 +127,13 @@ _FLAG_KEYS = {
     "replicates": ("mc", "replicates"), "seed": ("mc", "seed"), "workers": ("mc", "workers"),
     "out": ("output", "dir"),
 }
+_COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
+_USAGE = "\n".join((
+    "usage: cclab COMMAND [--config FILE] [--set SECTION.KEY=VALUE]... [--FLAG VALUE]...",
+    "       cclab report-merge REPORT... --out FILE",
+    f"commands: {', '.join(_COMMANDS)}; counterexample also takes --schedule FILE",
+    "flags, each setting its key after the --set entries (--maximal takes no value):",
+    *(f"  --{flag:<12}{s}.{k}" for flag, (s, k) in _FLAG_KEYS.items())))
 
 _PRESET_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 _MEMO_MAX_HORIZON = 1 << 17  # so _sequence_half's two entries keep at most 4 MiB of columns
@@ -306,7 +316,8 @@ def load_config(path: Optional[str], sets: list, command: str) -> ScenarioConfig
         try:
             found = parser.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"malformed config file {path}: {exc}") from exc
+            # configparser's messages span lines, and a refusal is one line
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(exc).split())}") from exc
         if not found:
             raise ConfigError(f"cannot read config file {path}")
     for section, key, value in sets:
@@ -615,67 +626,58 @@ def _emit(payload: dict, out_dir: Optional[Path], name: str,
     _print_stdout(text)
 
 
-_COMMANDS = ("check-conditions", "counterexample", "simulate", "estimate", "report-merge")
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of all five commands, built once per process."""
-    parser = argparse.ArgumentParser(prog="cclab", allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # the options of every command but report-merge, built once; argparse
-    # copies the --set list before appending
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--config")
-    for flag in _FLAG_KEYS:
-        switch = {"action": "store_const", "const": "true"} if flag == "maximal" else {}
-        common.add_argument(f"--{flag}", **switch)
-    common.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
-                        help="override a single config key")
-
-    for name in _COMMANDS:
-        if name == "report-merge":
-            p = sub.add_parser(name, allow_abbrev=False)
-            p.add_argument("inputs", nargs="+")
-            p.add_argument("--out", required=True)
+def _read_command_line(words: list) -> tuple:
+    """(command, options, reports, sets) from the command line's words, command
+    None where they ask for the usage.  An option's value is its text after "="
+    or else the next word, "-1e3" included; ``sets`` holds the --set entries in
+    order, then the flags' keys, so that the flags win."""
+    command = words[0] if words else None
+    if command in ("-h", "--help"):
+        return None, {}, [], []
+    if command not in _COMMANDS:
+        raise ConfigError(f"cclab needs a command, one of {', '.join(_COMMANDS)}"
+                          + (f", not {command!r}" if words else ""))
+    options, reports, sets, rest = {}, [], [], iter(words[1:])
+    takes = {"--out"} if command == "report-merge" else {
+        "--config", "--set", *(f"--{flag}" for flag in _FLAG_KEYS)} | (
+        {"--schedule"} if command == "counterexample" else set())
+    for word in rest:
+        name, eq, value = word.partition("=")
+        if word in ("-h", "--help"):
+            return None, {}, [], []
+        if command == "report-merge" and not word.startswith("-"):
+            reports.append(word)
             continue
-        p = sub.add_parser(name, parents=[common], allow_abbrev=False)
-        if name == "counterexample":
-            p.add_argument("--schedule", default=None,
-                           help="replay and certify a schedule JSON instead of building one")
-    return parser
-
-
-def _sets_from_args(args) -> list:
-    sets = []
-    for item in args.set:
-        try:
-            target, value = item.split("=", 1)
-            section, key = target.split(".", 1)
-        except ValueError as exc:
-            raise ConfigError(f"malformed --set {item!r}") from exc
-        sets.append((section, key, value))
-    return sets + [(*target, getattr(args, flag)) for flag, target in _FLAG_KEYS.items()
-                   if getattr(args, flag) is not None]
-
-
-_VALUE_OPTIONS = frozenset({"--config", "--set", "--schedule",
-                            *(f"--{flag}" for flag in _FLAG_KEYS if flag != "maximal")})
+        if name not in takes or name == "--maximal" and eq:  # --maximal takes no value
+            raise ConfigError(f"{command} takes no {'option' if word[:1] == '-' else 'argument'} "
+                              f"{word!r}")
+        if name == "--maximal":
+            value = "true"
+        elif not eq and (value := next(rest, None)) is None:
+            raise ConfigError(f"{name} needs a value")
+        if name == "--set":
+            target, eq, text = value.partition("=")
+            section, dot, key = target.partition(".")
+            if not (eq and dot):
+                raise ConfigError(f"malformed --set {value!r}")
+            sets.append((section, key, text))
+        options[name] = value
+    if command == "report-merge" and not (reports and "--out" in options):
+        raise ConfigError("report-merge needs one or more reports and --out, a file")
+    return command, options, reports, sets + [
+        (*key, options[f"--{flag}"]) for flag, key in _FLAG_KEYS.items() if f"--{flag}" in options]
 
 
 def main(argv=None) -> int:
-    # An option that takes a value takes the next word as --option=VALUE, also a
-    # word that begins with "-" ("-1e3"), which argparse would read as an option.
-    words, joined = iter(sys.argv[1:] if argv is None else argv), []
-    for word in words:
-        value = next(words, None) if word in _VALUE_OPTIONS else None
-        joined.append(word if value is None else f"{word}={value}")
-    args = _parser().parse_args(joined)
     try:
-        if args.command == "report-merge":
+        command, options, reports, sets = _read_command_line(
+            sys.argv[1:] if argv is None else list(argv))
+        if command is None:
+            _print_stdout(_USAGE)
+            return EXIT_OK
+        if command == "report-merge":
             merged = {"reports": []}
-            for path in args.inputs:
+            for path in reports:
                 try:
                     with open(path) as fh:
                         merged["reports"].append({"path": path, "report": json.load(fh)})
@@ -683,21 +685,21 @@ def main(argv=None) -> int:
                     raise ConfigError(f"cannot read report {path}: {exc}") from exc
             text = json_text(merged)
             try:
-                Path(args.out).write_text(text + "\n")
+                Path(options["--out"]).write_text(text + "\n")
             except OSError as exc:
-                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
+                raise ConfigError(f"cannot write --out {options['--out']}: {exc}") from exc
             _print_stdout(text)
             return EXIT_OK
 
-        cfg = load_config(args.config, _sets_from_args(args), args.command)
-        if args.command == "check-conditions":
+        cfg = load_config(options.get("--config"), sets, command)
+        if command == "check-conditions":
             _emit(run_check_conditions(cfg), cfg.out_dir, "check_conditions.json")
             return EXIT_OK
-        if args.command == "counterexample":
-            code, payload = run_counterexample(cfg, schedule_path=args.schedule)
+        if command == "counterexample":
+            code, payload = run_counterexample(cfg, schedule_path=options.get("--schedule"))
             _emit(payload, cfg.out_dir, "counterexample.json")
             return code
-        if args.command == "simulate":
+        if command == "simulate":
             payload, csvs = run_simulate(cfg)
             _emit(payload, cfg.out_dir, "simulate.json", extra_files=csvs)
             return EXIT_OK
@@ -727,9 +729,5 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

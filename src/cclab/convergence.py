@@ -70,9 +70,16 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     if eps <= 0:
         raise ValueError("eps must be positive")
     w, a, n = _arrays(w, a, n)
-    with np.errstate(over="ignore"):  # an inf cutoff is right: its tail is 0
+    with np.errstate(over="ignore"):  # an inf cutoff has a tail of 0
         cut = eps * a
-    return n * w * distmodel.tails(d, cut)
+    a, p, nw = np.broadcast_arrays(a, distmodel.tails(d, cut), n * w)
+    out = nw * p
+    # Below the normal doubles P has lost digits, and past them eps a(n) has (a
+    # Pareto tail is not 0 there): the law forms n w(n) P from its closed form
+    low = np.flatnonzero((p < _TINY) & (nw > 0.0) & (nw < math.inf))
+    if low.size and (scaled := d.scaled_tails(eps, a[low], nw[low])) is not None:
+        out[low] = scaled
+    return out
 
 
 def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
@@ -219,8 +226,9 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
             delta = sv.exponent_bound(n0, sign)
         log_coef = (log_or_inf(wf.coef) + sv.log_values(n0, math.log) - delta * math.log(n0)
                     + alpha * (math.log(scale) - math.log(eps) - math.log(af.coef)))
-        # a coefficient past the doubles (alpha 1e308) bounds nothing
-        if not log_coef < math.inf or (floor and (q - delta > 1.0 or log_coef == -math.inf)):
+        # a coefficient or an exponent past the doubles (alpha 1e308) bounds nothing
+        if not (log_coef < math.inf and abs(q - delta) < math.inf) or (
+                floor and (q - delta > 1.0 or log_coef == -math.inf)):
             return None
         return _certified(TermBound(log_coef, q - delta, from_n=n0, floor=floor,
                                     description="exact symmetric-Pareto tail term" +
@@ -235,9 +243,10 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
     need = 3.0 + wf.exponent + delta
 
     def ok(n: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an inf x^2 passes, as it should
+        # an inf x^2 passes, as it should, and so does any x where need is -1e308
+        with np.errstate(over="ignore"):
             x2 = eps * eps * libm(pow, a.values(n), 2.0)
-        return x2 / 2.0 >= need * libm(math.log, n)
+            return x2 / 2.0 >= need * libm(math.log, n)
 
     n0 = _first_n(ok, 3, horizon)
     if n0 is None or not ok(np.array([horizon // 2, horizon])).all():

@@ -105,6 +105,10 @@ class Dist:
     def tail_shape(self) -> Optional[TailShape]:
         """The shape of P(|X| >= x) that the single-tail certificates read."""
 
+    def scaled_tails(self, eps: float, a: np.ndarray, c: np.ndarray) -> Optional[np.ndarray]:
+        """c P(|X| >= eps a) where P lies below the normal doubles, and so has lost
+        digits, or eps a lies past them, formed without either."""
+
     def magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count magnitudes |X| / scale of one SFC64 word u = random() each."""
         raise ValueError(f"no single-step sampler for kind {self.kind!r}")
@@ -349,10 +353,23 @@ class ParetoSym(Dist):
         t = libm(pow, ratio, self.alpha)
         tiny = ratio < _TINY  # the ratio has lost digits: exp(alpha log ratio)
         if tiny.any():
-            t[tiny] = libm(math.exp, self.alpha * (math.log(self.scale)
-                                                   - libm(math.log, lam[far][tiny])))
+            with np.errstate(over="ignore"):  # -inf past the doubles: a tail of 0, as pow's
+                t[tiny] = libm(math.exp, self.alpha * (math.log(self.scale)
+                                                       - libm(math.log, lam[far][tiny])))
         out[far] = t
         return out
+
+    def scaled_tails(self, eps: float, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # (c h) h with h = (scale / (eps a))^(alpha / 2): where c P is normal, so
+        # are c h and h; h is exp(alpha/2 (log s - log eps - log a)) where eps a is inf
+        half = self.alpha / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # at an inf lam, h is set below
+            lam = eps * a
+            h = ParetoSym(half, self.scale).tails(lam)
+            far = lam == math.inf
+            h[far] = libm(math.exp, half * (math.log(self.scale) - math.log(eps)
+                                            - libm(math.log, a[far])))
+        return c * h * h
 
     def truncated_second_moments(self, b: np.ndarray) -> np.ndarray:
         alpha, scale = self.alpha, self.scale

@@ -249,9 +249,14 @@ _PAD = 2.0 ** -46
 
 
 def _log_up(*parts: float) -> float:
-    """The sum of ``parts``, rounded up by _PAD of their magnitude."""
-    total = math.fsum(parts)
-    return total + _PAD * (1.0 + math.fsum(map(abs, parts))) if math.isfinite(total) else total
+    """The sum of ``parts``, rounded up by _PAD of their magnitude.  Where fsum
+    raises, at a sum or magnitude past the doubles or at inf - inf, it is -inf
+    if no part is positive, and else inf, which bounds nothing."""
+    try:
+        total = math.fsum(parts)
+        return total + _PAD * (1.0 + math.fsum(map(abs, parts))) if math.isfinite(total) else total
+    except (OverflowError, ValueError):
+        return -math.inf if max(parts) <= 0.0 else math.inf
 
 
 def _log_add_up(a: float, b: float) -> float:
@@ -366,8 +371,11 @@ class TermBound:
             return _log_up(self.log_coef, log_sv, -e * ln, math.log1p(x / gap))
         k, c = self.kappa, self.rate
         head = (self.log_coef, log_sv, -delta * ln)  # log G
-        # g peaks at x^kappa = -e_net / (kappa rate) when e_net < 0
-        log_peak = ln if e_net >= 0.0 else max(ln, (math.log(-e_net / k) - math.log(c)) / k)
+        log_peak = ln
+        if e_net < 0.0:  # g peaks at x^kappa = -e_net / (kappa rate), the quotient's
+            q = -e_net / k  # log a difference where it has lost digits below the normals
+            log_q = math.log(q) if q >= _TINY else math.log(-e_net) - math.log(k)
+            log_peak = max(ln, (log_q - math.log(c)) / k)
         # exp capped at e^709 below: a smaller z or g^kappa only raises the bound
         log_max = _log_up(*head, -e_net * log_peak, -c * math.exp(min(k * log_peak, 709.0)))
         s = (1.0 - e_net) / k

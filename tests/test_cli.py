@@ -627,43 +627,55 @@ def test_normal_exponential_terms_stay_below_the_weights_at_tiny_eps(capsys):
 
 
 def test_set_entries_do_not_carry_over_between_calls(capsys, monkeypatch):
-    # the subcommands share one set of option actions, --set's default list included
+    # each call hands load_config its own --set entries in order, then its
+    # flags' keys, so a flag wins over a --set entry of its key
     seen = []
-    real = cli._sets_from_args
-    monkeypatch.setattr(cli, "_sets_from_args", lambda args: seen.append(args.set) or real(args))
-    code, _, _ = run(capsys, "check-conditions", "--set", "scenario.horizon=50", "--set", "bad")
-    assert code == cli.EXIT_CONFIG
+    real = cli.load_config
+    monkeypatch.setattr(cli, "load_config",
+                        lambda path, sets, command: seen.append(sets) or real(path, sets, command))
+    code, _, _ = run(capsys, "check-conditions", "--horizon", "60", "--set", "scenario.horizon=50")
+    assert code == cli.EXIT_CONFIG  # a custom scenario needs weights.exponent
+    # a malformed --set is refused before load_config is called
+    assert run(capsys, "check-conditions", "--set", "scenario.horizon=50",
+               "--set", "bad")[0] == cli.EXIT_CONFIG
     run(capsys, "estimate", "--n", "1", "--threshold", "1", "--set", "distribution.kind=nope")
     run(capsys, "counterexample")
-    assert seen == [["scenario.horizon=50", "bad"], ["distribution.kind=nope"], []]
-    # the parser is built once per process and keeps its default empty
-    parser = cli._parser()
-    assert parser is cli._parser()
-    assert parser.parse_args(["simulate", "--set", "a.b=1"]).set == ["a.b=1"]
-    for argv in (["check-conditions"], ["estimate", "--n", "1", "--threshold", "1"]):
-        assert parser.parse_args(argv).set == []
+    assert seen == [[("scenario", "horizon", "50"), ("scenario", "horizon", "60")],
+                    [("distribution", "kind", "nope"), ("scenario", "n", "1"),
+                     ("scenario", "threshold", "1")], []]
 
 
-def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of cli.main, argparse's own exits included."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
+def test_the_command_line_reader_needs_no_argparse():
+    proc = run_process("-c", "import sys, cclab.cli; print('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    src = Path(cli.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "argparse" in p.read_text()]
 
 
-# argv: None where argparse prints its usage, else the one config-error line.
-# Flags set config keys as text, so a key's row or the read-set refuses a
-# bad flag value, a missing --n and --maximal on any command but simulate.
-PARSER_CASES = {
-    **dict.fromkeys([(), ("-h",), ("bogus",), *((name, "-h") for name in cli._COMMANDS),
-                     ("simulate", "--bogus"), ("report-merge", "--out", "merged.json"),
-                     # an option is spelled in full: argparse took the prefix
-                     # --thresh, so "--thresh=-1e3" ran
-                     *(("estimate", "--n", "4", *words, "--set", "distribution.kind=rademacher")
-                       for words in (("--thresh", "-1e3"), ("--thresh=-1e3",)))]),
+ESTIMATE_RAD = ("estimate", "--n", "4", "--set", "distribution.kind=rademacher")
+# argv: the one config-error line of a malformed command line, or None where
+# it asks for the usage.  Flags set config keys as text, so a key's row or the
+# read-set refuses a bad flag value, a missing --n and --maximal on any command
+# but simulate.
+COMMAND_LINES = {
+    **dict.fromkeys([("-h",), ("--help",), *((name, "-h") for name in cli._COMMANDS),
+                     ("simulate", "--eps", "1", "--help")]),
+    (): f"cclab needs a command, one of {', '.join(cli._COMMANDS)}",
+    ("bogus",): f"cclab needs a command, one of {', '.join(cli._COMMANDS)}, not 'bogus'",
+    ("simulate", "--bogus"): "simulate takes no option '--bogus'",
+    ("check-conditions", "spataru"): "check-conditions takes no argument 'spataru'",
+    # an option is spelled in full: a prefix is no option, however its value is written
+    (*ESTIMATE_RAD, "--thresh", "-1e3"): "estimate takes no option '--thresh'",
+    (*ESTIMATE_RAD, "--thresh=-1e3"): "estimate takes no option '--thresh=-1e3'",
+    ("simulate", "--horizon"): "--horizon needs a value",
+    ("check-conditions", "--set"): "--set needs a value",
+    ("check-conditions", "--set", "bad"): "malformed --set 'bad'",
+    ("simulate", "--maximal=1"): "simulate takes no option '--maximal=1'",
+    ("simulate", "--schedule", "s.json"): "simulate takes no option '--schedule'",
+    ("report-merge", "--out", "merged.json"): "report-merge needs one or more reports and "
+                                              "--out, a file",
+    ("report-merge", "a.json"): "report-merge needs one or more reports and --out, a file",
+    ("report-merge", "a.json", "--set", "a.b=1"): "report-merge takes no option '--set'",
     ("simulate", "--horizon", "x"): "scenario.horizon must be an integer from 4 to 2^53, not 'x'",
     ("estimate", "--threshold", "1"): "estimate needs scenario.n, an integer >= 1",
     ("check-conditions", "--maximal"): "check-conditions reads no scenario.maximal",
@@ -673,22 +685,26 @@ PARSER_CASES = {
 }
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda a: " ".join(a) or "no arguments")
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    # every command line gets the one cached parser of all five commands,
-    # and it prints what a newly built one prints
-    got = outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
-    assert got == outcome(capsys, argv)
-    code, out, err = got
-    if PARSER_CASES[argv] is not None:
-        assert got == (cli.EXIT_CONFIG, "", f"config error: {PARSER_CASES[argv]}\n")
-    elif argv[-1:] == ("-h",):
-        assert (code, err) == (0, "") and out.startswith("usage: cclab")
-    else:
-        assert code == 2 and out == "" and err.startswith("usage: cclab")
-    if len(argv) < 2:  # the top-level usage names every command
-        assert "{" + ",".join(cli._COMMANDS) + "}" in out + err
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=lambda a: " ".join(a) or "no arguments")
+def test_a_command_line_is_the_usage_or_one_config_error_line(capsys, argv):
+    # main returns a code for every command line: no SystemExit leaves it
+    code, out, err = run(capsys, *argv)
+    if COMMAND_LINES[argv] is not None:
+        assert (code, out, err) == (cli.EXIT_CONFIG, "", f"config error: {COMMAND_LINES[argv]}\n")
+        return
+    assert (code, err) == (cli.EXIT_OK, "") and out.startswith("usage: cclab")
+    options = ("--config", "--set", "--schedule", *(f"--{flag}" for flag in cli._FLAG_KEYS))
+    assert all(word in out for word in (*cli._COMMANDS, *options))
+
+
+@pytest.mark.parametrize("text", ["foo = 1\n", "[scenario]\nfoo\n"], ids=["no section", "no value"])
+def test_a_malformed_config_file_is_one_config_error_line(capsys, tmp_path, text):
+    # configparser's own messages span two or three lines
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    code, out, err = run(capsys, "check-conditions", "--config", str(config))
+    assert (code, out) == (cli.EXIT_CONFIG, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: malformed config file {config}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -2096,38 +2112,50 @@ def test_huge_support_finishes_within_the_horizon(dist, code):
 
 
 # ---------------------------------------------------------------------------
-# exit codes over a seeded sweep of valid scenarios at every magnitude
+# the CLI contract over a seeded sweep of command lines at every magnitude
 # ---------------------------------------------------------------------------
 
-SWEEP_MAGNITUDES = (1e-320, 1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 1.0, 1.5, 2.0, 3.0,
-                    10.0, 1e3, 1e10, 1e100, 1e200, 1e300)
+SWEEP_MAGNITUDES = (5e-324, 1e-320, 1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 1.0, 1.5, 2.0,
+                    3.0, 10.0, 1e3, 1e10, 1e100, 1e200, 1e300, 1e308)
 SWEEP_LAWS = {"rademacher": (), "uniform_sym": ("half_width",), "normal_std": (),
               "pareto_sym": ("alpha", "scale"), "atomic_sym": ("atoms",)}
+SWEEP_COMMANDS = {"check-conditions": 0.5, "simulate": 0.25, "estimate": 0.25}
 
 
 def sweep_scenario(rng) -> list:
-    """One valid check-conditions command line drawn from ``rng``: half on a
-    preset, half on power-law sequences, each magnitude from SWEEP_MAGNITUDES."""
+    """One valid command line drawn from ``rng``: check-conditions, simulate or
+    estimate; the first two half on a preset, half on power-law sequences; each
+    magnitude from SWEEP_MAGNITUDES."""
     def mag(below=math.inf, least=0.0) -> str:
         return repr(float(rng.choice([m for m in SWEEP_MAGNITUDES if least <= m < below])))
 
     def signed() -> str:
         return ("-" if rng.random() < 0.5 else "") + mag()
 
-    # two draws, one eps where they agree: a repeated eps is refused
-    argv = ["check-conditions", "--horizon", str(rng.choice([4, 50, 300])),
-            "--eps", ",".join(dict.fromkeys([mag(), mag()]))]
-    if rng.random() < 0.5:
-        preset = rng.choice(["baum_katz", "spataru", "spataru_weak"])
-        args = {"baum_katz": f"({mag(least=1.0)},{mag(below=2.0)})", "spataru": "",
-                "spataru_weak": f"({mag()})"}[preset]
-        argv += ["--preset", preset + args]
+    command = str(rng.choice(list(SWEEP_COMMANDS), p=list(SWEEP_COMMANDS.values())))
+    if command == "estimate":
+        argv = [command, "--n", str(rng.choice([1, 2, 16, 64])), "--threshold", signed()]
     else:
-        for section in ("weights", "normalizer"):
-            factors = [f"{name}:{signed()}" for name in ("log_power", "loglog_power")
-                       if rng.random() < 0.5]
-            argv += ["--set", f"{section}.exponent={signed()}", "--set", f"{section}.coef={mag()}",
-                     "--set", f"{section}.slowly_varying={','.join(factors)}"]
+        # two draws, one eps where they agree: a repeated eps is refused
+        horizons = [4, 50, 300] if command == "check-conditions" else [4, 16, 64]
+        argv = [command, "--horizon", str(rng.choice(horizons)),
+                "--eps", ",".join(dict.fromkeys([mag(), mag()]))]
+        if rng.random() < 0.5:
+            preset = rng.choice(["baum_katz", "spataru", "spataru_weak"])
+            args = {"baum_katz": f"({mag(least=1.0)},{mag(below=2.0)})", "spataru": "",
+                    "spataru_weak": f"({mag()})"}[preset]
+            argv += ["--preset", preset + args]
+        else:
+            for section in ("weights", "normalizer"):
+                factors = [f"{name}:{signed()}" for name in ("log_power", "loglog_power")
+                           if rng.random() < 0.5]
+                argv += ["--set", f"{section}.exponent={signed()}", "--set",
+                         f"{section}.coef={mag()}",
+                         "--set", f"{section}.slowly_varying={','.join(factors)}"]
+    if command != "check-conditions":
+        argv += ["--replicates", "1000", "--seed", str(rng.integers(100))]
+        if command == "simulate" and rng.random() < 0.25:
+            argv += ["--maximal"]
     kind = str(rng.choice(list(SWEEP_LAWS)))
     argv += ["--set", f"distribution.kind={kind}"]
     for key in SWEEP_LAWS[kind]:
@@ -2136,18 +2164,53 @@ def sweep_scenario(rng) -> list:
     return argv
 
 
-def test_valid_scenarios_at_every_magnitude_end_in_a_documented_exit_code(capsys):
-    # a value past the double range is refused (2) or reported; a check that
-    # fails inside the program (5) is a defect.  Warnings are recorded, not failed.
+VALUE_OPTIONS = ["--config", "--set", *(f"--{f}" for f in cli._FLAG_KEYS if f != "maximal")]
+# Each turns a valid command line into a malformed one, refused with exit 2.
+MALFORMED = {
+    "a value option as the last word": lambda argv, rng: argv + [rng.choice(VALUE_OPTIONS)],
+    "an unknown option": lambda argv, rng: argv + ["--bogus"],
+    "a prefix": lambda argv, rng: [argv[0], argv[1][:-1], *argv[2:]],
+    "a value that begins with -": lambda argv, rng: argv + ["--eps", "-0.5"],
+    "a value for --maximal": lambda argv, rng: argv + ["--maximal=1"],
+    "no command": lambda argv, rng: argv[1:],
+}
+
+
+def test_seeded_command_lines_keep_the_cli_contract(capsys):
+    # D37's contract: exit 0-4, never 5 (a check inside the program failed);
+    # exit 0 with nothing on stderr; from exit 2 on, nothing on stdout and one
+    # line on stderr; and no Python warning.  A malformed command line is one
+    # config error, and --flag=value prints what --flag value prints.
     rng = np.random.default_rng(0)
     failures = []
-    for _ in range(300):
-        argv = sweep_scenario(rng)
-        with warnings.catch_warnings(record=True):
+    for _ in range(1700):
+        argv, shape = sweep_scenario(rng), int(rng.integers(4 * len(MALFORMED)))
+        names = list(MALFORMED)
+        line = MALFORMED[names[shape]](argv, rng) if shape < len(names) else argv
+        joined = shape == len(names)  # the first flag and its value as one word
+        if joined:
+            line = [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, err = run(capsys, *argv)
-        if code not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_FAMILY):
-            failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
+            code, out, err = got = run(capsys, *line)
+        ok = code in range(5) and not caught and (
+            err == "" if code == cli.EXIT_OK else code == cli.EXIT_CERT_FAILED
+            or (out == "" and len(err.splitlines()) == 1))
+        if shape < len(names):
+            ok = ok and code == cli.EXIT_CONFIG and err.startswith("config error: ")
+        if ok and joined:
+            ok = got == run(capsys, *argv)
+        if not ok:
+            warned = "".join(f"\n  warning: {w.message}" for w in caught)
+            failures.append(f"exit {code}: cclab {' '.join(line)}\n  {err.strip()}{warned}")
+    # Monte Carlo bytes do not depend on the worker count (two batches of draws)
+    for kind, n, threshold in (("uniform_sym", 16, "4"), ("uniform_sym", 200, "15"),
+                               ("pareto_sym", 16, "8"), ("normal_std", 16, "4")):
+        argv = ("estimate", "--n", str(n), "--threshold", threshold, "--replicates", "70000",
+                "--set", f"distribution.kind={kind}")
+        one, two = (run(capsys, *argv, "--workers", w) for w in ("1", "2"))
+        if one != two or one[0] != cli.EXIT_OK:
+            failures.append(f"--workers 1 and 2 differ: cclab {' '.join(argv)}")
     assert not failures, "\n".join(failures)
 
 
@@ -2176,6 +2239,42 @@ def test_a_grid_of_custom_scenarios_ends_in_a_documented_exit_code(capsys):
         if code not in range(5) or len(err.splitlines()) != (code != cli.EXIT_OK):
             failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
     assert not failures, "\n".join(failures)
+
+
+PAST_TAILS = ("--set", "weights.coef=1e9", "--set", "weights.exponent=-1", "--set",
+              "normalizer.exponent=1", "--set", "distribution.kind=pareto_sym", "--set",
+              "distribution.alpha=3", "--horizon", "2000")
+HUGE_WEIGHTS = ("--horizon", "50", "--eps", "3", "--set", "weights.exponent=-1e+308",
+                "--set", "normalizer.exponent=2", "--set", "normalizer.coef=0.001")
+EDGE_OF_THE_DOUBLES = {
+    # -e_net / kappa underflowed to 0 in TermBound.log_tail: exit 5
+    **{f"peak quotient {kind}": (("--set", f"distribution.kind={kind}", "--set",
+                                  "weights.exponent=5e-324", "--set", "normalizer.exponent=2",
+                                  "--horizon", "64"), cli.EXIT_OK)
+       for kind in ("rademacher", "normal_std", "uniform_sym")},
+    # a subnormal Pareto tail times a weight of 1e9 lost digits: envelope violated, exit 5
+    "single tail eps 1e102": ((*PAST_TAILS, "--eps", "1e102"), cli.EXIT_OK),
+    "single tail eps 1e103": ((*PAST_TAILS, "--eps", "1e103"), cli.EXIT_OK),
+    # alpha (log s - log x) overflowed with a numpy warning before the config error
+    "pareto alpha 1e308": (("--preset", "spataru", "--horizon", "4", "--eps", "1e300", "--set",
+                            "distribution.kind=pareto_sym", "--set", "distribution.alpha=1e308",
+                            "--set", "distribution.scale=5e-324"), cli.EXIT_CONFIG),
+    # the exponential envelope's logs met as inf - inf in fsum: exit 5
+    "weights n^-1e308 uniform": ((*HUGE_WEIGHTS, "--set", "distribution.kind=uniform_sym"),
+                                 cli.EXIT_OK),
+    # and need * log n overflowed with a numpy warning in the Gaussian crossover
+    "weights n^-1e308 normal": ((*HUGE_WEIGHTS, "--set", "distribution.kind=normal_std"),
+                                cli.EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("argv,code", EDGE_OF_THE_DOUBLES.values(), ids=EDGE_OF_THE_DOUBLES)
+def test_scenarios_at_the_edge_of_the_doubles_keep_the_cli_contract(capsys, argv, code):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, "check-conditions", *argv)
+    assert (got, [str(w.message) for w in caught]) == (code, [])
+    assert len(err.splitlines()) == (code != cli.EXIT_OK) and bool(out) == (code == cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("argv", [

@@ -159,6 +159,41 @@ def test_exp_terms_below_the_normal_range_are_formed_in_logs(w, a, n, t):
     assert abs(got - float(exact)) <= max(1e-13 * float(exact), 5e-324)
 
 
+@pytest.mark.parametrize("alpha,scale,w,a,eps,n,rel", [
+    # P subnormal, formed as (c h) h with h = P^(1/2): the term is 1e-297 / 773^3
+    (3.0, 1.0, 1e9 / 773, 773.0, 1e102, 773.0, 1e-15),
+    (3.0, 1.0, 1e9 / 87, 87.0, 1e103, 87.0, 1e-15),
+    # eps a(n) past the doubles, h formed in logs: P is 3.2e-155, not 0
+    (0.5, 10.0, 1.0, 1e10, 1e300, 1.0, 1e-13),
+    (1e-100, 1.0, 1.0, 1e10, 1e300, 4.0, 1e-13),  # and here P is 1 - 7e-98
+])
+def test_pareto_single_tail_terms_below_the_normal_range_keep_their_digits(alpha, scale, w, a,
+                                                                          eps, n, rel):
+    # n w(n) P with P subnormal lost digits, and an inf eps a(n) gave P = 0
+    d = dm.pareto_sym(alpha, scale)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(n) * w * (mpmath.mpf(scale) / (mpmath.mpf(eps) * a)) ** alpha
+    got = cv.single_tail_terms(d, w, a, eps, n)[0]
+    assert abs(got - exact) <= rel * exact
+
+
+def test_the_pareto_single_tail_term_at_n_773_is_exact_to_1e_15():
+    w, a = sk.power_law_weights(-1.0, coef=1e9), sk.power_law_norms(1.0)
+    got = cv.single_tail_term(dm.pareto_sym(3.0), w, a, 1e102, 773)
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(10) ** -297 / 773 ** 3
+    assert abs(got - exact) <= 1e-15 * exact
+    # a law with no such closed form keeps its product
+    assert dm.normal_std().scaled_tails(1.0, np.ones(1), np.ones(1)) is None
+
+
+def test_a_pareto_exponent_past_the_doubles_has_no_certificate():
+    # alpha 1e308 times a normalizer exponent of 2 is inf: TermBound refused it
+    w = sk.power_law_weights(1e-100, coef=10.0, sv=sk.SlowlyVarying(log2p=-1000.0))
+    a = sk.power_law_norms(2.0, coef=1e-3, sv=sk.SlowlyVarying(log2p=3.0))
+    assert cv.single_tail_certificate(dm.pareto_sym(1e308, 2.0), w, a, 1e10, 4) is None
+
+
 def test_exp_and_adaptive_terms_agree_on_spataru_shape():
     w, a = spataru_weights(), spataru_norms()
     for d in (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std()):

@@ -657,6 +657,18 @@ def test_term_bound_tail_is_rounded_up_never_to_zero():
     assert sk.TermBound(0.0, 1.0).log_tail(10) == math.inf
 
 
+def test_term_bound_tails_at_the_edge_of_the_doubles_are_bounds_not_errors():
+    # -e_net / kappa underflowed to 0, and math.log raised: check-conditions
+    # with weights.exponent=5e-324 and normalizer.exponent=2 exited 5
+    peak = sk.TermBound(0.0, -5e-324, rate=1.0, kappa=19.0, from_n=2)
+    assert math.isfinite(peak.log_tail(2))
+    # an integral bound whose logs meet as inf - inf, or overflow fsum, bounds nothing
+    for rate in (1e-6, 1e-300, 9.0):
+        assert sk.TermBound(0.0, 1e308, rate=rate, kappa=2.0, from_n=2).log_tail(2) == math.inf
+    assert sk._log_up(1e308, 1e308, -1e308) == sk._log_up(math.inf, -math.inf) == math.inf
+    assert sk._log_up(-1e308, -1e308) == -math.inf
+
+
 def test_a_term_bound_without_a_coefficient_vanishes_and_floors_nothing():
     bound = sk.TermBound(-math.inf, 0.0, from_n=5, description="zero")
     assert bound.values_at(np.arange(1, 9)).tolist() == [math.inf] * 4 + [0.0] * 4
