@@ -456,11 +456,11 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             blocks=tuple(c.m for c in report.certificates),
             description="each cutoff block of the adaptive-exponent series "
                         "is certified >= 1 in the log domain")
-        grid = np.arange(2, min(horizon, 512) + 1)
+        rows = slice(1, min(horizon, 512))  # n = 2..min(horizon, 512)
         certified = report.divergence_certified
         series.append(convergence.summarize_series(
-            "adaptive-exponent", grid, convergence.adaptive_exponent_terms(
-                1.0, grid, dist.truncated_second_moments(a.values(grid))),
+            "adaptive-exponent", n[rows], convergence.exp_terms(
+                tau[rows], av[rows], 1.0, n[rows], dist.truncated_second_moments(av[rows])),
             {"eps": 1.0}, blocks if certified else None,
             evidence=("terms vanish on any double-range horizon; divergence lives at "
                       "the cutoff scales recorded in the certificates" if certified
@@ -486,23 +486,22 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             series.append(convergence.summarize_series(
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
                 {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon)))
-            # The exp and adaptive series share T and the envelope, evaluated
-            # after the terms so that fewer columns are live.  The adaptive cut
-            # eps (n log n)^(1/2) is eps * a(n) bit for bit on these presets.
+            # The envelope is evaluated after the terms so that fewer columns are live
             env_iii = convergence.exp_certificate(d, w, a, eps)
             with np.errstate(over="ignore"):  # at an inf cutoff T is E X^2
                 cut = eps * av
-            t = distmodel.truncated_second_moments(d, cut)
+            terms = convergence.exp_terms(tau, av, eps, n,
+                                          distmodel.truncated_second_moments(d, cut))
             series.append(convergence.summarize_series(
-                "exponential", n, convergence.exp_terms(tau, av, eps, n, t), {"eps": eps},
+                "exponential", n, terms, {"eps": eps},
                 env_iii, bound=(bound := None if env_iii is None else env_iii.values_at(n))))
             if cfg.preset_name in ("spataru", "spataru_weak"):
+                # w(n) = 1/n and a(n) = (n log n)^(1/2): the exponential term is the
+                # adaptive-exponent term n^(-1 - eps^2/T) from n = 2 on
                 series.append(convergence.summarize_series(
-                    "adaptive-exponent", n[1:],
-                    convergence.adaptive_exponent_terms(eps, n[1:], t[1:]),
-                    {"eps": eps}, env_iii,
+                    "adaptive-exponent", n[1:], terms[1:], {"eps": eps}, env_iii,
                     bound=None if bound is None else bound[1:]))
-            del t, cut, bound  # before the next eps allocates its columns
+            del terms, cut, bound  # before the next eps allocates its columns
 
     return {
         "provenance": cfg.provenance(),

@@ -1,18 +1,17 @@
 """Per-term series evaluation and verdict assembly.
 
-The three term families:
+The two term families:
 
 * single-variable tail terms  n * w(n) * P(|X| >= eps * a(n)),
 * exponential terms           w(n) * exp(-eps^2 a(n)^2 / (n * T)), with
   T = E[X^2 1{|X| < eps a(n)}] and the convention exp(-t/0) = 0 for t > 0,
-* adaptive-exponent terms     n^(-1 - eps^2/T) at the (n log n)^{1/2} cutoff,
 
 plus weighted plug-in terms w(n) * p for an externally estimated or exact
 probability p.  With w(n) = 1/n and a(n) = (n log n)^{1/2} the exponential
-and adaptive-exponent terms are identical, and the tests check that
-numerically.  Each family is computed on arrays of n (``single_tail_terms``,
-``exp_terms``, ``adaptive_exponent_terms``); the one-term functions are
-their one-point forms.
+term is the adaptive-exponent term n^(-1 - eps^2/T) of Spataru's question, so
+that series is the exponential column, and ``adaptive_exponent_term`` is its
+one-point form.  Each family is computed on arrays of n (``single_tail_terms``,
+``exp_terms``); the one-term functions are their one-point forms.
 
 Verdicts are certificates, built and checked here.  Each names its
 ``verdict``, bounds every term (``values_at``: from above when it converges,
@@ -52,19 +51,6 @@ def _arrays(*xs) -> tuple:
     return tuple(np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in xs)
 
 
-def _exponent(x: np.ndarray, n: np.ndarray, formula: str) -> np.ndarray:
-    """x, the exponent ``formula`` at every n; it raises at the first n where x
-    is NaN.  Every NaN exponent counts as a value past the double range: its
-    parts are inf / inf, or T is NaN, which the laws' T forms only from parts
-    past the doubles (0 * inf).  A NaN T from a defect in a law would be
-    reported the same way, not as an internal error."""
-    bad = np.flatnonzero(np.isnan(x))
-    if bad.size:
-        k = np.broadcast_to(n, x.shape).ravel()[bad[0]]
-        raise OverflowError(f"the exponent {formula} is NaN at n={k:.0f}")
-    return x
-
-
 def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     """n * w(n) * P(|X| >= eps * a(n)), where ``w`` and ``a`` hold w(n) and a(n)."""
     if eps <= 0:
@@ -91,7 +77,14 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     # exp(-inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = np.where(t == 0.0, -math.inf, -(eps * eps * a * a) / (n * t))
-    w, x = np.broadcast_arrays(w, _exponent(x, n, "-eps^2 a(n)^2 / (n T)"))
+    # A NaN x counts as a value past the double range: its parts are inf / inf,
+    # or T is NaN, which the laws' T forms only from parts past the doubles
+    # (0 * inf).  A NaN T from a defect in a law would be reported the same way,
+    # not as an internal error.
+    if (bad := np.flatnonzero(np.isnan(x))).size:
+        k = np.broadcast_to(n, x.shape).ravel()[bad[0]]
+        raise OverflowError(f"the exponent -eps^2 a(n)^2 / (n T) is NaN at n={k:.0f}")
+    w, x = np.broadcast_arrays(w, x)
     e = libm(math.exp, x)
     out = w * e
     # Below the normal doubles exp(x) has lost digits, so there the term is
@@ -106,20 +99,6 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     return out
 
 
-def adaptive_exponent_terms(eps: float, n, t) -> np.ndarray:
-    """n^(-1 - eps^2/T), zero where T vanishes; ``t`` holds T truncated at
-    eps * (n log n)^{1/2}."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n, t = _arrays(n, t)
-    if (n < 2).any():
-        raise ValueError("adaptive-exponent terms start at n = 2")
-    # pow(n, -inf) = 0 where T is 0 (set, as eps^2 may underflow: 0/0) or subnormal
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = np.where(t == 0.0, -math.inf, -1.0 - eps * eps / t)
-    return libm(pow, n, _exponent(x, n, "-1 - eps^2 / T"))
-
-
 def single_tail_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
     """n * w(n) * P(|X| >= eps * a(n)), one point of ``single_tail_terms``."""
     return float(single_tail_terms(d, w(n), a(n), eps, n)[0])
@@ -132,9 +111,12 @@ def exp_term(d: Dist, w: WeightSeq, a: NormSeq, eps: float, n: int) -> float:
 
 
 def adaptive_exponent_term(d: Dist, eps: float, n: int) -> float:
-    """n^(-1 - eps^2/T), one point of ``adaptive_exponent_terms``."""
-    t = distmodel.truncated_second_moments(d, eps * np.sqrt(n * libm(math.log, n)))
-    return float(adaptive_exponent_terms(eps, n, t)[0])
+    """n^(-1 - eps^2/T) at the cutoff eps (n log n)^{1/2}: one point of ``exp_terms``
+    at w(n) = 1/n and a(n) = (n log n)^{1/2}, where the two terms are one formula.
+    1/n is formed as pow(n, -1), as the power-law weights form it."""
+    an = np.sqrt(n * libm(math.log, n))
+    t = distmodel.truncated_second_moments(d, eps * an)
+    return float(exp_terms(libm(pow, n, -1.0), an, eps, n, t)[0])
 
 
 def weighted_term(w: WeightSeq, n: int, p_est: float) -> float:

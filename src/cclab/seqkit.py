@@ -341,7 +341,8 @@ class TermBound:
         which is unimodal, and the tail is at most max_{x>=start} g + int_start^inf g:
         * kappa = 0, e - delta > 1: f(start) (1 + start / (e - delta - 1));
         * kappa = 0, e = 1: Bertrand's integral in log(2+x), a plain log folded
-          in by log x <= log(2+x) <= 2 log x (x >= 2);
+          in by log x <= log(2+x) <= (log(2+start) / log start) log x, as
+          log(2+k) / log k falls for k >= 2;
         * kappa > 0: the integral is G Gamma(s, z) / (kappa rate^s) with
           s = (1 - e + delta)/kappa, z = rate start^kappa, and Gamma(s, z) at most
           z^(s-1) e^-z for s <= 1, min(Gamma(s), z^(s-1) e^-z / (1 - (s-1)/z)) for
@@ -356,9 +357,10 @@ class TermBound:
             gap = (-g1 - 1.0) - _PAD * (abs(g1) + 1.0)
             if gap <= 0.0 or g2 > 0.0:
                 return math.inf
-            # (log k)^b <= 2^max(0,-b) log(2+k)^b, and loglog^g2 falls from its value at start
-            lead = (self.log_coef, max(0.0, -b) * math.log(2.0),
-                    g2 * math.log(math.log(_E2 + x)))
+            # (log k)^b <= (log(2+x) / log x)^max(0,-b) log(2+k)^b, and the loglog
+            # factor L(k)^g2 falls from its value at start
+            fold = -b * math.log(math.log(2.0 + x) / ln) if b < 0.0 else 0.0
+            lead = (self.log_coef, fold, SlowlyVarying(loglog=g2).log_values(x, math.log))
             log_l = math.log(math.log(2.0 + x))
             return _log_add_up(_log_up(*lead, -ln, g1 * log_l), _log_up(
                 *lead, math.log((2.0 + x) / x), (g1 + 1.0) * log_l, -math.log(gap)))

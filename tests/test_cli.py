@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -300,7 +301,6 @@ def test_certificates_hold_past_the_horizon(preset, dist):
     d, w, a = cfg.dist, cfg.weights, cfg.norms
     n = np.arange(1, 10 * horizon + 1)
     wv, av = w.values(n), a.values(n)
-    cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))  # the adaptive cut over eps
     checked = 0
     for eps in cfg.eps:
         exp_cert = cv.exp_certificate(d, w, a, eps)
@@ -310,9 +310,6 @@ def test_certificates_hold_past_the_horizon(preset, dist):
             (n, cv.exp_terms(wv, av, eps, n, distmodel.truncated_second_moments(d, eps * av)),
              exp_cert),
         ]
-        if cfg.preset_name in ("spataru", "spataru_weak"):
-            t = distmodel.truncated_second_moments(d, eps * cut)
-            families.append((n[1:], cv.adaptive_exponent_terms(eps, n[1:], t), exp_cert))
         for ns, terms, cert in families:
             if cert is None:
                 continue
@@ -389,12 +386,10 @@ def test_filled_columns_match_full_libm_bit_for_bit(preset, dist, monkeypatch):
 
     def columns(moments) -> list:
         wv, av = w.values(n), a.values(n)
-        cut = np.sqrt(n[1:] * seqkit.libm(math.log, n[1:]))
-        out = [wv, av, cut]
+        out = [wv, av]
         for eps in cfg.eps:
             t = moments(d, eps * av)
-            out += [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t),
-                    cv.adaptive_exponent_terms(eps, n[1:], moments(d, eps * cut))]
+            out += [distmodel.tails(d, eps * av), t, cv.exp_terms(wv, av, eps, n, t)]
         return out
 
     got = columns(distmodel.truncated_second_moments)
@@ -2202,7 +2197,8 @@ def test_seeded_command_lines_keep_the_cli_contract(capsys):
             ok = got == run(capsys, *argv)
         if not ok:
             warned = "".join(f"\n  warning: {w.message}" for w in caught)
-            failures.append(f"exit {code}: cclab {' '.join(line)}\n  {err.strip()}{warned}")
+            shown = shlex.join(["cclab", *line])
+            failures.append(f"exit {code}: {shown}\n  {err.strip()}{warned}")
     # Monte Carlo bytes do not depend on the worker count (two batches of draws)
     for kind, n, threshold in (("uniform_sym", 16, "4"), ("uniform_sym", 200, "15"),
                                ("pareto_sym", 16, "8"), ("normal_std", 16, "4")):
@@ -2210,7 +2206,7 @@ def test_seeded_command_lines_keep_the_cli_contract(capsys):
                 "--set", f"distribution.kind={kind}")
         one, two = (run(capsys, *argv, "--workers", w) for w in ("1", "2"))
         if one != two or one[0] != cli.EXIT_OK:
-            failures.append(f"--workers 1 and 2 differ: cclab {' '.join(argv)}")
+            failures.append(f"--workers 1 and 2 differ: {shlex.join(['cclab', *argv])}")
     assert not failures, "\n".join(failures)
 
 
@@ -2237,7 +2233,7 @@ def test_a_grid_of_custom_scenarios_ends_in_a_documented_exit_code(capsys):
     for argv in CUSTOM_GRID:
         code, _, err = run(capsys, *argv)
         if code not in range(5) or len(err.splitlines()) != (code != cli.EXIT_OK):
-            failures.append(f"exit {code}: cclab {' '.join(argv)}\n  {err.strip()}")
+            failures.append(f"exit {code}: {shlex.join(['cclab', *argv])}\n  {err.strip()}")
     assert not failures, "\n".join(failures)
 
 

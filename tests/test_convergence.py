@@ -139,8 +139,8 @@ def test_a_nan_exponent_raises_at_its_first_n():
     n = np.arange(1.0, 5.0)
     with pytest.raises(OverflowError, match=r"-eps\^2 a\(n\)\^2 / \(n T\) is NaN at n=3"):
         cv.exp_terms(1.0, [1.0, 1.0, 1e300, 1e300], 1e10, n, [1.0, 1.0, math.inf, 1.0])
-    with pytest.raises(OverflowError, match=r"-1 - eps\^2 / T is NaN at n=3"):
-        cv.adaptive_exponent_terms(1.0, [2.0, 3.0], [1.0, math.nan])
+    with pytest.raises(OverflowError, match=r"-eps\^2 a\(n\)\^2 / \(n T\) is NaN at n=3"):
+        cv.exp_terms(0.5, 2.0, 1.0, [2.0, 3.0], [1.0, math.nan])
 
 
 @pytest.mark.parametrize("w,a,n,t", [
@@ -195,49 +195,42 @@ def test_a_pareto_exponent_past_the_doubles_has_no_certificate():
 
 
 def test_exp_and_adaptive_terms_agree_on_spataru_shape():
+    # one formula: the adaptive term is the exponential term at w = 1/n,
+    # a = (n log n)^(1/2), bit for bit
     w, a = spataru_weights(), spataru_norms()
     for d in (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std()):
         for eps in (0.5, 1.0, 2.0):
             for n in (2, 3, 17, 256, 5000):
-                lhs = cv.exp_term(d, w, a, eps, n)
-                rhs = cv.adaptive_exponent_term(d, eps, n)
-                if lhs == 0.0:
-                    assert rhs == 0.0
-                else:
-                    assert lhs == pytest.approx(rhs, rel=1e-13)
+                assert cv.adaptive_exponent_term(d, eps, n) == cv.exp_term(d, w, a, eps, n)
 
 
-def test_adaptive_terms_take_t_at_the_spataru_cut():
-    # check-conditions hands the adaptive series the exponential series' T,
-    # taken at eps * a(n); on the spataru normalizer that is the adaptive cut
-    # eps * (n log n)^(1/2) bit for bit, so the terms are the one-point ones
+def test_adaptive_terms_are_the_exponential_column_on_the_spataru_sequences():
+    # check-conditions reports the exponential series' terms from n = 2 on as
+    # the adaptive series; they are the one-point adaptive terms
     d, eps, n = dm.uniform_sym(1.0), 0.5, np.arange(2, 3000)
-    cut = eps * spataru_norms().values(n)
+    w, a = spataru_weights().values(n), spataru_norms().values(n)
+    t = dm.truncated_second_moments(d, eps * a)
     plain = [cv.adaptive_exponent_term(d, eps, k) for k in n.tolist()]
-    t = dm.truncated_second_moments(d, cut)
-    assert cv.adaptive_exponent_terms(eps, n, t).tolist() == plain
-    fake = np.full(n.shape, 1.0)  # shows that the given column is used
-    used = cv.adaptive_exponent_terms(eps, n, fake)
-    assert used.tolist() == [float(k) ** (-1.0 - eps * eps) for k in n.tolist()]
+    assert cv.exp_terms(w, a, eps, n, t).tolist() == plain
+    # and n^(-1 - eps^2/T) to rounding, T = 1 showing that the given column is used
+    used = cv.exp_terms(w, a, eps, n, np.ones(n.shape))
+    np.testing.assert_allclose(used, n ** (-1.0 - eps * eps), rtol=1e-13, atol=0.0)
 
 
-def test_exp_and_adaptive_exponent_columns_map_no_element_in_python(monkeypatch):
-    # their exp and pow run in numpy loops over the C library's own functions;
-    # an element sent through seqkit's Python map instead would be counted here
+def test_exp_columns_map_no_element_in_python(monkeypatch):
+    # its exp runs in a numpy loop over the C library's own function; an
+    # element sent through seqkit's Python map instead would be counted here
     n = np.arange(1.0, 20_001.0)
     w, a = spataru_weights().values(n), spataru_norms().values(n)
-    cut = np.sqrt(n[1:] * sk.libm(math.log, n[1:]))
     laws = (dm.rademacher(), dm.uniform_sym(1.0), dm.normal_std(), dm.pareto_sym(3.0),
             dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)]))
-    columns = [(eps, dm.truncated_second_moments(d, eps * a),
-                dm.truncated_second_moments(d, eps * cut))
+    columns = [(eps, dm.truncated_second_moments(d, eps * a))
                for d in laws for eps in (0.5, 1.0, 2.0)]
     mapped = []
     monkeypatch.setattr(sk, "map", lambda fn, *cols: mapped.append(fn) or map(fn, *cols),
                         raising=False)
-    for eps, t, t_cut in columns:
+    for eps, t in columns:
         assert (cv.exp_terms(w, a, eps, n, t) > 0.0).any()
-        assert (cv.adaptive_exponent_terms(eps, n[1:], t_cut) > 0.0).any()
     assert mapped == []
 
 
@@ -388,3 +381,27 @@ def test_normal_gap_degenerate_truncation():
     assert dm.truncated_second_moment(d, 0.5, a, 1) == 0.0
     assert dm.tail(d, 0.5) == 0.5
     assert cv.adaptive_exponent_term(d, 0.5, 2) == 0.0
+
+
+TERM_GUARDS = {
+    "single tail eps 0": (lambda: cv.single_tail_terms(dm.rademacher(), 1.0, 1.0, 0.0, 1),
+                          ValueError, "eps must be positive"),
+    "exponential eps -1": (lambda: cv.exp_terms(1.0, 1.0, -1.0, 1, 1.0), ValueError,
+                           "eps must be positive"),
+    "partial sums of a negative term": (
+        lambda: rp.check_partial_sums([1, 2], np.array([1.0, -1.0]), np.array([1.0, 0.0])),
+        ValueError, "negative term at n=2"),
+    "partial sums that step back": (
+        lambda: rp.check_partial_sums([1, 2], np.array([1.0, 1.0]), np.array([2.0, 1.0])),
+        ValueError, "partial sums decrease at n=2"),
+    "a report with an unknown verdict": (
+        lambda: rp.SeriesReport("x", {}, (), "Converges"), ValueError,
+        "unknown verdict 'Converges'"),
+}
+
+
+@pytest.mark.parametrize("case", TERM_GUARDS)
+def test_each_term_and_report_guard_refuses_with_its_message(case):
+    call, exc, match = TERM_GUARDS[case]
+    with pytest.raises(exc, match=match):
+        call()

@@ -515,3 +515,28 @@ def test_verify_counterexample_degenerate_depth_one():
     assert not rep.divergence_certified
     assert len(rep.certificates) == 0
     assert any("vacuous" in note for note in rep.notes)
+
+
+COUNTER_GUARDS = {
+    "block end at m 0": (lambda: ce.required_block_end(LogReal(0, 5.0), 0), ValueError,
+                         "m must be >= 1"),
+    "a first cutoff below 2": (lambda: ce.CutoffSchedule((LogReal(0, 0.5),)), ValueError,
+                               "the first cutoff must be at least 2"),
+    "cutoff m 0": (lambda: ce.build_schedule(2).log_cutoff(0), ValueError,
+                   r"m out of range 1\.\.2"),
+    "cutoff past m_max": (lambda: ce.build_schedule(2).log_cutoff(3), ValueError,
+                          r"m out of range 1\.\.2"),
+}
+
+
+@pytest.mark.parametrize("case", COUNTER_GUARDS)
+def test_each_counterexample_guard_refuses_with_its_message(case):
+    call, exc, match = COUNTER_GUARDS[case]
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_a_block_lower_bound_past_the_doubles_is_inf():
+    cert = ce.BlockCertificate(m=1, ok=True, failed_step=None, steps=(),
+                               block_lower_bound_log=1000.0)
+    assert cert.block_lower_bound == math.inf

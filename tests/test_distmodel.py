@@ -691,3 +691,19 @@ def test_the_tail_shapes_are_the_laws_tails():
     assert (dm.tails(dm.normal_std(), x) <= np.exp(-x * x / 2.0)).all()
     # the bounded laws have no tail shape: their support bounds the single tail
     assert dm.rademacher().tail_shape() is None and dm.uniform_sym(1.0).tail_shape() is None
+
+
+DIST_GUARDS = {
+    "an atom at 0": (lambda: dm.atomic([(0.0, 0.5)]), ValueError,
+                     "list only nonzero atoms; mass at 0 is implied"),
+    "truncated moment eps 0": (
+        lambda: dm.truncated_second_moment(dm.rademacher(), 0.0, power_law_norms(1.0), 1),
+        ValueError, "eps must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", DIST_GUARDS)
+def test_each_law_guard_refuses_with_its_message(case):
+    call, exc, match = DIST_GUARDS[case]
+    with pytest.raises(exc, match=match):
+        call()

@@ -940,3 +940,56 @@ def test_the_pool_has_no_more_threads_than_batches_or_cpus(monkeypatch):
     monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
     estimate(8, replicates=1000)  # one batch
     assert sizes == []
+
+
+def _rad_oracle(n):
+    return mc.exact_walk_oracle(dm.rademacher(), n)
+
+
+# (call, exception, message) for each refusal of an input the engine has no answer for
+MC_GUARDS = {
+    "wilson total 0": (lambda: mc.wilson_interval(0, 0), ValueError, "total must be positive"),
+    "estimate outside its interval": (
+        lambda: mc.Estimate(0.5, 1000, 0.6, 0.7, "s", 1, 1.0), ValueError,
+        "interval must bracket the point estimate"),
+    "estimate_tail 999 replicates": (
+        lambda: mc.estimate_tail(dm.rademacher(), [(4, [1.0])], 999, 1, ()), ValueError,
+        "need at least 1000 replicates"),
+    "estimate_tail NaN threshold": (
+        lambda: mc.estimate_tail(dm.rademacher(), [(4, [math.nan])], 1000, 1, ()), ValueError,
+        "threshold must not be NaN"),
+    "oracle mass 0.5": (
+        lambda: mc.WalkOracle(1, np.ones(1), np.full(1, 0.5), np.full(1, 0.5)), ValueError,
+        "oracle probabilities do not sum to 1"),
+    "oracle n 0": (lambda: _rad_oracle(0), ValueError, "n must be >= 1"),
+    "oracle wrong half": (
+        lambda: mc.exact_walk_oracle(dm.rademacher(), 4, half=_rad_oracle(1)), ValueError,
+        "half must be the oracle at n/2 steps"),
+    "exact_tail NaN threshold": (
+        lambda: mc.exact_tail(_rad_oracle(2), math.nan), ValueError, "threshold must not be NaN"),
+    "running maximum n 0": (
+        lambda: mc.max_tail_profile(dm.rademacher(), 0, 1.0), ValueError,
+        r"running-maximum DP supports 1 <= n <= 64"),
+    "running maximum n 65": (
+        lambda: mc.max_tail_profile(dm.rademacher(), 65, 1.0), ValueError,
+        r"running-maximum DP supports 1 <= n <= 64"),
+    "running maximum NaN threshold": (
+        lambda: mc.max_tail_profile(dm.rademacher(), 4, math.nan), ValueError,
+        "threshold must not be NaN"),
+    "empirical series eps 0": (
+        lambda: mc.empirical_series(dm.rademacher(), sk.power_law_weights(0.0),
+                                    sk.power_law_norms(1.0), [1.0, 0.0], [4], 1000, 1),
+        ValueError, "eps must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", MC_GUARDS)
+def test_each_engine_guard_refuses_with_its_message(case):
+    call, exc, match = MC_GUARDS[case]
+    with pytest.raises(exc, match=match):
+        call()
+
+
+def test_an_exact_tail_at_a_threshold_of_at_most_0_is_1():
+    oracle = _rad_oracle(3)
+    assert mc.exact_tail(oracle, 0.0) == mc.exact_tail(oracle, -1.0) == 1.0

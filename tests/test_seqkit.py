@@ -602,9 +602,22 @@ def test_tail_domination_decides_q_one_with_a_plain_log():
     assert rep.verdict is Verdict.CERTIFIED_PASS
     assert rep.notes == ("remainder certified: logarithmic integral comparison",)
     # the sum from 3001 is at least int_3001^inf dx / (x (log x)^2) = 1 / log 3001;
-    # folding (log k)^-2 into log(2+k)^-2 costs the factor 2^2
+    # folding (log k)^-2 into log(2+k)^-2 costs the factor (log 3003 / log 3001)^2
     lower = 1.0 / math.log(3001.0)
-    assert lower <= rep.constants["tail_remainder"] <= 4.01 * lower
+    assert lower <= rep.constants["tail_remainder"] <= 1.01 * lower
+
+
+def test_tail_domination_keeps_a_falling_loglog_factor_above_the_tail():
+    # weights n^-1 log(2+n)^-2 loglog(e^2+n)^-1, a(n) = n^(1/2), moment power 2: the
+    # tail sum past 2000 of 1/(k log(2+k)^2 loglog(e^2+k)) is 0.0470; the remainder
+    # took the loglog factor as exp(g2 L) for L^g2 and read 0.0173
+    w = sk.power_law_weights(-1.0, sv=SlowlyVarying(log2p=-2.0, loglog=-1.0))
+    rep = domination(w, sk.power_law_norms(0.5), theta=1.0, moment_power=2.0, horizon=2000)
+    f = lambda u: 1 / (mpmath.log(2 + mpmath.e ** u) ** 2
+                       * mpmath.log(mpmath.log(mpmath.e ** 2 + mpmath.e ** u)))
+    lower = mpmath.quad(f, [mpmath.log(2001), 20, 100, mpmath.inf])  # x = e^u, f falls
+    assert rep.verdict is Verdict.CERTIFIED_PASS
+    assert 0.0470 < lower <= rep.constants["tail_remainder"] <= 1.5 * lower
 
 
 def _mp_terms(b, x):
@@ -625,6 +638,13 @@ TAIL_FORMS = [
     (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-2.0)), 20),  # Bertrand
     (sk.TermBound(0.0, 1.0, SlowlyVarying(logn=-2.5, loglog=-0.5), from_n=2), 10),
     (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-3.0, logn=0.5), from_n=2), 10),
+    # a falling loglog factor L^g2 is L(start)^g2 at most, not exp(g2 L(start))
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-3.0, loglog=-0.5)), 10),
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-2.0, loglog=-1.0)), 2001),
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-1.5, loglog=-3.0)), 10 ** 6),
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(logn=-2.0, loglog=-2.0), from_n=2), 1000),
+    (sk.TermBound(0.0, 1.0, SlowlyVarying(log2p=-1.0, logn=-1.5, loglog=-1.0), from_n=2),
+     10 ** 6),
     *((sk.TermBound(0.0, e, rate=0.5, kappa=kappa), 5)
       for kappa in (1.0 / 3.0, 1.0, 3.0) for e in (-1.0, 0.0, 1.5)),
 ]
@@ -632,7 +652,10 @@ TAIL_FORMS = [
 
 @pytest.mark.parametrize("bound,start", TAIL_FORMS,
                          ids=["power", "power sv", "bertrand", "bertrand plain log",
-                              "bertrand rising plain log",
+                              "bertrand rising plain log", "bertrand loglog",
+                              "bertrand loglog at 2001", "bertrand loglog^-3 at 10^6",
+                              "bertrand plain log loglog at 1000",
+                              "bertrand plain log loglog at 10^6",
                               *(f"kappa={k} e={e}" for k in ("1/3", "1", "3")
                                 for e in (-1, 0, 1.5))])
 def test_term_bound_tail_is_at_least_an_mpmath_sum(bound, start):
@@ -640,8 +663,14 @@ def test_term_bound_tail_is_at_least_an_mpmath_sum(bound, start):
     # the decreasing f past the head: a lower bound on the true tail
     m = start + 500
     with mpmath.workdps(25):
-        lower = (mpmath.fsum(_mp_terms(bound, n) for n in range(start, m + 1))
-                 + mpmath.quad(lambda x: _mp_terms(bound, x), [m + 1, mpmath.inf]))
+        head = mpmath.fsum(_mp_terms(bound, n) for n in range(start, m + 1))
+        if bound.rate:
+            rest = mpmath.quad(lambda x: _mp_terms(bound, x), [m + 1, mpmath.inf])
+        else:  # quad in x read such a log-decaying tail 5% low; in u = log x it decays as a power
+            u = mpmath.log(m + 1)
+            rest = mpmath.quad(lambda v: _mp_terms(bound, mpmath.e ** v) * mpmath.e ** v,
+                               [u, u + 10, u + 100, mpmath.inf])
+        lower = head + rest
     got = bound.tail_beyond(start - 1)
     assert lower <= got <= 5 * lower
     assert bound.log_tail(start) == pytest.approx(math.log(got), abs=1e-12)
@@ -935,3 +964,28 @@ def test_checks_on_arrays_match_the_loops(theta):
     c, argmax, liminf = _reference_tail_domination_c(w, a, theta, 3.0 * theta, horizon, 0.0)
     assert (dom.constants["C"], dom.constants["argmax_n"]) == (c, argmax)
     assert grow.constants["liminf_estimate"] == liminf
+
+
+def _checked(check, **kwargs):
+    w, a = sk.power_law_weights(-1.0), sk.power_law_norms(1.0)
+    return check(w, a, sk.sequence_values(w, a, 16), **kwargs)
+
+
+SEQ_GUARDS = {
+    "exponent bound from 1": (lambda: SlowlyVarying(logn=1.0).exponent_bound(1), ValueError,
+                              "envelope start must be >= 2"),
+    "a term bound with log_coef inf": (lambda: sk.TermBound(math.inf, 1.0), ValueError,
+                                       "invalid term bound"),
+    "tail domination moment power 0": (
+        lambda: _checked(sk.check_tail_domination, moment_power=0.0), ValueError,
+        "moment_power must be positive"),
+    "inf growth power 0": (lambda: _checked(sk.check_inf_growth, power=0.0), ValueError,
+                           "power must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", SEQ_GUARDS)
+def test_each_sequence_guard_refuses_with_its_message(case):
+    call, exc, match = SEQ_GUARDS[case]
+    with pytest.raises(exc, match=match):
+        call()

@@ -118,6 +118,24 @@ def test_spataru_presets_follow_the_moment_rules(matrix):
             assert s["verdict"] != "ConvergesCertified", (preset, label, s["params"])
 
 
+def test_adaptive_exponent_terms_are_the_exponential_terms(matrix):
+    # with w(n) = 1/n and a(n) = (n log n)^(1/2) the adaptive term n^(-1 - eps^2/T)
+    # is the exponential term: every printed one is that term at its n and eps
+    checked = 0
+    for (preset, label), report in matrix.items():
+        if not preset.startswith("spataru"):
+            continue
+        exp = {(s["params"]["eps"], r["n"]): r["term"] for s in report["series"]
+               if s["series_id"] == "exponential" for r in s["rows"]}
+        for s in report["series"]:
+            if s["series_id"] == "adaptive-exponent":
+                for r in s["rows"]:
+                    want = exp[s["params"]["eps"], r["n"]]
+                    assert r["term"].hex() == want.hex(), (preset, label, s["params"], r)
+                    checked += 1
+    assert checked == 54 * 17  # 27 cells, two eps, n = 2..8, 16..4096 and 5000
+
+
 def test_every_convergence_certificate_bounds_a_positive_tail(matrix):
     # a positive tail is rounded up, never printed as 0; only a vanishing
     # envelope may claim a zero tail
