@@ -487,7 +487,7 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                 "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
                 {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon)))
             # The envelope is evaluated after the terms so that fewer columns are live
-            env_iii = convergence.exp_certificate(d, w, a, eps)
+            env_iii = convergence.exp_certificate(d, w, a, eps, horizon)
             with np.errstate(over="ignore"):  # at an inf cutoff T is E X^2
                 cut = eps * av
             terms = convergence.exp_terms(tau, av, eps, n,

@@ -33,11 +33,11 @@ from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, check_partial_sums
-from .seqkit import (_TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
+from .seqkit import (_PAD, _TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
                      prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
-# the few ulp of numpy's log and exp, so the bounds need not go through libm.
+# the few ulp of numpy's log and exp, so the bounds may skip libm.
 _ENVELOPE_SLACK = 1e-9
 _LN2 = math.log(2.0)
 
@@ -215,54 +215,50 @@ def single_tail_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horiz
         return _certified(TermBound(log_coef, q - delta, from_n=n0, floor=floor,
                                     description="exact symmetric-Pareto tail term" +
                                     (" stays above a divergent power" if floor else "")))
-    if af.exponent < 0.5:
-        return None
-    delta = wf.sv.exponent_bound(3)
-    # The term is n*w(n)*erfc(x/sqrt(2)) <= n*w(n)*exp(-x^2/2) with
-    # x = eps*a(n); exp(-x^2/2) <= n^-need makes it at most
-    # coef * n^(1 + e + delta - need) = coef * n^-2, so the factor n
-    # costs one power beyond the weight's own exponent e.
-    need = 3.0 + wf.exponent + delta
-
-    def ok(n: np.ndarray) -> np.ndarray:
-        # an inf x^2 passes, as it should, and so does any x where need is -1e308
-        with np.errstate(over="ignore"):
-            x2 = eps * eps * libm(pow, a.values(n), 2.0)
-            return x2 / 2.0 >= need * libm(math.log, n)
-
-    n0 = _first_n(ok, 3, horizon)
-    if n0 is None or not ok(np.array([horizon // 2, horizon])).all():
-        return None
-    log_coef = log_or_inf(wf.coef) + wf.sv.log_values(n0, math.log) - delta * math.log(n0)
-    return _certified(TermBound(log_coef, 2.0, from_n=n0,
-                                description="Gaussian tail bound exp(-x^2/2) past the "
-                                            f"crossover n={n0}"))
+    return _gaussian_envelope(w, a, eps, 2.0, 1, horizon, "Gaussian tail bound exp(-x^2/2)")
 
 
-def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float):
-    """Certificate for the exponential/adaptive-exponent series.
-
-    T <= vb, the second-moment bound, so eps^2 a(n)^2 / (n T) >= c n^(2 rho - 1)
-    for a(n) = A n^rho, with c = eps^2 A^2 / vb.  The terms are then at most
-    w(n) exp(-c n^kappa), kappa = 2 rho - 1 > 0; at a(n) = (n log n)^(1/2)
-    the exponent is c log n, and the terms are at most w(n) n^-c.
-    """
+def exp_certificate(d: Dist, w: WeightSeq, a: NormSeq, eps: float, horizon: int):
+    """Certificate for the exponential/adaptive-exponent series: T <= vb, the
+    second-moment bound, so the terms are at most w(n) exp(-eps^2 a(n)^2 / (n vb))."""
     vb = distmodel.second_moment_bound(d)
-    if vb is None or vb <= 0.0 or w.family is None or a.family is None:
+    if vb is None or vb <= 0.0:
+        return None
+    return _gaussian_envelope(w, a, eps, vb, 0, horizon, f"second moment <= {vb:g}")
+
+
+def _gaussian_envelope(w: WeightSeq, a: NormSeq, eps: float, div: float, s: int,
+                       horizon: int, text: str) -> Optional[TermBound]:
+    """Envelope of w(n) n^s exp(-eps^2 a(n)^2 / (div n^(1-s))), s = 0 or 1, for
+    a(n) = A n^rho sv(n): from n0 on sv(k) >= sv(n0) (k/n0)^delta
+    (``exponent_bound(n0, -1)``), so the exponent is at least c n^kappa with
+    c = (eps A)^2 sv(n0)^2 n0^(-2 delta) / div, rounded down, and
+    kappa = 2 (rho + delta) - (1 - s).  n0 = 2, 4, 8, ... (at most horizon + 1)
+    until kappa > 0.  At a(n) = A (n log n)^(1/2) and s = 0 the exponent is
+    c log n, and the terms are at most w(n) n^-c."""
+    if w.family is None or a.family is None:
         return None
     wf, af = w.family, a.family
-    c = eps * af.coef * (eps * af.coef) / vb
-    if not 0.0 < c < math.inf:  # at a huge eps or a subnormal vb, c is inf
+    c = eps * af.coef * (eps * af.coef) / div  # at a huge eps or a subnormal div, c is inf
+    if s == 0 and af.exponent == 0.5 and af.sv == SlowlyVarying(logn=0.5):
+        if not 0.0 < c < math.inf:
+            return None
+        return _certified(TermBound(log_or_inf(wf.coef), c - wf.exponent, sv=wf.sv, from_n=2,
+                                    description=f"{text} caps the exponent at a summable power"))
+    n0, sv = 2, af.sv
+    delta = sv.exponent_bound(n0, -1.0) * (1.0 + _PAD)
+    while 2.0 * (af.exponent + delta) - (1 - s) <= 0.0 and 2 * n0 <= horizon + 1:
+        n0 *= 2
+        delta = sv.exponent_bound(n0, -1.0) * (1.0 + _PAD)
+    kappa = 2.0 * (af.exponent + delta) - (1 - s)
+    if not sv.is_trivial():
+        log_f = 2.0 * (sv.log_values(n0, math.log) - delta * math.log(n0))
+        c *= math.exp(log_f - _PAD * (1.0 + abs(log_f)))
+    if not (0.0 < c < math.inf and 0.0 < kappa < math.inf):
         return None
-    if af.exponent == 0.5 and af.sv == SlowlyVarying(logn=0.5):
-        shape, text = {"exponent": c - wf.exponent}, "caps the exponent at a summable power"
-    elif af.exponent > 0.5 and af.sv.is_trivial():
-        shape = {"exponent": 0.0 - wf.exponent, "rate": c, "kappa": 2.0 * af.exponent - 1.0}
-        text = "bounds the terms by w(n) exp(-c n^kappa)"
-    else:
-        return None
-    return _certified(TermBound(log_or_inf(wf.coef), sv=wf.sv, from_n=2,
-                                description=f"second moment <= {vb:g} {text}", **shape))
+    return _certified(TermBound(log_or_inf(wf.coef), -s - wf.exponent, sv=wf.sv, rate=c,
+                                kappa=kappa, from_n=n0, description=f"{text} bounds the terms "
+                                f"by w(n) {'n ' * s}exp(-c n^kappa)"))
 
 
 # ---------------------------------------------------------------------------

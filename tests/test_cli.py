@@ -263,7 +263,13 @@ def test_readme_normal_example_certifies_single_tail(capsys):
     assert len(single) == 2
     for s in single:
         assert s["verdict"] == "ConvergesCertified"
-        assert s["tail_bound"]["params"]["exponent"] == 2.0
+        # n w(n) = 1 and eps^2 a(n)^2 / 2 = eps^2 n log n / 2 >= (eps^2 log 2 / 2) n: the
+        # Gaussian envelope exp(-c n) from n = 2, its rate rounded down
+        params, eps = s["tail_bound"]["params"], s["params"]["eps"]
+        assert s["tail_bound"]["kind"] == "power-exp"
+        assert (params["exponent"], params["kappa"], params["from_n"]) == (0.0, 1.0, 2)
+        c = eps * eps * math.log(2.0) / 2.0
+        assert c * (1.0 - 1e-12) < params["rate"] < c
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +294,27 @@ CERTIFIED_PAIRS = [
 ]
 
 
+def custom_pair(a_exp, a_sv, dist, label):
+    """w(n) = 1/n, a(n) = n^a_exp sv(n): the Gaussian envelope's shapes that no preset has."""
+    sets = (("weights", "exponent", "-1"), ("normalizer", "exponent", a_exp),
+            *((("normalizer", "slowly_varying", a_sv),) if a_sv else ()))
+    return pytest.param(sets, dist, id=label)
+
+
+# the exponential envelope under a normalizer with a log factor, which starts at
+# n0 = 8 for log(2+n)^-0.5, and the normal single-tail envelope at rho < 1/2
+CERTIFIED_PAIRS += [
+    custom_pair("0.6", "log_power:0.5", {"kind": "rademacher"}, "exp n^0.6 log^0.5 rademacher"),
+    custom_pair("0.75", "log_power:-0.5", {"kind": "uniform_sym"},
+                "exp n^0.75 log^-0.5 uniform_sym"),
+    custom_pair("0.25", "", {"kind": "normal_std"}, "single tail n^0.25 normal_std"),
+]
+
+
 def pair_config(preset, dist, horizon):
-    sets = [("scenario", "preset", preset), ("scenario", "horizon", str(horizon))]
+    """The config of a preset name, or of custom (section, key, value) sets."""
+    sets = [("scenario", "horizon", str(horizon))]
+    sets += [("scenario", "preset", preset)] if isinstance(preset, str) else list(preset)
     return cli.load_config(None, sets + [("distribution", k, v) for k, v in dist.items()],
                            "check-conditions")
 
@@ -303,7 +328,7 @@ def test_certificates_hold_past_the_horizon(preset, dist):
     wv, av = w.values(n), a.values(n)
     checked = 0
     for eps in cfg.eps:
-        exp_cert = cv.exp_certificate(d, w, a, eps)
+        exp_cert = cv.exp_certificate(d, w, a, eps, horizon)
         families = [
             (n, cv.single_tail_terms(d, wv, av, eps, n),
              cv.single_tail_certificate(d, w, a, eps, horizon)),
@@ -347,7 +372,7 @@ def test_certificate_bounds_by_ufunc_match_libm_within_1e_minus12(preset, dist):
     checked = 0
     for eps in cfg.eps:
         for cert in (cv.single_tail_certificate(d, w, a, eps, horizon),
-                     cv.exp_certificate(d, w, a, eps)):
+                     cv.exp_certificate(d, w, a, eps, horizon)):
             if cert is None or cert.log_coef == -math.inf:  # a vanishing bound has no ufunc
                 continue
             k = n[n >= cert.from_n]
@@ -583,16 +608,19 @@ def test_values_past_the_double_range_are_refused(capsys, argv, message):
 # Products that leave the doubles on the way to a report: an inf cutoff eps a(n),
 # an inf eps^2 a(n)^2 and the normal T at an inf cutoff (the mass, where 2 b
 # meets a density of 0), given by the sha256 of the JSON without the versions.
+# The normal single tail's Gaussian envelope has the rate (eps A)^2 / 2 for
+# a(n) = A n^rho: 5e299 at eps 1e150, and inf at eps 1e308, where the series is
+# Undetermined, as the exponential series is wherever its rate (eps A)^2 / vb is inf.
 PAST_THE_DOUBLES = {
     "eps a": (["--preset", "baum_katz(2,1)", "--eps", "1e308", "--horizon", "50",
                "--set", "distribution.kind=rademacher"],
               "7b7361120448905ceff51251aa3fac6565a7fab65c078a7882eed207cf7b2397"),
     "eps^2 a^2": (["--preset", "baum_katz(1,0.5)", "--eps", "1e150", "--horizon", "300",
                    "--set", "distribution.kind=normal_std"],
-                  "0a349fb97c19bff410d492466c6e4ac9594c4a93e344a86670ad8d6b7eb87a09"),
+                  "c01a8cd60c5a5ef2acd4d66973c39b91865bc9d33ee791ab086808941ade2317"),
     "normal T at inf": (["--preset", "spataru", "--eps", "1e308", "--horizon", "50",
                          "--set", "distribution.kind=normal_std"],
-                        "1556bc179e5b611d2a88806d99e663491e796481e7c34d2efe3055089b175c05"),
+                        "2c61052d95e31c56cb5123284edc83640cc1870265c2f6c4c6191b22c4ca7467"),
 }
 
 
@@ -2211,7 +2239,8 @@ def test_seeded_command_lines_keep_the_cli_contract(capsys):
 
 
 # A fixed product grid of custom scenarios at horizon 2000: weight coefficient and
-# exponent, normalizer exponent, a log factor on the weights, and five laws.
+# exponent, normalizer exponent, a log factor on the weights and one on the
+# normalizer (which starts the Gaussian envelope at n0 > 2), and five laws.
 GRID_LAWS = {"rademacher": (), "normal_std": (), "uniform_sym": (),
              "pareto_sym": ("--set", "distribution.alpha=3"),
              "atomic_sym": ("--set", "distribution.atoms=1:0.5,3:0.25")}
@@ -2219,9 +2248,11 @@ CUSTOM_GRID = [
     ("check-conditions", "--horizon", "2000", "--set", f"weights.coef={coef}",
      "--set", f"weights.exponent={w_exp}", "--set", f"normalizer.exponent={a_exp}",
      *(("--set", f"weights.slowly_varying={sv}") if sv else ()),
+     *(("--set", f"normalizer.slowly_varying={a_sv}") if a_sv else ()),
      "--set", f"distribution.kind={kind}", *extra)
     for coef in ("1", "1e9") for w_exp in ("-1", "0") for a_exp in ("0.75", "1", "1.5")
-    for sv in ("", "log_power:10") for kind, extra in GRID_LAWS.items()]
+    for sv in ("", "log_power:10") for a_sv in ("", "log_power:-0.5")
+    for kind, extra in GRID_LAWS.items()]
 
 
 def test_a_grid_of_custom_scenarios_ends_in_a_documented_exit_code(capsys):
@@ -2258,7 +2289,7 @@ EDGE_OF_THE_DOUBLES = {
     # the exponential envelope's logs met as inf - inf in fsum: exit 5
     "weights n^-1e308 uniform": ((*HUGE_WEIGHTS, "--set", "distribution.kind=uniform_sym"),
                                  cli.EXIT_OK),
-    # and need * log n overflowed with a numpy warning in the Gaussian crossover
+    # and the normal single tail's Gaussian bound overflowed with a numpy warning
     "weights n^-1e308 normal": ((*HUGE_WEIGHTS, "--set", "distribution.kind=normal_std"),
                                 cli.EXIT_OK),
 }

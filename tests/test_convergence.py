@@ -184,7 +184,60 @@ def test_the_pareto_single_tail_term_at_n_773_is_exact_to_1e_15():
         exact = mpmath.mpf(10) ** -297 / 773 ** 3
     assert abs(got - exact) <= 1e-15 * exact
     # a law with no such closed form keeps its product
-    assert dm.normal_std().scaled_tails(1.0, np.ones(1), np.ones(1)) is None
+    assert dm.uniform_sym(1.0).scaled_tails(1.0, np.ones(1), np.ones(1)) is None
+
+
+@pytest.mark.parametrize("coef,eps,n", [
+    (1e15, 1.2, 32),  # erfc(27.2) is subnormal: n w(n) erfc printed 1.03% high
+    (1e45, 1.0, 40),  # erfc(28.3) is 0.0 in glibc: the term printed 0.0
+])
+def test_normal_single_tail_terms_below_the_normal_range_keep_their_digits(coef, eps, n):
+    # w(n) = coef, a(n) = n: the term n coef erfc(eps n / sqrt 2), formed by the
+    # asymptotic series of erfc in logs
+    w, a = sk.power_law_weights(0.0, coef=coef), sk.power_law_norms(1.0)
+    got = cv.single_tail_term(dm.normal_std(), w, a, eps, n)
+    with mpmath.workdps(50):
+        exact = n * mpmath.mpf(coef) * mpmath.erfc(mpmath.mpf(eps) * n / mpmath.sqrt(2))
+    assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_normal_scaled_tails_follow_erfc_across_its_subnormal_range():
+    z = np.linspace(26.5, 42.0, 64)
+    c = 10.0 ** np.linspace(0.0, 300.0, 64)
+    got = dm.normal_std().scaled_tails(1.0, z * math.sqrt(2.0), c)
+    with mpmath.workdps(50):
+        exact = [mpmath.mpf(ck) * mpmath.erfc(mpmath.mpf(ak) / mpmath.sqrt(2))
+                 for ck, ak in zip(c.tolist(), (z * math.sqrt(2.0)).tolist())]
+    for g, e in zip(got.tolist(), exact):  # a subnormal product keeps what it can
+        assert abs(g - e) <= max(1e-12 * e, 1e-323)
+    # an inf cutoff has a tail of 0, with no warning
+    assert dm.normal_std().scaled_tails(1.0, np.array([math.inf, 1e200]), np.ones(2)).tolist() \
+        == [0.0, 0.0]
+
+
+def test_one_gaussian_envelope_bounds_the_exponential_and_the_normal_single_tail():
+    w, rad, normal = sk.power_law_weights(-1.0), dm.rademacher(), dm.normal_std()
+    # a(n) = 2 n^0.75: eps^2 a^2 / (n vb) = (2 eps)^2 n^0.5, from n = 2
+    cert = cv.exp_certificate(rad, w, sk.power_law_norms(0.75, coef=2.0), 0.5, 100)
+    assert (cert.exponent, cert.rate, cert.kappa, cert.from_n) == (1.0, 1.0, 0.5, 2)
+    # at (n log n)^(1/2) the exponent is c log n: the power n^-(1 + c)
+    cert = cv.exp_certificate(rad, w, spataru_norms(), 0.5, 100)
+    assert (cert.exponent, cert.rate, cert.from_n) == (1.25, 0.0, 2)
+    # the normal single tail n w(n) exp(-eps^2 a(n)^2 / 2) at rho = 1/4 < 1/2
+    cert = cv.single_tail_certificate(normal, w, sk.power_law_norms(0.25), 1.0, 100)
+    assert (cert.exponent, cert.rate, cert.kappa, cert.from_n) == (0.0, 0.5, 0.5, 2)
+    # log(2+n)^-0.5 costs 0.5 / log(2 + n0) of rho: kappa > 0 from n0 = 8 on, and the
+    # rate c L(8)^-1 8^(2 delta) is rounded down
+    a = sk.power_law_norms(0.75, sv=sk.SlowlyVarying(log2p=-0.5))
+    cert = cv.exp_certificate(rad, w, a, 1.0, 100)
+    delta = -0.5 / math.log(10.0)
+    assert cert.from_n == 8 and cert.kappa == pytest.approx(2.0 * (0.75 + delta) - 1.0)
+    assert 0.0 < 1.0 / math.log(10.0) * 8.0 ** (-2.0 * delta) - cert.rate < 1e-12
+    assert cv.exp_certificate(rad, w, a, 1.0, 6) is None  # n0 may not pass horizon + 1
+    # no envelope where kappa stays 0 or c leaves the doubles
+    assert cv.exp_certificate(rad, w, sk.power_law_norms(0.5), 1.0, 100) is None
+    assert cv.single_tail_certificate(normal, w, sk.power_law_norms(0.0), 1.0, 100) is None
+    assert cv.exp_certificate(rad, w, sk.power_law_norms(1.0), 1e200, 100) is None
 
 
 def test_a_pareto_exponent_past_the_doubles_has_no_certificate():

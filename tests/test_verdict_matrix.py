@@ -8,8 +8,9 @@ follows the same moment.  So with ``pareto_sym`` it converges iff alpha > rp,
 and with every other law here (all moments finite) it converges.  On the
 ``spataru`` presets, E X^2 < inf gives convergence of every series at every
 eps, and E[X^2 / log(2 + |X|)] = inf (``pareto_sym`` with alpha <= 2) gives
-single-tail divergence.  A certified verdict that contradicts an oracle is a
-program defect.
+single-tail divergence.  The exponential series follows T's closed form: with
+a second-moment bound it converges (ROADMAP D22).  A certified verdict that
+contradicts an oracle is a program defect.
 
 Coverage is a number: the count of ``Undetermined`` series of each kind and
 of ``Inconclusive`` hypotheses may never rise above the recorded counts.
@@ -116,6 +117,31 @@ def test_spataru_presets_follow_the_moment_rules(matrix):
             assert s["verdict"] != "DivergesCertified", (preset, label, s["series_id"])
         elif s["series_id"] == "single-tail":  # E[X^2 / log(2 + |X|)] = inf
             assert s["verdict"] != "ConvergesCertified", (preset, label, s["params"])
+
+
+def test_exponential_series_follow_the_truncated_moment_rule(matrix):
+    # D22's rule, from T's closed form alone: with a second-moment bound every
+    # exponential series converges; pareto_sym with alpha < 2 has T ~ b^(2-alpha),
+    # so on baum_katz(r,p) the exponent grows like n^(alpha/p - 1) and the series
+    # converges iff alpha > p (at alpha = 2, T ~ log b and it converges), and on
+    # the spataru presets it diverges at alpha <= 2
+    checked = 0
+    for preset, label, s in _series(matrix):
+        if s["series_id"] not in ("exponential", "adaptive-exponent") \
+                or s["verdict"] == "Undetermined":
+            continue
+        alpha = _pareto_alpha(label)
+        if alpha is None or alpha > 2.0:
+            converges = True
+        elif preset.startswith("baum_katz"):
+            p = float(preset[len("baum_katz("):-1].split(",")[1])
+            converges = alpha > p or alpha == 2.0
+        else:
+            converges = False
+        checked += 1
+        assert s["verdict"] == ("ConvergesCertified" if converges
+                                else "DivergesCertified"), (preset, label, s["params"])
+    assert checked > 0
 
 
 def test_adaptive_exponent_terms_are_the_exponential_terms(matrix):
