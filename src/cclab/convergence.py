@@ -61,10 +61,11 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     a, p, nw = np.broadcast_arrays(a, distmodel.tails(d, cut), n * w)
     out = nw * p
     # Below the normal doubles P has lost digits, and past them eps a(n) has (a
-    # Pareto tail is not 0 there): the law forms n w(n) P from its closed form
-    low = np.flatnonzero((p < _TINY) & (nw > 0.0) & (nw < math.inf))
-    if low.size and (scaled := d.scaled_tails(eps, a[low], nw[low])) is not None:
-        out[low] = scaled
+    # Pareto tail is not 0 there): a law with the closed form forms n w(n) P
+    if d.scaled_tails is not None:
+        low = np.flatnonzero((p < _TINY) & (nw > 0.0) & (nw < math.inf))
+        if low.size:
+            out[low] = d.scaled_tails(eps, a[low], nw[low])
     return out
 
 
@@ -90,7 +91,8 @@ def exp_terms(w, a, eps: float, n, t) -> np.ndarray:
     # Below the normal doubles exp(x) has lost digits, so there the term is
     # exp(log w(n) + x), log w(n) = log 4m + (k - 2) log 2 for w(n) = m 2^k
     # (libm's loop takes 4m in [2, 4)), where x + log max w > -746: below that
-    # both forms are 0 or the least subnormal.
+    # both forms are 0 or the least subnormal, and libm's first pass fills exp(x)
+    # below -745.2 with 0.0 instead of computing it.
     least = -746.0 - log_or_inf(float(w.max(initial=0.0)))
     low = np.flatnonzero((e < _TINY) & (x > least) & (w > 0.0))
     if low.size:
@@ -234,8 +236,8 @@ def _gaussian_envelope(w: WeightSeq, a: NormSeq, eps: float, div: float, s: int,
     (``exponent_bound(n0, -1)``), so the exponent is at least c n^kappa with
     c = (eps A)^2 sv(n0)^2 n0^(-2 delta) / div, rounded down, and
     kappa = 2 (rho + delta) - (1 - s).  n0 = 2, 4, 8, ... (at most horizon + 1)
-    until kappa > 0.  At a(n) = A (n log n)^(1/2) and s = 0 the exponent is
-    c log n, and the terms are at most w(n) n^-c."""
+    until kappa > 0 and the tail bound is finite.  At a(n) = A (n log n)^(1/2)
+    and s = 0 the exponent is c log n, and the terms are at most w(n) n^-c."""
     if w.family is None or a.family is None:
         return None
     wf, af = w.family, a.family
@@ -245,25 +247,35 @@ def _gaussian_envelope(w: WeightSeq, a: NormSeq, eps: float, div: float, s: int,
             return None
         return _certified(TermBound(log_or_inf(wf.coef), c - wf.exponent, sv=wf.sv, from_n=2,
                                     description=f"{text} caps the exponent at a summable power"))
-    n0, sv = 2, af.sv
-    delta = sv.exponent_bound(n0, -1.0) * (1.0 + _PAD)
-    while 2.0 * (af.exponent + delta) - (1 - s) <= 0.0 and 2 * n0 <= horizon + 1:
-        n0 *= 2
+    sv = af.sv
+    for n0 in (1 << j for j in range(1, (horizon + 1).bit_length())):
         delta = sv.exponent_bound(n0, -1.0) * (1.0 + _PAD)
-    kappa = 2.0 * (af.exponent + delta) - (1 - s)
-    if not sv.is_trivial():
-        log_f = 2.0 * (sv.log_values(n0, math.log) - delta * math.log(n0))
-        c *= math.exp(log_f - _PAD * (1.0 + abs(log_f)))
-    if not (0.0 < c < math.inf and 0.0 < kappa < math.inf):
-        return None
-    return _certified(TermBound(log_or_inf(wf.coef), -s - wf.exponent, sv=wf.sv, rate=c,
-                                kappa=kappa, from_n=n0, description=f"{text} bounds the terms "
-                                f"by w(n) {'n ' * s}exp(-c n^kappa)"))
+        kappa, rate = 2.0 * (af.exponent + delta) - (1 - s), c
+        if not sv.is_trivial():
+            log_f = 2.0 * (sv.log_values(n0, math.log) - delta * math.log(n0))
+            rate *= math.exp(log_f - _PAD * (1.0 + abs(log_f)))
+        if not (0.0 < rate < math.inf and 0.0 < kappa < math.inf):
+            continue
+        bound = _certified(TermBound(log_or_inf(wf.coef), -s - wf.exponent, sv=wf.sv, rate=rate,
+                                     kappa=kappa, from_n=n0, description=f"{text} bounds the "
+                                     f"terms by w(n) {'n ' * s}exp(-c n^kappa)"))
+        if bound is not None:
+            return bound
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+def head_length(term) -> int:
+    """1 + the index of the last nonzero term (NaN counts), 0 if every term is +-0."""
+    term = np.asarray(term)
+    if term.size and term[-1] != 0.0:  # no zero tail: the common case costs no scan
+        return term.size
+    nonzero = (term != 0.0)[::-1]
+    return nonzero.size - int(nonzero.argmax()) if nonzero.any() else 0
 
 
 def summarize_series(series_id: str, n, term, params: dict, certificate=None,
@@ -276,20 +288,29 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     the terms: each is within u|S| + gamma_(n-1)^2 sum|x| of the exact sum
     S (u = 2^-53), a deterministic function of the terms, so reports are
     bit-reproducible.  The report carries the rows n <= 8, the powers of two
-    and the last n; every term is still checked and summed.  ``bound``, when
-    given, is ``certificate.values_at(n)``.
+    and the last n.
+
+    Only the head, the terms up to the last nonzero one, is summed and
+    checked: past it every Sum2 prefix is the head's last (s + 0 = s, and
+    TwoSum's error of adding 0 is 0), and no zero exceeds an envelope (0 > b
+    is false for b >= 0, inf or NaN).  A floor is checked at every n, as a
+    zero breaks a positive floor.  ``bound``, when given, is
+    ``certificate.values_at`` over at least the checked n.
     """
     n = np.asarray(n, dtype=np.int64)
     term = np.asarray(term, dtype=np.float64)
-    negative = ~(term >= 0.0)
-    over = under = np.zeros(term.shape, dtype=bool)
     verdict = UNDETERMINED if certificate is None else certificate.verdict
+    head = head_length(term)
+    checked = term.size if verdict == DIVERGES else head
+    checked_terms = term[:checked]
+    negative = ~(checked_terms >= 0.0)
+    over = under = np.zeros(checked, dtype=bool)
     if certificate is not None:
-        bound = certificate.values_at(n) if bound is None else bound
+        bound = certificate.values_at(n[:checked]) if bound is None else bound[:checked]
     if verdict == CONVERGES:
-        over = term > bound * (1.0 + _ENVELOPE_SLACK)
+        over = checked_terms > bound * (1.0 + _ENVELOPE_SLACK)
     elif verdict == DIVERGES:
-        under = term < bound * (1.0 - _ENVELOPE_SLACK)
+        under = checked_terms < bound * (1.0 - _ENVELOPE_SLACK)
     bad = np.flatnonzero(negative | over | under)
     if bad.size:
         i = bad[0]
@@ -301,12 +322,13 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
                              f"exceeds {float(bound[i])!r}")
         raise ValueError(f"registered divergence floor violated at n={k}: term {t!r} "
                          f"below {float(bound[i])!r}")
-    partial = prefix_sums(term)
-    check_partial_sums(n, term, partial)
+    partial = prefix_sums(term[:head])
+    check_partial_sums(n[:head], term[:head], partial)
     last_n = int(n[-1]) if n.size else 0
-    keep = (n <= 8) | ((n & (n - 1)) == 0) | (n == last_n)
+    keep = np.flatnonzero((n <= 8) | ((n & (n - 1)) == 0) | (n == last_n))
+    sums = partial[np.minimum(keep, head - 1)] if head else np.zeros(keep.size)
     rows = tuple({"n": k, "term": t, "partial_sum": ps} for k, t, ps in
-                 zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist()))
+                 zip(n[keep].tolist(), term[keep].tolist(), sums.tolist()))
     rendered = None if certificate is None else certificate.to_json_dict(last_n)
     return SeriesReport(series_id, dict(params), rows, verdict, certificate=rendered,
                         evidence=evidence)

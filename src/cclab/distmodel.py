@@ -85,8 +85,8 @@ class Dist:
     law has ``tails(lam)`` at lam > 0, ``truncated_second_moments(b)`` at b > 0
     and ``weighted_second_moment(p)``, a float or a MomentValue saying why
     there is none.  Where it has no other closed form, the method gives None
-    (``magnitudes`` raises), and the views ``mcengine`` draws whole sums from
-    are None or False."""
+    (``magnitudes`` raises), and ``scaled_tails`` and the views ``mcengine``
+    draws whole sums from are None or False."""
 
     lattice_steps = None  # Atoms: the step law on its decimal lattice
     plane_width = None  # UniformSym: the h whose uniform(-h, h) steps are 53 fair bit planes
@@ -105,9 +105,10 @@ class Dist:
     def tail_shape(self) -> Optional[TailShape]:
         """The shape of P(|X| >= x) that the single-tail certificates read."""
 
-    def scaled_tails(self, eps: float, a: np.ndarray, c: np.ndarray) -> Optional[np.ndarray]:
-        """c P(|X| >= eps a) where P lies below the normal doubles, and so has lost
-        digits, or eps a lies past them, formed without either."""
+    # scaled_tails(eps, a, c): c P(|X| >= eps a) where P lies below the normal
+    # doubles, and so has lost digits, or eps a lies past them, formed without
+    # either; None where those tails are exact (atoms and uniform: 0 past the support)
+    scaled_tails = None
 
     def magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count magnitudes |X| / scale of one SFC64 word u = random() each."""

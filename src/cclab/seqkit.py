@@ -87,8 +87,18 @@ def _float_power(x, p):
 
 def _complex_exp(x):
     """The C library's cexp(x + 0i) is exp(x) cos 0 = exp(x) exactly while x is
-    at most 709; past that it scales x, so x > 708 is left to math.exp."""
-    return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
+    at most 709; past that it scales x, so x > 708 is left to math.exp.  glibc's
+    exp is +0.0 from -745.1332191019412 down, so where more than an eighth of
+    the elements lie below -745.2 they are filled with 0.0: cexp takes about
+    22 ns for a result of 0 and 15 ns for a normal one, and picking the rest
+    out and back about 2.3 ns an element."""
+    zero = x < -745.2  # NaN is not, and so goes to math.exp
+    if 8 * np.count_nonzero(zero) <= zero.size:
+        return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
+    out = np.zeros(x.shape)
+    live = ~zero
+    out[live] = np.exp(x[live].astype(np.complex128)).real
+    return out, x > 708.0
 
 
 def _complex_log(x):
@@ -121,10 +131,10 @@ def libm(fn, *args) -> np.ndarray:
     transcendental whose bits reach a report therefore goes through here.
     A function with a route in ``_VECTOR`` keeps its values: pow, math.exp and
     math.log from numpy loops that call the C library's pow, cexp and clog,
-    erfc's 2.0 from -6 down and 0.0 from 28 up.  Every element a route leaves
-    out or gives no finite value, NaN included, and every element of a
-    function without a route goes through fn as a Python float, so Python's
-    errors and special values stay.
+    exp's 0.0 below -745.2, erfc's 2.0 from -6 down and 0.0 from 28 up.
+    Every element a route leaves out or gives no finite value, NaN included,
+    and every element of a function without a route goes through fn as a
+    Python float, so Python's errors and special values stay.
     """
     shape = np.broadcast(*args).shape or (1,)
     cols = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape) for a in args]
@@ -294,8 +304,10 @@ class TermBound:
     ``values_at`` forms f in logs by numpy ufuncs, not ``libm``: it is only
     compared with terms under a slack, and in logs no coefficient underflows.
     An envelope is raised to the least normal double and a floor below it
-    lowered to 0, so no subnormal is compared.  A floor is a plain power with
-    exponent <= 1: each dyadic block past ``from_n`` sums to ``block_floor()``.
+    lowered to 0, so no subnormal is compared, and no log below -709 is
+    exponentiated: its exp is below the least normal double.  A floor is a
+    plain power with exponent <= 1: each dyadic block past ``from_n`` sums to
+    ``block_floor()``.
     """
 
     log_coef: float
@@ -309,8 +321,8 @@ class TermBound:
 
     def __post_init__(self) -> None:
         if not (self.log_coef < math.inf and math.isfinite(self.exponent)
-                and (0.0 < self.rate < math.inf) == (0.0 < self.kappa < math.inf)
-                and self.rate >= 0.0 <= self.kappa
+                and (self.rate > 0.0) == (self.kappa > 0.0)
+                and 0.0 <= self.rate < math.inf and 0.0 <= self.kappa < math.inf
                 and all(self.from_n >= row.least_n for row, g in self.sv.factors() if g)):
             raise ValueError(f"invalid term bound {self!r}")
         if self.floor and not (self.log_coef > -math.inf and self.rate == 0.0
@@ -329,8 +341,11 @@ class TermBound:
         # n < from_n is filled in afterwards, whatever f gives there
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ln = np.log(n.astype(np.float64))
-            v = np.exp(self.sv.log_values(n) + self.log_coef - self.exponent * ln
-                       - self.rate * np.exp(self.kappa * ln))
+            x = self.sv.log_values(n) + self.log_coef - self.exponent * ln
+            if self.rate:  # at rate 0 kappa is 0, and x - 0 e^0 = x
+                x -= self.rate * np.exp(self.kappa * ln)
+            low = x < -709.0  # e^x < _TINY, raised to it or lowered to 0 below
+            v = np.exp(x, out=np.zeros_like(x), where=~low) if low.any() else np.exp(x)
         out = np.where(v < _TINY, 0.0, v) if self.floor else np.maximum(v, _TINY)
         return np.where(n < self.from_n, 0.0 if self.floor else math.inf, out)
 

@@ -1,5 +1,8 @@
 """Series terms and verdict assembly."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cclab import cli
 from cclab import convergence as cv
 from cclab import distmodel as dm
 from cclab import mcengine as mc
@@ -184,7 +188,7 @@ def test_the_pareto_single_tail_term_at_n_773_is_exact_to_1e_15():
         exact = mpmath.mpf(10) ** -297 / 773 ** 3
     assert abs(got - exact) <= 1e-15 * exact
     # a law with no such closed form keeps its product
-    assert dm.uniform_sym(1.0).scaled_tails(1.0, np.ones(1), np.ones(1)) is None
+    assert dm.uniform_sym(1.0).scaled_tails is None
 
 
 @pytest.mark.parametrize("coef,eps,n", [
@@ -238,6 +242,21 @@ def test_one_gaussian_envelope_bounds_the_exponential_and_the_normal_single_tail
     assert cv.exp_certificate(rad, w, sk.power_law_norms(0.5), 1.0, 100) is None
     assert cv.single_tail_certificate(normal, w, sk.power_law_norms(0.0), 1.0, 100) is None
     assert cv.exp_certificate(rad, w, sk.power_law_norms(1.0), 1e200, 100) is None
+
+
+def test_the_gaussian_envelope_moves_its_start_on_until_its_tail_is_finite():
+    # w(n) = loglog(e^2+n), a(n) = n^0.375 log(2+n)^-0.5 at eps 0.01: from n0 = 2
+    # kappa is 0.029 and the tail bound inf, so n0 doubles on, to 4 with kappa 0.19
+    w = sk.power_law_weights(0.0, sv=sk.SlowlyVarying(loglog=1.0))
+    a = sk.power_law_norms(0.375, sv=sk.SlowlyVarying(log2p=-0.5))
+    cert = cv.single_tail_certificate(dm.normal_std(), w, a, 0.01, 2000)
+    assert cert.from_n == 4 and cert.kappa == pytest.approx(0.19189, abs=1e-5)
+    assert cert.tail_beyond(2000) < math.inf
+    n = np.arange(4, 200_001)
+    terms = cv.single_tail_terms(dm.normal_std(), w.values(n), a.values(n), 0.01, n)
+    assert (terms <= cert.values_at(n) * (1.0 + cv._ENVELOPE_SLACK)).all()
+    # the start stays within horizon + 1
+    assert cv.single_tail_certificate(dm.normal_std(), w, a, 0.01, 2) is None
 
 
 def test_a_pareto_exponent_past_the_doubles_has_no_certificate():
@@ -368,6 +387,109 @@ def test_summarize_rejects_violated_floor():
 def test_summarize_rejects_negative_terms():
     with pytest.raises(ValueError):
         cv.summarize_series("neg", [1], [-0.5], {})
+
+
+def full_length_summary(n, term, certificate=None):
+    """(rows, verdict, certificate) or the error text of ``summarize_series`` as
+    it was before it summed and checked only the head: every term checked
+    against the bound and every prefix summed."""
+    n, term = np.asarray(n, dtype=np.int64), np.asarray(term, dtype=np.float64)
+    verdict = UNDETERMINED if certificate is None else certificate.verdict
+    negative = ~(term >= 0.0)
+    over = under = np.zeros(term.shape, dtype=bool)
+    if certificate is not None:
+        bound = certificate.values_at(n)
+        if verdict == CONVERGES:
+            over = term > bound * (1.0 + cv._ENVELOPE_SLACK)
+        else:
+            under = term < bound * (1.0 - cv._ENVELOPE_SLACK)
+    bad = np.flatnonzero(negative | over | under)
+    if bad.size:
+        i = bad[0]
+        k, t = int(n[i]), float(term[i])
+        if negative[i]:
+            return f"series terms must be nonnegative, got {t!r} at n={k}"
+        b = float(bound[i])
+        if over[i]:
+            return f"registered envelope violated at n={k}: term {t!r} exceeds {b!r}"
+        return f"registered divergence floor violated at n={k}: term {t!r} below {b!r}"
+    partial = sk.prefix_sums(term)
+    try:
+        rp.check_partial_sums(n, term, partial)
+    except ValueError as exc:
+        return str(exc)
+    last_n = int(n[-1]) if n.size else 0
+    keep = (n <= 8) | ((n & (n - 1)) == 0) | (n == last_n)
+    rows = [{"n": k, "term": t, "partial_sum": ps} for k, t, ps in
+            zip(n[keep].tolist(), term[keep].tolist(), partial[keep].tolist())]
+    rendered = None if certificate is None else certificate.to_json_dict(last_n)
+    return rows, verdict, rendered
+
+
+def _zero_tail(head, length=300, zero=0.0):
+    return list(head) + [zero] * (length - len(head))
+
+
+HEAD_CASES = {
+    "+0 tail": (_zero_tail([0.5 ** k for k in range(40)], 1100),
+                sk.TermBound(math.log(2.0), 0.0, rate=math.log(2.0), kappa=1.0)),
+    "-0 tail": (_zero_tail([1.0, 0.25, 1 / 9], zero=-0.0), sk.TermBound(0.0, 2.0)),
+    "mixed zeros inside and after the head": (
+        _zero_tail([1.0, -0.0, 0.0, 1e-300, 5e-324, -0.0, 0.0] * 3), None),
+    "inf partial sum": (_zero_tail([1e308, 1e308, 1.0]), None),
+    "inf term": (_zero_tail([1.0, math.inf, 2.0]), None),
+    "NaN term in the head": (_zero_tail([1.0, math.nan, 2.0]), None),
+    "negative term in the head": (_zero_tail([1.0, 0.5, -1e-300, 2.0]), None),
+    "envelope broken in the head": (_zero_tail([1.0, 0.5, 0.5]), sk.TermBound(0.0, 2.0)),
+    "empty head": ([0.0, -0.0] * 150, sk.TermBound(-math.inf, 0.0, from_n=1)),
+    "empty head, -0 first": ([-0.0] * 300, None),
+    "no zero": ([1.0 / k ** 2 for k in range(1, 301)], sk.TermBound(0.0, 2.0)),
+    "floor over a zero tail": (_zero_tail([1.0] * 20), sk.TermBound(0.0, 0.5, floor=True)),
+    # the floor e^-708 n^-1/2 is below the normal doubles, and so 0, from n = 3
+    "floor vanishing with its terms": (_zero_tail([math.exp(-708.0), math.exp(-708.0) / 2 ** 0.5],
+                                                  5000), sk.TermBound(-708.0, 0.5, floor=True)),
+    "no terms": ([], None),
+}
+
+
+@pytest.mark.parametrize("terms,certificate", HEAD_CASES.values(), ids=HEAD_CASES.keys())
+def test_summarizing_the_head_gives_the_full_length_bytes(terms, certificate):
+    n = np.arange(1, len(terms) + 1)
+    want = full_length_summary(n, terms, certificate)
+    try:
+        rep = cv.summarize_series("s", n, terms, {}, certificate)
+    except ValueError as exc:
+        got = str(exc)
+    else:
+        got = list(rep.rows), rep.verdict, rep.certificate
+    assert repr(got) == repr(want)  # repr tells -0.0 from 0.0 and matches NaN
+
+
+def test_a_floor_is_checked_past_the_last_nonzero_term():
+    with pytest.raises(ValueError, match="divergence floor violated at n=21"):
+        cv.summarize_series("s", range(1, 301), _zero_tail([1.0] * 20), {},
+                            sk.TermBound(0.0, 0.5, floor=True))
+
+
+def test_only_the_head_of_a_vanishing_series_is_summed(monkeypatch):
+    # baum_katz(2,1) with rademacher: the single-tail term n P(|X| >= eps n) is 0
+    # once eps n > 1, so at eps 0.5 and 1 its heads are n <= 2 and n <= 1
+    summed = []
+    monkeypatch.setattr(cv, "prefix_sums", lambda x: summed.append(len(x)) or sk.prefix_sums(x))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check-conditions", "--preset", "baum_katz(2,1)", "--horizon", "20000",
+                         "--eps", "0.5,1", "--set", "distribution.kind=rademacher"])
+    assert code == cli.EXIT_OK
+    series = json.loads(out.getvalue())["series"]
+    assert [s["series_id"] for s in series] == ["single-tail", "exponential"] * 2
+    assert summed[0::2] == [2, 1]
+    # the exponential terms underflow to 0 well inside the horizon too
+    assert all(0 < k < 20_000 for k in summed[1::2])
+    for s, head in zip(series[0::2], (2, 1)):
+        last = s["rows"][-1]
+        assert (last["n"], last["term"]) == (20_000, 0.0)
+        assert last["partial_sum"] == s["rows"][head - 1]["partial_sum"] > 0.0
 
 
 def test_certified_reports_require_certificates():

@@ -49,10 +49,10 @@ UNDETERMINED_AT_MOST = {
     ("rademacher", "exponential"): 21,
     ("uniform_sym", "single-tail"): 6,
     ("uniform_sym", "exponential"): 24,
-    ("normal_std", "single-tail"): 1,
-    ("normal_std", "exponential"): 13,
+    ("normal_std", "single-tail"): 0,
+    ("normal_std", "exponential"): 12,
     ("atomic_sym", "single-tail"): 6,
-    ("atomic_sym", "exponential"): 20,
+    ("atomic_sym", "exponential"): 19,
 }
 
 

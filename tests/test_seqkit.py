@@ -376,6 +376,21 @@ def test_libm_exp_is_the_scalar_map_bit_for_bit(mapped):
     assert len(mapped) == ((x > 708.0) | np.isnan(x)).sum()
 
 
+@pytest.mark.parametrize("filled", [True, False], ids=["filled", "computed"])
+def test_libm_exp_below_the_underflow_is_math_exp_bit_for_bit(filled):
+    # glibc's exp is the least subnormal at -745.1332191019411 and 0.0 from
+    # -745.1332191019412 down; libm fills 0.0 below -745.2 where more than an
+    # eighth of a column lies there, and else sends every element to cexp
+    assert math.exp(-745.1332191019411) == 5e-324 and math.exp(-745.1332191019412) == 0.0
+    x = np.concatenate(([-745.1332191019411, -745.1332191019412, -745.2, -1e308, -math.inf,
+                         math.nan], np.linspace(-800.0, -700.0, 10_001)))
+    if not filled:
+        x = np.concatenate((x, np.linspace(-700.0, 0.0, 100_000)))
+    assert (8 * (x < -745.2).sum() > x.size) == filled
+    assert_same_uint64(sk.libm(math.exp, x), raw_map(math.exp, x))
+    assert sk.libm(math.exp, -800.0).tolist() == [0.0]
+
+
 def test_exp_past_the_double_range_raises_like_math_exp_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -422,9 +437,13 @@ SATURATION_RULES = [(math.exp, np.less_equal, -750.0, 0.0),
 
 
 def test_libm_fills_exactly_these_rules():
-    # exp needs no fill: the C library's cexp returns 0.0 below -745.14 itself
     assert set(sk._VECTOR) == {pow, math.exp, math.log, math.erfc}
     assert sk._VECTOR[math.erfc] is sk._erfc_fills
+    # exp's route fills 0.0 below -745.2, once an eighth of the column lies there
+    x = np.array([-math.inf, -1e308, -745.3, math.nextafter(-745.2, 0.0), math.nan, 709.0])
+    values, mapped = sk._complex_exp(x)
+    assert mapped.tolist() == [False] * 5 + [True]
+    assert values[:3].tolist() == [0.0] * 3 and math.isnan(values[4])
     x = np.array([-math.inf, -6.0, np.nextafter(-6.0, 0.0), math.nan, 0.0,
                   np.nextafter(28.0, 0.0), 28.0, math.inf])
     values, mapped = sk._erfc_fills(x)
@@ -696,6 +715,38 @@ def test_term_bound_tails_at_the_edge_of_the_doubles_are_bounds_not_errors():
         assert sk.TermBound(0.0, 1e308, rate=rate, kappa=2.0, from_n=2).log_tail(2) == math.inf
     assert sk._log_up(1e308, 1e308, -1e308) == sk._log_up(math.inf, -math.inf) == math.inf
     assert sk._log_up(-1e308, -1e308) == -math.inf
+
+
+def formula_values(bound, n) -> np.ndarray:
+    """``values_at`` as the one formula over every n, rate term and exp included."""
+    n = np.asarray(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ln = np.log(n.astype(np.float64))
+        v = np.exp(bound.sv.log_values(n) + bound.log_coef - bound.exponent * ln
+                   - bound.rate * np.exp(bound.kappa * ln))
+    out = np.where(v < sys.float_info.min, 0.0, v) if bound.floor else np.maximum(
+        v, sys.float_info.min)
+    return np.where(n < bound.from_n, 0.0 if bound.floor else math.inf, out)
+
+
+@pytest.mark.parametrize("bound", [
+    sk.TermBound(-700.0, 2.0, SlowlyVarying(log2p=1.5, loglog=-1.0), from_n=3),
+    sk.TermBound(-20.0, -0.5, rate=1.0, kappa=1.0),
+    sk.TermBound(5.0, 1.0, SlowlyVarying(logn=-2.0), rate=0.04, kappa=0.5, from_n=2),
+    sk.TermBound(-705.0, 0.5, from_n=4, floor=True),
+    sk.TermBound(1.0, 1.0, floor=True),
+], ids=["envelope rate 0", "envelope rate 1", "envelope kappa 1/2", "floor crossing -709",
+        "floor"])
+def test_term_bound_values_skip_only_what_cannot_change_them(bound):
+    # rate 0 skips rate * n^kappa, and a log below -709 is not exponentiated
+    n = np.concatenate((np.arange(1, 5_000), np.geomspace(5_000, 2 ** 52, 2_000).astype(np.int64)))
+    assert same_bits(bound.values_at(n), formula_values(bound, n))
+
+
+def test_a_term_bound_has_a_rate_exactly_when_it_has_a_kappa():
+    for rate, kappa in ((1.0, 0.0), (0.0, 1.0), (0.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="invalid term bound"):
+            sk.TermBound(0.0, 2.0, rate=rate, kappa=kappa)
 
 
 def test_a_term_bound_without_a_coefficient_vanishes_and_floors_nothing():
