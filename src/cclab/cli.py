@@ -492,18 +492,11 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
                 cut = eps * av
             terms = convergence.exp_terms(tau, av, eps, n,
                                           distmodel.truncated_second_moments(d, cut))
-            # the envelope is checked only up to the last nonzero term
-            head = convergence.head_length(terms)
-            series.append(convergence.summarize_series(
-                "exponential", n, terms, {"eps": eps}, env_iii,
-                bound=(bound := None if env_iii is None else env_iii.values_at(n[:head]))))
-            if cfg.preset_name in ("spataru", "spataru_weak"):
-                # w(n) = 1/n and a(n) = (n log n)^(1/2): the exponential term is the
-                # adaptive-exponent term n^(-1 - eps^2/T) from n = 2 on
-                series.append(convergence.summarize_series(
-                    "adaptive-exponent", n[1:], terms[1:], {"eps": eps}, env_iii,
-                    bound=None if bound is None else bound[1:]))
-            del terms, cut, bound  # before the next eps allocates its columns
+            # spataru's w(n) = 1/n and a(n) = (n log n)^(1/2) make the exponential
+            # term the adaptive-exponent term n^(-1 - eps^2/T) from n = 2 on
+            series.extend(convergence.exponential_reports(
+                n, terms, eps, env_iii, adaptive=cfg.preset_name in ("spataru", "spataru_weak")))
+            del terms, cut  # before the next eps allocates its columns
 
     return {
         "provenance": cfg.provenance(),

@@ -269,13 +269,27 @@ def _gaussian_envelope(w: WeightSeq, a: NormSeq, eps: float, div: float, s: int,
 # ---------------------------------------------------------------------------
 
 
-def head_length(term) -> int:
+def _head_length(term) -> int:
     """1 + the index of the last nonzero term (NaN counts), 0 if every term is +-0."""
     term = np.asarray(term)
     if term.size and term[-1] != 0.0:  # no zero tail: the common case costs no scan
         return term.size
     nonzero = (term != 0.0)[::-1]
     return nonzero.size - int(nonzero.argmax()) if nonzero.any() else 0
+
+
+def exponential_reports(n, term, eps: float, envelope, adaptive: bool) -> list[SeriesReport]:
+    """The exponential series' report and, when ``adaptive``, the adaptive-exponent
+    series', the same terms from n = 2 on under the same ``envelope`` (an
+    ``exp_certificate``, or None): its values are formed once, on the head
+    that both reports check."""
+    params = {"eps": eps}
+    bound = None if envelope is None else envelope.values_at(n[:_head_length(term)])
+    reports = [summarize_series("exponential", n, term, params, envelope, bound=bound)]
+    if adaptive:
+        reports.append(summarize_series("adaptive-exponent", n[1:], term[1:], params, envelope,
+                                        bound=None if bound is None else bound[1:]))
+    return reports
 
 
 def summarize_series(series_id: str, n, term, params: dict, certificate=None,
@@ -300,7 +314,7 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     n = np.asarray(n, dtype=np.int64)
     term = np.asarray(term, dtype=np.float64)
     verdict = UNDETERMINED if certificate is None else certificate.verdict
-    head = head_length(term)
+    head = _head_length(term)
     checked = term.size if verdict == DIVERGES else head
     checked_terms = term[:checked]
     negative = ~(checked_terms >= 0.0)

@@ -88,17 +88,13 @@ def _float_power(x, p):
 def _complex_exp(x):
     """The C library's cexp(x + 0i) is exp(x) cos 0 = exp(x) exactly while x is
     at most 709; past that it scales x, so x > 708 is left to math.exp.  glibc's
-    exp is +0.0 from -745.1332191019412 down, so where more than an eighth of
-    the elements lie below -745.2 they are filled with 0.0: cexp takes about
-    22 ns for a result of 0 and 15 ns for a normal one, and picking the rest
-    out and back about 2.3 ns an element."""
-    zero = x < -745.2  # NaN is not, and so goes to math.exp
-    if 8 * np.count_nonzero(zero) <= zero.size:
-        return np.exp(x.astype(np.complex128)).real.copy(), x > 708.0
-    out = np.zeros(x.shape)
-    live = ~zero
-    out[live] = np.exp(x[live].astype(np.complex128)).real
-    return out, x > 708.0
+    exp is +0.0 from -745.1332191019412 down, so below -745.2 cexp is not
+    called and the result is 0.0; the exp is taken in place, so a column costs
+    one complex copy and one real one."""
+    live = ~(x < -745.2)  # NaN is live, and so goes to math.exp
+    z = x.astype(np.complex128)
+    np.exp(z, out=z, where=live)
+    return np.where(live, z.real, 0.0), x > 708.0
 
 
 def _complex_log(x):
@@ -341,11 +337,12 @@ class TermBound:
         # n < from_n is filled in afterwards, whatever f gives there
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ln = np.log(n.astype(np.float64))
-            x = self.sv.log_values(n) + self.log_coef - self.exponent * ln
+            x = np.asarray(self.sv.log_values(n) + self.log_coef - self.exponent * ln)
             if self.rate:  # at rate 0 kappa is 0, and x - 0 e^0 = x
                 x -= self.rate * np.exp(self.kappa * ln)
-            low = x < -709.0  # e^x < _TINY, raised to it or lowered to 0 below
-            v = np.exp(x, out=np.zeros_like(x), where=~low) if low.any() else np.exp(x)
+            # in place, and not below -709: there x and e^x are both below _TINY,
+            # so either is raised to it or lowered to 0 below
+            v = np.exp(x, out=x, where=~(x < -709.0))
         out = np.where(v < _TINY, 0.0, v) if self.floor else np.maximum(v, _TINY)
         return np.where(n < self.from_n, 0.0 if self.floor else math.inf, out)
 
