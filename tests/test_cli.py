@@ -49,6 +49,7 @@ GOLDEN_CASES = {
                "--set", "distribution.alpha=3"],
     "spw_atom": ["--preset", "spataru_weak(0.5)", "--set", "distribution.kind=atomic_sym",
                  "--set", "distribution.atoms=1:0.5,3:0.25"],
+    "sp_norm": ["--preset", "spataru", "--set", "distribution.kind=normal_std"],
     "ms9": ["--preset", "ms_counterexample(9)"],
 }
 
