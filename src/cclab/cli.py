@@ -73,7 +73,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, convergence, counterexample, distmodel, mcengine, seqkit
-from .convergence import RecurringBlocks
 from .reports import json_text
 from .seqkit import NormSeq, PowerLawFamily, SlowlyVarying, WeightSeq
 
@@ -434,38 +433,14 @@ def _sequence_half(w: WeightSeq, a: NormSeq, horizon: int, theta: float) -> tupl
 
 def run_check_conditions(cfg: ScenarioConfig) -> dict:
     w, a, horizon = cfg.weights, cfg.norms, cfg.horizon
-    n = np.arange(1, horizon + 1)
     try:  # past the horizon budget, or with an unhashable field, computed and never kept
         hash((w, a))
         half = _sequence_half if horizon <= _MEMO_MAX_HORIZON else _sequence_half.__wrapped__
     except TypeError:
         half = _sequence_half.__wrapped__
     tau, av, regularity = half(w, a, horizon, cfg.theta)
-    series, moments, extra = [], [], {}
     if cfg.preset_name == "ms_counterexample":
-        schedule = counterexample.build_schedule(int(cfg.preset_args[0]))
-        report = counterexample.verify_counterexample(schedule)
-        dist = counterexample.CounterexampleDistribution(schedule)
-        moments.append({"form": "inv_logplus", "finite": True,
-                        "value": dist.weighted_second_moment(), "reason": "",
-                        "note": f"finite inverse-growth moment {report.moment_value!r} "
-                                "certifies this"})
-        floor = min((c.block_lower_bound for c in report.certificates), default=0.0)
-        blocks = RecurringBlocks(
-            floor=floor,
-            blocks=tuple(c.m for c in report.certificates),
-            description="each cutoff block of the adaptive-exponent series "
-                        "is certified >= 1 in the log domain")
-        rows = slice(1, min(horizon, 512))  # n = 2..min(horizon, 512)
-        certified = report.divergence_certified
-        series.append(convergence.summarize_series(
-            "adaptive-exponent", n[rows], convergence.exp_terms(
-                tau[rows], av[rows], 1.0, n[rows], dist.truncated_second_moments(av[rows])),
-            {"eps": 1.0}, blocks if certified else None,
-            evidence=("terms vanish on any double-range horizon; divergence lives at "
-                      "the cutoff scales recorded in the certificates" if certified
-                      else "block certificates incomplete",)))
-        extra = {"counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
+        sections = convergence.counterexample_sections(int(cfg.preset_args[0]), tau, av)
     else:
         # a is nondecreasing, so a(1) gives the least cutoff
         least, a1 = min(cfg.eps), float(av[0])  # Python floats: no warning on overflow
@@ -473,38 +448,19 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
             raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
         d = cfg.dist
         mom = distmodel.weighted_second_moment(d)
-        moments.append({"form": "inv_logplus", "finite": mom.finite,
-                        "value": mom.value, "reason": mom.reason})
+        moments = [{"form": "inv_logplus", "finite": mom.finite,
+                    "value": mom.value, "reason": mom.reason}]
         if cfg.preset_name == "spataru_weak":
             delta = cfg.preset_args[0]
             mom2 = distmodel.weighted_second_moment(d, 1.0 + delta)
             moments.append({"form": "loglog_delta", "delta": delta,
                             "finite": mom2.finite, "value": mom2.value,
                             "reason": mom2.reason})
-
-        for eps in cfg.eps:
-            series.append(convergence.summarize_series(
-                "single-tail", n, convergence.single_tail_terms(d, tau, av, eps, n),
-                {"eps": eps}, convergence.single_tail_certificate(d, w, a, eps, horizon)))
-            # The envelope is evaluated after the terms so that fewer columns are live
-            env_iii = convergence.exp_certificate(d, w, a, eps, horizon)
-            with np.errstate(over="ignore"):  # at an inf cutoff T is E X^2
-                cut = eps * av
-            terms = convergence.exp_terms(tau, av, eps, n,
-                                          distmodel.truncated_second_moments(d, cut))
-            # spataru's w(n) = 1/n and a(n) = (n log n)^(1/2) make the exponential
-            # term the adaptive-exponent term n^(-1 - eps^2/T) from n = 2 on
-            series.extend(convergence.exponential_reports(
-                n, terms, eps, env_iii, adaptive=cfg.preset_name in ("spataru", "spataru_weak")))
-            del terms, cut  # before the next eps allocates its columns
-
-    return {
-        "provenance": cfg.provenance(),
-        "regularity": [r.to_json_dict() for r in regularity],
-        "series": [s.to_json_dict() for s in series],
-        "moments": moments,
-        **extra,
-    }
+        sections = {"series": [s.to_json_dict() for eps in cfg.eps
+                               for s in convergence.eps_series(d, w, a, eps, tau, av)],
+                    "moments": moments}
+    return {"provenance": cfg.provenance(), "regularity": [r.to_json_dict() for r in regularity],
+            **sections}
 
 
 def _read_schedule(path: str) -> counterexample.CutoffSchedule:

@@ -12,6 +12,9 @@ term is the adaptive-exponent term n^(-1 - eps^2/T) of Spataru's question, so
 that series is the exponential column, and ``adaptive_exponent_term`` is its
 one-point form.  Each family is computed on arrays of n (``single_tail_terms``,
 ``exp_terms``); the one-term functions are their one-point forms.
+``eps_series`` builds check-conditions' reports at one eps, the
+adaptive-exponent one where (w, a) are of the ``SPATARU`` families, and
+``counterexample_sections`` the sections of ``ms_counterexample(d)``.
 
 Verdicts are certificates, built and checked here.  Each names its
 ``verdict``, bounds every term (``values_at``: from above when it converges,
@@ -28,18 +31,20 @@ from typing import Optional
 
 import numpy as np
 
-from . import distmodel
+from . import counterexample, distmodel
 from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
 from .reports import CONVERGES, DIVERGES, UNDETERMINED, SeriesReport, check_partial_sums
-from .seqkit import (_PAD, _TINY, NormSeq, SlowlyVarying, TermBound, WeightSeq, libm, log_or_inf,
-                     prefix_sums)
+from .seqkit import (_PAD, _TINY, NormSeq, PowerLawFamily, SlowlyVarying, TermBound, WeightSeq,
+                     libm, log_or_inf, prefix_sums)
 
 # Relative tolerance when checking computed terms against bounds; it dwarfs
 # the few ulp of numpy's log and exp, so the bounds may skip libm.
 _ENVELOPE_SLACK = 1e-9
 _LN2 = math.log(2.0)
+# w(n) = 1/n and a(n) = (n log n)^(1/2): the exponential term is the adaptive-exponent term
+SPATARU = (PowerLawFamily(-1.0), PowerLawFamily(0.5, sv=SlowlyVarying(logn=0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +283,6 @@ def _head_length(term) -> int:
     return nonzero.size - int(nonzero.argmax()) if nonzero.any() else 0
 
 
-def exponential_reports(n, term, eps: float, envelope, adaptive: bool) -> list[SeriesReport]:
-    """The exponential series' report and, when ``adaptive``, the adaptive-exponent
-    series', the same terms from n = 2 on under the same ``envelope`` (an
-    ``exp_certificate``, or None): its values are formed once, on the head
-    that both reports check."""
-    params = {"eps": eps}
-    bound = None if envelope is None else envelope.values_at(n[:_head_length(term)])
-    reports = [summarize_series("exponential", n, term, params, envelope, bound=bound)]
-    if adaptive:
-        reports.append(summarize_series("adaptive-exponent", n[1:], term[1:], params, envelope,
-                                        bound=None if bound is None else bound[1:]))
-    return reports
-
-
 def summarize_series(series_id: str, n, term, params: dict, certificate=None,
                      evidence: tuple[str, ...] = (), bound=None) -> SeriesReport:
     """Assemble a report from the columns ``n`` and ``term``, checking the
@@ -346,3 +337,54 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
     rendered = None if certificate is None else certificate.to_json_dict(last_n)
     return SeriesReport(series_id, dict(params), rows, verdict, certificate=rendered,
                         evidence=evidence)
+
+
+
+def eps_series(d: Dist, w: WeightSeq, a: NormSeq, eps: float, tau, av) -> list[SeriesReport]:
+    """The reports at one eps, ``tau`` and ``av`` holding w(n) and a(n) for n = 1..horizon:
+    the single-tail and exponential series and, where (w, a) are of the ``SPATARU`` families,
+    the adaptive-exponent series, the exponential terms from n = 2 on under one envelope."""
+    horizon, params = tau.size, {"eps": eps}
+    n = np.arange(1, horizon + 1)
+    reports = [summarize_series("single-tail", n, single_tail_terms(d, tau, av, eps, n), params,
+                                single_tail_certificate(d, w, a, eps, horizon))]
+    # The envelope is evaluated after the single tail's columns are freed
+    envelope = exp_certificate(d, w, a, eps, horizon)
+    with np.errstate(over="ignore"):  # at an inf cutoff T is E X^2
+        cut = eps * av
+    term = exp_terms(tau, av, eps, n, distmodel.truncated_second_moments(d, cut))
+    # the envelope's values are formed once, on the head that both reports check
+    bound = None if envelope is None else envelope.values_at(n[:_head_length(term)])
+    reports.append(summarize_series("exponential", n, term, params, envelope, bound=bound))
+    if (w.family, a.family) == SPATARU:
+        reports.append(summarize_series("adaptive-exponent", n[1:], term[1:], params, envelope,
+                                        bound=None if bound is None else bound[1:]))
+    return reports
+
+
+def counterexample_sections(depth: int, tau, av) -> dict:
+    """The report sections of ``ms_counterexample(depth)``, ``tau`` and ``av`` as in
+    ``eps_series``: the moment row, the adaptive-exponent series over n = 2..min(horizon,
+    512) under the schedule's block certificates, the counterexample and the schedule."""
+    schedule = counterexample.build_schedule(depth)
+    report = counterexample.verify_counterexample(schedule)
+    dist = counterexample.CounterexampleDistribution(schedule)
+    moment = {"form": "inv_logplus", "finite": True, "value": dist.weighted_second_moment(),
+              "reason": "", "note": f"finite inverse-growth moment {report.moment_value!r} "
+                                    "certifies this"}
+    blocks = RecurringBlocks(
+        floor=min((c.block_lower_bound for c in report.certificates), default=0.0),
+        blocks=tuple(c.m for c in report.certificates),
+        description="each cutoff block of the adaptive-exponent series "
+                    "is certified >= 1 in the log domain")
+    rows = slice(1, min(tau.size, 512))
+    n, certified = np.arange(2, rows.stop + 1), report.divergence_certified
+    series = summarize_series(
+        "adaptive-exponent", n, exp_terms(tau[rows], av[rows], 1.0, n,
+                                          dist.truncated_second_moments(av[rows])),
+        {"eps": 1.0}, blocks if certified else None,
+        evidence=("terms vanish on any double-range horizon; divergence lives at "
+                  "the cutoff scales recorded in the certificates" if certified
+                  else "block certificates incomplete",))
+    return {"series": [series.to_json_dict()], "moments": [moment],
+            "counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
