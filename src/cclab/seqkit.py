@@ -706,6 +706,12 @@ def check_tail_domination(w: WeightSeq, a: NormSeq, values: SequenceValues,
         notes.append(f"{skipped} initial indices skipped where T_(n-1) = 0")
     if remainder is not None:
         notes.append("remainder certified: " + reason)
+        # At q = 1 the tail sum over f(n) grows without bound (Karamata), and for
+        # e_w > -2 T_(n-1) ~ n^2 w(n) / (2 + e_w): no C holds past the horizon
+        if q == 1.0 and wf.exponent > -2.0:
+            notes.append("q == 1: the tail sum over its last term grows without bound "
+                         "(Karamata), so the ratio does")
+            return RegularityReport(cid, Verdict.CERTIFIED_FAIL, constants, horizon, tuple(notes))
         return RegularityReport(cid, Verdict.CERTIFIED_PASS, constants, horizon, tuple(notes))
     notes.append("no certified remainder (" + reason + "); constant is horizon-limited evidence")
     return RegularityReport(cid, Verdict.INCONCLUSIVE, constants, horizon, tuple(notes))

@@ -273,6 +273,26 @@ def test_readme_normal_example_certifies_single_tail(capsys):
         assert c * (1.0 - 1e-12) < params["rate"] < c
 
 
+def test_tail_domination_fails_where_the_tail_over_its_last_term_grows(capsys):
+    # w = 1 and a(n) = n log(2+n), p = 2: the summand 1/(k log(2+k)^2) has q == 1,
+    # its tail sum from n is about 1/log n, and T_(n-1) = n(n-1)/2, so the ratio
+    # grows like 2 log n: the largest over n <= horizon is at the horizon
+    code, out, err = run(capsys, "check-conditions", "--set", "weights.exponent=0",
+                         "--set", "normalizer.exponent=1",
+                         "--set", "normalizer.slowly_varying=log_power:1",
+                         "--set", "distribution.kind=rademacher", "--horizon", "2000")
+    assert code == cli.EXIT_OK, err
+    reports = {r["condition_id"]: r for r in json.loads(out)["regularity"]}
+    p2 = reports["tail-domination-p2-theta1"]
+    assert p2["verdict"] == "CertifiedFail"
+    assert p2["notes"][-1].startswith("q == 1: the tail sum over its last term grows")
+    assert p2["constants"]["argmax_n"] == 2000.0
+    assert p2["constants"]["C"] == pytest.approx(2.0 * math.log(2002.0), rel=0.005)
+    assert p2["constants"]["tail_remainder"] > 0.0
+    # at p = 3, q == 2 and the ratio tends to a finite limit
+    assert reports["tail-domination-p3-theta1"]["verdict"] == "CertifiedPass"
+
+
 # ---------------------------------------------------------------------------
 # Every registered certificate, checked against the terms out to 10x the
 # horizon it was built at

@@ -13,8 +13,12 @@ verdict must follow:
 * the exponential series of a law with a second moment converges at rho > 1/2; at
   rho < 1/2 its terms tend to w(n), so Bertrand's rule on (e_w, g_w, h_w) decides it.
 
-The exponents are dyadic, so P = -1 and Q = -1 are exact in floats and drawn
-on purpose.  Coverage is a number: the ``Undetermined`` count of each (law,
+The hypothesis rule, which every tail-domination report must follow: at
+q = p rho - 1 - e_w == 1 and e_w > -2 the ratio grows without bound, so no such
+report is ``CertifiedPass``.
+
+The exponents are dyadic, so P = -1, Q = -1 and q = 1 are exact in floats; the
+first two are drawn on purpose.  Coverage is a number: the ``Undetermined`` count of each (law,
 series) may never rise above the recorded ceiling.
 """
 
@@ -125,7 +129,7 @@ def _run(argv):
 
 def test_seeded_power_log_verdicts_follow_the_rules():
     rng = random.Random(25)
-    failures, undetermined, ran, checked = [], Counter(), 0, 0
+    failures, undetermined, ran, checked, q_one = [], Counter(), 0, 0, 0
     for _ in range(CASES):
         argv, kind, x = scenario(rng)
         code, out, err, caught = _run(argv)
@@ -136,7 +140,15 @@ def test_seeded_power_log_verdicts_follow_the_rules():
             failures.append(f"exit {code}: {shown}\n  {err.strip()}")
             continue
         ran += 1
-        for s in json.loads(out)["series"]:
+        report = json.loads(out)
+        for r in report["regularity"]:
+            if r["condition_id"].startswith("tail-domination"):
+                q = r["constants"]["moment_power"] * x["rho"] - 1.0 - x["e_w"]
+                if q == 1.0 and x["e_w"] > -2.0:
+                    q_one += 1
+                    if r["verdict"] == "CertifiedPass":
+                        failures.append(f"{r['condition_id']} CertifiedPass at q == 1: {shown}")
+        for s in report["series"]:
             sid, verdict = s["series_id"], s["verdict"]
             if verdict == "Undetermined":
                 undetermined[kind, sid] += 1
@@ -147,6 +159,6 @@ def test_seeded_power_log_verdicts_follow_the_rules():
                 failures.append(f"{sid} {verdict}, rule says "
                                 f"{'converges' if want else 'diverges'}: {shown}")
     assert not failures, "\n".join(failures)
-    assert ran >= CASES // 2 and checked >= CASES
+    assert ran >= CASES // 2 and checked >= CASES and q_one
     over = {key: n for key, n in undetermined.items() if n > UNDETERMINED_AT_MOST.get(key, 0)}
     assert not over, (over, dict(undetermined))
