@@ -66,9 +66,11 @@ def single_tail_terms(d: Dist, w, a, eps: float, n) -> np.ndarray:
     a, p, nw = np.broadcast_arrays(a, distmodel.tails(d, cut), n * w)
     out = nw * p
     # Below the normal doubles P has lost digits, and past them eps a(n) has (a
-    # Pareto tail is not 0 there): a law with the closed form forms n w(n) P
+    # Pareto tail is not 0 there): a law with the closed form forms n w(n) P,
+    # up to the cutoff past which that rounds to 0
     if d.scaled_tails is not None:
-        low = np.flatnonzero((p < _TINY) & (nw > 0.0) & (nw < math.inf))
+        reach = d.scaled_cut(float(np.fmax.reduce(nw, initial=1.0)))  # NaN ignored
+        low = np.flatnonzero((p < _TINY) & (nw > 0.0) & (nw < math.inf) & (cut <= reach))
         if low.size:
             out[low] = d.scaled_tails(eps, a[low], nw[low])
     return out

@@ -107,8 +107,9 @@ class Dist:
 
     # scaled_tails(eps, a, c): c P(|X| >= eps a) where P lies below the normal
     # doubles, and so has lost digits, or eps a lies past them, formed without
-    # either; None where those tails are exact (atoms and uniform: 0 past the support)
-    scaled_tails = None
+    # either; None where those tails are exact (atoms and uniform: 0 past the support).
+    # scaled_cut(c_max): a cutoff past which it is 0 for every c <= c_max
+    scaled_tails = scaled_cut = None
 
     def magnitudes(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """count magnitudes |X| / scale of one SFC64 word u = random() each."""
@@ -357,6 +358,9 @@ class NormalStd(Dist):
         out[live] = libm(math.exp, x) * total
         return out
 
+    def scaled_cut(self, c_max: float) -> float:
+        return math.sqrt(2.0 * (746.0 + math.log(max(c_max, 1.0))))
+
 
 @dataclass(frozen=True)
 class ParetoSym(Dist):
@@ -390,6 +394,9 @@ class ParetoSym(Dist):
             h[far] = libm(math.exp, half * (math.log(self.scale) - math.log(eps)
                                             - libm(math.log, a[far])))
         return c * h * h
+
+    def scaled_cut(self, c_max: float) -> float:
+        return math.inf
 
     def truncated_second_moments(self, b: np.ndarray) -> np.ndarray:
         alpha, scale = self.alpha, self.scale

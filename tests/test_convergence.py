@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -219,6 +220,31 @@ def test_normal_scaled_tails_follow_erfc_across_its_subnormal_range():
         == [0.0, 0.0]
 
 
+def test_normal_single_tail_gathers_only_below_the_scaled_cut(monkeypatch):
+    # at and past scaled_cut(c), c erfc(x / sqrt 2) rounds to 0
+    law = dm.normal_std()
+    for c in (1e-300, 0.5, 1.0, 1e10, 1e300):
+        cut = law.scaled_cut(c)
+        assert law.scaled_tails(1.0, np.array([cut, 2.0 * cut]), np.array([c, c])).tolist() \
+            == [0.0, 0.0]
+    # spataru at eps 0.5 and horizon 2e5: 875 terms are nonzero, and the closed
+    # form gathers no more than those below the cut, so the peak stays under 7
+    # columns (11.1 when it gathered every term whose P is below the normal doubles)
+    h = 200_000
+    n = np.arange(1, h + 1)
+    w, a = spataru_weights().values(n), spataru_norms().values(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = cv.single_tail_terms(law, w, a, 0.5, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(got) == 875 and peak <= 7 * 8 * h
+    monkeypatch.setattr(dm.NormalStd, "scaled_cut", lambda self, c_max: math.inf)
+    assert cv.single_tail_terms(law, w, a, 0.5, n).tobytes() == got.tobytes()
+
+
 def test_one_gaussian_envelope_bounds_the_exponential_and_the_normal_single_tail():
     w, rad, normal = sk.power_law_weights(-1.0), dm.rademacher(), dm.normal_std()
     # a(n) = 2 n^0.75: eps^2 a^2 / (n vb) = (2 eps)^2 n^0.5, from n = 2
@@ -287,6 +313,25 @@ def test_adaptive_terms_are_the_exponential_column_on_the_spataru_sequences():
     # and n^(-1 - eps^2/T) to rounding, T = 1 showing that the given column is used
     used = cv.exp_terms(w, a, eps, n, np.ones(n.shape))
     np.testing.assert_allclose(used, n ** (-1.0 - eps * eps), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("w,a,adaptive", [
+    (spataru_weights(), spataru_norms(), True),
+    (sk.power_law_weights(0.0), sk.power_law_norms(1.0), False),  # baum_katz(2,1)
+    (sk.power_law_weights(-1.0), sk.power_law_norms(0.5), False),
+    (sk.power_law_weights(-1.0), sk.power_law_norms(0.5, sv=sk.SlowlyVarying(log2p=0.5)), False),
+])
+def test_the_sequences_families_choose_the_adaptive_series(w, a, adaptive):
+    # the adaptive-exponent series is the exponential column from n = 2 on only
+    # where w(n) = 1/n and a(n) = (n log n)^(1/2); spataru's sequences are those
+    assert (spataru_weights().family, spataru_norms().family) == cv.SPATARU
+    n = np.arange(1, 201)
+    reports = cv.eps_series(dm.uniform_sym(1.0), w, a, 0.5, w.values(n), a.values(n))
+    assert [r.series_id for r in reports] == ["single-tail", "exponential",
+                                              *["adaptive-exponent"] * adaptive]
+    if adaptive:
+        terms = [{(r["n"], r["term"]) for r in rep.rows if r["n"] > 2} for rep in reports[1:]]
+        assert terms[0] == terms[1]
 
 
 def test_exp_columns_map_no_element_in_python(monkeypatch):

@@ -146,9 +146,12 @@ def test_exponential_series_follow_the_truncated_moment_rule(matrix):
 
 def test_adaptive_exponent_terms_are_the_exponential_terms(matrix):
     # with w(n) = 1/n and a(n) = (n log n)^(1/2) the adaptive term n^(-1 - eps^2/T)
-    # is the exponential term: every printed one is that term at its n and eps
+    # is the exponential term: every printed one is that term at its n and eps.
+    # The spataru presets have those sequences, and only they print the series.
     checked = 0
     for (preset, label), report in matrix.items():
+        adaptive = [s for s in report["series"] if s["series_id"] == "adaptive-exponent"]
+        assert len(adaptive) == (2 if preset.startswith("spataru") else 0), (preset, label)
         if not preset.startswith("spataru"):
             continue
         exp = {(s["params"]["eps"], r["n"]): r["term"] for s in report["series"]
