@@ -341,7 +341,6 @@ def summarize_series(series_id: str, n, term, params: dict, certificate=None,
                         evidence=evidence)
 
 
-
 def eps_series(d: Dist, w: WeightSeq, a: NormSeq, eps: float, tau, av) -> list[SeriesReport]:
     """The reports at one eps, ``tau`` and ``av`` holding w(n) and a(n) for n = 1..horizon:
     the single-tail and exponential series and, where (w, a) are of the ``SPATARU`` families,

@@ -342,15 +342,14 @@ class NormalStd(Dist):
     def scaled_tails(self, eps: float, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         # c erfc(z), z = eps a / sqrt 2 > 26.5, is exp(log c - z^2 - log(z sqrt pi))
         # times sum_k (-1)^k (2k-1)!! / (2 z^2)^k: at 2 z^2 > 1400 the terms past
-        # k = 9 are below 1e-17 of the sum.  Where z^2 > log c + 746, an inf z
-        # included, c erfc(z) < c e^-z^2 rounds to 0.
+        # k = 9 are below 1e-17 of the sum
         with np.errstate(over="ignore"):
             lam = eps * a
-            z2 = lam * lam / 2.0
         out = np.zeros(lam.shape)
-        live = np.flatnonzero(z2 < 746.0 + math.log(float(c.max(initial=1.0))))
-        lam, z2, u = lam[live], z2[live], 0.5 / z2[live]
-        total, term = np.ones(live.size), np.ones(live.size)
+        live = np.flatnonzero(lam < self.scaled_cut(float(c.max(initial=1.0))))
+        lam = lam[live]
+        z2 = lam * lam / 2.0
+        total, term, u = np.ones(live.size), np.ones(live.size), 0.5 / z2
         for k in range(1, 10):
             term = term * (-(2 * k - 1) * u)
             total += term
@@ -359,6 +358,7 @@ class NormalStd(Dist):
         return out
 
     def scaled_cut(self, c_max: float) -> float:
+        # where z^2 > log c + 746, an inf z included, c erfc(z) < c e^-z^2 rounds to 0
         return math.sqrt(2.0 * (746.0 + math.log(max(c_max, 1.0))))
 
 
