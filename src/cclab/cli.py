@@ -446,19 +446,8 @@ def run_check_conditions(cfg: ScenarioConfig) -> dict:
         least, a1 = min(cfg.eps), float(av[0])  # Python floats: no warning on overflow
         if not least * a1 > 0.0:
             raise ConfigError(f"the cutoff eps * a(1) = {least!r} * {a1!r} underflows to 0")
-        d = cfg.dist
-        mom = distmodel.weighted_second_moment(d)
-        moments = [{"form": "inv_logplus", "finite": mom.finite,
-                    "value": mom.value, "reason": mom.reason}]
-        if cfg.preset_name == "spataru_weak":
-            delta = cfg.preset_args[0]
-            mom2 = distmodel.weighted_second_moment(d, 1.0 + delta)
-            moments.append({"form": "loglog_delta", "delta": delta,
-                            "finite": mom2.finite, "value": mom2.value,
-                            "reason": mom2.reason})
-        sections = {"series": [s.to_json_dict() for eps in cfg.eps
-                               for s in convergence.eps_series(d, w, a, eps, tau, av)],
-                    "moments": moments}
+        delta = cfg.preset_args[0] if cfg.preset_name == "spataru_weak" else None
+        sections = convergence.law_sections(cfg.dist, w, a, cfg.eps, tau, av, delta)
     return {"provenance": cfg.provenance(), "regularity": [r.to_json_dict() for r in regularity],
             **sections}
 
@@ -512,36 +501,23 @@ def run_counterexample(cfg: ScenarioConfig,
 
 
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
-    d = cfg.dist
     grid = [2 ** j for j in range(1, 11) if 2 ** j <= cfg.horizon]
     # each evaluated once, with numpy's overflow silent as in _sequence_half
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         av = cfg.norms.values(np.arange(1, grid[-1] + 1))
         seqkit.require_nondecreasing(av)
         wv, av = cfg.weights.values(grid), av[np.array(grid) - 1]
-    reports, tables = {}, {}  # tables: CSV file name -> report
-    if cfg.maximal:
-        # Exact or absent: a law without an oracle stops here, before any
-        # Monte Carlo runs.
-        max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
-        for eps in cfg.eps:
-            terms = [wn * mcengine.max_tail_profile(d, n, eps * an)[-1]
-                     for n, wn, an in zip(max_grid, wv.tolist(), av.tolist())]
-            max_rep = convergence.summarize_series(
-                "running-maximum", max_grid, terms, params={"eps": eps},
-                evidence=("exact absorbing-threshold dynamic program",))
-            reports[f"max:{eps}"] = tables[f"simulate_max_eps{eps}.csv"] = max_rep
-    empirical = mcengine.empirical_series(
-        d, cfg.weights, cfg.norms, cfg.eps, grid, cfg.replicates, cfg.seed,
-        workers=cfg.workers, columns=(wv, av))
-    for eps, rep in zip(cfg.eps, empirical):
-        reports[eps] = tables[f"simulate_eps{eps}.csv"] = rep
+    reports = convergence.simulate_series(cfg.dist, cfg.weights.name, cfg.norms.name, cfg.eps,
+                                          grid, wv, av, cfg.replicates, cfg.seed, cfg.workers,
+                                          cfg.maximal)
     payload = {
         "provenance": cfg.provenance(),
-        "series": {str(k): v.to_json_dict() for k, v in reports.items()},
+        "series": {k: v.to_json_dict() for k, v in reports.items()},
     }
-    # CSV text is only written with --out
-    csvs = {} if cfg.out_dir is None else {k: v.to_csv() for k, v in tables.items()}
+    # CSV text is only written with --out: simulate_eps{eps}.csv and simulate_max_eps{eps}.csv
+    csvs = {} if cfg.out_dir is None else {
+        f"simulate_{k.replace(':', '_eps') if ':' in k else 'eps' + k}.csv": v.to_csv()
+        for k, v in reports.items()}
     return payload, csvs
 
 

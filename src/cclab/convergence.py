@@ -12,9 +12,12 @@ term is the adaptive-exponent term n^(-1 - eps^2/T) of Spataru's question, so
 that series is the exponential column, and ``adaptive_exponent_term`` is its
 one-point form.  Each family is computed on arrays of n (``single_tail_terms``,
 ``exp_terms``); the one-term functions are their one-point forms.
-``eps_series`` builds check-conditions' reports at one eps, the
-adaptive-exponent one where (w, a) are of the ``SPATARU`` families, and
-``counterexample_sections`` the sections of ``ms_counterexample(d)``.
+This module builds every report series: ``eps_series`` check-conditions'
+reports at one eps, the adaptive-exponent one where (w, a) are of the
+``SPATARU`` families, ``law_sections`` its series and moment rows for a law,
+``counterexample_sections`` the sections of ``ms_counterexample(d)``, and
+``simulate_series`` simulate's running-maximum and Monte Carlo series from
+``mcengine``'s draws and oracles.
 
 Verdicts are certificates, built and checked here.  Each names its
 ``verdict``, bounds every term (``values_at``: from above when it converges,
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import counterexample, distmodel
+from . import counterexample, distmodel, mcengine
 from .distmodel import Dist
 # Unused here, but the benchmark tracer (perfbench/tracer.py) wraps this binding by name.
 from .distmodel import truncated_moment  # noqa: F401
@@ -363,6 +366,22 @@ def eps_series(d: Dist, w: WeightSeq, a: NormSeq, eps: float, tau, av) -> list[S
     return reports
 
 
+def law_sections(d: Dist, w: WeightSeq, a: NormSeq, eps_list, tau, av,
+                 delta: Optional[float] = None) -> dict:
+    """check-conditions' sections for the law ``d``, ``tau`` and ``av`` as in ``eps_series``:
+    the moment rows, inv_logplus and, given spataru_weak's ``delta``, loglog_delta, and the
+    reports at each eps."""
+    mom = distmodel.weighted_second_moment(d)
+    moments = [{"form": "inv_logplus", "finite": mom.finite, "value": mom.value,
+                "reason": mom.reason}]
+    if delta is not None:
+        mom = distmodel.weighted_second_moment(d, 1.0 + delta)
+        moments.append({"form": "loglog_delta", "delta": delta, "finite": mom.finite,
+                        "value": mom.value, "reason": mom.reason})
+    return {"series": [s.to_json_dict() for eps in eps_list
+                       for s in eps_series(d, w, a, eps, tau, av)], "moments": moments}
+
+
 def counterexample_sections(depth: int, tau, av) -> dict:
     """The report sections of ``ms_counterexample(depth)``, ``tau`` and ``av`` as in
     ``eps_series``: the moment row, the adaptive-exponent series over n = 2..min(horizon,
@@ -389,3 +408,52 @@ def counterexample_sections(depth: int, tau, av) -> dict:
                   else "block certificates incomplete",))
     return {"series": [series.to_json_dict()], "moments": [moment],
             "counterexample": report.to_json_dict(), "schedule": schedule.to_json_list()}
+
+
+def simulate_series(d: Dist, w_name: str, a_name: str, eps_list, grid: list, wv, av,
+                    replicates: int, seed: int, workers: int, maximal: bool) -> dict:
+    """simulate's reports by key, ``wv`` and ``av`` holding w(n) and a(n) at the grid's n:
+    with ``maximal``, first "max:{eps}", the exact running-maximum series over the grid's n <=
+    MAX_MAXIMAL_N, so a law without an oracle stops before any Monte Carlo runs; then "{eps}",
+    the Undetermined terms w(n) p_hat(n) with per-term Wilson intervals summed into partial-sum
+    bounds and the walk oracle's tail as ``exact`` where one exists.  One walk a replicate, drawn
+    from the batches (seed, 1, b), is counted against every eps at every n, so the terms are
+    correlated across n.  Where n doubles along the grid, the oracle is the previous one squared."""
+    reports = {}
+    if maximal:
+        max_grid = [n for n in grid if n <= mcengine.MAX_MAXIMAL_N]
+        for eps in eps_list:
+            terms = [wn * mcengine.max_tail_profile(d, n, eps * an)[-1]
+                     for n, wn, an in zip(max_grid, wv.tolist(), av.tolist())]
+            reports[f"max:{eps}"] = summarize_series(
+                "running-maximum", max_grid, terms, {"eps": eps},
+                evidence=("exact absorbing-threshold dynamic program",))
+    points = [(n, [e * an for e in eps_list]) for n, an in zip(grid, av.tolist())]
+    estimates = mcengine.estimate_tail(d, points, replicates, seed, (1,), workers=workers)
+    cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
+    oracle = None
+    for (n, thresholds), tau, ests in zip(points, wv.tolist(), estimates):
+        try:
+            half = oracle if oracle is not None and 2 * oracle.n == n else None
+            oracle = mcengine.exact_walk_oracle(d, n, half=half)
+        except mcengine.OracleUnavailable:
+            oracle = None
+        for (terms, los, his, exacts), est, t in zip(cols, ests, thresholds):
+            exacts.append(None if oracle is None else mcengine.exact_tail(oracle, t))
+            terms.append(tau * est.p_hat)
+            los.append(tau * est.lo)
+            his.append(tau * est.hi)
+    for e, (terms, los, his, exacts) in zip(eps_list, cols):
+        rows = [{"n": n, "term": t, "partial_sum": s, "ci_lo": lo, "ci_hi": hi,
+                 **({} if x is None else {"exact": x})}
+                for n, t, s, lo, hi, x in zip(grid, terms, prefix_sums(terms).tolist(),
+                                              prefix_sums(los).tolist(),
+                                              prefix_sums(his).tolist(), exacts)]
+        reports[f"{e}"] = SeriesReport(
+            series_id="weighted-sum-tail",
+            params={"eps": e, "replicates": replicates, "seed_stream": estimates[0][0].seed_stream,
+                    "weights": w_name, "normalizer": a_name},
+            rows=tuple(rows), verdict=UNDETERMINED,
+            evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "
+                      "accumulated into partial-sum bounds",))
+    return reports

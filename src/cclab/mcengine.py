@@ -1,4 +1,6 @@
-"""Monte Carlo estimation of P(|S_n| >= t) plus exact small-instance oracles.
+"""Monte Carlo estimation of P(|S_n| >= t) plus exact small-instance oracles:
+this module draws and enumerates only, and ``convergence.simulate_series``
+builds simulate's reports from them.
 
 Sampling follows a strict determinism contract: replicates are split into
 fixed-size batches, batch b draws from its own stream (``seeding``), and
@@ -41,8 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distmodel, seeding
-from .reports import UNDETERMINED, SeriesReport
-from .seqkit import NormSeq, WeightSeq, prefix_sums
 
 WILSON_Z99 = 2.5758293035489004  # 99.5% standard normal quantile
 
@@ -633,60 +633,3 @@ def max_tail_profile(d: distmodel.Dist, n_max: int, threshold: float) -> np.ndar
         alive = full[-lo:width - lo]
     left, right = out[:, :-lo].copy(), out[:, -lo:].copy()  # each row summed contiguously
     return np.add.accumulate(left.sum(axis=1) + right.sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# Empirical series
-# ---------------------------------------------------------------------------
-
-
-def empirical_series(d: distmodel.Dist, w: WeightSeq, a: NormSeq, eps_list, n_grid,
-                     replicates: int, seed: int, workers: int = 1, columns=None) -> list:
-    """Terms w(n) * p_hat(n) with Wilson intervals propagated into the partial
-    sums, one report for each eps in ``eps_list``.
-
-    Monte Carlo cannot certify an infinite series, so the verdict is always
-    Undetermined; certificates come from the analytic layer.  Each row's
-    ``exact`` is the walk oracle's tail where one exists, else None.  Each
-    replicate is one walk read at every grid n, drawn from the batches
-    (seed, 1, b) and counted against every eps, so the terms are correlated
-    across n; each keeps its own law, and the partial-sum bounds add
-    per-term bounds.  The walk oracle is built once per n, and where n
-    doubles along the grid it is the previous oracle squared.  ``columns``,
-    when given, holds w(n) and a(n) at the grid's n.
-    """
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps must be positive")
-    ns = [int(n) for n in n_grid]
-    wv, av = (w.values(ns), a.values(ns)) if columns is None else columns
-    grid = [(n, [e * an for e in eps_list]) for n, an in zip(ns, av.tolist())]
-    estimates = estimate_tail(d, grid, replicates, seed, (1,), workers=workers)
-    cols = [([], [], [], []) for _ in eps_list]  # terms, los, his, exacts
-    oracle = None
-    for (n, thresholds), tau, ests in zip(grid, wv.tolist(), estimates):
-        try:
-            half = oracle if oracle is not None and 2 * oracle.n == n else None
-            oracle = exact_walk_oracle(d, n, half=half)
-        except OracleUnavailable:
-            oracle = None
-        for (terms, los, his, exacts), est, t in zip(cols, ests, thresholds):
-            exacts.append(None if oracle is None else exact_tail(oracle, t))
-            terms.append(tau * est.p_hat)
-            los.append(tau * est.lo)
-            his.append(tau * est.hi)
-    reports = []
-    for e, (terms, los, his, exacts) in zip(eps_list, cols):
-        rows = [{"n": n, "term": t, "partial_sum": s, "ci_lo": lo, "ci_hi": hi,
-                 **({} if x is None else {"exact": x})}
-                for n, t, s, lo, hi, x in zip(ns, terms, prefix_sums(terms).tolist(),
-                                              prefix_sums(los).tolist(),
-                                              prefix_sums(his).tolist(), exacts)]
-        reports.append(SeriesReport(
-            series_id="weighted-sum-tail",
-            params={"eps": e, "replicates": replicates,
-                    "seed_stream": seeding.stream_id(seed, 1),
-                    "weights": w.name, "normalizer": a.name},
-            rows=tuple(rows), verdict=UNDETERMINED,
-            evidence=("Monte Carlo evidence only; intervals are per-term Wilson 99% "
-                      "accumulated into partial-sum bounds",)))
-    return reports

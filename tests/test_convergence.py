@@ -537,6 +537,23 @@ def test_only_the_head_of_a_vanishing_series_is_summed(monkeypatch):
         assert last["partial_sum"] == s["rows"][head - 1]["partial_sum"] > 0.0
 
 
+def test_simulate_series_exact_column():
+    w, a = sk.power_law_weights(-1.0), sk.power_law_norms(1.0)
+    grid = [2, 4, 8]
+
+    def series(d):
+        (rep,) = cv.simulate_series(d, w.name, a.name, [0.5], grid, w.values(grid),
+                                    a.values(grid), 1000, 3, 1, False).values()
+        return rep
+
+    rep = series(dm.uniform_sym(1.0))
+    assert ["exact" in r for r in rep.rows] == [False] * len(grid)
+    d = dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)])
+    for r in series(d).rows:
+        want = mc.exact_tail(mc.exact_walk_oracle(d, r["n"]), 0.5 * a(r["n"]))
+        assert r["exact"] == want
+
+
 def test_certified_reports_require_certificates():
     with pytest.raises(ValueError):
         rp.SeriesReport("x", {}, (), rp.CONVERGES)

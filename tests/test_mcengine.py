@@ -16,7 +16,6 @@ import pytest
 from cclab import distmodel as dm
 from cclab import mcengine as mc
 from cclab import seeding
-from cclab import seqkit as sk
 from test_distmodel import KS_CRIT_1E3, ks_statistic
 
 N_MAX = 8
@@ -224,18 +223,6 @@ def test_rademacher_large_n_matches_binomial():
     for t in (1, 64, 128, 256, 400):
         want = Fraction(sum(c for k, c in enumerate(binom) if abs(n - 2 * k) >= t), 2 ** n)
         assert mc.exact_tail(oracle, float(t)) == pytest.approx(float(want), rel=1e-10)
-
-
-def test_empirical_series_exact_column():
-    w, a = sk.power_law_weights(-1.0), sk.power_law_norms(1.0)
-    grid = [2, 4, 8]
-    (rep,) = mc.empirical_series(dm.uniform_sym(1.0), w, a, [0.5], grid, 1000, seed=3)
-    assert ["exact" in row for row in rep.rows] == [False] * len(grid)
-    d = dm.atomic_sym([(1.0, 0.5), (3.0, 0.25)])
-    (rep,) = mc.empirical_series(d, w, a, [0.5], grid, 1000, seed=3)
-    for row in rep.rows:
-        want = mc.exact_tail(mc.exact_walk_oracle(d, row["n"]), 0.5 * a(row["n"]))
-        assert row["exact"] == want
 
 
 # ---------------------------------------------------------------------------
@@ -976,10 +963,6 @@ MC_GUARDS = {
     "running maximum NaN threshold": (
         lambda: mc.max_tail_profile(dm.rademacher(), 4, math.nan), ValueError,
         "threshold must not be NaN"),
-    "empirical series eps 0": (
-        lambda: mc.empirical_series(dm.rademacher(), sk.power_law_weights(0.0),
-                                    sk.power_law_norms(1.0), [1.0, 0.0], [4], 1000, 1),
-        ValueError, "eps must be positive"),
 }
 
 
