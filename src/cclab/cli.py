@@ -1,4 +1,4 @@
-"""Scenario runner: config parsing, presets, certified reports, CSV/JSON output.
+"""Scenario runner: config parsing, presets, CSV/JSON output of convergence's reports.
 
 Subcommands: check-conditions, counterexample, simulate, estimate,
 report-merge.  Configs are INI files (flat key=value pairs under sections,
@@ -36,7 +36,8 @@ from 2 on with one line on stderr and no traceback:
        Carlo sum whose + and - parts both overflow, or a walk whose running
        sum meets +inf and -inf (pareto_sym with a small alpha), since |S_n|
        then has no float value; and uniform_sym at n >= 2^36, past its bit
-       planes, before any draw
+       planes, or a run that would draw more than 2^34 single steps (pareto_sym,
+       and uniform_sym below 176 steps an increment), before any draw
     5  internal error: a check inside the program failed (for example a
        registered envelope violated)
 

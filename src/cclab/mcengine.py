@@ -83,6 +83,9 @@ _SLICE_MAX_BITS = 3
 _SLICE_WORDS = 14
 _SLICE_LESS = 6
 
+# estimate_tail refuses a run that would draw more single steps (``_step_sums``)
+# than this before any draw: at 5.86 ns a pareto_sym step (2-vCPU x86 host), about 100 s.
+MAX_SINGLE_STEPS = 1 << 34
 MAX_ORACLE_SUPPORT = 1_000_000
 # Direct convolution is quadratic in the lattice width, so the support cap
 # bounds memory but not time.  np.convolve ran 3e8 to 4e9 multiply-adds a
@@ -381,6 +384,15 @@ def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator
     return lambda rows, rng: _step_sums(d, n, rows, rng)
 
 
+def _single_steps(d: distmodel.Dist, ns: list[int]) -> int:
+    """The steps a walk along ``ns`` draws one at a time: those of the increments
+    that ``_float_sums`` leaves to ``_step_sums``."""
+    if d.lattice_steps is not None or d.gaussian:
+        return 0
+    steps = (n - m for m, n in zip([0, *ns], ns))
+    return sum(m for m in steps if d.plane_width is None or m < _PLANE_MIN_N)
+
+
 def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generator], Iterator]:
     """The draw of one batch of walks along the ascending grid ``ns``: a
     function (rows, rng) that yields rows values of S_n at each n in turn.
@@ -444,6 +456,7 @@ def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tup
 
     Batch b draws from ``seeding.stream(seed, *path, b)``, each path entry as
     its 32-bit words, and every Estimate names the stream ``(seed, *path)``.
+    Past MAX_SINGLE_STEPS single steps SamplingUnavailable is raised before any draw.
     At most ``workers`` threads draw the batches, and no more than there are
     batches or CPUs; the counts are merged in batch order either way.
     """
@@ -460,6 +473,9 @@ def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tup
     full, rest = divmod(replicates, batch_size)
     plan = [batch_size] * full + ([rest] if rest else [])
     walk = _walk(d, ns)
+    if (single := replicates * _single_steps(d, ns)) > MAX_SINGLE_STEPS:
+        raise distmodel.SamplingUnavailable(
+            f"{d.kind}: {single} single steps is past the cap of 2^34 = {MAX_SINGLE_STEPS}")
     address = [word for x in path for word in seeding.words(x)]
 
     def run_batch(b: int) -> list[list[int]]:

@@ -25,6 +25,7 @@ from cclab import cli
 from cclab import convergence as cv
 from cclab import counterexample, distmodel, mcengine, seeding, seqkit
 from cclab.reports import CONVERGES, CSV_COLUMNS, UNDETERMINED, SeriesReport, json_text
+from test_random_families import CASE_FACTOR
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1808,6 +1809,17 @@ def test_uniform_past_the_plane_range_exits_4_before_any_draw(capsys, monkeypatc
                    "bit-plane range n < 2^36\n")
 
 
+def test_a_run_past_the_single_step_cap_exits_4_before_any_draw(capsys, monkeypatch):
+    # 10^11 pareto_sym steps, about 10 minutes at 5.86 ns a step
+    draws = []
+    monkeypatch.setattr(distmodel, "sample", lambda *args: draws.append(args))
+    code, out, err = run(capsys, "estimate", "--n", "100000000", "--threshold", "1e5",
+                         "--replicates", "1000", "--set", "distribution.kind=pareto_sym")
+    assert (code, out, draws) == (cli.EXIT_SAMPLING, "", [])
+    assert err == ("sampling unavailable: pareto_sym: 100000000000 single steps is past the "
+                   "cap of 2^34 = 17179869184\n")
+
+
 def test_estimate_with_overflowing_steps_exits_4_with_one_line():
     proc = run_process(*MAIN, "estimate", "--set", "distribution.kind=pareto_sym",
                        "--set", "distribution.alpha=0.01", "--n", "1024",
@@ -2227,7 +2239,7 @@ def test_seeded_command_lines_keep_the_cli_contract(capsys):
     # config error, and --flag=value prints what --flag value prints.
     rng = np.random.default_rng(0)
     failures = []
-    for _ in range(1700):
+    for _ in range(1700 * CASE_FACTOR):
         argv, shape = sweep_scenario(rng), int(rng.integers(4 * len(MALFORMED)))
         names = list(MALFORMED)
         line = MALFORMED[names[shape]](argv, rng) if shape < len(names) else argv

@@ -942,6 +942,9 @@ MC_GUARDS = {
     "estimate_tail 999 replicates": (
         lambda: mc.estimate_tail(dm.rademacher(), [(4, [1.0])], 999, 1, ()), ValueError,
         "need at least 1000 replicates"),
+    "estimate_tail past the single-step cap": (
+        lambda: mc.estimate_tail(dm.uniform_sym(1.0), [(100, [1.0])], 2 * 10 ** 8, 1, ()),
+        dm.SamplingUnavailable, "uniform_sym: 20000000000 single steps is past the cap of 2"),
     "estimate_tail NaN threshold": (
         lambda: mc.estimate_tail(dm.rademacher(), [(4, [math.nan])], 1000, 1, ()), ValueError,
         "threshold must not be NaN"),
@@ -964,6 +967,12 @@ MC_GUARDS = {
         lambda: mc.max_tail_profile(dm.rademacher(), 4, math.nan), ValueError,
         "threshold must not be NaN"),
 }
+
+
+def test_only_the_steps_drawn_one_at_a_time_count_against_the_cap():
+    grid = [100, 300, 1000]  # increments of 100, 200 and 700 steps: uniform_sym's planes from 176
+    laws = (dm.uniform_sym(1.0), dm.pareto_sym(1.5, 1.0), dm.rademacher(), dm.normal_std())
+    assert [mc._single_steps(d, grid) for d in laws] == [100, 1000, 0, 0]
 
 
 @pytest.mark.parametrize("case", MC_GUARDS)
