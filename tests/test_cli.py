@@ -1359,6 +1359,7 @@ ROW_REFUSALS = [
     ("scenario", "eps", "check-conditions", "0.5,x", "a list of distinct finite numbers > 0"),
     ("scenario", "eps", "simulate", ",", "a list of distinct finite numbers > 0"),
     ("scenario", "eps", "simulate", "0.5,0.5", "a list of distinct finite numbers > 0"),
+    ("scenario", "eps", "simulate", "1,0", "a list of distinct finite numbers > 0"),
     ("scenario", "eps", "check-conditions", "0.5,1,0.50", "a list of distinct finite numbers > 0"),
     ("scenario", "theta", "check-conditions", "2x", "a finite number >= 1"),
     ("scenario", "theta", "check-conditions", "0.5", "a finite number >= 1"),
