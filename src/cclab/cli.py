@@ -515,9 +515,10 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
         "provenance": cfg.provenance(),
         "series": {k: v.to_json_dict() for k, v in reports.items()},
     }
-    # CSV text is only written with --out: simulate_eps{eps}.csv and simulate_max_eps{eps}.csv
+    # CSV text is only written with --out: simulate_series' keys "max:{eps}" and "{eps}"
+    # name simulate_max_eps{eps}.csv and simulate_eps{eps}.csv
     csvs = {} if cfg.out_dir is None else {
-        f"simulate_{k.replace(':', '_eps') if ':' in k else 'eps' + k}.csv": v.to_csv()
+        f"simulate_{'max_eps' + k[4:] if k.startswith('max:') else 'eps' + k}.csv": v.to_csv()
         for k, v in reports.items()}
     return payload, csvs
 

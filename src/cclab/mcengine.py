@@ -365,37 +365,32 @@ def _atom_counts(n: int, probs: np.ndarray) -> Callable[[int, np.random.Generato
     return lambda rows, rng: rng.multinomial(n, probs, size=rows)
 
 
-def _float_sums(d: distmodel.Dist, n: int) -> Callable[[int, np.random.Generator], np.ndarray]:
+def _float_sums(d: distmodel.Dist, n: int) -> tuple[Callable[[int, np.random.Generator],
+                                                                 np.ndarray], int]:
     """The draw of one batch of S_n for a law without atoms, a function (rows,
-    rng) -> rows sums, by the law's views as the module docstring lists.  The
+    rng) -> rows sums, by the law's views as the module docstring lists, and
+    the steps it draws one at a time a row: n by ``_step_sums``, else 0.  The
     table that inverts ``uniform_sym``'s plane counts is built here once for
     every batch, and past _PLANE_MAX_N SamplingUnavailable is raised before
     any draw."""
     if d.gaussian:
         root = math.sqrt(n)
-        return lambda rows, rng: root * rng.standard_normal(rows)
+        return (lambda rows, rng: root * rng.standard_normal(rows)), 0
     h = d.plane_width
     if h is not None and n >= _PLANE_MAX_N:
         raise distmodel.SamplingUnavailable(
             f"{d.kind}: {n} steps is past the bit-plane range n < 2^36")
     if h is not None and n >= _PLANE_MIN_N:
         table = _HalfBinomial(n) if n <= _TABLE_MAX_N else None
-        return lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)
-    return lambda rows, rng: _step_sums(d, n, rows, rng)
+        return (lambda rows, rng: _uniform_plane_sums(n, h, rows, rng, table)), 0
+    return (lambda rows, rng: _step_sums(d, n, rows, rng)), n
 
 
-def _single_steps(d: distmodel.Dist, ns: list[int]) -> int:
-    """The steps a walk along ``ns`` draws one at a time: those of the increments
-    that ``_float_sums`` leaves to ``_step_sums``."""
-    if d.lattice_steps is not None or d.gaussian:
-        return 0
-    steps = (n - m for m, n in zip([0, *ns], ns))
-    return sum(m for m in steps if d.plane_width is None or m < _PLANE_MIN_N)
-
-
-def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generator], Iterator]:
+def _walk(d: distmodel.Dist, ns: list[int]) -> tuple[Callable[[int, np.random.Generator],
+                                                               Iterator], int]:
     """The draw of one batch of walks along the ascending grid ``ns``: a
-    function (rows, rng) that yields rows values of S_n at each n in turn.
+    function (rows, rng) that yields rows values of S_n at each n in turn, and
+    the steps a row draws one at a time, those ``_float_sums`` counts.
 
     The walk draws its increments S_{n_i} - S_{n_(i-1)} (n_0 = 0) in grid
     order, each as a sum of n_i - n_(i-1) steps, and adds them up, so each
@@ -410,8 +405,10 @@ def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generato
     +inf and -inf, has no float value, and SamplingUnavailable says which.
     """
     steps = [n - m for m, n in zip([0, *ns], ns)]
+    single = 0
     if d.lattice_steps is None:
-        draws, den = [_float_sums(d, m) for m in steps], None
+        draws, singles = zip(*(_float_sums(d, m) for m in steps))
+        den, single = None, sum(singles)
     else:
         atoms, probs, den, values = d.lattice_steps
         if _exact_range(ns[-1], atoms, den):
@@ -443,7 +440,7 @@ def _walk(d: distmodel.Dist, ns: list[int]) -> Callable[[int, np.random.Generato
                     f"{d.kind}: the running sum met +inf and -inf across increments by n = {n}")
             yield s if den is None else s / den
 
-    return walk
+    return walk, single
 
 
 def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tuple,
@@ -472,8 +469,8 @@ def estimate_tail(d: distmodel.Dist, grid, replicates: int, seed: int, path: tup
         raise ValueError("threshold must not be NaN")
     full, rest = divmod(replicates, batch_size)
     plan = [batch_size] * full + ([rest] if rest else [])
-    walk = _walk(d, ns)
-    if (single := replicates * _single_steps(d, ns)) > MAX_SINGLE_STEPS:
+    walk, steps = _walk(d, ns)
+    if (single := replicates * steps) > MAX_SINGLE_STEPS:
         raise distmodel.SamplingUnavailable(
             f"{d.kind}: {single} single steps is past the cap of 2^34 = {MAX_SINGLE_STEPS}")
     address = [word for x in path for word in seeding.words(x)]

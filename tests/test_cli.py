@@ -25,7 +25,6 @@ from cclab import cli
 from cclab import convergence as cv
 from cclab import counterexample, distmodel, mcengine, seeding, seqkit
 from cclab.reports import CONVERGES, CSV_COLUMNS, UNDETERMINED, SeriesReport, json_text
-from test_random_families import CASE_FACTOR
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -2240,7 +2239,7 @@ def test_seeded_command_lines_keep_the_cli_contract(capsys):
     # config error, and --flag=value prints what --flag value prints.
     rng = np.random.default_rng(0)
     failures = []
-    for _ in range(1700 * CASE_FACTOR):
+    for _ in range(1700):
         argv, shape = sweep_scenario(rng), int(rng.integers(4 * len(MALFORMED)))
         names = list(MALFORMED)
         line = MALFORMED[names[shape]](argv, rng) if shape < len(names) else argv

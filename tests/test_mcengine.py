@@ -29,7 +29,7 @@ def estimate_at(d, n, thresholds, replicates, seed, **kwargs) -> list:
 
 def batch_sums(d, n):
     """The draw of one batch of S_n, rows signed sums: the walk of the one-point grid [n]."""
-    walk = mc._walk(d, [n])
+    walk, _ = mc._walk(d, [n])
     return lambda rows, rng: next(walk(rows, rng))
 
 
@@ -297,7 +297,7 @@ def test_off_lattice_sums_follow_the_law_of_the_float_atoms():
     # one batch, so the walk and estimate_tail read the same stream
     estimates = mc.estimate_tail(d, list(zip(grid, thresholds)), rows, 2026, (8,),
                                  batch_size=rows)
-    walk = mc._walk(d, grid)(rows, seeding.stream(2026, 8, 0))
+    walk = mc._walk(d, grid)[0](rows, seeding.stream(2026, 8, 0))
     for n, support, sums, ts, ests in zip(grid, supports, walk, thresholds, estimates):
         law = laws[n - 1]
         # every draw lies within rounding of one point of the law
@@ -745,7 +745,7 @@ def test_the_walk_follows_the_oracle_law_at_every_grid_n(name):
     # one batch, so the walk and estimate_tail read the same stream
     estimates = mc.estimate_tail(d, list(zip(grid, thresholds)), rows, 2026, (16,),
                                  batch_size=rows)
-    walk = mc._walk(d, grid)(rows, seeding.stream(2026, 16, 0))
+    walk = mc._walk(d, grid)[0](rows, seeding.stream(2026, 16, 0))
     for n, oracle, sums, ts, ests in zip(grid, oracles, walk, thresholds, estimates):
         idx = np.searchsorted(oracle.values, sums)
         # every draw is a lattice point of the oracle, bit for bit
@@ -772,7 +772,7 @@ def test_the_uniform_walk_follows_irwin_hall_across_the_plane_crossover():
     # increments of 16 and 84 steps draw single steps, of 176 bit planes
     h, rows, grid = 1.5, 50_000, [16, 100, 276, 452]
     assert grid[2] - grid[1] == grid[3] - grid[2] == mc._PLANE_MIN_N > grid[1] - grid[0]
-    walk = mc._walk(dm.uniform_sym(h), grid)(rows, seeding.stream(2026, 17))
+    walk = mc._walk(dm.uniform_sym(h), grid)[0](rows, seeding.stream(2026, 17))
     for n, sums in zip(grid, walk):
         # cuts of U_1 + ... + U_n about half a standard deviation, sqrt(n/12), apart
         s = math.isqrt(n * 100 // 12)
@@ -972,7 +972,7 @@ MC_GUARDS = {
 def test_only_the_steps_drawn_one_at_a_time_count_against_the_cap():
     grid = [100, 300, 1000]  # increments of 100, 200 and 700 steps: uniform_sym's planes from 176
     laws = (dm.uniform_sym(1.0), dm.pareto_sym(1.5, 1.0), dm.rademacher(), dm.normal_std())
-    assert [mc._single_steps(d, grid) for d in laws] == [100, 1000, 0, 0]
+    assert [mc._walk(d, grid)[1] for d in laws] == [100, 1000, 0, 0]
 
 
 @pytest.mark.parametrize("case", MC_GUARDS)

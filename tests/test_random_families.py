@@ -20,16 +20,11 @@ report is ``CertifiedPass``.
 The exponents are dyadic, so P = -1, Q = -1 and q = 1 are exact in floats; the
 first two are drawn on purpose.  Coverage is a number: the ``Undetermined`` count of each (law,
 series) may never rise above the recorded ceiling.
-
-CCLAB_CASE_FACTOR=k (default 1) draws k times the cases here and in test_cli.py's seeded
-command-line sweep, continuing the same seeded streams.  The ceilings record the default
-draw, so they are checked only at k = 1.
 """
 
 import contextlib
 import io
 import json
-import os
 import random
 import shlex
 import warnings
@@ -37,8 +32,7 @@ from collections import Counter
 
 from cclab import cli
 
-CASE_FACTOR = int(os.environ.get("CCLAB_CASE_FACTOR", "1"))
-CASES = 300 * CASE_FACTOR
+CASES = 300
 LAWS = {
     "rademacher": (),
     "uniform_sym": (),
@@ -166,6 +160,5 @@ def test_seeded_power_log_verdicts_follow_the_rules():
                                 f"{'converges' if want else 'diverges'}: {shown}")
     assert not failures, "\n".join(failures)
     assert ran >= CASES // 2 and checked >= CASES and q_one
-    # the ceilings record the default draw; more cases are checked against the rules alone
     over = {key: n for key, n in undetermined.items() if n > UNDETERMINED_AT_MOST.get(key, 0)}
-    assert CASE_FACTOR > 1 or not over, (over, dict(undetermined))
+    assert not over, (over, dict(undetermined))
